@@ -10,7 +10,7 @@ records wall-clock milliseconds.
 
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (precision budget exhausted), 1 for
-runtime errors, 64 for usage errors.
+runtime errors and failed self-checks (status "error"), 64 for usage errors.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def main(argv=None) -> int:
     began = time.perf_counter()
     try:
         status, result = _WORKERS[args.group](args, stage)
-        code = 0
+        code = 1 if status == "error" else 0
     except NoPointError as exc:
         status, result, code = "no_local_point", {"message": str(exc)}, 0
     except InsufficientPrecision as exc:

@@ -78,6 +78,11 @@ class ElkiesFibre:
         assert self.N0 % 16 == 1
 
 
+def _b_bound(n0: int) -> int:
+    """Search bound for B in N0 = A^4 + 16 B^4: floor((N0/16)^(1/4)) + 2."""
+    return math.isqrt(math.isqrt(n0 // 16)) + 2
+
+
 def fibre(t) -> ElkiesFibre:
     """Construct the fibre at t (a rational, or None/'infinity')."""
     if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
@@ -90,8 +95,7 @@ def fibre(t) -> ElkiesFibre:
     assert n_val.numerator % 2 == 1, "the family takes odd values only"
     n0, _ = quartic_free_part(n_val)
     assert n0 > 0 and n0 % 16 == 1
-    bound = int((n0 / 16) ** 0.25) + 2
-    for b in range(1, bound + 1, 2):
+    for b in range(1, _b_bound(n0) + 1, 2):
         rest = n0 - 16 * b**4
         if rest <= 0:
             break

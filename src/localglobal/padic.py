@@ -213,8 +213,6 @@ class PadicNumber:
         diff = self - other
         if digits is None:
             return diff._zero
-        if diff._zero:
-            return diff.v >= digits
         return diff.v >= digits
 
 
@@ -312,22 +310,27 @@ def _unit_label_digits(p: int, n: int) -> int:
     return 2 * vp + 1
 
 
-_POWER_COSETS: dict[tuple[int, int], frozenset] = {}
-
-
-def _nth_power_units(p: int, n: int) -> frozenset:
-    """The subgroup of n-th powers inside (Z/p**k)*, k the stabilized exponent."""
-    key = (p, n)
-    if key not in _POWER_COSETS:
-        mod = p ** _unit_label_digits(p, n)
-        _POWER_COSETS[key] = frozenset(pow(x, n, mod) for x in range(1, mod) if x % p)
-    return _POWER_COSETS[key]
-
-
 def _canonical_unit_label(u: int, n: int, p: int) -> int:
-    """Least member of the coset u * (units)**n mod p**k: one label per class."""
+    """Least member of the coset u * (units)**n mod p**k: one label per class.
+
+    Tame case (odd p not dividing n): by Hensel's lemma a unit is an n-th
+    power iff it is one mod p, and (Z/p)* is cyclic, so the n-th power units
+    are the kernel of the power-residue character r -> r**e mod p with
+    e = (p-1)/gcd(n, p-1) (Serre, A Course in Arithmetic, II.3).  The coset
+    of u is the fibre of that character over u**e, and the label is the
+    least r >= 1 with r**e = u**e mod p: about gcd(n, p-1) candidates are
+    tried.  Wild case (p = 2 or p | n): the least unit r mod p**k with
+    u / r an n-th power, tested by `is_nth_power_unit` on that small ring.
+    """
+    if p != 2 and n % p:
+        e = (p - 1) // math.gcd(n, p - 1)
+        target = pow(u, e, p)
+        return next(r for r in range(1, p) if pow(r, e, p) == target)
     mod = p ** _unit_label_digits(p, n)
-    return min(u * s % mod for s in _nth_power_units(p, n))
+    return next(
+        r for r in range(1, mod)
+        if r % p and is_nth_power_unit(u * pow(r, -1, mod) % mod, n, p)
+    )
 
 
 def is_nth_power_unit(u: int, n: int, p: int) -> bool:
@@ -389,25 +392,16 @@ class PowerClass:
     def representative(self) -> Fraction:
         """A small rational in this class: p**v times a canonical unit.
 
-        For n = 2 this lands in {1, u, p, u p} (u the least positive
-        non-residue) for odd p, and in {±1, ±5} * 2**{0,1} style reps at 2.
+        For n = 2 and odd p the label is 1 or the least positive
+        non-residue u, so this lands in {1, u, p, u p}; at p = 2 it lands in
+        {±1, ±5} * 2**{0,1}.
         """
-        p, n = self.p, self.n
         u = self.unit_label
-        if self.n == 2:
-            if p == 2:
-                for cand in (1, -1, 5, -5):
-                    if (u - cand) % 8 == 0:
-                        return Fraction(cand * 2**self.val_mod)
-            else:
-                if is_nth_power_unit(u, 2, p):
-                    unit = 1
-                else:
-                    unit = next(
-                        r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1
-                    )
-                return Fraction(unit * p**self.val_mod)
-        return Fraction(u * p**self.val_mod)
+        if self.n == 2 and self.p == 2:
+            for cand in (1, -1, 5, -5):
+                if (u - cand) % 8 == 0:
+                    return Fraction(cand * 2**self.val_mod)
+        return Fraction(u * self.p**self.val_mod)
 
 
 def power_class_from_parts(p: int, n: int, v: int, unit: int) -> PowerClass:

@@ -3,13 +3,21 @@
 Quadratic Hilbert symbols at every place (closed formulas, no enumeration),
 the invariant-value group Q/Z they land in, elements of radical extensions
 Q_p[x]/(x^m - d), and exact norm-group membership for those extensions.
-Everything is decided in exact arithmetic; enumerated norm subgroups are
-certified against the index predicted by local reciprocity before use.
+
+Norm membership is decided by closed forms wherever a theorem gives one.
+Quadratic cases use the Hilbert symbol.  Tame Kummer cases (p = 1 mod m,
+so mu_m lies in Q_p and p does not divide m) use the tame m-th power
+symbol, whose kernel is the norm group of Q_p(d^(1/m)) (Serre, Local
+Fields, ch. XIV, section 3; Neukirch, Algebraic Number Theory, V.3).  Only
+the cyclic quartic without fourth roots of unity (p = 2, or p = 3 mod 4
+with -d a square) still samples norms, and that subgroup is certified
+against the index predicted by local reciprocity before use.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -22,7 +30,6 @@ from .padic import (
     PowerClass,
     is_nth_power,
     power_class,
-    padic_sqrt,
     _unit_label_digits,
 )
 
@@ -204,10 +211,6 @@ def hilbert2(a, b, v) -> tuple[int, InvariantValue]:
     return sign, inv
 
 
-def hilbert2_sign(a, b, v) -> int:
-    return hilbert2(a, b, v)[0]
-
-
 def product_formula_check(a, b) -> InvariantValue:
     """Sum of the invariants of (a, b) over every place where it can ramify.
 
@@ -332,17 +335,10 @@ def _radical_norm_exact(m: int, d: Fraction, coeffs) -> Fraction:
 
 
 # --------------------------------------------------------- norm membership
-@lru_cache(maxsize=None)
-def _all_power_classes(p: int, n: int) -> frozenset:
-    """Every class of Q_p*/(Q_p*)**n (finite: n valuations x unit classes)."""
-    k = _unit_label_digits(p, n)
-    mod = p**k
-    classes = set()
-    for v in range(n):
-        for u in range(1, mod):
-            if u % p:
-                classes.add(power_class(Fraction(u * p**v), n, p))
-    return frozenset(classes)
+def _class_group_order(p: int, n: int) -> int:
+    """|Q_p*/(Q_p*)**n| = n * |mu_n(Q_p)| * p**v_p(n) (Neukirch II.5.8)."""
+    roots = math.gcd(n, 2 if p == 2 else p - 1)
+    return n * roots * p ** ((_unit_label_digits(p, n) - 1) // 2)
 
 
 def _subgroup_closure(gens, identity) -> frozenset:
@@ -367,8 +363,9 @@ def _norm_subgroup(p: int, m: int, d: Fraction, expected_index: int) -> frozense
     reciprocity.  Overshooting the prediction is an arithmetic error;
     failing to reach it within the sampling budget raises
     InsufficientPrecision rather than returning an uncertified subgroup.
+    Only the cyclic quartic without a tame symbol reaches this.
     """
-    everything = _all_power_classes(p, m)
+    order = _class_group_order(p, m)
     identity = power_class(Fraction(1), m, p)
     gens: list[PowerClass] = []
     group = frozenset({identity})
@@ -385,7 +382,7 @@ def _norm_subgroup(p: int, m: int, d: Fraction, expected_index: int) -> frozense
                 continue
             gens.append(cls)
             group = _subgroup_closure(gens, identity)
-            index = len(everything) // len(group)
+            index = order // len(group)
             if index < expected_index:
                 raise ArithmeticError(
                     f"norm subgroup of x^{m} - {d} over Q_{p} exceeds the "
@@ -393,7 +390,7 @@ def _norm_subgroup(p: int, m: int, d: Fraction, expected_index: int) -> frozense
                 )
             if index == expected_index:
                 return group
-    if len(everything) // len(group) != expected_index:
+    if order // len(group) != expected_index:
         raise InsufficientPrecision(
             f"norm subgroup of x^{m} - {d} over Q_{p} did not stabilize at "
             f"index {expected_index} within the sampling budget"
@@ -401,16 +398,18 @@ def _norm_subgroup(p: int, m: int, d: Fraction, expected_index: int) -> frozense
     return group
 
 
-def _minus_one_is_square(p: int) -> bool:
-    return p != 2 and p % 4 == 1
+def _tame_symbol_is_trivial(x: Fraction, d: Fraction, p: int, m: int) -> bool:
+    """Is the tame m-th power symbol (x, d)_p trivial (p odd, p = 1 mod m)?
 
-
-def _hilbert2_sign_padic(x, s: PadicNumber) -> int:
-    """Symbol (x, s)_p with the second argument known p-adically."""
-    p = s.p
-    va, ua = _vu(Fraction(x), p)
-    vb, ub = _vu(s, p)
-    return _hilbert2_finite(p, va, ua, vb, ub)
+    With a = v_p(x) and b = v_p(d), the symbol is the m-th power residue
+    of (-1)**(a b) x**b / d**a mod p; it is trivial exactly when x is a
+    norm from Q_p(d^(1/m)).
+    """
+    a, ux = _split_p_part(x, p)
+    b, ud = _split_p_part(d, p)
+    sign = -1 if a * b % 2 else 1
+    c = sign * pow(_unit_residue_exact(ux, p), b, p) * pow(_unit_residue_exact(ud, p), -a, p)
+    return pow(c, (p - 1) // m, p) == 1
 
 
 def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> bool:
@@ -423,9 +422,17 @@ def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> b
     x lies in the product of their norm groups; a linear factor therefore
     makes every x a norm.  Degrees 2, 3, 4 are supported.
 
-    Decision routes: degree 2 and all quadratic subcases use the closed
-    Hilbert-symbol formula; cyclic higher-degree cases enumerate the norm
-    subgroup exactly and certify its index before answering.
+    Decision routes, all closed forms but one:
+
+    * degree 2 and every quadratic subcase: the Hilbert symbol;
+    * p = 1 mod m (Kummer: mu_m in Q_p, p odd and prime to m): the algebra
+      is a product of copies of Q_p(d^(1/m)), whose norm group is the
+      kernel of the tame m-th power symbol (Serre, Local Fields, XIV.3;
+      Neukirch, Algebraic Number Theory, V.3);
+    * degree 3 otherwise: no cube roots of unity, so the cubic is not
+      Galois and its norm map is onto;
+    * the cyclic quartic at p = 2 or p = 3 mod 4 with -d a square: the
+      norm subgroup is sampled and its index certified.
     """
     x = Fraction(x)
     d = Fraction(d)
@@ -435,40 +442,30 @@ def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> b
         raise ValueError(f"{p} is not prime")
     if m not in (2, 3, 4):
         raise ValueError("supported degrees: 2, 3, 4")
-    if is_nth_power(d, m, p, precision):
-        return True  # a root exists: a linear factor, so norms are everything
 
     if m == 2:
         return hilbert2(x, d, p)[0] == 1
-
+    if p % m == 1:
+        return _tame_symbol_is_trivial(x, d, p, m)
     if m == 3:
-        if p % 3 != 1:
-            # No cube roots of unity in Q_p: the cubic x^3 - d stays
-            # non-Galois, and its norm map is onto.
-            return True
-        group = _norm_subgroup(p, 3, d, 3)
-        return power_class(x, 3, p) in group
+        # No cube roots of unity in Q_p: x^3 - d is not Galois, and its
+        # norm map is onto.
+        return True
 
-    # m == 4
+    # m == 4 and -1 is not a square in Q_p.
     if is_nth_power(d, 2, p, precision):
-        # d = s^2 but not a 4th power: the algebra splits as the pair of
-        # quadratic fields from x^2 - s and x^2 + s.
-        if not _minus_one_is_square(p):
-            # The two quadratic norm groups differ by the nontrivial
-            # character attached to -1, so together they fill Q_p*.
-            return True
-        s = padic_sqrt(PadicNumber.from_fraction(d, p, precision))
-        return _hilbert2_sign_padic(x, s) == 1
+        # d = s^2: the algebra splits as the pair of quadratic fields from
+        # x^2 - s and x^2 + s, whose norm groups differ by the nontrivial
+        # character attached to -1, so together they fill Q_p*.
+        return True
     if is_nth_power(-4 * d, 4, p, precision):
         # x^4 - d = (x^2 - 2wx + 2w^2)(x^2 + 2wx + 2w^2); both factors
         # generate the quadratic field with square root of -1.
-        if _minus_one_is_square(p):
-            return True
         return hilbert2(x, -1, p)[0] == 1
     # Irreducible quartic.  It is Galois (hence abelian, hence of norm
     # index 4) exactly when a square root of -1 lies in the field, i.e.
-    # when -1 is a square in Q_p or -d is.
-    if _minus_one_is_square(p) or is_nth_power(-d, 2, p, precision):
+    # when -d is a square.
+    if is_nth_power(-d, 2, p, precision):
         group = _norm_subgroup(p, 4, d, 4)
         return power_class(x, 4, p) in group
     # Non-Galois quartic: norms agree with those of the quadratic

@@ -1,10 +1,11 @@
 """CLI tests: report schema, frozen outputs, exit codes, determinism."""
 
+import dataclasses
 import json
 
 import pytest
 
-from localglobal import cli
+from localglobal import cli, selmer
 from localglobal.padic import InsufficientPrecision
 from localglobal.reichardt_lind import NoPointError
 from localglobal.symbols import as_place
@@ -197,3 +198,19 @@ class TestPlumbing:
         code, rep = run_json(capsys, "rl", "verify", "--ell", "11", "--p", "41")
         assert code == 0 and rep["status"] == "no_local_point"
         assert "no local point at 2" in rep["result"]["message"]
+
+    def test_failed_verify_self_check_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "norm_K_over_k", lambda gamma: cli.Eisenstein.of(10))
+        code, rep = run_json(capsys, "selmer", "verify")
+        assert code == 1 and rep["status"] == "error"
+        assert rep["result"]["gamma_norm"] == ["10", "0"]
+
+    def test_failed_survival_self_check_exits_one(self, capsys, monkeypatch):
+        def not_surviving(*args, **kwargs):
+            report = selmer.survival_analysis(*args, **kwargs)
+            return dataclasses.replace(report, in_annihilator_60=False)
+
+        monkeypatch.setattr(cli, "survival_analysis", not_surviving)
+        code, rep = run_json(capsys, "selmer", "survival")
+        assert code == 1 and rep["status"] == "error"
+        assert rep["result"]["survives"] is False

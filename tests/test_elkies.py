@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from localglobal import elkies
 from localglobal.elkies import (
     ElkiesFibre,
     NoRepresentation,
@@ -61,6 +62,23 @@ class TestFibre:
 
     def test_height_one(self):
         assert rationals_of_height(1) == [None, Fraction(-1), Fraction(0), Fraction(1)]
+
+
+class TestFibreSearchBound:
+    def test_matches_the_float_form_on_small_values(self):
+        for n0 in list(range(1, 5000, 16)) + [1921, 17 * 113 * 16**3 + 1, 10**12 + 1]:
+            assert elkies._b_bound(n0) == int((n0 / 16) ** 0.25) + 2, n0
+
+    def test_huge_n0_needs_no_float(self, monkeypatch):
+        a, b = 2**280 + 1, 3
+        n0 = a**4 + 16 * b**4
+        assert n0 > 2**1100
+        with pytest.raises(OverflowError):
+            n0 / 16  # the float form could not even start
+        assert elkies._b_bound(n0) == 2**279 + 2  # floor((n0 / 16)^(1/4)) = (a - 1) / 2
+        monkeypatch.setattr(elkies, "quartic_free_part", lambda q: (n0, Fraction(1)))
+        fib = fibre(0)
+        assert (fib.N0, fib.A, fib.B) == (n0, a, b)
 
 
 class TestQuarticRep:
