@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import (
+    CertificateError,
     factorize,
     fourth_root,
     is_perfect_square,
@@ -72,10 +73,14 @@ class ElkiesFibre:
     B: int
 
     def __post_init__(self):
-        assert self.N0 == self.A**4 + 16 * self.B**4
-        assert self.A % 2 == 1 and self.B % 2 == 1
-        assert math.gcd(self.A, self.B) == 1
-        assert self.N0 % 16 == 1
+        if self.N0 != self.A**4 + 16 * self.B**4:
+            raise CertificateError(f"N0 = {self.N0} != {self.A}^4 + 16*{self.B}^4")
+        if self.A % 2 == 0 or self.B % 2 == 0:
+            raise CertificateError(f"A = {self.A} and B = {self.B} must be odd")
+        if math.gcd(self.A, self.B) != 1:
+            raise CertificateError(f"A = {self.A} and B = {self.B} must be coprime")
+        if self.N0 % 16 != 1:
+            raise CertificateError(f"N0 = {self.N0} is not 1 mod 16")
 
 
 def _b_bound(n0: int) -> int:
@@ -90,11 +95,14 @@ def fibre(t) -> ElkiesFibre:
     else:
         t_val = Fraction(t)
         s = 1 + t_val + t_val * t_val
-        assert s != 0, "1 + t + t^2 has no rational roots"
+        if s == 0:
+            raise CertificateError("1 + t + t^2 has no rational roots")
         n_val = (1 + Fraction(2) / s) ** 4 + 16
-    assert n_val.numerator % 2 == 1, "the family takes odd values only"
+    if n_val.numerator % 2 == 0:
+        raise CertificateError(f"N = {n_val}: the family takes odd values only")
     n0, _ = quartic_free_part(n_val)
-    assert n0 > 0 and n0 % 16 == 1
+    if n0 <= 0 or n0 % 16 != 1:
+        raise CertificateError(f"N0 = {n0} is not a positive 1 mod 16")
     for b in range(1, _b_bound(n0) + 1, 2):
         rest = n0 - 16 * b**4
         if rest <= 0:
@@ -147,6 +155,13 @@ def local_solvability_report(
     y = 0.  At odd p | N0: some y makes N0 + 2y^2 a nonzero fourth power
     mod p, and the quartic in z lifts; such y exists because -1, hence
     the relevant quotient structure, behaves as for p = 1 mod 8.
+
+    Good primes q (odd, q not dividing N0) need no search: the model is
+    a smooth curve of genus one over F_q, so it has an F_q-point by
+    Hasse-Weil, and Hensel's lemma lifts a smooth point to Q_q (Silverman,
+    AEC, V.1.1).  The sweep of `local_point` over the good primes below
+    `good_prime_bound` is a bounded cross-check of that argument, not its
+    proof.
     """
     n0 = fib.N0
     real_ok = n0 > 0
@@ -158,7 +173,8 @@ def local_solvability_report(
 
     odd_entries = []
     for p, _ in factorize(n0).factors:
-        assert p % 8 == 1, "odd primes dividing a fibre constant are 1 mod 8"
+        if p % 8 != 1:
+            raise CertificateError(f"{p} divides N0 = {n0} but is not 1 mod 8")
         solvable = False
         for y in range(p):
             u = (n0 + 2 * y * y) % p
@@ -200,8 +216,10 @@ class QuarticRep:
     b: int
 
     def __post_init__(self):
-        assert self.a**2 + 16 * self.b**2 == self.p
-        assert self.a % 2 == 1 and self.a > 0 and self.b > 0
+        if self.a**2 + 16 * self.b**2 != self.p:
+            raise CertificateError(f"{self.p} != {self.a}^2 + 16*{self.b}^2")
+        if self.a % 2 == 0 or self.a <= 0 or self.b <= 0:
+            raise CertificateError(f"need a odd, a > 0 and b > 0, got {self.a}, {self.b}")
 
     @property
     def b_even(self) -> bool:

@@ -13,10 +13,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Alias for exact rationals; fractions.Fraction already guarantees
-# lowest terms, positive denominator and 0 == Fraction(0, 1).
-Rational = Fraction
-
 # Complete deterministic witness set for n < 2**64 (Sinclair / Jaeschke).
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -25,6 +21,12 @@ _TRIAL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 class FactorizationError(Exception):
     """Raised when a factoring invariant is violated (should not happen)."""
+
+
+class CertificateError(ArithmeticError):
+    """A certificate self-check failed: a computed witness does not satisfy
+    the identity it certifies.  Raised, never asserted, so that the check
+    survives `python -O`."""
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
@@ -177,7 +179,7 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n).factors)
 
 
-def quartic_free_part(q: Rational) -> tuple[int, Rational]:
+def quartic_free_part(q: Fraction) -> tuple[int, Fraction]:
     """Strip fourth powers: return (n0, m) with q * m**4 = n0, n0 a
     fourth-power-free integer of the same sign as q."""
     q = Fraction(q)
@@ -194,7 +196,8 @@ def quartic_free_part(q: Rational) -> tuple[int, Rational]:
         r = e % 4
         n0 *= p**r
         m *= Fraction(p) ** ((r - e) // 4)
-    assert q * m**4 == n0
+    if q * m**4 != n0:
+        raise CertificateError(f"{q} * {m}^4 != {n0}")
     return n0, m
 
 
@@ -212,12 +215,16 @@ def legendre_symbol(a: int, p: int) -> int:
 def sqrt_mod_prime(a: int, p: int) -> int:
     """A square root of a modulo an odd prime p (Tonelli-Shanks).
 
-    Returns a root in [0, p); raises ValueError on a nonresidue.
+    Returns a root in [0, p); raises ValueError on a nonresidue.  p is
+    tested for primality once; residuosity then uses Euler's criterion.
     """
     a %= p
     if a == 0:
         return 0
-    if legendre_symbol(a, p) != 1:
+    if p == 2 or not is_probable_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
         raise ValueError(f"{a} is not a square mod {p}")
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -225,7 +232,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     while q % 2 == 0:
         q, s = q // 2, s + 1
     z = 2
-    while legendre_symbol(z, p) != -1:
+    while pow(z, half, p) != p - 1:
         z += 1
     m, c = s, pow(z, q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
@@ -236,7 +243,8 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         b = pow(c, 1 << (m - i - 1), p)
         m, c = i, b * b % p
         t, r = t * c % p, r * b % p
-    assert r * r % p == a
+    if r * r % p != a:
+        raise CertificateError(f"{r}^2 != {a} mod {p}")
     return r
 
 

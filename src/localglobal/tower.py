@@ -25,7 +25,6 @@ from .cubic import Eisenstein, ONE, ZETA
 from .exact import is_probable_prime
 
 __all__ = [
-    "CycloElement",
     "KElement",
     "EPS",
     "GAMMA",
@@ -38,8 +37,6 @@ __all__ = [
     "evaluate_F_symbolic",
     "identity_check_primes",
 ]
-
-CycloElement = Eisenstein
 
 
 # ------------------------------------------------------------- field tower

@@ -1,5 +1,5 @@
 """Enumerating reference implementations of the closed forms in `padic` and
-`symbols`.
+`symbols`, and of the linear-time local point search in `reichardt_lind`.
 
 A power-class label is the least member of its coset, found by listing the
 whole n-th power subgroup.  Norm membership for a cyclic radical extension
@@ -7,7 +7,8 @@ lists every class of Q_p*/(Q_p*)**m and samples norms until the generated
 subgroup reaches the index predicted by local reciprocity.  Classes are
 kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
-computations.
+computations.  The local point search is the quadratic one: every residue
+pair at depth 1 and every one of the q^2 children of each node are tried.
 """
 
 from __future__ import annotations
@@ -16,8 +17,23 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from localglobal.padic import DEFAULT_PRECISION, PadicNumber, _unit_label_digits, padic_sqrt
-from localglobal.symbols import _radical_norm_exact, _split_p_part, hilbert2
+from localglobal.padic import (
+    DEFAULT_PRECISION,
+    PadicNumber,
+    _unit_label_digits,
+    is_nth_power as padic_is_nth_power,
+    padic_sqrt,
+)
+from localglobal.reichardt_lind import (
+    InconclusivePrecision,
+    LocalPoint,
+    NoPoint,
+    _certify,
+    _int_valuation,
+    _nth_root_padic,
+    _residue_valuation,
+)
+from localglobal.symbols import Place, _radical_norm_exact, _split_p_part, hilbert2
 
 
 @lru_cache(maxsize=None)
@@ -126,3 +142,85 @@ def is_local_norm(x, p: int, m: int, d) -> bool:
     if minus_one_square or is_nth_power(-d, 2, p):
         return oracle_class(x, 4, p) in norm_subgroup(p, 4, d, 4)
     return hilbert2(x, d, p)[0] == 1
+
+
+def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
+                variant: int = 0):
+    """`reichardt_lind.local_point` at a finite place q by the quadratic search."""
+    place = Place.finite(q)
+    depth_bound = 2 * _int_valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
+    if allow_y_zero and padic_is_nth_power(Fraction(tw.p), 4, q, max(precision, 12)):
+        root = _nth_root_padic(tw.p, 4, q, precision)
+        return LocalPoint(place, PadicNumber.zero(q, precision), root, precision)
+    skip = variant
+    for chart in ("near", "far"):
+        result, skip = chart_search(tw, q, chart, depth_bound, precision, skip,
+                                    allow_y_zero)
+        if result is not None:
+            return result
+    return NoPoint(place, depth_bound)
+
+
+def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
+    """BFS one affine chart over all q^2 residue pairs and all q^2 children
+    of each node; returns (LocalPoint | None, remaining skip)."""
+    if chart == "near":
+        def g(y, z, mod):
+            return (tw.ell * y * y - (pow(z, 4, mod) - tw.p)) % mod
+
+        def dz_coeff(z, mod):
+            return -4 * pow(z, 3, mod) % mod
+
+        def exact_y_poly(z0):
+            return [tw.p - z0**4, 0, tw.ell]
+
+        def exact_z_poly(y0):
+            return [tw.ell * y0 * y0 + tw.p, 0, 0, 0, -1]
+    else:
+        def g(y, z, mod):
+            return (tw.ell * y * y - (1 - tw.p * pow(z, 4, mod))) % mod
+
+        def dz_coeff(z, mod):
+            return 4 * tw.p * pow(z, 3, mod) % mod
+
+        def exact_y_poly(z0):
+            return [tw.p * z0**4 - 1, 0, tw.ell]
+
+        def exact_z_poly(y0):
+            return [1 - tw.ell * y0 * y0, 0, 0, 0, -tw.p]
+
+    frontier = [
+        (y, z) for y in range(q) for z in range(q) if g(y, z, q) == 0
+    ]
+    for depth in range(1, depth_bound + 1):
+        mod = q**depth
+        next_frontier = []
+        for y0, z0 in frontier:
+            t_y = _residue_valuation(2 * tw.ell * y0, q, depth)
+            t_z = _residue_valuation(dz_coeff(z0, mod), q, depth)
+            candidates = [t for t in (t_y, t_z) if t is not None]
+            t_min = min(candidates) if candidates else None
+            if t_min is not None and depth > 2 * t_min:
+                pt = _certify(
+                    tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
+                    exact_z_poly, allow_y_zero,
+                )
+                if pt is not None:
+                    if skip > 0:
+                        skip -= 1
+                        continue
+                    return pt, 0
+            if depth == depth_bound:
+                raise InconclusivePrecision(
+                    f"lifting tree still alive at depth {depth} over Q_{q}"
+                )
+            step = mod
+            for dy in range(q):
+                for dz in range(q):
+                    y1, z1 = y0 + dy * step, z0 + dz * step
+                    if g(y1, z1, mod * q) == 0:
+                        next_frontier.append((y1, z1))
+        if not next_frontier:
+            return None, skip
+        frontier = next_frontier
+    return None, skip

@@ -15,6 +15,7 @@ from localglobal.exact import (
     primes_up_to,
     quartic_free_part,
     quartic_residue_symbol,
+    sqrt_mod_prime,
 )
 
 
@@ -83,6 +84,25 @@ def test_legendre_symbol():
     for p in [3, 5, 7, 11, 101, 9973]:
         for a in range(1, 25):
             assert legendre_symbol(a, p) == sympy.legendre_symbol(a, p)
+
+
+def test_sqrt_mod_prime():
+    # p = 1 mod 8 takes the Tonelli-Shanks loop, p = 3 mod 4 the closed form
+    for p in [3, 5, 7, 13, 17, 41, 73, 97, 113, 257, 331, 337]:
+        squares = {x * x % p for x in range(1, p)}
+        assert sqrt_mod_prime(0, p) == sqrt_mod_prime(p, p) == 0
+        for a in range(1, p):
+            if a in squares:
+                r = sqrt_mod_prime(a, p)
+                assert 0 <= r < p and r * r % p == a
+                assert sqrt_mod_prime(a - p, p) == r
+            else:
+                with pytest.raises(ValueError):
+                    sqrt_mod_prime(a, p)
+    assert (sqrt_mod_prime(2, 17), sqrt_mod_prime(2, 257), sqrt_mod_prime(49, 337)) == (6, 60, 7)
+    for a, n in [(4, 15), (1, 2), (9, 91)]:
+        with pytest.raises(ValueError):
+            sqrt_mod_prime(a, n)
 
 
 def test_quartic_residue_symbol_examples():

@@ -1,0 +1,181 @@
+"""The linear-time local point search against the quadratic one it replaced.
+
+`reichardt_lind.local_point` reads the depth-1 residue points off a table
+of fourth roots and lifts each node by one linear congruence;
+`oracles.local_point` tries every residue pair and every one of the q^2
+children.  Both must visit the same frontiers in the same order, so they
+return the same point (to full precision), the same `NoPoint` depth, or
+raise the same exception.
+"""
+
+import math
+import random
+import time
+
+import pytest
+
+import oracles
+from localglobal import reichardt_lind
+from localglobal.reichardt_lind import (
+    CurveEquation,
+    LocalPoint,
+    NoPoint,
+    TwistParams,
+    local_point,
+    verify_local_point,
+)
+
+ELLS = (1, -1, 2, -2, 3, 5, 6, 10, 11, 19)
+SMALL_Q = (2, 3, 5, 7, 11, 13)
+
+
+def chart_polynomial(ell, p, chart):
+    """The chart's integer polynomial g(y, z) and its z-derivative."""
+    if chart == "near":
+        return (lambda y, z: ell * y * y - z**4 + p), (lambda z: -4 * z**3)
+    return (lambda y, z: ell * y * y - 1 + p * z**4), (lambda z: 4 * p * z**3)
+
+
+def _padic_key(x):
+    return (x.is_zero, x.v, x.unit, x.prec)
+
+
+def outcome(search, eq, q, precision, allow_y_zero, variant):
+    try:
+        pt = search(eq, q, precision, allow_y_zero=allow_y_zero, variant=variant)
+    except Exception as exc:  # noqa: BLE001 - the type is compared
+        return ("raises", type(exc))
+    if isinstance(pt, NoPoint):
+        return ("no point", pt.place, pt.depth)
+    return ("point", pt.place, pt.chart, pt.precision, _padic_key(pt.y), _padic_key(pt.z))
+
+
+def _grid():
+    """Seeded cases (ell, p, q, precision, allow_y_zero, variant).
+
+    The fixed part puts q | ell, q = 2 (where ell = 1, p = -7 has only
+    far-chart points) and q | p with v_q(p) = 1, 2, 3 (odd and even q,
+    both signs) on every variant; the drawn part adds random constants,
+    a few larger good primes and v_q(p) up to 3.
+    """
+    cases = []
+    for ell, q in ((3, 3), (6, 3), (10, 5), (5, 5), (11, 11), (2, 2), (6, 2), (-2, 2), (1, 2)):
+        for p in (1, 7, -7, 17, -17, 97):
+            if math.gcd(ell, p) == 1:
+                cases += [(ell, p, q, 8, y0, var) for y0 in (False, True) for var in (0, 1, 3)]
+    for q in (2, 3, 5, 7):
+        for v in (1, 2, 3):
+            for ell in (1, -1, 2, 3, 5, 11):
+                for u in (1, -1, 3, -5):
+                    p = u * q**v
+                    if math.gcd(ell, p) == 1:
+                        cases += [(ell, p, q, 8, y0, var) for y0 in (False, True) for var in (0, 1, 3)]
+    rng = random.Random(20091028)
+    while len(cases) < 1400:
+        ell = rng.choice(ELLS)
+        q = rng.choice(SMALL_Q) if rng.random() < 0.85 else rng.choice((17, 19, 23, 29, 31, 41))
+        p = rng.choice((1, -1)) * rng.randrange(1, 300) * q ** (rng.choice((0, 0, 1, 2, 3)) if q < 17 else 0)
+        if math.gcd(ell, p) != 1:
+            continue
+        cases.append((ell, p, q, rng.choice((6, 12)), rng.random() < 0.3, rng.choice((0, 0, 1, 3))))
+    return cases
+
+
+def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
+    seen = set()  # which paths of the linear search the grid exercised
+    residue_zeros, lift_children = reichardt_lind._residue_zeros, reichardt_lind._lift_children
+    searching = {}
+
+    def recording_residue_zeros(tw, q, chart):
+        searching.update(ell=tw.ell, chart=chart_polynomial(tw.ell, tw.p, chart))
+        seen.add("far, q | p" if chart == "far" and tw.p % q == 0 else chart)
+        return residue_zeros(tw, q, chart)
+
+    def checking_lift_children(y0, z0, c0, g_y, g_z, q, step):
+        # every expanded node is a zero mod step, lifted by the right congruence
+        g, dg_z = searching["chart"]
+        assert g(y0, z0) % step == 0
+        assert (c0, g_y, g_z) == (g(y0, z0) // step % q, 2 * searching["ell"] * y0 % q, dg_z(z0) % q)
+        kind = "g_z unit" if g_z else "g_y unit" if g_y else "singular, q | c0" if c0 == 0 else "singular, dead"
+        seen.add((kind, "q = 2" if q == 2 else "q odd"))
+        return lift_children(y0, z0, c0, g_y, g_z, q, step)
+
+    monkeypatch.setattr(reichardt_lind, "_residue_zeros", recording_residue_zeros)
+    monkeypatch.setattr(reichardt_lind, "_lift_children", checking_lift_children)
+    mismatches, kinds = [], set()
+    for ell, p, q, precision, allow_y_zero, variant in _grid():
+        eq = CurveEquation(ell, p)
+        fast = outcome(local_point, eq, q, precision, allow_y_zero, variant)
+        slow = outcome(oracles.local_point, eq, q, precision, allow_y_zero, variant)
+        kinds.add(fast[0] if fast[0] != "point" else (fast[2], "q | p" if p % q == 0 else "q ∤ p"))
+        if fast != slow:
+            mismatches.append(((ell, p, q, precision, allow_y_zero, variant), fast, slow))
+    assert mismatches == []
+    # a unit g_y certifies its node at depth 1, so only the lifting test
+    # below reaches that branch
+    assert {"near", "far", "far, q | p"} <= seen
+    assert {
+        ("g_z unit", "q odd"), ("singular, q | c0", "q odd"), ("singular, dead", "q odd"),
+        ("singular, q | c0", "q = 2"), ("singular, dead", "q = 2"),
+    } <= seen
+    assert {("near", "q | p"), ("far", "q | p"), ("far", "q ∤ p"), "no point", "raises"} <= kinds
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 17])
+@pytest.mark.parametrize("chart", ["near", "far"])
+def test_residue_zeros_match_a_scan_of_all_pairs(q, chart):
+    for ell in (1, -1, 2, -2, 3, 5, 6, 10, 11, 13, 17, 19):
+        for p in (1, -1, 2, 3, -5, 7, 11, 17, 97, -q, 2 * q, q**2, -3 * q**3):
+            if math.gcd(ell, p) != 1:
+                continue
+            g, _ = chart_polynomial(ell, p, chart)
+            expected = [(y, z) for y in range(q) for z in range(q) if g(y, z) % q == 0]
+            assert reichardt_lind._residue_zeros(CurveEquation(ell, p), q, chart) == expected, (ell, p)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+@pytest.mark.parametrize("chart", ["near", "far"])
+def test_lift_children_match_the_brute_force_children(q, chart):
+    """Every zero mod q^d (d = 1, 2) of the chart for constants that put
+    every branch of the congruence to work, against a scan of all
+    q^2 candidate children."""
+    branches = set()
+    for ell, p in ((1, 2), (3, 7), (-2, 9), (5, 3 * q), (2, -q**2), (7, q**3)):
+        if math.gcd(ell, p) != 1:
+            continue
+        g, g_z = chart_polynomial(ell, p, chart)
+        for depth in (1, 2):
+            step = q**depth
+            for y0 in range(step):
+                for z0 in range(step):
+                    if g(y0, z0) % step:
+                        continue
+                    expected = [
+                        (y0 + dy * step, z0 + dz * step)
+                        for dy in range(q) for dz in range(q)
+                        if g(y0 + dy * step, z0 + dz * step) % (q * step) == 0
+                    ]
+                    c0, gy, gz = g(y0, z0) // step % q, 2 * ell * y0 % q, g_z(z0) % q
+                    got = reichardt_lind._lift_children(y0, z0, c0, gy, gz, q, step)
+                    assert got == expected, (ell, p, y0, z0, depth)
+                    branches.add("g_z" if gz else "g_y" if gy else "singular" if c0 == 0 else "dead")
+    # mod an odd q the far chart has no singular residue: y = z = 0 gives -1
+    if q == 2:
+        assert branches == {"singular", "dead"}
+    else:
+        assert branches == ({"g_z", "g_y"} if chart == "far" else {"g_z", "g_y", "singular", "dead"})
+
+
+@pytest.mark.parametrize(
+    "eq, q",
+    [(CurveEquation(2, 17), 100003), (TwistParams(2, 100049), 100049)],
+    ids=["good prime 100003", "bad prime 100049"],
+)
+def test_point_at_a_prime_near_ten_to_the_five(eq, q):
+    started = time.perf_counter()
+    pt = local_point(eq, q)
+    elapsed = time.perf_counter() - started
+    assert isinstance(pt, LocalPoint)
+    assert verify_local_point(eq, pt)
+    assert not pt.y.is_zero
+    assert elapsed < 5, f"{elapsed:.2f} s: the search is not linear in q"
