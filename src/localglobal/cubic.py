@@ -6,9 +6,9 @@ group modulo cubes is an F_3 vector space of dimension 4, generated by
 pi, zeta_3, 1 + pi^2 and 1 + pi^3; principal units 1 + pi^4 O are cubes,
 so cube classes of units are decided by their expansion modulo pi^5.
 
-Everything here is exact: elements are pairs of rationals (coordinates
-in the basis 1, zeta_3), classes are vectors in F_3^4, and the pairing
-matrix is certified against norm subgroups before use.
+Everything here is exact: elements are quotient-ring elements with
+rational coordinates in the basis 1, zeta_3, classes are vectors in F_3^4,
+and the pairing matrix is certified against norm subgroups before use.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .exact import CertificateError, QuotientElement, split_prime_power
 from .padic import InsufficientPrecision
 from .symbols import InvariantValue
 
@@ -40,113 +41,48 @@ class DegenerateExtension(ValueError):
 
 
 # ------------------------------------------------------------ ring elements
-@dataclass(frozen=True)
-class Eisenstein:
+class Eisenstein(QuotientElement):
     """a + b zeta_3 with rational coordinates (zeta_3^2 = -1 - zeta_3)."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ()
+    MODULUS = (-1, -1)
+    VARIABLE = "zeta3"
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-
-    @classmethod
-    def of(cls, x) -> "Eisenstein":
-        if isinstance(x, Eisenstein):
-            return x
-        return cls(Fraction(x), Fraction(0))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __add__(self, other) -> "Eisenstein":
-        other = Eisenstein.of(other)
-        return Eisenstein(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Eisenstein":
-        return Eisenstein(-self.a, -self.b)
-
-    def __sub__(self, other) -> "Eisenstein":
-        return self + (-Eisenstein.of(other))
-
-    def __rsub__(self, other) -> "Eisenstein":
-        return Eisenstein.of(other) + (-self)
-
-    def __mul__(self, other) -> "Eisenstein":
-        o = Eisenstein.of(other)
-        # (a + b z)(c + d z) with z^2 = -1 - z
-        ac, bd = self.a * o.a, self.b * o.b
-        cross = self.a * o.b + self.b * o.a
-        return Eisenstein(ac - bd, cross - bd)
-
-    __rmul__ = __mul__
+    a = property(lambda self: self.coeffs[0])
+    b = property(lambda self: self.coeffs[1])
 
     def conjugate(self) -> "Eisenstein":
         """The nontrivial automorphism: zeta_3 -> zeta_3^2."""
-        return Eisenstein(self.a - self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        """Norm to Q: a^2 - a b + b^2."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        a, b = self.coeffs
+        return Eisenstein._make((a - b, -b))
 
     def inverse(self) -> "Eisenstein":
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
-        conj = self.conjugate()
-        return Eisenstein(conj.a / n, conj.b / n)
+        a, b = self.conjugate().coeffs
+        return Eisenstein._make((a / n, b / n))
 
     def __truediv__(self, other) -> "Eisenstein":
         return self * Eisenstein.of(other).inverse()
 
-    def __pow__(self, k: int) -> "Eisenstein":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = Eisenstein(Fraction(1), Fraction(0))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
-    def __str__(self) -> str:
-        return f"({self.a}) + ({self.b})*zeta3"
-
-
-ZETA = Eisenstein(Fraction(0), Fraction(1))
-PI = Eisenstein(Fraction(-1), Fraction(1))  # zeta_3 - 1, the uniformizer
-ONE = Eisenstein(Fraction(1), Fraction(0))
-
-
-def _v3(q: Fraction) -> int:
-    if q == 0:
-        raise ValueError("valuation of zero")
-    v, num, den = 0, q.numerator, q.denominator
-    while num % 3 == 0:
-        num //= 3
-        v += 1
-    while den % 3 == 0:
-        den //= 3
-        v -= 1
-    return v
+ZETA = Eisenstein(0, 1)
+PI = Eisenstein(-1, 1)  # zeta_3 - 1, the uniformizer
+ONE = Eisenstein(1, 0)
 
 
 def pi_valuation(x: Eisenstein) -> int:
     """v_pi(x); the norm of pi is 3, so v_pi = v_3 of the norm."""
     if x.is_zero:
         raise ValueError("valuation of zero")
-    return _v3(x.norm())
+    return split_prime_power(x.norm(), 3)[0]
 
 
 def divide_by_pi(x: Eisenstein) -> "Eisenstein":
     """Exact division by the uniformizer: x * (-2 - zeta_3) / 3."""
-    return Eisenstein((x.b - 2 * x.a) / 3, -(x.a + x.b) / 3)
+    a, b = x.coeffs
+    return Eisenstein._make(((b - 2 * a) / 3, -(a + b) / 3))
 
 
 def _residue_mod3(q: Fraction) -> int:
@@ -165,7 +101,7 @@ def pi_digits(x: Eisenstein, count: int) -> tuple[int, ...]:
     for _ in range(count):
         d = (_residue_mod3(x.a) + _residue_mod3(x.b)) % 3
         digits.append(d)
-        x = divide_by_pi(x - Eisenstein.of(d))
+        x = divide_by_pi(x - d)
     return tuple(digits)
 
 
@@ -193,9 +129,10 @@ def _cube_residues_mod_pi5() -> tuple[tuple[int, ...], ...]:
         for b in range(27):
             if (a + b) % 3 == 0:
                 continue  # not a unit
-            x = Eisenstein(Fraction(a), Fraction(b))
+            x = Eisenstein(a, b)
             seen.add(pi_digits(x**3, 5))
-    assert len(seen) == 6, "cube residue count mod pi^5"
+    if len(seen) != 6:
+        raise CertificateError(f"{len(seen)} cube residues mod pi^5, expected 6")
     return tuple(sorted(seen))
 
 
@@ -209,12 +146,13 @@ def _unit_class_table() -> dict[tuple[int, ...], tuple[int, int, int]]:
         for b in range(27):
             if (a + b) % 3 == 0:
                 continue
-            x = Eisenstein(Fraction(a), Fraction(b))
+            x = Eisenstein(a, b)
             key = pi_digits(x, 5)
             if key in cube_keys and key not in reps_by_key:
                 reps_by_key[key] = x
     cube_reps = list(reps_by_key.values())
-    assert len(cube_reps) == 6
+    if len(cube_reps) != 6:
+        raise CertificateError(f"{len(cube_reps)} cube representatives, expected 6")
     table: dict[tuple[int, ...], tuple[int, int, int]] = {}
     for e1, e2, e3 in itertools.product(range(3), repeat=3):
         g = _UNIT_GENERATORS[0] ** e1 * _UNIT_GENERATORS[1] ** e2 * _UNIT_GENERATORS[2] ** e3
@@ -223,7 +161,8 @@ def _unit_class_table() -> dict[tuple[int, ...], tuple[int, int, int]]:
             if key in table:
                 raise ArithmeticError("cube class table collision")
             table[key] = (e1, e2, e3)
-    assert len(table) == 162, "unit class table must cover all unit residues"
+    if len(table) != 162:
+        raise CertificateError("unit class table must cover all 162 unit residues")
     return table
 
 
@@ -404,25 +343,25 @@ class CubeClassGroup:
 
 
 @lru_cache(maxsize=1)
-def cube_class_group(precision: int = 5) -> CubeClassGroup:
+def cube_class_group() -> CubeClassGroup:
     """Build the 81-element cube-class group with pairing and Galois action.
 
     The pairing matrix is assembled from the norm subgroups of the four
     generators: each row is the linear form cutting out that subgroup,
     scaled so the matrix is skew; the overall scale is fixed by making the
-    first nonzero entry equal to 1.  Both steps are asserted, so a wrong
+    first nonzero entry equal to 1.  Both steps are checked, so a wrong
     subgroup or a non-skew configuration cannot slip through.
     """
-    if precision < 5:
-        raise ValueError("unit cube classes need at least 5 pi-adic digits")
     generators = (PI,) + _UNIT_GENERATORS
     for idx, g in enumerate(generators):
         want = tuple(1 if i == idx else 0 for i in range(4))
-        assert express(g) == want, "generators must map to the standard basis"
+        if express(g) != want:
+            raise CertificateError("generators must map to the standard basis")
 
     def defining_form(x):
         forms = _nullspace3(norm_subgroup(x))
-        assert len(forms) == 1, "norm subgroup must have a unique defining form"
+        if len(forms) != 1:
+            raise CertificateError("norm subgroup must have a unique defining form")
         return forms[0]
 
     functionals = [defining_form(g) for g in generators]
@@ -451,26 +390,26 @@ def cube_class_group(precision: int = 5) -> CubeClassGroup:
                 break
         if ok:
             valid.append(m)
-    assert len(valid) == 2, "scaling must be unique up to the global sign"
-    matrix = None
-    for m in valid:
-        first = next(m[i][j] for i in range(4) for j in range(4) if m[i][j])
-        if first == 1:
-            matrix = m
-            break
-    assert matrix is not None
-    assert _rank3(matrix) == 4, "pairing must be non-degenerate"
+    if len(valid) != 2:
+        raise CertificateError("scaling must be unique up to the global sign")
+    matrix = next(
+        (m for m in valid if next(c for row in m for c in row if c) == 1), None
+    )
+    if matrix is None:
+        raise CertificateError("no scaling starts with a 1")
+    if _rank3(matrix) != 4:
+        raise CertificateError("pairing must be non-degenerate")
 
     tau_cols = [express(g.conjugate()) for g in generators]
     tau = tuple(
         tuple(tau_cols[j][i] for j in range(4)) for i in range(4)
     )
-    # tau must be an involution
     square = [
         [sum(tau[i][k] * tau[k][j] for k in range(4)) % 3 for j in range(4)]
         for i in range(4)
     ]
-    assert square == [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    if square != [[1 if i == j else 0 for j in range(4)] for i in range(4)]:
+        raise CertificateError("tau must be an involution")
 
     return CubeClassGroup(
         generators=generators,

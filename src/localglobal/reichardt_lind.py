@@ -31,12 +31,14 @@ from fractions import Fraction
 from functools import reduce
 
 from .exact import (
+    CertificateError,
     factorize,
     is_perfect_square,
     is_probable_prime,
     is_squarefree,
     legendre_symbol,
     primes_up_to,
+    split_prime_power,
 )
 from .padic import (
     DEFAULT_PRECISION,
@@ -60,7 +62,6 @@ __all__ = [
     "LocalPoint",
     "NoPoint",
     "NoPointError",
-    "InconclusivePrecision",
     "ObstructionReport",
     "TwistConditions",
     "DensityReport",
@@ -73,10 +74,6 @@ __all__ = [
     "exhaustive_search",
     "model_smoothness_check",
 ]
-
-
-class InconclusivePrecision(InsufficientPrecision):
-    """A search or norm-group computation hit its budget undecided."""
 
 
 class NoPointError(Exception):
@@ -211,8 +208,9 @@ def local_point(
     partial derivative.  Each level costs O(q) per live node (see
     `_chart_search`); only residues where both partials vanish mod q pay
     for all q^2 children.  `variant` skips that many certified branches
-    first (deterministically different points for sampling).  Real
-    place: direct solve.
+    first (deterministically different points for sampling).  A constant
+    divisible by q^4 is first divided by its largest such power (see
+    `_rescaled_point`).  Real place: direct solve.
     """
     place = as_place(v)
     if place.is_real:
@@ -226,7 +224,10 @@ def local_point(
         return LocalPoint(place, y, Fraction(z), precision, "real")
 
     q = place.prime
-    depth_bound = 2 * _int_valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
+    if tw.p % q**4 == 0:
+        k = split_prime_power(tw.p, q)[0] // 4
+        return _rescaled_point(tw, q, k, precision, allow_y_zero, variant)
+    depth_bound = 2 * split_prime_power(4 * tw.ell * tw.ell * tw.p, q)[0] + 6
 
     if allow_y_zero and is_nth_power(Fraction(tw.p), 4, q, max(precision, 12)):
         root = _nth_root_padic(tw.p, 4, q, precision)
@@ -241,13 +242,28 @@ def local_point(
     return NoPoint(place, depth_bound)
 
 
-def _int_valuation(n: int, q: int) -> int:
-    n = abs(n)
-    v = 0
-    while n and n % q == 0:
-        n //= q
-        v += 1
-    return v
+def _rescaled_point(tw, q, k, precision, allow_y_zero, variant):
+    """A point of ell*y^2 = z^4 - p over Q_q when q^(4k) divides p.
+
+    The curve is isomorphic over Q_q to ell*y^2 = z^4 - p/q^(4k), whose
+    residue tree stays bounded, while at (0, 0) the tree of the original
+    grows by q^2 children a level.  A point of the smaller curve maps back
+    as (q^(2k) y, q^k z) on the near chart and as (y, z/q^k) on the far
+    chart, and the mapped point is checked against the original equation.
+    """
+    reduced = CurveEquation(tw.ell, tw.p // q ** (4 * k))
+    pt = local_point(reduced, q, precision, allow_y_zero=allow_y_zero, variant=variant)
+    if isinstance(pt, NoPoint):
+        return pt
+    scale = PadicNumber.from_int(q**k, q, precision)
+    if pt.chart == "near":
+        y, z = pt.y * scale * scale, pt.z * scale
+    else:
+        y, z = pt.y, pt.z / scale
+    mapped = LocalPoint(pt.place, y, z, precision, pt.chart)
+    if not verify_local_point(tw, mapped):
+        raise CertificateError(f"rescaled point misses {tw} over Q_{q}")
+    return mapped
 
 
 def _nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
@@ -255,7 +271,7 @@ def _nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
     target = Fraction(a)
     # a start residue exact modulo q^(2 v_q(n) + 1) beats the Newton
     # criterion v(f) > 2 v(f') = 2 v_q(n)
-    mod = q ** (2 * _int_valuation(n, q) + 1)
+    mod = q ** (2 * split_prime_power(n, q)[0] + 1)
     residue = target.numerator * pow(target.denominator, -1, mod) % mod
     start = next(
         r for r in range(1, mod) if r % q and pow(r, n, mod) == residue
@@ -319,7 +335,7 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
                 # certified branch rejected (e.g. its lift has y = 0):
                 # keep refining, nearby branches may carry admissible points
             if depth == depth_bound:
-                raise InconclusivePrecision(
+                raise InsufficientPrecision(
                     f"lifting tree still alive at depth {depth} over Q_{q}"
                 )
             next_frontier += _lift_children(
@@ -489,7 +505,7 @@ def forced_section_invariants(
                 if is_local_norm(tw.ell * y * y, q, 4, tw.p, precision):
                     values.add(hilbert2(y, tw.p, place)[1])
             except InsufficientPrecision as exc:
-                raise InconclusivePrecision(
+                raise InsufficientPrecision(
                     f"norm decision at {place} did not stabilize"
                 ) from exc
         contributions[place] = frozenset(values)

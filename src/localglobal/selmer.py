@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubic import Eisenstein, PI, cube_class_group, is_cube, pi_valuation
-from .exact import legendre_symbol, sqrt_mod_prime
+from .exact import CertificateError, legendre_symbol, sqrt_mod_prime
 from .padic import (
     InsufficientPrecision,
     NoConvergence,
@@ -245,7 +245,7 @@ def isogeny_preimage_Q3(pt: WeierstrassPoint, precision: int = 20) -> Weierstras
     Every affine Q_3-point has v_3(a) <= 0 (otherwise v_3(b^2) would be odd),
     so 3600/a^3 lies in 3 Z_3 and T^3 - T^2 + 3600/a^3 has a simple root
     at T = 1 mod 3; Newton lifts it, u = T a, and v = b u^3/(u^3 - 7200).
-    The round trip through isogeny_map is asserted to the working precision.
+    The round trip through isogeny_map is checked to the working precision.
     """
     if pt.curve != "E":
         raise ValueError("isogeny_preimage_Q3 starts on E")
@@ -258,7 +258,8 @@ def isogeny_preimage_Q3(pt: WeierstrassPoint, precision: int = 20) -> Weierstras
     if a.valuation() > 0:
         raise ValueError("no affine Q_3-point of E has positive valuation in a")
     constant = 3600 / (a * a * a)
-    assert constant.valuation() >= 1, "T-equation constant must be in 3 Z_3"
+    if constant.valuation() < 1:
+        raise CertificateError("T-equation constant must be in 3 Z_3")
     try:
         t = hensel_root([constant, 0, -1, 1], PadicNumber.from_int(1, 3, precision))
     except NoConvergence as exc:  # pragma: no cover - would refute surjectivity
@@ -270,7 +271,8 @@ def isogeny_preimage_Q3(pt: WeierstrassPoint, precision: int = 20) -> Weierstras
     u3 = u * u * u
     pre = WeierstrassPoint("Eprime", u, b * u3 / (u3 - 7200))
     back = isogeny_map(pre)
-    assert (back.a - a).is_zero and (back.b - b).is_zero, "round trip drifted"
+    if not ((back.a - a).is_zero and (back.b - b).is_zero):
+        raise CertificateError(f"isogeny round trip drifted at a={pt.a}")
     return pre
 
 
@@ -420,7 +422,8 @@ def survival_analysis(precision: int = 12, conjugate: bool = False) -> SurvivalR
     class3 = group.express(3)
     class60 = group.express(60)
     for rational_class in (class2, class3, class60):
-        assert group.apply_tau(rational_class) == rational_class
+        if group.apply_tau(rational_class) != rational_class:
+            raise CertificateError(f"the rational class {rational_class} is not fixed by tau")
 
     p2 = group.pairing_of_vectors(class2, f_vec)
     p3 = group.pairing_of_vectors(class3, f_vec)

@@ -1,8 +1,8 @@
 """Local symbols over the completions of Q.
 
 Quadratic Hilbert symbols at every place (closed formulas, no enumeration),
-the invariant-value group Q/Z they land in, elements of radical extensions
-Q_p[x]/(x^m - d), and exact norm-group membership for those extensions.
+the invariant-value group Q/Z they land in, and exact norm-group membership
+for the radical extensions Q_p[x]/(x^m - d).
 
 Norm membership is decided by closed forms wherever a theorem gives one.
 Quadratic cases use the Hilbert symbol.  Tame Kummer cases (p = 1 mod m,
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import is_probable_prime, legendre_symbol
+from .exact import is_probable_prime, legendre_symbol, quotient_norm, split_prime_power
 from .padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
@@ -39,7 +39,6 @@ __all__ = [
     "InvariantValue",
     "hilbert2",
     "product_formula_check",
-    "LocalExtElement",
     "is_local_norm",
 ]
 
@@ -132,21 +131,6 @@ class InvariantValue:
 
 
 # ------------------------------------------------------- quadratic symbols
-def _split_p_part(q: Fraction, p: int) -> tuple[int, Fraction]:
-    """Write q = p**v * u with u a p-adic unit; returns (v, u) exactly."""
-    if q == 0:
-        raise ValueError("nonzero value required")
-    v = 0
-    num, den = q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
-
-
 def _unit_residue_exact(u: Fraction, mod: int) -> int:
     """The residue of a p-adic unit written as a fraction, modulo mod."""
     return u.numerator % mod * pow(u.denominator % mod, -1, mod) % mod
@@ -182,7 +166,7 @@ def _vu(x, p: int) -> tuple[int, int]:
         if x.prec < need:
             raise InsufficientPrecision("unit residue needs more digits")
         return x.valuation(), x.unit_residue(need) % mod
-    v, u = _split_p_part(Fraction(x), p)
+    v, u = split_prime_power(x, p)
     return v, _unit_residue_exact(u, mod)
 
 
@@ -235,105 +219,6 @@ def product_formula_check(a, b) -> InvariantValue:
     return total
 
 
-# ------------------------------------------------- radical extension elements
-def _det(mat):
-    """Division-free determinant by first-column cofactor expansion."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = None
-    for i in range(n):
-        minor = [row[1:] for j, row in enumerate(mat) if j != i]
-        term = mat[i][0] * _det(minor)
-        if i % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-class LocalExtElement:
-    """An element of the radical algebra Q_p[x]/(x^m - d).
-
-    Coefficients are p-adic numbers in the power basis 1, x, ..., x^(m-1).
-    Multiplication reduces by x^m = d; the norm is the determinant of the
-    multiplication-by-element matrix, so it is multiplicative by
-    construction (and that property is exercised in the tests).
-    """
-
-    __slots__ = ("p", "prec", "m", "d", "coeffs")
-
-    def __init__(self, p: int, m: int, d, coeffs, prec: int = DEFAULT_PRECISION):
-        if m < 1:
-            raise ValueError("degree must be positive")
-        self.p, self.m, self.prec = p, m, prec
-        self.d = Fraction(d)
-        cs = []
-        for c in coeffs:
-            if isinstance(c, PadicNumber):
-                if c.p != p:
-                    raise ValueError("mixed primes")
-                cs.append(c)
-            else:
-                cs.append(PadicNumber.from_fraction(Fraction(c), p, prec))
-        if len(cs) != m:
-            raise ValueError(f"need {m} coefficients")
-        self.coeffs = tuple(cs)
-
-    def _compatible(self, other: "LocalExtElement"):
-        if (self.p, self.m, self.d) != (other.p, other.m, other.d):
-            raise ValueError("elements of different algebras")
-
-    def __add__(self, other: "LocalExtElement") -> "LocalExtElement":
-        self._compatible(other)
-        return LocalExtElement(
-            self.p, self.m, self.d,
-            [a + b for a, b in zip(self.coeffs, other.coeffs)], self.prec,
-        )
-
-    def __sub__(self, other: "LocalExtElement") -> "LocalExtElement":
-        self._compatible(other)
-        return LocalExtElement(
-            self.p, self.m, self.d,
-            [a - b for a, b in zip(self.coeffs, other.coeffs)], self.prec,
-        )
-
-    def __mul__(self, other: "LocalExtElement") -> "LocalExtElement":
-        self._compatible(other)
-        m = self.m
-        raw = [PadicNumber.zero(self.p, self.prec)] * (2 * m - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                raw[i + j] = raw[i + j] + a * b
-        dd = PadicNumber.from_fraction(self.d, self.p, self.prec)
-        for k in range(2 * m - 2, m - 1, -1):
-            raw[k - m] = raw[k - m] + dd * raw[k]
-        return LocalExtElement(self.p, m, self.d, raw[:m], self.prec)
-
-    def _matrix(self):
-        """Columns: the element times x^j, reduced modulo x^m - d."""
-        dd = PadicNumber.from_fraction(self.d, self.p, self.prec)
-        col = list(self.coeffs)
-        cols = [col]
-        for _ in range(self.m - 1):
-            col = [dd * col[-1]] + col[:-1]
-            cols.append(col)
-        return [[cols[j][i] for j in range(self.m)] for i in range(self.m)]
-
-    def norm(self) -> PadicNumber:
-        """Norm down to Q_p: determinant of the multiplication matrix."""
-        return _det(self._matrix())
-
-
-def _radical_norm_exact(m: int, d: Fraction, coeffs) -> Fraction:
-    """Exact norm of sum(coeffs[j] x^j) in Q[x]/(x^m - d), as a Fraction."""
-    col = [Fraction(c) for c in coeffs]
-    cols = [col]
-    for _ in range(m - 1):
-        col = [d * col[-1]] + col[:-1]
-        cols.append(col)
-    return _det([[cols[j][i] for j in range(m)] for i in range(m)])
-
-
 # --------------------------------------------------------- norm membership
 def _class_group_order(p: int, n: int) -> int:
     """|Q_p*/(Q_p*)**n| = n * |mu_n(Q_p)| * p**v_p(n) (Neukirch II.5.8)."""
@@ -370,11 +255,12 @@ def _norm_subgroup(p: int, m: int, d: Fraction, expected_index: int) -> frozense
     gens: list[PowerClass] = []
     group = frozenset({identity})
     coefficient_pools = [(0, 1, -1, 2, -2), (0, 1, -1, 2, -2, 3, -3, 4, 5)]
+    modulus = (d,) + (0,) * (m - 1)  # x^m = d
     for pool in coefficient_pools:
         for tup in itertools.product(pool, repeat=m):
             if not any(tup):
                 continue
-            value = _radical_norm_exact(m, d, tup)
+            value = quotient_norm(tup, modulus)
             if value == 0:
                 continue
             cls = power_class(value, m, p)
@@ -405,8 +291,8 @@ def _tame_symbol_is_trivial(x: Fraction, d: Fraction, p: int, m: int) -> bool:
     of (-1)**(a b) x**b / d**a mod p; it is trivial exactly when x is a
     norm from Q_p(d^(1/m)).
     """
-    a, ux = _split_p_part(x, p)
-    b, ud = _split_p_part(d, p)
+    a, ux = split_prime_power(x, p)
+    b, ud = split_prime_power(d, p)
     sign = -1 if a * b % 2 else 1
     c = sign * pow(_unit_residue_exact(ux, p), b, p) * pow(_unit_residue_exact(ud, p), -a, p)
     return pow(c, (p - 1) // m, p) == 1

@@ -1,7 +1,9 @@
 """Exact arithmetic in the cubic tower Q(zeta_3) <= Q(zeta_3, cbrt(6)).
 
-k = Q(zeta_3) elements reuse the Eisenstein pairs; K = k(eps) with
-eps^3 = 6 has elements c0 + c1 eps + c2 eps^2 with coordinates in k.
+k = Q(zeta_3) is `cubic.Eisenstein`; K = k(eps) with eps^3 = 6 has
+elements c0 + c1 eps + c2 eps^2 with coordinates in k, and the descent
+function lives in K[delta]/(delta^3 - 10).  All three are quotient-ring
+elements, each over the one before.
 The Galois group of K/k is generated by sigma: eps -> zeta_3 eps.  On the
 plane cubic 3X^3 + 4Y^3 + 5Z^3 = 0 the Lagrange-resolvent function
 
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cubic import Eisenstein, ONE, ZETA
-from .exact import is_probable_prime
+from .cubic import Eisenstein, ZETA
+from .exact import CertificateError, QuotientElement, is_probable_prime
 
 __all__ = [
     "KElement",
@@ -40,110 +42,42 @@ __all__ = [
 
 
 # ------------------------------------------------------------- field tower
-@dataclass(frozen=True)
-class KElement:
+class KElement(QuotientElement):
     """c0 + c1 eps + c2 eps^2 with eps^3 = 6 and c_i in Q(zeta_3)."""
 
-    c0: Eisenstein
-    c1: Eisenstein
-    c2: Eisenstein
+    __slots__ = ()
+    BASE = Eisenstein
+    MODULUS = (6, 0, 0)
+    VARIABLE = "eps"
 
-    def __post_init__(self):
-        for name in ("c0", "c1", "c2"):
-            object.__setattr__(self, name, Eisenstein.of(getattr(self, name)))
-
-    @classmethod
-    def of(cls, x) -> "KElement":
-        if isinstance(x, KElement):
-            return x
-        return cls(Eisenstein.of(x), Eisenstein.of(0), Eisenstein.of(0))
-
-    @staticmethod
-    def _coerce(x) -> "KElement | None":
-        try:
-            return KElement.of(x)
-        except (TypeError, ValueError):
-            return None
-
-    @property
-    def is_zero(self) -> bool:
-        return self.c0.is_zero and self.c1.is_zero and self.c2.is_zero
+    c0 = property(lambda self: self.coeffs[0])
+    c1 = property(lambda self: self.coeffs[1])
+    c2 = property(lambda self: self.coeffs[2])
 
     @property
     def is_cyclo(self) -> bool:
-        return self.c1.is_zero and self.c2.is_zero
-
-    def __add__(self, other):
-        o = KElement._coerce(other)
-        if o is None:
-            return NotImplemented
-        return KElement(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "KElement":
-        return KElement(-self.c0, -self.c1, -self.c2)
-
-    def __sub__(self, other):
-        o = KElement._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = KElement._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = KElement._coerce(other)
-        if o is None:
-            return NotImplemented
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = o.c0, o.c1, o.c2
-        # eps^3 = 6, eps^4 = 6 eps
-        return KElement(
-            a0 * b0 + 6 * (a1 * b2 + a2 * b1),
-            a0 * b1 + a1 * b0 + 6 * a2 * b2,
-            a0 * b2 + a1 * b1 + a2 * b0,
-        )
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "KElement":
-        if k < 0:
-            raise ValueError("negative powers not supported")
-        out = KElement.of(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __str__(self) -> str:
-        return f"({self.c0}) + ({self.c1})*eps + ({self.c2})*eps^2"
+        return not (self.coeffs[1] or self.coeffs[2])
 
 
-EPS = KElement(Eisenstein.of(0), Eisenstein.of(1), Eisenstein.of(0))
+EPS = KElement(0, 1, 0)
 GAMMA = KElement(2 * ZETA, 2 * ZETA + 1, ZETA)  # norm -10
+_ZETA2 = ZETA * ZETA
 
 
 def sigma(x: KElement) -> KElement:
     """The automorphism of K/k sending eps to zeta_3 eps."""
-    return KElement(x.c0, ZETA * x.c1, (ZETA * ZETA) * x.c2)
+    c0, c1, c2 = x.coeffs
+    return KElement._make((c0, ZETA * c1, _ZETA2 * c2))
 
 
 def norm_K_over_k(x: KElement) -> Eisenstein:
-    """Norm to k: x sigma(x) sigma^2(x), cross-checked against the closed
-    cubic form c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2."""
+    """Norm to k: x sigma(x) sigma^2(x), cross-checked against the
+    determinant of multiplication by x."""
     prod = x * sigma(x) * sigma(sigma(x))
-    assert prod.is_cyclo, "norm must land in the base field"
-    a, b, c = x.c0, x.c1, x.c2
-    closed = a**3 + 6 * b**3 + 36 * c**3 - 18 * a * b * c
-    assert prod.c0 == closed, "norm evaluations disagree"
+    if not prod.is_cyclo:
+        raise CertificateError(f"the norm of {x} does not land in the base field")
+    if prod.c0 != x.norm():
+        raise CertificateError(f"norm evaluations of {x} disagree")
     return prod.c0
 
 
@@ -156,11 +90,7 @@ def gamma_search(bound: int) -> list[KElement]:
     found = []
     target = Eisenstein.of(-10)
     for x0, y0, x1, y1, x2, y2 in itertools.product(span, repeat=6):
-        cand = KElement(
-            Eisenstein(Fraction(x0), Fraction(y0)),
-            Eisenstein(Fraction(x1), Fraction(y1)),
-            Eisenstein(Fraction(x2), Fraction(y2)),
-        )
+        cand = KElement(Eisenstein(x0, y0), Eisenstein(x1, y1), Eisenstein(x2, y2))
         if cand.is_zero:
             continue
         if norm_K_over_k(cand) == target:
@@ -252,8 +182,8 @@ class CurvePolynomial:
                 out._merge((i, j, k), coeff)
                 continue
             # X^3 = (-4 Y^3 - 5 Z^3) / 3
-            work.append(((i - 3, j + 3, k), coeff * KElement.of(-4 * third)))
-            work.append(((i - 3, j, k + 3), coeff * KElement.of(-5 * third)))
+            work.append(((i - 3, j + 3, k), coeff * (-4 * third)))
+            work.append(((i - 3, j, k + 3), coeff * (-5 * third)))
         return out
 
     @property
@@ -269,9 +199,7 @@ class CurvePolynomial:
     def evaluate(self, x, y, z) -> KElement:
         total = KElement.of(0)
         for (i, j, k), coeff in self.terms.items():
-            total = total + coeff * KElement.of(
-                Fraction(x) ** i * Fraction(y) ** j * Fraction(z) ** k
-            )
+            total = total + coeff * (Fraction(x) ** i * Fraction(y) ** j * Fraction(z) ** k)
         return total
 
 
@@ -413,8 +341,9 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
     checked: dict[int, int] = {}
     excluded: dict[int, int] = {}
     b_points_ok = c_points_ok = True
-    perturbed = GAMMA + KElement.of(1)
-    assert norm_K_over_k(perturbed) != Eisenstein.of(-10)
+    perturbed = GAMMA + 1
+    if norm_K_over_k(perturbed) == Eisenstein.of(-10):
+        raise CertificateError("the perturbed companion element has norm -10")
     perturbed_fails_somewhere = False
     for p in primes:
         zeta, eps = _embedding_data(p)
@@ -473,38 +402,12 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
 
 
 # ------------------------------------------------- the descent function F
-class _DeltaPoly:
-    """Elements of K[delta]/(delta^3 - 10): triples of KElement."""
+class _DeltaPoly(QuotientElement):
+    """Elements of K[delta]/(delta^3 - 10)."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, c0, c1=0, c2=0):
-        self.c = (KElement.of(c0), KElement.of(c1), KElement.of(c2))
-
-    def __add__(self, other: "_DeltaPoly") -> "_DeltaPoly":
-        return _DeltaPoly(*(a + b for a, b in zip(self.c, other.c)))
-
-    def __sub__(self, other: "_DeltaPoly") -> "_DeltaPoly":
-        return _DeltaPoly(*(a - b for a, b in zip(self.c, other.c)))
-
-    def __mul__(self, other: "_DeltaPoly") -> "_DeltaPoly":
-        a, b = self.c, other.c
-        raw = [KElement.of(0)] * 5
-        for i in range(3):
-            for j in range(3):
-                raw[i + j] = raw[i + j] + a[i] * b[j]
-        # delta^3 = 10, delta^4 = 10 delta
-        return _DeltaPoly(
-            raw[0] + KElement.of(10) * raw[3],
-            raw[1] + KElement.of(10) * raw[4],
-            raw[2],
-        )
-
-    def __eq__(self, other) -> bool:
-        return all((a - b).is_zero for a, b in zip(self.c, other.c))
-
-    def __hash__(self):
-        raise TypeError("unhashable")
+    __slots__ = ()
+    BASE = KElement
+    MODULUS = (10, 0, 0)
 
 
 def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
@@ -517,20 +420,16 @@ def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
     - (9/5) zeta delta^2, all denominators dividing 5.
     """
     conj = [GAMMA, sigma(GAMMA), sigma(sigma(GAMMA))]
-    product = _DeltaPoly(1)
+    product = _DeltaPoly.of(1)
     for i in range(3):
         g_i, g_next = conj[i], conj[(i + 1) % 3]
-        factor = _DeltaPoly(g_i * g_next, -1 * g_i, KElement.of(1))
-        product = product * factor
-    coeffs = []
-    for part in product.c:
-        assert part.is_cyclo, "norm must have coefficients in Q(zeta_3)"
-        coeffs.append(Eisenstein(part.c0.a / 100, part.c0.b / 100))
+        product = product * _DeltaPoly(g_i * g_next, -g_i, 1)
+    if not all(part.is_cyclo for part in product.coeffs):
+        raise CertificateError("the norm must have coefficients in Q(zeta_3)")
     # sanity: the same path applied to delta^2/delta^2 gives 1
-    trivial = _DeltaPoly(0, 0, 1)
-    cube = trivial * trivial * trivial
-    assert cube == _DeltaPoly(100), "delta^6 must reduce to 100"
-    return tuple(coeffs)
+    if _DeltaPoly(0, 0, 1) ** 3 != _DeltaPoly.of(100):
+        raise CertificateError("delta^6 must reduce to 100")
+    return tuple(part.c0 * Fraction(1, 100) for part in product.coeffs)
 
 
 def descent_value_at(delta_residue: Fraction) -> Eisenstein:

@@ -9,6 +9,9 @@ kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
 computations.  The local point search is the quadratic one: every residue
 pair at depth 1 and every one of the q^2 children of each node are tried.
+The ring formulas at the end are the hand-written products and norms of
+Q(zeta_3), of its extension by a cube root of 6 and of the delta-algebra
+over that, with the cofactor determinant behind the radical norms.
 """
 
 from __future__ import annotations
@@ -17,23 +20,23 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
+from localglobal.exact import split_prime_power
 from localglobal.padic import (
     DEFAULT_PRECISION,
+    InsufficientPrecision,
     PadicNumber,
     _unit_label_digits,
     is_nth_power as padic_is_nth_power,
     padic_sqrt,
 )
 from localglobal.reichardt_lind import (
-    InconclusivePrecision,
     LocalPoint,
     NoPoint,
     _certify,
-    _int_valuation,
     _nth_root_padic,
     _residue_valuation,
 )
-from localglobal.symbols import Place, _radical_norm_exact, _split_p_part, hilbert2
+from localglobal.symbols import Place, hilbert2
 
 
 @lru_cache(maxsize=None)
@@ -59,7 +62,7 @@ def coset_label(u: int, n: int, p: int) -> int:
 
 def oracle_class(x, n: int, p: int) -> tuple[int, int]:
     """The class of a nonzero rational in Q_p*/(Q_p*)**n as (v mod n, label)."""
-    v, u = _split_p_part(Fraction(x), p)
+    v, u = split_prime_power(Fraction(x), p)
     mod = p ** _unit_label_digits(p, n)
     unit = u.numerator * pow(u.denominator, -1, mod) % mod
     return v % n, coset_label(unit, n, p)
@@ -103,7 +106,7 @@ def norm_subgroup(p: int, m: int, d: Fraction, expected_index: int) -> frozenset
         for tup in itertools.product(pool, repeat=m):
             if not any(tup):
                 continue
-            value = _radical_norm_exact(m, d, tup)
+            value = radical_norm(m, d, tup)
             if value == 0:
                 continue
             cls = oracle_class(value, m, p)
@@ -148,7 +151,7 @@ def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
                 variant: int = 0):
     """`reichardt_lind.local_point` at a finite place q by the quadratic search."""
     place = Place.finite(q)
-    depth_bound = 2 * _int_valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
+    depth_bound = 2 * split_prime_power(4 * tw.ell * tw.ell * tw.p, q)[0] + 6
     if allow_y_zero and padic_is_nth_power(Fraction(tw.p), 4, q, max(precision, 12)):
         root = _nth_root_padic(tw.p, 4, q, precision)
         return LocalPoint(place, PadicNumber.zero(q, precision), root, precision)
@@ -211,7 +214,7 @@ def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
                         continue
                     return pt, 0
             if depth == depth_bound:
-                raise InconclusivePrecision(
+                raise InsufficientPrecision(
                     f"lifting tree still alive at depth {depth} over Q_{q}"
                 )
             step = mod
@@ -224,3 +227,90 @@ def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
             return None, skip
         frontier = next_frontier
     return None, skip
+
+
+# ------------------------------------------------------------ ring formulas
+# The hand-written ring arithmetic that `exact.QuotientElement` replaced.
+# Elements are plain tuples: Q(zeta_3) as pairs (a, b) of Fractions, the
+# tower K = Q(zeta_3)(eps) as triples of pairs, K[delta] as triples of
+# K-triples.
+
+
+def eisenstein_add(x, y):
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def eisenstein_mul(x, y):
+    """(a + b z)(c + d z) = (ac - bd) + (ad + bc - bd) z, as z^2 = -1 - z."""
+    (a, b), (c, d) = x, y
+    ac, bd = a * c, b * d
+    return (ac - bd, a * d + b * c - bd)
+
+
+def eisenstein_norm(x):
+    a, b = x
+    return a * a - a * b + b * b
+
+
+def _scale(n, c):
+    return (n * c[0], n * c[1])
+
+
+def k_add(x, y):
+    return tuple(eisenstein_add(a, b) for a, b in zip(x, y))
+
+
+def k_mul(x, y):
+    """(a0 + a1 e + a2 e^2)(b0 + b1 e + b2 e^2) with e^3 = 6, e^4 = 6 e."""
+    (a0, a1, a2), (b0, b1, b2) = x, y
+    m, s = eisenstein_mul, eisenstein_add
+    return (
+        s(m(a0, b0), _scale(6, s(m(a1, b2), m(a2, b1)))),
+        s(s(m(a0, b1), m(a1, b0)), _scale(6, m(a2, b2))),
+        s(s(m(a0, b2), m(a1, b1)), m(a2, b0)),
+    )
+
+
+def k_closed_norm(x):
+    """N(c0 + c1 e + c2 e^2) = c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2."""
+    c0, c1, c2 = x
+    m, s = eisenstein_mul, eisenstein_add
+    cubes = [m(c, m(c, c)) for c in (c0, c1, c2)]
+    total = s(cubes[0], s(_scale(6, cubes[1]), _scale(36, cubes[2])))
+    return s(total, _scale(-18, m(c0, m(c1, c2))))
+
+
+def delta_mul(x, y):
+    """Product in K[delta]/(delta^3 - 10): delta^3 = 10, delta^4 = 10 delta."""
+    zero = tuple((Fraction(0), Fraction(0)) for _ in range(3))
+    raw = [zero] * 5
+    for i in range(3):
+        for j in range(3):
+            raw[i + j] = k_add(raw[i + j], k_mul(x[i], y[j]))
+    ten = lambda x: tuple(_scale(10, c) for c in x)  # noqa: E731
+    return (k_add(raw[0], ten(raw[3])), k_add(raw[1], ten(raw[4])), raw[2])
+
+
+def det(mat):
+    """Division-free determinant by first-column cofactor expansion."""
+    n = len(mat)
+    if n == 1:
+        return mat[0][0]
+    total = None
+    for i in range(n):
+        minor = [row[1:] for j, row in enumerate(mat) if j != i]
+        term = mat[i][0] * det(minor)
+        if i % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def radical_norm(m: int, d: Fraction, coeffs) -> Fraction:
+    """Exact norm of sum(coeffs[j] x^j) in Q[x]/(x^m - d), as a Fraction."""
+    col = [Fraction(c) for c in coeffs]
+    cols = [col]
+    for _ in range(m - 1):
+        col = [d * col[-1]] + col[:-1]
+        cols.append(col)
+    return det([[cols[j][i] for j in range(m)] for i in range(m)])

@@ -2,7 +2,7 @@
 
 `python -O` strips `assert` statements, so a self-check written as one
 lets a wrong certificate through.  The scan lists every `assert` in the
-library; only the modules still awaiting conversion may hold any.
+library, and no module may hold one.
 """
 
 import ast
@@ -15,12 +15,11 @@ from pathlib import Path
 import pytest
 
 import localglobal
+from localglobal import tower
 from localglobal.elkies import ElkiesFibre, QuarticRep
 from localglobal.exact import CertificateError
 
 SOURCE = Path(localglobal.__file__).parent
-
-PENDING = {"cubic.py", "selmer.py", "tower.py"}
 
 
 def assert_lines(path: Path) -> list[int]:
@@ -28,14 +27,10 @@ def assert_lines(path: Path) -> list[int]:
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
-def test_no_assert_outside_the_pending_modules():
+def test_no_assert_in_any_module():
     found = {path.name: assert_lines(path) for path in sorted(SOURCE.glob("*.py"))}
-    assert {name: lines for name, lines in found.items() if lines and name not in PENDING} == {}
-
-
-def test_pending_modules_still_hold_asserts():
-    # drop a module from PENDING once its self-checks raise
-    assert all(assert_lines(SOURCE / name) for name in PENDING)
+    assert len(found) >= 9
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_the_scan_sees_asserts(tmp_path):
@@ -60,21 +55,47 @@ def test_self_checks_raise_certificate_errors(build):
         build()
 
 
+def run_under_dash_O(program: str) -> subprocess.CompletedProcess:
+    """Run the program under `python -O`; it must exit 0 on success."""
+    guard = "if __debug__:\n    raise SystemExit('not running under -O')\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", guard + program], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_wrong_decomposition_raises_under_dash_O():
     program = (
         "from fractions import Fraction\n"
         "from localglobal.elkies import ElkiesFibre\n"
         "from localglobal.exact import CertificateError\n"
-        "if __debug__:\n"
-        "    raise SystemExit('not running under -O')\n"
         "try:\n"
         "    ElkiesFibre(None, Fraction(17), 17, 1, 3)\n"
         "except CertificateError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit('a wrong decomposition was accepted')\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SOURCE.parent), os.environ.get("PYTHONPATH", "")]))
-    result = subprocess.run(
-        [sys.executable, "-O", "-c", program], env=env, capture_output=True, text=True, timeout=120
+    result = run_under_dash_O(program)
+    assert result.returncode == 0, result.stderr
+
+
+def test_norm_outside_the_base_field_raises(monkeypatch):
+    # with sigma the identity the "norm" is (1 + eps)^3 = 7 + 3 eps + 3 eps^2
+    monkeypatch.setattr(tower, "sigma", lambda x: x)
+    with pytest.raises(CertificateError):
+        tower.norm_K_over_k(tower.KElement.of(1) + tower.EPS)
+
+
+def test_wrong_tower_norm_raises_under_dash_O():
+    program = (
+        "from localglobal import tower\n"
+        "from localglobal.exact import CertificateError\n"
+        "tower.sigma = lambda x: x\n"
+        "try:\n"
+        "    tower.norm_K_over_k(tower.KElement.of(1) + tower.EPS)\n"
+        "except CertificateError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('a norm outside Q(zeta_3) was accepted')\n"
     )
+    result = run_under_dash_O(program)
     assert result.returncode == 0, result.stderr

@@ -1,0 +1,117 @@
+"""The quotient-ring type of `exact` against the hand-written formulas it
+replaced (kept in `oracles`): the products and norms of Q(zeta_3), of the
+tower K = Q(zeta_3)(eps) with eps^3 = 6, of the delta-algebra
+K[delta]/(delta^3 - 10), and the cofactor determinant."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import oracles
+from localglobal.cubic import Eisenstein
+from localglobal.exact import QuotientElement, _quotient_product, quotient_norm
+from localglobal.tower import EPS, KElement, _DeltaPoly, norm_K_over_k
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(-30, 30), rng.choice((1, 1, 2, 3, 5, 7)))
+
+
+def random_pair(rng):
+    return (random_fraction(rng), random_fraction(rng))
+
+
+def random_triple(rng):
+    return tuple(random_pair(rng) for _ in range(3))
+
+
+def eisenstein(pair):
+    return Eisenstein(*pair)
+
+
+def k_element(triple):
+    return KElement(*(eisenstein(c) for c in triple))
+
+
+def pairs(x: KElement):
+    return tuple(c.coeffs for c in x.coeffs)
+
+
+def test_eisenstein_matches_the_hand_written_formulas():
+    rng = random.Random(41)
+    for _ in range(300):
+        x, y = random_pair(rng), random_pair(rng)
+        product = eisenstein(x) * eisenstein(y)
+        assert product.coeffs == oracles.eisenstein_mul(x, y), (x, y)
+        assert (eisenstein(x) + eisenstein(y)).coeffs == oracles.eisenstein_add(x, y)
+        assert eisenstein(x).norm() == oracles.eisenstein_norm(x), x
+        assert eisenstein(x).norm() == quotient_norm(x, (-1, -1))
+        assert (eisenstein(x) ** 3).coeffs == oracles.eisenstein_mul(x, oracles.eisenstein_mul(x, x))
+
+
+def test_k_element_matches_the_hand_written_formulas():
+    rng = random.Random(42)
+    for _ in range(60):
+        x, y = random_triple(rng), random_triple(rng)
+        assert pairs(k_element(x) * k_element(y)) == oracles.k_mul(x, y), (x, y)
+        norm = k_element(x).norm()
+        assert norm.coeffs == oracles.k_closed_norm(x), x
+        assert norm_K_over_k(k_element(x)) == norm
+
+
+def test_delta_algebra_matches_the_hand_written_product():
+    rng = random.Random(43)
+    for _ in range(5):
+        x = tuple(random_triple(rng) for _ in range(3))
+        y = tuple(random_triple(rng) for _ in range(3))
+        got = _DeltaPoly(*map(k_element, x)) * _DeltaPoly(*map(k_element, y))
+        assert tuple(pairs(c) for c in got.coeffs) == oracles.delta_mul(x, y)
+
+
+@pytest.mark.parametrize("m, d", [(1, 5), (2, 7), (3, 2), (4, 17), (4, Fraction(-3, 4))])
+def test_radical_norm_matches_the_cofactor_determinant(m, d):
+    rng = random.Random(44)
+    modulus = (Fraction(d),) + (0,) * (m - 1)
+    for _ in range(40):
+        coeffs = tuple(random_fraction(rng) for _ in range(m))
+        assert quotient_norm(coeffs, modulus) == oracles.radical_norm(m, Fraction(d), coeffs), coeffs
+
+
+def test_general_modulus_norm_is_multiplicative():
+    # x^3 = 2 - x + 3x^2 exercises every term of the reduction
+    modulus = (2, -1, 3)
+    rng = random.Random(45)
+    for _ in range(40):
+        a = tuple(random_fraction(rng) for _ in range(3))
+        b = tuple(random_fraction(rng) for _ in range(3))
+        ab = _quotient_product(a, b, modulus)
+        assert quotient_norm(ab, modulus) == quotient_norm(a, modulus) * quotient_norm(b, modulus)
+    # the companion matrix of x has determinant (-1)^(n+1) r_0
+    assert quotient_norm((0, 1, 0), modulus) == 2
+
+
+def test_scalars_and_coercion():
+    x = KElement(1, Eisenstein(0, 1), Fraction(1, 2))
+    assert all(type(c) is Eisenstein for c in x.coeffs)
+    assert all(type(c) is Fraction for e in x.coeffs for c in e.coeffs)
+    # a scalar of any level below multiplies coefficientwise
+    assert x * 2 == x + x == 2 * x
+    assert Eisenstein(0, 1) * x == KElement.of(Eisenstein(0, 1)) * x
+    assert Fraction(1, 3) * x == x * KElement.of(Fraction(1, 3))
+    assert 1 - x == KElement.of(1) - x and (x - 1) + 1 == x
+    assert EPS**3 == KElement.of(6) and EPS**0 == KElement.of(1)
+    assert Eisenstein(2, 3) ** -2 * Eisenstein(2, 3) ** 2 == Eisenstein.of(1)
+    # a higher level is not a scalar of a lower one
+    assert Eisenstein(1, 1).__mul__(x) is NotImplemented
+    assert type(Eisenstein(1, 1) * x) is KElement
+    with pytest.raises(ValueError):
+        Eisenstein(1, 2, 3)
+
+
+def test_identity_and_printing():
+    x = Eisenstein(Fraction(3, 2), Fraction(-1, 3))
+    assert Eisenstein.of(x) is x and isinstance(x, QuotientElement)
+    assert hash(x) == hash(Eisenstein(Fraction(3, 2), Fraction(-1, 3)))
+    assert str(x) == "(3/2) + (-1/3)*zeta3"
+    assert str(EPS) == "((0) + (0)*zeta3) + ((1) + (0)*zeta3)*eps + ((0) + (0)*zeta3)*eps^2"

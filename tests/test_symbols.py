@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from localglobal.exact import _quotient_product, quotient_norm
 from localglobal.padic import PadicNumber, power_class
 from localglobal.symbols import (
     InvariantValue,
-    LocalExtElement,
     Place,
     REAL_PLACE,
     hilbert2,
@@ -112,31 +112,35 @@ def test_product_formula_random_sweep():
         assert product_formula_check(a, b).is_zero, (a, b)
 
 
+def radical(m, d):
+    """The modulus of Q[x]/(x^m - d): x^m = d."""
+    return (Fraction(d),) + (0,) * (m - 1)
+
+
+def fractions(coeffs):
+    return tuple(Fraction(c) for c in coeffs)
+
+
 def test_local_ext_element_arithmetic():
-    a = LocalExtElement(17, 4, 17, (1, 2, 0, 1), prec=25)
-    b = LocalExtElement(17, 4, 17, (3, 0, 1, 0), prec=25)
+    mod = radical(4, 17)
+    a, b = fractions((1, 2, 0, 1)), fractions((3, 0, 1, 0))
     # norm is multiplicative
-    lhs = (a * b).norm()
-    rhs = a.norm() * b.norm()
-    assert lhs.approx_eq(rhs, digits=15)
+    assert quotient_norm(_quotient_product(a, b, mod), mod) == quotient_norm(a, mod) * quotient_norm(b, mod)
     # the norm of a base-field element is its 4th power
-    c = LocalExtElement(17, 4, 17, (5, 0, 0, 0), prec=25)
-    assert c.norm().approx_eq(PadicNumber.from_fraction(Fraction(5**4), 17, 25), digits=15)
+    assert quotient_norm(fractions((5, 0, 0, 0)), mod) == 5**4
     # the norm of the radical generator is -d for degree 4
-    x = LocalExtElement(17, 4, 17, (0, 1, 0, 0), prec=25)
-    assert x.norm().approx_eq(PadicNumber.from_fraction(Fraction(-17), 17, 25), digits=15)
+    assert quotient_norm(fractions((0, 1, 0, 0)), mod) == -17
 
 
 def test_local_ext_norm_multiplicative_random():
     rng = random.Random(3)
     for p, m, d in [(17, 4, 17), (3, 2, 7), (5, 3, 2), (2, 4, -1)]:
+        mod = radical(m, d)
         for _ in range(10):
-            a = LocalExtElement(p, m, d, [rng.randrange(-4, 5) for _ in range(m)], prec=30)
-            b = LocalExtElement(p, m, d, [rng.randrange(-4, 5) for _ in range(m)], prec=30)
-            na, nb, nab = a.norm(), b.norm(), (a * b).norm()
-            if na.is_zero or nb.is_zero or nab.is_zero:
-                continue
-            assert nab.approx_eq(na * nb, digits=10)
+            a = fractions(rng.randrange(-4, 5) for _ in range(m))
+            b = fractions(rng.randrange(-4, 5) for _ in range(m))
+            na, nb = quotient_norm(a, mod), quotient_norm(b, mod)
+            assert quotient_norm(_quotient_product(a, b, mod), mod) == na * nb, (p, m, d, a, b)
 
 
 def test_is_local_norm_quartic_17():
@@ -156,13 +160,11 @@ def test_is_local_norm_positive_soundness():
     # literal norms of random elements must always be accepted
     rng = random.Random(9)
     for p, m, d in [(17, 4, 17), (5, 3, 2), (7, 3, 2), (13, 4, 13), (2, 4, -1)]:
-        from localglobal.symbols import _radical_norm_exact
-
         for _ in range(25):
             tup = tuple(rng.randrange(-5, 6) for _ in range(m))
             if not any(tup):
                 continue
-            val = _radical_norm_exact(m, Fraction(d), tup)
+            val = quotient_norm(tup, radical(m, d))
             if val == 0:
                 continue
             assert is_local_norm(val, p, m, d), (p, m, d, tup, val)
