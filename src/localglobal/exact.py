@@ -134,7 +134,9 @@ class Factorization:
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a nonzero integer by trial division plus deterministic Brent rho."""
+    """Factor a nonzero integer: trial division by the primes below 50, then
+    a primality test, a perfect-square test or a deterministic Brent rho
+    split on each remaining cofactor."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
@@ -148,12 +150,6 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             record(p)
             n //= p
-    p = 49
-    while p * p <= n and p < 10_000:
-        while n % p == 0:
-            record(p)
-            n //= p
-        p += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()

@@ -4,6 +4,11 @@ A nonzero p-adic number is stored as p**v * u with u a unit known modulo
 p**prec ("prec significant digits").  A value whose digits are all zero at
 the working precision only carries the absolute precision at which it
 vanishes; such values poison any query that depends on the unit part.
+
+Hensel lifting does no PadicNumber arithmetic: Newton's method runs on
+integer residues modulo p**N, N the absolute precision of the start value,
+and a root at which v(f') = t is returned to the N - t digits that Hensel's
+lemma proves.
 """
 
 from __future__ import annotations
@@ -216,64 +221,92 @@ class PadicNumber:
         return diff.v >= digits
 
 
-def _poly_eval(coeffs, x: PadicNumber) -> PadicNumber:
-    """Horner evaluation; coeffs ascending, entries int/Fraction/PadicNumber."""
-    if not coeffs:
-        return PadicNumber.zero(x.p, x.abs_prec)
-    acc = x._coerce(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        acc = acc * x + c
-    return acc
+def _valuation(n: int, p: int) -> int:
+    """v_p of a nonzero integer."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
-def _poly_derivative(coeffs):
-    return [i * c for i, c in enumerate(coeffs)][1:]
+def _integral_residue(c, p: int, n: int) -> int:
+    """c (int, Fraction or PadicNumber) modulo p**n; ValueError if v(c) < 0."""
+    if isinstance(c, int):
+        return c % p**n
+    if isinstance(c, PadicNumber):
+        if c.p != p:
+            raise ValueError("mixed primes")
+        return c.residue(n)
+    c = Fraction(c)
+    if c.denominator % p == 0:
+        raise ValueError(f"{c} is not a {p}-adic integer")
+    mod = p**n
+    return c.numerator * pow(c.denominator, -1, mod) % mod
 
 
 def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION, target=None) -> PadicNumber:
     """Newton-lift a simple approximate root of f (ascending coefficients).
 
-    Requires v(f(a)) > 2 v(f'(a)) at the start value a, else NoConvergence.
-    With an explicit target, iterates until v(f(x)) >= target and raises
-    InsufficientPrecision if the digits run out first.  By default it stops
-    once f(x) vanishes at the achievable precision (each Newton division by
-    f' costs v(f'(root)) absolute digits, so the full working precision is
-    reachable only when the root is simple modulo p).
+    The working precision N is the absolute precision of the start value
+    (`prec` for an int or Fraction start), lowered to that of any
+    PadicNumber coefficient; int and Fraction coefficients are exact.  The
+    start and the coefficients must be p-adic integers, else ValueError.
+    Newton's method runs on integer residues modulo p**N, with no p-adic
+    object arithmetic: with t = v(f'(a)) it requires v(f(a)) > 2t, else
+    NoConvergence, and iterates x <- x - (f(x)/p**t) * (f'(x)/p**t)**-1
+    modulo p**(N-t) until f(x) = 0 mod p**N.  The root is returned at
+    absolute precision N - t, which is what Hensel's lemma proves: the
+    p-adic root r of f has v(r - x) >= v(f(x)) - t >= N - t.  A `target`
+    above N, or f(a) = 0 mod p**N with N <= 2t (which does not show
+    v(f(a)) > 2t), raises InsufficientPrecision.
     """
     if isinstance(start, PadicNumber):
-        x = start
-        p = x.p
+        p = start.p
+        n = start.abs_prec
     else:
         if p is None:
             raise ValueError("prime p required when start is not p-adic")
-        x = PadicNumber.from_fraction(Fraction(start), p, prec)
-    coeffs = [
-        c if isinstance(c, PadicNumber) else PadicNumber.from_fraction(Fraction(c), p, prec)
-        for c in coeffs
-    ]
-    dcoeffs = _poly_derivative(coeffs)
-    fx = _poly_eval(coeffs, x)
-    dfx = _poly_eval(dcoeffs, x)
-    if dfx.is_zero:
+        n = prec
+    n = min([n] + [c.abs_prec for c in coeffs if isinstance(c, PadicNumber)])
+    if n <= 0:
+        raise InsufficientPrecision(f"no {p}-adic digits known (N={n})")
+    mod = p**n
+    f = [_integral_residue(c, p, n) for c in coeffs]
+    df = [i * c % mod for i, c in enumerate(f)][1:]
+
+    def value(poly, x):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * x + c) % mod
+        return acc
+
+    x = _integral_residue(start, p, n)
+    fx, dfx = value(f, x), value(df, x)
+    if not dfx:
         raise NoConvergence("derivative vanishes at working precision")
-    if not fx.is_zero and fx.valuation() <= 2 * dfx.valuation():
-        raise NoConvergence(
-            f"v(f(a))={fx.valuation()} <= 2*v(f'(a))={2 * dfx.valuation()}"
+    t = _valuation(dfx, p)
+    if fx and _valuation(fx, p) <= 2 * t:
+        raise NoConvergence(f"v(f(a))={_valuation(fx, p)} <= 2*v(f'(a))={2 * t}")
+    if not fx and n <= 2 * t:
+        raise InsufficientPrecision(
+            f"f(a) = 0 mod {p}^{n} does not show v(f(a)) > 2*v(f'(a))={2 * t}"
         )
+    if target is not None and target > n:
+        raise InsufficientPrecision(f"target {target} exceeds working precision {n}")
+    scale, low = p**t, p ** (n - t)
     for _ in range(64):
-        fx = _poly_eval(coeffs, x)
-        reached = fx.v if fx.is_zero else fx.valuation()
-        if target is None:
-            if fx.is_zero:
-                return x
-        elif reached >= target:
-            return x
-        dfx = _poly_eval(dcoeffs, x)
-        step = fx / dfx
-        if step.is_zero:
-            raise InsufficientPrecision("Newton step vanished before reaching target")
-        x = x - step
-    raise InsufficientPrecision("Newton failed to reach target precision")
+        if not fx:
+            break
+        x = (x - fx // scale * pow(dfx // scale, -1, low)) % low
+        fx, dfx = value(f, x), value(df, x)
+    else:
+        raise InsufficientPrecision("Newton failed to reach working precision")
+    x %= low
+    if not x:
+        return PadicNumber.zero(p, n - t)
+    v = _valuation(x, p)
+    return PadicNumber(p, v, x // p**v, n - t - v)
 
 
 def padic_sqrt(x: PadicNumber) -> PadicNumber:

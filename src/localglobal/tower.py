@@ -341,8 +341,8 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
     checked: dict[int, int] = {}
     excluded: dict[int, int] = {}
     b_points_ok = c_points_ok = True
-    perturbed = GAMMA + 1
-    if norm_K_over_k(perturbed) == Eisenstein.of(-10):
+    perturbed_norm = norm_K_over_k(GAMMA + 1)
+    if perturbed_norm == Eisenstein.of(-10):
         raise CertificateError("the perturbed companion element has norm -10")
     perturbed_fails_somewhere = False
     for p in primes:
@@ -351,6 +351,7 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
         def em(x: KElement) -> int:
             return _embed(x, p, zeta, eps)
 
+        g_v, g2_v, pert_v = em(GAMMA), em(g2), em(KElement.of(perturbed_norm))
         checked[p] = 0
         excluded[p] = 0
         for x, y, z in _curve_points(p):
@@ -366,7 +367,6 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
             sd_v = em(sden.evaluate(x, y, z))
             s2n_v = em(s2num.evaluate(x, y, z))
             s2d_v = em(s2den.evaluate(x, y, z))
-            g_v, g2_v = em(GAMMA), em(g2)
             if (sn_v * d_v * g_v * z - n_v * sd_v * vals[0]) % p:
                 b_points_ok = False
                 failures.append(f"resolvent twist at {p}: point {(x, y, z)}")
@@ -378,7 +378,7 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
             # negative control: with the perturbed element, the on-curve
             # consequence N(2Y + eps X) = N(g Z) must break somewhere
             n_form = em(P0.evaluate(x, y, z)) * em(P1.evaluate(x, y, z)) * em(P2.evaluate(x, y, z))
-            n_pert = em(KElement.of(norm_K_over_k(perturbed))) * pow(z, 3, p)
+            n_pert = pert_v * pow(z, 3, p)
             if (n_form - n_pert) % p:
                 perturbed_fails_somewhere = True
             checked[p] += 1

@@ -9,21 +9,32 @@ kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
 computations.  The local point search is the quadratic one: every residue
 pair at depth 1 and every one of the q^2 children of each node are tried.
-The ring formulas at the end are the hand-written products and norms of
+The ring formulas are the hand-written products and norms of
 Q(zeta_3), of its extension by a cube root of 6 and of the delta-algebra
-over that, with the cofactor determinant behind the radical norms.
+over that, with the cofactor determinant behind the radical norms.  The
+Newton iteration on `PadicNumber` objects and the factoring with trial
+division up to 10**4 come last.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
-from localglobal.exact import split_prime_power
+from localglobal.exact import (
+    Factorization,
+    FactorizationError,
+    _TRIAL_PRIMES,
+    _brent_rho,
+    is_probable_prime,
+    split_prime_power,
+)
 from localglobal.padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
+    NoConvergence,
     PadicNumber,
     _unit_label_digits,
     is_nth_power as padic_is_nth_power,
@@ -314,3 +325,112 @@ def radical_norm(m: int, d: Fraction, coeffs) -> Fraction:
         col = [d * col[-1]] + col[:-1]
         cols.append(col)
     return det([[cols[j][i] for j in range(m)] for i in range(m)])
+
+
+# ------------------------------------------------------- p-adic Newton
+# The Newton iteration that `padic.hensel_root` replaced: every step is
+# PadicNumber arithmetic, and the returned precision is whatever that
+# arithmetic's bookkeeping leaves, which over-claims digits when f'(root)
+# is not a unit.
+
+
+def _poly_eval(coeffs, x: PadicNumber) -> PadicNumber:
+    """Horner evaluation; coeffs ascending, entries int/Fraction/PadicNumber."""
+    if not coeffs:
+        return PadicNumber.zero(x.p, x.abs_prec)
+    acc = x._coerce(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _poly_derivative(coeffs):
+    return [i * c for i, c in enumerate(coeffs)][1:]
+
+
+def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION, target=None) -> PadicNumber:
+    """Newton-lift a simple approximate root of f (ascending coefficients).
+
+    Requires v(f(a)) > 2 v(f'(a)) at the start value a, else NoConvergence.
+    With an explicit target, iterates until v(f(x)) >= target and raises
+    InsufficientPrecision if the digits run out first.  By default it stops
+    once f(x) vanishes at the achievable precision (each Newton division by
+    f' costs v(f'(root)) absolute digits, so the full working precision is
+    reachable only when the root is simple modulo p).
+    """
+    if isinstance(start, PadicNumber):
+        x = start
+        p = x.p
+    else:
+        if p is None:
+            raise ValueError("prime p required when start is not p-adic")
+        x = PadicNumber.from_fraction(Fraction(start), p, prec)
+    coeffs = [
+        c if isinstance(c, PadicNumber) else PadicNumber.from_fraction(Fraction(c), p, prec)
+        for c in coeffs
+    ]
+    dcoeffs = _poly_derivative(coeffs)
+    fx = _poly_eval(coeffs, x)
+    dfx = _poly_eval(dcoeffs, x)
+    if dfx.is_zero:
+        raise NoConvergence("derivative vanishes at working precision")
+    if not fx.is_zero and fx.valuation() <= 2 * dfx.valuation():
+        raise NoConvergence(
+            f"v(f(a))={fx.valuation()} <= 2*v(f'(a))={2 * dfx.valuation()}"
+        )
+    for _ in range(64):
+        fx = _poly_eval(coeffs, x)
+        reached = fx.v if fx.is_zero else fx.valuation()
+        if target is None:
+            if fx.is_zero:
+                return x
+        elif reached >= target:
+            return x
+        dfx = _poly_eval(dcoeffs, x)
+        step = fx / dfx
+        if step.is_zero:
+            raise InsufficientPrecision("Newton step vanished before reaching target")
+        x = x - step
+    raise InsufficientPrecision("Newton failed to reach target precision")
+
+
+# ------------------------------------------------------------ factoring
+def factorize(n: int) -> Factorization:
+    """Factor a nonzero integer by trial division plus deterministic Brent rho."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    sign = -1 if n < 0 else 1
+    n = abs(n)
+    found: dict[int, int] = {}
+
+    def record(p, e=1):
+        found[p] = found.get(p, 0) + e
+
+    for p in _TRIAL_PRIMES:
+        while n % p == 0:
+            record(p)
+            n //= p
+    p = 49
+    while p * p <= n and p < 10_000:
+        while n % p == 0:
+            record(p)
+            n //= p
+        p += 2
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if is_probable_prime(m):
+            record(m)
+            continue
+        root = math.isqrt(m)
+        if root * root == m:
+            stack += [root, root]
+            continue
+        d = _brent_rho(m)
+        stack += [d, m // d]
+    fz = Factorization(sign, tuple(sorted(found.items())))
+    if fz.value != sign * math.prod(p**e for p, e in found.items()):
+        raise FactorizationError("reconstruction mismatch")
+    return fz
