@@ -4,7 +4,10 @@ The field k_v = Q_3(zeta_3) is ramified over Q_3 with uniformizer
 pi = zeta_3 - 1 (pi^2 = -3 zeta_3, so v_pi(3) = 2).  Its multiplicative
 group modulo cubes is an F_3 vector space of dimension 4, generated by
 pi, zeta_3, 1 + pi^2 and 1 + pi^3; principal units 1 + pi^4 O are cubes,
-so cube classes of units are decided by their expansion modulo pi^5.
+so cube classes of units are decided by their residue modulo pi^5.  As
+pi^6 = -27, that residue of a unit a + b zeta_3 depends only on
+(a mod 27, b mod 27), and one table of those 729 pairs, built from
+integer residues, gives every cube class.
 
 Everything here is exact: elements are quotient-ring elements with
 rational coordinates in the basis 1, zeta_3, classes are vectors in F_3^4,
@@ -85,26 +88,6 @@ def divide_by_pi(x: Eisenstein) -> "Eisenstein":
     return Eisenstein._make(((b - 2 * a) / 3, -(a + b) / 3))
 
 
-def _residue_mod3(q: Fraction) -> int:
-    if q.denominator % 3 == 0:
-        raise ValueError("not 3-integral")
-    return q.numerator % 3 * pow(q.denominator % 3, -1, 3) % 3
-
-
-def pi_digits(x: Eisenstein, count: int) -> tuple[int, ...]:
-    """First `count` digits of the pi-adic expansion, digit set {0, 1, 2}.
-
-    Requires x integral at pi (3-integral coordinates).  The residue field
-    O/pi is F_3 with zeta_3 mapping to 1, so the digit is a + b mod 3.
-    """
-    digits = []
-    for _ in range(count):
-        d = (_residue_mod3(x.a) + _residue_mod3(x.b)) % 3
-        digits.append(d)
-        x = divide_by_pi(x - d)
-    return tuple(digits)
-
-
 def unit_part(x: Eisenstein) -> tuple[int, Eisenstein]:
     """Write x = pi^v * u with u a pi-adic unit; returns (v, u) exactly."""
     v = pi_valuation(x)
@@ -121,61 +104,89 @@ def unit_part(x: Eisenstein) -> tuple[int, Eisenstein]:
 _UNIT_GENERATORS = (ZETA, ONE + PI * PI, ONE + PI * PI * PI)
 
 
-@lru_cache(maxsize=1)
-def _cube_residues_mod_pi5() -> tuple[tuple[int, ...], ...]:
-    """pi-digit keys (length 5) of cubes of units: exactly 6 of them."""
-    seen = set()
-    for a in range(27):
-        for b in range(27):
-            if (a + b) % 3 == 0:
-                continue  # not a unit
-            x = Eisenstein(a, b)
-            seen.add(pi_digits(x**3, 5))
-    if len(seen) != 6:
-        raise CertificateError(f"{len(seen)} cube residues mod pi^5, expected 6")
-    return tuple(sorted(seen))
+def _residue27(q: Fraction) -> int:
+    """A 3-integral rational modulo 27: numerator times denominator^-1."""
+    if q.denominator % 3 == 0:
+        raise ValueError("not 3-integral")
+    return q.numerator * pow(q.denominator, -1, 27) % 27
+
+
+def _pair_product(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(a + b zeta_3)(c + d zeta_3) on integer pairs."""
+    (a, b), (c, d) = x, y
+    bd = b * d
+    return a * c - bd, a * d + b * c - bd
+
+
+def _key_mod_pi5(x: tuple[int, int]) -> tuple[int, int]:
+    """The residue of a + b zeta_3 modulo pi^5, for integers a, b.
+
+    pi^4 = 9 zeta_3^2, so pi^5 O = 9 pi O, the lattice spanned by
+    9 pi = (-9, 9) and 9 pi zeta_3 = (-9, -18): it is {9 | a, 27 | a + b},
+    and (a mod 9, a + b mod 27) names the residue.  It contains
+    27 O = pi^6 O, so the residue only depends on (a, b) mod 27.
+    """
+    a, b = x
+    return a % 9, (a + b) % 27
+
+
+def _unit_residues() -> list[tuple[int, int]]:
+    """The units of O/27 as pairs (a, b): their residue mod pi, a + b mod 3, is nonzero."""
+    return [(a, b) for a in range(27) for b in range(27) if (a + b) % 3]
+
+
+def _cube_keys_mod_pi5() -> frozenset[tuple[int, int]]:
+    """Residues mod pi^5 of cubes of units: exactly 6 of them."""
+    keys = frozenset(_key_mod_pi5(_pair_product(x, _pair_product(x, x))) for x in _unit_residues())
+    if len(keys) != 6:
+        raise CertificateError(f"{len(keys)} cube residues mod pi^5, expected 6")
+    return keys
 
 
 @lru_cache(maxsize=1)
-def _unit_class_table() -> dict[tuple[int, ...], tuple[int, int, int]]:
-    """Map: pi-digit key (mod pi^5) of a unit -> exponents on the three
-    unit generators.  Covers all 162 unit residues exactly once."""
-    cube_keys = set(_cube_residues_mod_pi5())
-    reps_by_key: dict[tuple[int, ...], Eisenstein] = {}
-    for a in range(27):
-        for b in range(27):
-            if (a + b) % 3 == 0:
-                continue
-            x = Eisenstein(a, b)
-            key = pi_digits(x, 5)
-            if key in cube_keys and key not in reps_by_key:
-                reps_by_key[key] = x
+def _unit_class_table() -> tuple[tuple[int, int, int] | None, ...]:
+    """Entry 27 a + b: the exponents on the three unit generators of the
+    class of a + b zeta_3, or None where it is not a unit.  The 162 unit
+    residues mod pi^5 are each reached exactly once from a generator
+    product times one of the 6 cube residues."""
+    cube_keys = _cube_keys_mod_pi5()
+    reps_by_key: dict[tuple[int, int], tuple[int, int]] = {}
+    for x in _unit_residues():
+        key = _key_mod_pi5(x)
+        if key in cube_keys and key not in reps_by_key:
+            reps_by_key[key] = x
     cube_reps = list(reps_by_key.values())
     if len(cube_reps) != 6:
         raise CertificateError(f"{len(cube_reps)} cube representatives, expected 6")
-    table: dict[tuple[int, ...], tuple[int, int, int]] = {}
-    for e1, e2, e3 in itertools.product(range(3), repeat=3):
-        g = _UNIT_GENERATORS[0] ** e1 * _UNIT_GENERATORS[1] ** e2 * _UNIT_GENERATORS[2] ** e3
+    generators = [(_residue27(g.a), _residue27(g.b)) for g in _UNIT_GENERATORS]
+    classes: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for exps in itertools.product(range(3), repeat=3):
+        g = (1, 0)
+        for gen, e in zip(generators, exps):
+            for _ in range(e):
+                g = _pair_product(g, gen)
         for rep in cube_reps:
-            key = pi_digits(g * rep, 5)
-            if key in table:
-                raise ArithmeticError("cube class table collision")
-            table[key] = (e1, e2, e3)
-    if len(table) != 162:
+            key = _key_mod_pi5(_pair_product(g, rep))
+            if key in classes:
+                raise CertificateError("cube class table collision")
+            classes[key] = exps
+    if len(classes) != 162:
         raise CertificateError("unit class table must cover all 162 unit residues")
-    return table
+    return tuple(classes.get(_key_mod_pi5((a, b))) for a in range(27) for b in range(27))
 
 
 def express(x) -> tuple[int, int, int, int]:
     """Coordinates of x in k_v*/(k_v*)^3 = F_3^4.
 
-    Basis: the uniformizer pi, then zeta_3, 1 + pi^2, 1 + pi^3.
+    Basis: the uniformizer pi, then zeta_3, 1 + pi^2, 1 + pi^3.  The unit
+    part a + b zeta_3 of x has 3-integral coordinates, and its class is
+    looked up from (a mod 27, b mod 27).
     """
     x = Eisenstein.of(x)
     if x.is_zero:
         raise ValueError("zero has no cube class")
     v, u = unit_part(x)
-    e1, e2, e3 = _unit_class_table()[pi_digits(u, 5)]
+    e1, e2, e3 = _unit_class_table()[27 * _residue27(u.a) + _residue27(u.b)]
     return (v % 3, e1, e2, e3)
 
 
@@ -426,6 +437,7 @@ def hilbert3(a, b) -> InvariantValue:
     b = Eisenstein.of(b)
     if a.is_zero or b.is_zero:
         raise ValueError("nonzero arguments required")
-    if is_cube(a):
+    a_class = express(a)
+    if not any(a_class):
         return InvariantValue.zero()
-    return cube_class_group().hilbert3(a, b)
+    return InvariantValue.thirds(cube_class_group().pairing_of_vectors(a_class, express(b)))

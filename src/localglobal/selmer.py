@@ -28,7 +28,7 @@ from .padic import (
     hensel_root,
     padic_sqrt,
 )
-from .tower import descent_value_at
+from .tower import descent_value_at, evaluate_F_symbolic
 
 __all__ = [
     "FpElement",
@@ -359,12 +359,13 @@ def evaluate_F_local(precision: int = 12) -> tuple[int, int, int, int]:
     value up to that precision; the class is computed twice at different
     precisions and must agree, else InsufficientPrecision."""
     group = cube_class_group()
+    coefficients = evaluate_F_symbolic()
 
     def class_at(k: int):
         # the root of x^3 - 10 is not simple mod 3 (f' = 3 x^2), so Newton
         # pays a few absolute digits; ask for extra working precision
         delta = hensel_root([-10, 0, 0, 1], 4, 3, k + 6)
-        return group.express(descent_value_at(Fraction(delta.residue(k))))
+        return group.express(descent_value_at(Fraction(delta.residue(k)), coefficients))
 
     vec = class_at(precision)
     if class_at(precision + 2) != vec:

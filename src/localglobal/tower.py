@@ -13,7 +13,9 @@ plane cubic 3X^3 + 4Y^3 + 5Z^3 = 0 the Lagrange-resolvent function
 satisfies sigma(U)/U = P0/(g Z), and its norm down to k is the descent
 function whose local classes the cubic pairing consumes.  The identities
 are proved here symbolically (reduction modulo the curve equation) and
-rechecked numerically on finite-field points.
+rechecked on points over finite fields F_p where the tower splits: each
+polynomial's coefficients are embedded into F_p once per prime and the
+polynomials are evaluated on residues mod p.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cubic import Eisenstein, ZETA
+from .cubic import ZETA, Eisenstein, _pair_product
 from .exact import CertificateError, QuotientElement, is_probable_prime
 
 __all__ = [
@@ -71,29 +73,37 @@ def sigma(x: KElement) -> KElement:
 
 
 def norm_K_over_k(x: KElement) -> Eisenstein:
-    """Norm to k: x sigma(x) sigma^2(x), cross-checked against the
+    """Norm to k: x sigma(x) sigma^2(x), which for eps^3 = 6 is the closed
+    form c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2, cross-checked against the
     determinant of multiplication by x."""
-    prod = x * sigma(x) * sigma(sigma(x))
-    if not prod.is_cyclo:
-        raise CertificateError(f"the norm of {x} does not land in the base field")
-    if prod.c0 != x.norm():
+    c0, c1, c2 = x.coeffs
+    closed = c0 * c0 * c0 + 6 * (c1 * c1 * c1) + 36 * (c2 * c2 * c2) - 18 * (c0 * c1 * c2)
+    if closed != x.norm():
         raise CertificateError(f"norm evaluations of {x} disagree")
-    return prod.c0
+    return closed
 
 
 def gamma_search(bound: int) -> list[KElement]:
     """All elements with coordinates x + y zeta_3, |x|, |y| <= bound, whose
-    norm to k is exactly -10."""
+    norm to k is exactly -10.
+
+    The closed-form norm is evaluated on integer pairs (a, b) = a + b zeta_3,
+    and every hit is certified by `norm_K_over_k`.
+    """
     if bound < 0:
         raise ValueError("bound must be nonnegative")
     span = range(-bound, bound + 1)
-    found = []
+    pairs = list(itertools.product(span, repeat=2))
+    cubes = {c: _pair_product(c, _pair_product(c, c)) for c in pairs}
     target = Eisenstein.of(-10)
-    for x0, y0, x1, y1, x2, y2 in itertools.product(span, repeat=6):
-        cand = KElement(Eisenstein(x0, y0), Eisenstein(x1, y1), Eisenstein(x2, y2))
-        if cand.is_zero:
-            continue
-        if norm_K_over_k(cand) == target:
+    found = []
+    for c0, c1, c2 in itertools.product(pairs, repeat=3):
+        (a0, b0), (a1, b1), (a2, b2) = cubes[c0], cubes[c1], cubes[c2]
+        m0, m1 = _pair_product(c0, _pair_product(c1, c2))
+        if a0 + 6 * a1 + 36 * a2 - 18 * m0 == -10 and b0 + 6 * b1 + 36 * b2 - 18 * m1 == 0:
+            cand = KElement(Eisenstein(*c0), Eisenstein(*c1), Eisenstein(*c2))
+            if norm_K_over_k(cand) != target:
+                raise CertificateError(f"integer norm search accepted {cand}")
             found.append(cand)
     return found
 
@@ -276,6 +286,18 @@ def _embed(x: KElement, p: int, zeta: int, eps: int) -> int:
     return (em_cyclo(x.c0) + em_cyclo(x.c1) * eps + em_cyclo(x.c2) * eps * eps) % p
 
 
+def _embed_polynomial(f: CurvePolynomial, p: int, zeta: int, eps: int):
+    """f with its coefficients embedded into F_p, as a function of a point
+    (x, y, z) of residues mod p.  `_embed` is a ring homomorphism on
+    p-integral coefficients, so the value is `_embed(f.evaluate(x, y, z))`."""
+    terms = [(i, j, k, _embed(c, p, zeta, eps)) for (i, j, k), c in f.terms.items()]
+
+    def at(x: int, y: int, z: int) -> int:
+        return sum(c * x**i * y**j * z**k for i, j, k, c in terms) % p
+
+    return at
+
+
 def _curve_points(p: int):
     """Deterministic affine points (x, y, z) of 3x^3+4y^3+5z^3 = 0 mod p."""
     cube_roots: dict[int, list[int]] = {}
@@ -352,21 +374,25 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
             return _embed(x, p, zeta, eps)
 
         g_v, g2_v, pert_v = em(GAMMA), em(g2), em(KElement.of(perturbed_norm))
+        form_at = [_embed_polynomial(f, p, zeta, eps) for f in forms]
+        num_at, den_at, snum_at, sden_at, s2num_at, s2den_at = (
+            _embed_polynomial(f, p, zeta, eps) for f in (num, den, snum, sden, s2num, s2den)
+        )
         checked[p] = 0
         excluded[p] = 0
         for x, y, z in _curve_points(p):
             if checked[p] >= points_per_prime:
                 break
-            vals = [em(f.evaluate(x, y, z)) for f in forms]
+            vals = [f(x, y, z) for f in form_at]
             if z % p == 0 or any(v == 0 for v in vals):
                 excluded[p] += 1
                 continue
-            n_v = em(num.evaluate(x, y, z))
-            d_v = em(den.evaluate(x, y, z))
-            sn_v = em(snum.evaluate(x, y, z))
-            sd_v = em(sden.evaluate(x, y, z))
-            s2n_v = em(s2num.evaluate(x, y, z))
-            s2d_v = em(s2den.evaluate(x, y, z))
+            n_v = num_at(x, y, z)
+            d_v = den_at(x, y, z)
+            sn_v = snum_at(x, y, z)
+            sd_v = sden_at(x, y, z)
+            s2n_v = s2num_at(x, y, z)
+            s2d_v = s2den_at(x, y, z)
             if (sn_v * d_v * g_v * z - n_v * sd_v * vals[0]) % p:
                 b_points_ok = False
                 failures.append(f"resolvent twist at {p}: point {(x, y, z)}")
@@ -377,7 +403,7 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
                 failures.append(f"norm factorization at {p}: point {(x, y, z)}")
             # negative control: with the perturbed element, the on-curve
             # consequence N(2Y + eps X) = N(g Z) must break somewhere
-            n_form = em(P0.evaluate(x, y, z)) * em(P1.evaluate(x, y, z)) * em(P2.evaluate(x, y, z))
+            n_form = vals[0] * vals[1] * vals[2]
             n_pert = pert_v * pow(z, 3, p)
             if (n_form - n_pert) % p:
                 perturbed_fails_somewhere = True
@@ -432,12 +458,16 @@ def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
     return tuple(part.c0 * Fraction(1, 100) for part in product.coeffs)
 
 
-def descent_value_at(delta_residue: Fraction) -> Eisenstein:
+def descent_value_at(delta_residue: Fraction, coefficients=None) -> Eisenstein:
     """Evaluate the descent function at a rational stand-in for delta.
 
     Exact in the coordinates; callers choose a residue congruent to the
     actual cube root of 10 to the precision their class computation needs.
+    `coefficients` are those of `evaluate_F_symbolic()`, which computes
+    them when none are passed.
     """
-    c0, c1, c2 = evaluate_F_symbolic()
+    if coefficients is None:
+        coefficients = evaluate_F_symbolic()
+    c0, c1, c2 = coefficients
     d = Fraction(delta_residue)
     return c0 + c1 * Eisenstein.of(d) + c2 * Eisenstein.of(d * d)

@@ -13,7 +13,9 @@ The ring formulas are the hand-written products and norms of
 Q(zeta_3), of its extension by a cube root of 6 and of the delta-algebra
 over that, with the cofactor determinant behind the radical norms.  The
 Newton iteration on `PadicNumber` objects and the factoring with trial
-division up to 10**4 come last.
+division up to 10**4 follow.  Last come the cube classes of Q_3(zeta_3)
+read off Fraction pi-digit expansions, and the search for elements of
+norm -10 that evaluates `norm_K_over_k` on every candidate.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from localglobal.cubic import ONE, PI, ZETA, Eisenstein, divide_by_pi, unit_part
 from localglobal.exact import (
     Factorization,
     FactorizationError,
@@ -48,6 +51,7 @@ from localglobal.reichardt_lind import (
     _residue_valuation,
 )
 from localglobal.symbols import Place, hilbert2
+from localglobal.tower import KElement, norm_K_over_k
 
 
 @lru_cache(maxsize=None)
@@ -434,3 +438,87 @@ def factorize(n: int) -> Factorization:
     if fz.value != sign * math.prod(p**e for p, e in found.items()):
         raise FactorizationError("reconstruction mismatch")
     return fz
+
+
+# ---------------------------------------------------- cube classes at 3
+# The classification that `cubic.express` replaced: a unit is keyed by the
+# first five digits of its pi-adic expansion, computed by repeated exact
+# division of Fraction coordinates by pi.
+
+
+def _residue_mod3(q: Fraction) -> int:
+    if q.denominator % 3 == 0:
+        raise ValueError("not 3-integral")
+    return q.numerator % 3 * pow(q.denominator % 3, -1, 3) % 3
+
+
+def pi_digits(x: Eisenstein, count: int) -> tuple[int, ...]:
+    """First `count` digits of the pi-adic expansion, digit set {0, 1, 2}.
+
+    Requires x integral at pi (3-integral coordinates).  The residue field
+    O/pi is F_3 with zeta_3 mapping to 1, so the digit is a + b mod 3.
+    """
+    digits = []
+    for _ in range(count):
+        d = (_residue_mod3(x.a) + _residue_mod3(x.b)) % 3
+        digits.append(d)
+        x = divide_by_pi(x - d)
+    return tuple(digits)
+
+
+_UNIT_GENERATORS = (ZETA, ONE + PI * PI, ONE + PI * PI * PI)
+
+
+@lru_cache(maxsize=1)
+def cube_residues_mod_pi5() -> tuple[tuple[int, ...], ...]:
+    """pi-digit keys (length 5) of cubes of units."""
+    seen = set()
+    for a in range(27):
+        for b in range(27):
+            if (a + b) % 3:
+                seen.add(pi_digits(Eisenstein(a, b) ** 3, 5))
+    return tuple(sorted(seen))
+
+
+@lru_cache(maxsize=1)
+def unit_class_table() -> dict[tuple[int, ...], tuple[int, int, int]]:
+    """pi-digit key (mod pi^5) of a unit -> exponents on the three unit
+    generators."""
+    cube_keys = set(cube_residues_mod_pi5())
+    reps_by_key: dict[tuple[int, ...], Eisenstein] = {}
+    for a in range(27):
+        for b in range(27):
+            if (a + b) % 3 == 0:
+                continue
+            x = Eisenstein(a, b)
+            key = pi_digits(x, 5)
+            if key in cube_keys and key not in reps_by_key:
+                reps_by_key[key] = x
+    table: dict[tuple[int, ...], tuple[int, int, int]] = {}
+    for e1, e2, e3 in itertools.product(range(3), repeat=3):
+        g = _UNIT_GENERATORS[0] ** e1 * _UNIT_GENERATORS[1] ** e2 * _UNIT_GENERATORS[2] ** e3
+        for rep in reps_by_key.values():
+            table[pi_digits(g * rep, 5)] = (e1, e2, e3)
+    return table
+
+
+def express(x) -> tuple[int, int, int, int]:
+    """Coordinates of x in Q_3(zeta_3)*/cubes, basis pi, zeta_3, 1 + pi^2, 1 + pi^3."""
+    v, u = unit_part(Eisenstein.of(x))
+    return (v % 3,) + unit_class_table()[pi_digits(u, 5)]
+
+
+# ------------------------------------------------------- norm -10 search
+def gamma_search(bound: int) -> list[KElement]:
+    """All elements with coordinates x + y zeta_3, |x|, |y| <= bound, whose
+    norm to Q(zeta_3) is -10, by `norm_K_over_k` on every candidate."""
+    span = range(-bound, bound + 1)
+    found = []
+    target = Eisenstein.of(-10)
+    for x0, y0, x1, y1, x2, y2 in itertools.product(span, repeat=6):
+        cand = KElement(Eisenstein(x0, y0), Eisenstein(x1, y1), Eisenstein(x2, y2))
+        if cand.is_zero:
+            continue
+        if norm_K_over_k(cand) == target:
+            found.append(cand)
+    return found

@@ -18,9 +18,9 @@ from localglobal.cubic import (
     hilbert3,
     is_cube,
     norm_subgroup,
-    pi_digits,
     pi_valuation,
 )
+from oracles import pi_digits
 
 
 def rand_elem(rng, span=10):
@@ -60,10 +60,19 @@ def test_pi_division_and_valuation():
 
 
 def test_cube_residue_structure():
-    from localglobal.cubic import _cube_residues_mod_pi5, _unit_class_table
+    from localglobal.cubic import _cube_keys_mod_pi5, _key_mod_pi5, _unit_class_table
 
-    assert len(_cube_residues_mod_pi5()) == 6
-    assert len(_unit_class_table()) == 162
+    assert len(_cube_keys_mod_pi5()) == 6
+    # one entry per pair (a, b) mod 27; the 486 unit pairs fall into 162
+    # residues mod pi^5, and the entry depends only on that residue
+    table = _unit_class_table()
+    assert len(table) == 729
+    units = [(a, b) for a in range(27) for b in range(27) if (a + b) % 3]
+    assert table.count(None) == 729 - len(units) == 243
+    by_residue = {}
+    for a, b in units:
+        assert by_residue.setdefault(_key_mod_pi5((a, b)), table[27 * a + b]) == table[27 * a + b]
+    assert len(by_residue) == 162
     # units congruent to 1 mod pi^4 are cubes
     rng = random.Random(4)
     pi4 = PI**4

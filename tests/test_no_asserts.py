@@ -80,8 +80,9 @@ def test_wrong_decomposition_raises_under_dash_O():
 
 
 def test_norm_outside_the_base_field_raises(monkeypatch):
-    # with sigma the identity the "norm" is (1 + eps)^3 = 7 + 3 eps + 3 eps^2
-    monkeypatch.setattr(tower, "sigma", lambda x: x)
+    # a determinant route that returns x^3 gives (1 + eps)^3 = 7 + 3 eps + 3 eps^2,
+    # which is not in Q(zeta_3) and cannot match the closed form
+    monkeypatch.setattr(tower.KElement, "norm", lambda x: x * x * x)
     with pytest.raises(CertificateError):
         tower.norm_K_over_k(tower.KElement.of(1) + tower.EPS)
 
@@ -90,7 +91,7 @@ def test_wrong_tower_norm_raises_under_dash_O():
     program = (
         "from localglobal import tower\n"
         "from localglobal.exact import CertificateError\n"
-        "tower.sigma = lambda x: x\n"
+        "tower.KElement.norm = lambda x: x * x * x\n"
         "try:\n"
         "    tower.norm_K_over_k(tower.KElement.of(1) + tower.EPS)\n"
         "except CertificateError:\n"

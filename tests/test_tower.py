@@ -72,9 +72,9 @@ class TestNorm:
         assert norm_K_over_k(GAMMA) == Eisenstein.of(-10)
 
     def test_norm_is_multiplicative(self):
-        # norm_K_over_k itself asserts the closed cubic form against the
-        # product of conjugates on every call, so this also exercises the
-        # two evaluation routes on 500 random pairs.
+        # norm_K_over_k itself checks the closed cubic form against the
+        # determinant of multiplication on every call, so this also
+        # exercises the two evaluation routes on 500 random pairs.
         rng = random.Random(2024)
         for _ in range(500):
             a, b = random_k_element(rng), random_k_element(rng)
