@@ -8,6 +8,10 @@ Invariant values appear as exact fraction strings ("0", "1/2", "1/3",
 report is reproducible byte for byte apart from the timings block, which
 records wall-clock milliseconds.
 
+The command line is described once, in the `_CLI` table; `build_parser`
+builds from it only the parsers that the given argv can reach, so one
+invocation does not pay for the whole argparse tree.
+
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (precision budget exhausted), 1 for
 runtime errors and failed self-checks (status "error"), 64 for usage errors.
@@ -74,71 +78,77 @@ def _prime_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
 
 
-def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--precision", type=int, default=argparse.SUPPRESS,
-                        help="working p-adic digits (per-command default)")
-    common.add_argument("--max-prime", type=int, default=argparse.SUPPRESS,
-                        help="upper bound for prime searches and sweeps")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for any randomized sampling (default 0)")
-    common.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS,
-                        help="report rendering (default json)")
+# The whole command line, described once: group -> (help, {command:
+# [(flags, add_argument keywords), ...]}).  Every command also takes _COMMON,
+# whose values default to the top-level ones set in `build_parser`.
+_COMMON = [
+    (("--precision",), {"type": int, "help": "working p-adic digits (per-command default)"}),
+    (("--max-prime",), {"type": int, "help": "upper bound for prime searches and sweeps"}),
+    (("--seed",), {"type": int, "help": "seed for any randomized sampling (default 0)"}),
+    (("--format",), {"choices": ("json", "text"), "help": "report rendering (default json)"}),
+]
+_ELL = (("--ell",), {"type": int, "required": True})
 
+_CLI = {
+    "symbol": ("residue and Hilbert symbols", {
+        "legendre": [(("a",), {"type": int}), (("p",), {"type": int})],
+        "quartic": [(("a",), {"type": int}), (("p",), {"type": int})],
+        "hilbert2": [(("a",), {"type": _rational}), (("b",), {"type": _rational}),
+                     (("place",), {"help": "a prime, or 'infinity'"})],
+        "hilbert3": [(("a",), {"type": _rational}), (("b",), {"type": _rational})],
+    }),
+    "rl": ("the quartic twist family ell*y^2 = z^4 - p", {
+        "verify": [_ELL, (("--p",), {"type": int, "required": True}),
+                   (("--samples",), {"type": int, "default": 20,
+                                     "help": "number of adelic points to sample (default 20)"})],
+        "search": [_ELL],
+        "density": [_ELL],
+        "exhaust": [(("--ell",), {"type": int, "default": 2}),
+                    (("--rhs",), {"type": int, "default": 17}),
+                    (("--bound",), {"type": int, "required": True})],
+        "smooth": [(("--ell",), {"type": int, "default": 2}),
+                   (("--p",), {"type": int, "default": 17}),
+                   (("--primes",), {"type": _prime_list, "default": (3, 5, 7, 11, 13)})],
+    }),
+    "elkies": ("the quartic family with constant N(t)", {
+        "verify": [(("--t",), {"type": _parameter_t, "required": True,
+                               "help": "rational parameter, or 'infinity'"})],
+        "scan": [(("--height",), {"type": int, "default": 10})],
+    }),
+    "selmer": ("the diagonal cubic 3X^3+4Y^3+5Z^3", {"verify": [], "survival": []}),
+}
+
+
+def build_parser(argv=None) -> _Parser:
+    """The argparse tree of `_CLI`, scoped to the command line `argv`.
+
+    The top parser and every group parser are always built, since their
+    names are what --help and "invalid choice" errors list.  A group gets
+    its command parsers only if its name is a token of argv, and a command
+    parser gets its arguments only if its name is one too: argparse enters
+    a subparser only on a token equal to its name, so a parser skipped here
+    is one the parse would never reach, and results, help, usage errors
+    and exit codes are those of the full tree.  argv=None builds the full
+    tree.
+    """
+    tokens = None if argv is None else set(argv)
     parser = _Parser(prog="localglobal",
                      description="Exact local-global obstruction computations.")
     parser.set_defaults(precision=None, max_prime=None, seed=0, format="json")
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
-
-    symbol = groups.add_parser("symbol", help="residue and Hilbert symbols")
-    symbol_sub = symbol.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sp = symbol_sub.add_parser("legendre", parents=[common])
-    sp.add_argument("a", type=int)
-    sp.add_argument("p", type=int)
-    sp = symbol_sub.add_parser("quartic", parents=[common])
-    sp.add_argument("a", type=int)
-    sp.add_argument("p", type=int)
-    sp = symbol_sub.add_parser("hilbert2", parents=[common])
-    sp.add_argument("a", type=_rational)
-    sp.add_argument("b", type=_rational)
-    sp.add_argument("place", help="a prime, or 'infinity'")
-    sp = symbol_sub.add_parser("hilbert3", parents=[common])
-    sp.add_argument("a", type=_rational)
-    sp.add_argument("b", type=_rational)
-
-    rl = groups.add_parser("rl", help="the quartic twist family ell*y^2 = z^4 - p")
-    rl_sub = rl.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sp = rl_sub.add_parser("verify", parents=[common])
-    sp.add_argument("--ell", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--samples", type=int, default=20,
-                    help="number of adelic points to sample (default 20)")
-    sp = rl_sub.add_parser("search", parents=[common])
-    sp.add_argument("--ell", type=int, required=True)
-    sp = rl_sub.add_parser("density", parents=[common])
-    sp.add_argument("--ell", type=int, required=True)
-    sp = rl_sub.add_parser("exhaust", parents=[common])
-    sp.add_argument("--ell", type=int, default=2)
-    sp.add_argument("--rhs", type=int, default=17)
-    sp.add_argument("--bound", type=int, required=True)
-    sp = rl_sub.add_parser("smooth", parents=[common])
-    sp.add_argument("--ell", type=int, default=2)
-    sp.add_argument("--p", type=int, default=17)
-    sp.add_argument("--primes", type=_prime_list, default=(3, 5, 7, 11, 13))
-
-    elk = groups.add_parser("elkies", help="the quartic family with constant N(t)")
-    elk_sub = elk.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sp = elk_sub.add_parser("verify", parents=[common])
-    sp.add_argument("--t", type=_parameter_t, required=True,
-                    help="rational parameter, or 'infinity'")
-    sp = elk_sub.add_parser("scan", parents=[common])
-    sp.add_argument("--height", type=int, default=10)
-
-    sel = groups.add_parser("selmer", help="the diagonal cubic 3X^3+4Y^3+5Z^3")
-    sel_sub = sel.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    sel_sub.add_parser("verify", parents=[common])
-    sel_sub.add_parser("survival", parents=[common])
-
+    for group, (help_text, commands) in _CLI.items():
+        group_parser = groups.add_parser(group, help=help_text)
+        if tokens is not None and group not in tokens:
+            continue
+        subs = group_parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+        for command, arguments in commands.items():
+            sp = subs.add_parser(command)
+            if tokens is not None and command not in tokens:
+                continue
+            for flags, kwargs in _COMMON:
+                sp.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
+            for flags, kwargs in arguments:
+                sp.add_argument(*flags, **kwargs)
     return parser
 
 
@@ -371,8 +381,9 @@ def _params_of(args) -> dict:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 

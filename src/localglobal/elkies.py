@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .exact import (
     CertificateError,
+    Factorization,
     factorize,
     fourth_root,
     is_perfect_square,
@@ -64,7 +66,8 @@ class NoRepresentation(Exception):
 class ElkiesFibre:
     """One member of the family: parameter t (None encodes the fibre at
     infinity), its value N, the fourth-power-free part N0, and the
-    canonical decomposition N0 = A^4 + 16B^4."""
+    canonical decomposition N0 = A^4 + 16B^4.  N0 is factored once, when
+    a report first reads its primes."""
 
     t: Fraction | None
     N: Fraction
@@ -81,6 +84,10 @@ class ElkiesFibre:
             raise CertificateError(f"A = {self.A} and B = {self.B} must be coprime")
         if self.N0 % 16 != 1:
             raise CertificateError(f"N0 = {self.N0} is not 1 mod 16")
+
+    @cached_property
+    def factorization(self) -> Factorization:
+        return factorize(self.N0)
 
 
 def _b_bound(n0: int) -> int:
@@ -172,7 +179,7 @@ def local_solvability_report(
     )
 
     odd_entries = []
-    for p, _ in factorize(n0).factors:
+    for p, _ in fib.factorization.factors:
         if p % 8 != 1:
             raise CertificateError(f"{p} divides N0 = {n0} but is not 1 mod 8")
         solvable = False
@@ -281,7 +288,7 @@ def obstruction_parity(fib: ElkiesFibre) -> ObstructionParity:
     mod 2 multiplicatively across the factorization.
     """
     contributing = []
-    for p, e in factorize(fib.N0).factors:
+    for p, e in fib.factorization.factors:
         if e % 2 == 1 and quartic_residue_symbol(2, p).exponent != 0:
             contributing.append(p)
     count = len(contributing)

@@ -21,6 +21,7 @@ polynomials are evaluated on residues mod p.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -75,12 +76,23 @@ def sigma(x: KElement) -> KElement:
 def norm_K_over_k(x: KElement) -> Eisenstein:
     """Norm to k: x sigma(x) sigma^2(x), which for eps^3 = 6 is the closed
     form c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2, cross-checked against the
-    determinant of multiplication by x."""
-    c0, c1, c2 = x.coeffs
+    determinant of multiplication by x.
+
+    Both run on d x, whose coordinates are integer pairs for d the least
+    common denominator of the six rational coordinates; the norm is cubic,
+    so N(x) = N(d x) / d^3.
+    """
+    pairs = [c.coeffs for c in x.coeffs]
+    d = math.lcm(*(q.denominator for pair in pairs for q in pair))
+    c0, c1, c2 = scaled = [
+        Eisenstein._make((a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)))
+        for a, b in pairs
+    ]
     closed = c0 * c0 * c0 + 6 * (c1 * c1 * c1) + 36 * (c2 * c2 * c2) - 18 * (c0 * c1 * c2)
-    if closed != x.norm():
+    if closed != KElement._make(tuple(scaled)).norm():
         raise CertificateError(f"norm evaluations of {x} disagree")
-    return closed
+    d3 = d * d * d
+    return Eisenstein._make(tuple(Fraction(c, d3) for c in closed.coeffs))
 
 
 def gamma_search(bound: int) -> list[KElement]:

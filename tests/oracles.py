@@ -14,8 +14,9 @@ Q(zeta_3), of its extension by a cube root of 6 and of the delta-algebra
 over that, with the cofactor determinant behind the radical norms.  The
 Newton iteration on `PadicNumber` objects and the factoring with trial
 division up to 10**4 follow.  Last come the cube classes of Q_3(zeta_3)
-read off Fraction pi-digit expansions, and the search for elements of
-norm -10 that evaluates `norm_K_over_k` on every candidate.
+read off Fraction pi-digit expansions, the K/k norm as closed form and
+determinant on Fraction coordinates, and the search for elements of norm
+-10 that evaluates `norm_K_over_k` on every candidate.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from localglobal import tower
 from localglobal.cubic import ONE, PI, ZETA, Eisenstein, divide_by_pi, unit_part
 from localglobal.exact import (
+    CertificateError,
     Factorization,
     FactorizationError,
     _TRIAL_PRIMES,
@@ -51,7 +54,7 @@ from localglobal.reichardt_lind import (
     _residue_valuation,
 )
 from localglobal.symbols import Place, hilbert2
-from localglobal.tower import KElement, norm_K_over_k
+from localglobal.tower import KElement
 
 
 @lru_cache(maxsize=None)
@@ -508,6 +511,17 @@ def express(x) -> tuple[int, int, int, int]:
     return (v % 3,) + unit_class_table()[pi_digits(u, 5)]
 
 
+# ------------------------------------------------------- K/k norms
+def norm_K_over_k(x: KElement) -> Eisenstein:
+    """The closed-form norm c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2 and the
+    determinant, both on the Fraction coordinates of x."""
+    c0, c1, c2 = x.coeffs
+    closed = c0 * c0 * c0 + 6 * (c1 * c1 * c1) + 36 * (c2 * c2 * c2) - 18 * (c0 * c1 * c2)
+    if closed != x.norm():
+        raise CertificateError(f"norm evaluations of {x} disagree")
+    return closed
+
+
 # ------------------------------------------------------- norm -10 search
 def gamma_search(bound: int) -> list[KElement]:
     """All elements with coordinates x + y zeta_3, |x|, |y| <= bound, whose
@@ -519,6 +533,6 @@ def gamma_search(bound: int) -> list[KElement]:
         cand = KElement(Eisenstein(x0, y0), Eisenstein(x1, y1), Eisenstein(x2, y2))
         if cand.is_zero:
             continue
-        if norm_K_over_k(cand) == target:
+        if tower.norm_K_over_k(cand) == target:
             found.append(cand)
     return found

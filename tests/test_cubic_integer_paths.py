@@ -1,7 +1,7 @@
 """The integer-residue paths of the cubic stack against the Fraction
 computations they replaced (kept in `oracles`): cube classes read off
 (a, b) mod 27 against pi-digit expansions, the closed-form K/k norm against
-the product of conjugates, the finite-field identity checks against exact
+the product of conjugates and the Fraction evaluation, the finite-field identity checks against exact
 evaluation over K, and the norm -10 search against the full loop."""
 
 import itertools
@@ -139,6 +139,26 @@ def test_closed_norm_matches_the_oracle_and_the_conjugate_product():
         assert norm.coeffs == oracles.k_closed_norm(tuple(c.coeffs for c in x.coeffs)), x
         product = x * sigma(x) * sigma(sigma(x))
         assert product.is_cyclo and product.c0 == norm, x
+
+
+@pytest.mark.parametrize("denominators", [(1, 2, 3, 5), (3, 9, 27), (1, 1, 27, 7, 9)])
+def test_integer_pair_norm_matches_the_fraction_oracle(denominators):
+    rng = random.Random(sum(denominators))
+
+    def coord():
+        return Eisenstein(*(Fraction(rng.randint(-30, 30), rng.choice(denominators)) for _ in "ab"))
+
+    for _ in range(150):
+        x = KElement(coord(), coord(), coord())
+        norm = norm_K_over_k(x)
+        assert norm == oracles.norm_K_over_k(x), x
+        assert all(type(c) is Fraction for c in norm.coeffs), x
+
+
+def test_integer_pair_norm_of_units_and_zero():
+    for x in (KElement.of(0), KElement.of(1), KElement.of(Fraction(1, 27)), GAMMA * Fraction(2, 9)):
+        assert norm_K_over_k(x) == oracles.norm_K_over_k(x)
+    assert norm_K_over_k(GAMMA * Fraction(1, 3)) == Eisenstein.of(Fraction(-10, 27))
 
 
 def test_gamma_search_matches_the_oracle_at_bound_one():

@@ -19,7 +19,7 @@ from localglobal.elkies import (
     quartic_rep,
     rationals_of_height,
 )
-from localglobal.exact import primes_up_to, quartic_residue_symbol
+from localglobal.exact import factorize, primes_up_to, quartic_residue_symbol
 from localglobal.symbols import InvariantValue
 
 
@@ -62,6 +62,22 @@ class TestFibre:
 
     def test_height_one(self):
         assert rationals_of_height(1) == [None, Fraction(-1), Fraction(0), Fraction(1)]
+
+    def test_fibre_carries_the_factorization_of_n0(self):
+        for t in (None, 0, 1, Fraction(1, 3), Fraction(-7, 5)):
+            f = fibre(t)
+            assert f.factorization == factorize(f.N0)
+        assert fibre(1).factorization.as_dict() == {17: 1, 113: 1}
+
+    def test_reports_do_not_factor_n0_again(self, monkeypatch):
+        f = fibre(Fraction(2, 3))
+        expected = (local_solvability_report(f, 12, 50), obstruction_parity(f))
+
+        def no_factoring(n):
+            raise AssertionError(f"factorize({n}) called again")
+
+        monkeypatch.setattr(elkies, "factorize", no_factoring)
+        assert (local_solvability_report(f, 12, 50), obstruction_parity(f)) == expected
 
 
 class TestFibreSearchBound:
