@@ -348,8 +348,6 @@ def _flatten(prefix: str, value, lines: list):
     if isinstance(value, dict):
         for key in sorted(value):
             _flatten(f"{prefix}.{key}" if prefix else str(key), value[key], lines)
-    elif isinstance(value, list):
-        lines.append(f"{prefix} = {json.dumps(value)}")
     else:
         lines.append(f"{prefix} = {json.dumps(value)}")
 

@@ -10,8 +10,11 @@ pi^6 = -27, that residue of a unit a + b zeta_3 depends only on
 integer residues, gives every cube class.
 
 Everything here is exact: elements are quotient-ring elements with
-rational coordinates in the basis 1, zeta_3, classes are vectors in F_3^4,
-and the pairing matrix is certified against norm subgroups before use.
+rational coordinates in the basis 1, zeta_3, and classes are vectors in
+F_3^4.  The cubic Hilbert pairing is the one nonzero bilinear form on
+F_3^4, up to scale, that obeys the Steinberg relations (x, 1 - x) = 0
+and (x, -x) = 0 on a box of small elements; it is solved for by linear
+algebra over F_3, and its skewness and rank are checked afterwards.
 """
 
 from __future__ import annotations
@@ -22,25 +25,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exact import CertificateError, QuotientElement, split_prime_power
-from .padic import InsufficientPrecision
 from .symbols import InvariantValue
 
 __all__ = [
     "Eisenstein",
     "ZETA",
     "PI",
-    "DegenerateExtension",
     "express",
     "is_cube",
-    "norm_subgroup",
     "CubeClassGroup",
     "cube_class_group",
     "hilbert3",
 ]
-
-
-class DegenerateExtension(ValueError):
-    """Adjoining a cube root of a cube does not give a field extension."""
 
 
 # ------------------------------------------------------------ ring elements
@@ -196,13 +192,12 @@ def is_cube(x) -> bool:
 
 # ------------------------------------------------------ F_3 linear algebra
 def _rref3(rows) -> list[list[int]]:
+    """Reduced row echelon form over F_3 of rows of one common length,
+    zero rows dropped; the rows come out in pivot order."""
     mat = [[c % 3 for c in row] for row in rows]
     out: list[list[int]] = []
-    pivots: list[int] = []
-    for col in range(4):
-        pivot = next(
-            (r for r in mat if r[col] % 3 and all(r[c] == 0 for c in range(col))), None
-        )
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in mat if r[col]), None)
         if pivot is None:
             continue
         mat.remove(pivot)
@@ -215,9 +210,7 @@ def _rref3(rows) -> list[list[int]]:
             [(c - r[col] * pc) % 3 for c, pc in zip(r, pivot)] for r in out
         ]
         out.append(pivot)
-        pivots.append(col)
-    order = sorted(range(len(out)), key=lambda i: pivots[i])
-    return [out[i] for i in order]
+    return out
 
 
 def _rank3(rows) -> int:
@@ -240,55 +233,6 @@ def _nullspace3(rows) -> list[tuple[int, ...]]:
     return [tuple(b) for b in basis]
 
 
-# -------------------------------------------------------- norm subgroups
-_SAMPLE_COORDS = (
-    Eisenstein.of(0),
-    ONE,
-    -ONE,
-    ZETA,
-    -ZETA,
-    ONE + ZETA,
-    ONE - ZETA,
-    Eisenstein.of(2),
-    PI,
-    ONE + PI,
-)
-
-
-def norm_subgroup(a) -> tuple[tuple[int, ...], ...]:
-    """Basis (3 vectors in F_3^4) of the classes of norms from k_v(a^{1/3}).
-
-    Local reciprocity for the cyclic cubic Kummer extension says the norm
-    group has index exactly 3; sampling norms
-    N(c0 + c1 t + c2 t^2) = c0^3 + a c1^3 + a^2 c2^3 - 3 a c0 c1 c2
-    must therefore span a 3-dimensional subspace and no more.
-    """
-    a = Eisenstein.of(a)
-    cls = express(a)
-    if cls == (0, 0, 0, 0):
-        raise DegenerateExtension(f"{a} is a cube in Q_3(zeta_3)")
-    basis: list[list[int]] = []
-    a2 = a * a
-    for c0, c1, c2 in itertools.product(_SAMPLE_COORDS, repeat=3):
-        if c0.is_zero and c1.is_zero and c2.is_zero:
-            continue
-        value = c0**3 + a * c1**3 + a2 * c2**3 - 3 * a * c0 * c1 * c2
-        if value.is_zero:
-            continue
-        vec = express(value)
-        if not any(vec) or _in_span3(basis, vec):
-            continue
-        basis.append(list(vec))
-        rank = _rank3(basis)
-        if rank > 3:
-            raise ArithmeticError("norm subgroup exceeds the predicted index 3")
-        if rank == 3:
-            return tuple(tuple(b) for b in _rref3(basis))
-    raise InsufficientPrecision(
-        f"norm subgroup of cube root of {a} did not stabilize in the sampling budget"
-    )
-
-
 # ----------------------------------------------------------- the pairing
 @dataclass(frozen=True)
 class CubeClassGroup:
@@ -296,9 +240,10 @@ class CubeClassGroup:
 
     generators: pi, zeta_3, 1 + pi^2, 1 + pi^3 (independent: the pairing
     matrix has rank 4).  pairing_matrix M gives the cubic Hilbert pairing
-    as coords(a)^T M coords(b) in F_3; it is skew (M = -M^T).  tau_matrix
-    is the induced action of the automorphism zeta_3 -> zeta_3^2 on
-    classes; it is an involution.
+    as coords(a)^T M coords(b) in F_3; it is the solution of the Steinberg
+    relations and comes out skew (M = -M^T).  tau_matrix is the induced
+    action of the automorphism zeta_3 -> zeta_3^2 on classes; it is an
+    involution.
     """
 
     generators: tuple[Eisenstein, ...]
@@ -310,15 +255,7 @@ class CubeClassGroup:
 
     def pairing(self, x, y) -> int:
         """The pairing value in F_3: 0 iff y is a norm from k_v(x^{1/3})."""
-        xv, yv = self.express(x), self.express(y)
-        return (
-            sum(
-                xv[i] * self.pairing_matrix[i][j] * yv[j]
-                for i in range(4)
-                for j in range(4)
-            )
-            % 3
-        )
+        return self.pairing_of_vectors(self.express(x), self.express(y))
 
     def hilbert3(self, a, b) -> InvariantValue:
         return InvariantValue.thirds(self.pairing(a, b))
@@ -353,15 +290,38 @@ class CubeClassGroup:
         return tuple(_nullspace3(rows))
 
 
+# Relations (x, y) = 0 come from x = a + b zeta_3 with |a|, |b| <= this bound.
+_RELATION_BOX = 2
+
+
+def _steinberg_rows() -> list[list[int]]:
+    """One row over the 16 unknowns m_ij (index 4 i + j) per relation
+    (x, -x) = 0, and (x, 1 - x) = 0 for x != 1: the entries of the row
+    for (x, y) are express(x)[i] * express(y)[j]."""
+    span = range(-_RELATION_BOX, _RELATION_BOX + 1)
+    rows = []
+    for a, b in itertools.product(span, repeat=2):
+        x = Eisenstein(a, b)
+        if x.is_zero:
+            continue
+        xv = express(x)
+        for y in (-x,) if x == ONE else (-x, ONE - x):
+            yv = express(y)
+            rows.append([xv[i] * yv[j] % 3 for i in range(4) for j in range(4)])
+    return rows
+
+
 @lru_cache(maxsize=1)
 def cube_class_group() -> CubeClassGroup:
     """Build the 81-element cube-class group with pairing and Galois action.
 
-    The pairing matrix is assembled from the norm subgroups of the four
-    generators: each row is the linear form cutting out that subgroup,
-    scaled so the matrix is skew; the overall scale is fixed by making the
-    first nonzero entry equal to 1.  Both steps are checked, so a wrong
-    subgroup or a non-skew configuration cannot slip through.
+    The cubic Hilbert symbol is a nonzero bilinear form on F_3^4 with
+    (x, -x) = 0 and (x, 1 - x) = 0 (Neukirch, Algebraic Number Theory,
+    V.3).  Those relations on the elements a + b zeta_3 with
+    |a|, |b| <= 2 are linear in the 16 entries of the matrix and leave
+    exactly one line of solutions, which is scaled so that its first
+    nonzero entry (row-major) is 1.  That the matrix is skew and of
+    rank 4 is then checked, not assumed.
     """
     generators = (PI,) + _UNIT_GENERATORS
     for idx, g in enumerate(generators):
@@ -369,45 +329,21 @@ def cube_class_group() -> CubeClassGroup:
         if express(g) != want:
             raise CertificateError("generators must map to the standard basis")
 
-    def defining_form(x):
-        forms = _nullspace3(norm_subgroup(x))
-        if len(forms) != 1:
-            raise CertificateError("norm subgroup must have a unique defining form")
-        return forms[0]
-
-    functionals = [defining_form(g) for g in generators]
-    # Kernels only fix each row up to a scalar, and skewness alone cannot
-    # relate rows whose pairing entries do not overlap; the norm subgroups
-    # of a few products of generators couple the remaining scales.
-    couplings = []
-    for i, j in ((0, 1), (0, 2), (1, 3)):
-        w = tuple((a + b) % 3 for a, b in zip(*(express(g) for g in (generators[i], generators[j]))))
-        couplings.append((w, defining_form(generators[i] * generators[j])))
-
-    valid = []
-    for lams in itertools.product((1, 2), repeat=4):
-        m = [[lams[i] * functionals[i][j] % 3 for j in range(4)] for i in range(4)]
-        if any(m[i][i] for i in range(4)):
-            continue
-        if any((m[i][j] + m[j][i]) % 3 for i in range(4) for j in range(4)):
-            continue
-        ok = True
-        for w, form in couplings:
-            row = [sum(w[i] * m[i][j] for i in range(4)) % 3 for j in range(4)]
-            if not any(
-                all(c == mu * f % 3 for c, f in zip(row, form)) for mu in (1, 2)
-            ):
-                ok = False
-                break
-        if ok:
-            valid.append(m)
-    if len(valid) != 2:
-        raise CertificateError("scaling must be unique up to the global sign")
-    matrix = next(
-        (m for m in valid if next(c for row in m for c in row if c) == 1), None
-    )
-    if matrix is None:
-        raise CertificateError("no scaling starts with a 1")
+    reduced = _rref3(_steinberg_rows())
+    pivots = [row.index(1) for row in reduced]
+    free = [col for col in range(16) if col not in pivots]
+    if len(free) != 1:
+        raise CertificateError(
+            f"Steinberg relations leave {len(free)} free entries, expected 1"
+        )
+    solution = [0] * 16
+    solution[free[0]] = 1
+    for col, row in zip(pivots, reduced):
+        solution[col] = -row[free[0]] % 3
+    scale = next(c for c in solution if c)  # its own inverse mod 3
+    matrix = [[solution[4 * i + j] * scale % 3 for j in range(4)] for i in range(4)]
+    if any((matrix[i][j] + matrix[j][i]) % 3 for i in range(4) for j in range(4)):
+        raise CertificateError("pairing must be skew")
     if _rank3(matrix) != 4:
         raise CertificateError("pairing must be non-degenerate")
 

@@ -393,21 +393,34 @@ def _lift_children(y0, z0, c0, g_y, g_z, q, step):
 
 def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
              exact_z_poly, allow_y_zero):
-    """Turn a Hensel-liftable residue pair into an exact local point."""
+    """Turn a Hensel-liftable residue pair into an exact local point.
+
+    The lifted coordinate starts from its integer residue at absolute
+    precision `precision` + v_q(start), or `precision` for a zero start:
+    the precision `PadicNumber.from_int` would give it.
+    """
     place = Place.finite(q)
     use_y = t_y is not None and (t_z is None or t_y <= t_z)
     try:
         if use_y:
             z = PadicNumber.from_int(z0, q, precision)
-            y = hensel_root(exact_y_poly(z0), PadicNumber.from_int(y0, q, precision))
+            y = hensel_root(exact_y_poly(z0), y0, q, _start_precision(y0, q, precision))
         else:
             y = PadicNumber.from_int(y0, q, precision)
-            z = hensel_root(exact_z_poly(y0), PadicNumber.from_int(z0, q, precision))
+            z = hensel_root(exact_z_poly(y0), z0, q, _start_precision(z0, q, precision))
     except InsufficientPrecision:
         return None
     if y.is_zero and not allow_y_zero:
         return None
     return LocalPoint(place, y, z, precision, chart)
+
+
+def _start_precision(start: int, q: int, precision: int) -> int:
+    n = precision
+    while start and start % q == 0:
+        start //= q
+        n += 1
+    return n
 
 
 # ----------------------------------------------------------- obstruction

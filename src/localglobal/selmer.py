@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cubic import Eisenstein, PI, cube_class_group, is_cube, pi_valuation
+from .cubic import Eisenstein, cube_class_group
 from .exact import CertificateError, legendre_symbol, sqrt_mod_prime
 from .padic import (
     InsufficientPrecision,

@@ -8,15 +8,18 @@ subgroup reaches the index predicted by local reciprocity.  Classes are
 kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
 computations.  The local point search is the quadratic one: every residue
-pair at depth 1 and every one of the q^2 children of each node are tried.
+pair at depth 1 and every one of the q^2 children of each node are tried,
+and its certified nodes start the Hensel lift from `PadicNumber` values.
 The ring formulas are the hand-written products and norms of
 Q(zeta_3), of its extension by a cube root of 6 and of the delta-algebra
 over that, with the cofactor determinant behind the radical norms.  The
 Newton iteration on `PadicNumber` objects and the factoring with trial
 division up to 10**4 follow.  Last come the cube classes of Q_3(zeta_3)
 read off Fraction pi-digit expansions, the K/k norm as closed form and
-determinant on Fraction coordinates, and the search for elements of norm
--10 that evaluates `norm_K_over_k` on every candidate.
+determinant on Fraction coordinates, the search for elements of norm
+-10 that evaluates `norm_K_over_k` on every candidate, and the cubic
+Hilbert pairing matrix built from sampled norm subgroups of Kummer
+extensions.
 """
 
 from __future__ import annotations
@@ -27,7 +30,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from localglobal import tower
-from localglobal.cubic import ONE, PI, ZETA, Eisenstein, divide_by_pi, unit_part
+from localglobal.cubic import (
+    ONE,
+    PI,
+    ZETA,
+    Eisenstein,
+    _in_span3,
+    _nullspace3,
+    _rank3,
+    _rref3,
+    divide_by_pi,
+    unit_part,
+)
 from localglobal.exact import (
     CertificateError,
     Factorization,
@@ -43,13 +57,13 @@ from localglobal.padic import (
     NoConvergence,
     PadicNumber,
     _unit_label_digits,
+    hensel_root as padic_hensel_root,
     is_nth_power as padic_is_nth_power,
     padic_sqrt,
 )
 from localglobal.reichardt_lind import (
     LocalPoint,
     NoPoint,
-    _certify,
     _nth_root_padic,
     _residue_valuation,
 )
@@ -222,7 +236,7 @@ def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
             candidates = [t for t in (t_y, t_z) if t is not None]
             t_min = min(candidates) if candidates else None
             if t_min is not None and depth > 2 * t_min:
-                pt = _certify(
+                pt = certify(
                     tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
                     exact_z_poly, allow_y_zero,
                 )
@@ -245,6 +259,26 @@ def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
             return None, skip
         frontier = next_frontier
     return None, skip
+
+
+def certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
+            exact_z_poly, allow_y_zero):
+    """`reichardt_lind._certify` with both residues wrapped in
+    `PadicNumber.from_int` before the Hensel lift."""
+    place = Place.finite(q)
+    use_y = t_y is not None and (t_z is None or t_y <= t_z)
+    try:
+        if use_y:
+            z = PadicNumber.from_int(z0, q, precision)
+            y = padic_hensel_root(exact_y_poly(z0), PadicNumber.from_int(y0, q, precision))
+        else:
+            y = PadicNumber.from_int(y0, q, precision)
+            z = padic_hensel_root(exact_z_poly(y0), PadicNumber.from_int(z0, q, precision))
+    except InsufficientPrecision:
+        return None
+    if y.is_zero and not allow_y_zero:
+        return None
+    return LocalPoint(place, y, z, precision, chart)
 
 
 # ------------------------------------------------------------ ring formulas
@@ -536,3 +570,102 @@ def gamma_search(bound: int) -> list[KElement]:
         if tower.norm_K_over_k(cand) == target:
             found.append(cand)
     return found
+
+
+# ------------------------------------------- cubic pairing from norms
+# The construction of the cubic Hilbert pairing that the Steinberg
+# relations in `cubic.cube_class_group` replaced: sample norms from each
+# Kummer extension k_v(a^{1/3}), take the linear form cutting out the
+# index-3 norm subgroup as a row, and fix the row scales by a search over
+# (1, 2)^4 constrained by skewness and the norm subgroups of three
+# products of generators.  Classes come from the pi-digit `express` above.
+
+
+class DegenerateExtension(ValueError):
+    """Adjoining a cube root of a cube does not give a field extension."""
+
+
+_SAMPLE_COORDS = (
+    Eisenstein.of(0),
+    ONE,
+    -ONE,
+    ZETA,
+    -ZETA,
+    ONE + ZETA,
+    ONE - ZETA,
+    Eisenstein.of(2),
+    PI,
+    ONE + PI,
+)
+
+
+def cube_norm_subgroup(a) -> tuple[tuple[int, ...], ...]:
+    """Basis (3 vectors in F_3^4) of the classes of norms from k_v(a^{1/3}).
+
+    Local reciprocity for the cyclic cubic Kummer extension says the norm
+    group has index exactly 3; sampling norms
+    N(c0 + c1 t + c2 t^2) = c0^3 + a c1^3 + a^2 c2^3 - 3 a c0 c1 c2
+    must therefore span a 3-dimensional subspace and no more.
+    """
+    a = Eisenstein.of(a)
+    if express(a) == (0, 0, 0, 0):
+        raise DegenerateExtension(f"{a} is a cube in Q_3(zeta_3)")
+    basis: list[list[int]] = []
+    a2 = a * a
+    for c0, c1, c2 in itertools.product(_SAMPLE_COORDS, repeat=3):
+        if c0.is_zero and c1.is_zero and c2.is_zero:
+            continue
+        value = c0**3 + a * c1**3 + a2 * c2**3 - 3 * a * c0 * c1 * c2
+        if value.is_zero:
+            continue
+        vec = express(value)
+        if not any(vec) or _in_span3(basis, vec):
+            continue
+        basis.append(list(vec))
+        rank = _rank3(basis)
+        if rank > 3:
+            raise ArithmeticError("norm subgroup exceeds the predicted index 3")
+        if rank == 3:
+            return tuple(tuple(b) for b in _rref3(basis))
+    raise InsufficientPrecision(
+        f"norm subgroup of cube root of {a} did not stabilize in the sampling budget"
+    )
+
+
+def _defining_form(x) -> tuple[int, ...]:
+    forms = _nullspace3(cube_norm_subgroup(x))
+    if len(forms) != 1:
+        raise CertificateError("norm subgroup must have a unique defining form")
+    return forms[0]
+
+
+@lru_cache(maxsize=1)
+def pairing_matrix_from_norms() -> tuple[tuple[int, ...], ...]:
+    """The pairing matrix on the basis pi, zeta_3, 1 + pi^2, 1 + pi^3.
+
+    Each row is the defining form of a generator's norm subgroup, up to a
+    scalar; skewness and the norm subgroups of pi zeta_3, pi (1 + pi^2)
+    and zeta_3 (1 + pi^3) leave two scalings, negatives of each other,
+    and the one whose first nonzero entry is 1 is returned.
+    """
+    generators = (PI,) + _UNIT_GENERATORS
+    functionals = [_defining_form(g) for g in generators]
+    couplings = []
+    for i, j in ((0, 1), (0, 2), (1, 3)):
+        w = tuple((a + b) % 3 for a, b in zip(express(generators[i]), express(generators[j])))
+        couplings.append((w, _defining_form(generators[i] * generators[j])))
+    valid = []
+    for lams in itertools.product((1, 2), repeat=4):
+        m = [[lams[i] * functionals[i][j] % 3 for j in range(4)] for i in range(4)]
+        if any((m[i][j] + m[j][i]) % 3 for i in range(4) for j in range(4)):
+            continue
+        if all(
+            [sum(w[i] * m[i][j] for i in range(4)) % 3 for j in range(4)]
+            in (list(form), [2 * f % 3 for f in form])
+            for w, form in couplings
+        ):
+            valid.append(m)
+    if len(valid) != 2:
+        raise CertificateError("scaling must be unique up to the global sign")
+    matrix = next(m for m in valid if next(c for row in m for c in row if c) == 1)
+    return tuple(tuple(row) for row in matrix)

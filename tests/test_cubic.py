@@ -4,23 +4,23 @@ from fractions import Fraction
 
 import pytest
 
+from localglobal import cubic
 from localglobal.cubic import (
-    DegenerateExtension,
     Eisenstein,
     ONE,
     PI,
     ZETA,
     _in_span3,
     _rank3,
+    _rref3,
     cube_class_group,
     divide_by_pi,
     express,
     hilbert3,
     is_cube,
-    norm_subgroup,
     pi_valuation,
 )
-from oracles import pi_digits
+from oracles import DegenerateExtension, cube_norm_subgroup, pairing_matrix_from_norms, pi_digits
 
 
 def rand_elem(rng, span=10):
@@ -137,7 +137,7 @@ def test_tau_action():
 def test_norm_subgroup_properties():
     rng = random.Random(6)
     for a in (Eisenstein.of(2), Eisenstein.of(3), PI, ZETA, Eisenstein.of(60)):
-        basis = norm_subgroup(a)
+        basis = cube_norm_subgroup(a)
         assert _rank3([list(b) for b in basis]) == 3
         # literal norms always land in the subgroup
         a2 = a * a
@@ -148,7 +148,7 @@ def test_norm_subgroup_properties():
                 continue
             assert _in_span3([list(b) for b in basis], list(express(val)))
     with pytest.raises(DegenerateExtension):
-        norm_subgroup(10)
+        cube_norm_subgroup(10)
 
 
 def test_pairing_matrix_properties():
@@ -161,11 +161,58 @@ def test_pairing_matrix_properties():
             assert (m[i][j] + m[j][i]) % 3 == 0
 
 
+def test_pairing_matrix_equals_the_norm_sampling_construction():
+    assert cube_class_group().pairing_matrix == pairing_matrix_from_norms()
+    assert pairing_matrix_from_norms() == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 2, 0, 0), (2, 0, 0, 0))
+
+
+def test_steinberg_relations_leave_one_line():
+    rows = cubic._steinberg_rows()
+    assert len(rows) == 47 and all(len(r) == 16 for r in rows)
+    assert _rank3(rows) == 15
+
+
+def test_steinberg_relations_hold_beyond_the_box():
+    # the matrix is solved from |a|, |b| <= 2; the symbol it gives obeys
+    # the same relations on a wider box it was not fitted to
+    span = range(-6, 7)
+    for a, b in itertools.product(span, repeat=2):
+        x = Eisenstein(a, b)
+        if x.is_zero:
+            continue
+        assert hilbert3(x, -x).is_zero, x
+        if x != ONE:
+            assert hilbert3(x, ONE - x).is_zero, x
+
+
+def test_rref3_on_rows_of_any_length():
+    rng = random.Random(18)
+
+    def span(rows):
+        return {
+            tuple(sum(c * r[k] for c, r in zip(coeffs, rows)) % 3 for k in range(len(rows[0])))
+            for coeffs in itertools.product(range(3), repeat=len(rows))
+        }
+
+    for width in (1, 4, 7):
+        for _ in range(20):
+            rows = [[rng.randrange(3) for _ in range(width)] for _ in range(rng.randrange(1, 7))]
+            reduced = _rref3(rows)
+            pivots = [r.index(1) for r in reduced]
+            assert pivots == sorted(set(pivots))
+            for r in reduced:
+                assert all(c == 0 for c in r[: r.index(1)])
+            for k, col in enumerate(pivots):
+                assert [r[col] for r in reduced] == [int(i == k) for i in range(len(reduced))]
+            assert span(reduced or [[0] * width]) == span(rows)
+    assert _rref3([]) == []
+
+
 def test_hilbert3_matches_norm_membership():
     group = cube_class_group()
     rng = random.Random(14)
     for a in (Eisenstein.of(2), Eisenstein.of(3), Eisenstein.of(60), PI * (ONE + PI**2)):
-        basis = [list(b) for b in norm_subgroup(a)]
+        basis = [list(b) for b in cube_norm_subgroup(a)]
         for _ in range(40):
             b = rand_elem(rng)
             is_norm = _in_span3(basis, list(express(b)))

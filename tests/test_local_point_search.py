@@ -8,6 +8,9 @@ return the same point (to full precision), the same `NoPoint` depth, or
 raise the same exception.  When q^4 divides the constant, the library
 searches the curve with the constant divided by q^(4k) and maps the point
 back; the oracle is run on that same curve and its point mapped back here.
+The oracle starts each Hensel lift from `PadicNumber.from_int` values and
+the library from the integer residue at the same absolute precision, so
+the points are compared on (is_zero, v, unit, prec) of both coordinates.
 """
 
 import math

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import localglobal
-from localglobal import tower
+from localglobal import cubic, tower
 from localglobal.elkies import ElkiesFibre, QuarticRep
 from localglobal.exact import CertificateError
 
@@ -97,6 +97,28 @@ def test_wrong_tower_norm_raises_under_dash_O():
         "except CertificateError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit('a norm outside Q(zeta_3) was accepted')\n"
+    )
+    result = run_under_dash_O(program)
+    assert result.returncode == 0, result.stderr
+
+
+def test_too_few_steinberg_relations_raise(monkeypatch):
+    # on |a|, |b| <= 1 the relations leave 11 free entries, not one line
+    monkeypatch.setattr(cubic, "_RELATION_BOX", 1)
+    with pytest.raises(CertificateError, match="11 free entries"):
+        cubic.cube_class_group.__wrapped__()
+
+
+def test_too_few_steinberg_relations_raise_under_dash_O():
+    program = (
+        "from localglobal import cubic\n"
+        "from localglobal.exact import CertificateError\n"
+        "cubic._RELATION_BOX = 1\n"
+        "try:\n"
+        "    cubic.cube_class_group.__wrapped__()\n"
+        "except CertificateError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('an underdetermined pairing was accepted')\n"
     )
     result = run_under_dash_O(program)
     assert result.returncode == 0, result.stderr
