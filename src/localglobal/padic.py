@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import is_probable_prime
+from .exact import is_probable_prime, split_prime_power
 
 DEFAULT_PRECISION = 40
 
@@ -68,14 +68,8 @@ class PadicNumber:
         q = Fraction(q)
         if q == 0:
             return cls.zero(p, prec)
-        num, den, v = q.numerator, q.denominator, 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        unit = num * pow(den, -1, p**prec) % p**prec
+        v, u = split_prime_power(q, p)
+        unit = u.numerator * pow(u.denominator, -1, p**prec) % p**prec
         return cls(p, v, unit, prec)
 
     # ------------------------------------------------------------------ views

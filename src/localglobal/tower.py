@@ -1,9 +1,12 @@
 """Exact arithmetic in the cubic tower Q(zeta_3) <= Q(zeta_3, cbrt(6)).
 
 k = Q(zeta_3) is `cubic.Eisenstein`; K = k(eps) with eps^3 = 6 has
-elements c0 + c1 eps + c2 eps^2 with coordinates in k, and the descent
-function lives in K[delta]/(delta^3 - 10).  All three are quotient-ring
-elements, each over the one before.
+elements c0 + c1 eps + c2 eps^2 with coordinates in k, and `KElement` is
+the quotient ring over `Eisenstein` that carries them.  The curve
+polynomials below and the descent function in K[delta]/(delta^3 - 10)
+store elements of K flat over Z[zeta_3, eps] instead: a 6-tuple of
+coordinates that are ints whenever they are integral, multiplied by
+`_k_product`, whose nine Z[zeta_3] pair products fold back by eps^3 = 6.
 The Galois group of K/k is generated by sigma: eps -> zeta_3 eps.  On the
 plane cubic 3X^3 + 4Y^3 + 5Z^3 = 0 the Lagrange-resolvent function
 
@@ -64,13 +67,6 @@ class KElement(QuotientElement):
 
 EPS = KElement(0, 1, 0)
 GAMMA = KElement(2 * ZETA, 2 * ZETA + 1, ZETA)  # norm -10
-_ZETA2 = ZETA * ZETA
-
-
-def sigma(x: KElement) -> KElement:
-    """The automorphism of K/k sending eps to zeta_3 eps."""
-    c0, c1, c2 = x.coeffs
-    return KElement._make((c0, ZETA * c1, _ZETA2 * c2))
 
 
 def norm_K_over_k(x: KElement) -> Eisenstein:
@@ -120,53 +116,131 @@ def gamma_search(bound: int) -> list[KElement]:
     return found
 
 
+# ------------------------------------------------ flat Z[zeta_3, eps] kernel
+# An element (a0 + b0 zeta) + (a1 + b1 zeta) eps + (a2 + b2 zeta) eps^2 of K
+# is the flat 6-tuple (a0, b0, a1, b1, a2, b2) of int or Fraction
+# coordinates; `_flat` and `CurvePolynomial` keep the integral ones ints.
+_FLAT_ZERO = (0,) * 6
+
+
+def _int_coordinates(c) -> tuple:
+    """c with its integral Fraction coordinates turned into ints."""
+    if Fraction not in map(type, c):
+        return tuple(c)
+    return tuple([v.numerator if type(v) is Fraction and v.denominator == 1 else v for v in c])
+
+
+def _flat(x) -> tuple:
+    """A KElement, Eisenstein, int or Fraction as a flat 6-tuple."""
+    return _int_coordinates([v for c in KElement.of(x).coeffs for v in c.coeffs])
+
+
+def _k_element(c: tuple) -> KElement:
+    """The flat 6-tuple c as a KElement with Fraction coordinates."""
+    return KElement(Eisenstein(c[0], c[1]), Eisenstein(c[2], c[3]), Eisenstein(c[4], c[5]))
+
+
+def _k_sum(x: tuple, y: tuple) -> tuple:
+    return tuple([s + t for s, t in zip(x, y)])
+
+
+def _k_product(x: tuple, y: tuple) -> tuple:
+    """x y on flat 6-tuples: nine Z[zeta_3] pair products, then eps^3 = 6
+    folds the eps^3 and eps^4 terms back into degrees 0 and 1."""
+    x0, x1, x2 = x[0:2], x[2:4], x[4:6]
+    y0, y1, y2 = y[0:2], y[2:4], y[4:6]
+    a00, b00 = _pair_product(x0, y0)
+    a01, b01 = _pair_product(x0, y1)
+    a02, b02 = _pair_product(x0, y2)
+    a10, b10 = _pair_product(x1, y0)
+    a11, b11 = _pair_product(x1, y1)
+    a12, b12 = _pair_product(x1, y2)
+    a20, b20 = _pair_product(x2, y0)
+    a21, b21 = _pair_product(x2, y1)
+    a22, b22 = _pair_product(x2, y2)
+    return (
+        a00 + 6 * (a12 + a21),
+        b00 + 6 * (b12 + b21),
+        a01 + a10 + 6 * a22,
+        b01 + b10 + 6 * b22,
+        a02 + a11 + a20,
+        b02 + b11 + b20,
+    )
+
+
+def _k_sigma(c: tuple) -> tuple:
+    """sigma on a flat 6-tuple: c1 -> zeta c1, c2 -> zeta^2 c2."""
+    a0, b0, a1, b1, a2, b2 = c
+    return (a0, b0, -b1, a1 - b1, b2 - a2, -a2)
+
+
+def _div3(v):
+    """v / 3 exactly: an int when 3 divides v, else a Fraction."""
+    if type(v) is int:
+        q, r = divmod(v, 3)
+        if not r:
+            return q
+    return Fraction(v, 3)
+
+
+def sigma(x: KElement) -> KElement:
+    """The automorphism of K/k sending eps to zeta_3 eps."""
+    return _k_element(_k_sigma(_flat(x)))
+
+
 # ----------------------------------------------------- curve polynomials
 class CurvePolynomial:
-    """Polynomial in X, Y, Z with KElement coefficients.
+    """Polynomial in X, Y, Z over K.
 
-    Monomials are exponent triples; reduction modulo the plane cubic
-    3X^3 + 4Y^3 + 5Z^3 rewrites X^3 -> (-4Y^3 - 5Z^3)/3, which puts every
-    class into the normal form with X-exponent at most 2, so equality of
-    reduced forms is equality modulo the curve ideal.
+    Monomials are exponent triples and coefficients are stored flat over
+    Z[zeta_3, eps]: the 6-tuple (a0, b0, a1, b1, a2, b2) stands for
+    (a0 + b0 zeta_3) + (a1 + b1 zeta_3) eps + (a2 + b2 zeta_3) eps^2, with
+    int coordinates whenever they are integral, and products run on
+    `_k_product`.  The constructor takes KElement, Eisenstein, int or
+    Fraction coefficients, and `evaluate` returns a KElement.  Reduction
+    modulo the plane cubic 3X^3 + 4Y^3 + 5Z^3 rewrites
+    X^3 -> (-4Y^3 - 5Z^3)/3, which puts every class into the normal form
+    with X-exponent at most 2, so equality of reduced forms is equality
+    modulo the curve ideal.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple[int, int, int], KElement] = {}
+        self.terms: dict[tuple[int, int, int], tuple] = {}
         for mono, coeff in (terms or {}).items():
-            coeff = KElement.of(coeff)
-            if not coeff.is_zero:
+            coeff = _flat(coeff)
+            if any(coeff):
                 self.terms[tuple(mono)] = coeff
+
+    @classmethod
+    def _make(cls, terms: dict) -> "CurvePolynomial":
+        """A polynomial from flat coefficients, dropping the zero ones."""
+        out = object.__new__(cls)
+        out.terms = {m: _int_coordinates(c) for m, c in terms.items() if any(c)}
+        return out
 
     @classmethod
     def variable(cls, name: str) -> "CurvePolynomial":
         idx = {"X": 0, "Y": 1, "Z": 2}[name]
         mono = tuple(1 if i == idx else 0 for i in range(3))
-        return cls({mono: KElement.of(1)})
+        return cls({mono: 1})
 
     @classmethod
     def constant(cls, value) -> "CurvePolynomial":
-        return cls({(0, 0, 0): KElement.of(value)})
-
-    def _merge(self, mono, coeff):
-        if mono in self.terms:
-            coeff = coeff + self.terms[mono]
-        if coeff.is_zero:
-            self.terms.pop(mono, None)
-        else:
-            self.terms[mono] = coeff
+        return cls({(0, 0, 0): value})
 
     def __add__(self, other) -> "CurvePolynomial":
         if not isinstance(other, CurvePolynomial):
             other = CurvePolynomial.constant(other)
-        out = CurvePolynomial(self.terms)
+        out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out._merge(mono, coeff)
-        return out
+            prev = out.get(mono)
+            out[mono] = coeff if prev is None else _k_sum(prev, coeff)
+        return CurvePolynomial._make(out)
 
     def __neg__(self) -> "CurvePolynomial":
-        return CurvePolynomial({m: -c for m, c in self.terms.items()})
+        return CurvePolynomial._make({m: tuple([-v for v in c]) for m, c in self.terms.items()})
 
     __radd__ = __add__
 
@@ -181,32 +255,37 @@ class CurvePolynomial:
     def __mul__(self, other) -> "CurvePolynomial":
         if not isinstance(other, CurvePolynomial):
             other = CurvePolynomial.constant(other)
-        out = CurvePolynomial()
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out._merge(mono, c1 * c2)
-        return out
+        out: dict = {}
+        for (i1, j1, k1), c1 in self.terms.items():
+            for (i2, j2, k2), c2 in other.terms.items():
+                mono = (i1 + i2, j1 + j2, k1 + k2)
+                prod = _k_product(c1, c2)
+                prev = out.get(mono)
+                out[mono] = prod if prev is None else _k_sum(prev, prod)
+        return CurvePolynomial._make(out)
 
     __rmul__ = __mul__
 
     def apply_sigma(self) -> "CurvePolynomial":
-        return CurvePolynomial({m: sigma(c) for m, c in self.terms.items()})
+        return CurvePolynomial._make({m: _k_sigma(c) for m, c in self.terms.items()})
 
     def reduce(self) -> "CurvePolynomial":
-        """Normal form modulo 3X^3 + 4Y^3 + 5Z^3 (X-exponents below 3)."""
-        out = CurvePolynomial()
-        work = list(self.terms.items())
-        third = Fraction(1, 3)
-        while work:
-            (i, j, k), coeff = work.pop()
-            if i < 3:
-                out._merge((i, j, k), coeff)
-                continue
-            # X^3 = (-4 Y^3 - 5 Z^3) / 3
-            work.append(((i - 3, j + 3, k), coeff * (-4 * third)))
-            work.append(((i - 3, j, k + 3), coeff * (-5 * third)))
-        return out
+        """Normal form modulo 3X^3 + 4Y^3 + 5Z^3 (X-exponents below 3).
+
+        Monomials are rewritten from the highest X-exponent down, so each
+        one is rewritten once, after everything that lands on it."""
+        out = dict(self.terms)
+        top = max((i for i, _, _ in out), default=0)
+        for i in range(top, 2, -1):
+            for mono in [m for m in out if m[0] == i]:
+                _, j, k = mono
+                coeff = out.pop(mono)
+                # X^3 = (-4 Y^3 - 5 Z^3) / 3
+                for target, factor in (((i - 3, j + 3, k), -4), ((i - 3, j, k + 3), -5)):
+                    part = tuple([_div3(factor * v) for v in coeff])
+                    prev = out.get(target)
+                    out[target] = part if prev is None else _k_sum(prev, part)
+        return CurvePolynomial._make(out)
 
     @property
     def is_zero(self) -> bool:
@@ -219,10 +298,12 @@ class CurvePolynomial:
         raise TypeError("unhashable")
 
     def evaluate(self, x, y, z) -> KElement:
-        total = KElement.of(0)
+        x, y, z = Fraction(x), Fraction(y), Fraction(z)
+        total = _FLAT_ZERO
         for (i, j, k), coeff in self.terms.items():
-            total = total + coeff * (Fraction(x) ** i * Fraction(y) ** j * Fraction(z) ** k)
-        return total
+            scale = x**i * y**j * z**k
+            total = _k_sum(total, [v * scale for v in coeff])
+        return _k_element(total)
 
 
 def _resolvent_parts():
@@ -236,6 +317,20 @@ def _resolvent_parts():
     num = forms[0] * forms[1] + GAMMA * (Z * forms[1]) + (GAMMA * gsig) * (Z * Z)
     den = forms[0] * forms[1]
     return num, den, forms, X, Y, Z
+
+
+def _identity_sides(num, den, forms, Z):
+    """Both sides of identities (b) and (c), cross-multiplied so that they
+    are polynomials: (b) sigma(U)/U = P0/(gamma Z) and
+    (c) N(U) = (sigma^2(gamma)/gamma) U^3 P0/P2."""
+    P0, _, P2 = forms
+    snum, sden = num.apply_sigma(), den.apply_sigma()
+    s2num, s2den = snum.apply_sigma(), sden.apply_sigma()
+    lhs_b = snum * den * (GAMMA * Z)
+    rhs_b = num * sden * P0
+    lhs_c = num * snum * s2num * GAMMA * (den * den * den) * P2
+    rhs_c = sigma(sigma(GAMMA)) * (num * num * num) * P0 * (den * sden * s2den)
+    return lhs_b, rhs_b, lhs_c, rhs_c
 
 
 # ---------------------------------------------------------- report object
@@ -287,22 +382,22 @@ def _embedding_data(p: int) -> tuple[int, int]:
     return zeta, eps
 
 
-def _embed(x: KElement, p: int, zeta: int, eps: int) -> int:
-    def em_cyclo(c: Eisenstein) -> int:
-        num_a, den_a = c.a.numerator, c.a.denominator
-        num_b, den_b = c.b.numerator, c.b.denominator
-        return (
-            num_a * pow(den_a, -1, p) + num_b * pow(den_b, -1, p) * zeta
-        ) % p
+def _embed_flat(c: tuple, p: int, zeta: int, eps: int) -> int:
+    """A p-integral flat 6-tuple embedded into F_p."""
+    a0, b0, a1, b1, a2, b2 = (v.numerator * pow(v.denominator, -1, p) for v in c)
+    return (a0 + b0 * zeta + (a1 + b1 * zeta) * eps + (a2 + b2 * zeta) * eps * eps) % p
 
-    return (em_cyclo(x.c0) + em_cyclo(x.c1) * eps + em_cyclo(x.c2) * eps * eps) % p
+
+def _embed(x: KElement, p: int, zeta: int, eps: int) -> int:
+    return _embed_flat(_flat(x), p, zeta, eps)
 
 
 def _embed_polynomial(f: CurvePolynomial, p: int, zeta: int, eps: int):
-    """f with its coefficients embedded into F_p, as a function of a point
-    (x, y, z) of residues mod p.  `_embed` is a ring homomorphism on
-    p-integral coefficients, so the value is `_embed(f.evaluate(x, y, z))`."""
-    terms = [(i, j, k, _embed(c, p, zeta, eps)) for (i, j, k), c in f.terms.items()]
+    """f with its flat coefficients embedded into F_p, as a function of a
+    point (x, y, z) of residues mod p.  The embedding is a ring
+    homomorphism on p-integral coefficients, so the value is
+    `_embed(f.evaluate(x, y, z))`."""
+    terms = [(i, j, k, _embed_flat(c, p, zeta, eps)) for (i, j, k), c in f.terms.items()]
 
     def at(x: int, y: int, z: int) -> int:
         return sum(c * x**i * y**j * z**k for i, j, k, c in terms) % p
@@ -351,26 +446,18 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
     if not doubling_ok:
         failures.append("doubling identity")
 
-    # (b) symbolically: sigma(U)/U = P0/(gamma Z), cross-multiplied.
-    snum, sden = num.apply_sigma(), den.apply_sigma()
-    lhs_b = snum * den * (GAMMA * Z)
-    rhs_b = num * sden * P0
+    # (b) and (c) symbolically, both cross-multiplied.
+    lhs_b, rhs_b, lhs_c, rhs_c = _identity_sides(num, den, forms, Z)
     b_ok = (lhs_b - rhs_b).reduce().is_zero
     if not b_ok:
         failures.append("resolvent twist identity (symbolic)")
-
-    # (c) symbolically: N(U) = (sigma^2(gamma)/gamma) U^3 P0/P2,
-    # cross-multiplied so both sides are polynomials.
-    s2num = snum.apply_sigma()
-    s2den = sden.apply_sigma()
-    g2 = sigma(sigma(GAMMA))
-    lhs_c = num * snum * s2num * GAMMA * (den * den * den) * P2
-    rhs_c = g2 * (num * num * num) * P0 * (den * sden * s2den)
     c_ok = (lhs_c - rhs_c).reduce().is_zero
     if not c_ok:
         failures.append("norm factorization identity (symbolic)")
 
     # numeric re-checks over finite fields
+    snum, sden = num.apply_sigma(), den.apply_sigma()
+    conjugates = (num, den, snum, sden, snum.apply_sigma(), sden.apply_sigma())
     primes = identity_check_primes()
     checked: dict[int, int] = {}
     excluded: dict[int, int] = {}
@@ -382,13 +469,11 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
     for p in primes:
         zeta, eps = _embedding_data(p)
 
-        def em(x: KElement) -> int:
-            return _embed(x, p, zeta, eps)
-
-        g_v, g2_v, pert_v = em(GAMMA), em(g2), em(KElement.of(perturbed_norm))
+        g_v, pert_v = _embed(GAMMA, p, zeta, eps), _embed(KElement.of(perturbed_norm), p, zeta, eps)
+        g2_v = _embed(sigma(sigma(GAMMA)), p, zeta, eps)
         form_at = [_embed_polynomial(f, p, zeta, eps) for f in forms]
         num_at, den_at, snum_at, sden_at, s2num_at, s2den_at = (
-            _embed_polynomial(f, p, zeta, eps) for f in (num, den, snum, sden, s2num, s2den)
+            _embed_polynomial(f, p, zeta, eps) for f in conjugates
         )
         checked[p] = 0
         excluded[p] = 0
@@ -440,12 +525,14 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
 
 
 # ------------------------------------------------- the descent function F
-class _DeltaPoly(QuotientElement):
-    """Elements of K[delta]/(delta^3 - 10)."""
-
-    __slots__ = ()
-    BASE = KElement
-    MODULUS = (10, 0, 0)
+def _delta_product(x: tuple, y: tuple) -> tuple:
+    """Product in K[delta]/(delta^3 - 10) of triples of flat 6-tuples."""
+    raw = [_FLAT_ZERO] * 5
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            raw[i + j] = _k_sum(raw[i + j], _k_product(xi, yj))
+    # delta^3 = 10 folds degrees 3 and 4 back into 0 and 1
+    return (_k_sum(raw[0], [10 * v for v in raw[3]]), _k_sum(raw[1], [10 * v for v in raw[4]]), raw[2])
 
 
 def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
@@ -453,21 +540,27 @@ def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
 
     There U = (delta^2 - g delta + g sigma(g)) / delta^2, so the norm is a
     product of three conjugate quadratics in delta divided by delta^6 =
-    100.  Returns the coefficients (constant, delta, delta^2); the exact
-    value is (9 - (81/5) zeta) + ((36/5) + (9/5) zeta) delta
-    - (9/5) zeta delta^2, all denominators dividing 5.
+    100.  The product runs on flat Z[zeta_3, eps] coordinates.  Returns the
+    coefficients (constant, delta, delta^2); the exact value is
+    (9 - (81/5) zeta) + ((36/5) + (9/5) zeta) delta - (9/5) zeta delta^2,
+    all denominators dividing 5.
     """
-    conj = [GAMMA, sigma(GAMMA), sigma(sigma(GAMMA))]
-    product = _DeltaPoly.of(1)
+    g = _flat(GAMMA)
+    conj = [g, _k_sigma(g), _k_sigma(_k_sigma(g))]
+    one = (1, 0, 0, 0, 0, 0)
+    product = (one, _FLAT_ZERO, _FLAT_ZERO)
     for i in range(3):
         g_i, g_next = conj[i], conj[(i + 1) % 3]
-        product = product * _DeltaPoly(g_i * g_next, -g_i, 1)
-    if not all(part.is_cyclo for part in product.coeffs):
+        quadratic = (_k_product(g_i, g_next), tuple([-v for v in g_i]), one)
+        product = _delta_product(product, quadratic)
+    if any(v for part in product for v in part[2:]):
         raise CertificateError("the norm must have coefficients in Q(zeta_3)")
-    # sanity: the same path applied to delta^2/delta^2 gives 1
-    if _DeltaPoly(0, 0, 1) ** 3 != _DeltaPoly.of(100):
+    # sanity: the same product applied to delta^2 delta^2 delta^2 gives 100
+    delta2 = (_FLAT_ZERO, _FLAT_ZERO, one)
+    hundred = (tuple([100 * v for v in one]), _FLAT_ZERO, _FLAT_ZERO)
+    if _delta_product(_delta_product(delta2, delta2), delta2) != hundred:
         raise CertificateError("delta^6 must reduce to 100")
-    return tuple(part.c0 * Fraction(1, 100) for part in product.coeffs)
+    return tuple(Eisenstein(Fraction(part[0], 100), Fraction(part[1], 100)) for part in product)
 
 
 def descent_value_at(delta_residue: Fraction, coefficients=None) -> Eisenstein:

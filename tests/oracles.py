@@ -19,7 +19,9 @@ read off Fraction pi-digit expansions, the K/k norm as closed form and
 determinant on Fraction coordinates, the search for elements of norm
 -10 that evaluates `norm_K_over_k` on every candidate, and the cubic
 Hilbert pairing matrix built from sampled norm subgroups of Kummer
-extensions.
+extensions.  Last, the curve polynomials of the identity suite with
+KElement coefficients, and the descent-value coefficients computed in the
+delta-algebra over KElement.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from localglobal.exact import (
     CertificateError,
     Factorization,
     FactorizationError,
+    QuotientElement,
     _TRIAL_PRIMES,
     _brent_rho,
     is_probable_prime,
@@ -68,7 +71,7 @@ from localglobal.reichardt_lind import (
     _residue_valuation,
 )
 from localglobal.symbols import Place, hilbert2
-from localglobal.tower import KElement
+from localglobal.tower import EPS, GAMMA, KElement
 
 
 @lru_cache(maxsize=None)
@@ -669,3 +672,139 @@ def pairing_matrix_from_norms() -> tuple[tuple[int, ...], ...]:
         raise CertificateError("scaling must be unique up to the global sign")
     matrix = next(m for m in valid if next(c for row in m for c in row if c) == 1)
     return tuple(tuple(row) for row in matrix)
+
+
+# ------------------------------------ curve polynomials over KElement
+# The identity-suite arithmetic that flat Z[zeta_3, eps] coordinates in
+# `tower` replaced: coefficients are KElements with Fraction coordinates,
+# sigma multiplies by zeta_3 and zeta_3^2, the reduction rewrites one
+# monomial at a time from a work list, and the descent-value product runs
+# in the delta-algebra over KElement.
+
+
+def sigma(x: KElement) -> KElement:
+    """The automorphism of K/k sending eps to zeta_3 eps."""
+    c0, c1, c2 = x.coeffs
+    return KElement._make((c0, ZETA * c1, ZETA * ZETA * c2))
+
+
+class CurvePolynomial:
+    """Polynomial in X, Y, Z with KElement coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms: dict[tuple[int, int, int], KElement] = {}
+        for mono, coeff in (terms or {}).items():
+            coeff = KElement.of(coeff)
+            if not coeff.is_zero:
+                self.terms[tuple(mono)] = coeff
+
+    @classmethod
+    def variable(cls, name: str) -> "CurvePolynomial":
+        idx = {"X": 0, "Y": 1, "Z": 2}[name]
+        mono = tuple(1 if i == idx else 0 for i in range(3))
+        return cls({mono: KElement.of(1)})
+
+    @classmethod
+    def constant(cls, value) -> "CurvePolynomial":
+        return cls({(0, 0, 0): KElement.of(value)})
+
+    def _merge(self, mono, coeff):
+        if mono in self.terms:
+            coeff = coeff + self.terms[mono]
+        if coeff.is_zero:
+            self.terms.pop(mono, None)
+        else:
+            self.terms[mono] = coeff
+
+    def __add__(self, other) -> "CurvePolynomial":
+        if not isinstance(other, CurvePolynomial):
+            other = CurvePolynomial.constant(other)
+        out = CurvePolynomial(self.terms)
+        for mono, coeff in other.terms.items():
+            out._merge(mono, coeff)
+        return out
+
+    def __neg__(self) -> "CurvePolynomial":
+        return CurvePolynomial({m: -c for m, c in self.terms.items()})
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "CurvePolynomial":
+        if not isinstance(other, CurvePolynomial):
+            other = CurvePolynomial.constant(other)
+        return self + (-other)
+
+    def __mul__(self, other) -> "CurvePolynomial":
+        if not isinstance(other, CurvePolynomial):
+            other = CurvePolynomial.constant(other)
+        out = CurvePolynomial()
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+                out._merge(mono, c1 * c2)
+        return out
+
+    __rmul__ = __mul__
+
+    def apply_sigma(self) -> "CurvePolynomial":
+        return CurvePolynomial({m: sigma(c) for m, c in self.terms.items()})
+
+    def reduce(self) -> "CurvePolynomial":
+        """Normal form modulo 3X^3 + 4Y^3 + 5Z^3 (X-exponents below 3)."""
+        out = CurvePolynomial()
+        work = list(self.terms.items())
+        third = Fraction(1, 3)
+        while work:
+            (i, j, k), coeff = work.pop()
+            if i < 3:
+                out._merge((i, j, k), coeff)
+                continue
+            work.append(((i - 3, j + 3, k), coeff * (-4 * third)))
+            work.append(((i - 3, j, k + 3), coeff * (-5 * third)))
+        return out
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def evaluate(self, x, y, z) -> KElement:
+        total = KElement.of(0)
+        for (i, j, k), coeff in self.terms.items():
+            total = total + coeff * (Fraction(x) ** i * Fraction(y) ** j * Fraction(z) ** k)
+        return total
+
+
+def resolvent_parts():
+    """Numerator and denominator of U and the forms P_j, as in `tower`."""
+    X = CurvePolynomial.variable("X")
+    Y = CurvePolynomial.variable("Y")
+    Z = CurvePolynomial.variable("Z")
+    forms = [2 * Y + KElement.of(ZETA**j) * EPS * X for j in range(3)]
+    num = forms[0] * forms[1] + GAMMA * (Z * forms[1]) + (GAMMA * sigma(GAMMA)) * (Z * Z)
+    den = forms[0] * forms[1]
+    return num, den, forms, X, Y, Z
+
+
+class DeltaPoly(QuotientElement):
+    """Elements of K[delta]/(delta^3 - 10)."""
+
+    __slots__ = ()
+    BASE = KElement
+    MODULUS = (10, 0, 0)
+
+
+def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
+    """The descent-value coefficients from the product of the three
+    conjugate quadratics in the delta-algebra over KElement."""
+    conj = [GAMMA, sigma(GAMMA), sigma(sigma(GAMMA))]
+    product = DeltaPoly.of(1)
+    for i in range(3):
+        g_i, g_next = conj[i], conj[(i + 1) % 3]
+        product = product * DeltaPoly(g_i * g_next, -g_i, 1)
+    if not all(part.is_cyclo for part in product.coeffs):
+        raise CertificateError("the norm must have coefficients in Q(zeta_3)")
+    if DeltaPoly(0, 0, 1) ** 3 != DeltaPoly.of(100):
+        raise CertificateError("delta^6 must reduce to 100")
+    return tuple(part.c0 * Fraction(1, 100) for part in product.coeffs)

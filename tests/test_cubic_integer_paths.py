@@ -2,7 +2,9 @@
 computations they replaced (kept in `oracles`): cube classes read off
 (a, b) mod 27 against pi-digit expansions, the closed-form K/k norm against
 the product of conjugates and the Fraction evaluation, the finite-field identity checks against exact
-evaluation over K, and the norm -10 search against the full loop."""
+evaluation over K, the norm -10 search against the full loop, and the
+flat Z[zeta_3, eps] curve polynomials and descent-value product against
+their KElement versions."""
 
 import itertools
 import random
@@ -16,15 +18,23 @@ import oracles
 from localglobal import cubic
 from localglobal.cubic import ONE, PI, ZETA, Eisenstein, express
 from localglobal.exact import CertificateError
+from localglobal import tower
 from localglobal.tower import (
     GAMMA,
+    CurvePolynomial,
     KElement,
     _curve_points,
     _embed,
     _embed_polynomial,
+    _delta_product,
     _embedding_data,
+    _flat,
+    _identity_sides,
+    _k_product,
+    _k_sigma,
     _resolvent_parts,
     curve_identity_suite,
+    evaluate_F_symbolic,
     gamma_search,
     norm_K_over_k,
     sigma,
@@ -190,3 +200,118 @@ def test_embedded_polynomials_match_exact_evaluation_at_the_suite_points():
         for x, y, z in points:
             for f, at in zip(polys, embedded):
                 assert at(x, y, z) == _embed(f.evaluate(x, y, z), p, zeta, eps), (p, x, y, z)
+
+
+# ------------------------------------------ flat Z[zeta_3, eps] polynomials
+def flat_k_element(rng, denominators=(1, 1, 1, 2, 3, 5)):
+    return KElement(*(
+        Eisenstein(*(Fraction(rng.randint(-12, 12), rng.choice(denominators)) for _ in "ab"))
+        for _ in range(3)
+    ))
+
+
+def flat_terms(poly) -> dict:
+    """The terms of a tower or oracle polynomial as flat 6-tuples."""
+    return {m: c if isinstance(c, tuple) else _flat(c) for m, c in poly.terms.items()}
+
+
+def test_k_product_and_sigma_match_the_k_element_arithmetic():
+    rng = random.Random(71)
+    for _ in range(300):
+        x, y = flat_k_element(rng), flat_k_element(rng)
+        assert _k_product(_flat(x), _flat(y)) == _flat(x * y), (x, y)
+        assert _k_sigma(_flat(x)) == _flat(oracles.sigma(x)), x
+    assert any(type(v) is Fraction for v in _flat(x))
+
+
+def test_flat_coordinates_are_ints_exactly_when_integral():
+    x = KElement(Eisenstein(Fraction(6, 3), Fraction(1, 2)), Eisenstein.of(0), Eisenstein(-4, Fraction(9, 3)))
+    assert [type(v) for v in _flat(x)] == [int, Fraction, int, int, int, int]
+    assert [type(v) for v in _k_product(_flat(GAMMA), _flat(GAMMA))] == [int] * 6
+    assert CurvePolynomial.constant(Fraction(7, 3)).reduce().terms == {(0, 0, 0): (Fraction(7, 3), 0, 0, 0, 0, 0)}
+    third = CurvePolynomial.constant(Fraction(1, 3))
+    assert [type(v) for v in (third + Fraction(2, 3)).terms[(0, 0, 0)]] == [int] * 6
+    assert [type(v) for v in (third * 3).terms[(0, 0, 0)]] == [int] * 6
+    X = CurvePolynomial.variable("X")
+    # X^3 = (-4 Y^3 - 5 Z^3)/3: 3 X^3 stays in ints, X^3 does not
+    assert flat_terms((3 * (X * X * X)).reduce()) == {(0, 3, 0): (-4, 0, 0, 0, 0, 0), (0, 0, 3): (-5, 0, 0, 0, 0, 0)}
+    assert [type(v) for v in (X * X * X).reduce().terms[(0, 3, 0)]][:1] == [Fraction]
+
+
+def test_delta_product_matches_the_hand_written_product():
+    rng = random.Random(72)
+    for _ in range(20):
+        x = tuple(flat_k_element(rng) for _ in range(3))
+        y = tuple(flat_k_element(rng) for _ in range(3))
+        got = _delta_product(tuple(map(_flat, x)), tuple(map(_flat, y)))
+        want = oracles.delta_mul(*(tuple(tuple(c.coeffs for c in e.coeffs) for e in t) for t in (x, y)))
+        assert got == tuple(tuple(v for pair in c for v in pair) for c in want)
+
+
+def test_identity_sides_reduce_like_the_oracle():
+    # the same cross-multiplication, once on flat and once on KElement coefficients
+    num, den, forms, _, _, Z = _resolvent_parts()
+    tower_sides = _identity_sides(num, den, forms, Z)
+    num, den, forms, _, _, Z = oracles.resolvent_parts()
+    oracle_sides = _identity_sides(num, den, forms, Z)
+    for name, ours, theirs in zip(("lhs_b", "rhs_b", "lhs_c", "rhs_c"), tower_sides, oracle_sides):
+        assert flat_terms(ours) == flat_terms(theirs), name
+        assert flat_terms(ours.reduce()) == flat_terms(theirs.reduce()), name
+    assert not flat_terms((tower_sides[2] - tower_sides[3]).reduce())
+
+
+def random_polynomial(rng, cls, coefficients):
+    return cls({
+        (rng.randrange(7), rng.randrange(4), rng.randrange(4)): c for c in coefficients
+    })
+
+
+def test_seeded_products_with_fraction_coefficients_reduce_like_the_oracle():
+    rng = random.Random(73)
+    for _ in range(12):
+        coeffs = [[flat_k_element(rng) for _ in range(rng.randrange(1, 6))] for _ in range(2)]
+        seed = rng.random()
+        ours = [random_polynomial(random.Random(seed + i), CurvePolynomial, c) for i, c in enumerate(coeffs)]
+        theirs = [random_polynomial(random.Random(seed + i), oracles.CurvePolynomial, c) for i, c in enumerate(coeffs)]
+        product, oracle_product = ours[0] * ours[1], theirs[0] * theirs[1]
+        assert flat_terms(product) == flat_terms(oracle_product)
+        reduced = product.reduce()
+        assert flat_terms(reduced) == flat_terms(oracle_product.reduce())
+        assert all(i < 3 for i, _, _ in reduced.terms)
+        assert flat_terms(product.apply_sigma()) == flat_terms(oracle_product.apply_sigma())
+        for point in ((1, 2, 3), (Fraction(1, 2), -1, Fraction(5, 3)), (0, 7, -2)):
+            assert product.evaluate(*point) == oracle_product.evaluate(*point), point
+
+
+def test_evaluate_returns_the_oracles_k_element():
+    num, den, forms, *_ = _resolvent_parts()
+    onum, oden, oforms, *_ = oracles.resolvent_parts()
+    for ours, theirs in zip([num, den] + forms, [onum, oden] + oforms):
+        for point in ((2, -1, 5), (Fraction(3, 4), 0, Fraction(-2, 7))):
+            got = ours.evaluate(*point)
+            assert type(got) is KElement and got == theirs.evaluate(*point)
+            assert all(type(v) is Fraction for c in got.coeffs for v in c.coeffs)
+
+
+def test_descent_coefficients_match_the_delta_algebra_oracle():
+    ours, theirs = evaluate_F_symbolic(), oracles.evaluate_F_symbolic()
+    assert ours == theirs
+    assert [type(v) for c in ours for v in c.coeffs] == [Fraction] * 6
+
+
+def test_a_perturbed_gamma_fails_the_symbolic_identities(monkeypatch):
+    monkeypatch.setattr(tower, "GAMMA", GAMMA + 1)
+    report = curve_identity_suite()
+    assert not report.resolvent_symbolic_ok
+    assert not report.norm_factorization_symbolic_ok
+    assert not report.all_ok
+    assert "resolvent twist identity (symbolic)" in report.failures
+    assert "norm factorization identity (symbolic)" in report.failures
+
+
+def test_curve_identity_suite_is_fast():
+    start = time.perf_counter()
+    report = curve_identity_suite()
+    took = time.perf_counter() - start
+    assert report.all_ok
+    assert took < 0.1, took
