@@ -20,11 +20,11 @@ algebra over F_3, and its skewness and rank are checked afterwards.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .exact import CertificateError, QuotientElement, split_prime_power
+from .exact import CertificateError, QuotientElement, residue, valuation
 from .symbols import InvariantValue
 
 __all__ = [
@@ -72,10 +72,14 @@ ONE = Eisenstein(1, 0)
 
 
 def pi_valuation(x: Eisenstein) -> int:
-    """v_pi(x); the norm of pi is 3, so v_pi = v_3 of the norm."""
+    """v_pi(x); the norm of pi is 3, so v_pi is v_3 of the norm
+    a^2 - ab + b^2, read off the numerators over a common denominator d."""
     if x.is_zero:
         raise ValueError("valuation of zero")
-    return split_prime_power(x.norm(), 3)[0]
+    a, b = x.coeffs
+    d = math.lcm(a.denominator, b.denominator)
+    a, b = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    return valuation(a * a - a * b + b * b, 3) - 2 * valuation(d, 3)
 
 
 def divide_by_pi(x: Eisenstein) -> "Eisenstein":
@@ -98,13 +102,6 @@ def unit_part(x: Eisenstein) -> tuple[int, Eisenstein]:
 
 # ------------------------------------------------------ cube classification
 _UNIT_GENERATORS = (ZETA, ONE + PI * PI, ONE + PI * PI * PI)
-
-
-def _residue27(q: Fraction) -> int:
-    """A 3-integral rational modulo 27: numerator times denominator^-1."""
-    if q.denominator % 3 == 0:
-        raise ValueError("not 3-integral")
-    return q.numerator * pow(q.denominator, -1, 27) % 27
 
 
 def _pair_product(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
@@ -154,7 +151,7 @@ def _unit_class_table() -> tuple[tuple[int, int, int] | None, ...]:
     cube_reps = list(reps_by_key.values())
     if len(cube_reps) != 6:
         raise CertificateError(f"{len(cube_reps)} cube representatives, expected 6")
-    generators = [(_residue27(g.a), _residue27(g.b)) for g in _UNIT_GENERATORS]
+    generators = [(residue(g.a, 27), residue(g.b, 27)) for g in _UNIT_GENERATORS]
     classes: dict[tuple[int, int], tuple[int, int, int]] = {}
     for exps in itertools.product(range(3), repeat=3):
         g = (1, 0)
@@ -182,7 +179,7 @@ def express(x) -> tuple[int, int, int, int]:
     if x.is_zero:
         raise ValueError("zero has no cube class")
     v, u = unit_part(x)
-    e1, e2, e3 = _unit_class_table()[27 * _residue27(u.a) + _residue27(u.b)]
+    e1, e2, e3 = _unit_class_table()[27 * residue(u.a, 27) + residue(u.b, 27)]
     return (v % 3, e1, e2, e3)
 
 
@@ -217,20 +214,20 @@ def _rank3(rows) -> int:
     return len(_rref3(rows))
 
 
-def _in_span3(rows, vec) -> bool:
-    return _rank3(list(rows) + [list(vec)]) == _rank3(rows)
-
-
-def _nullspace3(rows) -> list[tuple[int, ...]]:
-    """Basis of {v in F_3^4 : row . v = 0 for all rows}."""
+def _nullspace3(rows, width: int) -> list[tuple[int, ...]]:
+    """Basis of {v in F_3^width : row . v = 0 for all rows}, read off the
+    echelon form: one vector per free column, 1 there and minus that
+    column's entry of each echelon row at the row's pivot."""
+    reduced = _rref3(rows)
+    pivots = [row.index(1) for row in reduced]
     basis = []
-    for vec in itertools.product(range(3), repeat=4):
-        if not any(vec):
-            continue
-        if all(sum(r * v for r, v in zip(row, vec)) % 3 == 0 for row in rows):
-            if not _in_span3(basis, vec):
-                basis.append(list(vec))
-    return [tuple(b) for b in basis]
+    for free in (col for col in range(width) if col not in pivots):
+        vec = [0] * width
+        vec[free] = 1
+        for col, row in zip(pivots, reduced):
+            vec[col] = -row[free] % 3
+        basis.append(tuple(vec))
+    return basis
 
 
 # ----------------------------------------------------------- the pairing
@@ -272,7 +269,7 @@ class CubeClassGroup:
             [sum(v[i] * self.pairing_matrix[i][j] for i in range(4)) % 3 for j in range(4)]
             for v in vectors
         ]
-        return tuple(_nullspace3(rows))
+        return tuple(_nullspace3(rows, 4))
 
     def apply_tau(self, vec) -> tuple[int, ...]:
         return tuple(
@@ -287,7 +284,7 @@ class CubeClassGroup:
             [(self.tau_matrix[i][j] - (sign % 3) * (i == j)) % 3 for j in range(4)]
             for i in range(4)
         ]
-        return tuple(_nullspace3(rows))
+        return tuple(_nullspace3(rows, 4))
 
 
 # Relations (x, y) = 0 come from x = a + b zeta_3 with |a|, |b| <= this bound.
@@ -329,17 +326,12 @@ def cube_class_group() -> CubeClassGroup:
         if express(g) != want:
             raise CertificateError("generators must map to the standard basis")
 
-    reduced = _rref3(_steinberg_rows())
-    pivots = [row.index(1) for row in reduced]
-    free = [col for col in range(16) if col not in pivots]
-    if len(free) != 1:
+    line = _nullspace3(_steinberg_rows(), 16)
+    if len(line) != 1:
         raise CertificateError(
-            f"Steinberg relations leave {len(free)} free entries, expected 1"
+            f"Steinberg relations leave {len(line)} free entries, expected 1"
         )
-    solution = [0] * 16
-    solution[free[0]] = 1
-    for col, row in zip(pivots, reduced):
-        solution[col] = -row[free[0]] % 3
+    solution = line[0]
     scale = next(c for c in solution if c)  # its own inverse mod 3
     matrix = [[solution[4 * i + j] * scale % 3 for j in range(4)] for i in range(4)]
     if any((matrix[i][j] + matrix[j][i]) % 3 for i in range(4) for j in range(4)):

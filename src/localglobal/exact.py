@@ -1,5 +1,6 @@
-"""Exact integer and rational arithmetic: primality, factoring, residue
-symbols, and elements of quotient rings R[x]/(x^n - r(x)).
+"""Exact integer and rational arithmetic: primality, factoring, p-adic
+valuations and residues mod m, residue symbols, and elements of quotient
+rings R[x]/(x^n - r(x)).
 
 All routines are deterministic: the Miller-Rabin witnesses below 2**64 are a
 fixed proven-complete base set, larger inputs use 40 rounds drawn from an RNG
@@ -54,10 +55,8 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = valuation(n - 1, 2)
+    d = (n - 1) >> s
     if n < 2**64:
         witnesses = _SMALL_WITNESSES
     else:
@@ -198,19 +197,32 @@ def quartic_free_part(q: Fraction) -> tuple[int, Fraction]:
     return n0, m
 
 
+def valuation(n: int, p: int) -> int:
+    """v_p of a nonzero integer; ValueError on 0."""
+    if n == 0:
+        raise ValueError("valuation of zero")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def residue(q, m: int) -> int:
+    """An int or Fraction modulo m: the numerator times the inverse of the
+    denominator, in [0, m).  ValueError if the denominator is not
+    invertible mod m (q is not integral at a prime dividing m)."""
+    return q.numerator * pow(q.denominator, -1, m) % m
+
+
 def split_prime_power(q, p: int) -> tuple[int, Fraction]:
     """Write a nonzero rational q = p**v * u with u a p-adic unit; returns (v, u)."""
     q = Fraction(q)
     if q == 0:
         raise ValueError("nonzero value required")
-    v, num, den = 0, q.numerator, q.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v, Fraction(num, den)
+    num, den = q.numerator, q.denominator
+    vn, vd = valuation(num, p), valuation(den, p)
+    return vn - vd, Fraction(num // p**vn, den // p**vd) if vn or vd else q
 
 
 def legendre_symbol(a: int, p: int) -> int:
@@ -240,9 +252,8 @@ def sqrt_mod_prime(a: int, p: int) -> int:
         raise ValueError(f"{a} is not a square mod {p}")
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q, s = q // 2, s + 1
+    s = valuation(p - 1, 2)
+    q = (p - 1) >> s
     z = 2
     while pow(z, half, p) != p - 1:
         z += 1

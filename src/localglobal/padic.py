@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import is_probable_prime, split_prime_power
+from .exact import is_probable_prime, residue, split_prime_power, valuation
 
 DEFAULT_PRECISION = 40
 
@@ -69,8 +69,7 @@ class PadicNumber:
         if q == 0:
             return cls.zero(p, prec)
         v, u = split_prime_power(q, p)
-        unit = u.numerator * pow(u.denominator, -1, p**prec) % p**prec
-        return cls(p, v, unit, prec)
+        return cls(p, v, residue(u, p**prec), prec)
 
     # ------------------------------------------------------------------ views
     @property
@@ -145,11 +144,8 @@ class PadicNumber:
         total %= p ** (cap - lo)
         if total == 0:
             return PadicNumber.zero(p, cap)
-        v = lo
-        while total % p == 0:
-            total //= p
-            v += 1
-        return PadicNumber(p, v, total, cap - v)
+        v = valuation(total, p)
+        return PadicNumber(p, lo + v, total // p**v, cap - lo - v)
 
     __radd__ = __add__
 
@@ -215,15 +211,6 @@ class PadicNumber:
         return diff.v >= digits
 
 
-def _valuation(n: int, p: int) -> int:
-    """v_p of a nonzero integer."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def _integral_residue(c, p: int, n: int) -> int:
     """c (int, Fraction or PadicNumber) modulo p**n; ValueError if v(c) < 0."""
     if isinstance(c, int):
@@ -235,8 +222,7 @@ def _integral_residue(c, p: int, n: int) -> int:
     c = Fraction(c)
     if c.denominator % p == 0:
         raise ValueError(f"{c} is not a {p}-adic integer")
-    mod = p**n
-    return c.numerator * pow(c.denominator, -1, mod) % mod
+    return residue(c, p**n)
 
 
 def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION, target=None) -> PadicNumber:
@@ -279,9 +265,9 @@ def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION, target=None) -> P
     fx, dfx = value(f, x), value(df, x)
     if not dfx:
         raise NoConvergence("derivative vanishes at working precision")
-    t = _valuation(dfx, p)
-    if fx and _valuation(fx, p) <= 2 * t:
-        raise NoConvergence(f"v(f(a))={_valuation(fx, p)} <= 2*v(f'(a))={2 * t}")
+    t = valuation(dfx, p)
+    if fx and valuation(fx, p) <= 2 * t:
+        raise NoConvergence(f"v(f(a))={valuation(fx, p)} <= 2*v(f'(a))={2 * t}")
     if not fx and n <= 2 * t:
         raise InsufficientPrecision(
             f"f(a) = 0 mod {p}^{n} does not show v(f(a)) > 2*v(f'(a))={2 * t}"
@@ -299,42 +285,38 @@ def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION, target=None) -> P
     x %= low
     if not x:
         return PadicNumber.zero(p, n - t)
-    v = _valuation(x, p)
+    v = valuation(x, p)
     return PadicNumber(p, v, x // p**v, n - t - v)
 
 
-def padic_sqrt(x: PadicNumber) -> PadicNumber:
-    """Square root by residue search plus Hensel lifting; ValueError if none."""
+def padic_root(x: PadicNumber, n: int) -> PadicNumber:
+    """An n-th root by residue search plus Hensel lifting; ValueError if none.
+
+    Newton needs v(r^n - u) > 2 v(n r^(n-1)) = 2 v_p(n), so the start is the
+    least unit r with r^n = u mod p**k, k = 2 v_p(n) + 1 (mod 8 for square
+    roots at p = 2, mod p for odd p prime to n), read off at most the
+    x.prec digits that are known.
+    """
     p = x.p
     if x.is_zero:
         raise InsufficientPrecision("cannot extract a root of a vanished value")
-    if x.v % 2 != 0:
-        raise ValueError("odd valuation: not a square")
-    # Newton needs v(r^2 - u) > 2 v(2r), i.e. a root mod 8 at p = 2, mod p else.
-    mod = 8 if p == 2 else p
-    u = x.unit_residue(min(x.prec, 3)) % mod
-    start = None
-    for r in range(1, mod):
-        if r % p and r * r % mod == u:
-            start = r
-            break
+    if x.v % n:
+        raise ValueError(f"valuation {x.v} is not divisible by {n}")
+    k = _unit_label_digits(p, n)
+    mod = p**k
+    u = x.unit_residue(min(x.prec, k)) % mod
+    start = next((r for r in range(1, mod) if r % p and pow(r, n, mod) == u), None)
     if start is None:
-        raise ValueError("unit part is not a square")
-    shift = x.v // 2
+        raise ValueError(f"unit part is not an {n}-th power")
     unit = PadicNumber(p, 0, x.unit, x.prec)
-    root = hensel_root([-unit, 0, 1], PadicNumber(p, 0, start, x.prec))
-    return PadicNumber(p, root.v + shift, root.unit, root.prec)
+    root = hensel_root([-unit] + [0] * (n - 1) + [1], PadicNumber(p, 0, start, x.prec))
+    return PadicNumber(p, root.v + x.v // n, root.unit, root.prec)
 
 
 # --------------------------------------------------------------------- classes
 def _unit_label_digits(p: int, n: int) -> int:
     """Units congruent mod p**k (k = 2 v_p(n) + 1) share their n-th power class."""
-    vp = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        vp += 1
-    return 2 * vp + 1
+    return 2 * valuation(n, p) + 1
 
 
 def _canonical_unit_label(u: int, n: int, p: int) -> int:
@@ -374,15 +356,12 @@ def is_nth_power_unit(u: int, n: int, p: int) -> bool:
         g = math.gcd(n, p - 1)
         return pow(u % p, (p - 1) // g, p) == 1
     if p == 2:
-        odd = n
-        while odd % 2 == 0:
-            odd //= 2
-        s = n // odd  # 2-power part; odd part acts invertibly on Z_2 units
-        if s == 1:
+        s = valuation(n, 2)  # the odd part of n acts invertibly on Z_2 units
+        if s == 0:
             return True
-        if s == 2:
+        if s == 1:
             return u % 8 == 1
-        if s == 4:
+        if s == 2:
             return u % 16 == 1
     if p == 3 and n == 3:
         return u % 9 in (1, 8)

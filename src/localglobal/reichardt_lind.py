@@ -38,7 +38,7 @@ from .exact import (
     is_squarefree,
     legendre_symbol,
     primes_up_to,
-    split_prime_power,
+    valuation,
 )
 from .padic import (
     DEFAULT_PRECISION,
@@ -46,6 +46,7 @@ from .padic import (
     PadicNumber,
     hensel_root,
     is_nth_power,
+    padic_root,
 )
 from .symbols import (
     REAL_PLACE,
@@ -143,24 +144,21 @@ class LocalPoint:
     chart: str = "near"
 
 
-def _near_residual(tw: TwistParams, y, z):
-    return tw.ell * y * y - (z * z * z * z - tw.p)
-
-
-def _far_residual(tw: TwistParams, y, z):
-    return tw.ell * y * y - (1 - tw.p * z * z * z * z)
+def _chart(tw: TwistParams, chart: str) -> tuple[int, int]:
+    """(a, b) with the chart's equation ell*y^2 = a*z^4 + b: (1, -p) near,
+    (-p, 1) far."""
+    return (1, -tw.p) if chart == "near" else (-tw.p, 1)
 
 
 def verify_local_point(tw: TwistParams, pt: LocalPoint) -> bool:
-    """Check the defining equation at the point's stated precision."""
-    if pt.chart == "real":
-        defect = abs(_near_residual(tw, Fraction(pt.y), Fraction(pt.z)))
-        return defect <= Fraction(1, 2 ** pt.precision)
-    residual = (
-        _near_residual(tw, pt.y, pt.z)
-        if pt.chart == "near"
-        else _far_residual(tw, pt.y, pt.z)
-    )
+    """Check the chart's equation at the point's stated precision; a real
+    point lies on the near chart."""
+    real = pt.chart == "real"
+    a, b = _chart(tw, "near" if real else pt.chart)
+    y, z = (Fraction(pt.y), Fraction(pt.z)) if real else (pt.y, pt.z)
+    residual = tw.ell * y * y - (a * z * z * z * z + b)
+    if real:
+        return abs(residual) <= Fraction(1, 2 ** pt.precision)
     return residual.is_zero
 
 
@@ -175,14 +173,7 @@ class NoPoint:
 def _residue_valuation(r: int, q: int, k: int) -> int | None:
     """Valuation of an integer residue known mod q^k; None if it could
     exceed the window."""
-    r %= q**k
-    if r == 0:
-        return None
-    v = 0
-    while r % q == 0:
-        r //= q
-        v += 1
-    return v
+    return valuation(r, q) if r % q**k else None
 
 
 def _sqrt_fraction_down(t: Fraction, precision: int) -> Fraction:
@@ -225,12 +216,12 @@ def local_point(
 
     q = place.prime
     if tw.p % q**4 == 0:
-        k = split_prime_power(tw.p, q)[0] // 4
+        k = valuation(tw.p, q) // 4
         return _rescaled_point(tw, q, k, precision, allow_y_zero, variant)
-    depth_bound = 2 * split_prime_power(4 * tw.ell * tw.ell * tw.p, q)[0] + 6
+    depth_bound = 2 * valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
 
-    if allow_y_zero and is_nth_power(Fraction(tw.p), 4, q, max(precision, 12)):
-        root = _nth_root_padic(tw.p, 4, q, precision)
+    if allow_y_zero and is_nth_power(tw.p, 4, q, max(precision, 12)):
+        root = padic_root(PadicNumber.from_int(tw.p, q, precision), 4)
         return LocalPoint(place, PadicNumber.zero(q, precision), root, precision)
 
     skip = variant
@@ -266,20 +257,6 @@ def _rescaled_point(tw, q, k, precision, allow_y_zero, variant):
     return mapped
 
 
-def _nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
-    """Hensel n-th root of a unit that is known to be an n-th power."""
-    target = Fraction(a)
-    # a start residue exact modulo q^(2 v_q(n) + 1) beats the Newton
-    # criterion v(f) > 2 v(f') = 2 v_q(n)
-    mod = q ** (2 * split_prime_power(n, q)[0] + 1)
-    residue = target.numerator * pow(target.denominator, -1, mod) % mod
-    start = next(
-        r for r in range(1, mod) if r % q and pow(r, n, mod) == residue
-    )
-    coeffs = [-target] + [0] * (n - 1) + [1]
-    return hensel_root(coeffs, PadicNumber(q, 0, start, precision))
-
-
 def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
     """BFS one affine chart; returns (LocalPoint | None, remaining skip).
 
@@ -288,37 +265,27 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
     node's children come from the linear congruence of `_lift_children`,
     so a level costs O(q) per node instead of O(q^2).
     """
-    if chart == "near":
-        def g(y, z, mod):
-            return (tw.ell * y * y - (pow(z, 4, mod) - tw.p)) % mod
+    ell = tw.ell
+    a, b = _chart(tw, chart)
 
-        def dz_coeff(z, mod):  # d/dz of -(z^4 - p)
-            return -4 * pow(z, 3, mod) % mod
+    def g(y, z, mod):  # ell*y^2 - a*z^4 - b
+        return (ell * y * y - a * pow(z, 4, mod) - b) % mod
 
-        def exact_y_poly(z0):  # ell*y^2 + (p - z0^4)
-            return [tw.p - z0**4, 0, tw.ell]
+    def dz_coeff(z, mod):  # d/dz of -a*z^4
+        return -4 * a * pow(z, 3, mod) % mod
 
-        def exact_z_poly(y0):  # -z^4 + (ell*y0^2 + p) = 0, ascending
-            return [tw.ell * y0 * y0 + tw.p, 0, 0, 0, -1]
-    else:
-        def g(y, z, mod):
-            return (tw.ell * y * y - (1 - tw.p * pow(z, 4, mod))) % mod
+    def exact_y_poly(z0):  # ell*y^2 - (a*z0^4 + b), ascending
+        return [-(a * z0**4 + b), 0, ell]
 
-        def dz_coeff(z, mod):
-            return 4 * tw.p * pow(z, 3, mod) % mod
-
-        def exact_y_poly(z0):
-            return [tw.p * z0**4 - 1, 0, tw.ell]
-
-        def exact_z_poly(y0):
-            return [1 - tw.ell * y0 * y0, 0, 0, 0, -tw.p]
+    def exact_z_poly(y0):  # -a*z^4 + (ell*y0^2 - b), ascending
+        return [ell * y0 * y0 - b, 0, 0, 0, -a]
 
     frontier = _residue_zeros(tw, q, chart)
     for depth in range(1, depth_bound + 1):
         mod = q**depth
         next_frontier = []
         for y0, z0 in frontier:
-            t_y = _residue_valuation(2 * tw.ell * y0, q, depth)
+            t_y = _residue_valuation(2 * ell * y0, q, depth)
             t_z = _residue_valuation(dz_coeff(z0, mod), q, depth)
             candidates = [t for t in (t_y, t_z) if t is not None]
             t_min = min(candidates) if candidates else None
@@ -339,7 +306,7 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
                     f"lifting tree still alive at depth {depth} over Q_{q}"
                 )
             next_frontier += _lift_children(
-                y0, z0, g(y0, z0, mod * q) // mod, 2 * tw.ell * y0 % q,
+                y0, z0, g(y0, z0, mod * q) // mod, 2 * ell * y0 % q,
                 dz_coeff(z0, q), q, mod,
             )
         if not next_frontier:
@@ -352,21 +319,21 @@ def _residue_zeros(tw, q, chart):
     """The zeros (y, z) of the chart mod q, in (y, z) order.
 
     One pass over z fills a table of fourth roots mod q (each residue's
-    roots ascending); every y then reads off its z.  On the far chart
-    with q | p the equation ell*y^2 = 1 - p*z^4 leaves z free.
+    roots ascending); every y then reads off its z from
+    z^4 = (ell*y^2 - b)/a.  When q | a (the far chart with q | p) the
+    equation ell*y^2 = b leaves z free.
     """
-    ell, p = tw.ell, tw.p
-    if chart == "far" and p % q == 0:
-        return [(y, z) for y in range(q) if (ell * y * y - 1) % q == 0
+    ell = tw.ell
+    a, b = _chart(tw, chart)
+    if a % q == 0:
+        return [(y, z) for y in range(q) if (ell * y * y - b) % q == 0
                 for z in range(q)]
     roots = {}
     for z in range(q):
         roots.setdefault(pow(z, 4, q), []).append(z)
-    if chart == "near":  # z^4 = ell*y^2 + p
-        return [(y, z) for y in range(q) for z in roots.get((ell * y * y + p) % q, ())]
-    inv_p = pow(p, -1, q)  # z^4 = (1 - ell*y^2)/p
+    inv_a = pow(a, -1, q)
     return [(y, z) for y in range(q)
-            for z in roots.get((1 - ell * y * y) * inv_p % q, ())]
+            for z in roots.get((ell * y * y - b) * inv_a % q, ())]
 
 
 def _lift_children(y0, z0, c0, g_y, g_z, q, step):
@@ -404,23 +371,17 @@ def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
     try:
         if use_y:
             z = PadicNumber.from_int(z0, q, precision)
-            y = hensel_root(exact_y_poly(z0), y0, q, _start_precision(y0, q, precision))
+            n = precision + (valuation(y0, q) if y0 else 0)
+            y = hensel_root(exact_y_poly(z0), y0, q, n)
         else:
             y = PadicNumber.from_int(y0, q, precision)
-            z = hensel_root(exact_z_poly(y0), z0, q, _start_precision(z0, q, precision))
+            n = precision + (valuation(z0, q) if z0 else 0)
+            z = hensel_root(exact_z_poly(y0), z0, q, n)
     except InsufficientPrecision:
         return None
     if y.is_zero and not allow_y_zero:
         return None
     return LocalPoint(place, y, z, precision, chart)
-
-
-def _start_precision(start: int, q: int, precision: int) -> int:
-    n = precision
-    while start and start % q == 0:
-        start //= q
-        n += 1
-    return n
 
 
 # ----------------------------------------------------------- obstruction

@@ -26,7 +26,7 @@ from .padic import (
     NoConvergence,
     PadicNumber,
     hensel_root,
-    padic_sqrt,
+    padic_root,
 )
 from .tower import descent_value_at, evaluate_F_symbolic
 
@@ -287,7 +287,7 @@ def random_E_points_Q3(count: int, precision: int = 20, seed: int = 0):
         a = Fraction(1 + 3 * rng.randrange(1, 500))
         if rng.random() < 0.25:
             a /= 9
-        b = padic_sqrt(PadicNumber.from_fraction(a**3 - 24300, 3, precision))
+        b = padic_root(PadicNumber.from_fraction(a**3 - 24300, 3, precision), 2)
         points.append(
             WeierstrassPoint("E", PadicNumber.from_fraction(a, 3, precision), b)
         )

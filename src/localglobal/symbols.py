@@ -22,7 +22,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import is_probable_prime, legendre_symbol, quotient_norm, split_prime_power
+from .exact import (
+    is_probable_prime,
+    legendre_symbol,
+    quotient_norm,
+    residue,
+    split_prime_power,
+    valuation,
+)
 from .padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
@@ -30,7 +37,6 @@ from .padic import (
     PowerClass,
     is_nth_power,
     power_class,
-    _unit_label_digits,
 )
 
 __all__ = [
@@ -131,11 +137,6 @@ class InvariantValue:
 
 
 # ------------------------------------------------------- quadratic symbols
-def _unit_residue_exact(u: Fraction, mod: int) -> int:
-    """The residue of a p-adic unit written as a fraction, modulo mod."""
-    return u.numerator % mod * pow(u.denominator % mod, -1, mod) % mod
-
-
 def _hilbert2_finite(p: int, va: int, ua: int, vb: int, ub: int) -> int:
     """Quadratic Hilbert symbol at p from valuations and unit residues.
 
@@ -167,7 +168,7 @@ def _vu(x, p: int) -> tuple[int, int]:
             raise InsufficientPrecision("unit residue needs more digits")
         return x.valuation(), x.unit_residue(need) % mod
     v, u = split_prime_power(x, p)
-    return v, _unit_residue_exact(u, mod)
+    return v, residue(u, mod)
 
 
 def hilbert2(a, b, v) -> tuple[int, InvariantValue]:
@@ -223,7 +224,7 @@ def product_formula_check(a, b) -> InvariantValue:
 def _class_group_order(p: int, n: int) -> int:
     """|Q_p*/(Q_p*)**n| = n * |mu_n(Q_p)| * p**v_p(n) (Neukirch II.5.8)."""
     roots = math.gcd(n, 2 if p == 2 else p - 1)
-    return n * roots * p ** ((_unit_label_digits(p, n) - 1) // 2)
+    return n * roots * p ** valuation(n, p)
 
 
 def _subgroup_closure(gens, identity) -> frozenset:
@@ -294,7 +295,7 @@ def _tame_symbol_is_trivial(x: Fraction, d: Fraction, p: int, m: int) -> bool:
     a, ux = split_prime_power(x, p)
     b, ud = split_prime_power(d, p)
     sign = -1 if a * b % 2 else 1
-    c = sign * pow(_unit_residue_exact(ux, p), b, p) * pow(_unit_residue_exact(ud, p), -a, p)
+    c = sign * pow(residue(ux, p), b, p) * pow(residue(ud, p), -a, p)
     return pow(c, (p - 1) // m, p) == 1
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cubic import ZETA, Eisenstein, _pair_product
-from .exact import CertificateError, QuotientElement, is_probable_prime
+from .exact import CertificateError, QuotientElement, is_probable_prime, residue
 
 __all__ = [
     "KElement",
@@ -384,7 +384,7 @@ def _embedding_data(p: int) -> tuple[int, int]:
 
 def _embed_flat(c: tuple, p: int, zeta: int, eps: int) -> int:
     """A p-integral flat 6-tuple embedded into F_p."""
-    a0, b0, a1, b1, a2, b2 = (v.numerator * pow(v.denominator, -1, p) for v in c)
+    a0, b0, a1, b1, a2, b2 = (residue(v, p) for v in c)
     return (a0 + b0 * zeta + (a1 + b1 * zeta) * eps + (a2 + b2 * zeta) * eps * eps) % p
 
 

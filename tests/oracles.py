@@ -9,13 +9,15 @@ kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
 computations.  The local point search is the quadratic one: every residue
 pair at depth 1 and every one of the q^2 children of each node are tried,
-and its certified nodes start the Hensel lift from `PadicNumber` values.
-The ring formulas are the hand-written products and norms of
-Q(zeta_3), of its extension by a cube root of 6 and of the delta-algebra
-over that, with the cofactor determinant behind the radical norms.  The
-Newton iteration on `PadicNumber` objects and the factoring with trial
-division up to 10**4 follow.  Last come the cube classes of Q_3(zeta_3)
-read off Fraction pi-digit expansions, the K/k norm as closed form and
+each chart has its own written-out equation, the certified nodes start
+the Hensel lift from `PadicNumber` values, and a fourth root starts from
+a residue of the exact rational.  The ring formulas are the hand-written
+products and norms of Q(zeta_3), of its extension by a cube root of 6 and
+of the delta-algebra over that, with the cofactor determinant behind the
+radical norms.  The Newton iteration on `PadicNumber` objects and the
+factoring with trial division up to 10**4 follow.  Last come the cube
+classes of Q_3(zeta_3) read off Fraction pi-digit expansions, the F_3
+nullspace found by trying every vector, the K/k norm as closed form and
 determinant on Fraction coordinates, the search for elements of norm
 -10 that evaluates `norm_K_over_k` on every candidate, and the cubic
 Hilbert pairing matrix built from sampled norm subgroups of Kummer
@@ -37,8 +39,6 @@ from localglobal.cubic import (
     PI,
     ZETA,
     Eisenstein,
-    _in_span3,
-    _nullspace3,
     _rank3,
     _rref3,
     divide_by_pi,
@@ -62,12 +62,11 @@ from localglobal.padic import (
     _unit_label_digits,
     hensel_root as padic_hensel_root,
     is_nth_power as padic_is_nth_power,
-    padic_sqrt,
+    padic_root,
 )
 from localglobal.reichardt_lind import (
     LocalPoint,
     NoPoint,
-    _nth_root_padic,
     _residue_valuation,
 )
 from localglobal.symbols import Place, hilbert2
@@ -173,7 +172,7 @@ def is_local_norm(x, p: int, m: int, d) -> bool:
     if is_nth_power(d, 2, p):
         if not minus_one_square:
             return True
-        s = padic_sqrt(PadicNumber.from_fraction(d, p, DEFAULT_PRECISION))
+        s = padic_root(PadicNumber.from_fraction(d, p, DEFAULT_PRECISION), 2)
         return hilbert2(x, s, p)[0] == 1
     if is_nth_power(-4 * d, 4, p):
         return minus_one_square or hilbert2(x, -1, p)[0] == 1
@@ -188,7 +187,7 @@ def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
     place = Place.finite(q)
     depth_bound = 2 * split_prime_power(4 * tw.ell * tw.ell * tw.p, q)[0] + 6
     if allow_y_zero and padic_is_nth_power(Fraction(tw.p), 4, q, max(precision, 12)):
-        root = _nth_root_padic(tw.p, 4, q, precision)
+        root = nth_root_padic(tw.p, 4, q, precision)
         return LocalPoint(place, PadicNumber.zero(q, precision), root, precision)
     skip = variant
     for chart in ("near", "far"):
@@ -197,6 +196,19 @@ def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
         if result is not None:
             return result
     return NoPoint(place, depth_bound)
+
+
+def nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
+    """Hensel n-th root of a unit that is known to be an n-th power, from
+    a start residue exact modulo q^(2 v_q(n) + 1)."""
+    target = Fraction(a)
+    mod = q ** (2 * split_prime_power(n, q)[0] + 1)
+    residue = target.numerator * pow(target.denominator, -1, mod) % mod
+    start = next(
+        r for r in range(1, mod) if r % q and pow(r, n, mod) == residue
+    )
+    coeffs = [-target] + [0] * (n - 1) + [1]
+    return padic_hensel_root(coeffs, PadicNumber(q, 0, start, precision))
 
 
 def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
@@ -575,6 +587,28 @@ def gamma_search(bound: int) -> list[KElement]:
     return found
 
 
+# ------------------------------------------------ F_3 nullspace
+# The nullspace that `cubic._nullspace3` reads off the echelon form,
+# found here by trying every vector.
+
+
+def in_span3(rows, vec) -> bool:
+    return _rank3(list(rows) + [list(vec)]) == _rank3(rows)
+
+
+def nullspace3(rows, width: int) -> list[tuple[int, ...]]:
+    """Basis of {v in F_3^width : row . v = 0 for all rows}, by trying all
+    3^width vectors and keeping each one outside the span so far."""
+    basis = []
+    for vec in itertools.product(range(3), repeat=width):
+        if not any(vec):
+            continue
+        if all(sum(r * v for r, v in zip(row, vec)) % 3 == 0 for row in rows):
+            if not in_span3(basis, vec):
+                basis.append(list(vec))
+    return [tuple(b) for b in basis]
+
+
 # ------------------------------------------- cubic pairing from norms
 # The construction of the cubic Hilbert pairing that the Steinberg
 # relations in `cubic.cube_class_group` replaced: sample norms from each
@@ -622,7 +656,7 @@ def cube_norm_subgroup(a) -> tuple[tuple[int, ...], ...]:
         if value.is_zero:
             continue
         vec = express(value)
-        if not any(vec) or _in_span3(basis, vec):
+        if not any(vec) or in_span3(basis, vec):
             continue
         basis.append(list(vec))
         rank = _rank3(basis)
@@ -636,7 +670,7 @@ def cube_norm_subgroup(a) -> tuple[tuple[int, ...], ...]:
 
 
 def _defining_form(x) -> tuple[int, ...]:
-    forms = _nullspace3(cube_norm_subgroup(x))
+    forms = nullspace3(cube_norm_subgroup(x), 4)
     if len(forms) != 1:
         raise CertificateError("norm subgroup must have a unique defining form")
     return forms[0]

@@ -1,6 +1,8 @@
 """The integer-residue paths of the cubic stack against the Fraction
 computations they replaced (kept in `oracles`): cube classes read off
-(a, b) mod 27 against pi-digit expansions, the closed-form K/k norm against
+(a, b) mod 27 against pi-digit expansions, the pi-adic valuation against
+the norm, the F_3 nullspace read off the echelon form against trying
+every vector, the closed-form K/k norm against
 the product of conjugates and the Fraction evaluation, the finite-field identity checks against exact
 evaluation over K, the norm -10 search against the full loop, and the
 flat Z[zeta_3, eps] curve polynomials and descent-value product against
@@ -17,7 +19,7 @@ import pytest
 import oracles
 from localglobal import cubic
 from localglobal.cubic import ONE, PI, ZETA, Eisenstein, express
-from localglobal.exact import CertificateError
+from localglobal.exact import CertificateError, split_prime_power
 from localglobal import tower
 from localglobal.tower import (
     GAMMA,
@@ -128,6 +130,45 @@ def test_hilbert3_reads_the_class_of_a_once(monkeypatch):
     calls.clear()
     assert cubic.hilbert3(10, 2).is_zero  # 10 is a cube: b is not expressed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("den", [1, 2, 3, 9, 10])
+def test_pi_valuation_matches_the_norm(den):
+    rng = random.Random(den)
+    for _ in range(200):
+        x = Eisenstein(
+            Fraction(rng.randrange(-300, 301), den),
+            Fraction(rng.randrange(-300, 301), den * rng.choice((1, 3, 7))),
+        )
+        if not x.is_zero:
+            assert cubic.pi_valuation(x) == split_prime_power(x.norm(), 3)[0], x
+
+
+# ------------------------------------------------------ F_3 nullspaces
+def same_span(a, b) -> bool:
+    rank = cubic._rank3
+    return rank(list(a)) == rank(list(b)) == rank(list(a) + list(b))
+
+
+def test_nullspace_from_the_echelon_form_spans_the_oracles():
+    group = cubic.cube_class_group()
+    m = group.pairing_matrix
+    for elems in ([2, 3], [60], [PI], [ZETA, ONE + PI * PI], [2, 3, 60]):
+        vectors = [express(x) for x in elems]
+        rows = [[sum(v[i] * m[i][j] for i in range(4)) % 3 for j in range(4)] for v in vectors]
+        assert same_span(group.annihilator(vectors), oracles.nullspace3(rows, 4)), elems
+    for sign in (1, -1):
+        rows = [
+            [(group.tau_matrix[i][j] - (sign % 3) * (i == j)) % 3 for j in range(4)]
+            for i in range(4)
+        ]
+        assert same_span(group.tau_eigenspace(sign), oracles.nullspace3(rows, 4)), sign
+    rng = random.Random(12)
+    for width in range(1, 7):
+        for _ in range(10):
+            rows = [[rng.randrange(3) for _ in range(width)] for _ in range(rng.randrange(width + 1))]
+            basis, expected = cubic._nullspace3(rows, width), oracles.nullspace3(rows, width)
+            assert len(basis) == len(expected) and same_span(basis, expected), rows
 
 
 # ------------------------------------------------------------- K/k norms

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,9 @@ from localglobal.exact import (
     primes_up_to,
     quartic_free_part,
     quartic_residue_symbol,
+    residue,
     sqrt_mod_prime,
+    valuation,
 )
 
 
@@ -145,3 +148,30 @@ def test_small_helpers():
     assert is_squarefree(2 * 3 * 5) and not is_squarefree(12)
     ps = primes_up_to(100)
     assert ps[:5] == [2, 3, 5, 7, 11] and len(ps) == 25
+
+
+def test_valuation():
+    rng = random.Random(10)
+    for p in (2, 3, 5, 17):
+        for _ in range(200):
+            n = rng.choice((-1, 1)) * rng.randrange(1, 10**6) * p ** rng.randrange(0, 8)
+            v = valuation(n, p)
+            assert n % p**v == 0 and n % p ** (v + 1) != 0, (n, p)
+        with pytest.raises(ValueError):
+            valuation(0, p)
+
+
+def test_residue():
+    rng = random.Random(11)
+    for m in (1, 8, 27, 3**10):
+        for _ in range(200):
+            num = rng.randrange(-(10**6), 10**6)
+            den = rng.randrange(1, 10**4)
+            q = num if rng.random() < 0.3 else Fraction(num, den)
+            if math.gcd(Fraction(q).denominator, m) != 1:
+                continue
+            r = residue(q, m)
+            assert 0 <= r < m
+            assert (r * Fraction(q).denominator - Fraction(q).numerator) % m == 0, (q, m)
+    with pytest.raises(ValueError):
+        residue(Fraction(1, 3), 27)

@@ -11,7 +11,7 @@ from localglobal.padic import (
     hensel_root,
     is_nth_power,
     is_nth_power_unit,
-    padic_sqrt,
+    padic_root,
     power_class,
 )
 
@@ -87,14 +87,14 @@ def test_hensel_rejects_bad_start():
 def test_padic_sqrt():
     for p, q in [(2, Fraction(457)), (17, Fraction(-8)), (3, Fraction(7, 4))]:
         x = from_q(q, p)
-        r = padic_sqrt(x)
+        r = padic_root(x, 2)
         assert (r * r).approx_eq(x, digits=30)
     with pytest.raises(ValueError):
-        padic_sqrt(from_q(5, 2))  # 5 = 5 mod 8 not a square
+        padic_root(from_q(5, 2), 2)  # 5 = 5 mod 8 not a square
     with pytest.raises(ValueError):
-        padic_sqrt(from_q(3, 17))  # 3 is the least non-residue mod 17
+        padic_root(from_q(3, 17), 2)  # 3 is the least non-residue mod 17
     with pytest.raises(ValueError):
-        padic_sqrt(from_q(17, 17))  # odd valuation
+        padic_root(from_q(17, 17), 2)  # odd valuation
 
 
 def test_power_class_examples():
