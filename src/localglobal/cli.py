@@ -14,7 +14,8 @@ invocation does not pay for the whole argparse tree.
 
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (precision budget exhausted), 1 for
-runtime errors and failed self-checks (status "error"), 64 for usage errors.
+runtime errors and failed self-checks (status "error"), 64 for usage errors,
+a --precision or --max-prime below 1 among them.
 """
 
 from __future__ import annotations
@@ -71,6 +72,16 @@ def _parameter_t(text: str):
     return _rational(text)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+    return value
+
+
 def _prime_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
@@ -82,8 +93,12 @@ def _prime_list(text: str) -> tuple[int, ...]:
 # [(flags, add_argument keywords), ...]}).  Every command also takes _COMMON,
 # whose values default to the top-level ones set in `build_parser`.
 _COMMON = [
-    (("--precision",), {"type": int, "help": "working p-adic digits (per-command default)"}),
-    (("--max-prime",), {"type": int, "help": "upper bound for prime searches and sweeps"}),
+    (("--precision",), {"type": _positive_int,
+                        "help": "working p-adic digits (per-command default)"}),
+    (("--max-prime",), {"type": _positive_int,
+                        "help": "prime bound: rl search and rl density test the primes up "
+                                "to it (defaults 100 and 200000); elkies certifies a Q_q "
+                                "point at every odd good prime q up to it (default 50)"}),
     (("--seed",), {"type": int, "help": "seed for any randomized sampling (default 0)"}),
     (("--format",), {"choices": ("json", "text"), "help": "report rendering (default json)"}),
 ]

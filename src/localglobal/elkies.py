@@ -40,6 +40,7 @@ __all__ = [
     "fibre",
     "rationals_of_height",
     "local_solvability_report",
+    "smooth_residue_point",
     "LocalSolvabilityReport",
     "quartic_rep",
     "gauss_criterion_check",
@@ -152,23 +153,47 @@ class LocalSolvabilityReport:
         )
 
 
+def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
+    """A zero (y, z) mod q of 2y^2 = z^4 - n0 at which a partial
+    derivative is nonzero mod q, for an odd prime q not dividing n0; None
+    if there is none.
+
+    For y = 0, 1, ... it takes u = n0 + 2y^2 mod q.  If u = 0 the zero is
+    (y, 0), and y is nonzero because q does not divide n0, so d/dy = 4y
+    is a unit.  If u is a nonzero fourth power (Euler's criterion) the zero
+    is (y, z) with z a fourth root of u from two square roots, and
+    d/dz = -4z^3 is a unit.  Hensel's lemma lifts either zero to a Q_q
+    point (Silverman, AEC, V.1.1).  The loop meets every affine zero, and
+    for q >= 7 one exists: the curve is smooth of genus one over F_q, so
+    Hasse-Weil gives it at least q + 1 - 2 sqrt(q) points, at most two of
+    them at infinity.  For q = 3 and 5 the tests try every residue of n0.
+    """
+    for y in range(q):
+        u = (n0 + 2 * y * y) % q
+        if u == 0:
+            return y, 0
+        if is_nth_power_unit(u, 4, q):
+            # the square root of a fourth power is a square for every odd q
+            # (for q = 3 mod 4, u^((q+1)/4) = z^(q+1) = z^2)
+            return y, sqrt_mod_prime(sqrt_mod_prime(u, q), q)
+    return None
+
+
 def local_solvability_report(
     fib: ElkiesFibre, precision: int = 12, good_prime_bound: int = 50
 ) -> LocalSolvabilityReport:
-    """Verify the fibre has points over R, Q_2, every completion at an odd
-    prime dividing N0, and (by direct search) all small good primes.
+    """Certify points of the fibre over R, Q_2, every Q_p with p | N0, and
+    Q_q for every odd good prime q <= `good_prime_bound`.
 
     At 2: N0 = 1 mod 16 is a fourth power in Q_2, giving a point with
     y = 0.  At odd p | N0: some y makes N0 + 2y^2 a nonzero fourth power
     mod p, and the quartic in z lifts; such y exists because -1, hence
     the relevant quotient structure, behaves as for p = 1 mod 8.
 
-    Good primes q (odd, q not dividing N0) need no search: the model is
-    a smooth curve of genus one over F_q, so it has an F_q-point by
-    Hasse-Weil, and Hensel's lemma lifts a smooth point to Q_q (Silverman,
-    AEC, V.1.1).  The sweep of `local_point` over the good primes below
-    `good_prime_bound` is a bounded cross-check of that argument, not its
-    proof.
+    Good primes q (odd, q not dividing N0) need no search: the model is a
+    smooth curve of genus one over F_q, and each q is certified by a zero
+    mod q at which a partial derivative is a unit (`smooth_residue_point`),
+    which Hensel's lemma lifts to a Q_q point.
     """
     n0 = fib.N0
     real_ok = n0 > 0
@@ -204,9 +229,7 @@ def local_solvability_report(
     good = tuple(
         q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q != 0
     )
-    good_ok = all(
-        not isinstance(local_point(eq, q, precision), NoPoint) for q in good
-    )
+    good_ok = all(smooth_residue_point(n0, q) is not None for q in good)
     return LocalSolvabilityReport(
         fib, real_ok, two_ok, tuple(odd_entries), good, good_ok
     )

@@ -294,8 +294,9 @@ def padic_root(x: PadicNumber, n: int) -> PadicNumber:
 
     Newton needs v(r^n - u) > 2 v(n r^(n-1)) = 2 v_p(n), so the start is the
     least unit r with r^n = u mod p**k, k = 2 v_p(n) + 1 (mod 8 for square
-    roots at p = 2, mod p for odd p prime to n), read off at most the
-    x.prec digits that are known.
+    roots at p = 2, mod p for odd p prime to n).  Fewer than k known
+    digits cannot show v(f(r)) > 2 v(f'(r)), so they raise
+    InsufficientPrecision.
     """
     p = x.p
     if x.is_zero:
@@ -304,7 +305,7 @@ def padic_root(x: PadicNumber, n: int) -> PadicNumber:
         raise ValueError(f"valuation {x.v} is not divisible by {n}")
     k = _unit_label_digits(p, n)
     mod = p**k
-    u = x.unit_residue(min(x.prec, k)) % mod
+    u = x.unit_residue(k)
     start = next((r for r in range(1, mod) if r % p and pow(r, n, mod) == u), None)
     if start is None:
         raise ValueError(f"unit part is not an {n}-th power")

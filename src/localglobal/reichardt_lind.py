@@ -364,18 +364,24 @@ def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
 
     The lifted coordinate starts from its integer residue at absolute
     precision `precision` + v_q(start), or `precision` for a zero start:
-    the precision `PadicNumber.from_int` would give it.
+    the precision `PadicNumber.from_int` would give it.  A working
+    precision at or below the derivative's valuation t cannot show t, and
+    raises InsufficientPrecision.
     """
     place = Place.finite(q)
     use_y = t_y is not None and (t_z is None or t_y <= t_z)
+    start, t = (y0, t_y) if use_y else (z0, t_z)
+    n = precision + (valuation(start, q) if start else 0)
+    if n <= t:
+        raise InsufficientPrecision(
+            f"{n} digits over Q_{q} cannot show a derivative of valuation {t}"
+        )
     try:
         if use_y:
             z = PadicNumber.from_int(z0, q, precision)
-            n = precision + (valuation(y0, q) if y0 else 0)
             y = hensel_root(exact_y_poly(z0), y0, q, n)
         else:
             y = PadicNumber.from_int(y0, q, precision)
-            n = precision + (valuation(z0, q) if z0 else 0)
             z = hensel_root(exact_z_poly(y0), z0, q, n)
     except InsufficientPrecision:
         return None

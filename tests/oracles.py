@@ -11,13 +11,15 @@ computations.  The local point search is the quadratic one: every residue
 pair at depth 1 and every one of the q^2 children of each node are tried,
 each chart has its own written-out equation, the certified nodes start
 the Hensel lift from `PadicNumber` values, and a fourth root starts from
-a residue of the exact rational.  The ring formulas are the hand-written
-products and norms of Q(zeta_3), of its extension by a cube root of 6 and
-of the delta-algebra over that, with the cofactor determinant behind the
-radical norms.  The Newton iteration on `PadicNumber` objects and the
-factoring with trial division up to 10**4 follow.  Last come the cube
-classes of Q_3(zeta_3) read off Fraction pi-digit expansions, the F_3
-nullspace found by trying every vector, the K/k norm as closed form and
+a residue of the exact rational.  The good places of an Elkies fibre are
+swept with the library's own `local_point`, one search per prime.  The
+ring formulas are the hand-written products and norms of Q(zeta_3), of
+its extension by a cube root of 6 and of the delta-algebra over that,
+with the cofactor determinant behind the radical norms.  The Newton
+iteration on `PadicNumber` objects and the factoring with trial division
+up to 10**4 follow.  Last come the cube classes of Q_3(zeta_3) read off
+Fraction pi-digit expansions, the F_3 nullspace found by trying every
+vector, the K/k norm as closed form and
 determinant on Fraction coordinates, the search for elements of norm
 -10 that evaluates `norm_K_over_k` on every candidate, and the cubic
 Hilbert pairing matrix built from sampled norm subgroups of Kummer
@@ -52,6 +54,7 @@ from localglobal.exact import (
     _TRIAL_PRIMES,
     _brent_rho,
     is_probable_prime,
+    primes_up_to,
     split_prime_power,
 )
 from localglobal.padic import (
@@ -65,9 +68,11 @@ from localglobal.padic import (
     padic_root,
 )
 from localglobal.reichardt_lind import (
+    CurveEquation,
     LocalPoint,
     NoPoint,
     _residue_valuation,
+    local_point as rl_local_point,
 )
 from localglobal.symbols import Place, hilbert2
 from localglobal.tower import EPS, GAMMA, KElement
@@ -209,6 +214,19 @@ def nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
     )
     coeffs = [-target] + [0] * (n - 1) + [1]
     return padic_hensel_root(coeffs, PadicNumber(q, 0, start, precision))
+
+
+def good_place_sweep(n0: int, precision: int, good_prime_bound: int) -> tuple:
+    """(q, found) for each odd prime q <= good_prime_bound not dividing n0:
+    whether `reichardt_lind.local_point` finds a point of 2y^2 = z^4 - n0
+    over Q_q, lifted to `precision` digits.  This search certified the good
+    places in `elkies.local_solvability_report` before
+    `elkies.smooth_residue_point` did."""
+    eq = CurveEquation(2, n0)
+    return tuple(
+        (q, not isinstance(rl_local_point(eq, q, precision), NoPoint))
+        for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q
+    )
 
 
 def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):

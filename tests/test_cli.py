@@ -154,6 +154,33 @@ class TestPlumbing:
         assert cli.main(["elkies", "verify", "--t", "x/y"]) == 64
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["elkies", "verify", "--t=1/3", "--precision", "0"],
+        ["elkies", "verify", "--t=1/3", "--precision", "-3"],
+        ["elkies", "verify", "--t=1/3", "--max-prime", "0"],
+        ["elkies", "scan", "--height", "1", "--max-prime", "-5"],
+        ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "-3"],
+        ["rl", "search", "--ell", "2", "--max-prime", "0"],
+    ], ids=" ".join)
+    def test_non_positive_precision_or_max_prime_exits_64(self, argv, capsys):
+        assert cli.main(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.out == "" and "must be a positive integer" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ("elkies", "verify", "--t=1/3"),
+        ("rl", "verify", "--ell", "2", "--p", "17"),
+    ], ids=" ".join)
+    def test_low_precision_is_inconclusive_never_error(self, argv, capsys):
+        code, default = run_json(capsys, *argv)
+        assert code == 0 and default["status"] == "obstructed"
+        for precision in range(1, 9):
+            code, rep = run_json(capsys, *argv, "--precision", str(precision))
+            assert rep["status"] in (default["status"], "inconclusive"), (precision, rep)
+            assert code == (2 if rep["status"] == "inconclusive" else 0)
+            if rep["status"] == default["status"]:
+                assert rep["result"] == default["result"], precision
+
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()

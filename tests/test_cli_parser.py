@@ -50,6 +50,11 @@ USAGE_ERRORS = [
     ["elkies", "verify", "--format", "xml", "--t=1"],
     ["rl", "smooth", "--primes", "a,b"],
     ["elkies", "scan", "--t=1"],
+    ["elkies", "verify", "--t=1/3", "--precision", "0"],
+    ["elkies", "scan", "--precision", "-3"],
+    ["elkies", "verify", "--t=1/3", "--max-prime", "0"],
+    ["rl", "search", "--ell", "2", "--max-prime", "-1"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "x"],
 ]
 
 OPTIONS_MOVED = [

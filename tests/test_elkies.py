@@ -1,12 +1,16 @@
 """Tests for the isotrivial family of everywhere-locally-solvable,
 globally empty quartics and its quartic-residue parity obstruction."""
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
+import oracles
 import pytest
 
-from localglobal import elkies
+from localglobal import cli, elkies
 from localglobal.elkies import (
     ElkiesFibre,
     NoRepresentation,
@@ -18,6 +22,7 @@ from localglobal.elkies import (
     obstruction_parity,
     quartic_rep,
     rationals_of_height,
+    smooth_residue_point,
 )
 from localglobal.exact import factorize, primes_up_to, quartic_residue_symbol
 from localglobal.symbols import InvariantValue
@@ -166,6 +171,64 @@ class TestLocalSolvability:
         rep = local_solvability_report(fibre(0))
         assert rep.two_adic_solvable  # 97 = 1 mod 16 is a 4th power in Q_2
         assert rep.everywhere_solvable
+
+
+@lru_cache(maxsize=None)
+def fibres_of_height_ten():
+    return tuple(fibre(t) for t in rationals_of_height(10))
+
+
+def _is_smooth_zero(n0, q, point):
+    y, z = point
+    return (2 * y * y - z**4 + n0) % q == 0 and (4 * y % q or 4 * z**3 % q)
+
+
+class TestGoodPlaces:
+    """`smooth_residue_point` against the `local_point` sweep it replaced."""
+
+    def test_every_residue_of_n0_has_a_smooth_zero(self):
+        for q in primes_up_to(200)[1:]:
+            for n0 in range(1, q):
+                point = smooth_residue_point(n0, q)
+                assert point is not None and _is_smooth_zero(n0, q, point), (q, n0)
+
+    def test_a_zero_with_y_zero_certifies_5_at_t_1(self):
+        # N0 = 1921 = 1 mod 5: for y != 0, 1921 + 2y^2 is 3 or 4 mod 5, and
+        # neither is a fourth power; y = 0 leaves z^4 = 1 with z = 1
+        assert smooth_residue_point(fibre(1).N0, 5) == (0, 1)
+
+    def test_certificate_agrees_with_the_sweep_below_200(self):
+        pairs = 0
+        for fib in fibres_of_height_ten():
+            for q, found in oracles.good_place_sweep(fib.N0, 12, 200):
+                assert (smooth_residue_point(fib.N0, q) is not None) == found, (fib.t, q)
+                pairs += 1
+        assert pairs == 5716
+
+    def test_report_equals_the_sweep_report(self):
+        for fib in fibres_of_height_ten():
+            report = local_solvability_report(fib, 12, 50)
+            sweep = oracles.good_place_sweep(fib.N0, 12, 50)
+            assert report == dataclasses.replace(
+                report,
+                good_places_checked=tuple(q for q, _ in sweep),
+                good_places_solvable=all(found for _, found in sweep),
+            ), fib.t
+
+    def test_a_missing_certificate_is_no_local_point(self, monkeypatch, capsys):
+        certify = elkies.smooth_residue_point
+        monkeypatch.setattr(
+            elkies, "smooth_residue_point",
+            lambda n0, q: None if q == 7 else certify(n0, q),
+        )
+        report = local_solvability_report(fibre(None))
+        assert 7 in report.good_places_checked and not report.good_places_solvable
+        assert report.real_solvable and report.two_adic_solvable
+        assert not report.everywhere_solvable
+        assert cli.main(["elkies", "verify", "--t", "infinity"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "no_local_point"
+        assert out["result"]["everywhere_locally_solvable"] is False
 
 
 class TestObstructionParity:

@@ -250,3 +250,11 @@ def test_fourth_power_constant_with_y_zero():
     pt = local_point(eq, 3, 8, allow_y_zero=True)
     assert isinstance(pt, LocalPoint) and verify_local_point(eq, pt)
     assert pt.y.is_zero and pt.z.valuation() == 1
+
+
+@pytest.mark.parametrize("precision", [1, 2])
+def test_precision_below_the_derivative_valuation_is_insufficient(precision):
+    # over Q_2 every certified branch of 2y^2 = z^4 - 17 lifts along a
+    # derivative of valuation 2, which 1 or 2 digits cannot show
+    with pytest.raises(InsufficientPrecision, match="cannot show a derivative"):
+        local_point(TwistParams(2, 17), 2, precision)

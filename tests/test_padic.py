@@ -154,3 +154,14 @@ def test_representatives():
     assert c.representative() == 1
     c2 = power_class(3 * 17, 2, p=17)
     assert c2.representative() == 3 * 17  # 3 = least non-residue mod 17
+
+
+def test_padic_root_needs_the_digits_that_show_the_derivative():
+    # a fourth root over Q_2 has v(4 r^3) = 2, so Newton needs 2*2 + 1 digits
+    for prec in range(1, 5):
+        with pytest.raises(InsufficientPrecision):
+            padic_root(PadicNumber(2, 0, 17, prec), 4)
+    root = padic_root(PadicNumber(2, 0, 17, 5), 4)
+    assert root.abs_prec == 3 and (root**4).approx_eq(from_q(17, 2), digits=3)
+    # odd p prime to n needs one digit
+    assert padic_root(PadicNumber(17, 0, 16, 1), 2).residue(1) in (4, 13)
