@@ -263,7 +263,11 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
     Depth d holds the zeros of the chart modulo q^d in (y, z) order.  The
     depth-1 zeros are read off a table of fourth roots mod q, and each
     node's children come from the linear congruence of `_lift_children`,
-    so a level costs O(q) per node instead of O(q^2).
+    so a level costs O(q) per node instead of O(q^2).  A branch whose
+    working precision cannot show its derivative is not refined: its
+    descendants share that derivative's valuation, so none of them can be
+    certified either.  If the chart then ends without a point, that
+    InsufficientPrecision is raised.
     """
     ell = tw.ell
     a, b = _chart(tw, chart)
@@ -280,6 +284,7 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
     def exact_z_poly(y0):  # -a*z^4 + (ell*y0^2 - b), ascending
         return [ell * y0 * y0 - b, 0, 0, 0, -a]
 
+    short = None  # InsufficientPrecision of an abandoned branch
     frontier = _residue_zeros(tw, q, chart)
     for depth in range(1, depth_bound + 1):
         mod = q**depth
@@ -290,10 +295,14 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
             candidates = [t for t in (t_y, t_z) if t is not None]
             t_min = min(candidates) if candidates else None
             if t_min is not None and depth > 2 * t_min:
-                pt = _certify(
-                    tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
-                    exact_z_poly, allow_y_zero,
-                )
+                try:
+                    pt = _certify(
+                        tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
+                        exact_z_poly, allow_y_zero,
+                    )
+                except InsufficientPrecision as exc:
+                    short = exc
+                    continue
                 if pt is not None:
                     if skip > 0:
                         skip -= 1  # deterministic variant: pass this branch by
@@ -302,7 +311,7 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
                 # certified branch rejected (e.g. its lift has y = 0):
                 # keep refining, nearby branches may carry admissible points
             if depth == depth_bound:
-                raise InsufficientPrecision(
+                raise short or InsufficientPrecision(
                     f"lifting tree still alive at depth {depth} over Q_{q}"
                 )
             next_frontier += _lift_children(
@@ -310,8 +319,10 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
                 dz_coeff(z0, q), q, mod,
             )
         if not next_frontier:
-            return None, skip
+            break
         frontier = next_frontier
+    if short is not None:
+        raise short
     return None, skip
 
 
@@ -364,27 +375,25 @@ def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
 
     The lifted coordinate starts from its integer residue at absolute
     precision `precision` + v_q(start), or `precision` for a zero start:
-    the precision `PadicNumber.from_int` would give it.  A working
-    precision at or below the derivative's valuation t cannot show t, and
-    raises InsufficientPrecision.
+    the precision `PadicNumber.from_int` would give it.  Hensel's lemma
+    needs more than 2t digits for a derivative of valuation t; a working
+    precision of at most 2t raises InsufficientPrecision.
     """
     place = Place.finite(q)
     use_y = t_y is not None and (t_z is None or t_y <= t_z)
     start, t = (y0, t_y) if use_y else (z0, t_z)
     n = precision + (valuation(start, q) if start else 0)
-    if n <= t:
+    if n <= 2 * t:
         raise InsufficientPrecision(
-            f"{n} digits over Q_{q} cannot show a derivative of valuation {t}"
+            f"{n} digits over Q_{q} cannot show a derivative of valuation {t}:"
+            f" Hensel lifting needs more than {2 * t}"
         )
-    try:
-        if use_y:
-            z = PadicNumber.from_int(z0, q, precision)
-            y = hensel_root(exact_y_poly(z0), y0, q, n)
-        else:
-            y = PadicNumber.from_int(y0, q, precision)
-            z = hensel_root(exact_z_poly(y0), z0, q, n)
-    except InsufficientPrecision:
-        return None
+    if use_y:
+        z = PadicNumber.from_int(z0, q, precision)
+        y = hensel_root(exact_y_poly(z0), y0, q, n)
+    else:
+        y = PadicNumber.from_int(y0, q, precision)
+        z = hensel_root(exact_z_poly(y0), z0, q, n)
     if y.is_zero and not allow_y_zero:
         return None
     return LocalPoint(place, y, z, precision, chart)
@@ -486,7 +495,7 @@ def forced_section_invariants(
                     values.add(hilbert2(y, tw.p, place)[1])
             except InsufficientPrecision as exc:
                 raise InsufficientPrecision(
-                    f"norm decision at {place} did not stabilize"
+                    f"norm decision at {place} needs more than precision {precision}"
                 ) from exc
         contributions[place] = frozenset(values)
     contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})

@@ -4,39 +4,28 @@ Quadratic Hilbert symbols at every place (closed formulas, no enumeration),
 the invariant-value group Q/Z they land in, and exact norm-group membership
 for the radical extensions Q_p[x]/(x^m - d).
 
-Norm membership is decided by closed forms wherever a theorem gives one.
+Norm membership is decided by closed forms only; nothing is sampled.
 Quadratic cases use the Hilbert symbol.  Tame Kummer cases (p = 1 mod m,
 so mu_m lies in Q_p and p does not divide m) use the tame m-th power
 symbol, whose kernel is the norm group of Q_p(d^(1/m)) (Serre, Local
-Fields, ch. XIV, section 3; Neukirch, Algebraic Number Theory, V.3).  Only
-the cyclic quartic without fourth roots of unity (p = 2, or p = 3 mod 4
-with -d a square) still samples norms, and that subgroup is certified
-against the index predicted by local reciprocity before use.
+Fields, ch. XIV, section 3; Neukirch, Algebraic Number Theory, V.3).  The
+quartic without fourth roots of unity (p = 2, or p = 3 mod 4) with
+-d = s^2 is the biquadratic field Q_p(i, sqrt(2s)), whose norm group is
+the intersection of two quadratic norm groups: two Hilbert symbols.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .exact import (
-    is_probable_prime,
-    legendre_symbol,
-    quotient_norm,
-    residue,
-    split_prime_power,
-    valuation,
-)
+from .exact import is_probable_prime, legendre_symbol, residue, split_prime_power
 from .padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
     PadicNumber,
-    PowerClass,
     is_nth_power,
-    power_class,
+    padic_root,
 )
 
 __all__ = [
@@ -221,70 +210,6 @@ def product_formula_check(a, b) -> InvariantValue:
 
 
 # --------------------------------------------------------- norm membership
-def _class_group_order(p: int, n: int) -> int:
-    """|Q_p*/(Q_p*)**n| = n * |mu_n(Q_p)| * p**v_p(n) (Neukirch II.5.8)."""
-    roots = math.gcd(n, 2 if p == 2 else p - 1)
-    return n * roots * p ** valuation(n, p)
-
-
-def _subgroup_closure(gens, identity) -> frozenset:
-    group = {identity}
-    frontier = [identity]
-    while frontier:
-        elem = frontier.pop()
-        for g in gens:
-            nxt = elem * g
-            if nxt not in group:
-                group.add(nxt)
-                frontier.append(nxt)
-    return frozenset(group)
-
-
-@lru_cache(maxsize=None)
-def _norm_subgroup(p: int, m: int, d: Fraction, expected_index: int) -> frozenset:
-    """Image of the norm map of Q_p[x]/(x^m - d) inside Q_p*/(Q_p*)**m.
-
-    Norms of elements with small integer coordinates are accumulated until
-    the generated subgroup has exactly the index predicted by local
-    reciprocity.  Overshooting the prediction is an arithmetic error;
-    failing to reach it within the sampling budget raises
-    InsufficientPrecision rather than returning an uncertified subgroup.
-    Only the cyclic quartic without a tame symbol reaches this.
-    """
-    order = _class_group_order(p, m)
-    identity = power_class(Fraction(1), m, p)
-    gens: list[PowerClass] = []
-    group = frozenset({identity})
-    coefficient_pools = [(0, 1, -1, 2, -2), (0, 1, -1, 2, -2, 3, -3, 4, 5)]
-    modulus = (d,) + (0,) * (m - 1)  # x^m = d
-    for pool in coefficient_pools:
-        for tup in itertools.product(pool, repeat=m):
-            if not any(tup):
-                continue
-            value = quotient_norm(tup, modulus)
-            if value == 0:
-                continue
-            cls = power_class(value, m, p)
-            if cls in group:
-                continue
-            gens.append(cls)
-            group = _subgroup_closure(gens, identity)
-            index = order // len(group)
-            if index < expected_index:
-                raise ArithmeticError(
-                    f"norm subgroup of x^{m} - {d} over Q_{p} exceeds the "
-                    f"predicted index {expected_index}"
-                )
-            if index == expected_index:
-                return group
-    if order // len(group) != expected_index:
-        raise InsufficientPrecision(
-            f"norm subgroup of x^{m} - {d} over Q_{p} did not stabilize at "
-            f"index {expected_index} within the sampling budget"
-        )
-    return group
-
-
 def _tame_symbol_is_trivial(x: Fraction, d: Fraction, p: int, m: int) -> bool:
     """Is the tame m-th power symbol (x, d)_p trivial (p odd, p = 1 mod m)?
 
@@ -309,7 +234,7 @@ def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> b
     x lies in the product of their norm groups; a linear factor therefore
     makes every x a norm.  Degrees 2, 3, 4 are supported.
 
-    Decision routes, all closed forms but one:
+    Decision routes, all closed forms:
 
     * degree 2 and every quadratic subcase: the Hilbert symbol;
     * p = 1 mod m (Kummer: mu_m in Q_p, p odd and prime to m): the algebra
@@ -318,8 +243,12 @@ def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> b
       Neukirch, Algebraic Number Theory, V.3);
     * degree 3 otherwise: no cube roots of unity, so the cubic is not
       Galois and its norm map is onto;
-    * the cyclic quartic at p = 2 or p = 3 mod 4 with -d a square: the
-      norm subgroup is sampled and its index certified.
+    * degree 4 at p = 2 or p = 3 mod 4 with -d = s^2: with a^2 = is the
+      other roots are -a and +-s/a, so the Galois group is Z/2 x Z/2, and
+      (a + s/a)^2 = 2s makes the algebra Q_p(i, sqrt(2s)) (a product of
+      copies of Q_p(i) when +-2s is a square).  Its norm group is the
+      intersection of those of Q_p(i) and Q_p(sqrt(2s)): two Hilbert
+      symbols.
     """
     x = Fraction(x)
     d = Fraction(d)
@@ -345,16 +274,10 @@ def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> b
         # x^2 - s and x^2 + s, whose norm groups differ by the nontrivial
         # character attached to -1, so together they fill Q_p*.
         return True
-    if is_nth_power(-4 * d, 4, p, precision):
-        # x^4 - d = (x^2 - 2wx + 2w^2)(x^2 + 2wx + 2w^2); both factors
-        # generate the quadratic field with square root of -1.
-        return hilbert2(x, -1, p)[0] == 1
-    # Irreducible quartic.  It is Galois (hence abelian, hence of norm
-    # index 4) exactly when a square root of -1 lies in the field, i.e.
-    # when -d is a square.
     if is_nth_power(-d, 2, p, precision):
-        group = _norm_subgroup(p, 4, d, 4)
-        return power_class(x, 4, p) in group
+        # d = -s^2: the biquadratic algebra Q_p(i, sqrt(2s)) (see above).
+        s = padic_root(PadicNumber.from_fraction(-d, p, precision), 2)
+        return hilbert2(x, -1, p)[0] == 1 and hilbert2(x, 2 * s, p)[0] == 1
     # Non-Galois quartic: norms agree with those of the quadratic
     # subfield generated by the square root of d.
     return hilbert2(x, d, p)[0] == 1

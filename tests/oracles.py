@@ -2,7 +2,7 @@
 `symbols`, and of the linear-time local point search in `reichardt_lind`.
 
 A power-class label is the least member of its coset, found by listing the
-whole n-th power subgroup.  Norm membership for a cyclic radical extension
+whole n-th power subgroup.  Norm membership for an abelian radical extension
 lists every class of Q_p*/(Q_p*)**m and samples norms until the generated
 subgroup reaches the index predicted by local reciprocity.  Classes are
 kept here as plain (valuation mod n, label) pairs built from the oracle's
@@ -163,7 +163,8 @@ def norm_subgroup(p: int, m: int, d: Fraction, expected_index: int) -> frozenset
 
 def is_local_norm(x, p: int, m: int, d) -> bool:
     """Norm membership by the enumerating route: sampled norm subgroups for
-    the cyclic cases, Hilbert symbols for the quadratic ones."""
+    the abelian cubic and quartic cases, Hilbert symbols for the quadratic
+    ones."""
     x, d = Fraction(x), Fraction(d)
     if is_nth_power(d, m, p):
         return True

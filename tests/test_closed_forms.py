@@ -7,10 +7,11 @@ from fractions import Fraction
 import oracles
 import pytest
 
+from localglobal import symbols
 from localglobal.exact import primes_up_to
-from localglobal.padic import _canonical_unit_label, _unit_label_digits
+from localglobal.padic import _canonical_unit_label, _unit_label_digits, padic_root
 from localglobal.reichardt_lind import density_experiment, twist_search
-from localglobal.symbols import _class_group_order, is_local_norm
+from localglobal.symbols import is_local_norm
 
 PRIMES_2000 = primes_up_to(2000)
 
@@ -40,12 +41,6 @@ def test_every_label_at_two_and_three():
         for n in ns:
             for u, label in oracles.coset_labels(p, n).items():
                 assert _canonical_unit_label(u, n, p) == label, (p, n, u)
-
-
-def test_class_group_order_matches_enumeration():
-    for p in (2, 3, 5, 7, 11, 13, 17):
-        for n in (2, 3, 4, 6):
-            assert _class_group_order(p, n) == len(oracles.all_power_classes(p, n)), (p, n)
 
 
 def _d_values(p: int, m: int) -> list[Fraction]:
@@ -92,3 +87,38 @@ def test_is_local_norm_on_drawn_cases():
 def test_twist_search_to_100000_counts_every_valid_twist():
     twists = twist_search(2, 10**5)
     assert len(twists) == density_experiment(2, 10**5).valid_count == 1202
+
+
+def _minus_square_d_values(p: int) -> list[Fraction]:
+    """d = -s^2 for several square classes of s and valuations 0..3 of s:
+    -d is a square and d is not, since -1 is not a square at these p."""
+    units = (1, 3, 5, 7) if p == 2 else (1, 2, p - 1)
+    return [-Fraction(u * p**b) ** 2 for u in units for b in range(4) if u % p]
+
+
+def test_is_local_norm_biquadratic_branch(monkeypatch):
+    """At p = 2 and every p = 3 mod 4 below 2000, d = -s^2 goes through the
+    two Hilbert symbols of Q_p(i, sqrt(2s)); the oracle samples the norm
+    subgroup instead.  Every class of x below 200, seeded x above."""
+    rng = random.Random(4)
+    roots = []
+
+    def spy(*args):
+        roots.append(args)
+        return padic_root(*args)
+
+    monkeypatch.setattr(symbols, "padic_root", spy)
+    cases = 0
+    for p in (q for q in PRIMES_2000 if q == 2 or q % 4 == 3):
+        if p < 200:
+            xs = _class_values(p, 4)
+        else:
+            xs = [Fraction(rng.choice((1, -1)) * rng.randrange(1, 10**6) * p**rng.randrange(4),
+                           rng.randrange(1, p)) for _ in range(8)]
+        for d in _minus_square_d_values(p):
+            for x in xs:
+                calls = len(roots)
+                assert is_local_norm(x, p, 4, d) == oracles.is_local_norm(x, p, 4, d), (x, p, d)
+                assert len(roots) == calls + 1, (x, p, d)
+                cases += 1
+    assert cases > 15000

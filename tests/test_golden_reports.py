@@ -19,7 +19,7 @@ GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
 
 def test_golden_files_present():
-    assert len(GOLDEN) == 8
+    assert len(GOLDEN) == 9
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)

@@ -258,3 +258,20 @@ def test_precision_below_the_derivative_valuation_is_insufficient(precision):
     # derivative of valuation 2, which 1 or 2 digits cannot show
     with pytest.raises(InsufficientPrecision, match="cannot show a derivative"):
         local_point(TwistParams(2, 17), 2, precision)
+
+
+def test_uncertifiable_branches_are_not_refined(monkeypatch):
+    # at precision 3 every certified branch over Q_2 needs more than
+    # 2t = 4 digits; the first such branches are the 2^6 zeros mod 2^5,
+    # and none of their descendants is tried again
+    calls = []
+    certify = reichardt_lind._certify
+
+    def counting_certify(*args):
+        calls.append(args)
+        return certify(*args)
+
+    monkeypatch.setattr(reichardt_lind, "_certify", counting_certify)
+    with pytest.raises(InsufficientPrecision, match="3 digits over Q_2"):
+        local_point(TwistParams(2, 17), 2, precision=3)
+    assert 0 < len(calls) <= 2**6

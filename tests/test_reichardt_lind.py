@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from localglobal.padic import InsufficientPrecision
 from localglobal.reichardt_lind import (
     DensityReport,
     LocalPoint,
@@ -145,6 +146,13 @@ class TestForcedSectionInvariants:
             assert not twist_conditions(tw).quartic_nonresidue
             rep = forced_section_invariants(tw)
             assert ZERO in rep.contribution(p)
+
+    def test_low_precision_names_place_and_precision(self):
+        # at q = 2, -31 = s^2: the symbol (x, 2s) needs s mod 8, and the
+        # square root over Q_2 keeps one digit less than it is given
+        with pytest.raises(InsufficientPrecision, match="at 2 needs more than precision 3"):
+            forced_section_invariants(TwistParams(2, 31), precision=3)
+        assert forced_section_invariants(TwistParams(2, 31), precision=4).verdict == "unobstructed"
 
 
 class TestTwistConditions:
