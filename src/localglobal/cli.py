@@ -15,7 +15,7 @@ invocation does not pay for the whole argparse tree.
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (precision budget exhausted), 1 for
 runtime errors and failed self-checks (status "error"), 64 for usage errors,
-a --precision or --max-prime below 1 among them.
+a --precision, --max-prime, --samples or --height below 1 among them.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ _CLI = {
     }),
     "rl": ("the quartic twist family ell*y^2 = z^4 - p", {
         "verify": [_ELL, (("--p",), {"type": int, "required": True}),
-                   (("--samples",), {"type": int, "default": 20,
+                   (("--samples",), {"type": _positive_int, "default": 20,
                                      "help": "number of adelic points to sample (default 20)"})],
         "search": [_ELL],
         "density": [_ELL],
@@ -128,7 +128,7 @@ _CLI = {
     "elkies": ("the quartic family with constant N(t)", {
         "verify": [(("--t",), {"type": _parameter_t, "required": True,
                                "help": "rational parameter, or 'infinity'"})],
-        "scan": [(("--height",), {"type": int, "default": 10})],
+        "scan": [(("--height",), {"type": _positive_int, "default": 10})],
     }),
     "selmer": ("the diagonal cubic 3X^3+4Y^3+5Z^3", {"verify": [], "survival": []}),
 }

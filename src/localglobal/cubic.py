@@ -9,12 +9,14 @@ pi^6 = -27, that residue of a unit a + b zeta_3 depends only on
 (a mod 27, b mod 27), and one table of those 729 pairs, built from
 integer residues, gives every cube class.
 
-Everything here is exact: elements are quotient-ring elements with
-rational coordinates in the basis 1, zeta_3, and classes are vectors in
-F_3^4.  The cubic Hilbert pairing is the one nonzero bilinear form on
-F_3^4, up to scale, that obeys the Steinberg relations (x, 1 - x) = 0
-and (x, -x) = 0 on a box of small elements; it is solved for by linear
-algebra over F_3, and its skewness and rank are checked afterwards.
+Everything here is exact: an element a + b zeta_3 is an `Eisenstein`,
+a pair of Fraction coordinates multiplied by `_pair_product`, the same
+product the integer residue tables use, with norm a^2 - ab + b^2; classes
+are vectors in F_3^4.  The cubic Hilbert pairing is the one nonzero
+bilinear form on F_3^4, up to scale, that obeys the Steinberg relations
+(x, 1 - x) = 0 and (x, -x) = 0 on a box of small elements; it is solved
+for by linear algebra over F_3, and its skewness and rank are checked
+afterwards.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .exact import CertificateError, QuotientElement, residue, valuation
@@ -40,15 +43,36 @@ __all__ = [
 
 
 # ------------------------------------------------------------ ring elements
+def _pair_product(x: tuple, y: tuple) -> tuple:
+    """(a + b zeta_3)(c + d zeta_3) on pairs of ints or Fractions."""
+    (a, b), (c, d) = x, y
+    bd = b * d
+    return a * c - bd, a * d + b * c - bd
+
+
 class Eisenstein(QuotientElement):
     """a + b zeta_3 with rational coordinates (zeta_3^2 = -1 - zeta_3)."""
 
     __slots__ = ()
-    MODULUS = (-1, -1)
     VARIABLE = "zeta3"
+    _product = staticmethod(_pair_product)
+
+    def __init__(self, *coeffs):
+        if len(coeffs) != 2:
+            raise ValueError(f"Eisenstein takes 2 coordinates, not {len(coeffs)}")
+        self.coeffs = (Fraction(coeffs[0]), Fraction(coeffs[1]))
+
+    @staticmethod
+    def _scalar(x) -> tuple:
+        return Fraction(x), Fraction(0)
 
     a = property(lambda self: self.coeffs[0])
     b = property(lambda self: self.coeffs[1])
+
+    def norm(self) -> Fraction:
+        """N(a + b zeta_3) = a^2 - ab + b^2."""
+        a, b = self.coeffs
+        return a * a - a * b + b * b
 
     def conjugate(self) -> "Eisenstein":
         """The nontrivial automorphism: zeta_3 -> zeta_3^2."""
@@ -102,13 +126,6 @@ def unit_part(x: Eisenstein) -> tuple[int, Eisenstein]:
 
 # ------------------------------------------------------ cube classification
 _UNIT_GENERATORS = (ZETA, ONE + PI * PI, ONE + PI * PI * PI)
-
-
-def _pair_product(x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """(a + b zeta_3)(c + d zeta_3) on integer pairs."""
-    (a, b), (c, d) = x, y
-    bd = b * d
-    return a * c - bd, a * d + b * c - bd
 
 
 def _key_mod_pi5(x: tuple[int, int]) -> tuple[int, int]:

@@ -1,6 +1,7 @@
 """Exact integer and rational arithmetic: primality, factoring, p-adic
-valuations and residues mod m, residue symbols, and elements of quotient
-rings R[x]/(x^n - r(x)).
+valuations and residues mod m, residue symbols, and `QuotientElement`, the
+operator shell that the rings Q(zeta_3) (`cubic.Eisenstein`) and
+Q(zeta_3, cbrt(6)) (`tower.KElement`) fill in with their own product.
 
 All routines are deterministic: the Miller-Rabin witnesses below 2**64 are a
 fixed proven-complete base set, larger inputs use 40 rounds drawn from an RNG
@@ -363,96 +364,22 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, ok in enumerate(sieve) if ok]
 
 
-# ------------------------------------------------------------ quotient rings
-def _quotient_product(a, b, modulus) -> tuple:
-    """Product of two coefficient tuples in R[x]/(x^n - r(x)).
-
-    Tuples list coefficients by ascending power of x; `modulus` holds
-    r_0, ..., r_(n-1), so x^n = r_0 + r_1 x + ... + r_(n-1) x^(n-1).
-    Schoolbook multiplication, then x^(2n-2), ..., x^n are reduced from
-    the top.  The coefficients only need + and *.
-    """
-    n = len(modulus)
-    raw = [a[0] * y for y in b]
-    for i in range(1, n):
-        x = a[i]
-        for j in range(n - 1):
-            raw[i + j] = raw[i + j] + x * b[j]
-        raw.append(x * b[-1])
-    for k in range(2 * n - 2, n - 1, -1):
-        top = raw.pop()
-        for i, r in enumerate(modulus):
-            if r == -1:  # as in Q(zeta_3): a subtraction, not a product
-                raw[k - n + i] = raw[k - n + i] - top
-            elif r:
-                raw[k - n + i] = raw[k - n + i] + top * r
-    return tuple(raw)
-
-
-def _det(mat):
-    """Division-free determinant by first-column cofactor expansion."""
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = None
-    for i in range(n):
-        minor = [row[1:] for j, row in enumerate(mat) if j != i]
-        term = mat[i][0] * _det(minor)
-        if i % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
-def quotient_norm(coeffs, modulus):
-    """Norm of sum(coeffs[i] x^i) from R[x]/(x^n - r(x)) down to R.
-
-    It is the determinant of multiplication by the element in the basis
-    1, x, ..., x^(n-1) (Cohen, A Course in Computational Algebraic Number
-    Theory, section 4.2), so it is multiplicative by construction.  Column
-    j holds x^j times the element: multiplying by x shifts the
-    coefficients up and folds the top one back in through r.
-    """
-    col = list(coeffs)
-    cols = [col]
-    for _ in range(len(modulus) - 1):
-        top = col[-1]
-        col = [top * modulus[0]] + [c + top * r if r else c for c, r in zip(col, modulus[1:])]
-        cols.append(col)
-    return _det([list(row) for row in zip(*cols)])
-
-
+# ------------------------------------------------------------ ring elements
 class QuotientElement:
-    """An element c_0 + c_1 x + ... + c_(n-1) x^(n-1) of R[x]/(x^n - r(x)).
+    """The operator shell of a ring element stored as a coordinate tuple.
 
-    A subclass fixes the ring: BASE is the coefficient ring R (Fraction or
-    another subclass), MODULUS holds r_0, ..., r_(n-1) as in
-    `_quotient_product`, and VARIABLE names x when printing.  Integers,
-    Fractions and elements of BASE, or of its own base, act as scalars:
-    they add into c_0 and multiply coefficientwise.  Results of arithmetic
-    are built by `_make`, which takes the coefficients as they are.
+    A subclass fixes the ring: `_product(a, b)` multiplies two coordinate
+    tuples, `_scalar(x)` gives the coordinates of a scalar x, and
+    `_SCALARS` lists the scalar types.  Integers and Fractions add into
+    the first coordinate and multiply coordinatewise; any other scalar is
+    embedded by `_scalar` first.  Results of arithmetic are built by
+    `_make`, which takes the coordinates as they are, and VARIABLE names
+    the generator when printing.
     """
 
     __slots__ = ("coeffs",)
-    BASE = Fraction
-    MODULUS: tuple = ()
+    _SCALARS: tuple = (int, Fraction)
     VARIABLE = "x"
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        base = cls.BASE
-        if base is Fraction:
-            cls._coerce = staticmethod(Fraction)
-            cls._SCALARS = (int, Fraction)
-        else:
-            cls._coerce = staticmethod(base.of)
-            cls._SCALARS = (base,) + base._SCALARS
-        cls._ZEROS = (cls._coerce(0),) * (len(cls.MODULUS) - 1)
-
-    def __init__(self, *coeffs):
-        if len(coeffs) != len(self.MODULUS):
-            raise ValueError(f"{type(self).__name__} takes {len(self.MODULUS)} coefficients")
-        self.coeffs = tuple(map(self._coerce, coeffs))
 
     @classmethod
     def _make(cls, coeffs: tuple):
@@ -465,7 +392,7 @@ class QuotientElement:
         """x itself, or the scalar x as an element."""
         if isinstance(x, cls):
             return x
-        return cls._make((cls._coerce(x),) + cls._ZEROS)
+        return cls._make(cls._scalar(x))
 
     @property
     def is_zero(self) -> bool:
@@ -485,8 +412,10 @@ class QuotientElement:
     def __add__(self, other):
         if type(other) is type(self):
             return self._make(tuple([s + t for s, t in zip(self.coeffs, other.coeffs)]))
-        if isinstance(other, self._SCALARS):
+        if isinstance(other, (int, Fraction)):
             return self._make((self.coeffs[0] + other,) + self.coeffs[1:])
+        if isinstance(other, self._SCALARS):
+            return self + self.of(other)
         return NotImplemented
 
     __radd__ = __add__
@@ -497,8 +426,10 @@ class QuotientElement:
     def __sub__(self, other):
         if type(other) is type(self):
             return self._make(tuple([s - t for s, t in zip(self.coeffs, other.coeffs)]))
-        if isinstance(other, self._SCALARS):
+        if isinstance(other, (int, Fraction)):
             return self._make((self.coeffs[0] - other,) + self.coeffs[1:])
+        if isinstance(other, self._SCALARS):
+            return self - self.of(other)
         return NotImplemented
 
     def __rsub__(self, other):
@@ -506,9 +437,11 @@ class QuotientElement:
 
     def __mul__(self, other):
         if type(other) is type(self):
-            return self._make(_quotient_product(self.coeffs, other.coeffs, self.MODULUS))
-        if isinstance(other, self._SCALARS):
+            return self._make(self._product(self.coeffs, other.coeffs))
+        if isinstance(other, (int, Fraction)):
             return self._make(tuple([c * other for c in self.coeffs]))
+        if isinstance(other, self._SCALARS):
+            return self * self.of(other)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -524,10 +457,6 @@ class QuotientElement:
             if k:
                 base = base * base
         return self.of(1) if out is None else out
-
-    def norm(self):
-        """Norm down to BASE: the determinant of multiplication by self."""
-        return quotient_norm(self.coeffs, self.MODULUS)
 
     def __str__(self) -> str:
         powers = ["", f"*{self.VARIABLE}"] + [f"*{self.VARIABLE}^{i}" for i in range(2, len(self.coeffs))]

@@ -1,12 +1,14 @@
 """Exact arithmetic in the cubic tower Q(zeta_3) <= Q(zeta_3, cbrt(6)).
 
 k = Q(zeta_3) is `cubic.Eisenstein`; K = k(eps) with eps^3 = 6 has
-elements c0 + c1 eps + c2 eps^2 with coordinates in k, and `KElement` is
-the quotient ring over `Eisenstein` that carries them.  The curve
-polynomials below and the descent function in K[delta]/(delta^3 - 10)
-store elements of K flat over Z[zeta_3, eps] instead: a 6-tuple of
-coordinates that are ints whenever they are integral, multiplied by
-`_k_product`, whose nine Z[zeta_3] pair products fold back by eps^3 = 6.
+elements c0 + c1 eps + c2 eps^2 with coordinates in k.  A `KElement`
+stores one flat over Z[zeta_3, eps]: the 6-tuple of the rational
+coordinates of c0, c1 and c2, ints whenever they are integral, multiplied
+by `_k_product`, whose nine Z[zeta_3] pair products fold back by
+eps^3 = 6.  The curve polynomials and the descent function in
+K[delta]/(delta^3 - 10) below hold their coefficients as the same tuples.
+Norms to k run on integer pairs after clearing denominators: the closed
+form of `_closed_norm`, checked against the determinant of multiplication.
 The Galois group of K/k is generated by sigma: eps -> zeta_3 eps.  On the
 plane cubic 3X^3 + 4Y^3 + 5Z^3 = 0 the Lagrange-resolvent function
 
@@ -47,79 +49,10 @@ __all__ = [
 ]
 
 
-# ------------------------------------------------------------- field tower
-class KElement(QuotientElement):
-    """c0 + c1 eps + c2 eps^2 with eps^3 = 6 and c_i in Q(zeta_3)."""
-
-    __slots__ = ()
-    BASE = Eisenstein
-    MODULUS = (6, 0, 0)
-    VARIABLE = "eps"
-
-    c0 = property(lambda self: self.coeffs[0])
-    c1 = property(lambda self: self.coeffs[1])
-    c2 = property(lambda self: self.coeffs[2])
-
-    @property
-    def is_cyclo(self) -> bool:
-        return not (self.coeffs[1] or self.coeffs[2])
-
-
-EPS = KElement(0, 1, 0)
-GAMMA = KElement(2 * ZETA, 2 * ZETA + 1, ZETA)  # norm -10
-
-
-def norm_K_over_k(x: KElement) -> Eisenstein:
-    """Norm to k: x sigma(x) sigma^2(x), which for eps^3 = 6 is the closed
-    form c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2, cross-checked against the
-    determinant of multiplication by x.
-
-    Both run on d x, whose coordinates are integer pairs for d the least
-    common denominator of the six rational coordinates; the norm is cubic,
-    so N(x) = N(d x) / d^3.
-    """
-    pairs = [c.coeffs for c in x.coeffs]
-    d = math.lcm(*(q.denominator for pair in pairs for q in pair))
-    c0, c1, c2 = scaled = [
-        Eisenstein._make((a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)))
-        for a, b in pairs
-    ]
-    closed = c0 * c0 * c0 + 6 * (c1 * c1 * c1) + 36 * (c2 * c2 * c2) - 18 * (c0 * c1 * c2)
-    if closed != KElement._make(tuple(scaled)).norm():
-        raise CertificateError(f"norm evaluations of {x} disagree")
-    d3 = d * d * d
-    return Eisenstein._make(tuple(Fraction(c, d3) for c in closed.coeffs))
-
-
-def gamma_search(bound: int) -> list[KElement]:
-    """All elements with coordinates x + y zeta_3, |x|, |y| <= bound, whose
-    norm to k is exactly -10.
-
-    The closed-form norm is evaluated on integer pairs (a, b) = a + b zeta_3,
-    and every hit is certified by `norm_K_over_k`.
-    """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    span = range(-bound, bound + 1)
-    pairs = list(itertools.product(span, repeat=2))
-    cubes = {c: _pair_product(c, _pair_product(c, c)) for c in pairs}
-    target = Eisenstein.of(-10)
-    found = []
-    for c0, c1, c2 in itertools.product(pairs, repeat=3):
-        (a0, b0), (a1, b1), (a2, b2) = cubes[c0], cubes[c1], cubes[c2]
-        m0, m1 = _pair_product(c0, _pair_product(c1, c2))
-        if a0 + 6 * a1 + 36 * a2 - 18 * m0 == -10 and b0 + 6 * b1 + 36 * b2 - 18 * m1 == 0:
-            cand = KElement(Eisenstein(*c0), Eisenstein(*c1), Eisenstein(*c2))
-            if norm_K_over_k(cand) != target:
-                raise CertificateError(f"integer norm search accepted {cand}")
-            found.append(cand)
-    return found
-
-
 # ------------------------------------------------ flat Z[zeta_3, eps] kernel
 # An element (a0 + b0 zeta) + (a1 + b1 zeta) eps + (a2 + b2 zeta) eps^2 of K
 # is the flat 6-tuple (a0, b0, a1, b1, a2, b2) of int or Fraction
-# coordinates; `_flat` and `CurvePolynomial` keep the integral ones ints.
+# coordinates, ints wherever they are integral.
 _FLAT_ZERO = (0,) * 6
 
 
@@ -128,16 +61,6 @@ def _int_coordinates(c) -> tuple:
     if Fraction not in map(type, c):
         return tuple(c)
     return tuple([v.numerator if type(v) is Fraction and v.denominator == 1 else v for v in c])
-
-
-def _flat(x) -> tuple:
-    """A KElement, Eisenstein, int or Fraction as a flat 6-tuple."""
-    return _int_coordinates([v for c in KElement.of(x).coeffs for v in c.coeffs])
-
-
-def _k_element(c: tuple) -> KElement:
-    """The flat 6-tuple c as a KElement with Fraction coordinates."""
-    return KElement(Eisenstein(c[0], c[1]), Eisenstein(c[2], c[3]), Eisenstein(c[4], c[5]))
 
 
 def _k_sum(x: tuple, y: tuple) -> tuple:
@@ -183,21 +106,147 @@ def _div3(v):
     return Fraction(v, 3)
 
 
+def _integer_pairs(c: tuple) -> tuple[int, tuple]:
+    """(d, (c0, c1, c2)): d the least common denominator of the flat
+    6-tuple c, and the coordinates of d c as three integer pairs."""
+    d = math.lcm(*(v.denominator for v in c))
+    a0, b0, a1, b1, a2, b2 = (v.numerator * (d // v.denominator) for v in c)
+    return d, ((a0, b0), (a1, b1), (a2, b2))
+
+
+def _closed_norm(c0: tuple, c1: tuple, c2: tuple) -> tuple[int, int]:
+    """N(c0 + c1 eps + c2 eps^2) = c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2
+    on Z[zeta_3] pairs."""
+    (a0, b0), (a1, b1), (a2, b2) = (_pair_product(c, _pair_product(c, c)) for c in (c0, c1, c2))
+    m0, m1 = _pair_product(c0, _pair_product(c1, c2))
+    return a0 + 6 * a1 + 36 * a2 - 18 * m0, b0 + 6 * b1 + 36 * b2 - 18 * m1
+
+
+def _pair_det3(rows) -> tuple[int, int]:
+    """Determinant of a 3 x 3 matrix of Z[zeta_3] pairs, by cofactors
+    along the first row."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+
+    def minor(p, q, r, s):  # p s - q r
+        (ps0, ps1), (qr0, qr1) = _pair_product(p, s), _pair_product(q, r)
+        return ps0 - qr0, ps1 - qr1
+
+    (t0, t1), (u0, u1), (w0, w1) = (
+        _pair_product(a, minor(e, f, h, i)),
+        _pair_product(b, minor(d, f, g, i)),
+        _pair_product(c, minor(d, e, g, h)),
+    )
+    return t0 - u0 + w0, t1 - u1 + w1
+
+
+def _over(pair: tuple[int, int], d: int) -> Eisenstein:
+    """The integer pair divided by d, as an Eisenstein."""
+    return Eisenstein._make((Fraction(pair[0], d), Fraction(pair[1], d)))
+
+
+# ------------------------------------------------------------- field tower
+class KElement(QuotientElement):
+    """c0 + c1 eps + c2 eps^2 with eps^3 = 6 and c_i in Q(zeta_3), stored
+    as the flat 6-tuple of its rational coordinates.
+
+    The constructor takes three Eisenstein, int or Fraction coordinates;
+    `c0`, `c1` and `c2` read them back as Eisenstein.
+    """
+
+    __slots__ = ()
+    _SCALARS = (Eisenstein, int, Fraction)
+    _product = staticmethod(_k_product)
+
+    def __init__(self, *coeffs):
+        if len(coeffs) != 3:
+            raise ValueError(f"KElement takes 3 coordinates, not {len(coeffs)}")
+        self.coeffs = _int_coordinates([v for c in coeffs for v in Eisenstein.of(c).coeffs])
+
+    @classmethod
+    def _make(cls, coeffs: tuple) -> "KElement":
+        out = object.__new__(cls)
+        out.coeffs = _int_coordinates(coeffs)
+        return out
+
+    @staticmethod
+    def _scalar(x) -> tuple:
+        return Eisenstein.of(x).coeffs + (0, 0, 0, 0)
+
+    c0 = property(lambda self: Eisenstein(*self.coeffs[0:2]))
+    c1 = property(lambda self: Eisenstein(*self.coeffs[2:4]))
+    c2 = property(lambda self: Eisenstein(*self.coeffs[4:6]))
+
+    @property
+    def is_cyclo(self) -> bool:
+        return not any(self.coeffs[2:])
+
+    def norm(self) -> Eisenstein:
+        """N_{K/k}: the determinant of multiplication by self in the basis
+        1, eps, eps^2 (Cohen, A Course in Computational Algebraic Number
+        Theory, section 4.2).  Its columns are x, eps x and eps^2 x, each
+        folded back by eps^3 = 6.  It runs on d x, whose coordinates are
+        integer pairs for d the least common denominator; the norm is
+        cubic, so N(x) = N(d x) / d^3."""
+        d, (c0, c1, c2) = _integer_pairs(self.coeffs)
+        six1, six2 = (6 * c1[0], 6 * c1[1]), (6 * c2[0], 6 * c2[1])
+        return _over(_pair_det3(((c0, six2, six1), (c1, c0, six2), (c2, c1, c0))), d * d * d)
+
+    def __str__(self) -> str:
+        powers = ("", "*eps", "*eps^2")
+        return " + ".join(f"({c}){x}" for c, x in zip((self.c0, self.c1, self.c2), powers))
+
+
+EPS = KElement(0, 1, 0)
+GAMMA = KElement(2 * ZETA, 2 * ZETA + 1, ZETA)  # norm -10
+
+
 def sigma(x: KElement) -> KElement:
     """The automorphism of K/k sending eps to zeta_3 eps."""
-    return _k_element(_k_sigma(_flat(x)))
+    return KElement._make(_k_sigma(x.coeffs))
+
+
+def norm_K_over_k(x: KElement) -> Eisenstein:
+    """Norm to k: x sigma(x) sigma^2(x), which for eps^3 = 6 is the closed
+    form c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2, cross-checked against
+    `KElement.norm`, the determinant of multiplication by x.  Both run on
+    integer pairs."""
+    d, pairs = _integer_pairs(x.coeffs)
+    closed = _over(_closed_norm(*pairs), d * d * d)
+    if closed != x.norm():
+        raise CertificateError(f"norm evaluations of {x} disagree")
+    return closed
+
+
+def gamma_search(bound: int) -> list[KElement]:
+    """All elements with coordinates x + y zeta_3, |x|, |y| <= bound, whose
+    norm to k is exactly -10.
+
+    The closed-form norm is evaluated on integer pairs (a, b) = a + b zeta_3,
+    and every hit is certified by `norm_K_over_k`.
+    """
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    span = range(-bound, bound + 1)
+    pairs = list(itertools.product(span, repeat=2))
+    target = Eisenstein.of(-10)
+    found = []
+    for c0, c1, c2 in itertools.product(pairs, repeat=3):
+        if _closed_norm(c0, c1, c2) == (-10, 0):
+            cand = KElement._make(c0 + c1 + c2)
+            if norm_K_over_k(cand) != target:
+                raise CertificateError(f"integer norm search accepted {cand}")
+            found.append(cand)
+    return found
 
 
 # ----------------------------------------------------- curve polynomials
 class CurvePolynomial:
     """Polynomial in X, Y, Z over K.
 
-    Monomials are exponent triples and coefficients are stored flat over
-    Z[zeta_3, eps]: the 6-tuple (a0, b0, a1, b1, a2, b2) stands for
-    (a0 + b0 zeta_3) + (a1 + b1 zeta_3) eps + (a2 + b2 zeta_3) eps^2, with
-    int coordinates whenever they are integral, and products run on
-    `_k_product`.  The constructor takes KElement, Eisenstein, int or
-    Fraction coefficients, and `evaluate` returns a KElement.  Reduction
+    Monomials are exponent triples and coefficients are the flat 6-tuples
+    of `KElement`, so products run on `_k_product`.  The constructor takes
+    KElement, Eisenstein, int or Fraction coefficients, and `evaluate`
+    returns a KElement.  Reduction
     modulo the plane cubic 3X^3 + 4Y^3 + 5Z^3 rewrites
     X^3 -> (-4Y^3 - 5Z^3)/3, which puts every class into the normal form
     with X-exponent at most 2, so equality of reduced forms is equality
@@ -209,7 +258,7 @@ class CurvePolynomial:
     def __init__(self, terms=None):
         self.terms: dict[tuple[int, int, int], tuple] = {}
         for mono, coeff in (terms or {}).items():
-            coeff = _flat(coeff)
+            coeff = KElement.of(coeff).coeffs
             if any(coeff):
                 self.terms[tuple(mono)] = coeff
 
@@ -303,7 +352,7 @@ class CurvePolynomial:
         for (i, j, k), coeff in self.terms.items():
             scale = x**i * y**j * z**k
             total = _k_sum(total, [v * scale for v in coeff])
-        return _k_element(total)
+        return KElement._make(total)
 
 
 def _resolvent_parts():
@@ -388,15 +437,11 @@ def _embed_flat(c: tuple, p: int, zeta: int, eps: int) -> int:
     return (a0 + b0 * zeta + (a1 + b1 * zeta) * eps + (a2 + b2 * zeta) * eps * eps) % p
 
 
-def _embed(x: KElement, p: int, zeta: int, eps: int) -> int:
-    return _embed_flat(_flat(x), p, zeta, eps)
-
-
 def _embed_polynomial(f: CurvePolynomial, p: int, zeta: int, eps: int):
     """f with its flat coefficients embedded into F_p, as a function of a
     point (x, y, z) of residues mod p.  The embedding is a ring
     homomorphism on p-integral coefficients, so the value is
-    `_embed(f.evaluate(x, y, z))`."""
+    `_embed_flat(f.evaluate(x, y, z).coeffs)`."""
     terms = [(i, j, k, _embed_flat(c, p, zeta, eps)) for (i, j, k), c in f.terms.items()]
 
     def at(x: int, y: int, z: int) -> int:
@@ -469,8 +514,9 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
     for p in primes:
         zeta, eps = _embedding_data(p)
 
-        g_v, pert_v = _embed(GAMMA, p, zeta, eps), _embed(KElement.of(perturbed_norm), p, zeta, eps)
-        g2_v = _embed(sigma(sigma(GAMMA)), p, zeta, eps)
+        g_v = _embed_flat(GAMMA.coeffs, p, zeta, eps)
+        pert_v = _embed_flat(KElement.of(perturbed_norm).coeffs, p, zeta, eps)
+        g2_v = _embed_flat(sigma(sigma(GAMMA)).coeffs, p, zeta, eps)
         form_at = [_embed_polynomial(f, p, zeta, eps) for f in forms]
         num_at, den_at, snum_at, sden_at, s2num_at, s2den_at = (
             _embed_polynomial(f, p, zeta, eps) for f in conjugates
@@ -545,7 +591,7 @@ def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
     (9 - (81/5) zeta) + ((36/5) + (9/5) zeta) delta - (9/5) zeta delta^2,
     all denominators dividing 5.
     """
-    g = _flat(GAMMA)
+    g = GAMMA.coeffs
     conj = [g, _k_sigma(g), _k_sigma(_k_sigma(g))]
     one = (1, 0, 0, 0, 0, 0)
     product = (one, _FLAT_ZERO, _FLAT_ZERO)

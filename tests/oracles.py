@@ -15,17 +15,20 @@ a residue of the exact rational.  The good places of an Elkies fibre are
 swept with the library's own `local_point`, one search per prime.  The
 ring formulas are the hand-written products and norms of Q(zeta_3), of
 its extension by a cube root of 6 and of the delta-algebra over that,
-with the cofactor determinant behind the radical norms.  The Newton
+with the cofactor determinant behind the radical norms.  The generic
+modulus ring follows: quotient rings R[x]/(x^n - r(x)) multiplied and
+normed through their MODULUS, nested into Q(zeta_3), the tower over it
+and K[delta].  The Newton
 iteration on `PadicNumber` objects and the factoring with trial division
 up to 10**4 follow.  Last come the cube classes of Q_3(zeta_3) read off
 Fraction pi-digit expansions, the F_3 nullspace found by trying every
-vector, the K/k norm as closed form and
+vector, the K/k norm as closed form and generic
 determinant on Fraction coordinates, the search for elements of norm
 -10 that evaluates `norm_K_over_k` on every candidate, and the cubic
 Hilbert pairing matrix built from sampled norm subgroups of Kummer
 extensions.  Last, the curve polynomials of the identity suite with
-KElement coefficients, and the descent-value coefficients computed in the
-delta-algebra over KElement.
+generic K coefficients, and the descent-value coefficients computed in
+the delta-algebra over them.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ from localglobal.exact import (
     CertificateError,
     Factorization,
     FactorizationError,
-    QuotientElement,
     _TRIAL_PRIMES,
     _brent_rho,
     is_probable_prime,
@@ -75,7 +77,7 @@ from localglobal.reichardt_lind import (
     local_point as rl_local_point,
 )
 from localglobal.symbols import Place, hilbert2
-from localglobal.tower import EPS, GAMMA, KElement
+from localglobal.tower import GAMMA, KElement
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +318,7 @@ def certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
 
 
 # ------------------------------------------------------------ ring formulas
-# The hand-written ring arithmetic that `exact.QuotientElement` replaced.
+# The hand-written ring arithmetic that the ring classes replaced.
 # Elements are plain tuples: Q(zeta_3) as pairs (a, b) of Fractions, the
 # tower K = Q(zeta_3)(eps) as triples of pairs, K[delta] as triples of
 # K-triples.
@@ -400,6 +402,221 @@ def radical_norm(m: int, d: Fraction, coeffs) -> Fraction:
         col = [d * col[-1]] + col[:-1]
         cols.append(col)
     return det([[cols[j][i] for j in range(m)] for i in range(m)])
+
+
+# ------------------------------------------------ the generic modulus ring
+# The quotient rings R[x]/(x^n - r(x)) that `exact.QuotientElement` drove
+# by a MODULUS before each ring got its own product: a schoolbook product
+# reduced from the top, and the norm as the cofactor determinant of the
+# multiplication matrix.  Q(zeta_3), the tower over it and K[delta] are
+# built from it nested, one level over the next.
+
+
+def _quotient_product(a, b, modulus) -> tuple:
+    """Product of two coefficient tuples in R[x]/(x^n - r(x)).
+
+    Tuples list coefficients by ascending power of x; `modulus` holds
+    r_0, ..., r_(n-1), so x^n = r_0 + r_1 x + ... + r_(n-1) x^(n-1).
+    Schoolbook multiplication, then x^(2n-2), ..., x^n are reduced from
+    the top.  The coefficients only need + and *.
+    """
+    n = len(modulus)
+    raw = [a[0] * y for y in b]
+    for i in range(1, n):
+        x = a[i]
+        for j in range(n - 1):
+            raw[i + j] = raw[i + j] + x * b[j]
+        raw.append(x * b[-1])
+    for k in range(2 * n - 2, n - 1, -1):
+        top = raw.pop()
+        for i, r in enumerate(modulus):
+            if r == -1:  # as in Q(zeta_3): a subtraction, not a product
+                raw[k - n + i] = raw[k - n + i] - top
+            elif r:
+                raw[k - n + i] = raw[k - n + i] + top * r
+    return tuple(raw)
+
+
+def quotient_norm(coeffs, modulus):
+    """Norm of sum(coeffs[i] x^i) from R[x]/(x^n - r(x)) down to R.
+
+    It is the determinant of multiplication by the element in the basis
+    1, x, ..., x^(n-1) (Cohen, A Course in Computational Algebraic Number
+    Theory, section 4.2), so it is multiplicative by construction.  Column
+    j holds x^j times the element: multiplying by x shifts the
+    coefficients up and folds the top one back in through r.
+    """
+    col = list(coeffs)
+    cols = [col]
+    for _ in range(len(modulus) - 1):
+        top = col[-1]
+        col = [top * modulus[0]] + [c + top * r if r else c for c, r in zip(col, modulus[1:])]
+        cols.append(col)
+    return det([list(row) for row in zip(*cols)])
+
+
+class ModulusElement:
+    """An element c_0 + c_1 x + ... + c_(n-1) x^(n-1) of R[x]/(x^n - r(x)).
+
+    A subclass fixes the ring: BASE is the coefficient ring R (Fraction or
+    another subclass), MODULUS holds r_0, ..., r_(n-1) as in
+    `_quotient_product`, and VARIABLE names x when printing.  Integers,
+    Fractions and elements of BASE, or of its own base, act as scalars:
+    they add into c_0 and multiply coefficientwise.  Results of arithmetic
+    are built by `_make`, which takes the coefficients as they are.
+    """
+
+    __slots__ = ("coeffs",)
+    BASE = Fraction
+    MODULUS: tuple = ()
+    VARIABLE = "x"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        base = cls.BASE
+        if base is Fraction:
+            cls._coerce = staticmethod(Fraction)
+            cls._SCALARS = (int, Fraction)
+        else:
+            cls._coerce = staticmethod(base.of)
+            cls._SCALARS = (base,) + base._SCALARS
+        cls._ZEROS = (cls._coerce(0),) * (len(cls.MODULUS) - 1)
+
+    def __init__(self, *coeffs):
+        if len(coeffs) != len(self.MODULUS):
+            raise ValueError(f"{type(self).__name__} takes {len(self.MODULUS)} coefficients")
+        self.coeffs = tuple(map(self._coerce, coeffs))
+
+    @classmethod
+    def _make(cls, coeffs: tuple):
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
+    def of(cls, x):
+        """x itself, or the scalar x as an element."""
+        if isinstance(x, cls):
+            return x
+        return cls._make((cls._coerce(x),) + cls._ZEROS)
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __add__(self, other):
+        if type(other) is type(self):
+            return self._make(tuple([s + t for s, t in zip(self.coeffs, other.coeffs)]))
+        if isinstance(other, self._SCALARS):
+            return self._make((self.coeffs[0] + other,) + self.coeffs[1:])
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._make(tuple([-c for c in self.coeffs]))
+
+    def __sub__(self, other):
+        if type(other) is type(self):
+            return self._make(tuple([s - t for s, t in zip(self.coeffs, other.coeffs)]))
+        if isinstance(other, self._SCALARS):
+            return self._make((self.coeffs[0] - other,) + self.coeffs[1:])
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return self._make(_quotient_product(self.coeffs, other.coeffs, self.MODULUS))
+        if isinstance(other, self._SCALARS):
+            return self._make(tuple([c * other for c in self.coeffs]))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        out, base = None, self
+        while k:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return self.of(1) if out is None else out
+
+    def norm(self):
+        """Norm down to BASE: the determinant of multiplication by self."""
+        return quotient_norm(self.coeffs, self.MODULUS)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self.coeffs!r}"
+
+
+class GenericEisenstein(ModulusElement):
+    """a + b zeta_3 over Fraction, zeta_3^2 = -1 - zeta_3."""
+
+    __slots__ = ()
+    MODULUS = (-1, -1)
+    VARIABLE = "zeta3"
+
+
+class GenericK(ModulusElement):
+    """c0 + c1 eps + c2 eps^2 over `GenericEisenstein`, eps^3 = 6."""
+
+    __slots__ = ()
+    BASE = GenericEisenstein
+    MODULUS = (6, 0, 0)
+    VARIABLE = "eps"
+
+    c0 = property(lambda self: self.coeffs[0])
+
+    @property
+    def is_cyclo(self) -> bool:
+        return not (self.coeffs[1] or self.coeffs[2])
+
+
+class DeltaPoly(ModulusElement):
+    """Elements of K[delta]/(delta^3 - 10) over `GenericK`."""
+
+    __slots__ = ()
+    BASE = GenericK
+    MODULUS = (10, 0, 0)
+
+
+def generic(x) -> GenericK:
+    """A tower element (KElement, Eisenstein, int or Fraction) as a GenericK;
+    a GenericK is returned as it is."""
+    if isinstance(x, GenericK):
+        return x
+    c = KElement.of(x).coeffs
+    return GenericK(*(GenericEisenstein(c[i], c[i + 1]) for i in (0, 2, 4)))
+
+
+def flat(x: GenericK) -> tuple:
+    """The six rational coordinates of a GenericK, in the order of
+    `KElement.coeffs`."""
+    return tuple(v for c in x.coeffs for v in c.coeffs)
+
+
+def eisenstein(x: GenericEisenstein) -> Eisenstein:
+    return Eisenstein(*x.coeffs)
+
+
+G_ZETA = GenericEisenstein(0, 1)
+G_EPS = GenericK(0, 1, 0)
+G_GAMMA = generic(GAMMA)
 
 
 # ------------------------------------------------------- p-adic Newton
@@ -582,12 +799,14 @@ def express(x) -> tuple[int, int, int, int]:
 # ------------------------------------------------------- K/k norms
 def norm_K_over_k(x: KElement) -> Eisenstein:
     """The closed-form norm c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2 and the
-    determinant, both on the Fraction coordinates of x."""
-    c0, c1, c2 = x.coeffs
+    generic determinant, both on the Fraction coordinates of x in the
+    nested ring."""
+    g = generic(x)
+    c0, c1, c2 = g.coeffs
     closed = c0 * c0 * c0 + 6 * (c1 * c1 * c1) + 36 * (c2 * c2 * c2) - 18 * (c0 * c1 * c2)
-    if closed != x.norm():
+    if closed != g.norm():
         raise CertificateError(f"norm evaluations of {x} disagree")
-    return closed
+    return eisenstein(closed)
 
 
 # ------------------------------------------------------- norm -10 search
@@ -727,29 +946,30 @@ def pairing_matrix_from_norms() -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in matrix)
 
 
-# ------------------------------------ curve polynomials over KElement
+# ------------------------------------ curve polynomials over GenericK
 # The identity-suite arithmetic that flat Z[zeta_3, eps] coordinates in
-# `tower` replaced: coefficients are KElements with Fraction coordinates,
-# sigma multiplies by zeta_3 and zeta_3^2, the reduction rewrites one
-# monomial at a time from a work list, and the descent-value product runs
-# in the delta-algebra over KElement.
+# `tower` replaced: coefficients are GenericK elements with Fraction
+# coordinates, sigma multiplies by zeta_3 and zeta_3^2, the reduction
+# rewrites one monomial at a time from a work list, and the descent-value
+# product runs in the delta-algebra over GenericK.
 
 
-def sigma(x: KElement) -> KElement:
+def sigma(x: GenericK) -> GenericK:
     """The automorphism of K/k sending eps to zeta_3 eps."""
     c0, c1, c2 = x.coeffs
-    return KElement._make((c0, ZETA * c1, ZETA * ZETA * c2))
+    return GenericK._make((c0, G_ZETA * c1, G_ZETA * G_ZETA * c2))
 
 
 class CurvePolynomial:
-    """Polynomial in X, Y, Z with KElement coefficients."""
+    """Polynomial in X, Y, Z with GenericK coefficients; the constructor
+    also takes the tower's KElement, Eisenstein, int or Fraction."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms: dict[tuple[int, int, int], KElement] = {}
+        self.terms: dict[tuple[int, int, int], GenericK] = {}
         for mono, coeff in (terms or {}).items():
-            coeff = KElement.of(coeff)
+            coeff = generic(coeff)
             if not coeff.is_zero:
                 self.terms[tuple(mono)] = coeff
 
@@ -757,11 +977,11 @@ class CurvePolynomial:
     def variable(cls, name: str) -> "CurvePolynomial":
         idx = {"X": 0, "Y": 1, "Z": 2}[name]
         mono = tuple(1 if i == idx else 0 for i in range(3))
-        return cls({mono: KElement.of(1)})
+        return cls({mono: GenericK.of(1)})
 
     @classmethod
     def constant(cls, value) -> "CurvePolynomial":
-        return cls({(0, 0, 0): KElement.of(value)})
+        return cls({(0, 0, 0): value})
 
     def _merge(self, mono, coeff):
         if mono in self.terms:
@@ -822,8 +1042,8 @@ class CurvePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, x, y, z) -> KElement:
-        total = KElement.of(0)
+    def evaluate(self, x, y, z) -> GenericK:
+        total = GenericK.of(0)
         for (i, j, k), coeff in self.terms.items():
             total = total + coeff * (Fraction(x) ** i * Fraction(y) ** j * Fraction(z) ** k)
         return total
@@ -834,24 +1054,16 @@ def resolvent_parts():
     X = CurvePolynomial.variable("X")
     Y = CurvePolynomial.variable("Y")
     Z = CurvePolynomial.variable("Z")
-    forms = [2 * Y + KElement.of(ZETA**j) * EPS * X for j in range(3)]
-    num = forms[0] * forms[1] + GAMMA * (Z * forms[1]) + (GAMMA * sigma(GAMMA)) * (Z * Z)
+    forms = [2 * Y + G_ZETA**j * G_EPS * X for j in range(3)]
+    num = forms[0] * forms[1] + G_GAMMA * (Z * forms[1]) + (G_GAMMA * sigma(G_GAMMA)) * (Z * Z)
     den = forms[0] * forms[1]
     return num, den, forms, X, Y, Z
 
 
-class DeltaPoly(QuotientElement):
-    """Elements of K[delta]/(delta^3 - 10)."""
-
-    __slots__ = ()
-    BASE = KElement
-    MODULUS = (10, 0, 0)
-
-
 def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
     """The descent-value coefficients from the product of the three
-    conjugate quadratics in the delta-algebra over KElement."""
-    conj = [GAMMA, sigma(GAMMA), sigma(sigma(GAMMA))]
+    conjugate quadratics in the delta-algebra over GenericK."""
+    conj = [G_GAMMA, sigma(G_GAMMA), sigma(sigma(G_GAMMA))]
     product = DeltaPoly.of(1)
     for i in range(3):
         g_i, g_next = conj[i], conj[(i + 1) % 3]
@@ -860,4 +1072,4 @@ def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
         raise CertificateError("the norm must have coefficients in Q(zeta_3)")
     if DeltaPoly(0, 0, 1) ** 3 != DeltaPoly.of(100):
         raise CertificateError("delta^6 must reduce to 100")
-    return tuple(part.c0 * Fraction(1, 100) for part in product.coeffs)
+    return tuple(eisenstein(part.c0 * Fraction(1, 100)) for part in product.coeffs)

@@ -161,6 +161,10 @@ class TestPlumbing:
         ["elkies", "scan", "--height", "1", "--max-prime", "-5"],
         ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "-3"],
         ["rl", "search", "--ell", "2", "--max-prime", "0"],
+        ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "0"],
+        ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "-1"],
+        ["elkies", "scan", "--height", "-2"],
+        ["elkies", "scan", "--height", "0"],
     ], ids=" ".join)
     def test_non_positive_precision_or_max_prime_exits_64(self, argv, capsys):
         assert cli.main(argv) == 64

@@ -55,6 +55,10 @@ USAGE_ERRORS = [
     ["elkies", "verify", "--t=1/3", "--max-prime", "0"],
     ["rl", "search", "--ell", "2", "--max-prime", "-1"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "x"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "0"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "-1"],
+    ["elkies", "scan", "--height", "-2"],
+    ["elkies", "scan", "--height", "0"],
 ]
 
 OPTIONS_MOVED = [

@@ -6,7 +6,7 @@ every vector, the closed-form K/k norm against
 the product of conjugates and the Fraction evaluation, the finite-field identity checks against exact
 evaluation over K, the norm -10 search against the full loop, and the
 flat Z[zeta_3, eps] curve polynomials and descent-value product against
-their KElement versions."""
+their versions over the generic modulus ring."""
 
 import itertools
 import random
@@ -26,11 +26,10 @@ from localglobal.tower import (
     CurvePolynomial,
     KElement,
     _curve_points,
-    _embed,
+    _embed_flat,
     _embed_polynomial,
     _delta_product,
     _embedding_data,
-    _flat,
     _identity_sides,
     _k_product,
     _k_sigma,
@@ -187,7 +186,7 @@ def test_closed_norm_matches_the_oracle_and_the_conjugate_product():
     for _ in range(300):
         x = random_k_element(rng)
         norm = norm_K_over_k(x)
-        assert norm.coeffs == oracles.k_closed_norm(tuple(c.coeffs for c in x.coeffs)), x
+        assert norm.coeffs == oracles.k_closed_norm(pairs(x)), x
         product = x * sigma(x) * sigma(sigma(x))
         assert product.is_cyclo and product.c0 == norm, x
 
@@ -240,7 +239,7 @@ def test_embedded_polynomials_match_exact_evaluation_at_the_suite_points():
         assert len(points) == visited
         for x, y, z in points:
             for f, at in zip(polys, embedded):
-                assert at(x, y, z) == _embed(f.evaluate(x, y, z), p, zeta, eps), (p, x, y, z)
+                assert at(x, y, z) == _embed_flat(f.evaluate(x, y, z).coeffs, p, zeta, eps), (p, x, y, z)
 
 
 # ------------------------------------------ flat Z[zeta_3, eps] polynomials
@@ -253,22 +252,28 @@ def flat_k_element(rng, denominators=(1, 1, 1, 2, 3, 5)):
 
 def flat_terms(poly) -> dict:
     """The terms of a tower or oracle polynomial as flat 6-tuples."""
-    return {m: c if isinstance(c, tuple) else _flat(c) for m, c in poly.terms.items()}
+    return {m: c if isinstance(c, tuple) else oracles.flat(c) for m, c in poly.terms.items()}
+
+
+def pairs(x: KElement) -> tuple:
+    """The coordinates of x as three Fraction pairs, one per power of eps."""
+    return tuple(c.coeffs for c in (x.c0, x.c1, x.c2))
 
 
 def test_k_product_and_sigma_match_the_k_element_arithmetic():
     rng = random.Random(71)
     for _ in range(300):
         x, y = flat_k_element(rng), flat_k_element(rng)
-        assert _k_product(_flat(x), _flat(y)) == _flat(x * y), (x, y)
-        assert _k_sigma(_flat(x)) == _flat(oracles.sigma(x)), x
-    assert any(type(v) is Fraction for v in _flat(x))
+        want = oracles.flat(oracles.generic(x) * oracles.generic(y))
+        assert _k_product(x.coeffs, y.coeffs) == (x * y).coeffs == want, (x, y)
+        assert _k_sigma(x.coeffs) == oracles.flat(oracles.sigma(oracles.generic(x))), x
+    assert any(type(v) is Fraction for v in x.coeffs)
 
 
 def test_flat_coordinates_are_ints_exactly_when_integral():
     x = KElement(Eisenstein(Fraction(6, 3), Fraction(1, 2)), Eisenstein.of(0), Eisenstein(-4, Fraction(9, 3)))
-    assert [type(v) for v in _flat(x)] == [int, Fraction, int, int, int, int]
-    assert [type(v) for v in _k_product(_flat(GAMMA), _flat(GAMMA))] == [int] * 6
+    assert [type(v) for v in x.coeffs] == [int, Fraction, int, int, int, int]
+    assert [type(v) for v in _k_product(GAMMA.coeffs, GAMMA.coeffs)] == [int] * 6
     assert CurvePolynomial.constant(Fraction(7, 3)).reduce().terms == {(0, 0, 0): (Fraction(7, 3), 0, 0, 0, 0, 0)}
     third = CurvePolynomial.constant(Fraction(1, 3))
     assert [type(v) for v in (third + Fraction(2, 3)).terms[(0, 0, 0)]] == [int] * 6
@@ -284,13 +289,13 @@ def test_delta_product_matches_the_hand_written_product():
     for _ in range(20):
         x = tuple(flat_k_element(rng) for _ in range(3))
         y = tuple(flat_k_element(rng) for _ in range(3))
-        got = _delta_product(tuple(map(_flat, x)), tuple(map(_flat, y)))
-        want = oracles.delta_mul(*(tuple(tuple(c.coeffs for c in e.coeffs) for e in t) for t in (x, y)))
+        got = _delta_product(tuple(e.coeffs for e in x), tuple(e.coeffs for e in y))
+        want = oracles.delta_mul(*(tuple(map(pairs, t)) for t in (x, y)))
         assert got == tuple(tuple(v for pair in c for v in pair) for c in want)
 
 
 def test_identity_sides_reduce_like_the_oracle():
-    # the same cross-multiplication, once on flat and once on KElement coefficients
+    # the same cross-multiplication, once on flat and once on generic coefficients
     num, den, forms, _, _, Z = _resolvent_parts()
     tower_sides = _identity_sides(num, den, forms, Z)
     num, den, forms, _, _, Z = oracles.resolvent_parts()
@@ -321,7 +326,7 @@ def test_seeded_products_with_fraction_coefficients_reduce_like_the_oracle():
         assert all(i < 3 for i, _, _ in reduced.terms)
         assert flat_terms(product.apply_sigma()) == flat_terms(oracle_product.apply_sigma())
         for point in ((1, 2, 3), (Fraction(1, 2), -1, Fraction(5, 3)), (0, 7, -2)):
-            assert product.evaluate(*point) == oracle_product.evaluate(*point), point
+            assert product.evaluate(*point).coeffs == oracles.flat(oracle_product.evaluate(*point)), point
 
 
 def test_evaluate_returns_the_oracles_k_element():
@@ -330,8 +335,8 @@ def test_evaluate_returns_the_oracles_k_element():
     for ours, theirs in zip([num, den] + forms, [onum, oden] + oforms):
         for point in ((2, -1, 5), (Fraction(3, 4), 0, Fraction(-2, 7))):
             got = ours.evaluate(*point)
-            assert type(got) is KElement and got == theirs.evaluate(*point)
-            assert all(type(v) is Fraction for c in got.coeffs for v in c.coeffs)
+            assert type(got) is KElement and got.coeffs == oracles.flat(theirs.evaluate(*point))
+            assert all((type(v) is int) == (Fraction(v).denominator == 1) for v in got.coeffs)
 
 
 def test_descent_coefficients_match_the_delta_algebra_oracle():

@@ -1,7 +1,8 @@
-"""The quotient-ring type of `exact` against the hand-written formulas it
-replaced (kept in `oracles`): the products and norms of Q(zeta_3), of the
-tower K = Q(zeta_3)(eps) with eps^3 = 6, of the delta-algebra
-K[delta]/(delta^3 - 10), and the cofactor determinant."""
+"""The ring classes against the hand-written formulas they replaced (kept
+in `oracles`): the products and norms of Q(zeta_3) and of the tower
+K = Q(zeta_3)(eps) with eps^3 = 6; and the generic modulus ring of
+`oracles` on the delta-algebra K[delta]/(delta^3 - 10) and on radical
+extensions, against the same formulas and the cofactor determinant."""
 
 import random
 from fractions import Fraction
@@ -10,8 +11,10 @@ import pytest
 
 import oracles
 from localglobal.cubic import Eisenstein
-from localglobal.exact import QuotientElement, _quotient_product, quotient_norm
-from localglobal.tower import EPS, KElement, norm_K_over_k
+from localglobal.exact import QuotientElement
+from oracles import _quotient_product, quotient_norm
+from localglobal import tower
+from localglobal.tower import EPS, KElement, norm_K_over_k, sigma
 
 
 def random_fraction(rng):
@@ -35,7 +38,8 @@ def k_element(triple):
 
 
 def pairs(x: KElement):
-    return tuple(c.coeffs for c in x.coeffs)
+    c = x.coeffs
+    return (c[0:2], c[2:4], c[4:6])
 
 
 def test_eisenstein_matches_the_hand_written_formulas():
@@ -65,8 +69,45 @@ def test_delta_algebra_matches_the_hand_written_product():
     for _ in range(5):
         x = tuple(random_triple(rng) for _ in range(3))
         y = tuple(random_triple(rng) for _ in range(3))
-        got = oracles.DeltaPoly(*map(k_element, x)) * oracles.DeltaPoly(*map(k_element, y))
-        assert tuple(pairs(c) for c in got.coeffs) == oracles.delta_mul(x, y)
+        generic = [[oracles.generic(k_element(t)) for t in z] for z in (x, y)]
+        got = oracles.DeltaPoly(*generic[0]) * oracles.DeltaPoly(*generic[1])
+        assert tuple(tuple(e.coeffs for e in c.coeffs) for c in got.coeffs) == oracles.delta_mul(x, y)
+
+
+# Seeded differential tests of the flat ring classes against the generic
+# modulus ring, one denominator at a time next to integral coordinates.
+DENOMINATORS = (1, 2, 3, 5, 9, 27)
+
+
+def seeded_pair(rng, denominator):
+    return tuple(Fraction(rng.randint(-40, 40), rng.choice((1, denominator))) for _ in "ab")
+
+
+@pytest.mark.parametrize("denominator", DENOMINATORS)
+def test_eisenstein_matches_the_pair_formulas_and_the_generic_ring(denominator):
+    rng = random.Random(200 + denominator)
+    for _ in range(200):
+        x, y = seeded_pair(rng, denominator), seeded_pair(rng, denominator)
+        product = (eisenstein(x) * eisenstein(y)).coeffs
+        assert product == oracles.eisenstein_mul(x, y), (x, y)
+        assert product == (oracles.GenericEisenstein(*x) * oracles.GenericEisenstein(*y)).coeffs
+        assert eisenstein(x).norm() == oracles.eisenstein_norm(x) == oracles.GenericEisenstein(*x).norm(), x
+
+
+@pytest.mark.parametrize("denominator", DENOMINATORS)
+def test_flat_k_element_matches_the_generic_ring(denominator):
+    rng = random.Random(300 + denominator)
+    for _ in range(60):
+        x, y = (k_element(tuple(seeded_pair(rng, denominator) for _ in range(3))) for _ in range(2))
+        gx, gy = oracles.generic(x), oracles.generic(y)
+        assert (x * y).coeffs == oracles.flat(gx * gy), (x, y)
+        assert sigma(x).coeffs == oracles.flat(oracles.sigma(gx)), x
+        assert all((type(v) is int) == (v.denominator == 1) for v in (x * y).coeffs)
+        determinant = oracles.eisenstein(gx.norm())
+        d, pairs = tower._integer_pairs(x.coeffs)
+        assert tower._over(tower._closed_norm(*pairs), d**3) == determinant, x
+        assert x.norm() == determinant, x
+        assert norm_K_over_k(x) == determinant == oracles.norm_K_over_k(x), x
 
 
 @pytest.mark.parametrize("m, d", [(1, 5), (2, 7), (3, 2), (4, 17), (4, Fraction(-3, 4))])
@@ -93,8 +134,11 @@ def test_general_modulus_norm_is_multiplicative():
 
 def test_scalars_and_coercion():
     x = KElement(1, Eisenstein(0, 1), Fraction(1, 2))
-    assert all(type(c) is Eisenstein for c in x.coeffs)
-    assert all(type(c) is Fraction for e in x.coeffs for c in e.coeffs)
+    # flat rational coordinates, ints where integral; Eisenstein views
+    assert x.coeffs == (1, 0, 0, 1, Fraction(1, 2), 0)
+    assert [type(c) for c in x.coeffs] == [int, int, int, int, Fraction, int]
+    assert all(type(c) is Eisenstein for c in (x.c0, x.c1, x.c2))
+    assert all(type(c) is Fraction for e in (x.c0, x.c1, x.c2) for c in e.coeffs)
     # a scalar of any level below multiplies coefficientwise
     assert x * 2 == x + x == 2 * x
     assert Eisenstein(0, 1) * x == KElement.of(Eisenstein(0, 1)) * x

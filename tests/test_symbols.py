@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from localglobal.exact import _quotient_product, quotient_norm
 from localglobal.padic import PadicNumber, power_class
 from localglobal.symbols import (
     InvariantValue,
@@ -13,6 +12,7 @@ from localglobal.symbols import (
     is_local_norm,
     product_formula_check,
 )
+from oracles import _quotient_product, quotient_norm
 
 
 def test_place_basics():
