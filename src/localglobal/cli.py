@@ -139,12 +139,12 @@ def build_parser(argv=None) -> _Parser:
 
     The top parser and every group parser are always built, since their
     names are what --help and "invalid choice" errors list.  A group gets
-    its command parsers only if its name is a token of argv, and a command
-    parser gets its arguments only if its name is one too: argparse enters
-    a subparser only on a token equal to its name, so a parser skipped here
-    is one the parse would never reach, and results, help, usage errors
-    and exit codes are those of the full tree.  argv=None builds the full
-    tree.
+    its command parsers and its -h option only if its name is a token of
+    argv, and a command parser gets its arguments and -h only if its name
+    is one too: argparse enters a subparser only on a token equal to its
+    name, so a parser skipped here is one the parse would never reach, and
+    results, help, usage errors and exit codes are those of the full tree.
+    argv=None builds the full tree.
     """
     tokens = None if argv is None else set(argv)
     parser = _Parser(prog="localglobal",
@@ -152,13 +152,15 @@ def build_parser(argv=None) -> _Parser:
     parser.set_defaults(precision=None, max_prime=None, seed=0, format="json")
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
     for group, (help_text, commands) in _CLI.items():
-        group_parser = groups.add_parser(group, help=help_text)
-        if tokens is not None and group not in tokens:
+        reached = tokens is None or group in tokens
+        group_parser = groups.add_parser(group, help=help_text, add_help=reached)
+        if not reached:
             continue
         subs = group_parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
         for command, arguments in commands.items():
-            sp = subs.add_parser(command)
-            if tokens is not None and command not in tokens:
+            reached = tokens is None or command in tokens
+            sp = subs.add_parser(command, add_help=reached)
+            if not reached:
                 continue
             for flags, kwargs in _COMMON:
                 sp.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)

@@ -113,15 +113,25 @@ def divide_by_pi(x: Eisenstein) -> "Eisenstein":
 
 
 def unit_part(x: Eisenstein) -> tuple[int, Eisenstein]:
-    """Write x = pi^v * u with u a pi-adic unit; returns (v, u) exactly."""
+    """Write x = pi^v * u with u a pi-adic unit; returns (v, u) exactly.
+
+    For v >= 0, pi^(2k) = (-3 zeta_3)^k with k = v // 2 is divided out in
+    one step, as a rotation by zeta_3^(-k) and a division by (-3)^k, and
+    pi once more if v is odd."""
     v = pi_valuation(x)
+    if v < 0:
+        return v, x * PI ** (-v)
+    k, odd = divmod(v, 2)
     u = x
-    if v >= 0:
-        for _ in range(v):
-            u = divide_by_pi(u)
-    else:
-        u = u * PI ** (-v)
-    return v, u
+    if k:
+        a, b = x.coeffs
+        if k % 3 == 1:  # times zeta_3^-1 = zeta_3^2 = -1 - zeta_3
+            a, b = b - a, -a
+        elif k % 3 == 2:  # times zeta_3^-2 = zeta_3
+            a, b = -b, a - b
+        scale = (-3) ** k
+        u = Eisenstein._make((a / scale, b / scale))
+    return v, divide_by_pi(u) if odd else u
 
 
 # ------------------------------------------------------ cube classification

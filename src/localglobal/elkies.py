@@ -6,13 +6,14 @@ coprime, each odd prime p | N0 is 1 mod 8, and the invariant sum of the
 quaternion class (y, N0) over the places with v_p(N0) odd and 2 a quartic
 nonresidue mod p is an odd multiple of 1/2.  The parity is certified via
 the two-square-style composition identity for the form a^2 + 16b^2 and
-the quartic residue symbol of 2.
+the quartic residue symbol of 2, which the obstruction reads off by
+Euler's criterion.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -23,12 +24,11 @@ from .exact import (
     fourth_root,
     is_perfect_square,
     is_probable_prime,
-    quartic_free_part,
     quartic_residue_symbol,
     primes_up_to,
     sqrt_mod_prime,
 )
-from .padic import hensel_root, is_nth_power_unit
+from .padic import is_nth_power_unit
 from .reichardt_lind import CurveEquation, NoPoint, local_point
 from .symbols import InvariantValue
 
@@ -67,16 +67,18 @@ class NoRepresentation(Exception):
 class ElkiesFibre:
     """One member of the family: parameter t (None encodes the fibre at
     infinity), its value N, the fourth-power-free part N0, and the
-    canonical decomposition N0 = A^4 + 16B^4.  N0 is factored once, when
-    a report first reads its primes."""
+    canonical decomposition N0 = A^4 + 16B^4, the one with the smallest B.
+    `fibre` hands over the factorization of N0 it already has; a fibre
+    built without one factors N0 when a report first reads its primes."""
 
     t: Fraction | None
     N: Fraction
     N0: int
     A: int
     B: int
+    known_factorization: InitVar[Factorization | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, known_factorization):
         if self.N0 != self.A**4 + 16 * self.B**4:
             raise CertificateError(f"N0 = {self.N0} != {self.A}^4 + 16*{self.B}^4")
         if self.A % 2 == 0 or self.B % 2 == 0:
@@ -85,6 +87,10 @@ class ElkiesFibre:
             raise CertificateError(f"A = {self.A} and B = {self.B} must be coprime")
         if self.N0 % 16 != 1:
             raise CertificateError(f"N0 = {self.N0} is not 1 mod 16")
+        if known_factorization is not None:
+            if known_factorization.value != self.N0:
+                raise CertificateError(f"the factorization given is not one of N0 = {self.N0}")
+            self.__dict__["factorization"] = known_factorization  # the cached_property's slot
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -96,19 +102,9 @@ def _b_bound(n0: int) -> int:
     return math.isqrt(math.isqrt(n0 // 16)) + 2
 
 
-def fibre(t) -> ElkiesFibre:
-    """Construct the fibre at t (a rational, or None/'infinity')."""
-    if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
-        t_val, n_val = None, Fraction(17)
-    else:
-        t_val = Fraction(t)
-        s = 1 + t_val + t_val * t_val
-        if s == 0:
-            raise CertificateError("1 + t + t^2 has no rational roots")
-        n_val = (1 + Fraction(2) / s) ** 4 + 16
-    if n_val.numerator % 2 == 0:
-        raise CertificateError(f"N = {n_val}: the family takes odd values only")
-    n0, _ = quartic_free_part(n_val)
+def _searched_fibre(t, n_val: Fraction, n0: int, factorization=None) -> ElkiesFibre:
+    """The fibre with quartic-free part n0, its smallest-B decomposition
+    found by trying B = 1, 3, 5, ... up to `_b_bound`."""
     if n0 <= 0 or n0 % 16 != 1:
         raise CertificateError(f"N0 = {n0} is not a positive 1 mod 16")
     for b in range(1, _b_bound(n0) + 1, 2):
@@ -117,8 +113,79 @@ def fibre(t) -> ElkiesFibre:
             break
         a = fourth_root(rest)
         if a is not None and a % 2 == 1 and math.gcd(a, b) == 1:
-            return ElkiesFibre(t_val, n_val, n0, a, b)
+            return ElkiesFibre(t, n_val, n0, a, b, factorization)
     raise RepresentationNotFound(f"N0 = {n0} is not A^4 + 16B^4 (A, B odd coprime)")
+
+
+def _two_squares(p: int) -> tuple[int, int]:
+    """(x, y) with x^2 + y^2 = p, for a prime p = 1 mod 4: Euclid's
+    algorithm on p and a square root of -1 mod p stops at x, the first
+    remainder below sqrt(p) (Hermite-Serret)."""
+    if p % 4 != 1:
+        raise CertificateError(f"{p} is not 1 mod 4")
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    a, b = p, pow(c, (p - 1) // 4, p)
+    while b * b > p:
+        a, b = b, a % b
+    y = math.isqrt(p - b * b)
+    if b * b + y * y != p:
+        raise CertificateError(f"{p} is not a sum of two squares")
+    return b, y
+
+
+def _has_smaller_b(fz: Factorization, w: int) -> bool:
+    """Is n = fz.value = A^4 + 16B^4 with A, B odd coprime and B < w?
+
+    Such a decomposition is a coprime pair X^2 + Y^2 = n with X = A^2 and
+    Y = 4B^2.  In Z[i] every coprime pair is, up to units, the product of
+    pi_p^e or its conjugate over the prime powers p^e of n, where
+    p = pi_p conj(pi_p) (`_two_squares`); so all 2^k of them are checked.
+    """
+    reps = [(1, 0)]
+    for p, e in fz.factors:
+        x, y = _two_squares(p)
+        g = (1, 0)
+        for _ in range(e):
+            g = (g[0] * x - g[1] * y, g[0] * y + g[1] * x)
+        reps = [(r * g[0] - s * g[1], r * g[1] + s * g[0]) for r, s in reps] + [
+            (r * g[0] + s * g[1], s * g[0] - r * g[1]) for r, s in reps
+        ]
+    for X, Y in reps:
+        X, Y = (abs(X), abs(Y)) if X % 2 else (abs(Y), abs(X))
+        b = math.isqrt(Y // 4)
+        if Y == 4 * b * b and b % 2 == 1 and b < w and is_perfect_square(X):
+            return True
+    return False
+
+
+def fibre(t) -> ElkiesFibre:
+    """Construct the fibre at t (a rational, or None/'infinity').
+
+    For t = a/b in lowest terms (a/b = 1/0 at infinity) put
+    u = a^2 + ab + 3b^2 and w = a^2 + ab + b^2.  Then 1 + t + t^2 = w/b^2
+    and N(t) = (u^4 + 16w^4)/w^4 in lowest terms: w is odd and prime to b,
+    and u = w + 2b^2, so gcd(u, w) = 1.  The numerator is factored once.
+    If it is fourth-power-free it is N0, decomposed as (A, B) = (u, w)
+    unless a decomposition with smaller B exists (`_has_smaller_b`).
+    Otherwise N0 and its factorization come from the exponents mod 4, and
+    B is found by search.
+    """
+    if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
+        t_val, a, b = None, 1, 0
+    else:
+        t_val = Fraction(t)
+        a, b = t_val.numerator, t_val.denominator
+    w = a * a + a * b + b * b
+    u = w + 2 * b * b
+    n = u**4 + 16 * w**4
+    n_val = Fraction(n, w**4)
+    fz = factorize(n)
+    if all(e < 4 for _, e in fz.factors) and not _has_smaller_b(fz, w):
+        return ElkiesFibre(t_val, n_val, n, u, w, fz)
+    reduced = Factorization(1, tuple((p, e % 4) for p, e in fz.factors if e % 4))
+    return _searched_fibre(t_val, n_val, reduced.value, reduced)
 
 
 def rationals_of_height(h: int) -> list:
@@ -155,24 +222,27 @@ class LocalSolvabilityReport:
 
 def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
     """A zero (y, z) mod q of 2y^2 = z^4 - n0 at which a partial
-    derivative is nonzero mod q, for an odd prime q not dividing n0; None
-    if there is none.
+    derivative is nonzero mod q, for an odd prime q; None if there is none.
 
-    For y = 0, 1, ... it takes u = n0 + 2y^2 mod q.  If u = 0 the zero is
-    (y, 0), and y is nonzero because q does not divide n0, so d/dy = 4y
-    is a unit.  If u is a nonzero fourth power (Euler's criterion) the zero
-    is (y, z) with z a fourth root of u from two square roots, and
-    d/dz = -4z^3 is a unit.  Hensel's lemma lifts either zero to a Q_q
-    point (Silverman, AEC, V.1.1).  The loop meets every affine zero, and
-    for q >= 7 one exists: the curve is smooth of genus one over F_q, so
-    Hasse-Weil gives it at least q + 1 - 2 sqrt(q) points, at most two of
-    them at infinity.  For q = 3 and 5 the tests try every residue of n0.
+    For y = 0, 1, ... it takes u = n0 + 2y^2 mod q.  If u = 0 and y is
+    nonzero the zero is (y, 0), and d/dy = 4y is a unit; when q divides
+    n0 this happens only at the singular zero y = 0, which is passed over.
+    If u is a nonzero fourth power (Euler's criterion) the zero is (y, z)
+    with z a fourth root of u from two square roots, and d/dz = -4z^3 is
+    a unit.  Hensel's lemma lifts either zero to a Q_q point (Silverman,
+    AEC, V.1.1).  The loop meets every affine zero.  For q not dividing
+    n0 and q >= 7 one exists: the curve is smooth of genus one over F_q,
+    so Hasse-Weil gives it at least q + 1 - 2 sqrt(q) points, at most two
+    of them at infinity.  For q = 3 and 5 the tests try every residue of
+    n0.  For q = 1 mod 8 dividing n0, 2 is a square s^2 mod q, and any y
+    with sy a square makes u = 2y^2 = (sy)^2 a fourth power.
     """
     for y in range(q):
         u = (n0 + 2 * y * y) % q
         if u == 0:
-            return y, 0
-        if is_nth_power_unit(u, 4, q):
+            if y:
+                return y, 0
+        elif is_nth_power_unit(u, 4, q):
             # the square root of a fourth power is a square for every odd q
             # (for q = 3 mod 4, u^((q+1)/4) = z^(q+1) = z^2)
             return y, sqrt_mod_prime(sqrt_mod_prime(u, q), q)
@@ -186,14 +256,12 @@ def local_solvability_report(
     Q_q for every odd good prime q <= `good_prime_bound`.
 
     At 2: N0 = 1 mod 16 is a fourth power in Q_2, giving a point with
-    y = 0.  At odd p | N0: some y makes N0 + 2y^2 a nonzero fourth power
-    mod p, and the quartic in z lifts; such y exists because -1, hence
-    the relevant quotient structure, behaves as for p = 1 mod 8.
-
-    Good primes q (odd, q not dividing N0) need no search: the model is a
-    smooth curve of genus one over F_q, and each q is certified by a zero
-    mod q at which a partial derivative is a unit (`smooth_residue_point`),
-    which Hensel's lemma lifts to a Q_q point.
+    y = 0.  Every odd prime, good or bad, needs no search: it is certified
+    by a zero mod q at which a partial derivative is a unit
+    (`smooth_residue_point`), which Hensel's lemma lifts to a Q_q point.
+    At a bad prime p | N0 (p = 1 mod 8) that zero is (y, z0) with
+    z0^4 = N0 + 2y^2 nonzero mod p; below p = 500 the generic residue
+    search `local_point` confirms it.
     """
     n0 = fib.N0
     real_ok = n0 > 0
@@ -207,23 +275,9 @@ def local_solvability_report(
     for p, _ in fib.factorization.factors:
         if p % 8 != 1:
             raise CertificateError(f"{p} divides N0 = {n0} but is not 1 mod 8")
-        solvable = False
-        for y in range(p):
-            u = (n0 + 2 * y * y) % p
-            if u and is_nth_power_unit(u, 4, p):
-                # Exact certificate: the 4th root of u mod p (two square
-                # roots; both lie in the residue squares since p = 1 mod 4)
-                # is a simple root of z^4 - (n0 + 2y^2), so it Hensel-lifts
-                # to an honest Z_p point with the chosen integer y.
-                w = sqrt_mod_prime(u, p)
-                z0 = sqrt_mod_prime(w, p)
-                root = hensel_root([-(n0 + 2 * y * y), 0, 0, 0, 1], z0, p, precision)
-                solvable = root.valuation() == 0
-                if p < 500:  # cross-check against the generic residue search
-                    solvable = solvable and not isinstance(
-                        local_point(eq, p, precision), NoPoint
-                    )
-                break
+        solvable = smooth_residue_point(n0, p) is not None
+        if solvable and p < 500:  # cross-check against the generic residue search
+            solvable = not isinstance(local_point(eq, p, precision), NoPoint)
         odd_entries.append((p, solvable))
 
     good = tuple(
@@ -305,14 +359,17 @@ def obstruction_parity(fib: ElkiesFibre) -> ObstructionParity:
     """Sum of forced local invariants over odd places of the fibre.
 
     A prime p | N0 contributes 1/2 exactly when v_p(N0) is odd and 2 is
-    not a fourth power mod p; the fibre is obstructed iff the number of
-    contributing primes is odd.  For family members the count is odd
+    not a fourth power mod p, that is 2^((p-1)/4) != 1 mod p (Euler's
+    criterion; every p | N0 is 1 mod 8); the fibre is obstructed iff the
+    number of contributing primes is odd.  For family members the count is odd
     because N0 = A^4 + 16B^4 forces the representation parity b = B^2 = 1
     mod 2 multiplicatively across the factorization.
     """
     contributing = []
     for p, e in fib.factorization.factors:
-        if e % 2 == 1 and quartic_residue_symbol(2, p).exponent != 0:
+        if p % 8 != 1:
+            raise CertificateError(f"{p} divides N0 = {fib.N0} but is not 1 mod 8")
+        if e % 2 == 1 and not is_nth_power_unit(2, 4, p):
             contributing.append(p)
     count = len(contributing)
     invariant = InvariantValue.zero() if count % 2 == 0 else InvariantValue.half()

@@ -176,28 +176,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n).factors)
 
 
-def quartic_free_part(q: Fraction) -> tuple[int, Fraction]:
-    """Strip fourth powers: return (n0, m) with q * m**4 = n0, n0 a
-    fourth-power-free integer of the same sign as q."""
-    q = Fraction(q)
-    if q == 0:
-        raise ValueError("expected a nonzero rational")
-    n0 = -1 if q < 0 else 1
-    m = Fraction(1)
-    exps: dict[int, int] = {}
-    for p, e in factorize(q.numerator * (1 if q > 0 else -1)).factors:
-        exps[p] = exps.get(p, 0) + e
-    for p, e in factorize(q.denominator).factors:
-        exps[p] = exps.get(p, 0) - e
-    for p, e in sorted(exps.items()):
-        r = e % 4
-        n0 *= p**r
-        m *= Fraction(p) ** ((r - e) // 4)
-    if q * m**4 != n0:
-        raise CertificateError(f"{q} * {m}^4 != {n0}")
-    return n0, m
-
-
 def valuation(n: int, p: int) -> int:
     """v_p of a nonzero integer; ValueError on 0."""
     if n == 0:

@@ -12,7 +12,10 @@ pair at depth 1 and every one of the q^2 children of each node are tried,
 each chart has its own written-out equation, the certified nodes start
 the Hensel lift from `PadicNumber` values, and a fourth root starts from
 a residue of the exact rational.  The good places of an Elkies fibre are
-swept with the library's own `local_point`, one search per prime.  The
+swept with the library's own `local_point`, one search per prime; the
+fibre itself is built from N(t) in Fractions with a quartic-free part and
+a search for B, its bad places are certified by a Hensel lift, and the
+obstruction reads the quartic residue symbol of 2.  The
 ring formulas are the hand-written products and norms of Q(zeta_3), of
 its extension by a cube root of 6 and of the delta-algebra over that,
 with the cofactor determinant behind the radical norms.  The generic
@@ -38,7 +41,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from localglobal import tower
+from localglobal import exact, tower
 from localglobal.cubic import (
     ONE,
     PI,
@@ -47,7 +50,7 @@ from localglobal.cubic import (
     _rank3,
     _rref3,
     divide_by_pi,
-    unit_part,
+    pi_valuation,
 )
 from localglobal.exact import (
     CertificateError,
@@ -55,10 +58,14 @@ from localglobal.exact import (
     FactorizationError,
     _TRIAL_PRIMES,
     _brent_rho,
+    fourth_root,
     is_probable_prime,
     primes_up_to,
+    quartic_residue_symbol,
     split_prime_power,
+    sqrt_mod_prime,
 )
+from localglobal.elkies import ElkiesFibre, RepresentationNotFound
 from localglobal.padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
@@ -230,6 +237,78 @@ def good_place_sweep(n0: int, precision: int, good_prime_bound: int) -> tuple:
         (q, not isinstance(rl_local_point(eq, q, precision), NoPoint))
         for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q
     )
+
+
+def quartic_free_part(q: Fraction) -> tuple[int, Fraction]:
+    """Strip fourth powers: return (n0, m) with q * m**4 = n0, n0 a
+    fourth-power-free integer of the same sign as q.  `exact.factorize`
+    factors the numerator and the denominator."""
+    q = Fraction(q)
+    if q == 0:
+        raise ValueError("expected a nonzero rational")
+    n0 = -1 if q < 0 else 1
+    m = Fraction(1)
+    exps: dict[int, int] = {}
+    for p, e in exact.factorize(q.numerator * (1 if q > 0 else -1)).factors:
+        exps[p] = exps.get(p, 0) + e
+    for p, e in exact.factorize(q.denominator).factors:
+        exps[p] = exps.get(p, 0) - e
+    for p, e in sorted(exps.items()):
+        r = e % 4
+        n0 *= p**r
+        m *= Fraction(p) ** ((r - e) // 4)
+    if q * m**4 != n0:
+        raise CertificateError(f"{q} * {m}^4 != {n0}")
+    return n0, m
+
+
+def elkies_fibre(t) -> ElkiesFibre:
+    """The fibre at t as `elkies.fibre` built it before the closed form:
+    N(t) evaluated in Fractions, N0 its quartic-free part from
+    `exact.quartic_free_part` (which factors N's numerator and
+    denominator), A and B by trying B = 1, 3, 5, ..., and the returned
+    fibre factors N0 again when its primes are read."""
+    if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
+        return quartic_free_fibre(None, Fraction(17))
+    t_val = Fraction(t)
+    return quartic_free_fibre(t_val, (1 + Fraction(2) / (1 + t_val + t_val * t_val)) ** 4 + 16)
+
+
+def quartic_free_fibre(t_val, n_val: Fraction) -> ElkiesFibre:
+    """The fibre with value n_val, as `elkies_fibre` builds it from N."""
+    n0, _ = quartic_free_part(n_val)
+    if n0 <= 0 or n0 % 16 != 1:
+        raise CertificateError(f"N0 = {n0} is not a positive 1 mod 16")
+    bound = math.isqrt(math.isqrt(n0 // 16)) + 2
+    for b in range(1, bound + 1, 2):
+        rest = n0 - 16 * b**4
+        if rest <= 0:
+            break
+        a = fourth_root(rest)
+        if a is not None and a % 2 == 1 and math.gcd(a, b) == 1:
+            return ElkiesFibre(t_val, n_val, n0, a, b)
+    raise RepresentationNotFound(f"N0 = {n0} is not A^4 + 16B^4 (A, B odd coprime)")
+
+
+def bad_place_lift(n0: int, p: int, precision: int) -> bool:
+    """Whether the first y with n0 + 2y^2 a nonzero fourth power mod p
+    gives a fourth root z0 that `padic.hensel_root` lifts to a unit of
+    Z_p at `precision` digits: the certificate of a bad place p | n0 in
+    `elkies.local_solvability_report` before `elkies.smooth_residue_point`
+    was."""
+    for y in range(p):
+        u = (n0 + 2 * y * y) % p
+        if u and pow(u, (p - 1) // math.gcd(4, p - 1), p) == 1:
+            z0 = sqrt_mod_prime(sqrt_mod_prime(u, p), p)
+            root = padic_hensel_root([-(n0 + 2 * y * y), 0, 0, 0, 1], z0, p, precision)
+            return root.valuation() == 0
+    return False
+
+
+def contributes(p: int, e: int) -> bool:
+    """Does p^e || N0 add 1/2 to the obstruction: e odd and the quartic
+    residue symbol (2/p)_4 nontrivial."""
+    return e % 2 == 1 and quartic_residue_symbol(2, p).exponent != 0
 
 
 def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
@@ -731,7 +810,20 @@ def factorize(n: int) -> Factorization:
 # ---------------------------------------------------- cube classes at 3
 # The classification that `cubic.express` replaced: a unit is keyed by the
 # first five digits of its pi-adic expansion, computed by repeated exact
-# division of Fraction coordinates by pi.
+# division of Fraction coordinates by pi, and the unit part of x is found
+# the same way, one power of pi at a time, as `cubic.unit_part` did.
+
+
+def unit_part(x: Eisenstein) -> tuple[int, Eisenstein]:
+    """x = pi^v * u with u a pi-adic unit, dividing by pi v times."""
+    v = pi_valuation(x)
+    u = x
+    if v >= 0:
+        for _ in range(v):
+            u = divide_by_pi(u)
+    else:
+        u = u * PI ** (-v)
+    return v, u
 
 
 def _residue_mod3(q: Fraction) -> int:

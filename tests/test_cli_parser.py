@@ -124,13 +124,25 @@ def test_only_the_named_group_and_command_are_built():
     assert "--height" not in _option_strings(commands["scan"])
 
 
+def test_only_reachable_parsers_get_help():
+    top = cli.build_parser(["elkies", "verify", "--t=1"])
+    groups = _subparsers(top)
+    assert "-h" in _option_strings(top) and "-h" in _option_strings(groups["elkies"])
+    for group in ("rl", "symbol", "selmer"):
+        assert "-h" not in _option_strings(groups[group])
+    commands = _subparsers(groups["elkies"])
+    assert "-h" in _option_strings(commands["verify"])
+    assert "-h" not in _option_strings(commands["scan"])
+
+
 def test_the_full_tree_builds_every_command():
     groups = _subparsers(cli.build_parser())
     for group, (_, commands) in cli._CLI.items():
         built = _subparsers(groups[group])
         assert list(built) == list(commands)
+        assert "-h" in _option_strings(groups[group])
         for parser in built.values():
-            assert {"--precision", "--max-prime", "--seed", "--format"} <= _option_strings(parser)
+            assert {"-h", "--precision", "--max-prime", "--seed", "--format"} <= _option_strings(parser)
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):

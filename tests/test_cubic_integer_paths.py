@@ -75,6 +75,16 @@ def test_express_matches_pi_digits_on_seeded_fractions(den):
             assert express(x) == oracles.express(x), x
 
 
+@pytest.mark.parametrize("v", range(-4, 13))
+def test_unit_part_matches_division_one_pi_at_a_time(v):
+    rng = random.Random(v)
+    for a, b in UNIT_RESIDUES[::7]:
+        for unit in (Eisenstein(a, b), Eisenstein(Fraction(a, 5), Fraction(-b, rng.choice((1, 7))))):
+            x = PI**v * unit
+            assert cubic.pi_valuation(x) == v
+            assert cubic.unit_part(x) == oracles.unit_part(x), (v, x)
+
+
 def test_the_table_has_the_oracles_structure():
     assert len(cubic._cube_keys_mod_pi5()) == len(oracles.cube_residues_mod_pi5()) == 6
     assert len(oracles.unit_class_table()) == 162

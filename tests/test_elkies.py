@@ -3,14 +3,16 @@ globally empty quartics and its quartic-residue parity obstruction."""
 
 import dataclasses
 import json
+import math
 import random
+import types
 from fractions import Fraction
 from functools import lru_cache
 
 import oracles
 import pytest
 
-from localglobal import cli, elkies
+from localglobal import cli, elkies, exact
 from localglobal.elkies import (
     ElkiesFibre,
     NoRepresentation,
@@ -24,7 +26,14 @@ from localglobal.elkies import (
     rationals_of_height,
     smooth_residue_point,
 )
-from localglobal.exact import factorize, primes_up_to, quartic_residue_symbol
+from localglobal.exact import (
+    CertificateError,
+    factorize,
+    fourth_root,
+    primes_up_to,
+    quartic_residue_symbol,
+)
+from localglobal.padic import is_nth_power_unit
 from localglobal.symbols import InvariantValue
 
 
@@ -90,16 +99,125 @@ class TestFibreSearchBound:
         for n0 in list(range(1, 5000, 16)) + [1921, 17 * 113 * 16**3 + 1, 10**12 + 1]:
             assert elkies._b_bound(n0) == int((n0 / 16) ** 0.25) + 2, n0
 
-    def test_huge_n0_needs_no_float(self, monkeypatch):
+    def test_huge_n0_needs_no_float(self):
         a, b = 2**280 + 1, 3
         n0 = a**4 + 16 * b**4
         assert n0 > 2**1100
         with pytest.raises(OverflowError):
             n0 / 16  # the float form could not even start
         assert elkies._b_bound(n0) == 2**279 + 2  # floor((n0 / 16)^(1/4)) = (a - 1) / 2
-        monkeypatch.setattr(elkies, "quartic_free_part", lambda q: (n0, Fraction(1)))
-        fib = fibre(0)
+        fib = elkies._searched_fibre(Fraction(0), Fraction(n0), n0)
         assert (fib.N0, fib.A, fib.B) == (n0, a, b)
+
+
+def _fibre_data(fib):
+    return fib.N, fib.N0, fib.A, fib.B, fib.factorization
+
+
+class TestClosedFormFibre:
+    """`fibre` from (u, w) = (a^2 + ab + 3b^2, a^2 + ab + b^2) against the
+    Fraction evaluation, quartic-free part and B-search it replaced."""
+
+    def test_matches_the_oracle_up_to_height_20(self):
+        ts = rationals_of_height(20)
+        assert len(ts) == 512
+        for t in ts:
+            assert _fibre_data(fibre(t)) == _fibre_data(oracles.elkies_fibre(t)), t
+
+    def test_matches_the_oracle_on_seeded_height_60(self):
+        rng = random.Random(60)
+        ts = rng.sample([t for t in rationals_of_height(60) if t is not None], 200)
+        assert max(max(abs(t.numerator), t.denominator) for t in ts) == 60
+        for t in ts:
+            assert _fibre_data(fibre(t)) == _fibre_data(oracles.elkies_fibre(t)), t
+
+    def test_factors_once_per_fibre(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(elkies, "factorize", spy)
+        monkeypatch.setattr(exact, "factorize", spy)  # inside oracles.quartic_free_part
+        for t in ("infinity", "0", "1", "1/3", "-7/5", "13/21"):
+            calls.clear()
+            assert cli.main(["elkies", "verify", f"--t={t}"]) == 0
+            assert json.loads(capsys.readouterr().out)["status"] == "obstructed"
+            assert len(calls) == 1, (t, calls)
+        calls.clear()
+        obstruction_parity(oracles.elkies_fibre(Fraction(1, 3)))
+        assert len(calls) == 3  # numerator, denominator, then N0 again
+
+    def test_a_directly_built_fibre_stays_lazy(self):
+        f = ElkiesFibre(Fraction(1), Fraction(1921, 81), 1921, 5, 3)
+        assert "factorization" not in f.__dict__
+        assert f.factorization == factorize(1921)
+        assert "factorization" in fibre(1).__dict__
+
+    def test_a_factorization_of_another_number_is_refused(self):
+        with pytest.raises(CertificateError):
+            ElkiesFibre(Fraction(0), Fraction(97), 97, 3, 1, factorize(17))
+
+    @pytest.mark.parametrize("numerator", [
+        17**5 * 113,  # N0 = 1921 = 5^4 + 16*3^4
+        97 * 41**4,  # N0 = 97
+        41**8 * 17 * 113**5,  # N0 = 1921 again
+        17**6 * 506609 * 41**4,  # N0 = 17^2 * 506609 = 1 + 16*55^4
+    ])
+    def test_a_numerator_with_fourth_powers_falls_back_to_the_search(self, monkeypatch, numerator):
+        # fibre(0) is handed this numerator's factorization in place of 97's
+        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator))
+        fib = fibre(0)
+        old = oracles.quartic_free_fibre(Fraction(0), Fraction(numerator))
+        assert (fib.N0, fib.A, fib.B) == (old.N0, old.A, old.B)
+        assert fib.__dict__["factorization"] == factorize(fib.N0)
+        assert fib.N0 < numerator
+
+    @pytest.mark.parametrize("numerator, error", [
+        (17**5 * 97, elkies.RepresentationNotFound),  # N0 = 1649 = 1 mod 16
+        (17 * 41 * 97**4, CertificateError),  # N0 = 697 = 9 mod 16
+    ])
+    def test_the_fallback_fails_as_the_oracle_does(self, monkeypatch, numerator, error):
+        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator))
+        with pytest.raises(error):
+            fibre(0)
+        with pytest.raises(error):
+            oracles.quartic_free_fibre(Fraction(0), Fraction(numerator))
+
+    def test_a_smaller_b_is_found_in_the_gaussian_integers(self):
+        # Euler: 59^4 + 158^4 = 133^4 + 134^4, so 635318657 is
+        # 59^4 + 16*79^4 and 133^4 + 16*67^4
+        fz = factorize(635318657)
+        assert elkies._has_smaller_b(fz, 79)
+        assert not elkies._has_smaller_b(fz, 67)
+        fib = elkies._searched_fibre(None, Fraction(635318657), 635318657, fz)
+        assert (fib.A, fib.B) == (133, 67)
+
+    def test_the_smaller_b_test_agrees_with_the_search(self):
+        rng = random.Random(4)
+        pairs = [(59, 79), (133, 67), (1, 1)] + [
+            (rng.randrange(1, 400, 2), rng.randrange(1, 400, 2)) for _ in range(300)
+        ]
+        for u, w in pairs:
+            if math.gcd(u, w) > 1:
+                continue
+            n = u**4 + 16 * w**4
+            smaller = any(
+                fourth_root(n - 16 * b**4) is not None and math.gcd(n - 16 * b**4, b) == 1
+                for b in range(1, w, 2)
+            )
+            assert elkies._has_smaller_b(factorize(n), w) == smaller, (u, w)
+
+    def test_a_fibre_with_a_smaller_b_keeps_the_search(self, monkeypatch):
+        monkeypatch.setattr(elkies, "_has_smaller_b", lambda fz, w: True)
+        searched = elkies._searched_fibre
+        calls = []
+        monkeypatch.setattr(
+            elkies, "_searched_fibre", lambda *args: calls.append(args) or searched(*args)
+        )
+        assert _fibre_data(fibre(Fraction(1, 3))) == _fibre_data(oracles.elkies_fibre(Fraction(1, 3)))
+        assert len(calls) == 1
 
 
 class TestQuarticRep:
@@ -231,6 +349,34 @@ class TestGoodPlaces:
         assert out["result"]["everywhere_locally_solvable"] is False
 
 
+class TestBadPlaces:
+    """`smooth_residue_point` at the primes p | N0 against the Hensel lift of
+    a fourth root that certified them before."""
+
+    def test_the_certificate_is_a_smooth_zero_off_z_0(self):
+        for fib in fibres_of_height_ten():
+            for p, _ in fib.factorization.factors:
+                y, z = smooth_residue_point(fib.N0, p)
+                assert _is_smooth_zero(fib.N0, p, (y, z)) and z % p, (fib.t, p)
+
+    def test_every_prime_1_mod_8_has_one_at_n0_0(self):
+        for q in primes_up_to(3000):
+            if q % 8 == 1:
+                y, z = smooth_residue_point(0, q)
+                assert _is_smooth_zero(0, q, (y, z)) and z, q
+
+    def test_report_equals_the_hensel_report(self):
+        large = 0
+        for fib in fibres_of_height_ten():
+            report = local_solvability_report(fib, 12, 50)
+            lifted = tuple(
+                (p, oracles.bad_place_lift(fib.N0, p, 12)) for p, _ in fib.factorization.factors
+            )
+            assert report.odd_bad_places == lifted, fib.t
+            large += sum(p >= 500 for p, _ in lifted)
+        assert large > 100  # places with no local_point cross-check
+
+
 class TestObstructionParity:
     def test_frozen_counts(self):
         for t, n0, primes in ((None, 17, (17,)), (0, 97, (97,)), (1, 1921, (17,))):
@@ -244,6 +390,21 @@ class TestObstructionParity:
     def test_113_drops_out(self):
         par = obstruction_parity(fibre(1))
         assert 113 not in par.contributing_primes
+
+    def test_euler_criterion_matches_the_quartic_symbol(self):
+        for p in primes_up_to(20_000):
+            if p % 8 == 1:
+                assert is_nth_power_unit(2, 4, p) == quartic_residue_symbol(2, p).is_plus_one, p
+
+    def test_contributing_primes_match_the_oracle(self):
+        for fib in fibres_of_height_ten():
+            expected = tuple(p for p, e in fib.factorization.factors if oracles.contributes(p, e))
+            assert obstruction_parity(fib).contributing_primes == expected, fib.t
+
+    def test_a_prime_not_1_mod_8_is_refused(self):
+        fib = types.SimpleNamespace(N0=15, factorization=factorize(15))
+        with pytest.raises(CertificateError):
+            obstruction_parity(fib)
 
 
 class TestFamilyScan:

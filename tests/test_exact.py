@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from oracles import quartic_free_part
 
 from localglobal.exact import (
     Factorization,
@@ -14,7 +15,6 @@ from localglobal.exact import (
     is_squarefree,
     legendre_symbol,
     primes_up_to,
-    quartic_free_part,
     quartic_residue_symbol,
     residue,
     sqrt_mod_prime,
