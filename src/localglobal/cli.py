@@ -8,9 +8,12 @@ Invariant values appear as exact fraction strings ("0", "1/2", "1/3",
 report is reproducible byte for byte apart from the timings block, which
 records wall-clock milliseconds.
 
-The command line is described once, in the `_CLI` table; `build_parser`
-builds from it only the parsers that the given argv can reach, so one
-invocation does not pay for the whole argparse tree.
+The command line is described once, in the `_CLI` table.  `main` reads the
+plain spellings (group, command, exact long flags, positionals) straight
+off it with `_read`; anything else (help, `--`, abbreviations, dash-led
+values, options before the command, usage errors) goes to the argparse tree
+that `build_parser` builds from the same table, so help text, usage errors
+and exit codes are argparse's own.
 
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (precision budget exhausted), 1 for
@@ -91,7 +94,8 @@ def _prime_list(text: str) -> tuple[int, ...]:
 
 # The whole command line, described once: group -> (help, {command:
 # [(flags, add_argument keywords), ...]}).  Every command also takes _COMMON,
-# whose values default to the top-level ones set in `build_parser`.
+# whose values default to _DEFAULTS.
+_DEFAULTS = {"precision": None, "max_prime": None, "seed": 0, "format": "json"}
 _COMMON = [
     (("--precision",), {"type": _positive_int,
                         "help": "working p-adic digits (per-command default)"}),
@@ -134,39 +138,82 @@ _CLI = {
 }
 
 
-def build_parser(argv=None) -> _Parser:
-    """The argparse tree of `_CLI`, scoped to the command line `argv`.
+def build_parser() -> _Parser:
+    """The full argparse tree of `_CLI`.
 
-    The top parser and every group parser are always built, since their
-    names are what --help and "invalid choice" errors list.  A group gets
-    its command parsers and its -h option only if its name is a token of
-    argv, and a command parser gets its arguments and -h only if its name
-    is one too: argparse enters a subparser only on a token equal to its
-    name, so a parser skipped here is one the parse would never reach, and
-    results, help, usage errors and exit codes are those of the full tree.
-    argv=None builds the full tree.
+    `main` builds it only when `_read` passes an argv over, so it answers
+    help, usage errors and the rarer spellings; it is also the reference
+    that `_read` is tested against.
     """
-    tokens = None if argv is None else set(argv)
     parser = _Parser(prog="localglobal",
                      description="Exact local-global obstruction computations.")
-    parser.set_defaults(precision=None, max_prime=None, seed=0, format="json")
+    parser.set_defaults(**_DEFAULTS)
     groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
     for group, (help_text, commands) in _CLI.items():
-        reached = tokens is None or group in tokens
-        group_parser = groups.add_parser(group, help=help_text, add_help=reached)
-        if not reached:
-            continue
+        group_parser = groups.add_parser(group, help=help_text)
         subs = group_parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
         for command, arguments in commands.items():
-            reached = tokens is None or command in tokens
-            sp = subs.add_parser(command, add_help=reached)
-            if not reached:
-                continue
+            sp = subs.add_parser(command)
             for flags, kwargs in _COMMON:
                 sp.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
             for flags, kwargs in arguments:
                 sp.add_argument(*flags, **kwargs)
     return parser
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a flag or positional under."""
+    return flag.lstrip("-").replace("-", "_")
+
+
+def _read(argv: list) -> argparse.Namespace | None:
+    """The Namespace of `build_parser().parse_args(argv)`, read straight off
+    `_CLI`, or None to leave argv to argparse.
+
+    It reads a group and one of its commands, then only that command's
+    exact long flags, as --flag=value or as --flag value with a value not
+    led by "-", and positionals not led by "-", which fill the command's
+    slots in order.  Values go through the table's type and choices.  Any
+    other token, a refused value, an unfilled slot or a missing required
+    flag gives None, so help, usage errors and their exit codes stay
+    argparse's.
+    """
+    if len(argv) < 2 or argv[0] not in _CLI or argv[1] not in _CLI[argv[0]][1]:
+        return None
+    arguments = _CLI[argv[0]][1][argv[1]]
+    values = dict(_DEFAULTS, group=argv[0], command=argv[1])
+    values.update((_dest(flags[0]), kwargs.get("default")) for flags, kwargs in arguments)
+    options = {flags[0]: kwargs for flags, kwargs in _COMMON + arguments
+               if flags[0].startswith("--")}
+    slots = iter([(flags[0], kwargs) for flags, kwargs in arguments
+                  if not flags[0].startswith("-")])
+    missing = {flag for flag, kwargs in options.items() if kwargs.get("required")}
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if token.startswith("-"):
+            flag, equals, text = token.partition("=")
+            if flag not in options:
+                return None
+            if not equals:
+                text = next(tokens, "-")
+                if text.startswith("-"):
+                    return None
+            dest, kwargs = _dest(flag), options[flag]
+            missing.discard(flag)
+        else:
+            dest, kwargs = next(slots, (None, None))
+            if dest is None:
+                return None
+            text = token
+        try:
+            values[dest] = value = kwargs.get("type", str)(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+    if missing or next(slots, None) is not None:
+        return None
+    return argparse.Namespace(**values)
 
 
 # ------------------------------------------------------------ serialization
@@ -397,10 +444,12 @@ def _params_of(args) -> dict:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser(argv).parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
 
     timings: dict = {}
 

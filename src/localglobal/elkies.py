@@ -19,6 +19,7 @@ from functools import cached_property
 
 from .exact import (
     CertificateError,
+    _sqrt_mod_odd_prime,
     Factorization,
     factorize,
     fourth_root,
@@ -26,7 +27,6 @@ from .exact import (
     is_probable_prime,
     quartic_residue_symbol,
     primes_up_to,
-    sqrt_mod_prime,
 )
 from .padic import is_nth_power_unit
 from .reichardt_lind import CurveEquation, NoPoint, local_point
@@ -244,8 +244,9 @@ def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
                 return y, 0
         elif is_nth_power_unit(u, 4, q):
             # the square root of a fourth power is a square for every odd q
-            # (for q = 3 mod 4, u^((q+1)/4) = z^(q+1) = z^2)
-            return y, sqrt_mod_prime(sqrt_mod_prime(u, q), q)
+            # (for q = 3 mod 4, u^((q+1)/4) = z^(q+1) = z^2); q is a prime
+            # from the caller's sieve or factorization, so it is not retested
+            return y, _sqrt_mod_odd_prime(_sqrt_mod_odd_prime(u, q), q)
     return None
 
 

@@ -219,13 +219,20 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     """A square root of a modulo an odd prime p (Tonelli-Shanks).
 
     Returns a root in [0, p); raises ValueError on a nonresidue.  p is
-    tested for primality once; residuosity then uses Euler's criterion.
+    tested for primality once, unless a = 0 mod p; residuosity then uses
+    Euler's criterion.
     """
+    if a % p and (p == 2 or not is_probable_prime(p)):
+        raise ValueError(f"{p} is not an odd prime")
+    return _sqrt_mod_odd_prime(a, p)
+
+
+def _sqrt_mod_odd_prime(a: int, p: int) -> int:
+    """`sqrt_mod_prime` for a p already known to be an odd prime, without
+    testing it again."""
     a %= p
     if a == 0:
         return 0
-    if p == 2 or not is_probable_prime(p):
-        raise ValueError(f"{p} is not an odd prime")
     half = (p - 1) // 2
     if pow(a, half, p) != 1:
         raise ValueError(f"{a} is not a square mod {p}")

@@ -201,11 +201,12 @@ def local_point(
     for all q^2 children.  `variant` skips that many certified branches
     first (deterministically different points for sampling).  A constant
     divisible by q^4 is first divided by its largest such power (see
-    `_rescaled_point`).  Real place: direct solve.
+    `_rescaled_point`).  Real place: the least z >= 0 with
+    ell*(z^4 - p) > 0, which for ell > 0 and p > 0 is floor(p^(1/4)) + 1.
     """
     place = as_place(v)
     if place.is_real:
-        z = 0
+        z = math.isqrt(math.isqrt(tw.p)) + 1 if tw.ell > 0 and tw.p > 0 else 0
         while (z**4 - tw.p) * tw.ell <= 0:
             z += 1
             if z > abs(tw.p) + 2:  # ell < 0 needs small z; ell > 0 large z

@@ -10,9 +10,10 @@ own labels, so the differential tests compare two independent
 computations.  The local point search is the quadratic one: every residue
 pair at depth 1 and every one of the q^2 children of each node are tried,
 each chart has its own written-out equation, the certified nodes start
-the Hensel lift from `PadicNumber` values, and a fourth root starts from
-a residue of the exact rational.  The good places of an Elkies fibre are
-swept with the library's own `local_point`, one search per prime; the
+the Hensel lift from `PadicNumber` values, a fourth root starts from a
+residue of the exact rational, and the real point counts z up from 0.
+The good places of an Elkies fibre are swept with the library's own
+`local_point`, one search per prime; the
 fibre itself is built from N(t) in Fractions with a quartic-free part and
 a search for B, its bad places are certified by a Hensel lift, and the
 obstruction reads the quartic residue symbol of 2.  The
@@ -211,6 +212,17 @@ def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
         if result is not None:
             return result
     return NoPoint(place, depth_bound)
+
+
+def real_point_z(tw) -> int | None:
+    """The z of `reichardt_lind.local_point` at the real place, counted up
+    from 0 to the first z with ell*(z^4 - p) > 0; None where it gives up."""
+    z = 0
+    while (z**4 - tw.p) * tw.ell <= 0:
+        z += 1
+        if z > abs(tw.p) + 2:
+            return None
+    return z
 
 
 def nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 import sympy
 from oracles import quartic_free_part
 
+from localglobal import exact
 from localglobal.exact import (
     Factorization,
     factorize,
@@ -106,6 +108,30 @@ def test_sqrt_mod_prime():
     for a, n in [(4, 15), (1, 2), (9, 91)]:
         with pytest.raises(ValueError):
             sqrt_mod_prime(a, n)
+
+
+def _sqrt_outcome(sqrt, a, p):
+    try:
+        return sqrt(a, p)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_sqrt_without_the_primality_test_matches_sqrt_mod_prime(monkeypatch):
+    # elkies takes roots mod primes it has sieved or factored through the
+    # helper, which skips the Miller-Rabin test; roots and refusals agree.
+    # The public function's test is memoized here only to keep the sweep fast.
+    monkeypatch.setattr(exact, "is_probable_prime", functools.cache(is_probable_prime))
+    for p in primes_up_to(2000)[1:]:
+        for a in range(p):
+            assert _sqrt_outcome(exact._sqrt_mod_odd_prime, a, p) == \
+                _sqrt_outcome(sqrt_mod_prime, a, p), (a, p)
+
+
+def test_sqrt_helper_certifies_its_root(monkeypatch):
+    monkeypatch.setattr(exact, "valuation", lambda n, p: 1)  # a wrong 2-adic split
+    with pytest.raises(exact.CertificateError):
+        exact._sqrt_mod_odd_prime(2, 17)
 
 
 def test_quartic_residue_symbol_examples():

@@ -275,3 +275,29 @@ def test_uncertifiable_branches_are_not_refined(monkeypatch):
     with pytest.raises(InsufficientPrecision, match="3 digits over Q_2"):
         local_point(TwistParams(2, 17), 2, precision=3)
     assert 0 < len(calls) <= 2**6
+
+
+def _real_point_cases():
+    # the same (ell, p) as TwistParams below 10^5, built as CurveEquation to
+    # skip its primality and squarefreeness checks
+    big, p = [], 2**64
+    while len(big) < 3:
+        p += 1
+        if reichardt_lind.is_probable_prime(p):
+            big.append(p)
+    for ell in (1, -1, 2, -2, 3, -3, 6, -6):
+        for p in reichardt_lind.primes_up_to(10**5)[1:]:
+            if math.gcd(ell, p) == 1:
+                yield CurveEquation(ell, p)
+        yield from (TwistParams(ell, p) for p in big)
+
+
+def test_real_point_starts_where_the_count_from_zero_stops():
+    # for ell > 0 the search starts at floor(p^(1/4)) + 1, for ell < 0 at 0;
+    # the oracle counts z up from 0, about 2^16 steps near p = 2^64
+    cases = 0
+    for tw in _real_point_cases():
+        pt = local_point(tw, "infinity")
+        assert pt.chart == "real" and pt.z == oracles.real_point_z(tw), tw
+        cases += 1
+    assert cases > 8 * 9000
