@@ -19,8 +19,8 @@ from functools import cached_property
 
 from .exact import (
     CertificateError,
-    _sqrt_mod_odd_prime,
     Factorization,
+    _sqrt_minus_one,
     factorize,
     fourth_root,
     is_perfect_square,
@@ -28,8 +28,8 @@ from .exact import (
     quartic_residue_symbol,
     primes_up_to,
 )
-from .padic import is_nth_power_unit
-from .reichardt_lind import CurveEquation, NoPoint, local_point
+from .padic import InsufficientPrecision, PadicNumber, is_nth_power_unit, padic_root
+from .reichardt_lind import residue_zeros
 from .symbols import InvariantValue
 
 __all__ = [
@@ -123,10 +123,7 @@ def _two_squares(p: int) -> tuple[int, int]:
     remainder below sqrt(p) (Hermite-Serret)."""
     if p % 4 != 1:
         raise CertificateError(f"{p} is not 1 mod 4")
-    c = 2
-    while pow(c, (p - 1) // 2, p) != p - 1:
-        c += 1
-    a, b = p, pow(c, (p - 1) // 4, p)
+    a, b = p, _sqrt_minus_one(p)
     while b * b > p:
         a, b = b, a % b
     y = math.isqrt(p - b * b)
@@ -221,32 +218,19 @@ class LocalSolvabilityReport:
 
 
 def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
-    """A zero (y, z) mod q of 2y^2 = z^4 - n0 at which a partial
-    derivative is nonzero mod q, for an odd prime q; None if there is none.
-
-    For y = 0, 1, ... it takes u = n0 + 2y^2 mod q.  If u = 0 and y is
-    nonzero the zero is (y, 0), and d/dy = 4y is a unit; when q divides
-    n0 this happens only at the singular zero y = 0, which is passed over.
-    If u is a nonzero fourth power (Euler's criterion) the zero is (y, z)
-    with z a fourth root of u from two square roots, and d/dz = -4z^3 is
-    a unit.  Hensel's lemma lifts either zero to a Q_q point (Silverman,
-    AEC, V.1.1).  The loop meets every affine zero.  For q not dividing
-    n0 and q >= 7 one exists: the curve is smooth of genus one over F_q,
-    so Hasse-Weil gives it at least q + 1 - 2 sqrt(q) points, at most two
-    of them at infinity.  For q = 3 and 5 the tests try every residue of
-    n0.  For q = 1 mod 8 dividing n0, 2 is a square s^2 mod q, and any y
-    with sy a square makes u = 2y^2 = (sy)^2 a fourth power.
+    """The first zero (y, z) mod q of 2y^2 = z^4 - n0 in `residue_zeros`
+    order with a unit partial derivative (any but (0, 0)), for an odd prime
+    q, or None; Hensel's lemma lifts it to a Q_q point (Silverman, AEC,
+    V.1.1).  For q not dividing n0 and q >= 7 one exists: the curve is
+    smooth of genus one over F_q, so Hasse-Weil gives it at least
+    q + 1 - 2 sqrt(q) points, at most two of them at infinity.  For q = 3
+    and 5 the tests try every residue of n0.  For q = 1 mod 8 dividing n0,
+    2 is a square s^2 mod q, and any y with sy a square makes
+    z^4 = 2y^2 = (sy)^2 a fourth power.
     """
-    for y in range(q):
-        u = (n0 + 2 * y * y) % q
-        if u == 0:
-            if y:
-                return y, 0
-        elif is_nth_power_unit(u, 4, q):
-            # the square root of a fourth power is a square for every odd q
-            # (for q = 3 mod 4, u^((q+1)/4) = z^(q+1) = z^2); q is a prime
-            # from the caller's sieve or factorization, so it is not retested
-            return y, _sqrt_mod_odd_prime(_sqrt_mod_odd_prime(u, q), q)
+    for y, z in residue_zeros(2, 1, -n0, q):
+        if y or z:
+            return y, z
     return None
 
 
@@ -254,40 +238,30 @@ def local_solvability_report(
     fib: ElkiesFibre, precision: int = 12, good_prime_bound: int = 50
 ) -> LocalSolvabilityReport:
     """Certify points of the fibre over R, Q_2, every Q_p with p | N0, and
-    Q_q for every odd good prime q <= `good_prime_bound`.
+    Q_q for every odd good prime q <= `good_prime_bound`, with no search.
 
-    At 2: N0 = 1 mod 16 is a fourth power in Q_2, giving a point with
-    y = 0.  Every odd prime, good or bad, needs no search: it is certified
-    by a zero mod q at which a partial derivative is a unit
-    (`smooth_residue_point`), which Hensel's lemma lifts to a Q_q point.
-    At a bad prime p | N0 (p = 1 mod 8) that zero is (y, z0) with
-    z0^4 = N0 + 2y^2 nonzero mod p; below p = 500 the generic residue
-    search `local_point` confirms it.
+    R: N0 > 0.  Q_2: N0 = 1 mod 16 is a fourth power in Q_2, so y = 0,
+    z = N0^(1/4) is a point; `padic_root` reads the root off a residue mod
+    2^(2 v_2(4) + 1), so fewer than 5 digits are InsufficientPrecision.
+    Every odd prime, good or bad: `smooth_residue_point`.
     """
     n0 = fib.N0
     real_ok = n0 > 0
-
-    eq = CurveEquation(2, n0)
-    two_ok = not isinstance(
-        local_point(eq, 2, precision, allow_y_zero=True), NoPoint
-    )
+    try:
+        root = padic_root(PadicNumber.from_int(n0, 2, precision), 4)
+    except InsufficientPrecision as exc:
+        raise InsufficientPrecision(f"the point y = 0, z = N0^(1/4) over Q_2: {exc}") from exc
+    two_ok = pow(root.unit, 4, 2**root.prec) == n0 % 2**root.prec  # N0 odd: a unit root
 
     odd_entries = []
     for p, _ in fib.factorization.factors:
         if p % 8 != 1:
             raise CertificateError(f"{p} divides N0 = {n0} but is not 1 mod 8")
-        solvable = smooth_residue_point(n0, p) is not None
-        if solvable and p < 500:  # cross-check against the generic residue search
-            solvable = not isinstance(local_point(eq, p, precision), NoPoint)
-        odd_entries.append((p, solvable))
+        odd_entries.append((p, smooth_residue_point(n0, p) is not None))
 
-    good = tuple(
-        q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q != 0
-    )
+    good = tuple(q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q != 0)
     good_ok = all(smooth_residue_point(n0, q) is not None for q in good)
-    return LocalSolvabilityReport(
-        fib, real_ok, two_ok, tuple(odd_entries), good, good_ok
-    )
+    return LocalSolvabilityReport(fib, real_ok, two_ok, tuple(odd_entries), good, good_ok)
 
 
 # -------------------------------------------------- quartic representations

@@ -3,10 +3,10 @@ valuations and residues mod m, residue symbols, and `QuotientElement`, the
 operator shell that the rings Q(zeta_3) (`cubic.Eisenstein`) and
 Q(zeta_3, cbrt(6)) (`tower.KElement`) fill in with their own product.
 
-All routines are deterministic: the Miller-Rabin witnesses below 2**64 are a
-fixed proven-complete base set, larger inputs use 40 rounds drawn from an RNG
-seeded by the input itself, and Pollard rho walks a fixed schedule of
-polynomial offsets.
+All routines are deterministic: the Miller-Rabin witnesses below psi_13
+(about 2**81.5) are a fixed proven-complete base set, larger inputs use 40
+rounds drawn from an RNG seeded by the input itself, and Pollard rho walks a
+fixed schedule of polynomial offsets.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Complete deterministic witness set for n < 2**64 (Sinclair / Jaeschke).
-_SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The primes up to 41: a complete witness set for n < psi_13, the least
+# strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017).
+_SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
 
 _TRIAL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -48,7 +50,9 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below 2**64; 40 seeded rounds above."""
+    """Miller-Rabin.  Below psi_13 = 3317044064679887385961981 (about
+    2**81.5) the primes up to 41 as bases make a True a proof; from psi_13
+    on, which passes all of them, 40 seeded random rounds give a probable prime."""
     if n < 2:
         return False
     for p in _TRIAL_PRIMES:
@@ -58,7 +62,7 @@ def is_probable_prime(n: int) -> bool:
             return False
     s = valuation(n - 1, 2)
     d = (n - 1) >> s
-    if n < 2**64:
+    if n < _PSI_13:
         witnesses = _SMALL_WITNESSES
     else:
         rng = random.Random(n)
@@ -225,6 +229,14 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     if a % p and (p == 2 or not is_probable_prime(p)):
         raise ValueError(f"{p} is not an odd prime")
     return _sqrt_mod_odd_prime(a, p)
+
+
+def _sqrt_minus_one(p: int) -> int:
+    """c^((p-1)/4), a square root of -1 mod the prime p = 1 mod 4, c the least non-residue."""
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return pow(c, (p - 1) // 4, p)
 
 
 def _sqrt_mod_odd_prime(a: int, p: int) -> int:

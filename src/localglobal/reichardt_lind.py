@@ -4,11 +4,11 @@ The near affine chart is g(y, z) = ell*y^2 - z^4 + p = 0; the far chart
 (z = 1/w, y = u/w^2, covering points with |z| > 1) is
 h(u, w) = ell*u^2 - 1 + p*w^4 = 0.  Local points at finite places are found
 by a breadth-first lifting tree over residues and certified by Hensel's
-lemma; real points are found directly.  The tree costs O(q) per node and
-level: the zeros mod q are read off a table of fourth roots, and the
-children of a zero mod q^d solve one linear congruence mod q, because a
-polynomial agrees with its first-order Taylor expansion modulo q^(d+1)
-on the box of side q^d.
+lemma; real points are found directly.  The zeros mod q come lazily from
+`residue_zeros`, which tests each y by Euler's criterion and takes the
+fourth roots from square roots, and the children of a zero mod q^d solve
+one linear congruence mod q, because a polynomial agrees with its
+first-order Taylor expansion modulo q^(d+1) on the box of side q^d.
 
 Two obstruction computations are provided:
 
@@ -32,6 +32,8 @@ from functools import reduce
 
 from .exact import (
     CertificateError,
+    _sqrt_minus_one,
+    _sqrt_mod_odd_prime,
     factorize,
     is_perfect_square,
     is_probable_prime,
@@ -67,6 +69,7 @@ __all__ = [
     "TwistConditions",
     "DensityReport",
     "local_point",
+    "residue_zeros",
     "point_obstruction",
     "forced_section_invariants",
     "twist_conditions",
@@ -176,13 +179,6 @@ def _residue_valuation(r: int, q: int, k: int) -> int | None:
     return valuation(r, q) if r % q**k else None
 
 
-def _sqrt_fraction_down(t: Fraction, precision: int) -> Fraction:
-    """Largest dyadic-denominator fraction with square <= t (t >= 0)."""
-    scale = 2**precision
-    num = t.numerator * t.denominator * scale * scale
-    return Fraction(math.isqrt(num), t.denominator * scale)
-
-
 def local_point(
     tw: TwistParams,
     v,
@@ -196,13 +192,14 @@ def local_point(
     Finite places: breadth-first search over the zeros mod q^d of both
     affine charts, d = 1, 2, ..., in (y, z) order; a branch is closed out
     by Hensel's lemma as soon as d exceeds twice the valuation of one
-    partial derivative.  Each level costs O(q) per live node (see
-    `_chart_search`); only residues where both partials vanish mod q pay
-    for all q^2 children.  `variant` skips that many certified branches
-    first (deterministically different points for sampling).  A constant
-    divisible by q^4 is first divided by its largest such power (see
-    `_rescaled_point`).  Real place: the least z >= 0 with
-    ell*(z^4 - p) > 0, which for ell > 0 and p > 0 is floor(p^(1/4)) + 1.
+    partial derivative.  Zeros mod q are drawn lazily and each lifting
+    level costs O(q) per live node (see `_chart_search`).  `variant` skips
+    that many certified branches first (deterministically different points
+    for sampling).  A constant divisible by q^4 is first divided by its
+    largest such power (see `_rescaled_point`).  Real place: the least
+    z >= 0 with ell*(z^4 - p) > 0, which for ell > 0 and p > 0 is
+    floor(p^(1/4)) + 1, and y = sqrt((z^4 - p)/ell) rounded down to a
+    dyadic fraction.
     """
     place = as_place(v)
     if place.is_real:
@@ -211,8 +208,11 @@ def local_point(
             z += 1
             if z > abs(tw.p) + 2:  # ell < 0 needs small z; ell > 0 large z
                 return NoPoint(place, z)
-        t = Fraction(z**4 - tw.p, tw.ell)
-        y = _sqrt_fraction_down(t, precision + 8)
+        # y = (sqrt(m) - d)/|ell| with 0 <= d < 1/scale, so ell*y^2 misses
+        # z^4 - p by less than 2 sqrt(m)/scale < 2^-precision
+        m = tw.ell * (z**4 - tw.p)
+        scale = 2 ** (precision + 1 + m.bit_length())
+        y = Fraction(math.isqrt(m * scale * scale), abs(tw.ell) * scale)
         return LocalPoint(place, y, Fraction(z), precision, "real")
 
     q = place.prime
@@ -262,7 +262,7 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
     """BFS one affine chart; returns (LocalPoint | None, remaining skip).
 
     Depth d holds the zeros of the chart modulo q^d in (y, z) order.  The
-    depth-1 zeros are read off a table of fourth roots mod q, and each
+    depth-1 zeros are drawn from `residue_zeros` one at a time, and each
     node's children come from the linear congruence of `_lift_children`,
     so a level costs O(q) per node instead of O(q^2).  A branch whose
     working precision cannot show its derivative is not refined: its
@@ -286,7 +286,7 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
         return [ell * y0 * y0 - b, 0, 0, 0, -a]
 
     short = None  # InsufficientPrecision of an abandoned branch
-    frontier = _residue_zeros(tw, q, chart)
+    frontier = residue_zeros(ell, a, b, q)
     for depth in range(1, depth_bound + 1):
         mod = q**depth
         next_frontier = []
@@ -327,25 +327,35 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
     return None, skip
 
 
-def _residue_zeros(tw, q, chart):
-    """The zeros (y, z) of the chart mod q, in (y, z) order.
-
-    One pass over z fills a table of fourth roots mod q (each residue's
-    roots ascending); every y then reads off its z from
-    z^4 = (ell*y^2 - b)/a.  When q | a (the far chart with q | p) the
-    equation ell*y^2 = b leaves z free.
-    """
-    ell = tw.ell
-    a, b = _chart(tw, chart)
+def residue_zeros(ell: int, a: int, b: int, q: int):
+    """The zeros (y, z) of ell*y^2 = a*z^4 + b mod the prime q, lazily, in
+    (y, z) order.  If q | a, z is free; q = 2 is a scan.  Otherwise
+    u = (ell*y^2 - b)/a has the root 0 if u = 0, and if u is a fourth power
+    (Euler's criterion) the roots +-z, and +-iz (i^2 = -1) for q = 1 mod 4,
+    with z a square root of a square root of u.  That square root is a
+    square: both signs are for q = 1 mod 4, and u^((q+1)/4) = z^2 for
+    q = 3 mod 4."""
     if a % q == 0:
-        return [(y, z) for y in range(q) if (ell * y * y - b) % q == 0
-                for z in range(q)]
-    roots = {}
-    for z in range(q):
-        roots.setdefault(pow(z, 4, q), []).append(z)
+        yield from ((y, z) for y in range(q) if (ell * y * y - b) % q == 0 for z in range(q))
+        return
+    if q == 2:
+        yield from ((y, z) for y in (0, 1) for z in (0, 1) if (ell * y - a * z - b) % 2 == 0)
+        return
     inv_a = pow(a, -1, q)
-    return [(y, z) for y in range(q)
-            for z in roots.get((ell * y * y - b) * inv_a % q, ())]
+    euler = (q - 1) // (4 if q % 4 == 1 else 2)
+    i = None  # found at the first fourth power
+    for y in range(q):
+        u = (ell * y * y - b) * inv_a % q
+        if u == 0:
+            yield y, 0
+        elif pow(u, euler, q) == 1:
+            z = _sqrt_mod_odd_prime(_sqrt_mod_odd_prime(u, q), q)
+            roots = [z, q - z]
+            if q % 4 == 1:
+                i = i or _sqrt_minus_one(q)
+                roots += [z * i % q, q - z * i % q]
+            for r in sorted(roots):
+                yield y, r
 
 
 def _lift_children(y0, z0, c0, g_y, g_z, q, step):

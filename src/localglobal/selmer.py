@@ -370,7 +370,8 @@ def evaluate_F_local(precision: int = 12) -> tuple[int, int, int, int]:
     vec = class_at(precision)
     if class_at(precision + 2) != vec:
         raise InsufficientPrecision(
-            f"descent class did not stabilize at precision {precision}"
+            f"the descent class of the 3-adic point [0 : cbrt(10) : -2] did not"
+            f" stabilize: precisions {precision} and {precision + 2} give different classes"
         )
     return vec
 

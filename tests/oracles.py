@@ -12,11 +12,14 @@ pair at depth 1 and every one of the q^2 children of each node are tried,
 each chart has its own written-out equation, the certified nodes start
 the Hensel lift from `PadicNumber` values, a fourth root starts from a
 residue of the exact rational, and the real point counts z up from 0.
+The library's zeros mod q are checked against a table of fourth roots.
 The good places of an Elkies fibre are swept with the library's own
 `local_point`, one search per prime; the
 fibre itself is built from N(t) in Fractions with a quartic-free part and
 a search for B, its bad places are certified by a Hensel lift, and the
-obstruction reads the quartic residue symbol of 2.  The
+obstruction reads the quartic residue symbol of 2.  Its smooth residue
+points come from a loop of its own over y, and its local solvability
+report from the `local_point` search at 2 and below p = 500.  The
 ring formulas are the hand-written products and norms of Q(zeta_3), of
 its extension by a cube root of 6 and of the delta-algebra over that,
 with the cofactor determinant behind the radical norms.  The generic
@@ -66,7 +69,7 @@ from localglobal.exact import (
     split_prime_power,
     sqrt_mod_prime,
 )
-from localglobal.elkies import ElkiesFibre, RepresentationNotFound
+from localglobal.elkies import ElkiesFibre, LocalSolvabilityReport, RepresentationNotFound
 from localglobal.padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
@@ -75,6 +78,7 @@ from localglobal.padic import (
     _unit_label_digits,
     hensel_root as padic_hensel_root,
     is_nth_power as padic_is_nth_power,
+    is_nth_power_unit,
     padic_root,
 )
 from localglobal.reichardt_lind import (
@@ -315,6 +319,57 @@ def bad_place_lift(n0: int, p: int, precision: int) -> bool:
             root = padic_hensel_root([-(n0 + 2 * y * y), 0, 0, 0, 1], z0, p, precision)
             return root.valuation() == 0
     return False
+
+
+def fourth_root_table_zeros(ell: int, a: int, b: int, q: int) -> list:
+    """The zeros (y, z) of ell*y^2 = a*z^4 + b mod q in (y, z) order, read
+    off a table of fourth roots mod q filled by one pass over z; when q | a
+    the equation leaves z free.  This table was the depth-1 frontier of
+    `reichardt_lind.local_point` before `reichardt_lind.residue_zeros`."""
+    if a % q == 0:
+        return [(y, z) for y in range(q) if (ell * y * y - b) % q == 0 for z in range(q)]
+    roots = {}
+    for z in range(q):
+        roots.setdefault(pow(z, 4, q), []).append(z)
+    inv_a = pow(a, -1, q)
+    return [(y, z) for y in range(q) for z in roots.get((ell * y * y - b) * inv_a % q, ())]
+
+
+def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
+    """`elkies.smooth_residue_point` before it drew from `residue_zeros`:
+    for y = 0, 1, ... the zero (y, 0) when n0 + 2y^2 = 0 mod q and y != 0,
+    or (y, z) with z a fourth root of the unit n0 + 2y^2, taken as a square
+    root of a square root; None if no y gives one."""
+    for y in range(q):
+        u = (n0 + 2 * y * y) % q
+        if u == 0:
+            if y:
+                return y, 0
+        elif is_nth_power_unit(u, 4, q):
+            return y, sqrt_mod_prime(sqrt_mod_prime(u, q), q)
+    return None
+
+
+def local_solvability_report(fib: ElkiesFibre, precision: int = 12,
+                             good_prime_bound: int = 50) -> LocalSolvabilityReport:
+    """`elkies.local_solvability_report` before its closed rules: the Q_2
+    point from the `local_point` search with y = 0 allowed, each place
+    p | N0 by `smooth_residue_point` above, confirmed below p = 500 by the
+    `local_point` search, and the good places by `smooth_residue_point`."""
+    n0 = fib.N0
+    eq = CurveEquation(2, n0)
+    two_ok = not isinstance(rl_local_point(eq, 2, precision, allow_y_zero=True), NoPoint)
+    odd_entries = []
+    for p, _ in fib.factorization.factors:
+        if p % 8 != 1:
+            raise CertificateError(f"{p} divides N0 = {n0} but is not 1 mod 8")
+        solvable = smooth_residue_point(n0, p) is not None
+        if solvable and p < 500:
+            solvable = not isinstance(rl_local_point(eq, p, precision), NoPoint)
+        odd_entries.append((p, solvable))
+    good = tuple(q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q)
+    good_ok = all(smooth_residue_point(n0, q) is not None for q in good)
+    return LocalSolvabilityReport(fib, n0 > 0, two_ok, tuple(odd_entries), good, good_ok)
 
 
 def contributes(p: int, e: int) -> bool:

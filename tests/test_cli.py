@@ -133,6 +133,14 @@ class TestSelmerCommands:
         assert result["F_class"] == [1, 0, 1, 0] == result["expected_class"]
         assert result["classes_match"] and result["pairing_nontrivial"]
 
+    def test_verify_at_precision_2_names_the_unstable_class(self, capsys):
+        code, rep = run_json(capsys, "selmer", "verify", "--precision", "2")
+        assert code == 2 and rep["status"] == "inconclusive"
+        assert rep["result"]["message"] == (
+            "the descent class of the 3-adic point [0 : cbrt(10) : -2] did not"
+            " stabilize: precisions 2 and 4 give different classes"
+        )
+
     def test_survival(self, capsys):
         code, rep = run_json(capsys, "selmer", "survival")
         assert code == 0 and rep["status"] == "ok"
@@ -184,6 +192,15 @@ class TestPlumbing:
             assert code == (2 if rep["status"] == "inconclusive" else 0)
             if rep["status"] == default["status"]:
                 assert rep["result"] == default["result"], precision
+
+    def test_elkies_needs_five_digits_at_2(self, capsys):
+        # the Q_2 point (0, N0^(1/4)) is read off a residue mod 2^5
+        code, rep = run_json(capsys, "elkies", "verify", "--t=1/3", "--precision", "4")
+        assert code == 2 and rep["result"]["message"] == (
+            "the point y = 0, z = N0^(1/4) over Q_2: only 4 digits known, need 5"
+        )
+        code, rep = run_json(capsys, "elkies", "verify", "--t=1/3", "--precision", "5")
+        assert code == 0 and rep["status"] == "obstructed"
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import oracles
 import pytest
+from sympy.ntheory import nthroot_mod
 
 from localglobal import cli, elkies, exact
 from localglobal.elkies import (
@@ -33,7 +34,7 @@ from localglobal.exact import (
     primes_up_to,
     quartic_residue_symbol,
 )
-from localglobal.padic import is_nth_power_unit
+from localglobal.padic import InsufficientPrecision, is_nth_power_unit
 from localglobal.symbols import InvariantValue
 
 
@@ -290,6 +291,23 @@ class TestLocalSolvability:
         assert rep.two_adic_solvable  # 97 = 1 mod 16 is a 4th power in Q_2
         assert rep.everywhere_solvable
 
+    def test_report_equals_the_oracle_report(self):
+        # the oracle searches Q_2 and the places p | N0 below 500 with
+        # local_point; below 5 digits both give up at Q_2
+        outcomes = set()
+        for fib in fibres_of_height_ten():
+            for precision in range(1, 9):
+                try:
+                    expected = oracles.local_solvability_report(fib, precision, 50)
+                except InsufficientPrecision:
+                    with pytest.raises(InsufficientPrecision, match="over Q_2: .* need 5"):
+                        local_solvability_report(fib, precision, 50)
+                    outcomes.add(("inconclusive", precision))
+                    continue
+                assert local_solvability_report(fib, precision, 50) == expected, (fib.t, precision)
+                outcomes.add(("report", precision))
+        assert outcomes == {("inconclusive", k) for k in range(1, 5)} | {("report", k) for k in range(5, 9)}
+
 
 @lru_cache(maxsize=None)
 def fibres_of_height_ten():
@@ -301,6 +319,18 @@ def _is_smooth_zero(n0, q, point):
     return (2 * y * y - z**4 + n0) % q == 0 and (4 * y % q or 4 * z**3 % q)
 
 
+def _agrees_with_the_old_loop(n0, q):
+    """The walk and the loop it replaced find a zero for the same (n0, q),
+    at the same y; the walk's z is the least fourth root of the loop's z^4,
+    the loop's any one of them."""
+    new, old = smooth_residue_point(n0, q), oracles.smooth_residue_point(n0, q)
+    if new is None or old is None:
+        return new == old
+    u = pow(old[1], 4, q)
+    least = min(nthroot_mod(u, 4, q, all_roots=True)) if u else 0
+    return new[0] == old[0] and new[1] == least
+
+
 class TestGoodPlaces:
     """`smooth_residue_point` against the `local_point` sweep it replaced."""
 
@@ -309,6 +339,15 @@ class TestGoodPlaces:
             for n0 in range(1, q):
                 point = smooth_residue_point(n0, q)
                 assert point is not None and _is_smooth_zero(n0, q, point), (q, n0)
+
+    def test_certificate_agrees_with_the_old_loop(self):
+        for q in primes_up_to(200)[1:]:
+            for n0 in range(1, q):
+                assert _agrees_with_the_old_loop(n0, q), (q, n0)
+        for fib in fibres_of_height_ten():
+            for q in primes_up_to(200)[1:]:
+                if fib.N0 % q:
+                    assert _agrees_with_the_old_loop(fib.N0, q), (fib.t, q)
 
     def test_a_zero_with_y_zero_certifies_5_at_t_1(self):
         # N0 = 1921 = 1 mod 5: for y != 0, 1921 + 2y^2 is 3 or 4 mod 5, and
@@ -365,6 +404,14 @@ class TestBadPlaces:
                 y, z = smooth_residue_point(0, q)
                 assert _is_smooth_zero(0, q, (y, z)) and z, q
 
+    def test_certificate_agrees_with_the_old_loop(self):
+        for fib in fibres_of_height_ten():
+            for p, _ in fib.factorization.factors:
+                assert _agrees_with_the_old_loop(fib.N0, p), (fib.t, p)
+        for q in primes_up_to(3000):
+            if q % 8 == 1:
+                assert _agrees_with_the_old_loop(0, q), q
+
     def test_report_equals_the_hensel_report(self):
         large = 0
         for fib in fibres_of_height_ten():
@@ -374,7 +421,7 @@ class TestBadPlaces:
             )
             assert report.odd_bad_places == lifted, fib.t
             large += sum(p >= 500 for p, _ in lifted)
-        assert large > 100  # places with no local_point cross-check
+        assert large > 100  # places the oracle report does not search either
 
 
 class TestObstructionParity:

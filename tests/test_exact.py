@@ -33,8 +33,28 @@ def test_primality_known_hard_composites():
     # Carmichael numbers and a classical strong pseudoprime to small bases.
     for n in [561, 1105, 1729, 2465, 6601, 8911, 10585, 62745, 162401, 3215031751]:
         assert not is_probable_prime(n), n
-    assert is_probable_prime(2**89 - 1)  # Mersenne prime above the 2**64 cutoff
+    assert is_probable_prime(2**89 - 1)  # Mersenne prime above the psi_13 cutoff
     assert not is_probable_prime((2**89 - 1) * (2**107 - 1))
+
+
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def _failing_bases(n):
+    s = valuation(n - 1, 2)
+    return [a for a in exact._SMALL_WITNESSES if not exact._miller_rabin_round(n, a, (n - 1) >> s, s)]
+
+
+def test_thirteen_bases_decide_below_psi_13():
+    # psi_12 passes the primes up to 37 and fails only 41; psi_13 passes all
+    # thirteen, so the bases prove nothing there and the seeded rounds reject it
+    assert exact._SMALL_WITNESSES == tuple(sympy.primerange(2, 42))
+    assert _failing_bases(PSI_12) == [41] and not is_probable_prime(PSI_12)
+    assert exact._PSI_13 == PSI_13
+    assert _failing_bases(PSI_13) == [] and not is_probable_prime(PSI_13)
+    below = sympy.prevprime(PSI_13)  # PSI_13 - 168
+    assert is_probable_prime(below) and below < PSI_13
 
 
 def test_factorize_examples():

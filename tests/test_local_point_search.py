@@ -1,7 +1,7 @@
 """The linear-time local point search against the quadratic one it replaced.
 
-`reichardt_lind.local_point` reads the depth-1 residue points off a table
-of fourth roots and lifts each node by one linear congruence;
+`reichardt_lind.local_point` draws the depth-1 residue points lazily from
+`residue_zeros` and lifts each node by one linear congruence;
 `oracles.local_point` tries every residue pair and every one of the q^2
 children.  Both must visit the same frontiers in the same order, so they
 return the same point (to full precision), the same `NoPoint` depth, or
@@ -108,13 +108,15 @@ def _grid():
 
 def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
     seen = set()  # which paths of the linear search the grid exercised
-    residue_zeros, lift_children = reichardt_lind._residue_zeros, reichardt_lind._lift_children
+    residue_zeros, lift_children = reichardt_lind.residue_zeros, reichardt_lind._lift_children
     searching = {}
 
-    def recording_residue_zeros(tw, q, chart):
-        searching.update(ell=tw.ell, chart=chart_polynomial(tw.ell, tw.p, chart))
-        seen.add("far, q | p" if chart == "far" and tw.p % q == 0 else chart)
-        return residue_zeros(tw, q, chart)
+    def recording_residue_zeros(ell, a, b, q):
+        # near is ell*y^2 = z^4 - p, far ell*y^2 = -p*z^4 + 1 (at p = -1 they agree)
+        chart, p = ("near", -b) if a == 1 else ("far", -a)
+        searching.update(ell=ell, chart=chart_polynomial(ell, p, chart))
+        seen.add("far, q | p" if chart == "far" and p % q == 0 else chart)
+        return residue_zeros(ell, a, b, q)
 
     def checking_lift_children(y0, z0, c0, g_y, g_z, q, step):
         # every expanded node is a zero mod step, lifted by the right congruence
@@ -125,7 +127,7 @@ def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
         seen.add((kind, "q = 2" if q == 2 else "q odd"))
         return lift_children(y0, z0, c0, g_y, g_z, q, step)
 
-    monkeypatch.setattr(reichardt_lind, "_residue_zeros", recording_residue_zeros)
+    monkeypatch.setattr(reichardt_lind, "residue_zeros", recording_residue_zeros)
     monkeypatch.setattr(reichardt_lind, "_lift_children", checking_lift_children)
     mismatches, kinds = [], set()
     for ell, p, q, precision, allow_y_zero, variant in _grid():
@@ -157,7 +159,25 @@ def test_residue_zeros_match_a_scan_of_all_pairs(q, chart):
                 continue
             g, _ = chart_polynomial(ell, p, chart)
             expected = [(y, z) for y in range(q) for z in range(q) if g(y, z) % q == 0]
-            assert reichardt_lind._residue_zeros(CurveEquation(ell, p), q, chart) == expected, (ell, p)
+            assert list(chart_zeros(ell, p, q, chart)) == expected, (ell, p)
+
+
+def chart_zeros(ell, p, q, chart):
+    a, b = (1, -p) if chart == "near" else (-p, 1)  # ell*y^2 = a*z^4 + b
+    return reichardt_lind.residue_zeros(ell, a, b, q)
+
+
+def test_residue_zeros_match_the_fourth_root_table():
+    # every prime q < 2000 (q = 2 included) on both charts, and the z-free
+    # branch: the far chart with q | p
+    branches = set()
+    for q in reichardt_lind.primes_up_to(2000):
+        for ell, p, chart in ((2, 17, "near"), (-3, -7, "far"), (11, 5 * q, "far")):
+            a, b = (1, -p) if chart == "near" else (-p, 1)
+            zeros = list(reichardt_lind.residue_zeros(ell, a, b, q))
+            assert zeros == oracles.fourth_root_table_zeros(ell, a, b, q), (q, ell, p, chart)
+            branches.add("z free" if a % q == 0 else "q = 2" if q == 2 else f"q = {q % 4} mod 4")
+    assert branches == {"z free", "q = 2", "q = 1 mod 4", "q = 3 mod 4"}
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
@@ -206,6 +226,17 @@ def test_point_at_a_prime_near_ten_to_the_five(eq, q):
     assert verify_local_point(eq, pt)
     assert not pt.y.is_zero
     assert elapsed < 5, f"{elapsed:.2f} s: the search is not linear in q"
+
+
+def test_points_of_a_twist_at_a_64_bit_prime():
+    # the depth-1 zeros are drawn lazily: a table of fourth roots mod p
+    # would need 2^64 entries
+    tw = TwistParams(2, 2**64 + 2065)
+    started = time.perf_counter()
+    for variant in (0, 5):
+        pt = local_point(tw, tw.p, variant=variant)
+        assert isinstance(pt, LocalPoint) and verify_local_point(tw, pt)
+    assert time.perf_counter() - started < 5
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -301,3 +332,17 @@ def test_real_point_starts_where_the_count_from_zero_stops():
         assert pt.chart == "real" and pt.z == oracles.real_point_z(tw), tw
         cases += 1
     assert cases > 8 * 9000
+
+
+def test_real_point_satisfies_the_equation():
+    # a tenth of the grid, every point above 2^64, and three that failed
+    # when y had a fixed number of binary digits: the residual grew with
+    # sqrt(t)
+    checked = set()
+    for k, tw in enumerate(_real_point_cases()):
+        if k % 10 and (tw.ell, tw.p) not in ((6, 10039), (1, 65551)) and tw.p < 2**64:
+            continue
+        pt = local_point(tw, "infinity")
+        assert verify_local_point(tw, pt), tw
+        checked.add((tw.ell, tw.p))
+    assert {(6, 10039), (1, 65551), (2, 2**64 + 13)} <= checked and len(checked) > 7000
