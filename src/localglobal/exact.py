@@ -3,9 +3,12 @@ valuations and residues mod m, residue symbols, and `QuotientElement`, the
 operator shell that the rings Q(zeta_3) (`cubic.Eisenstein`) and
 Q(zeta_3, cbrt(6)) (`tower.KElement`) fill in with their own product.
 
-All routines are deterministic: the Miller-Rabin witnesses below psi_13
-(about 2**81.5) are a fixed proven-complete base set, larger inputs use 40
-rounds drawn from an RNG seeded by the input itself, and Pollard rho walks a
+All routines are deterministic.  Primality is proven below psi_13 (about
+2**81.5): trial division by the primes up to 47 decides n < 53**2, and
+above that Miller-Rabin to the first k prime bases, k sized to n by the
+least strong pseudoprimes psi_k (Pomerance, Selfridge & Wagstaff 1980;
+Jaeschke 1993; Sorenson & Webster 2017).  Larger inputs use 40 rounds
+drawn from an RNG seeded by the input itself, and Pollard rho walks a
 fixed schedule of polynomial offsets.
 """
 
@@ -20,6 +23,24 @@ from fractions import Fraction
 # strong pseudoprime to all of them (Sorenson & Webster, Math. Comp. 86, 2017).
 _SMALL_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
+# (psi_k, k): psi_k is the least strong pseudoprime to the first k prime
+# bases, so those bases decide every n < psi_k.  psi_2..psi_4: Pomerance,
+# Selfridge & Wagstaff, Math. Comp. 35 (1980) and Jaeschke, Math. Comp. 61
+# (1993), psi_5..psi_8 from Jaeschke, psi_9..psi_11 from Jiang & Deng,
+# Math. Comp. 83 (2014), psi_12 and psi_13 from Sorenson & Webster.
+# psi_7 = psi_8 and psi_9 = psi_10 = psi_11, so tiers 7, 9 and 10 add
+# nothing, and psi_1 = 2047 lies below 53**2, where trial division decides.
+_WITNESS_TIERS = (
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 8),
+    (3825123056546413051, 11),
+    (318665857834031151167461, 12),
+    (_PSI_13, 13),
+)
 
 _TRIAL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -50,9 +71,14 @@ def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
 
 
 def is_probable_prime(n: int) -> bool:
-    """Miller-Rabin.  Below psi_13 = 3317044064679887385961981 (about
-    2**81.5) the primes up to 41 as bases make a True a proof; from psi_13
-    on, which passes all of them, 40 seeded random rounds give a probable prime."""
+    """Trial division, then Miller-Rabin with as many bases as n's size needs.
+
+    A True is a proof below psi_13 = 3317044064679887385961981 (about
+    2**81.5): n < 53**2 = 2809 with no prime factor up to 47 is prime, and
+    above that n < psi_k is decided by the first k prime bases
+    (`_WITNESS_TIERS`: 4 bases below psi_4 ~ 2**31.6, 11 below
+    psi_11 ~ 2**61.7).  From psi_13 on, which passes all thirteen bases,
+    40 seeded random rounds give a probable prime."""
     if n < 2:
         return False
     for p in _TRIAL_PRIMES:
@@ -60,10 +86,14 @@ def is_probable_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < 2809:  # 53**2: a composite this small has a prime factor <= 47
+        return True
     s = valuation(n - 1, 2)
     d = (n - 1) >> s
-    if n < _PSI_13:
-        witnesses = _SMALL_WITNESSES
+    for psi, k in _WITNESS_TIERS:
+        if n < psi:
+            witnesses = _SMALL_WITNESSES[:k]
+            break
     else:
         rng = random.Random(n)
         witnesses = [rng.randrange(2, n - 1) for _ in range(40)]
@@ -231,17 +261,23 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return _sqrt_mod_odd_prime(a, p)
 
 
-def _sqrt_minus_one(p: int) -> int:
-    """c^((p-1)/4), a square root of -1 mod the prime p = 1 mod 4, c the least non-residue."""
+def _least_nonresidue(p: int) -> int:
+    """The least quadratic non-residue mod the odd prime p (Euler's criterion)."""
     c = 2
     while pow(c, (p - 1) // 2, p) != p - 1:
         c += 1
-    return pow(c, (p - 1) // 4, p)
+    return c
 
 
-def _sqrt_mod_odd_prime(a: int, p: int) -> int:
+def _sqrt_minus_one(p: int) -> int:
+    """c^((p-1)/4), a square root of -1 mod the prime p = 1 mod 4, c the least non-residue."""
+    return pow(_least_nonresidue(p), (p - 1) // 4, p)
+
+
+def _sqrt_mod_odd_prime(a: int, p: int, nonresidue: int | None = None) -> int:
     """`sqrt_mod_prime` for a p already known to be an odd prime, without
-    testing it again."""
+    testing it again.  A caller that holds a quadratic non-residue mod p
+    passes it in, and Tonelli-Shanks (p = 1 mod 4) skips its search."""
     a %= p
     if a == 0:
         return 0
@@ -252,10 +288,7 @@ def _sqrt_mod_odd_prime(a: int, p: int) -> int:
         return pow(a, (p + 1) // 4, p)
     s = valuation(p - 1, 2)
     q = (p - 1) >> s
-    z = 2
-    while pow(z, half, p) != p - 1:
-        z += 1
-    m, c = s, pow(z, q, p)
+    m, c = s, pow(nonresidue or _least_nonresidue(p), q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         i, t2 = 0, t

@@ -32,7 +32,7 @@ from functools import reduce
 
 from .exact import (
     CertificateError,
-    _sqrt_minus_one,
+    _least_nonresidue,
     _sqrt_mod_odd_prime,
     factorize,
     is_perfect_square,
@@ -268,7 +268,9 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
     working precision cannot show its derivative is not refined: its
     descendants share that derivative's valuation, so none of them can be
     certified either.  If the chart then ends without a point, that
-    InsufficientPrecision is raised.
+    InsufficientPrecision is raised.  A certified branch that `skip` passes
+    by is counted from its residues (`_lifts_to_a_point`), and lifted only
+    when they cannot show that it gives a point.
     """
     ell = tw.ell
     a, b = _chart(tw, chart)
@@ -296,6 +298,9 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
             candidates = [t for t in (t_y, t_z) if t is not None]
             t_min = min(candidates) if candidates else None
             if t_min is not None and depth > 2 * t_min:
+                if skip > 0 and _lifts_to_a_point(q, y0, z0, t_y, t_z, precision):
+                    skip -= 1  # deterministic variant: pass this branch by
+                    continue
                 try:
                     pt = _certify(
                         tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
@@ -305,8 +310,8 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
                     short = exc
                     continue
                 if pt is not None:
-                    if skip > 0:
-                        skip -= 1  # deterministic variant: pass this branch by
+                    if skip > 0:  # y0 = 0: it took the lift to count it
+                        skip -= 1
                         continue
                     return pt, 0
                 # certified branch rejected (e.g. its lift has y = 0):
@@ -334,7 +339,9 @@ def residue_zeros(ell: int, a: int, b: int, q: int):
     (Euler's criterion) the roots +-z, and +-iz (i^2 = -1) for q = 1 mod 4,
     with z a square root of a square root of u.  That square root is a
     square: both signs are for q = 1 mod 4, and u^((q+1)/4) = z^2 for
-    q = 3 mod 4."""
+    q = 3 mod 4.  For q = 1 mod 4 the least non-residue c is searched once,
+    at the first fourth power; it serves every square root and gives
+    i = c^((q-1)/4)."""
     if a % q == 0:
         yield from ((y, z) for y in range(q) if (ell * y * y - b) % q == 0 for z in range(q))
         return
@@ -343,16 +350,18 @@ def residue_zeros(ell: int, a: int, b: int, q: int):
         return
     inv_a = pow(a, -1, q)
     euler = (q - 1) // (4 if q % 4 == 1 else 2)
-    i = None  # found at the first fourth power
+    c = i = None  # for q = 1 mod 4, found at the first fourth power
     for y in range(q):
         u = (ell * y * y - b) * inv_a % q
         if u == 0:
             yield y, 0
         elif pow(u, euler, q) == 1:
-            z = _sqrt_mod_odd_prime(_sqrt_mod_odd_prime(u, q), q)
+            if q % 4 == 1 and c is None:
+                c = _least_nonresidue(q)
+                i = pow(c, (q - 1) // 4, q)
+            z = _sqrt_mod_odd_prime(_sqrt_mod_odd_prime(u, q, c), q, c)
             roots = [z, q - z]
-            if q % 4 == 1:
-                i = i or _sqrt_minus_one(q)
+            if i is not None:
                 roots += [z * i % q, q - z * i % q]
             for r in sorted(roots):
                 yield y, r
@@ -380,6 +389,26 @@ def _lift_children(y0, z0, c0, g_y, g_z, q, step):
     return [(y0 + dy * step, z0 + dz * step) for dy in range(q) for dz in range(q)]
 
 
+def _lift_plan(q, y0, z0, t_y, t_z, precision):
+    """(use_y, n, t): `_certify` lifts y if use_y, else z, from its residue
+    at working precision n along a derivative of valuation t."""
+    use_y = t_y is not None and (t_z is None or t_y <= t_z)
+    start, t = (y0, t_y) if use_y else (z0, t_z)
+    return use_y, precision + (valuation(start, q) if start else 0), t
+
+
+def _lifts_to_a_point(q, y0, z0, t_y, t_z, precision) -> bool:
+    """Whether `_certify` surely returns a point for the certified node
+    (y0, z0) mod q^depth, depth > 2t, read off its residues: y0 != 0 and
+    the working precision n exceeds 2t.  The point then has y != 0: a
+    lifted z leaves y = y0, and a lifted y agrees with y0 mod
+    q^(min(depth, n) - t), above v(y0) <= t = v(2*ell*y0)."""
+    if not y0:
+        return False
+    _, n, t = _lift_plan(q, y0, z0, t_y, t_z, precision)
+    return n > 2 * t
+
+
 def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
              exact_z_poly, allow_y_zero):
     """Turn a Hensel-liftable residue pair into an exact local point.
@@ -391,9 +420,7 @@ def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
     precision of at most 2t raises InsufficientPrecision.
     """
     place = Place.finite(q)
-    use_y = t_y is not None and (t_z is None or t_y <= t_z)
-    start, t = (y0, t_y) if use_y else (z0, t_z)
-    n = precision + (valuation(start, q) if start else 0)
+    use_y, n, t = _lift_plan(q, y0, z0, t_y, t_z, precision)
     if n <= 2 * t:
         raise InsufficientPrecision(
             f"{n} digits over Q_{q} cannot show a derivative of valuation {t}:"
@@ -535,9 +562,10 @@ def twist_conditions(tw: TwistParams) -> TwistConditions:
     """Decide the four arithmetic conditions that make the twist a
     counterexample to the local-global principle with obstructed sections."""
     ell, p = tw.ell, tw.p
-    cond_i = p % 2 == 1 and is_probable_prime(p) and p not in set(
-        q for q, _ in factorize(abs(ell)).factors
-    )
+    # (i) holds by construction: TwistParams refuses an even or non-prime p
+    # and gcd(ell, p) != 1.  The report keeps the field so that it lists
+    # all four conditions.
+    cond_i = True
     cond_ii = p % 4 == 1 and pow(ell % p, (p - 1) // 4, p) != 1
     cond_iii = all(
         q % 4 == 3 and legendre_symbol(p, q) == 1 for q in tw.odd_ell_primes

@@ -26,8 +26,9 @@ with the cofactor determinant behind the radical norms.  The generic
 modulus ring follows: quotient rings R[x]/(x^n - r(x)) multiplied and
 normed through their MODULUS, nested into Q(zeta_3), the tower over it
 and K[delta].  The Newton
-iteration on `PadicNumber` objects and the factoring with trial division
-up to 10**4 follow.  Last come the cube classes of Q_3(zeta_3) read off
+iteration on `PadicNumber` objects, Miller-Rabin to all thirteen prime
+bases up to 41 whatever the size of n, and the factoring with trial
+division up to 10**4 follow.  Last come the cube classes of Q_3(zeta_3) read off
 Fraction pi-digit expansions, the F_3 nullspace found by trying every
 vector, the K/k norm as closed form and generic
 determinant on Fraction coordinates, the search for elements of norm
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
 
@@ -60,8 +62,11 @@ from localglobal.exact import (
     CertificateError,
     Factorization,
     FactorizationError,
+    _PSI_13,
+    _SMALL_WITNESSES,
     _TRIAL_PRIMES,
     _brent_rho,
+    _miller_rabin_round,
     fourth_root,
     is_probable_prime,
     primes_up_to,
@@ -830,6 +835,28 @@ def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION, target=None) -> P
             raise InsufficientPrecision("Newton step vanished before reaching target")
         x = x - step
     raise InsufficientPrecision("Newton failed to reach target precision")
+
+
+# ------------------------------------------------------------ primality
+def is_probable_prime_13(n: int) -> bool:
+    """`exact.is_probable_prime` before its bases were sized to n: trial
+    division by the primes up to 47, then all thirteen prime bases up to 41
+    for every n < psi_13 and 40 seeded random rounds from psi_13 on."""
+    if n < 2:
+        return False
+    for p in _TRIAL_PRIMES:
+        if n == p:
+            return True
+        if n % p == 0:
+            return False
+    s = split_prime_power(n - 1, 2)[0]
+    d = (n - 1) >> s
+    if n < _PSI_13:
+        witnesses = _SMALL_WITNESSES
+    else:
+        rng = random.Random(n)
+        witnesses = [rng.randrange(2, n - 1) for _ in range(40)]
+    return all(_miller_rabin_round(n, a, d, s) for a in witnesses)
 
 
 # ------------------------------------------------------------ factoring

@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import oracles
 import pytest
 import sympy
 from oracles import quartic_free_part
@@ -25,8 +26,8 @@ from localglobal.exact import (
 
 
 def test_primality_sweep_against_sympy():
-    for n in range(2, 20_000):
-        assert is_probable_prime(n) == sympy.isprime(n), n
+    # trial division alone decides n < 53^2, two bases the rest
+    assert [n for n in range(300_000) if is_probable_prime(n)] == list(sympy.sieve.primerange(300_000))
 
 
 def test_primality_known_hard_composites():
@@ -39,6 +40,13 @@ def test_primality_known_hard_composites():
 
 PSI_12 = 318665857834031151167461
 PSI_13 = 3317044064679887385961981
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233)
+PSI = {
+    1: 2047, 2: 1373653, 3: 25326001, 4: 3215031751, 5: 2152302898747,
+    6: 3474749660383, 7: 341550071728321, 8: 341550071728321,
+    9: 3825123056546413051, 10: 3825123056546413051, 11: 3825123056546413051,
+    12: PSI_12, 13: PSI_13,
+}
 
 
 def _failing_bases(n):
@@ -55,6 +63,85 @@ def test_thirteen_bases_decide_below_psi_13():
     assert _failing_bases(PSI_13) == [] and not is_probable_prime(PSI_13)
     below = sympy.prevprime(PSI_13)  # PSI_13 - 168
     assert is_probable_prime(below) and below < PSI_13
+
+
+def test_witness_tiers_are_the_published_bounds():
+    # one tier per distinct psi_k above 53^2, each with the most bases its
+    # bound allows; psi_k is composite, passes its first k bases and fails
+    # the next one (else psi_(k+1) would equal it)
+    expected = [(psi, max(k for k in PSI if PSI[k] == psi))
+                for psi in sorted(set(PSI.values())) if psi > 53**2]
+    assert list(exact._WITNESS_TIERS) == expected
+    for psi, k in exact._WITNESS_TIERS:
+        failing = _failing_bases(psi)
+        assert not sympy.isprime(psi) and not is_probable_prime(psi), psi
+        assert not set(failing) & set(exact._SMALL_WITNESSES[:k]), psi
+        assert k == 13 or exact._SMALL_WITNESSES[k] in failing, psi
+
+
+@functools.cache
+def _tier_samples():
+    """Seeded n in every tier (300 each without a prime factor up to 47,
+    so that Miller-Rabin decides them) and every n within 200 of a bound."""
+    rng = random.Random(1980)
+    bounds = [53**2] + sorted(set(PSI.values()) - {PSI[1]})
+    trial = math.prod(exact._TRIAL_PRIMES)
+    samples = []
+    for low, high in zip(bounds, bounds[1:]):
+        tier = []
+        while len(tier) < 300:
+            n = rng.randrange(low, high)
+            if math.gcd(n, trial) == 1:
+                tier.append(n)
+        samples += tier
+    for bound in bounds:
+        samples += range(bound - 200, bound + 201)
+    return tuple(samples)
+
+
+@functools.cache
+def _reference(n):
+    """sympy's verdict on n, which the thirteen-base test must share."""
+    expected = sympy.isprime(n)
+    assert oracles.is_probable_prime_13(n) == expected, n
+    return expected
+
+
+def _disagreements(numbers):
+    return [n for n in numbers if is_probable_prime(n) != _reference(n)]
+
+
+def test_tiers_agree_with_thirteen_bases():
+    samples = _tier_samples()
+    assert sum(map(sympy.isprime, samples)) > 900  # primes in every tier
+    assert _disagreements(samples) == []
+
+
+def test_a_tier_too_wide_is_caught(monkeypatch):
+    # negative control: with psi_4 in the three-base tier, the differential
+    # test above must see psi_4 accepted
+    widened = [(PSI[4] + 1, 3) if k == 3 else (psi, k) for psi, k in exact._WITNESS_TIERS]
+    monkeypatch.setattr(exact, "_WITNESS_TIERS", tuple(widened))
+    assert PSI[4] in _disagreements(_tier_samples())
+
+
+def test_bases_are_sized_to_n(monkeypatch):
+    rounds = []
+    mr_round = exact._miller_rabin_round
+
+    def recording_round(n, a, d, s):
+        rounds.append(a)
+        return mr_round(n, a, d, s)
+
+    monkeypatch.setattr(exact, "_miller_rabin_round", recording_round)
+    # the largest prime below each bound takes that tier's bases
+    cases = [(2803, 0), (2819, 2), (2**61 - 1, 11), (2**64 + 13, 12), (2**89 - 1, 40)]
+    cases += [(sympy.prevprime(psi), k) for psi, k in exact._WITNESS_TIERS]
+    for n, bases in cases:
+        rounds.clear()
+        assert is_probable_prime(n), n
+        assert len(rounds) == bases, n
+        assert bases > 13 or rounds == list(exact._SMALL_WITNESSES[:bases]), n
 
 
 def test_factorize_examples():
@@ -146,6 +233,22 @@ def test_sqrt_without_the_primality_test_matches_sqrt_mod_prime(monkeypatch):
         for a in range(p):
             assert _sqrt_outcome(exact._sqrt_mod_odd_prime, a, p) == \
                 _sqrt_outcome(sqrt_mod_prime, a, p), (a, p)
+
+
+def test_sqrt_with_a_given_nonresidue():
+    # the least non-residue gives the root the search would; any other
+    # non-residue gives a root too, of either sign
+    for p in primes_up_to(500):
+        if p % 4 != 1:
+            continue
+        least = exact._least_nonresidue(p)
+        largest = next(c for c in range(p - 1, 1, -1) if legendre_symbol(c, p) == -1)
+        assert legendre_symbol(least, p) == -1 and all(legendre_symbol(c, p) == 1 for c in range(2, least))
+        for a in range(1, p):
+            if legendre_symbol(a, p) == 1:
+                r = exact._sqrt_mod_odd_prime(a, p)
+                assert exact._sqrt_mod_odd_prime(a, p, least) == r
+                assert exact._sqrt_mod_odd_prime(a, p, largest) in (r, p - r), (a, p)
 
 
 def test_sqrt_helper_certifies_its_root(monkeypatch):

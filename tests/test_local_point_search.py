@@ -13,6 +13,7 @@ the library from the integer residue at the same absolute precision, so
 the points are compared on (is_zero, v, unit, prec) of both coordinates.
 """
 
+import json
 import math
 import random
 import time
@@ -20,7 +21,7 @@ import time
 import pytest
 
 import oracles
-from localglobal import reichardt_lind
+from localglobal import cli, exact, reichardt_lind
 from localglobal.exact import split_prime_power
 from localglobal.padic import InsufficientPrecision
 from localglobal.reichardt_lind import (
@@ -150,6 +151,77 @@ def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
     assert {("near", "q | p"), ("far", "q | p"), ("far", "q ∤ p"), "no point"} <= kinds
 
 
+def test_every_variant_matches_the_quadratic_oracle():
+    # a branch that variant passes by is counted from its residues and not
+    # lifted; the oracle lifts every branch, so both must skip the same ones
+    mismatches = []
+    for ell, p, q, precision, allow_y_zero in sorted({case[:5] for case in _grid()}):
+        eq = CurveEquation(ell, p)
+        for variant in range(6):
+            fast = outcome(local_point, eq, q, precision, allow_y_zero, variant)
+            slow = outcome(rescaled(oracles.local_point), eq, q, precision, allow_y_zero, variant)
+            if fast != slow:
+                mismatches.append(((ell, p, q, precision, allow_y_zero, variant), fast, slow))
+    assert mismatches == []
+
+
+def test_counted_branches_are_those_that_lift(monkeypatch):
+    # with the residue count switched off every certified branch is lifted
+    # and skipped only if it gives a point.  Over Q_2 at precision 2, a
+    # branch with n = 2t (y0 = 2 mod 4 on 3y^2 = z^4 - 13) must not be
+    # counted: it raises, and the search ends inconclusive, from variant 16 on
+    cases = [(ell, p, precision, variant) for ell in (3, 11, -5) for p in (13, 29, 7, -43)
+             for precision in (2, 3, 4) for variant in range(21)]
+
+    def outcomes():
+        return [outcome(local_point, CurveEquation(ell, p), 2, precision, False, variant)
+                for ell, p, precision, variant in cases]
+
+    counted = outcomes()
+    monkeypatch.setattr(reichardt_lind, "_lifts_to_a_point", lambda *args: False)
+    assert counted == outcomes()
+    assert counted[cases.index((3, 13, 2, 16))] == ("raises", InsufficientPrecision)
+
+
+RL_VERIFY_TWISTS = ((2, 17), (-2, 113), (2, 31), (-1, 17), (3, 13), (-6, 97), (11, 29), (19, 41))
+
+
+@pytest.mark.parametrize("ell, p", RL_VERIFY_TWISTS)
+def test_rl_verify_matches_the_quadratic_chart_search(monkeypatch, capsys, ell, p):
+    # six samples are variants 0-5 at every bad place; points and report
+    # agree with the search that lifts every certified branch
+    tw = TwistParams(ell, p)
+
+    def report():
+        code = cli.main(["rl", "verify", "--ell", str(ell), "--p", str(p), "--samples", "6"])
+        out = json.loads(capsys.readouterr().out)
+        out.pop("timings")
+        return code, out, [outcome(local_point, tw, v.prime, 16, False, k)
+                           for v in tw.bad_finite_places for k in range(6)]
+
+    fast = report()
+    monkeypatch.setattr(reichardt_lind, "_chart_search", oracles.chart_search)
+    assert fast == report()
+
+
+def test_only_kept_branches_are_lifted(monkeypatch):
+    # rl verify --ell 2 --p 1000721: 20 samples at the finite places 2 and
+    # p.  Each sample lifts the one branch it keeps; the only other lifts
+    # are the branches with y0 = 0 (whose points, y = 0, are refused)
+    lifted = []
+    certify = reichardt_lind._certify
+
+    def recording_certify(tw, q, chart, y0, *rest):
+        lifted.append(y0 != 0)
+        return certify(tw, q, chart, y0, *rest)
+
+    monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
+    tw = TwistParams(2, 1000721)
+    for variant in range(20):
+        reichardt_lind.point_obstruction(tw, variant=variant)
+    assert lifted.count(True) == 40
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 17])
 @pytest.mark.parametrize("chart", ["near", "far"])
 def test_residue_zeros_match_a_scan_of_all_pairs(q, chart):
@@ -178,6 +250,24 @@ def test_residue_zeros_match_the_fourth_root_table():
             assert zeros == oracles.fourth_root_table_zeros(ell, a, b, q), (q, ell, p, chart)
             branches.add("z free" if a % q == 0 else "q = 2" if q == 2 else f"q = {q % 4} mod 4")
     assert branches == {"z free", "q = 2", "q = 1 mod 4", "q = 3 mod 4"}
+
+
+def test_residue_zeros_search_one_nonresidue_per_prime(monkeypatch):
+    # q = 1 mod 4: the least non-residue is searched at the first fourth
+    # power and serves every square root after it, and i = sqrt(-1)
+    searches = []
+
+    def counting(p):
+        searches.append(p)
+        return least_nonresidue(p)
+
+    least_nonresidue = exact._least_nonresidue
+    monkeypatch.setattr(exact, "_least_nonresidue", counting)
+    monkeypatch.setattr(reichardt_lind, "_least_nonresidue", counting)
+    for q in reichardt_lind.primes_up_to(1000)[1:]:
+        searches.clear()
+        zeros = list(reichardt_lind.residue_zeros(2, 1, -17, q))
+        assert searches == ([q] if q % 4 == 1 and any(z for _, z in zeros) else []), q
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
