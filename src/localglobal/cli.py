@@ -13,7 +13,8 @@ plain spellings (group, command, exact long flags, positionals) straight
 off it with `_read`; anything else (help, `--`, abbreviations, dash-led
 values, options before the command, usage errors) goes to the argparse tree
 that `build_parser` builds from the same table, so help text, usage errors
-and exit codes are argparse's own.
+and exit codes are argparse's own.  argparse is imported only there: a
+plain command line never loads it.
 
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (precision budget exhausted), 1 for
@@ -23,11 +24,11 @@ a --precision, --max-prime, --samples or --height below 1 among them.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .cubic import PI, Eisenstein, cube_class_group, hilbert3
 from .elkies import fibre, family_scan, local_solvability_report, obstruction_parity, rationals_of_height
@@ -54,19 +55,16 @@ __all__ = ["main", "build_parser"]
 USAGE_EXIT = 64
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with the conventional 64 exit for usage errors."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+class _Refused(ValueError):
+    """A value a type function refuses; argparse prints the message as
+    the usage error."""
 
 
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+        raise _Refused(f"not a rational number: {text!r}") from exc
 
 
 def _parameter_t(text: str):
@@ -79,9 +77,9 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        raise _Refused(f"not an integer: {text!r}") from exc
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer: {text!r}")
+        raise _Refused(f"must be a positive integer: {text!r}")
     return value
 
 
@@ -89,7 +87,7 @@ def _prime_list(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from exc
+        raise _Refused(f"not a comma-separated integer list: {text!r}") from exc
 
 
 # The whole command line, described once: group -> (help, {command:
@@ -138,13 +136,38 @@ _CLI = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser() -> "argparse.ArgumentParser":
     """The full argparse tree of `_CLI`.
 
     `main` builds it only when `_read` passes an argv over, so it answers
     help, usage errors and the rarer spellings; it is also the reference
     that `_read` is tested against.
     """
+    import argparse
+    import functools
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse with the conventional 64 exit for usage errors."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
+
+    def reporting(kwargs: dict) -> dict:
+        """`kwargs` with a type whose refusals argparse prints verbatim."""
+        typ = kwargs.get("type")
+        if typ is None:
+            return kwargs
+
+        @functools.wraps(typ)
+        def checked(text):
+            try:
+                return typ(text)
+            except _Refused as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from exc
+
+        return dict(kwargs, type=checked)
+
     parser = _Parser(prog="localglobal",
                      description="Exact local-global obstruction computations.")
     parser.set_defaults(**_DEFAULTS)
@@ -155,9 +178,9 @@ def build_parser() -> _Parser:
         for command, arguments in commands.items():
             sp = subs.add_parser(command)
             for flags, kwargs in _COMMON:
-                sp.add_argument(*flags, default=argparse.SUPPRESS, **kwargs)
+                sp.add_argument(*flags, default=argparse.SUPPRESS, **reporting(kwargs))
             for flags, kwargs in arguments:
-                sp.add_argument(*flags, **kwargs)
+                sp.add_argument(*flags, **reporting(kwargs))
     return parser
 
 
@@ -166,7 +189,7 @@ def _dest(flag: str) -> str:
     return flag.lstrip("-").replace("-", "_")
 
 
-def _read(argv: list) -> argparse.Namespace | None:
+def _read(argv: list) -> SimpleNamespace | None:
     """The Namespace of `build_parser().parse_args(argv)`, read straight off
     `_CLI`, or None to leave argv to argparse.
 
@@ -207,13 +230,13 @@ def _read(argv: list) -> argparse.Namespace | None:
             text = token
         try:
             values[dest] = value = kwargs.get("type", str)(text)
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
+        except (TypeError, ValueError):  # a refused value: argparse reports it
             return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
     if missing or next(slots, None) is not None:
         return None
-    return argparse.Namespace(**values)
+    return SimpleNamespace(**values)
 
 
 # ------------------------------------------------------------ serialization

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import CertificateError, QuotientElement, residue, valuation
+from .exact import CertificateError, QuotientElement, record, residue, valuation
 from .symbols import InvariantValue
 
 __all__ = [
@@ -258,8 +257,7 @@ def _nullspace3(rows, width: int) -> list[tuple[int, ...]]:
 
 
 # ----------------------------------------------------------- the pairing
-@dataclass(frozen=True)
-class CubeClassGroup:
+class CubeClassGroup(record("CubeClassGroup", "generators pairing_matrix tau_matrix")):
     """k_v*/(k_v*)^3 with its explicit pairing and Galois action.
 
     generators: pi, zeta_3, 1 + pi^2, 1 + pi^3 (independent: the pairing
@@ -270,9 +268,7 @@ class CubeClassGroup:
     involution.
     """
 
-    generators: tuple[Eisenstein, ...]
-    pairing_matrix: tuple[tuple[int, ...], ...]
-    tau_matrix: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
     def express(self, x) -> tuple[int, int, int, int]:
         return express(x)

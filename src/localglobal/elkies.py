@@ -13,7 +13,6 @@ Euler's criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,6 +26,7 @@ from .exact import (
     is_probable_prime,
     quartic_residue_symbol,
     primes_up_to,
+    record,
 )
 from .padic import InsufficientPrecision, PadicNumber, is_nth_power_unit, padic_root
 from .reichardt_lind import residue_zeros
@@ -63,34 +63,32 @@ class NoRepresentation(Exception):
 
 
 # ------------------------------------------------------------------ fibres
-@dataclass(frozen=True)
-class ElkiesFibre:
+class ElkiesFibre(record("ElkiesFibre", "t N N0 A B")):
     """One member of the family: parameter t (None encodes the fibre at
     infinity), its value N, the fourth-power-free part N0, and the
     canonical decomposition N0 = A^4 + 16B^4, the one with the smallest B.
     `fibre` hands over the factorization of N0 it already has; a fibre
-    built without one factors N0 when a report first reads its primes."""
+    built without one factors N0 when a report first reads its primes.
+    No `__slots__`: the instance dict holds that cached factorization."""
 
-    t: Fraction | None
-    N: Fraction
-    N0: int
-    A: int
-    B: int
-    known_factorization: InitVar[Factorization | None] = None
-
-    def __post_init__(self, known_factorization):
-        if self.N0 != self.A**4 + 16 * self.B**4:
-            raise CertificateError(f"N0 = {self.N0} != {self.A}^4 + 16*{self.B}^4")
-        if self.A % 2 == 0 or self.B % 2 == 0:
-            raise CertificateError(f"A = {self.A} and B = {self.B} must be odd")
-        if math.gcd(self.A, self.B) != 1:
-            raise CertificateError(f"A = {self.A} and B = {self.B} must be coprime")
-        if self.N0 % 16 != 1:
-            raise CertificateError(f"N0 = {self.N0} is not 1 mod 16")
+    def __new__(
+        cls, t: Fraction | None, N: Fraction, N0: int, A: int, B: int,
+        known_factorization: Factorization | None = None,
+    ):
+        if N0 != A**4 + 16 * B**4:
+            raise CertificateError(f"N0 = {N0} != {A}^4 + 16*{B}^4")
+        if A % 2 == 0 or B % 2 == 0:
+            raise CertificateError(f"A = {A} and B = {B} must be odd")
+        if math.gcd(A, B) != 1:
+            raise CertificateError(f"A = {A} and B = {B} must be coprime")
+        if N0 % 16 != 1:
+            raise CertificateError(f"N0 = {N0} is not 1 mod 16")
+        self = tuple.__new__(cls, (t, N, N0, A, B))
         if known_factorization is not None:
-            if known_factorization.value != self.N0:
-                raise CertificateError(f"the factorization given is not one of N0 = {self.N0}")
+            if known_factorization.value != N0:
+                raise CertificateError(f"the factorization given is not one of N0 = {N0}")
             self.__dict__["factorization"] = known_factorization  # the cached_property's slot
+        return self
 
     @cached_property
     def factorization(self) -> Factorization:
@@ -198,14 +196,15 @@ def rationals_of_height(h: int) -> list:
 
 
 # ------------------------------------------------- local solvability
-@dataclass(frozen=True)
-class LocalSolvabilityReport:
-    fib: ElkiesFibre
-    real_solvable: bool
-    two_adic_solvable: bool
-    odd_bad_places: tuple[tuple[int, bool], ...]  # p | N0 -> solvable
-    good_places_checked: tuple[int, ...]
-    good_places_solvable: bool
+class LocalSolvabilityReport(record("LocalSolvabilityReport", (
+    "fib",
+    "real_solvable",
+    "two_adic_solvable",
+    "odd_bad_places",        # ((p, solvable), ...) for p | N0
+    "good_places_checked",   # the odd good primes q, ascending
+    "good_places_solvable",
+))):
+    __slots__ = ()
 
     @property
     def everywhere_solvable(self) -> bool:
@@ -265,20 +264,18 @@ def local_solvability_report(
 
 
 # -------------------------------------------------- quartic representations
-@dataclass(frozen=True)
-class QuarticRep:
+class QuarticRep(record("QuarticRep", "p a b")):
     """p = a^2 + 16 b^2 with a odd; the parity of b decides whether 2 is a
     fourth power mod p."""
 
-    p: int
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.a**2 + 16 * self.b**2 != self.p:
-            raise CertificateError(f"{self.p} != {self.a}^2 + 16*{self.b}^2")
-        if self.a % 2 == 0 or self.a <= 0 or self.b <= 0:
-            raise CertificateError(f"need a odd, a > 0 and b > 0, got {self.a}, {self.b}")
+    def __new__(cls, p: int, a: int, b: int):
+        if a**2 + 16 * b**2 != p:
+            raise CertificateError(f"{p} != {a}^2 + 16*{b}^2")
+        if a % 2 == 0 or a <= 0 or b <= 0:
+            raise CertificateError(f"need a odd, a > 0 and b > 0, got {a}, {b}")
+        return tuple.__new__(cls, (p, a, b))
 
     @property
     def b_even(self) -> bool:
@@ -321,13 +318,8 @@ def norm_identity_check(a: int, b: int, c: int, d: int) -> bool:
 
 
 # ----------------------------------------------------------- obstruction
-@dataclass(frozen=True)
-class ObstructionParity:
-    fib: ElkiesFibre
-    contributing_primes: tuple[int, ...]
-    count: int
-    invariant: InvariantValue
-    verdict: str
+class ObstructionParity(record("ObstructionParity", "fib contributing_primes count invariant verdict")):
+    __slots__ = ()
 
 
 def obstruction_parity(fib: ElkiesFibre) -> ObstructionParity:
@@ -353,9 +345,10 @@ def obstruction_parity(fib: ElkiesFibre) -> ObstructionParity:
 
 
 # ------------------------------------------------------------- family scan
-@dataclass(frozen=True)
-class FamilyScanReport:
-    entries: tuple[tuple[object, ObstructionParity, LocalSolvabilityReport], ...]
+class FamilyScanReport(record("FamilyScanReport", "entries")):
+    """entries: ((t, ObstructionParity, LocalSolvabilityReport), ...)."""
+
+    __slots__ = ()
 
     @property
     def fibre_count(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 # The primes up to 41: a complete witness set for n < psi_13, the least
@@ -53,6 +53,59 @@ class CertificateError(ArithmeticError):
     """A certificate self-check failed: a computed witness does not satisfy
     the identity it certifies.  Raised, never asserted, so that the check
     survives `python -O`."""
+
+
+# ----------------------------------------------------------------- records
+class Record(tuple):
+    """Base of the package's immutable value records: a named tuple that
+    behaves as a value of its own class, not as a tuple.  A record equals
+    only a record of its own class, hashes as the tuple of its fields,
+    refuses assignment, and has none of the tuple's concatenation,
+    repetition or ordering.
+
+    A record class subclasses `record(name, fields)` and declares
+    `__slots__ = ()`; validation and normalisation go in its `__new__`,
+    which hands the fields to `tuple.__new__`.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _no_tuple_operator(self, other):
+        return NotImplemented
+
+    __add__ = __mul__ = __rmul__ = _no_tuple_operator
+
+    def _unordered(self, other):
+        # raised, not NotImplemented: a plain tuple on the other side would order it
+        raise TypeError(f"{type(self).__name__} records are not ordered")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _unordered
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)  # through the validating __new__, also for _replace
+
+
+def record(name: str, fields, defaults: tuple = ()) -> type:
+    """The base of a record class: `Record` over `namedtuple(name, fields)`."""
+    return type(name, (Record, namedtuple(name, fields, defaults=defaults)), {"__slots__": ()})
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
@@ -134,21 +187,21 @@ def _brent_rho(n: int) -> int:
     raise FactorizationError(f"rho failed on {n}")
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Signed factorization sign * prod(p**e); primes strictly ascending."""
+class Factorization(record("Factorization", "sign factors")):
+    """Signed factorization sign * prod(p**e): `sign` is +-1, `factors` the
+    pairs (p, e) with primes strictly ascending."""
 
-    sign: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.sign not in (-1, 1):
+    def __new__(cls, sign: int, factors: tuple):
+        if sign not in (-1, 1):
             raise ValueError("sign must be +-1")
-        primes = [p for p, _ in self.factors]
+        primes = [p for p, _ in factors]
         if primes != sorted(primes) or len(set(primes)) != len(primes):
             raise ValueError("factors must be sorted by distinct primes")
-        if any(e < 1 for _, e in self.factors):
+        if any(e < 1 for _, e in factors):
             raise ValueError("exponents must be positive")
+        return tuple.__new__(cls, (sign, factors))
 
     @property
     def value(self) -> int:
@@ -177,12 +230,12 @@ def factorize(n: int) -> Factorization:
     n = abs(n)
     found: dict[int, int] = {}
 
-    def record(p, e=1):
+    def count(p, e=1):
         found[p] = found.get(p, 0) + e
 
     for p in _TRIAL_PRIMES:
         while n % p == 0:
-            record(p)
+            count(p)
             n //= p
     stack = [n] if n > 1 else []
     while stack:
@@ -190,7 +243,7 @@ def factorize(n: int) -> Factorization:
         if m == 1:
             continue
         if is_probable_prime(m):
-            record(m)
+            count(m)
             continue
         root = math.isqrt(m)
         if root * root == m:
@@ -311,8 +364,7 @@ def _primitive_root(p: int) -> int:
     raise ValueError(f"no primitive root found mod {p}")
 
 
-@dataclass(frozen=True)
-class QuarticResidue:
+class QuarticResidue(record("QuarticResidue", "exponent label")):
     """Value of the quartic power residue character of F_p* (p = 1 mod 4).
 
     `exponent` e in {0,1,2,3} satisfies a**((p-1)/4) = i**e mod p where i is
@@ -320,8 +372,7 @@ class QuarticResidue:
     `label` spells the corresponding element of {+1, +i, -1, -i}.
     """
 
-    exponent: int
-    label: str
+    __slots__ = ()
 
     _LABELS = ("+1", "+i", "-1", "-i")
 

@@ -14,10 +14,9 @@ lemma proves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import is_probable_prime, residue, split_prime_power, valuation
+from .exact import is_probable_prime, record, residue, split_prime_power, valuation
 
 DEFAULT_PRECISION = 40
 
@@ -370,8 +369,7 @@ def is_nth_power_unit(u: int, n: int, p: int) -> bool:
     return any(r % p and pow(r, n, mod) == u % mod for r in range(1, mod))
 
 
-@dataclass(frozen=True)
-class PowerClass:
+class PowerClass(record("PowerClass", "p n val_mod unit_label")):
     """Class of x in Q_p* / (Q_p*)**n: valuation mod n plus a unit label.
 
     The label is the least residue in the coset u * (units)**n modulo
@@ -379,10 +377,7 @@ class PowerClass:
     classes multiply componentwise.
     """
 
-    p: int
-    n: int
-    val_mod: int
-    unit_label: int
+    __slots__ = ()
 
     @property
     def is_nth_power(self) -> bool:

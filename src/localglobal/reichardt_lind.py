@@ -26,7 +26,6 @@ Two obstruction computations are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 
@@ -40,6 +39,7 @@ from .exact import (
     is_squarefree,
     legendre_symbol,
     primes_up_to,
+    record,
     valuation,
 )
 from .padic import (
@@ -90,20 +90,19 @@ class NoPointError(Exception):
 
 
 # ---------------------------------------------------------------- parameters
-@dataclass(frozen=True)
-class TwistParams:
+class TwistParams(record("TwistParams", "ell p")):
     """The twisted quartic ell*Y^2 = Z^4 - p."""
 
-    ell: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ell == 0 or not is_squarefree(abs(self.ell)):
+    def __new__(cls, ell: int, p: int):
+        if ell == 0 or not is_squarefree(abs(ell)):
             raise ValueError("ell must be a nonzero squarefree integer")
-        if self.p < 3 or not is_probable_prime(self.p):
+        if p < 3 or not is_probable_prime(p):
             raise ValueError("p must be an odd prime")
-        if self.p % 2 == 0 or math.gcd(self.ell, self.p) != 1:
+        if p % 2 == 0 or math.gcd(ell, p) != 1:
             raise ValueError("p must be odd and coprime to ell")
+        return tuple.__new__(cls, (ell, p))
 
     @property
     def odd_ell_primes(self) -> tuple[int, ...]:
@@ -119,32 +118,26 @@ class TwistParams:
         return self.bad_finite_places + (REAL_PLACE,)
 
 
-@dataclass(frozen=True)
-class CurveEquation:
+class CurveEquation(record("CurveEquation", "ell p")):
     """The same quartic shape ell*y^2 = z^4 - p without the twist-family
     constraints: p may be any nonzero integer coprime to ell (used for
     composite constants such as the isotrivial-family fibres)."""
 
-    ell: int
-    p: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ell == 0 or self.p == 0 or math.gcd(self.ell, self.p) != 1:
+    def __new__(cls, ell: int, p: int):
+        if ell == 0 or p == 0 or math.gcd(ell, p) != 1:
             raise ValueError("need nonzero coprime coefficients")
+        return tuple.__new__(cls, (ell, p))
 
 
 # ------------------------------------------------------------- local points
-@dataclass(frozen=True)
-class LocalPoint:
+class LocalPoint(record("LocalPoint", "place y z precision chart", defaults=("near",))):
     """A certified local solution; chart 'near' solves ell*y^2 = z^4 - p,
     chart 'far' solves ell*y^2 = 1 - p*z^4 (the substitution z -> 1/z,
     y -> y/z^2), and chart 'real' holds rational approximants."""
 
-    place: Place
-    y: object
-    z: object
-    precision: int
-    chart: str = "near"
+    __slots__ = ()
 
 
 def _chart(tw: TwistParams, chart: str) -> tuple[int, int]:
@@ -165,12 +158,10 @@ def verify_local_point(tw: TwistParams, pt: LocalPoint) -> bool:
     return residual.is_zero
 
 
-@dataclass(frozen=True)
-class NoPoint:
+class NoPoint(record("NoPoint", "place depth")):
     """Witness that the lifting tree died out at every residue branch."""
 
-    place: Place
-    depth: int
+    __slots__ = ()
 
 
 def _residue_valuation(r: int, q: int, k: int) -> int | None:
@@ -314,7 +305,7 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
                         skip -= 1
                         continue
                     return pt, 0
-                # certified branch rejected (e.g. its lift has y = 0):
+                # certified branch rejected (its point would have y = 0):
                 # keep refining, nearby branches may carry admissible points
             if depth == depth_bound:
                 raise short or InsufficientPrecision(
@@ -417,15 +408,18 @@ def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
     precision `precision` + v_q(start), or `precision` for a zero start:
     the precision `PadicNumber.from_int` would give it.  Hensel's lemma
     needs more than 2t digits for a derivative of valuation t; a working
-    precision of at most 2t raises InsufficientPrecision.
+    precision of at most 2t raises InsufficientPrecision.  A node with
+    y0 = 0 lifts z (t_y is None there) and so keeps y = 0: without
+    `allow_y_zero` it is refused before the lift.
     """
-    place = Place.finite(q)
     use_y, n, t = _lift_plan(q, y0, z0, t_y, t_z, precision)
     if n <= 2 * t:
         raise InsufficientPrecision(
             f"{n} digits over Q_{q} cannot show a derivative of valuation {t}:"
             f" Hensel lifting needs more than {2 * t}"
         )
+    if not y0 and not allow_y_zero:
+        return None
     if use_y:
         z = PadicNumber.from_int(z0, q, precision)
         y = hensel_root(exact_y_poly(z0), y0, q, n)
@@ -434,15 +428,15 @@ def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
         z = hensel_root(exact_z_poly(y0), z0, q, n)
     if y.is_zero and not allow_y_zero:
         return None
-    return LocalPoint(place, y, z, precision, chart)
+    return LocalPoint(Place.finite(q), y, z, precision, chart)
 
 
 # ----------------------------------------------------------- obstruction
-@dataclass(frozen=True)
-class ObstructionReport:
-    contributions: tuple[tuple[Place, frozenset], ...]
-    total: frozenset
-    verdict: str
+class ObstructionReport(record("ObstructionReport", "contributions total verdict")):
+    """contributions: ((Place, frozenset of invariants), ...) in place
+    order; total: their sumset; verdict: "obstructed" unless 0 is in it."""
+
+    __slots__ = ()
 
     def contribution(self, v) -> frozenset:
         place = as_place(v)
@@ -541,12 +535,13 @@ def forced_section_invariants(
 
 
 # ------------------------------------------------------------ twist family
-@dataclass(frozen=True)
-class TwistConditions:
-    odd_prime_coprime: bool        # (i)  p odd prime, not among ell's primes
-    quartic_nonresidue: bool       # (ii) p = 1 mod 4, ell not a 4th power mod p
-    square_mod_ell_primes: bool    # (iii) p square mod each q | ell, q = 3 mod 4
-    two_adic_solvable: bool        # (iv) p = 1 mod 8 with a Q_2 point
+class TwistConditions(record("TwistConditions", (
+    "odd_prime_coprime",      # (i)  p odd prime, not among ell's primes
+    "quartic_nonresidue",     # (ii) p = 1 mod 4, ell not a 4th power mod p
+    "square_mod_ell_primes",  # (iii) p square mod each q | ell, q = 3 mod 4
+    "two_adic_solvable",      # (iv) p = 1 mod 8 with a Q_2 point
+))):
+    __slots__ = ()
 
     @property
     def all_satisfied(self) -> bool:
@@ -600,14 +595,8 @@ def twist_search(ell: int, p_max: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    ell: int
-    p_max: int
-    valid_count: int
-    prime_count: int
-    ratio: Fraction
-    predicted: Fraction
+class DensityReport(record("DensityReport", "ell p_max valid_count prime_count ratio predicted")):
+    __slots__ = ()
 
 
 def density_experiment(ell: int, p_max: int) -> DensityReport:

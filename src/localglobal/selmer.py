@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cubic import Eisenstein, cube_class_group
-from .exact import CertificateError, legendre_symbol, sqrt_mod_prime
+from .exact import CertificateError, legendre_symbol, record, sqrt_mod_prime
 from .padic import (
     InsufficientPrecision,
     NoConvergence,
@@ -60,15 +59,13 @@ class NoWitness(ArithmeticError):
 
 
 # ---------------------------------------------------------- prime fields
-@dataclass(frozen=True)
-class FpElement:
+class FpElement(record("FpElement", "p r")):
     """An element of F_p with operator coercion from int."""
 
-    p: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", self.r % self.p)
+    def __new__(cls, p: int, r: int):
+        return tuple.__new__(cls, (p, r % p))
 
     def _lift(self, other):
         if isinstance(other, FpElement):
@@ -132,8 +129,7 @@ def _coord(x):
 
 
 # ------------------------------------------------------------ point types
-@dataclass(frozen=True)
-class WeierstrassPoint:
+class WeierstrassPoint(record("WeierstrassPoint", "curve a b infinity")):
     """Affine point (a, b) with b^2 = a^3 + shift, or the point at infinity.
 
     curve is "E" (shift -24300) or "Eprime" (shift +900); the equation is
@@ -141,52 +137,41 @@ class WeierstrassPoint:
     precision over Q_3.
     """
 
-    curve: str
-    a: object = None
-    b: object = None
-    infinity: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.curve not in CURVE_SHIFT:
-            raise ValueError(f"unknown curve tag {self.curve!r}")
-        if self.infinity:
-            return
-        object.__setattr__(self, "a", _coord(self.a))
-        object.__setattr__(self, "b", _coord(self.b))
-        residual = self.b * self.b - self.a * self.a * self.a - CURVE_SHIFT[self.curve]
-        if not _vanishes(residual):
-            raise ValueError(f"({self.a}, {self.b}) is not on {self.curve}")
+    def __new__(cls, curve: str, a=None, b=None, infinity: bool = False):
+        if curve not in CURVE_SHIFT:
+            raise ValueError(f"unknown curve tag {curve!r}")
+        if not infinity:
+            a, b = _coord(a), _coord(b)
+            if not _vanishes(b * b - a * a * a - CURVE_SHIFT[curve]):
+                raise ValueError(f"({a}, {b}) is not on {curve}")
+        return tuple.__new__(cls, (curve, a, b, infinity))
 
     @classmethod
     def at_infinity(cls, curve: str) -> "WeierstrassPoint":
         return cls(curve, infinity=True)
 
 
-@dataclass(frozen=True)
-class SelmerPoint:
+class SelmerPoint(record("SelmerPoint", "x y z form")):
     """Projective point [x : y : z] on a diagonal cubic sum(form_i w_i^3)=0.
 
     The default form (3, 4, 5) is the everywhere-locally-solvable cubic
     itself; (1, 1, 60) is the norm-side cubic that maps to E.
     """
 
-    x: object
-    y: object
-    z: object
-    form: tuple = (3, 4, 5)
+    __slots__ = ()
 
-    def __post_init__(self):
-        coords = tuple(_coord(c) for c in (self.x, self.y, self.z))
-        object.__setattr__(self, "x", coords[0])
-        object.__setattr__(self, "y", coords[1])
-        object.__setattr__(self, "z", coords[2])
+    def __new__(cls, x, y, z, form: tuple = (3, 4, 5)):
+        coords = (_coord(x), _coord(y), _coord(z))
         if all(_vanishes(c) for c in coords):
             raise ValueError("projective coordinates must not all vanish")
         total = 0
-        for coeff, c in zip(self.form, coords):
+        for coeff, c in zip(form, coords):
             total = coeff * c * c * c + total
         if not _vanishes(total):
-            raise ValueError(f"point is not on the cubic {self.form}")
+            raise ValueError(f"point is not on the cubic {form}")
+        return tuple.__new__(cls, (*coords, form))
 
     @property
     def coords(self):
@@ -377,8 +362,13 @@ def evaluate_F_local(precision: int = 12) -> tuple[int, int, int, int]:
 
 
 # ---------------------------------------------------------- the analysis
-@dataclass(frozen=True)
-class SurvivalReport:
+class SurvivalReport(record(
+    "SurvivalReport",
+    "F_class pairing_with_2 pairing_with_3 pairing_with_60 in_annihilator_60"
+    " ann_23_dimension ann_60_dimension witness tau_plus_dimension tau_minus_dimension"
+    " conjugated",
+    defaults=(False,),
+)):
     """Linear-algebra record of the survival argument in F_3^4.
 
     The descent class pairs nontrivially with 2 (the cubic has no rational
@@ -387,17 +377,7 @@ class SurvivalReport:
     with every constraint the obstruction imposes, so the adelic section
     behind it survives."""
 
-    F_class: tuple
-    pairing_with_2: int
-    pairing_with_3: int
-    pairing_with_60: int
-    in_annihilator_60: bool
-    ann_23_dimension: int
-    ann_60_dimension: int
-    witness: tuple | None
-    tau_plus_dimension: int
-    tau_minus_dimension: int
-    conjugated: bool = False
+    __slots__ = ()
 
     @property
     def obstruction_nontrivial(self) -> bool:

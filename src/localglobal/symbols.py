@@ -16,10 +16,9 @@ the intersection of two quadratic norm groups: two Hilbert symbols.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import is_probable_prime, legendre_symbol, residue, split_prime_power
+from .exact import is_probable_prime, legendre_symbol, record, residue, split_prime_power
 from .padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
@@ -39,15 +38,15 @@ __all__ = [
 
 
 # ------------------------------------------------------------------ places
-@dataclass(frozen=True)
-class Place:
+class Place(record("Place", "prime")):
     """A place of Q: a finite prime, or the real (archimedean) place."""
 
-    prime: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prime is not None and not is_probable_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+    def __new__(cls, prime: int | None = None):
+        if prime is not None and not is_probable_prime(prime):
+            raise ValueError(f"{prime} is not prime")
+        return tuple.__new__(cls, (prime,))
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -82,8 +81,7 @@ def as_place(v) -> Place:
 
 
 # --------------------------------------------------------------- invariants
-@dataclass(frozen=True)
-class InvariantValue:
+class InvariantValue(record("InvariantValue", "value")):
     """An element of Q/Z represented by its reduced fraction in [0, 1).
 
     The value 0 means "no local obstruction here"; values with denominator
@@ -91,13 +89,13 @@ class InvariantValue:
     Addition is modulo 1.
     """
 
-    value: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        reduced = Fraction(self.value) % 1
+    def __new__(cls, value):
+        reduced = Fraction(value) % 1
         if reduced.denominator not in (1, 2, 3):
             raise ValueError(f"unsupported invariant denominator: {reduced}")
-        object.__setattr__(self, "value", reduced)
+        return tuple.__new__(cls, (reduced,))
 
     @classmethod
     def zero(cls) -> "InvariantValue":

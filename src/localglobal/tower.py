@@ -27,12 +27,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .cubic import ZETA, Eisenstein, _pair_product
-from .exact import CertificateError, QuotientElement, is_probable_prime, residue
+from .exact import CertificateError, QuotientElement, is_probable_prime, record, residue
 
 __all__ = [
     "KElement",
@@ -383,19 +382,20 @@ def _identity_sides(num, den, forms, Z):
 
 
 # ---------------------------------------------------------- report object
-@dataclass(frozen=True)
-class CurveIdentityReport:
-    norm_of_linear_form_ok: bool          # N(2Y + eps X) = 8Y^3 + 6X^3, symbolic
-    doubling_identity_ok: bool            # 8Y^3+6X^3+10Z^3 = 2(3X^3+4Y^3+5Z^3)
-    resolvent_symbolic_ok: bool           # sigma(U)/U = P0/(gamma Z), cross-multiplied
-    norm_factorization_symbolic_ok: bool  # N(U) against the cubed-resolvent form
-    primes: tuple[int, ...]
-    points_checked: dict[int, int]
-    points_excluded: dict[int, int]
-    resolvent_points_ok: bool
-    norm_factorization_points_ok: bool
-    perturbed_gamma_fails: bool
-    failures: tuple[str, ...]
+class CurveIdentityReport(record("CurveIdentityReport", (
+    "norm_of_linear_form_ok",          # N(2Y + eps X) = 8Y^3 + 6X^3, symbolic
+    "doubling_identity_ok",            # 8Y^3+6X^3+10Z^3 = 2(3X^3+4Y^3+5Z^3)
+    "resolvent_symbolic_ok",           # sigma(U)/U = P0/(gamma Z), cross-multiplied
+    "norm_factorization_symbolic_ok",  # N(U) against the cubed-resolvent form
+    "primes",                          # tuple[int, ...]
+    "points_checked",                  # dict[int, int]
+    "points_excluded",                 # dict[int, int]
+    "resolvent_points_ok",
+    "norm_factorization_points_ok",
+    "perturbed_gamma_fails",
+    "failures",                        # tuple[str, ...]
+))):
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

@@ -1,6 +1,5 @@
 """CLI tests: report schema, frozen outputs, exit codes, determinism."""
 
-import dataclasses
 import json
 
 import pytest
@@ -256,7 +255,7 @@ class TestPlumbing:
     def test_failed_survival_self_check_exits_one(self, capsys, monkeypatch):
         def not_surviving(*args, **kwargs):
             report = selmer.survival_analysis(*args, **kwargs)
-            return dataclasses.replace(report, in_annihilator_60=False)
+            return selmer.SurvivalReport(**dict(report._asdict(), in_annihilator_60=False))
 
         monkeypatch.setattr(cli, "survival_analysis", not_surviving)
         code, rep = run_json(capsys, "selmer", "survival")

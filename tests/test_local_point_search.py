@@ -222,6 +222,37 @@ def test_only_kept_branches_are_lifted(monkeypatch):
     assert lifted.count(True) == 40
 
 
+def test_refused_branches_are_not_lifted(monkeypatch, capsys):
+    # rl verify --ell 2 --p 1000721 certifies 116 nodes; the 76 with y0 = 0
+    # would give points with y = 0 and are refused before any Hensel lift,
+    # so the 40 lifts are those of the kept branches, and the report is the
+    # one of a certify that lifts every node first
+    def report():
+        code = cli.main(["rl", "verify", "--ell", "2", "--p", "1000721"])
+        out = json.loads(capsys.readouterr().out)
+        out.pop("timings")
+        return code, out
+
+    certified, lifts = [], []
+    certify, hensel_root = reichardt_lind._certify, reichardt_lind.hensel_root
+
+    def recording_certify(tw, q, chart, y0, *rest):
+        certified.append(y0)
+        return certify(tw, q, chart, y0, *rest)
+
+    def recording_root(*args):
+        lifts.append(certified[-1] if certified else None)
+        return hensel_root(*args)
+
+    monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
+    monkeypatch.setattr(reichardt_lind, "hensel_root", recording_root)
+    fast = report()
+    assert (len(certified), certified.count(0)) == (116, 76)
+    assert len(lifts) == 40 and None not in lifts and 0 not in lifts
+    monkeypatch.setattr(reichardt_lind, "_certify", oracles.certify)
+    assert report() == fast
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 17])
 @pytest.mark.parametrize("chart", ["near", "far"])
 def test_residue_zeros_match_a_scan_of_all_pairs(q, chart):
