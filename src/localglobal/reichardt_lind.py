@@ -30,7 +30,6 @@ from fractions import Fraction
 from functools import reduce
 
 from .exact import (
-    CertificateError,
     _least_nonresidue,
     _sqrt_mod_odd_prime,
     factorize,
@@ -47,8 +46,6 @@ from .padic import (
     InsufficientPrecision,
     PadicNumber,
     hensel_root,
-    is_nth_power,
-    padic_root,
 )
 from .symbols import (
     REAL_PLACE,
@@ -61,7 +58,6 @@ from .symbols import (
 
 __all__ = [
     "TwistParams",
-    "CurveEquation",
     "LocalPoint",
     "NoPoint",
     "NoPointError",
@@ -118,19 +114,6 @@ class TwistParams(record("TwistParams", "ell p")):
         return self.bad_finite_places + (REAL_PLACE,)
 
 
-class CurveEquation(record("CurveEquation", "ell p")):
-    """The same quartic shape ell*y^2 = z^4 - p without the twist-family
-    constraints: p may be any nonzero integer coprime to ell (used for
-    composite constants such as the isotrivial-family fibres)."""
-
-    __slots__ = ()
-
-    def __new__(cls, ell: int, p: int):
-        if ell == 0 or p == 0 or math.gcd(ell, p) != 1:
-            raise ValueError("need nonzero coprime coefficients")
-        return tuple.__new__(cls, (ell, p))
-
-
 # ------------------------------------------------------------- local points
 class LocalPoint(record("LocalPoint", "place y z precision chart", defaults=("near",))):
     """A certified local solution; chart 'near' solves ell*y^2 = z^4 - p,
@@ -175,10 +158,9 @@ def local_point(
     v,
     precision: int = 16,
     *,
-    allow_y_zero: bool = False,
     variant: int = 0,
 ) -> LocalPoint | NoPoint:
-    """Search for a point of the twist over the completion at v.
+    """Search for a point with y != 0 of the twist over the completion at v.
 
     Finite places: breadth-first search over the zeros mod q^d of both
     affine charts, d = 1, 2, ..., in (y, z) order; a branch is closed out
@@ -186,19 +168,13 @@ def local_point(
     partial derivative.  Zeros mod q are drawn lazily and each lifting
     level costs O(q) per live node (see `_chart_search`).  `variant` skips
     that many certified branches first (deterministically different points
-    for sampling).  A constant divisible by q^4 is first divided by its
-    largest such power (see `_rescaled_point`).  Real place: the least
-    z >= 0 with ell*(z^4 - p) > 0, which for ell > 0 and p > 0 is
-    floor(p^(1/4)) + 1, and y = sqrt((z^4 - p)/ell) rounded down to a
-    dyadic fraction.
+    for sampling).  Real place: the least z >= 0 with ell*(z^4 - p) > 0,
+    floor(p^(1/4)) + 1 for ell > 0 and 0 for ell < 0, and
+    y = sqrt((z^4 - p)/ell) rounded down to a dyadic fraction.
     """
     place = as_place(v)
     if place.is_real:
-        z = math.isqrt(math.isqrt(tw.p)) + 1 if tw.ell > 0 and tw.p > 0 else 0
-        while (z**4 - tw.p) * tw.ell <= 0:
-            z += 1
-            if z > abs(tw.p) + 2:  # ell < 0 needs small z; ell > 0 large z
-                return NoPoint(place, z)
+        z = math.isqrt(math.isqrt(tw.p)) + 1 if tw.ell > 0 else 0
         # y = (sqrt(m) - d)/|ell| with 0 <= d < 1/scale, so ell*y^2 misses
         # z^4 - p by less than 2 sqrt(m)/scale < 2^-precision
         m = tw.ell * (z**4 - tw.p)
@@ -207,49 +183,16 @@ def local_point(
         return LocalPoint(place, y, Fraction(z), precision, "real")
 
     q = place.prime
-    if tw.p % q**4 == 0:
-        k = valuation(tw.p, q) // 4
-        return _rescaled_point(tw, q, k, precision, allow_y_zero, variant)
     depth_bound = 2 * valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
-
-    if allow_y_zero and is_nth_power(tw.p, 4, q, max(precision, 12)):
-        root = padic_root(PadicNumber.from_int(tw.p, q, precision), 4)
-        return LocalPoint(place, PadicNumber.zero(q, precision), root, precision)
-
     skip = variant
     for chart in ("near", "far"):
-        result, skip = _chart_search(tw, q, chart, depth_bound, precision, skip,
-                                     allow_y_zero)
+        result, skip = _chart_search(tw, q, chart, depth_bound, precision, skip)
         if result is not None:
             return result
     return NoPoint(place, depth_bound)
 
 
-def _rescaled_point(tw, q, k, precision, allow_y_zero, variant):
-    """A point of ell*y^2 = z^4 - p over Q_q when q^(4k) divides p.
-
-    The curve is isomorphic over Q_q to ell*y^2 = z^4 - p/q^(4k), whose
-    residue tree stays bounded, while at (0, 0) the tree of the original
-    grows by q^2 children a level.  A point of the smaller curve maps back
-    as (q^(2k) y, q^k z) on the near chart and as (y, z/q^k) on the far
-    chart, and the mapped point is checked against the original equation.
-    """
-    reduced = CurveEquation(tw.ell, tw.p // q ** (4 * k))
-    pt = local_point(reduced, q, precision, allow_y_zero=allow_y_zero, variant=variant)
-    if isinstance(pt, NoPoint):
-        return pt
-    scale = PadicNumber.from_int(q**k, q, precision)
-    if pt.chart == "near":
-        y, z = pt.y * scale * scale, pt.z * scale
-    else:
-        y, z = pt.y, pt.z / scale
-    mapped = LocalPoint(pt.place, y, z, precision, pt.chart)
-    if not verify_local_point(tw, mapped):
-        raise CertificateError(f"rescaled point misses {tw} over Q_{q}")
-    return mapped
-
-
-def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
+def _chart_search(tw, q, chart, depth_bound, precision, skip):
     """BFS one affine chart; returns (LocalPoint | None, remaining skip).
 
     Depth d holds the zeros of the chart modulo q^d in (y, z) order.  The
@@ -260,8 +203,7 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
     descendants share that derivative's valuation, so none of them can be
     certified either.  If the chart then ends without a point, that
     InsufficientPrecision is raised.  A certified branch that `skip` passes
-    by is counted from its residues (`_lifts_to_a_point`), and lifted only
-    when they cannot show that it gives a point.
+    by is counted from its residues (`_lifts_to_a_point`) and not lifted.
     """
     ell = tw.ell
     a, b = _chart(tw, chart)
@@ -295,15 +237,12 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
                 try:
                     pt = _certify(
                         tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
-                        exact_z_poly, allow_y_zero,
+                        exact_z_poly,
                     )
                 except InsufficientPrecision as exc:
                     short = exc
                     continue
                 if pt is not None:
-                    if skip > 0:  # y0 = 0: it took the lift to count it
-                        skip -= 1
-                        continue
                     return pt, 0
                 # certified branch rejected (its point would have y = 0):
                 # keep refining, nearby branches may carry admissible points
@@ -401,7 +340,7 @@ def _lifts_to_a_point(q, y0, z0, t_y, t_z, precision) -> bool:
 
 
 def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
-             exact_z_poly, allow_y_zero):
+             exact_z_poly):
     """Turn a Hensel-liftable residue pair into an exact local point.
 
     The lifted coordinate starts from its integer residue at absolute
@@ -409,8 +348,8 @@ def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
     the precision `PadicNumber.from_int` would give it.  Hensel's lemma
     needs more than 2t digits for a derivative of valuation t; a working
     precision of at most 2t raises InsufficientPrecision.  A node with
-    y0 = 0 lifts z (t_y is None there) and so keeps y = 0: without
-    `allow_y_zero` it is refused before the lift.
+    y0 = 0 lifts z (t_y is None there) and so keeps y = 0: it is refused
+    before the lift.  Any other node gives y != 0 (see `_lifts_to_a_point`).
     """
     use_y, n, t = _lift_plan(q, y0, z0, t_y, t_z, precision)
     if n <= 2 * t:
@@ -418,7 +357,7 @@ def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
             f"{n} digits over Q_{q} cannot show a derivative of valuation {t}:"
             f" Hensel lifting needs more than {2 * t}"
         )
-    if not y0 and not allow_y_zero:
+    if not y0:
         return None
     if use_y:
         z = PadicNumber.from_int(z0, q, precision)
@@ -426,8 +365,6 @@ def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
     else:
         y = PadicNumber.from_int(y0, q, precision)
         z = hensel_root(exact_z_poly(y0), z0, q, n)
-    if y.is_zero and not allow_y_zero:
-        return None
     return LocalPoint(Place.finite(q), y, z, precision, chart)
 
 
@@ -502,7 +439,7 @@ _UNIT_SQUARE_REPS_2 = (1, 3, 5, 7, 2, 6, 10, 14)
 def _square_class_reps(q: int) -> tuple[int, ...]:
     if q == 2:
         return _UNIT_SQUARE_REPS_2
-    u = next(r for r in range(2, q) if legendre_symbol(r, q) == -1)
+    u = _least_nonresidue(q)
     return (1, u, q, q * u)
 
 
@@ -565,34 +502,37 @@ def twist_conditions(tw: TwistParams) -> TwistConditions:
     cond_iii = all(
         q % 4 == 3 and legendre_symbol(p, q) == 1 for q in tw.odd_ell_primes
     )
-    if p % 8 != 1:
-        cond_iv = False
-    elif ell % 2 == 0 or p % 16 == 1:
-        # p = 1 mod 16: y = 0, z = p^(1/4); even ell, p = 9 mod 16:
-        # y = 2 gives z^4 = p + 4*ell = 1 mod 16, a 4th power in Q_2.
-        cond_iv = True
-    else:
-        cond_iv = not isinstance(
-            local_point(tw, 2, precision=8, allow_y_zero=True), NoPoint
-        )
+    # (iv) p = 1 mod 16: y = 0, z = p^(1/4).  Even ell, p = 9 mod 16: y = 2
+    # gives z^4 = p + 4*ell = 1 mod 16, a 4th power in Q_2.  Odd ell,
+    # p = 9 mod 16, by v(z): v(z) = 0 makes v(z^4 - p) = 3 odd, no point;
+    # v(z) > 0 needs the unit (z^4 - p)/ell = -p/ell mod 16 to be a square,
+    # so ell = 7 mod 8; v(z) < 0 needs ell*(y*w^2)^2 = 1 - p*w^4 = 1 mod 16
+    # (w = 1/z), so ell = 1 mod 8.  Then z = 2 resp. w = 2 gives a point.
+    cond_iv = p % 8 == 1 and (ell % 2 == 0 or p % 16 == 1 or ell % 8 in (1, 7))
     return TwistConditions(cond_i, cond_ii, cond_iii, cond_iv)
+
+
+def _check_ell(ell: int) -> None:
+    if ell == 0 or not is_squarefree(abs(ell)):
+        raise ValueError("ell must be squarefree and nonzero")
+
+
+def _passing_twists(ell: int, primes):
+    """The twists ell*y^2 = z^4 - p over the odd p in `primes` coprime to
+    ell that pass all four conditions, in the order of `primes`."""
+    for p in primes:
+        if p != 2 and math.gcd(ell, p) == 1:
+            tw = TwistParams(ell, p)
+            if twist_conditions(tw).all_satisfied:
+                yield tw
 
 
 def twist_search(ell: int, p_max: int) -> list[int]:
     """Ascending primes p <= p_max for which the twist passes all four
     conditions and the forced-invariant computation certifies obstruction."""
-    if ell == 0 or not is_squarefree(abs(ell)):
-        raise ValueError("ell must be squarefree and nonzero")
-    out = []
-    for p in primes_up_to(p_max):
-        if p == 2 or math.gcd(ell, p) != 1:
-            continue
-        tw = TwistParams(ell, p)
-        if not twist_conditions(tw).all_satisfied:
-            continue
-        if forced_section_invariants(tw).verdict == "obstructed":
-            out.append(p)
-    return out
+    _check_ell(ell)
+    return [tw.p for tw in _passing_twists(ell, primes_up_to(p_max))
+            if forced_section_invariants(tw).verdict == "obstructed"]
 
 
 class DensityReport(record("DensityReport", "ell p_max valid_count prime_count ratio predicted")):
@@ -601,26 +541,31 @@ class DensityReport(record("DensityReport", "ell p_max valid_count prime_count r
 
 def density_experiment(ell: int, p_max: int) -> DensityReport:
     """Empirical density of valid twist primes against the Chebotarev
-    prediction 1/2^(n+2) (even ell) resp. 1/2^(n+4) (odd ell), n the
-    number of prime factors of ell."""
-    if ell == 0 or not is_squarefree(abs(ell)):
-        raise ValueError("ell must be squarefree and nonzero")
+    prediction, for ell whose odd prime factors are all 3 mod 4.
+
+    With n the number of prime factors of ell, the conditions cut out
+    independent events: p = 1 mod 8 (1/4); p a square mod each odd q | ell
+    (1/2^k, k of them); then ell is a square mod p (2 is, and each q is by
+    reciprocity, p = 1 mod 4), and not a 4th power (1/2).  For even ell
+    that is (iv) already (k = n - 1): 1/2^(n+2).  For odd ell (k = n), (iv)
+    holds for every p = 1 mod 8 if ell = +-1 mod 8, giving 1/2^(n+3), and
+    else only for p = 1 mod 16 (1/2), giving 1/2^(n+4).  ell = +-1 is
+    refused: it is a 4th power mod every p = 1 mod 8, so (ii) fails and
+    the density is 0.
+    """
+    _check_ell(ell)
+    if abs(ell) == 1:
+        raise ValueError("ell = +-1 is a 4th power mod every p = 1 mod 8: no twist passes")
     factors = factorize(abs(ell)).factors
     if any(q % 4 != 3 for q, _ in factors if q != 2):
         raise ValueError("density prediction needs all odd factors = 3 mod 4")
     n = len(factors)
-    predicted = (
-        Fraction(1, 2 ** (n + 2)) if ell % 2 == 0 else Fraction(1, 2 ** (n + 4))
-    )
+    extra = 2 if ell % 2 == 0 else 3 if ell % 8 in (1, 7) else 4
     primes = primes_up_to(p_max)
-    valid = 0
-    for p in primes:
-        if p == 2 or math.gcd(ell, p) != 1:
-            continue
-        if twist_conditions(TwistParams(ell, p)).all_satisfied:
-            valid += 1
+    valid = sum(1 for _ in _passing_twists(ell, primes))
     return DensityReport(
-        ell, p_max, valid, len(primes), Fraction(valid, len(primes)), predicted
+        ell, p_max, valid, len(primes), Fraction(valid, len(primes)),
+        Fraction(1, 2 ** (n + extra)),
     )
 
 
@@ -631,6 +576,8 @@ def exhaustive_search(bound: int, ell: int = 2, rhs: int = 17) -> list:
     nonnegative representatives are exhaustive)."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    if ell == 0:
+        raise ValueError("ell must be nonzero")
     solutions = []
     for z1 in range(bound + 1):
         r = rhs * z1**4

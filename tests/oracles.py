@@ -14,12 +14,14 @@ the Hensel lift from `PadicNumber` values, a fourth root starts from a
 residue of the exact rational, and the real point counts z up from 0.
 The library's zeros mod q are checked against a table of fourth roots.
 The good places of an Elkies fibre are swept with the library's own
-`local_point`, one search per prime; the
+`local_point`, one search per prime, on `Quartic`, the plain pair
+(ell, p) that composite constants are written in; the
 fibre itself is built from N(t) in Fractions with a quartic-free part and
 a search for B, its bad places are certified by a Hensel lift, and the
 obstruction reads the quartic residue symbol of 2.  Its smooth residue
 points come from a loop of its own over y, and its local solvability
-report from the `local_point` search at 2 and below p = 500.  The
+report from the quadratic search at 2, where a point with y = 0 is
+allowed, and the library's search below p = 500.  The
 ring formulas are the hand-written products and norms of Q(zeta_3), of
 its extension by a cube root of 6 and of the delta-algebra over that,
 with the cofactor determinant behind the radical norms.  The generic
@@ -44,6 +46,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -87,7 +90,6 @@ from localglobal.padic import (
     padic_root,
 )
 from localglobal.reichardt_lind import (
-    CurveEquation,
     LocalPoint,
     NoPoint,
     _residue_valuation,
@@ -95,6 +97,10 @@ from localglobal.reichardt_lind import (
 )
 from localglobal.symbols import Place, hilbert2
 from localglobal.tower import GAMMA, KElement
+
+# ell*y^2 = z^4 - p with any nonzero coprime constants: the shape the local
+# point searches read, without the prime p and squarefree ell of TwistParams
+Quartic = namedtuple("Quartic", "ell p")
 
 
 @lru_cache(maxsize=None)
@@ -208,7 +214,11 @@ def is_local_norm(x, p: int, m: int, d) -> bool:
 
 def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
                 variant: int = 0):
-    """`reichardt_lind.local_point` at a finite place q by the quadratic search."""
+    """`reichardt_lind.local_point` at a finite place q by the quadratic
+    search.  With `allow_y_zero` a point with y = 0 is accepted too: first
+    z = p^(1/4) when p is a fourth power, then any branch whose point has
+    y = 0.  This is the dyadic search that decided condition (iv) before
+    its closed rule."""
     place = Place.finite(q)
     depth_bound = 2 * split_prime_power(4 * tw.ell * tw.ell * tw.p, q)[0] + 6
     if allow_y_zero and padic_is_nth_power(Fraction(tw.p), 4, q, max(precision, 12)):
@@ -236,9 +246,13 @@ def real_point_z(tw) -> int | None:
 
 def nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
     """Hensel n-th root of a unit that is known to be an n-th power, from
-    a start residue exact modulo q^(2 v_q(n) + 1)."""
+    a start residue exact modulo q^k, k = 2 v_q(n) + 1; fewer than k digits
+    cannot show the root."""
     target = Fraction(a)
-    mod = q ** (2 * split_prime_power(n, q)[0] + 1)
+    k = 2 * split_prime_power(n, q)[0] + 1
+    if precision < k:
+        raise InsufficientPrecision(f"a root of degree {n} over Q_{q}: {precision} digits, need {k}")
+    mod = q**k
     residue = target.numerator * pow(target.denominator, -1, mod) % mod
     start = next(
         r for r in range(1, mod) if r % q and pow(r, n, mod) == residue
@@ -253,7 +267,7 @@ def good_place_sweep(n0: int, precision: int, good_prime_bound: int) -> tuple:
     over Q_q, lifted to `precision` digits.  This search certified the good
     places in `elkies.local_solvability_report` before
     `elkies.smooth_residue_point` did."""
-    eq = CurveEquation(2, n0)
+    eq = Quartic(2, n0)
     return tuple(
         (q, not isinstance(rl_local_point(eq, q, precision), NoPoint))
         for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q
@@ -358,12 +372,13 @@ def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
 def local_solvability_report(fib: ElkiesFibre, precision: int = 12,
                              good_prime_bound: int = 50) -> LocalSolvabilityReport:
     """`elkies.local_solvability_report` before its closed rules: the Q_2
-    point from the `local_point` search with y = 0 allowed, each place
+    point from the quadratic `local_point` search above with y = 0
+    allowed, each place
     p | N0 by `smooth_residue_point` above, confirmed below p = 500 by the
     `local_point` search, and the good places by `smooth_residue_point`."""
     n0 = fib.N0
-    eq = CurveEquation(2, n0)
-    two_ok = not isinstance(rl_local_point(eq, 2, precision, allow_y_zero=True), NoPoint)
+    eq = Quartic(2, n0)
+    two_ok = not isinstance(local_point(eq, 2, precision, allow_y_zero=True), NoPoint)
     odd_entries = []
     for p, _ in fib.factorization.factors:
         if p % 8 != 1:
@@ -383,7 +398,7 @@ def contributes(p: int, e: int) -> bool:
     return e % 2 == 1 and quartic_residue_symbol(2, p).exponent != 0
 
 
-def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
+def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero=False):
     """BFS one affine chart over all q^2 residue pairs and all q^2 children
     of each node; returns (LocalPoint | None, remaining skip)."""
     if chart == "near":
@@ -449,7 +464,7 @@ def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero):
 
 
 def certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
-            exact_z_poly, allow_y_zero):
+            exact_z_poly, allow_y_zero=False):
     """`reichardt_lind._certify` with both residues wrapped in
     `PadicNumber.from_int` before the Hensel lift."""
     place = Place.finite(q)

@@ -171,7 +171,7 @@ def test_c08_exhaustive_search_vs_local_points():
     tw = TwistParams(2, 17)
     places = ["infinity"] + [q for q in primes_up_to(100)]
     for v in places:
-        pt = local_point(tw, v, precision=10, allow_y_zero=True)
+        pt = local_point(tw, v, precision=10)
         assert not isinstance(pt, NoPoint), v
     elapsed = time.perf_counter() - t0
     print(f"C08 PASS no integer point with |z_i| <= 1000 on 2y^2 = z0^4 - 17 z1^4, "

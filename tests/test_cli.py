@@ -81,9 +81,25 @@ class TestRlCommands:
         assert rep["result"]["predicted"] == "1/8"
         assert rep["result"]["relative_error"] == "0.000000"
 
+    def test_density_odd_ell_one_mod_eight(self, capsys):
+        # -7 = 1 mod 8: (iv) holds for every p = 1 mod 8, so 1/2^(n+3)
+        code, rep = run_json(capsys, "rl", "density", "--ell", "-7", "--max-prime", "20000")
+        assert code == 0 and rep["result"]["predicted"] == "1/16"
+        assert float(rep["result"]["relative_error"]) < 0.15
+
+    def test_density_ell_one_is_an_error(self, capsys):
+        code, rep = run_json(capsys, "rl", "density", "--ell", "1", "--max-prime", "100")
+        assert code == 1 and rep["status"] == "error"
+        assert rep["result"]["message"].startswith("ValueError: ell = +-1")
+
     def test_exhaust_empty(self, capsys):
         code, rep = run_json(capsys, "rl", "exhaust", "--bound", "50")
         assert code == 0 and rep["result"]["solutions"] == []
+
+    def test_exhaust_ell_zero_is_an_error(self, capsys):
+        code, rep = run_json(capsys, "rl", "exhaust", "--ell", "0", "--bound", "3")
+        assert code == 1 and rep["status"] == "error"
+        assert rep["result"]["message"] == "ValueError: ell must be nonzero"
 
     def test_smooth(self, capsys):
         code, rep = run_json(capsys, "rl", "smooth")

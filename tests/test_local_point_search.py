@@ -5,9 +5,8 @@
 `oracles.local_point` tries every residue pair and every one of the q^2
 children.  Both must visit the same frontiers in the same order, so they
 return the same point (to full precision), the same `NoPoint` depth, or
-raise the same exception.  When q^4 divides the constant, the library
-searches the curve with the constant divided by q^(4k) and maps the point
-back; the oracle is run on that same curve and its point mapped back here.
+raise the same exception.  The constants are those of the twists' places:
+q^4 does not divide them, and points with y = 0 are not searched.
 The oracle starts each Hensel lift from `PadicNumber.from_int` values and
 the library from the integer residue at the same absolute precision, so
 the points are compared on (is_zero, v, unit, prec) of both coordinates.
@@ -15,17 +14,14 @@ the points are compared on (is_zero, v, unit, prec) of both coordinates.
 
 import json
 import math
-import random
 import time
 
 import pytest
 
 import oracles
 from localglobal import cli, exact, reichardt_lind
-from localglobal.exact import split_prime_power
 from localglobal.padic import InsufficientPrecision
 from localglobal.reichardt_lind import (
-    CurveEquation,
     LocalPoint,
     NoPoint,
     TwistParams,
@@ -33,8 +29,7 @@ from localglobal.reichardt_lind import (
     verify_local_point,
 )
 
-ELLS = (1, -1, 2, -2, 3, 5, 6, 10, 11, 19)
-SMALL_Q = (2, 3, 5, 7, 11, 13)
+Quartic = oracles.Quartic
 
 
 def chart_polynomial(ell, p, chart):
@@ -48,9 +43,9 @@ def _padic_key(x):
     return (x.is_zero, x.v, x.unit, x.prec)
 
 
-def outcome(search, eq, q, precision, allow_y_zero, variant):
+def outcome(search, eq, q, precision, variant):
     try:
-        pt = search(eq, q, precision, allow_y_zero=allow_y_zero, variant=variant)
+        pt = search(eq, q, precision, variant=variant)
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return ("raises", type(exc))
     if isinstance(pt, NoPoint):
@@ -58,52 +53,27 @@ def outcome(search, eq, q, precision, allow_y_zero, variant):
     return ("point", pt.place, pt.chart, pt.precision, _padic_key(pt.y), _padic_key(pt.z))
 
 
-def rescaled(search):
-    """`search` on ell*y^2 = z^4 - p/q^(4k), q^(4k) the largest such power
-    dividing p, with a point mapped back: (q^(2k) y, q^k z) on the near
-    chart, (y, z/q^k) on the far chart."""
-    def run(eq, q, precision, **options):
-        k = split_prime_power(eq.p, q)[0] // 4
-        if not k:
-            return search(eq, q, precision, **options)
-        pt = search(CurveEquation(eq.ell, eq.p // q ** (4 * k)), q, precision, **options)
-        if isinstance(pt, NoPoint):
-            return pt
-        s = q**k
-        y, z = (pt.y * (s * s), pt.z * s) if pt.chart == "near" else (pt.y, pt.z / s)
-        return LocalPoint(pt.place, y, z, pt.precision, pt.chart)
-
-    return run
-
-
 def _grid():
-    """Seeded cases (ell, p, q, precision, allow_y_zero, variant).
+    """Cases (ell, p, q, precision, variant), q^4 never dividing p.
 
-    The fixed part puts q | ell, q = 2 (where ell = 1, p = -7 has only
-    far-chart points) and q | p with v_q(p) = 1, 2, 3 (odd and even q,
-    both signs) on every variant; the drawn part adds random constants,
-    a few larger good primes and v_q(p) up to 3.
+    They put q | ell, q = 2 (where ell = 1, p = -7 has only far-chart
+    points, and precision 3 or 4 cannot certify any branch) and q | p with
+    v_q(p) = 1, 2, 3 (odd and even q, both signs) on every variant.
     """
     cases = []
     for ell, q in ((3, 3), (6, 3), (10, 5), (5, 5), (11, 11), (2, 2), (6, 2), (-2, 2), (1, 2)):
         for p in (1, 7, -7, 17, -17, 97):
             if math.gcd(ell, p) == 1:
-                cases += [(ell, p, q, 8, y0, var) for y0 in (False, True) for var in (0, 1, 3)]
+                cases += [(ell, p, q, 8, var) for var in (0, 1, 3)]
+    cases += [(ell, p, 2, n, var) for ell, p, n in ((5, 13, 3), (-5, 17, 3), (11, 97, 4))
+              for var in (0, 1, 3)]
     for q in (2, 3, 5, 7):
         for v in (1, 2, 3):
             for ell in (1, -1, 2, 3, 5, 11):
                 for u in (1, -1, 3, -5):
                     p = u * q**v
-                    if math.gcd(ell, p) == 1:
-                        cases += [(ell, p, q, 8, y0, var) for y0 in (False, True) for var in (0, 1, 3)]
-    rng = random.Random(20091028)
-    while len(cases) < 1400:
-        ell = rng.choice(ELLS)
-        q = rng.choice(SMALL_Q) if rng.random() < 0.85 else rng.choice((17, 19, 23, 29, 31, 41))
-        p = rng.choice((1, -1)) * rng.randrange(1, 300) * q ** (rng.choice((0, 0, 1, 2, 3)) if q < 17 else 0)
-        if math.gcd(ell, p) != 1:
-            continue
-        cases.append((ell, p, q, rng.choice((6, 12)), rng.random() < 0.3, rng.choice((0, 0, 1, 3))))
+                    if math.gcd(ell, p) == 1 and p % q**4:
+                        cases += [(ell, p, q, 8, var) for var in (0, 1, 3)]
     return cases
 
 
@@ -131,13 +101,14 @@ def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
     monkeypatch.setattr(reichardt_lind, "residue_zeros", recording_residue_zeros)
     monkeypatch.setattr(reichardt_lind, "_lift_children", checking_lift_children)
     mismatches, kinds = [], set()
-    for ell, p, q, precision, allow_y_zero, variant in _grid():
-        eq = CurveEquation(ell, p)
-        fast = outcome(local_point, eq, q, precision, allow_y_zero, variant)
-        slow = outcome(rescaled(oracles.local_point), eq, q, precision, allow_y_zero, variant)
-        kinds.add(fast[0] if fast[0] != "point" else (fast[2], "q | p" if p % q == 0 else "q ∤ p"))
+    for ell, p, q, precision, variant in _grid():
+        eq = Quartic(ell, p)
+        fast = outcome(local_point, eq, q, precision, variant)
+        slow = outcome(oracles.local_point, eq, q, precision, variant)
+        kinds.add(fast[:2] if fast[0] == "raises" else fast[0] if fast[0] != "point"
+                  else (fast[2], "q | p" if p % q == 0 else "q ∤ p"))
         if fast != slow:
-            mismatches.append(((ell, p, q, precision, allow_y_zero, variant), fast, slow))
+            mismatches.append(((ell, p, q, precision, variant), fast, slow))
     assert mismatches == []
     # a unit g_y certifies its node at depth 1, so only the lifting test
     # below reaches that branch
@@ -146,41 +117,59 @@ def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
         ("g_z unit", "q odd"), ("singular, q | c0", "q odd"), ("singular, dead", "q odd"),
         ("singular, q | c0", "q = 2"), ("singular, dead", "q = 2"),
     } <= seen
-    # no case raises: the only ones that did were p = 3^4 with y = 0
-    # allowed, see test_fourth_power_constant_with_y_zero
-    assert {("near", "q | p"), ("far", "q | p"), ("far", "q ∤ p"), "no point"} <= kinds
+    assert {("near", "q | p"), ("far", "q | p"), ("far", "q ∤ p"), "no point",
+            ("raises", InsufficientPrecision)} <= kinds
 
 
 def test_every_variant_matches_the_quadratic_oracle():
     # a branch that variant passes by is counted from its residues and not
     # lifted; the oracle lifts every branch, so both must skip the same ones
     mismatches = []
-    for ell, p, q, precision, allow_y_zero in sorted({case[:5] for case in _grid()}):
-        eq = CurveEquation(ell, p)
+    for ell, p, q, precision in sorted({case[:4] for case in _grid()}):
+        eq = Quartic(ell, p)
         for variant in range(6):
-            fast = outcome(local_point, eq, q, precision, allow_y_zero, variant)
-            slow = outcome(rescaled(oracles.local_point), eq, q, precision, allow_y_zero, variant)
+            fast = outcome(local_point, eq, q, precision, variant)
+            slow = outcome(oracles.local_point, eq, q, precision, variant)
             if fast != slow:
-                mismatches.append(((ell, p, q, precision, allow_y_zero, variant), fast, slow))
+                mismatches.append(((ell, p, q, precision, variant), fast, slow))
     assert mismatches == []
 
 
 def test_counted_branches_are_those_that_lift(monkeypatch):
-    # with the residue count switched off every certified branch is lifted
-    # and skipped only if it gives a point.  Over Q_2 at precision 2, a
-    # branch with n = 2t (y0 = 2 mod 4 on 3y^2 = z^4 - 13) must not be
-    # counted: it raises, and the search ends inconclusive, from variant 16 on
+    # a branch that a variant passes by is counted from its residues and
+    # never lifted, so `_lifts_to_a_point` must say exactly which certified
+    # branches `_certify` turns into points.  With the count switched off
+    # and every point refused after the check, each certified branch of the
+    # tree reaches `_certify`.  Over Q_2 at precision 2, a branch with
+    # n = 2t (y0 = 2 mod 4 on 3y^2 = z^4 - 13) is not counted: it raises,
+    # and the search ends inconclusive from variant 16 on.  At p = 17 and
+    # precision 8 the branches with y0 = 0 are certified, and refused
     cases = [(ell, p, precision, variant) for ell in (3, 11, -5) for p in (13, 29, 7, -43)
              for precision in (2, 3, 4) for variant in range(21)]
-
-    def outcomes():
-        return [outcome(local_point, CurveEquation(ell, p), 2, precision, False, variant)
-                for ell, p, precision, variant in cases]
-
-    counted = outcomes()
-    monkeypatch.setattr(reichardt_lind, "_lifts_to_a_point", lambda *args: False)
-    assert counted == outcomes()
+    counted = [outcome(local_point, Quartic(ell, p), 2, precision, variant)
+               for ell, p, precision, variant in cases]
     assert counted[cases.index((3, 13, 2, 16))] == ("raises", InsufficientPrecision)
+
+    lifts_to_a_point, certify = reichardt_lind._lifts_to_a_point, reichardt_lind._certify
+    seen = set()
+
+    def checking_certify(tw, q, chart, y0, z0, t_y, t_z, precision, *polys):
+        expected = lifts_to_a_point(q, y0, z0, t_y, t_z, precision)
+        try:
+            pt = certify(tw, q, chart, y0, z0, t_y, t_z, precision, *polys)
+        except InsufficientPrecision:
+            assert not expected, (tw, chart, y0, z0, precision)
+            seen.add("raises")
+            raise
+        assert (pt is not None) == expected, (tw, chart, y0, z0, precision)
+        seen.add("point" if expected else "refused")
+        return None
+
+    monkeypatch.setattr(reichardt_lind, "_lifts_to_a_point", lambda *args: False)
+    monkeypatch.setattr(reichardt_lind, "_certify", checking_certify)
+    for ell, p, precision in sorted({case[:3] for case in cases}) + [(3, 17, 8), (-5, 17, 8)]:
+        outcome(local_point, Quartic(ell, p), 2, precision, 0)
+    assert seen == {"point", "refused", "raises"}
 
 
 RL_VERIFY_TWISTS = ((2, 17), (-2, 113), (2, 31), (-1, 17), (3, 13), (-6, 97), (11, 29), (19, 41))
@@ -196,7 +185,7 @@ def test_rl_verify_matches_the_quadratic_chart_search(monkeypatch, capsys, ell, 
         code = cli.main(["rl", "verify", "--ell", str(ell), "--p", str(p), "--samples", "6"])
         out = json.loads(capsys.readouterr().out)
         out.pop("timings")
-        return code, out, [outcome(local_point, tw, v.prime, 16, False, k)
+        return code, out, [outcome(local_point, tw, v.prime, 16, k)
                            for v in tw.bad_finite_places for k in range(6)]
 
     fast = report()
@@ -336,7 +325,7 @@ def test_lift_children_match_the_brute_force_children(q, chart):
 
 @pytest.mark.parametrize(
     "eq, q",
-    [(CurveEquation(2, 17), 100003), (TwistParams(2, 100049), 100049)],
+    [(Quartic(2, 17), 100003), (TwistParams(2, 100049), 100049)],
     ids=["good prime 100003", "bad prime 100049"],
 )
 def test_point_at_a_prime_near_ten_to_the_five(eq, q):
@@ -358,50 +347,6 @@ def test_points_of_a_twist_at_a_64_bit_prime():
         pt = local_point(tw, tw.p, variant=variant)
         assert isinstance(pt, LocalPoint) and verify_local_point(tw, pt)
     assert time.perf_counter() - started < 5
-
-
-@pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("v", [4, 5])
-def test_fourth_power_constants_keep_point_existence(q, v):
-    """With q^4 | p the library searches the rescaled curve; the oracle
-    searches the original one.  Wherever the oracle decides, the two agree
-    on whether a point exists, and every point found is on the original
-    curve."""
-    decided = set()
-    for ell in (1, -1, 2, -2, 3, -3, 5, 6, 7, 11):
-        for u in (1, -1, 3, -3, 5, -5, 7, 11, -13):
-            if math.gcd(ell, u * q) != 1:
-                continue
-            eq = CurveEquation(ell, u * q**v)
-            pt = local_point(eq, q)
-            if isinstance(pt, LocalPoint):
-                assert verify_local_point(eq, pt), (ell, u)
-            try:
-                expected = oracles.local_point(eq, q)
-            except InsufficientPrecision:
-                continue
-            assert isinstance(pt, LocalPoint) == isinstance(expected, LocalPoint), (ell, u)
-            decided.add(type(expected))
-    assert decided == {LocalPoint, NoPoint}
-
-
-def test_constant_with_a_fourth_power_of_31():
-    # the residue (0, 0) of the original curve grows 31^2 children a level
-    eq = CurveEquation(6, 5 * 31**4)
-    started = time.perf_counter()
-    pt = local_point(eq, 31)
-    elapsed = time.perf_counter() - started
-    assert isinstance(pt, LocalPoint) and verify_local_point(eq, pt)
-    assert elapsed < 5, f"{elapsed:.2f} s"
-
-
-def test_fourth_power_constant_with_y_zero():
-    # 81 = 3^4 has the point (0, 3); the search used to look for a fourth
-    # root of 81 among the 3-adic units and raise StopIteration
-    eq = CurveEquation(1, 81)
-    pt = local_point(eq, 3, 8, allow_y_zero=True)
-    assert isinstance(pt, LocalPoint) and verify_local_point(eq, pt)
-    assert pt.y.is_zero and pt.z.valuation() == 1
 
 
 @pytest.mark.parametrize("precision", [1, 2])
@@ -430,8 +375,8 @@ def test_uncertifiable_branches_are_not_refined(monkeypatch):
 
 
 def _real_point_cases():
-    # the same (ell, p) as TwistParams below 10^5, built as CurveEquation to
-    # skip its primality and squarefreeness checks
+    # the same (ell, p) as TwistParams below 10^5, built as a plain Quartic
+    # to skip its primality and squarefreeness checks
     big, p = [], 2**64
     while len(big) < 3:
         p += 1
@@ -440,7 +385,7 @@ def _real_point_cases():
     for ell in (1, -1, 2, -2, 3, -3, 6, -6):
         for p in reichardt_lind.primes_up_to(10**5)[1:]:
             if math.gcd(ell, p) == 1:
-                yield CurveEquation(ell, p)
+                yield Quartic(ell, p)
         yield from (TwistParams(ell, p) for p in big)
 
 

@@ -1,10 +1,14 @@
 """Tests for local points, obstruction reports, and the twist family of
 the quartic curves ell*Y^2 = Z^4 - p."""
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import oracles
+from localglobal.exact import is_squarefree, primes_up_to
 from localglobal.padic import InsufficientPrecision
 from localglobal.reichardt_lind import (
     DensityReport,
@@ -78,13 +82,14 @@ class TestLocalPoint:
 
     def test_no_dyadic_point_for_odd_twist_nine_mod_sixteen(self):
         tw = TwistParams(11, 41)  # 41 = 9 mod 16
-        assert isinstance(local_point(tw, 2, allow_y_zero=True), NoPoint)
+        assert isinstance(local_point(tw, 2), NoPoint)
 
     def test_y_zero_point_only_when_allowed(self):
-        # 17 = 1 mod 16 is a fourth power in Q_2: with y = 0 allowed the
-        # search may return the ramification-free point on the z-axis
-        pt = local_point(RL, 2, allow_y_zero=True)
-        assert isinstance(pt, LocalPoint)
+        # 17 = 1 mod 16 is a fourth power in Q_2: the oracle search with
+        # y = 0 allowed returns the point on the z-axis, the library's
+        # search, whose y the symbol (y, p) reads, one with y != 0
+        pt = oracles.local_point(RL, 2, allow_y_zero=True)
+        assert isinstance(pt, LocalPoint) and pt.y.is_zero
         pt_strict = local_point(RL, 2)
         assert not pt_strict.y.is_zero
 
@@ -181,6 +186,60 @@ class TestTwistConditions:
             twist_search(12, 100)
 
 
+@lru_cache(maxsize=None)
+def has_dyadic_point(ell, p):
+    """Whether the quadratic search finds a Q_2 point, y = 0 allowed."""
+    return not isinstance(oracles.local_point(TwistParams(ell, p), 2, 8, allow_y_zero=True), NoPoint)
+
+
+def condition_iv_rows():
+    """(ell, p): every odd squarefree |ell| < 100 with every p = 9 mod 16
+    below 3000 (4,258 pairs), then p = 1 mod 16, p != 1 mod 8 and even
+    ell."""
+    odd = [s * e for e in range(1, 100, 2) if is_squarefree(e) for s in (1, -1)]
+    even = [2, -2, 6, -6, 10, -10, 14, 22, -30]
+    primes = primes_up_to(3000)[1:]
+    rows = [(ell, p) for ell in odd for p in primes if p % 16 == 9]
+    rows += [(ell, p) for ell in odd[:20] for p in primes[:200] if p % 16 == 1]
+    rows += [(ell, p) for ell in odd[:20] + even for p in primes[:40] if p % 8 != 1]
+    rows += [(ell, p) for ell in even for p in primes[:200] if p % 8 == 1]
+    return [(ell, p) for ell, p in rows if math.gcd(ell, p) == 1]
+
+
+def condition_iv_mismatches(rule) -> list:
+    """The rows where rule(ell, p) is not (iv): p = 1 mod 8 and a Q_2 point."""
+    return [(ell, p) for ell, p in condition_iv_rows()
+            if rule(ell, p) != (p % 8 == 1 and has_dyadic_point(ell, p))]
+
+
+class TestConditionFour:
+    """(iv) by its closed rule against the dyadic search it replaced."""
+
+    def test_rows_cover_every_case_of_the_rule(self):
+        rows = condition_iv_rows()
+        assert sum(1 for ell, p in rows if ell % 2 and p % 16 == 9) == 4258
+        kinds = {(ell % 2 == 0, p % 16 if p % 8 == 1 else "not 1 mod 8", ell % 8 if ell % 2 else None)
+                 for ell, p in rows}
+        assert {(False, 9, r) for r in (1, 3, 5, 7)} | {(False, 1, r) for r in (1, 3, 5, 7)} <= kinds
+        assert {(True, 9, None), (True, 1, None), (True, "not 1 mod 8", None)} <= kinds
+
+    def test_closed_rule_matches_the_dyadic_search(self):
+        def library(ell, p):
+            return twist_conditions(TwistParams(ell, p)).two_adic_solvable
+
+        assert condition_iv_mismatches(library) == []
+
+    @pytest.mark.parametrize("mutant", [
+        lambda ell, p: p % 8 == 1 and (ell % 2 == 0 or p % 16 == 1 or ell % 8 in (1,)),
+        lambda ell, p: p % 8 == 1 and (ell % 2 == 0 or p % 16 == 1 or ell % 8 in (7,)),
+        lambda ell, p: p % 8 == 1 and (ell % 2 == 0 or ell % 8 in (1, 7)),
+        lambda ell, p: p % 8 == 1 and (p % 16 == 1 or ell % 8 in (1, 7)),
+        lambda ell, p: ell % 2 == 0 or p % 16 == 1 or ell % 8 in (1, 7),
+    ], ids=["ell 1 mod 8", "ell 7 mod 8", "no p 1 mod 16", "no even ell", "no p 1 mod 8"])
+    def test_the_rows_refute_a_mutated_rule(self, mutant):
+        assert condition_iv_mismatches(mutant)
+
+
 class TestDensity:
     def test_small_exact(self):
         rep = density_experiment(2, 20)
@@ -189,9 +248,16 @@ class TestDensity:
         assert rep.ratio == Fraction(1, 8) == rep.predicted
 
     def test_prediction_exponents(self):
-        assert density_experiment(2, 50).predicted == Fraction(1, 8)
-        assert density_experiment(11, 50).predicted == Fraction(1, 32)
-        assert density_experiment(6, 50).predicted == Fraction(1, 16)
+        # 1/2^(n+2) for even ell; for odd ell, 1/2^(n+3) if ell = +-1 mod 8
+        # (-7, 7, 33), else 1/2^(n+4) (+-3, 11, 21)
+        expected = {2: 8, -2: 8, 6: 16, 3: 32, -3: 32, 7: 16, -7: 16, 11: 32, 21: 64, 33: 32}
+        assert {ell: 1 / density_experiment(ell, 50).predicted for ell in expected} == expected
+
+    def test_odd_ell_seven_mod_eight_tracks_prediction(self):
+        # every p = 1 mod 8 passes (iv) when ell = 7 mod 8: 1/16, not 1/32
+        rep = density_experiment(7, 100000)
+        assert rep.predicted == Fraction(1, 16)
+        assert abs(rep.ratio - rep.predicted) <= rep.predicted * Fraction(15, 100)
 
     def test_moderate_range_tracks_prediction(self):
         rep = density_experiment(2, 20000)
@@ -202,6 +268,15 @@ class TestDensity:
             density_experiment(12, 100)  # not squarefree
         with pytest.raises(ValueError):
             density_experiment(5, 100)  # odd factor 1 mod 4
+
+    @pytest.mark.parametrize("ell", [1, -1])
+    def test_refuses_ell_plus_minus_one(self, ell):
+        # +-1 is a 4th power mod every p = 1 mod 8, so (ii) and (iv) exclude
+        # each other and no twist passes
+        assert not any(twist_conditions(TwistParams(ell, p)).all_satisfied
+                       for p in primes_up_to(3000)[1:])
+        with pytest.raises(ValueError, match="4th power"):
+            density_experiment(ell, 100)
 
 
 class TestGlobalSearches:
@@ -218,6 +293,10 @@ class TestGlobalSearches:
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
             exhaustive_search(-1)
+
+    def test_rejects_ell_zero(self):
+        with pytest.raises(ValueError, match="ell must be nonzero"):
+            exhaustive_search(3, ell=0)
 
 
 class TestSmoothness:
