@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 
 from .exact import (
     CertificateError,
     Factorization,
     _sqrt_minus_one,
     factorize,
-    fourth_root,
     is_perfect_square,
     is_probable_prime,
     quartic_residue_symbol,
@@ -36,7 +34,6 @@ __all__ = [
     "ElkiesFibre",
     "QuarticRep",
     "RepresentationNotFound",
-    "NoRepresentation",
     "fibre",
     "rationals_of_height",
     "local_solvability_report",
@@ -53,27 +50,24 @@ __all__ = [
 
 
 class RepresentationNotFound(Exception):
-    """No decomposition N0 = A^4 + 16B^4 with A, B odd coprime below the
-    exhaustive bound; this would falsify the family property."""
-
-
-class NoRepresentation(Exception):
-    """No decomposition p = a^2 + 16b^2; only possible when -1 fails to
-    be a fourth power mod p."""
+    """N0 is not A^4 + 16B^4 with A, B odd coprime; this would falsify the
+    family property."""
 
 
 # ------------------------------------------------------------------ fibres
-class ElkiesFibre(record("ElkiesFibre", "t N N0 A B")):
+class ElkiesFibre(record("ElkiesFibre", "t N N0 A B factorization", (None,))):
     """One member of the family: parameter t (None encodes the fibre at
-    infinity), its value N, the fourth-power-free part N0, and the
-    canonical decomposition N0 = A^4 + 16B^4, the one with the smallest B.
-    `fibre` hands over the factorization of N0 it already has; a fibre
-    built without one factors N0 when a report first reads its primes.
-    No `__slots__`: the instance dict holds that cached factorization."""
+    infinity), its value N, the fourth-power-free part N0, the canonical
+    decomposition N0 = A^4 + 16B^4, the one with the smallest B, and the
+    factorization of N0, factored here when none is given.  Every p | N0
+    is 1 mod 8: p divides neither A nor 2B, and (A/2B)^4 = -1 mod p, so
+    A/2B has order 8 in F_p*."""
+
+    __slots__ = ()
 
     def __new__(
         cls, t: Fraction | None, N: Fraction, N0: int, A: int, B: int,
-        known_factorization: Factorization | None = None,
+        factorization: Factorization | None = None,
     ):
         if N0 != A**4 + 16 * B**4:
             raise CertificateError(f"N0 = {N0} != {A}^4 + 16*{B}^4")
@@ -83,36 +77,14 @@ class ElkiesFibre(record("ElkiesFibre", "t N N0 A B")):
             raise CertificateError(f"A = {A} and B = {B} must be coprime")
         if N0 % 16 != 1:
             raise CertificateError(f"N0 = {N0} is not 1 mod 16")
-        self = tuple.__new__(cls, (t, N, N0, A, B))
-        if known_factorization is not None:
-            if known_factorization.value != N0:
-                raise CertificateError(f"the factorization given is not one of N0 = {N0}")
-            self.__dict__["factorization"] = known_factorization  # the cached_property's slot
-        return self
-
-    @cached_property
-    def factorization(self) -> Factorization:
-        return factorize(self.N0)
-
-
-def _b_bound(n0: int) -> int:
-    """Search bound for B in N0 = A^4 + 16 B^4: floor((N0/16)^(1/4)) + 2."""
-    return math.isqrt(math.isqrt(n0 // 16)) + 2
-
-
-def _searched_fibre(t, n_val: Fraction, n0: int, factorization=None) -> ElkiesFibre:
-    """The fibre with quartic-free part n0, its smallest-B decomposition
-    found by trying B = 1, 3, 5, ... up to `_b_bound`."""
-    if n0 <= 0 or n0 % 16 != 1:
-        raise CertificateError(f"N0 = {n0} is not a positive 1 mod 16")
-    for b in range(1, _b_bound(n0) + 1, 2):
-        rest = n0 - 16 * b**4
-        if rest <= 0:
-            break
-        a = fourth_root(rest)
-        if a is not None and a % 2 == 1 and math.gcd(a, b) == 1:
-            return ElkiesFibre(t, n_val, n0, a, b, factorization)
-    raise RepresentationNotFound(f"N0 = {n0} is not A^4 + 16B^4 (A, B odd coprime)")
+        if factorization is None:
+            factorization = factorize(N0)
+        for p, _ in factorization.factors:
+            if p % 8 != 1:
+                raise CertificateError(f"the factor {p} of N0 = {N0} is not 1 mod 8")
+        if factorization.value != N0:
+            raise CertificateError(f"the factorization given is not one of N0 = {N0}")
+        return tuple.__new__(cls, (t, N, N0, A, B, factorization))
 
 
 def _two_squares(p: int) -> tuple[int, int]:
@@ -130,8 +102,9 @@ def _two_squares(p: int) -> tuple[int, int]:
     return b, y
 
 
-def _has_smaller_b(fz: Factorization, w: int) -> bool:
-    """Is n = fz.value = A^4 + 16B^4 with A, B odd coprime and B < w?
+def _least_b(fz: Factorization) -> tuple[int, int]:
+    """(A, B) with n = fz.value = A^4 + 16B^4, A and B odd and coprime, and
+    B least; RepresentationNotFound if there is none.
 
     Such a decomposition is a coprime pair X^2 + Y^2 = n with X = A^2 and
     Y = 4B^2.  In Z[i] every coprime pair is, up to units, the product of
@@ -147,12 +120,16 @@ def _has_smaller_b(fz: Factorization, w: int) -> bool:
         reps = [(r * g[0] - s * g[1], r * g[1] + s * g[0]) for r, s in reps] + [
             (r * g[0] + s * g[1], s * g[0] - r * g[1]) for r, s in reps
         ]
+    found = []
     for X, Y in reps:
         X, Y = (abs(X), abs(Y)) if X % 2 else (abs(Y), abs(X))
         b = math.isqrt(Y // 4)
-        if Y == 4 * b * b and b % 2 == 1 and b < w and is_perfect_square(X):
-            return True
-    return False
+        if Y == 4 * b * b and b % 2 == 1 and is_perfect_square(X):
+            found.append((b, math.isqrt(X)))
+    if not found:
+        raise RepresentationNotFound(f"N0 = {fz.value} is not A^4 + 16B^4 (A, B odd coprime)")
+    b, a = min(found)
+    return a, b
 
 
 def fibre(t) -> ElkiesFibre:
@@ -161,11 +138,9 @@ def fibre(t) -> ElkiesFibre:
     For t = a/b in lowest terms (a/b = 1/0 at infinity) put
     u = a^2 + ab + 3b^2 and w = a^2 + ab + b^2.  Then 1 + t + t^2 = w/b^2
     and N(t) = (u^4 + 16w^4)/w^4 in lowest terms: w is odd and prime to b,
-    and u = w + 2b^2, so gcd(u, w) = 1.  The numerator is factored once.
-    If it is fourth-power-free it is N0, decomposed as (A, B) = (u, w)
-    unless a decomposition with smaller B exists (`_has_smaller_b`).
-    Otherwise N0 and its factorization come from the exponents mod 4, and
-    B is found by search.
+    and u = w + 2b^2, so gcd(u, w) = 1.  The numerator is factored once;
+    N0 and its factorization come from the exponents mod 4, and (A, B) is
+    the least-B decomposition of N0 in Z[i] (`_least_b`).
     """
     if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
         t_val, a, b = None, 1, 0
@@ -177,10 +152,12 @@ def fibre(t) -> ElkiesFibre:
     n = u**4 + 16 * w**4
     n_val = Fraction(n, w**4)
     fz = factorize(n)
-    if all(e < 4 for _, e in fz.factors) and not _has_smaller_b(fz, w):
-        return ElkiesFibre(t_val, n_val, n, u, w, fz)
-    reduced = Factorization(1, tuple((p, e % 4) for p, e in fz.factors if e % 4))
-    return _searched_fibre(t_val, n_val, reduced.value, reduced)
+    if any(e >= 4 for _, e in fz.factors):
+        fz = Factorization(1, tuple((p, e % 4) for p, e in fz.factors if e % 4))
+        n = fz.value
+    if n % 16 != 1:  # refused before `_least_b` finds no decomposition
+        raise CertificateError(f"N0 = {n} is not 1 mod 16")
+    return ElkiesFibre(t_val, n_val, n, *_least_b(fz), fz)
 
 
 def rationals_of_height(h: int) -> list:
@@ -252,15 +229,12 @@ def local_solvability_report(
         raise InsufficientPrecision(f"the point y = 0, z = N0^(1/4) over Q_2: {exc}") from exc
     two_ok = pow(root.unit, 4, 2**root.prec) == n0 % 2**root.prec  # N0 odd: a unit root
 
-    odd_entries = []
-    for p, _ in fib.factorization.factors:
-        if p % 8 != 1:
-            raise CertificateError(f"{p} divides N0 = {n0} but is not 1 mod 8")
-        odd_entries.append((p, smooth_residue_point(n0, p) is not None))
-
+    odd_entries = tuple(
+        (p, smooth_residue_point(n0, p) is not None) for p, _ in fib.factorization.factors
+    )
     good = tuple(q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q != 0)
     good_ok = all(smooth_residue_point(n0, q) is not None for q in good)
-    return LocalSolvabilityReport(fib, real_ok, two_ok, tuple(odd_entries), good, good_ok)
+    return LocalSolvabilityReport(fib, real_ok, two_ok, odd_entries, good, good_ok)
 
 
 # -------------------------------------------------- quartic representations
@@ -283,23 +257,23 @@ class QuarticRep(record("QuarticRep", "p a b")):
 
 
 def quartic_rep(p: int) -> QuarticRep:
-    """Smallest-b representation p = a^2 + 16b^2, cross-checked against the
-    quartic character: 2 is a fourth power mod p iff b is even."""
+    """The representation p = a^2 + 16b^2 (a, b > 0), read off p = x^2 + y^2
+    (`_two_squares`, unique up to order and sign): a is the odd one of x
+    and y, and b the even one over 4, a multiple of 4 since a^2 = 1 = p
+    mod 8.  Cross-checked against the quartic character: 2 is a fourth
+    power mod p iff b is even."""
     if p % 8 != 1 or not is_probable_prime(p):
         raise ValueError("need a prime p = 1 mod 8")
-    for b in range(1, math.isqrt(p // 16) + 1):
-        rest = p - 16 * b * b
-        if rest > 0 and is_perfect_square(rest):
-            a = math.isqrt(rest)
-            rep = QuarticRep(p, a, b)
-            symbol_plus = quartic_residue_symbol(2, p).exponent == 0
-            if symbol_plus != rep.b_even:
-                raise ArithmeticError(
-                    f"quartic criterion failed at p={p}: b={b}, (2/p)_4 "
-                    f"{'+1' if symbol_plus else 'nontrivial'}"
-                )
-            return rep
-    raise NoRepresentation(f"{p} has no representation a^2 + 16b^2")
+    x, y = _two_squares(p)
+    a, even = (x, y) if x % 2 else (y, x)
+    rep = QuarticRep(p, a, even // 4)
+    symbol_plus = quartic_residue_symbol(2, p).exponent == 0
+    if symbol_plus != rep.b_even:
+        raise ArithmeticError(
+            f"quartic criterion failed at p={p}: b={rep.b}, (2/p)_4 "
+            f"{'+1' if symbol_plus else 'nontrivial'}"
+        )
+    return rep
 
 
 def gauss_criterion_check(p: int) -> bool:
@@ -334,8 +308,6 @@ def obstruction_parity(fib: ElkiesFibre) -> ObstructionParity:
     """
     contributing = []
     for p, e in fib.factorization.factors:
-        if p % 8 != 1:
-            raise CertificateError(f"{p} divides N0 = {fib.N0} but is not 1 mod 8")
         if e % 2 == 1 and not is_nth_power_unit(2, 4, p):
             contributing.append(p)
     count = len(contributing)

@@ -227,17 +227,17 @@ def factorize(n: int) -> Factorization:
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
-    n = abs(n)
+    rest = abs(n)
     found: dict[int, int] = {}
 
     def count(p, e=1):
         found[p] = found.get(p, 0) + e
 
     for p in _TRIAL_PRIMES:
-        while n % p == 0:
+        while rest % p == 0:
             count(p)
-            n //= p
-    stack = [n] if n > 1 else []
+            rest //= p
+    stack = [rest] if rest > 1 else []
     while stack:
         m = stack.pop()
         if m == 1:
@@ -252,8 +252,8 @@ def factorize(n: int) -> Factorization:
         d = _brent_rho(m)
         stack += [d, m // d]
     fz = Factorization(sign, tuple(sorted(found.items())))
-    if fz.value != sign * math.prod(p**e for p, e in found.items()):
-        raise FactorizationError("reconstruction mismatch")
+    if fz.value != n:
+        raise FactorizationError(f"the factors of {n} multiply to {fz.value}")
     return fz
 
 
@@ -420,17 +420,6 @@ def is_perfect_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def fourth_root(n: int):
-    """Exact integer fourth root of n, or None."""
-    if n < 0:
-        return None
-    r = math.isqrt(math.isqrt(n))
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c**4 == n:
-            return c
-    return None
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -551,7 +551,7 @@ def density_experiment(ell: int, p_max: int) -> DensityReport:
     holds for every p = 1 mod 8 if ell = +-1 mod 8, giving 1/2^(n+3), and
     else only for p = 1 mod 16 (1/2), giving 1/2^(n+4).  ell = +-1 is
     refused: it is a 4th power mod every p = 1 mod 8, so (ii) fails and
-    the density is 0.
+    the density is 0.  So is p_max < 2, which leaves no prime to count.
     """
     _check_ell(ell)
     if abs(ell) == 1:
@@ -561,6 +561,8 @@ def density_experiment(ell: int, p_max: int) -> DensityReport:
         raise ValueError("density prediction needs all odd factors = 3 mod 4")
     n = len(factors)
     extra = 2 if ell % 2 == 0 else 3 if ell % 8 in (1, 7) else 4
+    if p_max < 2:
+        raise ValueError(f"max_prime = {p_max} leaves no prime to count; the least is 2")
     primes = primes_up_to(p_max)
     valid = sum(1 for _ in _passing_twists(ell, primes))
     return DensityReport(

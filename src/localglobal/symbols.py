@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import is_probable_prime, legendre_symbol, record, residue, split_prime_power
+from .exact import is_probable_prime, record, residue, split_prime_power
 from .padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
@@ -125,23 +125,24 @@ class InvariantValue(record("InvariantValue", "value")):
 
 # ------------------------------------------------------- quadratic symbols
 def _hilbert2_finite(p: int, va: int, ua: int, vb: int, ub: int) -> int:
-    """Quadratic Hilbert symbol at p from valuations and unit residues.
+    """Quadratic Hilbert symbol at the prime p from valuations and unit
+    residues.
 
-    For odd p the units are needed mod p; at p = 2 they are needed mod 8.
+    For odd p the units are needed mod p, and their Legendre symbols come
+    from Euler's criterion; at p = 2 they are needed mod 8.
     """
     if p == 2:
         eps_a, eps_b = (ua - 1) // 2 % 2, (ub - 1) // 2 % 2
         omega_a, omega_b = (ua * ua - 1) // 8 % 2, (ub * ub - 1) // 8 % 2
         e = eps_a * eps_b + va * omega_b + vb * omega_a
         return -1 if e % 2 else 1
-    sign = 1
-    if va % 2 and vb % 2 and (p - 1) // 2 % 2:
-        sign = -sign
-    if vb % 2:
-        sign *= legendre_symbol(ua, p)
-    if va % 2:
-        sign *= legendre_symbol(ub, p)
-    return sign
+    half = (p - 1) // 2
+    e = va * vb * half
+    if vb % 2 and pow(ua, half, p) != 1:
+        e += 1
+    if va % 2 and pow(ub, half, p) != 1:
+        e += 1
+    return -1 if e % 2 else 1
 
 
 def _vu(x, p: int) -> tuple[int, int]:

@@ -17,8 +17,9 @@ The good places of an Elkies fibre are swept with the library's own
 `local_point`, one search per prime, on `Quartic`, the plain pair
 (ell, p) that composite constants are written in; the
 fibre itself is built from N(t) in Fractions with a quartic-free part and
-a search for B, its bad places are certified by a Hensel lift, and the
-obstruction reads the quartic residue symbol of 2.  Its smooth residue
+a search for B, its bad places are certified by a Hensel lift, the
+obstruction reads the quartic residue symbol of 2, and p = a^2 + 16b^2 is
+found by a loop over b.  Its smooth residue
 points come from a loop of its own over y, and its local solvability
 report from the quadratic search at 2, where a point with y = 0 is
 allowed, and the library's search below p = 500.  The
@@ -70,14 +71,13 @@ from localglobal.exact import (
     _TRIAL_PRIMES,
     _brent_rho,
     _miller_rabin_round,
-    fourth_root,
     is_probable_prime,
     primes_up_to,
     quartic_residue_symbol,
     split_prime_power,
     sqrt_mod_prime,
 )
-from localglobal.elkies import ElkiesFibre, LocalSolvabilityReport, RepresentationNotFound
+from localglobal.elkies import ElkiesFibre, LocalSolvabilityReport, QuarticRep, RepresentationNotFound
 from localglobal.padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
@@ -301,8 +301,8 @@ def elkies_fibre(t) -> ElkiesFibre:
     """The fibre at t as `elkies.fibre` built it before the closed form:
     N(t) evaluated in Fractions, N0 its quartic-free part from
     `exact.quartic_free_part` (which factors N's numerator and
-    denominator), A and B by trying B = 1, 3, 5, ..., and the returned
-    fibre factors N0 again when its primes are read."""
+    denominator), A and B by `least_b_search`, and the fibre factors N0
+    again when it is built."""
     if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
         return quartic_free_fibre(None, Fraction(17))
     t_val = Fraction(t)
@@ -314,6 +314,25 @@ def quartic_free_fibre(t_val, n_val: Fraction) -> ElkiesFibre:
     n0, _ = quartic_free_part(n_val)
     if n0 <= 0 or n0 % 16 != 1:
         raise CertificateError(f"N0 = {n0} is not a positive 1 mod 16")
+    return ElkiesFibre(t_val, n_val, n0, *least_b_search(n0))
+
+
+def fourth_root(n: int):
+    """Exact integer fourth root of n, or None."""
+    if n < 0:
+        return None
+    r = math.isqrt(math.isqrt(n))
+    for c in (r - 1, r, r + 1):
+        if c >= 0 and c**4 == n:
+            return c
+    return None
+
+
+def least_b_search(n0: int) -> tuple[int, int]:
+    """(A, B) with n0 = A^4 + 16B^4, A and B odd and coprime, and B least,
+    by trying B = 1, 3, 5, ... up to floor((n0/16)^(1/4)) + 2: what
+    `elkies.fibre` fell back on before `elkies._least_b` read B off the
+    Gaussian integers."""
     bound = math.isqrt(math.isqrt(n0 // 16)) + 2
     for b in range(1, bound + 1, 2):
         rest = n0 - 16 * b**4
@@ -321,8 +340,19 @@ def quartic_free_fibre(t_val, n_val: Fraction) -> ElkiesFibre:
             break
         a = fourth_root(rest)
         if a is not None and a % 2 == 1 and math.gcd(a, b) == 1:
-            return ElkiesFibre(t_val, n_val, n0, a, b)
+            return a, b
     raise RepresentationNotFound(f"N0 = {n0} is not A^4 + 16B^4 (A, B odd coprime)")
+
+
+def quartic_rep(p: int) -> QuarticRep:
+    """p = a^2 + 16b^2 for a prime p = 1 mod 8 by trying b = 1, 2, 3, ...
+    until p - 16b^2 is a square: `elkies.quartic_rep` before it read the
+    representation off `elkies._two_squares`."""
+    for b in range(1, math.isqrt(p // 16) + 1):
+        a = math.isqrt(p - 16 * b * b)
+        if a * a + 16 * b * b == p:
+            return QuarticRep(p, a, b)
+    raise ValueError(f"{p} has no representation a^2 + 16b^2")
 
 
 def bad_place_lift(n0: int, p: int, precision: int) -> bool:

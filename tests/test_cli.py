@@ -92,6 +92,11 @@ class TestRlCommands:
         assert code == 1 and rep["status"] == "error"
         assert rep["result"]["message"].startswith("ValueError: ell = +-1")
 
+    def test_density_below_every_prime_is_an_error(self, capsys):
+        code, rep = run_json(capsys, "rl", "density", "--ell", "2", "--max-prime", "1")
+        assert code == 1 and rep["status"] == "error"
+        assert rep["result"]["message"].startswith("ValueError: max_prime = 1 leaves no prime")
+
     def test_exhaust_empty(self, capsys):
         code, rep = run_json(capsys, "rl", "exhaust", "--bound", "50")
         assert code == 0 and rep["result"]["solutions"] == []

@@ -4,7 +4,6 @@ globally empty quartics and its quartic-residue parity obstruction."""
 import json
 import math
 import random
-import types
 from fractions import Fraction
 from functools import lru_cache
 
@@ -15,7 +14,6 @@ from sympy.ntheory import nthroot_mod
 from localglobal import cli, elkies, exact
 from localglobal.elkies import (
     ElkiesFibre,
-    NoRepresentation,
     family_scan,
     fibre,
     gauss_criterion_check,
@@ -29,7 +27,6 @@ from localglobal.elkies import (
 from localglobal.exact import (
     CertificateError,
     factorize,
-    fourth_root,
     primes_up_to,
     quartic_residue_symbol,
 )
@@ -94,29 +91,14 @@ class TestFibre:
         assert (local_solvability_report(f, 12, 50), obstruction_parity(f)) == expected
 
 
-class TestFibreSearchBound:
-    def test_matches_the_float_form_on_small_values(self):
-        for n0 in list(range(1, 5000, 16)) + [1921, 17 * 113 * 16**3 + 1, 10**12 + 1]:
-            assert elkies._b_bound(n0) == int((n0 / 16) ** 0.25) + 2, n0
-
-    def test_huge_n0_needs_no_float(self):
-        a, b = 2**280 + 1, 3
-        n0 = a**4 + 16 * b**4
-        assert n0 > 2**1100
-        with pytest.raises(OverflowError):
-            n0 / 16  # the float form could not even start
-        assert elkies._b_bound(n0) == 2**279 + 2  # floor((n0 / 16)^(1/4)) = (a - 1) / 2
-        fib = elkies._searched_fibre(Fraction(0), Fraction(n0), n0)
-        assert (fib.N0, fib.A, fib.B) == (n0, a, b)
-
-
 def _fibre_data(fib):
     return fib.N, fib.N0, fib.A, fib.B, fib.factorization
 
 
 class TestClosedFormFibre:
-    """`fibre` from (u, w) = (a^2 + ab + 3b^2, a^2 + ab + b^2) against the
-    Fraction evaluation, quartic-free part and B-search it replaced."""
+    """`fibre` from (u, w) = (a^2 + ab + 3b^2, a^2 + ab + b^2) and B from
+    the Gaussian integers against the Fraction evaluation, quartic-free
+    part and B-search it replaced."""
 
     def test_matches_the_oracle_up_to_height_20(self):
         ts = rationals_of_height(20)
@@ -149,11 +131,10 @@ class TestClosedFormFibre:
         obstruction_parity(oracles.elkies_fibre(Fraction(1, 3)))
         assert len(calls) == 3  # numerator, denominator, then N0 again
 
-    def test_a_directly_built_fibre_stays_lazy(self):
+    def test_a_directly_built_fibre_factors_n0(self):
         f = ElkiesFibre(Fraction(1), Fraction(1921, 81), 1921, 5, 3)
-        assert "factorization" not in f.__dict__
         assert f.factorization == factorize(1921)
-        assert "factorization" in fibre(1).__dict__
+        assert f == fibre(1)
 
     def test_a_factorization_of_another_number_is_refused(self):
         with pytest.raises(CertificateError):
@@ -166,12 +147,13 @@ class TestClosedFormFibre:
         17**6 * 506609 * 41**4,  # N0 = 17^2 * 506609 = 1 + 16*55^4
     ])
     def test_a_numerator_with_fourth_powers_falls_back_to_the_search(self, monkeypatch, numerator):
-        # fibre(0) is handed this numerator's factorization in place of 97's
-        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator))
-        fib = fibre(0)
+        # fibre(0) is handed this numerator's factorization in place of 97's;
+        # it reduces the exponents mod 4, and B comes from the Gaussian integers
         old = oracles.quartic_free_fibre(Fraction(0), Fraction(numerator))
-        assert (fib.N0, fib.A, fib.B) == (old.N0, old.A, old.B)
-        assert fib.__dict__["factorization"] == factorize(fib.N0)
+        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator if n == 97 else n))
+        fib = fibre(0)
+        assert fib.N0 == old.N0 and (fib.A, fib.B) == (old.A, old.B)
+        assert fib.factorization == old.factorization == factorize(fib.N0)
         assert fib.N0 < numerator
 
     @pytest.mark.parametrize("numerator, error", [
@@ -179,7 +161,7 @@ class TestClosedFormFibre:
         (17 * 41 * 97**4, CertificateError),  # N0 = 697 = 9 mod 16
     ])
     def test_the_fallback_fails_as_the_oracle_does(self, monkeypatch, numerator, error):
-        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator))
+        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator if n == 97 else n))
         with pytest.raises(error):
             fibre(0)
         with pytest.raises(error):
@@ -187,12 +169,17 @@ class TestClosedFormFibre:
 
     def test_a_smaller_b_is_found_in_the_gaussian_integers(self):
         # Euler: 59^4 + 158^4 = 133^4 + 134^4, so 635318657 is
-        # 59^4 + 16*79^4 and 133^4 + 16*67^4
-        fz = factorize(635318657)
-        assert elkies._has_smaller_b(fz, 79)
-        assert not elkies._has_smaller_b(fz, 67)
-        fib = elkies._searched_fibre(None, Fraction(635318657), 635318657, fz)
-        assert (fib.A, fib.B) == (133, 67)
+        # 59^4 + 16*79^4 and 133^4 + 16*67^4.  The next two have two
+        # decompositions as well, and the walk over Z[i] meets the larger B
+        # first: the least is not the first found
+        for n, reps in (
+            (635318657, ((59, 79), (133, 67))),
+            (86409838577, ((103, 271), (359, 257))),
+            (160961094577, ((503, 279), (631, 111))),
+        ):
+            assert all(a**4 + 16 * b**4 == n for a, b in reps)
+            least = min(reps, key=lambda r: r[1])
+            assert elkies._least_b(factorize(n)) == least == oracles.least_b_search(n)
 
     def test_the_smaller_b_test_agrees_with_the_search(self):
         rng = random.Random(4)
@@ -203,21 +190,7 @@ class TestClosedFormFibre:
             if math.gcd(u, w) > 1:
                 continue
             n = u**4 + 16 * w**4
-            smaller = any(
-                fourth_root(n - 16 * b**4) is not None and math.gcd(n - 16 * b**4, b) == 1
-                for b in range(1, w, 2)
-            )
-            assert elkies._has_smaller_b(factorize(n), w) == smaller, (u, w)
-
-    def test_a_fibre_with_a_smaller_b_keeps_the_search(self, monkeypatch):
-        monkeypatch.setattr(elkies, "_has_smaller_b", lambda fz, w: True)
-        searched = elkies._searched_fibre
-        calls = []
-        monkeypatch.setattr(
-            elkies, "_searched_fibre", lambda *args: calls.append(args) or searched(*args)
-        )
-        assert _fibre_data(fibre(Fraction(1, 3))) == _fibre_data(oracles.elkies_fibre(Fraction(1, 3)))
-        assert len(calls) == 1
+            assert elkies._least_b(factorize(n)) == oracles.least_b_search(n), (u, w)
 
 
 class TestQuarticRep:
@@ -243,6 +216,7 @@ class TestQuarticRep:
         for p in primes_up_to(100_000):
             if p % 8 == 1:
                 assert gauss_criterion_check(p), p
+                assert quartic_rep(p) == oracles.quartic_rep(p), p  # the b-loop it replaced
                 checked += 1
         assert checked == 2384
 
@@ -451,9 +425,9 @@ class TestObstructionParity:
             assert obstruction_parity(fib).contributing_primes == expected, fib.t
 
     def test_a_prime_not_1_mod_8_is_refused(self):
-        fib = types.SimpleNamespace(N0=15, factorization=factorize(15))
-        with pytest.raises(CertificateError):
-            obstruction_parity(fib)
+        # the fibre refuses such a factorization, so no parity is read off it
+        with pytest.raises(CertificateError, match="the factor 3 of N0 = 17 is not 1 mod 8"):
+            ElkiesFibre(None, Fraction(17), 17, 1, 1, factorize(15))
 
 
 class TestFamilyScan:

@@ -12,7 +12,6 @@ from localglobal import exact
 from localglobal.exact import (
     Factorization,
     factorize,
-    fourth_root,
     is_perfect_square,
     is_probable_prime,
     is_squarefree,
@@ -291,9 +290,9 @@ def test_quartic_symbol_squares_to_legendre():
 
 def test_small_helpers():
     assert is_perfect_square(0) and is_perfect_square(144) and not is_perfect_square(145)
-    assert fourth_root(16) == 2
-    assert fourth_root(15) is None
-    assert fourth_root(0) == 0
+    assert oracles.fourth_root(16) == 2
+    assert oracles.fourth_root(15) is None
+    assert oracles.fourth_root(0) == 0
     assert is_squarefree(2 * 3 * 5) and not is_squarefree(12)
     ps = primes_up_to(100)
     assert ps[:5] == [2, 3, 5, 7, 11] and len(ps) == 25

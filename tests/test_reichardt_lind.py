@@ -279,6 +279,12 @@ class TestDensity:
             density_experiment(ell, 100)
 
 
+    @pytest.mark.parametrize("p_max", [1, 0, -5])
+    def test_refuses_a_bound_below_every_prime(self, p_max):
+        with pytest.raises(ValueError, match=f"max_prime = {p_max} leaves no prime"):
+            density_experiment(2, p_max)
+
+
 class TestGlobalSearches:
     def test_exhaustive_empty(self):
         assert exhaustive_search(200) == []
