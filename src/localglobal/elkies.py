@@ -27,7 +27,6 @@ from .exact import (
     record,
 )
 from .padic import InsufficientPrecision, PadicNumber, is_nth_power_unit, padic_root
-from .reichardt_lind import residue_zeros
 from .symbols import InvariantValue
 
 __all__ = [
@@ -37,7 +36,6 @@ __all__ = [
     "fibre",
     "rationals_of_height",
     "local_solvability_report",
-    "smooth_residue_point",
     "LocalSolvabilityReport",
     "quartic_rep",
     "gauss_criterion_check",
@@ -102,26 +100,28 @@ def _two_squares(p: int) -> tuple[int, int]:
     return b, y
 
 
+def _coprime_two_squares(fz: Factorization) -> list[tuple[int, int]]:
+    """One coprime pair X^2 + Y^2 = n = fz.value (n odd) for each such pair
+    up to order and sign: in Z[i], up to units, the product of pi_p^e or its
+    conjugate over the p^e || n, p = pi_p conj(pi_p) (`_two_squares`), with
+    pi_p^e for the first p, since conjugating the product keeps the pair."""
+    reps = [(1, 0)]
+    for i, (p, e) in enumerate(fz.factors):
+        x, y = _two_squares(p)
+        g, h = 1, 0
+        for _ in range(e):
+            g, h = g * x - h * y, g * y + h * x
+        choices = ((g, h), (g, -h)) if i else ((g, h),)
+        reps = [(r * u - s * v, r * v + s * u) for r, s in reps for u, v in choices]
+    return reps
+
+
 def _least_b(fz: Factorization) -> tuple[int, int]:
     """(A, B) with n = fz.value = A^4 + 16B^4, A and B odd and coprime, and
-    B least; RepresentationNotFound if there is none.
-
-    Such a decomposition is a coprime pair X^2 + Y^2 = n with X = A^2 and
-    Y = 4B^2.  In Z[i] every coprime pair is, up to units, the product of
-    pi_p^e or its conjugate over the prime powers p^e of n, where
-    p = pi_p conj(pi_p) (`_two_squares`); so all 2^k of them are checked.
-    """
-    reps = [(1, 0)]
-    for p, e in fz.factors:
-        x, y = _two_squares(p)
-        g = (1, 0)
-        for _ in range(e):
-            g = (g[0] * x - g[1] * y, g[0] * y + g[1] * x)
-        reps = [(r * g[0] - s * g[1], r * g[1] + s * g[0]) for r, s in reps] + [
-            (r * g[0] + s * g[1], s * g[0] - r * g[1]) for r, s in reps
-        ]
+    B least, read off the coprime pairs X^2 + Y^2 = n with X = A^2 and
+    Y = 4B^2; RepresentationNotFound if there is none."""
     found = []
-    for X, Y in reps:
+    for X, Y in _coprime_two_squares(fz):
         X, Y = (abs(X), abs(Y)) if X % 2 else (abs(Y), abs(X))
         b = math.isqrt(Y // 4)
         if Y == 4 * b * b and b % 2 == 1 and is_perfect_square(X):
@@ -193,21 +193,13 @@ class LocalSolvabilityReport(record("LocalSolvabilityReport", (
         )
 
 
-def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
-    """The first zero (y, z) mod q of 2y^2 = z^4 - n0 in `residue_zeros`
-    order with a unit partial derivative (any but (0, 0)), for an odd prime
-    q, or None; Hensel's lemma lifts it to a Q_q point (Silverman, AEC,
-    V.1.1).  For q not dividing n0 and q >= 7 one exists: the curve is
-    smooth of genus one over F_q, so Hasse-Weil gives it at least
-    q + 1 - 2 sqrt(q) points, at most two of them at infinity.  For q = 3
-    and 5 the tests try every residue of n0.  For q = 1 mod 8 dividing n0,
-    2 is a square s^2 mod q, and any y with sy a square makes
-    z^4 = 2y^2 = (sy)^2 a fourth power.
-    """
-    for y, z in residue_zeros(2, 1, -n0, q):
-        if y or z:
-            return y, z
-    return None
+def _bad_place_point(fib: ElkiesFibre) -> tuple[int, int]:
+    """(2ABc, c) with c = A^2 + 4B^2: a zero mod every p | N0."""
+    c = fib.A**2 + 4 * fib.B**2
+    return 2 * fib.A * fib.B * c, c
+
+
+_SMALL_PLACE_ZEROS = {3: {1: (0, 1), 2: (1, 1)}, 5: {1: (0, 1), 2: (2, 0), 3: (1, 0), 4: (1, 1)}}
 
 
 def local_solvability_report(
@@ -219,22 +211,29 @@ def local_solvability_report(
     R: N0 > 0.  Q_2: N0 = 1 mod 16 is a fourth power in Q_2, so y = 0,
     z = N0^(1/4) is a point; `padic_root` reads the root off a residue mod
     2^(2 v_2(4) + 1), so fewer than 5 digits are InsufficientPrecision.
-    Every odd prime, good or bad: `smooth_residue_point`.
+    Each p | N0: as c^2 - 8A^2B^2 = N0, `_bad_place_point` is a zero of
+    2y^2 - z^4 + N0 = N0(1 - c^2) with y a unit mod p: p divides neither A
+    nor 2B (they are coprime), nor c, else N0 = -8A^2B^2 mod p.  Each good
+    q: Hasse-Weil gives the smooth genus-one curve over F_q at least
+    q + 1 - 2 sqrt(q) points, at most two at infinity, so an affine one when
+    (q - 1)^2 > 4q, that is q >= 7; for q = 3 and 5, `_SMALL_PLACE_ZEROS`
+    has one for each residue of N0 prime to q.  Hensel's lemma lifts every
+    zero but the singular (0, 0) (Silverman, AEC, V.1.1).
     """
     n0 = fib.N0
-    real_ok = n0 > 0
     try:
         root = padic_root(PadicNumber.from_int(n0, 2, precision), 4)
     except InsufficientPrecision as exc:
         raise InsufficientPrecision(f"the point y = 0, z = N0^(1/4) over Q_2: {exc}") from exc
     two_ok = pow(root.unit, 4, 2**root.prec) == n0 % 2**root.prec  # N0 odd: a unit root
 
-    odd_entries = tuple(
-        (p, smooth_residue_point(n0, p) is not None) for p, _ in fib.factorization.factors
-    )
+    y, z = _bad_place_point(fib)
+    g = 2 * y * y - z**4 + n0
+    odd_entries = tuple((p, g % p == 0 and y % p != 0) for p, _ in fib.factorization.factors)
     good = tuple(q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q != 0)
-    good_ok = all(smooth_residue_point(n0, q) is not None for q in good)
-    return LocalSolvabilityReport(fib, real_ok, two_ok, odd_entries, good, good_ok)
+    small = [(q, *_SMALL_PLACE_ZEROS[q][n0 % q]) for q in good if q < 7]
+    good_ok = all((2 * v * v - w**4 + n0) % q == 0 for q, v, w in small)
+    return LocalSolvabilityReport(fib, n0 > 0, two_ok, odd_entries, good, good_ok)
 
 
 # -------------------------------------------------- quartic representations

@@ -13,6 +13,8 @@ each chart has its own written-out equation, the certified nodes start
 the Hensel lift from `PadicNumber` values, a fourth root starts from a
 residue of the exact rational, and the real point counts z up from 0.
 The library's zeros mod q are checked against a table of fourth roots.
+The first smooth zero of an Elkies fibre mod q comes from the walk of
+`residue_zeros` that certified its odd places before the closed rules.
 The good places of an Elkies fibre are swept with the library's own
 `local_point`, one search per prime, on `Quartic`, the plain pair
 (ell, p) that composite constants are written in; the
@@ -94,6 +96,7 @@ from localglobal.reichardt_lind import (
     NoPoint,
     _residue_valuation,
     local_point as rl_local_point,
+    residue_zeros,
 )
 from localglobal.symbols import Place, hilbert2
 from localglobal.tower import GAMMA, KElement
@@ -265,8 +268,8 @@ def good_place_sweep(n0: int, precision: int, good_prime_bound: int) -> tuple:
     """(q, found) for each odd prime q <= good_prime_bound not dividing n0:
     whether `reichardt_lind.local_point` finds a point of 2y^2 = z^4 - n0
     over Q_q, lifted to `precision` digits.  This search certified the good
-    places in `elkies.local_solvability_report` before
-    `elkies.smooth_residue_point` did."""
+    places in `elkies.local_solvability_report` before `residue_walk_point`
+    did."""
     eq = Quartic(2, n0)
     return tuple(
         (q, not isinstance(rl_local_point(eq, q, precision), NoPoint))
@@ -359,8 +362,7 @@ def bad_place_lift(n0: int, p: int, precision: int) -> bool:
     """Whether the first y with n0 + 2y^2 a nonzero fourth power mod p
     gives a fourth root z0 that `padic.hensel_root` lifts to a unit of
     Z_p at `precision` digits: the certificate of a bad place p | n0 in
-    `elkies.local_solvability_report` before `elkies.smooth_residue_point`
-    was."""
+    `elkies.local_solvability_report` before `residue_walk_point` was."""
     for y in range(p):
         u = (n0 + 2 * y * y) % p
         if u and pow(u, (p - 1) // math.gcd(4, p - 1), p) == 1:
@@ -384,8 +386,21 @@ def fourth_root_table_zeros(ell: int, a: int, b: int, q: int) -> list:
     return [(y, z) for y in range(q) for z in roots.get((ell * y * y - b) * inv_a % q, ())]
 
 
+def residue_walk_point(n0: int, q: int) -> tuple[int, int] | None:
+    """The first zero (y, z) mod q of 2y^2 = z^4 - n0 in `residue_zeros`
+    order with a unit partial derivative (any but (0, 0)), for an odd prime
+    q, or None; Hensel's lemma lifts it to a Q_q point.  It certified every
+    odd place in `elkies.local_solvability_report` before the closed rules
+    there: the point (2ABc, c) at each p | N0, Hasse-Weil at each good
+    q >= 7 and a table for q = 3 and 5."""
+    for y, z in residue_zeros(2, 1, -n0, q):
+        if y or z:
+            return y, z
+    return None
+
+
 def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
-    """`elkies.smooth_residue_point` before it drew from `residue_zeros`:
+    """`residue_walk_point` before it drew from `residue_zeros`:
     for y = 0, 1, ... the zero (y, 0) when n0 + 2y^2 = 0 mod q and y != 0,
     or (y, z) with z a fourth root of the unit n0 + 2y^2, taken as a square
     root of a square root; None if no y gives one."""

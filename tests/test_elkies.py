@@ -22,7 +22,6 @@ from localglobal.elkies import (
     obstruction_parity,
     quartic_rep,
     rationals_of_height,
-    smooth_residue_point,
 )
 from localglobal.exact import (
     CertificateError,
@@ -181,6 +180,25 @@ class TestClosedFormFibre:
             least = min(reps, key=lambda r: r[1])
             assert elkies._least_b(factorize(n)) == least == oracles.least_b_search(n)
 
+    def test_eulers_number_builds_one_product_per_pair(self, monkeypatch):
+        # four primes: 2^3 products, each coprime pair X^2 + Y^2 = n once up
+        # to order and sign; both choices at the first prime would build
+        # each pair twice, 2^4 products
+        built = []
+        products = elkies._coprime_two_squares
+
+        def spy(fz):
+            built.extend(products(fz))
+            return built
+
+        monkeypatch.setattr(elkies, "_coprime_two_squares", spy)
+        fz = factorize(635318657)
+        assert len(fz.factors) == 4
+        assert elkies._least_b(fz) == (133, 67)
+        assert len(built) == 8
+        assert len({frozenset((abs(x), abs(y))) for x, y in built}) == 8
+        assert all(x * x + y * y == fz.value and math.gcd(x, y) == 1 for x, y in built)
+
     def test_the_smaller_b_test_agrees_with_the_search(self):
         rng = random.Random(4)
         pairs = [(59, 79), (133, 67), (1, 1)] + [
@@ -287,6 +305,11 @@ def fibres_of_height_ten():
     return tuple(fibre(t) for t in rationals_of_height(10))
 
 
+@lru_cache(maxsize=None)
+def fibres_of_height_thirty():
+    return tuple(fibre(t) for t in rationals_of_height(30))
+
+
 def _is_smooth_zero(n0, q, point):
     y, z = point
     return (2 * y * y - z**4 + n0) % q == 0 and (4 * y % q or 4 * z**3 % q)
@@ -296,7 +319,7 @@ def _agrees_with_the_old_loop(n0, q):
     """The walk and the loop it replaced find a zero for the same (n0, q),
     at the same y; the walk's z is the least fourth root of the loop's z^4,
     the loop's any one of them."""
-    new, old = smooth_residue_point(n0, q), oracles.smooth_residue_point(n0, q)
+    new, old = oracles.residue_walk_point(n0, q), oracles.smooth_residue_point(n0, q)
     if new is None or old is None:
         return new == old
     u = pow(old[1], 4, q)
@@ -304,14 +327,43 @@ def _agrees_with_the_old_loop(n0, q):
     return new[0] == old[0] and new[1] == least
 
 
+def _walk_report(fib, good_prime_bound):
+    """The report with every odd place certified by the walk of
+    `oracles.residue_walk_point`, as `local_solvability_report` did before
+    its closed rules."""
+    report = local_solvability_report(fib, 12, good_prime_bound)
+    return report._replace(
+        odd_bad_places=tuple(
+            (p, oracles.residue_walk_point(fib.N0, p) is not None)
+            for p, _ in fib.factorization.factors
+        ),
+        good_places_solvable=all(
+            oracles.residue_walk_point(fib.N0, q) is not None for q in report.good_places_checked
+        ),
+    )
+
+
 class TestGoodPlaces:
-    """`smooth_residue_point` against the `local_point` sweep it replaced."""
+    """The good-place rule (Hasse-Weil for q >= 7, a table for q = 3 and 5)
+    against the walk it replaced, and the walk against the `local_point`
+    sweep before it."""
 
     def test_every_residue_of_n0_has_a_smooth_zero(self):
+        # the check of the rule: every odd q < 200 and every n0 prime to q
         for q in primes_up_to(200)[1:]:
             for n0 in range(1, q):
-                point = smooth_residue_point(n0, q)
+                point = oracles.residue_walk_point(n0, q)
                 assert point is not None and _is_smooth_zero(n0, q, point), (q, n0)
+
+    def test_hasse_weil_leaves_only_3_and_5_to_the_table(self):
+        small = [q for q in primes_up_to(200)[1:] if (q - 1) ** 2 <= 4 * q]
+        assert small == sorted(elkies._SMALL_PLACE_ZEROS) == [3, 5]
+        for q in small:
+            zeros = elkies._SMALL_PLACE_ZEROS[q]
+            assert sorted(zeros) == list(range(1, q))
+            for n0, point in zeros.items():
+                assert _is_smooth_zero(n0, q, point), (q, n0)
+                assert point == oracles.residue_walk_point(n0, q), (q, n0)
 
     def test_certificate_agrees_with_the_old_loop(self):
         for q in primes_up_to(200)[1:]:
@@ -325,13 +377,14 @@ class TestGoodPlaces:
     def test_a_zero_with_y_zero_certifies_5_at_t_1(self):
         # N0 = 1921 = 1 mod 5: for y != 0, 1921 + 2y^2 is 3 or 4 mod 5, and
         # neither is a fourth power; y = 0 leaves z^4 = 1 with z = 1
-        assert smooth_residue_point(fibre(1).N0, 5) == (0, 1)
+        n0 = fibre(1).N0
+        assert oracles.residue_walk_point(n0, 5) == (0, 1) == elkies._SMALL_PLACE_ZEROS[5][n0 % 5]
 
     def test_certificate_agrees_with_the_sweep_below_200(self):
         pairs = 0
         for fib in fibres_of_height_ten():
             for q, found in oracles.good_place_sweep(fib.N0, 12, 200):
-                assert (smooth_residue_point(fib.N0, q) is not None) == found, (fib.t, q)
+                assert (oracles.residue_walk_point(fib.N0, q) is not None) == found, (fib.t, q)
                 pairs += 1
         assert pairs == 5716
 
@@ -348,36 +401,70 @@ class TestGoodPlaces:
                 good_places_solvable=all(found for _, found in sweep),
             ), fib.t
 
+    def test_report_equals_the_walk_report_to_height_30(self):
+        for fib in fibres_of_height_thirty():
+            for bound in (50, 200):
+                report = local_solvability_report(fib, 12, bound)
+                assert report == _walk_report(fib, bound), (fib.t, bound)
+                assert report.everywhere_solvable, fib.t
+
     def test_a_missing_certificate_is_no_local_point(self, monkeypatch, capsys):
-        certify = elkies.smooth_residue_point
-        monkeypatch.setattr(
-            elkies, "smooth_residue_point",
-            lambda n0, q: None if q == 7 else certify(n0, q),
-        )
+        # a point mod p | N0 that is not a zero: (2ABc, c + 1) at t = infinity,
+        # where 2 * 10^2 - 6^4 + 17 = -1079 is prime to 17
+        point = elkies._bad_place_point
+        monkeypatch.setattr(elkies, "_bad_place_point", lambda fib: (point(fib)[0], point(fib)[1] + 1))
         report = local_solvability_report(fibre(None))
-        assert 7 in report.good_places_checked and not report.good_places_solvable
-        assert report.real_solvable and report.two_adic_solvable
+        assert report.odd_bad_places == ((17, False),)
+        assert report.real_solvable and report.two_adic_solvable and report.good_places_solvable
         assert not report.everywhere_solvable
         assert cli.main(["elkies", "verify", "--t", "infinity"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["status"] == "no_local_point"
         assert out["result"]["everywhere_locally_solvable"] is False
 
+    def test_the_singular_zero_is_no_certificate(self, monkeypatch):
+        # (0, 0) is a zero mod every p | N0, but y = 0 leaves no unit
+        # derivative to lift it by
+        monkeypatch.setattr(elkies, "_bad_place_point", lambda fib: (0, 0))
+        for fib in (fibre(None), fibre(1), fibre(Fraction(13, 5))):
+            report = local_solvability_report(fib)
+            assert report.odd_bad_places and not any(ok for _, ok in report.odd_bad_places)
+            assert not report.everywhere_solvable
+
+    def test_a_wrong_table_entry_is_no_local_point(self, monkeypatch):
+        # N0 = 17 = 2 mod 3, and (0, 1) is no zero of 2y^2 = z^4 - 17 mod 3
+        monkeypatch.setitem(elkies._SMALL_PLACE_ZEROS, 3, {1: (0, 1), 2: (0, 1)})
+        report = local_solvability_report(fibre(None))
+        assert 3 in report.good_places_checked and not report.good_places_solvable
+        assert not report.everywhere_solvable
+
 
 class TestBadPlaces:
-    """`smooth_residue_point` at the primes p | N0 against the Hensel lift of
-    a fourth root that certified them before."""
+    """The point (2ABc, c) at the primes p | N0, against the walk and the
+    Hensel lift of a fourth root that certified them before."""
+
+    def test_the_point_is_a_zero_at_every_bad_place_to_height_30(self):
+        for fib in fibres_of_height_thirty():
+            y, z = elkies._bad_place_point(fib)
+            c = fib.A**2 + 4 * fib.B**2
+            assert (y, z) == (2 * fib.A * fib.B * c, c)
+            assert 2 * y * y - z**4 == -c * c * fib.N0, fib.t
+            assert math.gcd(y, fib.N0) == 1, fib.t
+            for p, _ in fib.factorization.factors:
+                assert _is_smooth_zero(fib.N0, p, (y, z)), (fib.t, p)
+                walk = oracles.residue_walk_point(fib.N0, p)
+                assert walk is not None and _is_smooth_zero(fib.N0, p, walk), (fib.t, p)
 
     def test_the_certificate_is_a_smooth_zero_off_z_0(self):
         for fib in fibres_of_height_ten():
             for p, _ in fib.factorization.factors:
-                y, z = smooth_residue_point(fib.N0, p)
+                y, z = oracles.residue_walk_point(fib.N0, p)
                 assert _is_smooth_zero(fib.N0, p, (y, z)) and z % p, (fib.t, p)
 
     def test_every_prime_1_mod_8_has_one_at_n0_0(self):
         for q in primes_up_to(3000):
             if q % 8 == 1:
-                y, z = smooth_residue_point(0, q)
+                y, z = oracles.residue_walk_point(0, q)
                 assert _is_smooth_zero(0, q, (y, z)) and z, q
 
     def test_certificate_agrees_with_the_old_loop(self):
