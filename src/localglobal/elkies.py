@@ -220,6 +220,11 @@ def local_solvability_report(
     has one for each residue of N0 prime to q.  Hensel's lemma lifts every
     zero but the singular (0, 0) (Silverman, AEC, V.1.1).
     """
+    return _local_solvability_report(fib, precision, primes_up_to(good_prime_bound))
+
+
+def _local_solvability_report(fib: ElkiesFibre, precision: int, primes) -> LocalSolvabilityReport:
+    """`local_solvability_report` with the primes up to its bound sieved."""
     n0 = fib.N0
     try:
         root = padic_root(PadicNumber.from_int(n0, 2, precision), 4)
@@ -230,7 +235,7 @@ def local_solvability_report(
     y, z = _bad_place_point(fib)
     g = 2 * y * y - z**4 + n0
     odd_entries = tuple((p, g % p == 0 and y % p != 0) for p, _ in fib.factorization.factors)
-    good = tuple(q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q != 0)
+    good = tuple(q for q in primes if q != 2 and n0 % q != 0)
     small = [(q, *_SMALL_PLACE_ZEROS[q][n0 % q]) for q in good if q < 7]
     good_ok = all((2 * v * v - w**4 + n0) % q == 0 for q, v, w in small)
     return LocalSolvabilityReport(fib, n0 > 0, two_ok, odd_entries, good, good_ok)
@@ -338,9 +343,10 @@ def family_scan(ts, precision: int = 12, good_prime_bound: int = 50) -> FamilySc
     """fibre -> local solvability -> obstruction parity for each t; the
     family claim is that every entry is locally solvable and obstructed."""
     entries = []
+    primes = primes_up_to(good_prime_bound)
     for t in ts:
         fib = fibre(t)
-        loc = local_solvability_report(fib, precision, good_prime_bound)
+        loc = _local_solvability_report(fib, precision, primes)
         par = obstruction_parity(fib)
         entries.append((t, par, loc))
     return FamilyScanReport(tuple(entries))

@@ -281,8 +281,12 @@ def residue(q, m: int) -> int:
     return q.numerator * pow(q.denominator, -1, m) % m
 
 
-def split_prime_power(q, p: int) -> tuple[int, Fraction]:
-    """Write a nonzero rational q = p**v * u with u a p-adic unit; returns (v, u)."""
+def split_prime_power(q, p: int) -> tuple[int, int | Fraction]:
+    """Write a nonzero rational q = p**v * u with u a p-adic unit; returns
+    (v, u), with u an int when q is one and a Fraction otherwise."""
+    if isinstance(q, int) and q:
+        v = valuation(q, p)
+        return v, q // p**v
     q = Fraction(q)
     if q == 0:
         raise ValueError("nonzero value required")

@@ -53,7 +53,7 @@ from .symbols import (
     Place,
     as_place,
     hilbert2,
-    is_local_norm,
+    norm_test,
 )
 
 __all__ = [
@@ -457,16 +457,15 @@ def forced_section_invariants(
     contributions = {}
     for place in tw.bad_finite_places:
         q = place.prime
-        values = set()
-        for y in _square_class_reps(q):
-            try:
-                if is_local_norm(tw.ell * y * y, q, 4, tw.p, precision):
-                    values.add(hilbert2(y, tw.p, place)[1])
-            except InsufficientPrecision as exc:
-                raise InsufficientPrecision(
-                    f"norm decision at {place} needs more than precision {precision}"
-                ) from exc
-        contributions[place] = frozenset(values)
+        try:
+            is_norm = norm_test(q, 4, tw.p, precision)
+            contributions[place] = frozenset(
+                hilbert2(y, tw.p, place)[1] for y in _square_class_reps(q) if is_norm(tw.ell * y * y)
+            )
+        except InsufficientPrecision as exc:
+            raise InsufficientPrecision(
+                f"norm decision at {place} needs more than precision {precision}"
+            ) from exc
     contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
     return _make_report(contributions)
 

@@ -34,6 +34,7 @@ __all__ = [
     "hilbert2",
     "product_formula_check",
     "is_local_norm",
+    "norm_test",
 ]
 
 
@@ -99,11 +100,11 @@ class InvariantValue(record("InvariantValue", "value")):
 
     @classmethod
     def zero(cls) -> "InvariantValue":
-        return cls(Fraction(0))
+        return _ZERO
 
     @classmethod
     def half(cls) -> "InvariantValue":
-        return cls(Fraction(1, 2))
+        return _HALF
 
     @classmethod
     def thirds(cls, k: int) -> "InvariantValue":
@@ -121,6 +122,9 @@ class InvariantValue(record("InvariantValue", "value")):
 
     def __str__(self) -> str:
         return str(self.value)
+
+
+_ZERO, _HALF = InvariantValue(0), InvariantValue(Fraction(1, 2))
 
 
 # ------------------------------------------------------- quadratic symbols
@@ -209,18 +213,55 @@ def product_formula_check(a, b) -> InvariantValue:
 
 
 # --------------------------------------------------------- norm membership
-def _tame_symbol_is_trivial(x: Fraction, d: Fraction, p: int, m: int) -> bool:
-    """Is the tame m-th power symbol (x, d)_p trivial (p odd, p = 1 mod m)?
+def _nonzero(x):
+    """x as an int or a Fraction; ValueError on 0."""
+    x = x if isinstance(x, int) else Fraction(x)
+    if x == 0:
+        raise ValueError("nonzero arguments required")
+    return x
 
-    With a = v_p(x) and b = v_p(d), the symbol is the m-th power residue
-    of (-1)**(a b) x**b / d**a mod p; it is trivial exactly when x is a
-    norm from Q_p(d^(1/m)).
+
+def norm_test(p: int, m: int, d, precision: int = DEFAULT_PRECISION):
+    """The test x -> `is_local_norm(x, p, m, d, precision)`.
+
+    p, m and d are checked and the algebra Q_p[t]/(t^m - d) is classified
+    here, once; the test reads the valuation and a residue of x and
+    evaluates one symbol, or two, or none.  An int d stays an int.
     """
-    a, ux = split_prime_power(x, p)
-    b, ud = split_prime_power(d, p)
-    sign = -1 if a * b % 2 else 1
-    c = sign * pow(residue(ux, p), b, p) * pow(residue(ud, p), -a, p)
-    return pow(c, (p - 1) // m, p) == 1
+    d = _nonzero(d)
+    if not is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if m not in (2, 3, 4):
+        raise ValueError("supported degrees: 2, 3, 4")
+
+    if m != 2 and p % m == 1:
+        b, ud = split_prime_power(d, p)
+        ud, e = residue(ud, p), (p - 1) // m
+
+        def tame(x) -> bool:
+            # The m-th power residue of (-1)**(a b) x**b / d**a, a = v_p(x).
+            a, ux = split_prime_power(_nonzero(x), p)
+            sign = -1 if a * b % 2 else 1
+            return pow(sign * pow(residue(ux, p), b, p) * pow(ud, -a, p), e, p) == 1
+
+        return tame
+    # The Hilbert symbols (x, b)_p that must all be 1: (x, d) also for the
+    # non-Galois quartic, whose norms are those of Q_p(sqrt(d)); none for
+    # m = 3 and for d = s^2, where x^2 -+ s give two quadratic fields whose
+    # norm groups differ by the character of -1 and so fill Q_p*.
+    bs = (d,)
+    if m == 3 or m == 4 and is_nth_power(d, 2, p, precision):
+        bs = ()
+    elif m == 4 and is_nth_power(-d, 2, p, precision):
+        bs = (-1, 2 * padic_root(PadicNumber.from_fraction(-d, p, precision), 2))
+
+    def symbols(x) -> bool:
+        # A b's residue is read only when the symbols before it hold, so a
+        # b with too few digits raises only for such x.
+        va, ua = _vu(_nonzero(x), p)
+        return all(_hilbert2_finite(p, va, ua, *_vu(b, p)) == 1 for b in bs)
+
+    return symbols
 
 
 def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> bool:
@@ -231,7 +272,8 @@ def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> b
     Q_p[x]/(x^m - d) splits into a product of smaller fields (the
     completions of the global radical field above p) and membership means
     x lies in the product of their norm groups; a linear factor therefore
-    makes every x a norm.  Degrees 2, 3, 4 are supported.
+    makes every x a norm.  Degrees 2, 3, 4 are supported.  `norm_test`
+    classifies the algebra once for many x.
 
     Decision routes, all closed forms:
 
@@ -249,34 +291,5 @@ def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> b
       intersection of those of Q_p(i) and Q_p(sqrt(2s)): two Hilbert
       symbols.
     """
-    x = Fraction(x)
-    d = Fraction(d)
-    if x == 0 or d == 0:
-        raise ValueError("nonzero arguments required")
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m not in (2, 3, 4):
-        raise ValueError("supported degrees: 2, 3, 4")
-
-    if m == 2:
-        return hilbert2(x, d, p)[0] == 1
-    if p % m == 1:
-        return _tame_symbol_is_trivial(x, d, p, m)
-    if m == 3:
-        # No cube roots of unity in Q_p: x^3 - d is not Galois, and its
-        # norm map is onto.
-        return True
-
-    # m == 4 and -1 is not a square in Q_p.
-    if is_nth_power(d, 2, p, precision):
-        # d = s^2: the algebra splits as the pair of quadratic fields from
-        # x^2 - s and x^2 + s, whose norm groups differ by the nontrivial
-        # character attached to -1, so together they fill Q_p*.
-        return True
-    if is_nth_power(-d, 2, p, precision):
-        # d = -s^2: the biquadratic algebra Q_p(i, sqrt(2s)) (see above).
-        s = padic_root(PadicNumber.from_fraction(-d, p, precision), 2)
-        return hilbert2(x, -1, p)[0] == 1 and hilbert2(x, 2 * s, p)[0] == 1
-    # Non-Galois quartic: norms agree with those of the quadratic
-    # subfield generated by the square root of d.
-    return hilbert2(x, d, p)[0] == 1
+    x = _nonzero(x)
+    return norm_test(p, m, d, precision)(x)

@@ -7,8 +7,10 @@ lists every class of Q_p*/(Q_p*)**m and samples norms until the generated
 subgroup reaches the index predicted by local reciprocity.  Classes are
 kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
-computations.  The local point search is the quadratic one: every residue
-pair at depth 1 and every one of the q^2 children of each node are tried,
+computations.  The forced sections of a twist call the library's
+`is_local_norm` once per y-class.  The local point search is the
+quadratic one: every residue pair at depth 1 and every one of the q^2
+children of each node are tried,
 each chart has its own written-out equation, the certified nodes start
 the Hensel lift from `PadicNumber` values, a fourth root starts from a
 residue of the exact rational, and the real point counts z up from 0.
@@ -94,11 +96,15 @@ from localglobal.padic import (
 from localglobal.reichardt_lind import (
     LocalPoint,
     NoPoint,
+    ObstructionReport,
+    _make_report,
     _residue_valuation,
+    _square_class_reps,
     local_point as rl_local_point,
     residue_zeros,
 )
-from localglobal.symbols import Place, hilbert2
+from localglobal.symbols import REAL_PLACE, InvariantValue, Place, hilbert2
+from localglobal.symbols import is_local_norm as symbols_is_local_norm
 from localglobal.tower import GAMMA, KElement
 
 # ell*y^2 = z^4 - p with any nonzero coprime constants: the shape the local
@@ -213,6 +219,26 @@ def is_local_norm(x, p: int, m: int, d) -> bool:
     if minus_one_square or is_nth_power(-d, 2, p):
         return oracle_class(x, 4, p) in norm_subgroup(p, 4, d, 4)
     return hilbert2(x, d, p)[0] == 1
+
+
+def forced_section_invariants(tw, precision: int = DEFAULT_PRECISION) -> ObstructionReport:
+    """The forced sections with one `symbols.is_local_norm` per y-class,
+    which classifies the algebra Q_q[t]/(t^4 - p) again for every class."""
+    contributions = {}
+    for place in tw.bad_finite_places:
+        q = place.prime
+        values = set()
+        for y in _square_class_reps(q):
+            try:
+                if symbols_is_local_norm(tw.ell * y * y, q, 4, tw.p, precision):
+                    values.add(hilbert2(y, tw.p, place)[1])
+            except InsufficientPrecision as exc:
+                raise InsufficientPrecision(
+                    f"norm decision at {place} needs more than precision {precision}"
+                ) from exc
+        contributions[place] = frozenset(values)
+    contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
+    return _make_report(contributions)
 
 
 def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,

@@ -19,6 +19,7 @@ from localglobal.exact import (
     primes_up_to,
     quartic_residue_symbol,
     residue,
+    split_prime_power,
     sqrt_mod_prime,
     valuation,
 )
@@ -307,6 +308,21 @@ def test_valuation():
             assert n % p**v == 0 and n % p ** (v + 1) != 0, (n, p)
         with pytest.raises(ValueError):
             valuation(0, p)
+
+
+def test_split_prime_power_keeps_ints_as_ints():
+    for p in (2, 3, 5, 7, 101):
+        for n in range(-400, 401):
+            if n == 0:
+                continue
+            for q in (n, n * p**3):
+                v, u = split_prime_power(q, p)
+                assert type(u) is int and q == p**v * u and u % p, (q, p)
+                assert (v, u) == split_prime_power(Fraction(q), p), (q, p)
+    assert split_prime_power(Fraction(12, 5), 2) == (2, Fraction(3, 5))
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="^nonzero value required$"):
+            split_prime_power(zero, 3)
 
 
 def test_residue():

@@ -8,13 +8,16 @@ from functools import lru_cache
 import pytest
 
 import oracles
+from localglobal import symbols
 from localglobal.exact import is_squarefree, primes_up_to
-from localglobal.padic import InsufficientPrecision
+from localglobal.padic import DEFAULT_PRECISION, InsufficientPrecision
+from localglobal.padic import is_nth_power as padic_is_nth_power
 from localglobal.reichardt_lind import (
     DensityReport,
     LocalPoint,
     NoPoint,
     TwistParams,
+    _passing_twists,
     density_experiment,
     exhaustive_search,
     forced_section_invariants,
@@ -25,7 +28,7 @@ from localglobal.reichardt_lind import (
     twist_search,
     verify_local_point,
 )
-from localglobal.symbols import REAL_PLACE, InvariantValue, Place, hilbert2
+from localglobal.symbols import REAL_PLACE, InvariantValue, Place, hilbert2, is_local_norm
 
 RL = TwistParams(2, 17)
 ZERO = InvariantValue.zero()
@@ -158,6 +161,51 @@ class TestForcedSectionInvariants:
         with pytest.raises(InsufficientPrecision, match="at 2 needs more than precision 3"):
             forced_section_invariants(TwistParams(2, 31), precision=3)
         assert forced_section_invariants(TwistParams(2, 31), precision=4).verdict == "unobstructed"
+
+    @staticmethod
+    def _outcome(forced, tw, precision):
+        try:
+            return forced(tw, precision)
+        except InsufficientPrecision as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("ell", [2, -2, 3, 6, 7, -7])
+    def test_equals_one_norm_decision_per_class(self, ell):
+        """Every passing twist below 3000, and every twist below 300 at
+        precisions 3, 4 and the default, where the symbol and biquadratic
+        routes and the precision errors are reached too."""
+        passing = list(_passing_twists(ell, primes_up_to(3000)))
+        assert passing
+        for tw in passing:
+            assert forced_section_invariants(tw) == oracles.forced_section_invariants(tw), tw
+        for p in primes_up_to(300):
+            if p == 2 or math.gcd(ell, p) != 1:
+                continue
+            tw = TwistParams(ell, p)
+            for precision in (3, 4, DEFAULT_PRECISION):
+                assert (self._outcome(forced_section_invariants, tw, precision)
+                        == self._outcome(oracles.forced_section_invariants, tw, precision)), (tw, precision)
+
+    def test_each_place_is_classified_once(self, monkeypatch):
+        """The Q_q classification (`is_nth_power` of +-p) runs as often per
+        place as for one norm decision, not once per y-class."""
+        calls = []
+
+        def spy(x, n, p, *rest):
+            calls.append(p)
+            return padic_is_nth_power(x, n, p, *rest)
+
+        monkeypatch.setattr(symbols, "is_nth_power", spy)
+        expected = {RL: {2: 1, 17: 0}, TwistParams(2, 31): {2: 2, 31: 2},
+                    TwistParams(-2, 113): {2: 1, 113: 0}, TwistParams(6, 73): {2: 1, 3: 1, 73: 0}}
+        for tw, counts in expected.items():
+            for q in counts:
+                calls.clear()
+                is_local_norm(tw.ell, q, 4, tw.p)
+                assert len(calls) == counts[q], (tw, q)
+            calls.clear()
+            forced_section_invariants(tw)
+            assert {q: calls.count(q) for q in counts} == counts, tw
 
 
 class TestTwistConditions:

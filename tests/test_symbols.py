@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from localglobal.padic import PadicNumber, power_class
+from localglobal.padic import InsufficientPrecision, PadicNumber, power_class
 from localglobal.symbols import (
     InvariantValue,
     Place,
     REAL_PLACE,
     hilbert2,
     is_local_norm,
+    norm_test,
     product_formula_check,
 )
 from oracles import _quotient_product, quotient_norm
@@ -186,6 +187,58 @@ def test_is_local_norm_splitting_and_small_cases():
         is_local_norm(0, 5, 2, 2)
     with pytest.raises(ValueError):
         is_local_norm(3, 5, 5, 2)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((0, 15, 5, 0), "nonzero arguments required"),   # x = 0 first, whatever else is wrong
+    ((0, 15, 4, 2), "nonzero arguments required"),
+    ((Fraction(0), 17, 4, 2), "nonzero arguments required"),
+    ((1, 15, 5, 0), "nonzero arguments required"),   # then d = 0
+    ((1, 17, 4, Fraction(0)), "nonzero arguments required"),
+    ((1, 15, 5, 2), "15 is not prime"),              # then p
+    ((1, -7, 4, 2), "-7 is not prime"),
+    ((1, 17, 5, 2), "supported degrees: 2, 3, 4"),   # then m
+    ((1, 2, 1, 2), "supported degrees: 2, 3, 4"),
+])
+def test_is_local_norm_argument_errors_in_order(args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        is_local_norm(*args)
+    if args[0]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            norm_test(*args[1:])
+
+
+@pytest.mark.parametrize("p, m, d", [(2, 4, 31), (2, 4, 17), (3, 3, 10), (17, 4, 17), (5, 2, 2)])
+def test_norm_test_refuses_x_zero_on_every_route(p, m, d):
+    test = norm_test(p, m, d)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ValueError, match="^nonzero arguments required$"):
+            test(zero)
+
+
+def test_precision_errors_wait_for_the_symbol_that_needs_the_digits():
+    """At q = 2, -31 = s^2: precision 2 cannot classify 31 at all, and at
+    precision 3 the root s keeps two digits, so (x, 2s) is undecided; it is
+    reached only for x with (x, -1)_2 = 1."""
+    for x in (1, 3, 2, -1):
+        with pytest.raises(InsufficientPrecision, match="only 2 digits known, need 3"):
+            is_local_norm(x, 2, 4, 31, precision=2)
+    for x in (3, 7, 6, 14, -1):
+        assert not is_local_norm(x, 2, 4, 31, precision=3)
+    for x in (1, 5, 2, 10, -3):
+        with pytest.raises(InsufficientPrecision, match="unit residue needs more digits"):
+            is_local_norm(x, 2, 4, 31, precision=3)
+
+
+def test_norm_test_equals_is_local_norm_on_int_and_fraction_inputs():
+    rng = random.Random(22)
+    for p in (2, 3, 5, 7, 13, 17):
+        for m in (2, 3, 4):
+            for d in (p, -p, 2 * p + 1, -(p**2) * 3, Fraction(1, p)):
+                test = norm_test(p, m, d)
+                for _ in range(20):
+                    x = rng.choice((-1, 1)) * rng.randrange(1, 500) * p ** rng.randrange(3)
+                    assert test(x) == test(Fraction(x)) == is_local_norm(Fraction(x), p, m, Fraction(d)), (x, p, m, d)
 
 
 def test_is_local_norm_quadratic_matches_hilbert2():
