@@ -10,13 +10,14 @@ pi^6 = -27, that residue of a unit a + b zeta_3 depends only on
 integer residues, gives every cube class.
 
 Everything here is exact: an element a + b zeta_3 is an `Eisenstein`,
-a pair of Fraction coordinates multiplied by `_pair_product`, the same
-product the integer residue tables use, with norm a^2 - ab + b^2; classes
-are vectors in F_3^4.  The cubic Hilbert pairing is the one nonzero
-bilinear form on F_3^4, up to scale, that obeys the Steinberg relations
-(x, 1 - x) = 0 and (x, -x) = 0 on a box of small elements; it is solved
-for by linear algebra over F_3, and its skewness and rank are checked
-afterwards.
+a pair of coordinates, each an int when it is integral and a Fraction
+otherwise, divided only by `exact._exact_quotient`.  Pairs are multiplied
+by `_pair_product`, the same product the integer residue tables use, and
+the norm is a^2 - ab + b^2; classes are vectors in F_3^4.  The cubic
+Hilbert pairing is the one nonzero bilinear form on F_3^4, up to scale,
+that obeys the Steinberg relations (x, 1 - x) = 0 and (x, -x) = 0 on a
+box of small elements; it is solved for by linear algebra over F_3, and
+its skewness and rank are checked afterwards.
 """
 
 from __future__ import annotations
@@ -26,7 +27,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .exact import CertificateError, QuotientElement, record, residue, valuation
+from .exact import (
+    CertificateError,
+    QuotientElement,
+    _exact_coordinate,
+    _exact_quotient,
+    record,
+    residue,
+    valuation,
+)
 from .symbols import InvariantValue
 
 __all__ = [
@@ -59,16 +68,16 @@ class Eisenstein(QuotientElement):
     def __init__(self, *coeffs):
         if len(coeffs) != 2:
             raise ValueError(f"Eisenstein takes 2 coordinates, not {len(coeffs)}")
-        self.coeffs = (Fraction(coeffs[0]), Fraction(coeffs[1]))
+        self.coeffs = (_exact_coordinate(coeffs[0]), _exact_coordinate(coeffs[1]))
 
     @staticmethod
     def _scalar(x) -> tuple:
-        return Fraction(x), Fraction(0)
+        return _exact_coordinate(x), 0
 
     a = property(lambda self: self.coeffs[0])
     b = property(lambda self: self.coeffs[1])
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int | Fraction:
         """N(a + b zeta_3) = a^2 - ab + b^2."""
         a, b = self.coeffs
         return a * a - a * b + b * b
@@ -83,7 +92,7 @@ class Eisenstein(QuotientElement):
         if n == 0:
             raise ZeroDivisionError("inverse of zero")
         a, b = self.conjugate().coeffs
-        return Eisenstein._make((a / n, b / n))
+        return Eisenstein._make((_exact_quotient(a, n), _exact_quotient(b, n)))
 
     def __truediv__(self, other) -> "Eisenstein":
         return self * Eisenstein.of(other).inverse()
@@ -108,7 +117,7 @@ def pi_valuation(x: Eisenstein) -> int:
 def divide_by_pi(x: Eisenstein) -> "Eisenstein":
     """Exact division by the uniformizer: x * (-2 - zeta_3) / 3."""
     a, b = x.coeffs
-    return Eisenstein._make(((b - 2 * a) / 3, -(a + b) / 3))
+    return Eisenstein._make((_exact_quotient(b - 2 * a, 3), _exact_quotient(-(a + b), 3)))
 
 
 def unit_part(x: Eisenstein) -> tuple[int, Eisenstein]:
@@ -129,7 +138,7 @@ def unit_part(x: Eisenstein) -> tuple[int, Eisenstein]:
         elif k % 3 == 2:  # times zeta_3^-2 = zeta_3
             a, b = -b, a - b
         scale = (-3) ** k
-        u = Eisenstein._make((a / scale, b / scale))
+        u = Eisenstein._make((_exact_quotient(a, scale), _exact_quotient(b, scale)))
     return v, divide_by_pi(u) if odd else u
 
 

@@ -1,7 +1,9 @@
 """Exact integer and rational arithmetic: primality, factoring, p-adic
 valuations and residues mod m, residue symbols, and `QuotientElement`, the
 operator shell that the rings Q(zeta_3) (`cubic.Eisenstein`) and
-Q(zeta_3, cbrt(6)) (`tower.KElement`) fill in with their own product.
+Q(zeta_3, cbrt(6)) (`tower.KElement`) fill in with their own product, with
+the one rule for their coordinates: ints where integral, Fractions
+otherwise, divided by `_exact_quotient`.
 
 All routines are deterministic.  Primality is proven below psi_13 (about
 2**81.5): trial division by the primes up to 47 decides n < 53**2, and
@@ -439,6 +441,33 @@ def primes_up_to(n: int) -> list[int]:
 
 
 # ------------------------------------------------------------ ring elements
+def _exact_coordinate(v) -> int | Fraction:
+    """v as a ring coordinate: an int when it is integral, else a Fraction
+    (a value of another rational type is read through Fraction), never a
+    float."""
+    if type(v) is not int:
+        if type(v) is not Fraction:
+            v = Fraction(v)
+        if v.denominator == 1:
+            return v.numerator
+    return v
+
+
+def _exact_coordinates(coeffs) -> tuple:
+    """`_exact_coordinate` on each int or Fraction coordinate of a tuple."""
+    if Fraction not in map(type, coeffs):
+        return tuple(coeffs)
+    return tuple([_exact_coordinate(v) for v in coeffs])
+
+
+def _exact_quotient(n, d) -> int | Fraction:
+    """n / d for ints or Fractions, as a coordinate: n // d when d divides
+    n, else a Fraction.  (`/` on two ints would give a float.)"""
+    if type(n) is int and type(d) is int and not n % d:
+        return n // d
+    return _exact_coordinate(Fraction(n, d))
+
+
 class QuotientElement:
     """The operator shell of a ring element stored as a coordinate tuple.
 
@@ -447,8 +476,8 @@ class QuotientElement:
     `_SCALARS` lists the scalar types.  Integers and Fractions add into
     the first coordinate and multiply coordinatewise; any other scalar is
     embedded by `_scalar` first.  Results of arithmetic are built by
-    `_make`, which takes the coordinates as they are, and VARIABLE names
-    the generator when printing.
+    `_make`, which turns their integral coordinates into ints by
+    `_exact_coordinates`, and VARIABLE names the generator when printing.
     """
 
     __slots__ = ("coeffs",)
@@ -458,7 +487,7 @@ class QuotientElement:
     @classmethod
     def _make(cls, coeffs: tuple):
         out = object.__new__(cls)
-        out.coeffs = coeffs
+        out.coeffs = _exact_coordinates(coeffs)
         return out
 
     @classmethod

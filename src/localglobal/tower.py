@@ -3,9 +3,11 @@
 k = Q(zeta_3) is `cubic.Eisenstein`; K = k(eps) with eps^3 = 6 has
 elements c0 + c1 eps + c2 eps^2 with coordinates in k.  A `KElement`
 stores one flat over Z[zeta_3, eps]: the 6-tuple of the rational
-coordinates of c0, c1 and c2, ints whenever they are integral, multiplied
-by `_k_product`, whose nine Z[zeta_3] pair products fold back by
-eps^3 = 6.  The curve polynomials and the descent function in
+coordinates of c0, c1 and c2, under the coordinate rule of
+`exact.QuotientElement` that `Eisenstein` follows too (an int where
+integral, a Fraction otherwise, divided by `exact._exact_quotient`),
+multiplied by `_k_product`, whose nine Z[zeta_3] pair products fold back
+by eps^3 = 6.  The curve polynomials and the descent function in
 K[delta]/(delta^3 - 10) below hold their coefficients as the same tuples.
 Norms to k run on integer pairs after clearing denominators: the closed
 form of `_closed_norm`, checked against the determinant of multiplication.
@@ -31,7 +33,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cubic import ZETA, Eisenstein, _pair_product
-from .exact import CertificateError, QuotientElement, is_probable_prime, record, residue
+from .exact import (
+    CertificateError,
+    QuotientElement,
+    _exact_coordinates,
+    _exact_quotient,
+    is_probable_prime,
+    record,
+    residue,
+)
 
 __all__ = [
     "KElement",
@@ -53,13 +63,6 @@ __all__ = [
 # is the flat 6-tuple (a0, b0, a1, b1, a2, b2) of int or Fraction
 # coordinates, ints wherever they are integral.
 _FLAT_ZERO = (0,) * 6
-
-
-def _int_coordinates(c) -> tuple:
-    """c with its integral Fraction coordinates turned into ints."""
-    if Fraction not in map(type, c):
-        return tuple(c)
-    return tuple([v.numerator if type(v) is Fraction and v.denominator == 1 else v for v in c])
 
 
 def _k_sum(x: tuple, y: tuple) -> tuple:
@@ -94,15 +97,6 @@ def _k_sigma(c: tuple) -> tuple:
     """sigma on a flat 6-tuple: c1 -> zeta c1, c2 -> zeta^2 c2."""
     a0, b0, a1, b1, a2, b2 = c
     return (a0, b0, -b1, a1 - b1, b2 - a2, -a2)
-
-
-def _div3(v):
-    """v / 3 exactly: an int when 3 divides v, else a Fraction."""
-    if type(v) is int:
-        q, r = divmod(v, 3)
-        if not r:
-            return q
-    return Fraction(v, 3)
 
 
 def _integer_pairs(c: tuple) -> tuple[int, tuple]:
@@ -140,7 +134,7 @@ def _pair_det3(rows) -> tuple[int, int]:
 
 def _over(pair: tuple[int, int], d: int) -> Eisenstein:
     """The integer pair divided by d, as an Eisenstein."""
-    return Eisenstein._make((Fraction(pair[0], d), Fraction(pair[1], d)))
+    return Eisenstein._make((_exact_quotient(pair[0], d), _exact_quotient(pair[1], d)))
 
 
 # ------------------------------------------------------------- field tower
@@ -159,21 +153,15 @@ class KElement(QuotientElement):
     def __init__(self, *coeffs):
         if len(coeffs) != 3:
             raise ValueError(f"KElement takes 3 coordinates, not {len(coeffs)}")
-        self.coeffs = _int_coordinates([v for c in coeffs for v in Eisenstein.of(c).coeffs])
-
-    @classmethod
-    def _make(cls, coeffs: tuple) -> "KElement":
-        out = object.__new__(cls)
-        out.coeffs = _int_coordinates(coeffs)
-        return out
+        self.coeffs = tuple([v for c in coeffs for v in Eisenstein.of(c).coeffs])
 
     @staticmethod
     def _scalar(x) -> tuple:
         return Eisenstein.of(x).coeffs + (0, 0, 0, 0)
 
-    c0 = property(lambda self: Eisenstein(*self.coeffs[0:2]))
-    c1 = property(lambda self: Eisenstein(*self.coeffs[2:4]))
-    c2 = property(lambda self: Eisenstein(*self.coeffs[4:6]))
+    c0 = property(lambda self: Eisenstein._make(self.coeffs[0:2]))
+    c1 = property(lambda self: Eisenstein._make(self.coeffs[2:4]))
+    c2 = property(lambda self: Eisenstein._make(self.coeffs[4:6]))
 
     @property
     def is_cyclo(self) -> bool:
@@ -265,7 +253,7 @@ class CurvePolynomial:
     def _make(cls, terms: dict) -> "CurvePolynomial":
         """A polynomial from flat coefficients, dropping the zero ones."""
         out = object.__new__(cls)
-        out.terms = {m: _int_coordinates(c) for m, c in terms.items() if any(c)}
+        out.terms = {m: _exact_coordinates(c) for m, c in terms.items() if any(c)}
         return out
 
     @classmethod
@@ -330,7 +318,7 @@ class CurvePolynomial:
                 coeff = out.pop(mono)
                 # X^3 = (-4 Y^3 - 5 Z^3) / 3
                 for target, factor in (((i - 3, j + 3, k), -4), ((i - 3, j, k + 3), -5)):
-                    part = tuple([_div3(factor * v) for v in coeff])
+                    part = tuple([_exact_quotient(factor * v, 3) for v in coeff])
                     prev = out.get(target)
                     out[target] = part if prev is None else _k_sum(prev, part)
         return CurvePolynomial._make(out)
@@ -606,7 +594,7 @@ def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
     hundred = (tuple([100 * v for v in one]), _FLAT_ZERO, _FLAT_ZERO)
     if _delta_product(_delta_product(delta2, delta2), delta2) != hundred:
         raise CertificateError("delta^6 must reduce to 100")
-    return tuple(Eisenstein(Fraction(part[0], 100), Fraction(part[1], 100)) for part in product)
+    return tuple(_over(part[0:2], 100) for part in product)
 
 
 def descent_value_at(delta_residue: Fraction, coefficients=None) -> Eisenstein:
