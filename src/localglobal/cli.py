@@ -99,8 +99,8 @@ _COMMON = [
                         "help": "working p-adic digits (per-command default)"}),
     (("--max-prime",), {"type": _positive_int,
                         "help": "prime bound: rl search and rl density test the primes up "
-                                "to it (defaults 100 and 200000); elkies certifies a Q_q "
-                                "point at every odd good prime q up to it (default 50)"}),
+                                "to it (defaults 100 and 200000); the other commands "
+                                "accept it and ignore it"}),
     (("--seed",), {"type": int, "help": "seed for any randomized sampling (default 0)"}),
     (("--format",), {"choices": ("json", "text"), "help": "report rendering (default json)"}),
 ]
@@ -338,12 +338,11 @@ def _work_rl(args, stage):
 
 
 def _work_elkies(args, stage):
-    good_bound = args.max_prime or 50
     precision = args.precision or 12
     if args.command == "verify":
         fib = fibre(args.t)
         t0 = time.perf_counter()
-        local = local_solvability_report(fib, precision, good_bound)
+        local = local_solvability_report(fib, precision)
         stage("local", t0)
         parity = obstruction_parity(fib)
         payload = {
@@ -364,7 +363,7 @@ def _work_elkies(args, stage):
         return parity.verdict, payload
     ts = rationals_of_height(args.height)
     t0 = time.perf_counter()
-    scan = family_scan(ts, precision, good_bound)
+    scan = family_scan(ts, precision)
     stage("scan", t0)
     payload = {
         "height": args.height,

@@ -7,7 +7,8 @@ quaternion class (y, N0) over the places with v_p(N0) odd and 2 a quartic
 nonresidue mod p is an odd multiple of 1/2.  The parity is certified via
 the two-square-style composition identity for the form a^2 + 16b^2 and
 the quartic residue symbol of 2, which the obstruction reads off by
-Euler's criterion.
+Euler's criterion.  Every place is certified locally solvable by rule,
+with no search and no prime bound; only the Q_2 root reads p-adic digits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .exact import (
     is_perfect_square,
     is_probable_prime,
     quartic_residue_symbol,
-    primes_up_to,
     record,
 )
 from .padic import InsufficientPrecision, PadicNumber, is_nth_power_unit, padic_root
@@ -178,8 +178,7 @@ class LocalSolvabilityReport(record("LocalSolvabilityReport", (
     "real_solvable",
     "two_adic_solvable",
     "odd_bad_places",        # ((p, solvable), ...) for p | N0
-    "good_places_checked",   # the odd good primes q, ascending
-    "good_places_solvable",
+    "good_places_solvable",  # every odd q not dividing N0
 ))):
     __slots__ = ()
 
@@ -202,11 +201,9 @@ def _bad_place_point(fib: ElkiesFibre) -> tuple[int, int]:
 _SMALL_PLACE_ZEROS = {3: {1: (0, 1), 2: (1, 1)}, 5: {1: (0, 1), 2: (2, 0), 3: (1, 0), 4: (1, 1)}}
 
 
-def local_solvability_report(
-    fib: ElkiesFibre, precision: int = 12, good_prime_bound: int = 50
-) -> LocalSolvabilityReport:
+def local_solvability_report(fib: ElkiesFibre, precision: int = 12) -> LocalSolvabilityReport:
     """Certify points of the fibre over R, Q_2, every Q_p with p | N0, and
-    Q_q for every odd good prime q <= `good_prime_bound`, with no search.
+    every Q_q with q odd and prime to N0, with no search.
 
     R: N0 > 0.  Q_2: N0 = 1 mod 16 is a fourth power in Q_2, so y = 0,
     z = N0^(1/4) is a point; `padic_root` reads the root off a residue mod
@@ -216,15 +213,11 @@ def local_solvability_report(
     nor 2B (they are coprime), nor c, else N0 = -8A^2B^2 mod p.  Each good
     q: Hasse-Weil gives the smooth genus-one curve over F_q at least
     q + 1 - 2 sqrt(q) points, at most two at infinity, so an affine one when
-    (q - 1)^2 > 4q, that is q >= 7; for q = 3 and 5, `_SMALL_PLACE_ZEROS`
-    has one for each residue of N0 prime to q.  Hensel's lemma lifts every
-    zero but the singular (0, 0) (Silverman, AEC, V.1.1).
+    (q - 1)^2 > 4q, that is q >= 7; for q = 3 and 5, which never divide N0
+    (its primes are 1 mod 8), `_SMALL_PLACE_ZEROS` has one for each residue
+    of N0, checked here.  Hensel's lemma lifts every zero but the singular
+    (0, 0) (Silverman, AEC, V.1.1).
     """
-    return _local_solvability_report(fib, precision, primes_up_to(good_prime_bound))
-
-
-def _local_solvability_report(fib: ElkiesFibre, precision: int, primes) -> LocalSolvabilityReport:
-    """`local_solvability_report` with the primes up to its bound sieved."""
     n0 = fib.N0
     try:
         root = padic_root(PadicNumber.from_int(n0, 2, precision), 4)
@@ -235,10 +228,9 @@ def _local_solvability_report(fib: ElkiesFibre, precision: int, primes) -> Local
     y, z = _bad_place_point(fib)
     g = 2 * y * y - z**4 + n0
     odd_entries = tuple((p, g % p == 0 and y % p != 0) for p, _ in fib.factorization.factors)
-    good = tuple(q for q in primes if q != 2 and n0 % q != 0)
-    small = [(q, *_SMALL_PLACE_ZEROS[q][n0 % q]) for q in good if q < 7]
-    good_ok = all((2 * v * v - w**4 + n0) % q == 0 for q, v, w in small)
-    return LocalSolvabilityReport(fib, n0 > 0, two_ok, odd_entries, good, good_ok)
+    good_ok = all((2 * v * v - w**4 + n0) % q == 0
+                  for q, zeros in _SMALL_PLACE_ZEROS.items() for v, w in [zeros[n0 % q]])
+    return LocalSolvabilityReport(fib, n0 > 0, two_ok, odd_entries, good_ok)
 
 
 # -------------------------------------------------- quartic representations
@@ -339,14 +331,12 @@ class FamilyScanReport(record("FamilyScanReport", "entries")):
         return all(loc.everywhere_solvable for _, _, loc in self.entries)
 
 
-def family_scan(ts, precision: int = 12, good_prime_bound: int = 50) -> FamilyScanReport:
+def family_scan(ts, precision: int = 12) -> FamilyScanReport:
     """fibre -> local solvability -> obstruction parity for each t; the
     family claim is that every entry is locally solvable and obstructed."""
     entries = []
-    primes = primes_up_to(good_prime_bound)
     for t in ts:
         fib = fibre(t)
-        loc = _local_solvability_report(fib, precision, primes)
-        par = obstruction_parity(fib)
-        entries.append((t, par, loc))
+        loc = local_solvability_report(fib, precision)
+        entries.append((t, obstruction_parity(fib), loc))
     return FamilyScanReport(tuple(entries))

@@ -412,29 +412,33 @@ def power_class_from_parts(p: int, n: int, v: int, unit: int) -> PowerClass:
     return PowerClass(p, n, v % n, _canonical_unit_label(unit, n, p))
 
 
-def power_class(x, n: int, p=None, prec=DEFAULT_PRECISION) -> PowerClass:
+def power_class(x, n: int, p=None) -> PowerClass:
     """Class of nonzero x in Q_p*/(Q_p*)**n.
 
-    Accepts an int, Fraction or PadicNumber; a PadicNumber carrying the zero
-    flag raises InsufficientPrecision (its class is undetermined).
+    Accepts an int, Fraction or PadicNumber.  An exact x is read off its
+    valuation and its unit residue mod p**(2 v_p(n) + 1), with no p-adic
+    digits; an exact 0, like a PadicNumber carrying the zero flag, raises
+    InsufficientPrecision (its class is undetermined).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(x, PadicNumber):
-        if x.is_zero:
-            raise InsufficientPrecision(
-                "power class of a value that vanishes at working precision"
-            )
-        p = x.p
-        k = _unit_label_digits(p, n)
-        return power_class_from_parts(p, n, x.valuation(), x.unit_residue(k))
-    if p is None:
+        p, zero = x.p, x.is_zero
+    elif p is None:
         raise ValueError("prime p required for exact input")
-    if not is_probable_prime(p):
+    elif not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    xa = PadicNumber.from_fraction(Fraction(x), p, prec)
-    return power_class(xa, n)
+    else:
+        x = x if isinstance(x, int) else Fraction(x)
+        zero = x == 0
+    if zero:
+        raise InsufficientPrecision("power class of a value that vanishes at working precision")
+    k = _unit_label_digits(p, n)
+    if isinstance(x, PadicNumber):
+        return power_class_from_parts(p, n, x.valuation(), x.unit_residue(k))
+    v, u = split_prime_power(x, p)
+    return power_class_from_parts(p, n, v, residue(u, p**k))
 
 
-def is_nth_power(x, n: int, p=None, prec=DEFAULT_PRECISION) -> bool:
-    return power_class(x, n, p, prec).is_nth_power
+def is_nth_power(x, n: int, p=None) -> bool:
+    return power_class(x, n, p).is_nth_power

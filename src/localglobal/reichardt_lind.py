@@ -41,12 +41,7 @@ from .exact import (
     record,
     valuation,
 )
-from .padic import (
-    DEFAULT_PRECISION,
-    InsufficientPrecision,
-    PadicNumber,
-    hensel_root,
-)
+from .padic import InsufficientPrecision, PadicNumber, hensel_root
 from .symbols import (
     REAL_PLACE,
     InvariantValue,
@@ -443,29 +438,23 @@ def _square_class_reps(q: int) -> tuple[int, ...]:
     return (1, u, q, q * u)
 
 
-def forced_section_invariants(
-    tw: TwistParams, precision: int = DEFAULT_PRECISION
-) -> ObstructionReport:
+def forced_section_invariants(tw: TwistParams) -> ObstructionReport:
     """Invariant sets forced on any collection of local sections.
 
     At each bad place v the section forces a y-class with ell*y^2 a norm
     from Q_v[t]/(t^4 - p); the possible invariants of (y, p) over such
     classes form S_v.  Away from the bad places, and at the real place
     (p > 0), the set is {0}.  If the sumset misses 0, the fundamental
-    group extension admits no section.
+    group extension admits no section.  Every decision is on integers
+    (`norm_test`), so none is inconclusive.
     """
     contributions = {}
     for place in tw.bad_finite_places:
         q = place.prime
-        try:
-            is_norm = norm_test(q, 4, tw.p, precision)
-            contributions[place] = frozenset(
-                hilbert2(y, tw.p, place)[1] for y in _square_class_reps(q) if is_norm(tw.ell * y * y)
-            )
-        except InsufficientPrecision as exc:
-            raise InsufficientPrecision(
-                f"norm decision at {place} needs more than precision {precision}"
-            ) from exc
+        is_norm = norm_test(q, 4, tw.p)
+        contributions[place] = frozenset(
+            hilbert2(y, tw.p, place)[1] for y in _square_class_reps(q) if is_norm(tw.ell * y * y)
+        )
     contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
     return _make_report(contributions)
 

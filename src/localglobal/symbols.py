@@ -11,21 +11,18 @@ symbol, whose kernel is the norm group of Q_p(d^(1/m)) (Serre, Local
 Fields, ch. XIV, section 3; Neukirch, Algebraic Number Theory, V.3).  The
 quartic without fourth roots of unity (p = 2, or p = 3 mod 4) with
 -d = s^2 is the biquadratic field Q_p(i, sqrt(2s)), whose norm group is
-the intersection of two quadratic norm groups: two Hilbert symbols.
+the intersection of two quadratic norm groups: two Hilbert symbols, with
+s read off the valuation and a residue of -d (`_square_root`).  On int
+and Fraction inputs a norm decision builds no p-adic number and reads no
+p-adic digits, so it is never inconclusive.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import is_probable_prime, record, residue, split_prime_power
-from .padic import (
-    DEFAULT_PRECISION,
-    InsufficientPrecision,
-    PadicNumber,
-    is_nth_power,
-    padic_root,
-)
+from .exact import _sqrt_mod_odd_prime, is_probable_prime, record, residue, split_prime_power
+from .padic import InsufficientPrecision, PadicNumber, is_nth_power
 
 __all__ = [
     "Place",
@@ -221,8 +218,17 @@ def _nonzero(x):
     return x
 
 
-def norm_test(p: int, m: int, d, precision: int = DEFAULT_PRECISION):
-    """The test x -> `is_local_norm(x, p, m, d, precision)`.
+def _square_root(a, p: int) -> Fraction:
+    """A square root of the square a = p^(2k) u of Q_p, up to sign, to the
+    unit residue `_vu` reads: p^k times 1 or 5 as u = 1 or 9 mod 16 at
+    p = 2 (5 = -3 mod 8, and 3^2 = 9), times a square root of u mod p at odd p."""
+    v, u = split_prime_power(a, p)
+    r = (1 if residue(u, 16) == 1 else 5) if p == 2 else _sqrt_mod_odd_prime(residue(u, p), p)
+    return r * Fraction(p) ** (v // 2)
+
+
+def norm_test(p: int, m: int, d):
+    """The test x -> `is_local_norm(x, p, m, d)`.
 
     p, m and d are checked and the algebra Q_p[t]/(t^m - d) is classified
     here, once; the test reads the valuation and a residue of x and
@@ -248,23 +254,24 @@ def norm_test(p: int, m: int, d, precision: int = DEFAULT_PRECISION):
     # The Hilbert symbols (x, b)_p that must all be 1: (x, d) also for the
     # non-Galois quartic, whose norms are those of Q_p(sqrt(d)); none for
     # m = 3 and for d = s^2, where x^2 -+ s give two quadratic fields whose
-    # norm groups differ by the character of -1 and so fill Q_p*.
+    # norm groups differ by the character of -1 and so fill Q_p*.  The sign
+    # of s does not matter: (x, -2s) = (x, -1)(x, 2s), and both symbols
+    # must be 1.
     bs = (d,)
-    if m == 3 or m == 4 and is_nth_power(d, 2, p, precision):
+    if m == 3 or m == 4 and is_nth_power(d, 2, p):
         bs = ()
-    elif m == 4 and is_nth_power(-d, 2, p, precision):
-        bs = (-1, 2 * padic_root(PadicNumber.from_fraction(-d, p, precision), 2))
+    elif m == 4 and is_nth_power(-d, 2, p):
+        bs = (-1, 2 * _square_root(-d, p))
+    parts = [_vu(b, p) for b in bs]
 
     def symbols(x) -> bool:
-        # A b's residue is read only when the symbols before it hold, so a
-        # b with too few digits raises only for such x.
         va, ua = _vu(_nonzero(x), p)
-        return all(_hilbert2_finite(p, va, ua, *_vu(b, p)) == 1 for b in bs)
+        return all(_hilbert2_finite(p, va, ua, vb, ub) == 1 for vb, ub in parts)
 
     return symbols
 
 
-def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> bool:
+def is_local_norm(x, p: int, m: int, d) -> bool:
     """Is x a norm from the radical extension of Q_p defined by x^m = d?
 
     When x^m - d is irreducible this is literal membership in
@@ -292,4 +299,4 @@ def is_local_norm(x, p: int, m: int, d, precision: int = DEFAULT_PRECISION) -> b
       symbols.
     """
     x = _nonzero(x)
-    return norm_test(p, m, d, precision)(x)
+    return norm_test(p, m, d)(x)

@@ -178,6 +178,12 @@ class KElement(QuotientElement):
         six1, six2 = (6 * c1[0], 6 * c1[1]), (6 * c2[0], 6 * c2[1])
         return _over(_pair_det3(((c0, six2, six1), (c1, c0, six2), (c2, c1, c0))), d * d * d)
 
+    def inverse(self) -> "KElement":
+        """sigma(x) sigma^2(x) / N(x), N the cross-checked `norm_K_over_k`;
+        ZeroDivisionError on 0, from `Eisenstein.inverse` of N(0) = 0."""
+        inverse_norm, conjugate = norm_K_over_k(self).inverse(), sigma(self)
+        return conjugate * sigma(conjugate) * inverse_norm
+
     def __str__(self) -> str:
         powers = ("", "*eps", "*eps^2")
         return " + ".join(f"({c}){x}" for c, x in zip((self.c0, self.c1, self.c2), powers))

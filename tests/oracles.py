@@ -7,7 +7,8 @@ lists every class of Q_p*/(Q_p*)**m and samples norms until the generated
 subgroup reaches the index predicted by local reciprocity.  Classes are
 kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
-computations.  The forced sections of a twist call the library's
+computations.  The 2s of the biquadratic norm case is a Hensel square root
+of -d.  The forced sections of a twist call the library's
 `is_local_norm` once per y-class.  The local point search is the
 quadratic one: every residue pair at depth 1 and every one of the q^2
 children of each node are tried,
@@ -221,22 +222,23 @@ def is_local_norm(x, p: int, m: int, d) -> bool:
     return hilbert2(x, d, p)[0] == 1
 
 
-def forced_section_invariants(tw, precision: int = DEFAULT_PRECISION) -> ObstructionReport:
+def biquadratic_two_s(d, p: int) -> PadicNumber:
+    """2s with s^2 = -d, the second symbol argument of the biquadratic norm
+    case, as `symbols.norm_test` built it before `symbols._square_root`:
+    a Hensel square root of -d at the default precision."""
+    return 2 * padic_root(PadicNumber.from_fraction(-d, p, DEFAULT_PRECISION), 2)
+
+
+def forced_section_invariants(tw) -> ObstructionReport:
     """The forced sections with one `symbols.is_local_norm` per y-class,
     which classifies the algebra Q_q[t]/(t^4 - p) again for every class."""
     contributions = {}
     for place in tw.bad_finite_places:
         q = place.prime
-        values = set()
-        for y in _square_class_reps(q):
-            try:
-                if symbols_is_local_norm(tw.ell * y * y, q, 4, tw.p, precision):
-                    values.add(hilbert2(y, tw.p, place)[1])
-            except InsufficientPrecision as exc:
-                raise InsufficientPrecision(
-                    f"norm decision at {place} needs more than precision {precision}"
-                ) from exc
-        contributions[place] = frozenset(values)
+        contributions[place] = frozenset(
+            hilbert2(y, tw.p, place)[1] for y in _square_class_reps(q)
+            if symbols_is_local_norm(tw.ell * y * y, q, 4, tw.p)
+        )
     contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
     return _make_report(contributions)
 
@@ -250,7 +252,7 @@ def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
     its closed rule."""
     place = Place.finite(q)
     depth_bound = 2 * split_prime_power(4 * tw.ell * tw.ell * tw.p, q)[0] + 6
-    if allow_y_zero and padic_is_nth_power(Fraction(tw.p), 4, q, max(precision, 12)):
+    if allow_y_zero and padic_is_nth_power(Fraction(tw.p), 4, q):
         root = nth_root_padic(tw.p, 4, q, precision)
         return LocalPoint(place, PadicNumber.zero(q, precision), root, precision)
     skip = variant
@@ -446,7 +448,8 @@ def local_solvability_report(fib: ElkiesFibre, precision: int = 12,
     point from the quadratic `local_point` search above with y = 0
     allowed, each place
     p | N0 by `smooth_residue_point` above, confirmed below p = 500 by the
-    `local_point` search, and the good places by `smooth_residue_point`."""
+    `local_point` search, and the good places up to `good_prime_bound` by
+    `smooth_residue_point`."""
     n0 = fib.N0
     eq = Quartic(2, n0)
     two_ok = not isinstance(local_point(eq, 2, precision, allow_y_zero=True), NoPoint)
@@ -458,9 +461,9 @@ def local_solvability_report(fib: ElkiesFibre, precision: int = 12,
         if solvable and p < 500:
             solvable = not isinstance(rl_local_point(eq, p, precision), NoPoint)
         odd_entries.append((p, solvable))
-    good = tuple(q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q)
+    good = (q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q)
     good_ok = all(smooth_residue_point(n0, q) is not None for q in good)
-    return LocalSolvabilityReport(fib, n0 > 0, two_ok, tuple(odd_entries), good, good_ok)
+    return LocalSolvabilityReport(fib, n0 > 0, two_ok, tuple(odd_entries), good_ok)
 
 
 def contributes(p: int, e: int) -> bool:

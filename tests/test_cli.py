@@ -21,6 +21,12 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def _case(*argv, option="--precision", values=range(1, 9)):
+    """A command line and the values of one option to run it with."""
+    name = " ".join(argv) + ("" if option == "--precision" else f" {option}")
+    return pytest.param(argv, option, values, id=name)
+
+
 class TestSymbolCommands:
     def test_legendre_example(self, capsys):
         code, rep = run_json(capsys, "symbol", "legendre", "1", "7")
@@ -199,19 +205,29 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == "" and "must be a positive integer" in captured.err
 
-    @pytest.mark.parametrize("argv", [
-        ("elkies", "verify", "--t=1/3"),
-        ("rl", "verify", "--ell", "2", "--p", "17"),
-    ], ids=" ".join)
-    def test_low_precision_is_inconclusive_never_error(self, argv, capsys):
+    @pytest.mark.parametrize("argv, option, values", [
+        _case("elkies", "verify", "--t=1/3"),
+        _case("rl", "verify", "--ell", "2", "--p", "17"),
+        # elkies certifies every good place by rule and reads no prime bound
+        *(_case("elkies", "verify", f"--t={t}", option="--max-prime", values=(7, 50, 100000))
+          for t in ("infinity", "1", "13/5", "98/103")),
+        _case("elkies", "scan", "--height", "6", option="--max-prime", values=(7, 50, 100000)),
+    ])
+    def test_low_precision_is_inconclusive_never_error(self, argv, option, values, capsys):
+        """A --precision below what a command needs gives inconclusive
+        (exit 2), never another report; elkies ignores --max-prime.
+        Either way the report is the default one apart from the option in
+        params and the timings."""
         code, default = run_json(capsys, *argv)
         assert code == 0 and default["status"] == "obstructed"
-        for precision in range(1, 9):
-            code, rep = run_json(capsys, *argv, "--precision", str(precision))
-            assert rep["status"] in (default["status"], "inconclusive"), (precision, rep)
+        allowed = (default["status"], "inconclusive") if option == "--precision" else (default["status"],)
+        for value in values:
+            code, rep = run_json(capsys, *argv, option, str(value))
+            assert rep["status"] in allowed, (value, rep)
             assert code == (2 if rep["status"] == "inconclusive" else 0)
+            assert rep["params"] == dict(default["params"], **{cli._dest(option): value})
             if rep["status"] == default["status"]:
-                assert rep["result"] == default["result"], precision
+                assert rep["result"] == default["result"], value
 
     def test_elkies_needs_five_digits_at_2(self, capsys):
         # the Q_2 point (0, N0^(1/4)) is read off a residue mod 2^5

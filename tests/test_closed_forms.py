@@ -9,7 +9,7 @@ import pytest
 
 from localglobal import symbols
 from localglobal.exact import primes_up_to
-from localglobal.padic import _canonical_unit_label, _unit_label_digits, padic_root
+from localglobal.padic import _canonical_unit_label, _unit_label_digits
 from localglobal.reichardt_lind import density_experiment, twist_search
 from localglobal.symbols import is_local_norm
 
@@ -96,6 +96,16 @@ def _minus_square_d_values(p: int) -> list[Fraction]:
     return [-Fraction(u * p**b) ** 2 for u in units for b in range(4) if u % p]
 
 
+def test_the_square_root_matches_the_hensel_root():
+    """b = 2s from the residue of -d against b from a Hensel square root of
+    -d: the same valuation and unit residue up to the sign of s, at p = 2
+    and every p = 3 mod 4 below 2000, for s of valuation -2 to 3."""
+    for p in (q for q in PRIMES_2000 if q == 2 or q % 4 == 3):
+        for d in (e / p**j for e in _minus_square_d_values(p) for j in (0, 4)):
+            b, old = 2 * symbols._square_root(-d, p), oracles.biquadratic_two_s(d, p)
+            assert {symbols._vu(b, p), symbols._vu(-b, p)} == {symbols._vu(old, p), symbols._vu(-old, p)}, (p, d)
+
+
 def test_is_local_norm_biquadratic_branch(monkeypatch):
     """At p = 2 and every p = 3 mod 4 below 2000, d = -s^2 goes through the
     two Hilbert symbols of Q_p(i, sqrt(2s)); the oracle samples the norm
@@ -105,9 +115,10 @@ def test_is_local_norm_biquadratic_branch(monkeypatch):
 
     def spy(*args):
         roots.append(args)
-        return padic_root(*args)
+        return square_root(*args)
 
-    monkeypatch.setattr(symbols, "padic_root", spy)
+    square_root = symbols._square_root
+    monkeypatch.setattr(symbols, "_square_root", spy)
     cases = 0
     for p in (q for q in PRIMES_2000 if q == 2 or q % 4 == 3):
         if p < 200:

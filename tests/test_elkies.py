@@ -81,13 +81,13 @@ class TestFibre:
 
     def test_reports_do_not_factor_n0_again(self, monkeypatch):
         f = fibre(Fraction(2, 3))
-        expected = (local_solvability_report(f, 12, 50), obstruction_parity(f))
+        expected = (local_solvability_report(f, 12), obstruction_parity(f))
 
         def no_factoring(n):
             raise AssertionError(f"factorize({n}) called again")
 
         monkeypatch.setattr(elkies, "factorize", no_factoring)
-        assert (local_solvability_report(f, 12, 50), obstruction_parity(f)) == expected
+        assert (local_solvability_report(f, 12), obstruction_parity(f)) == expected
 
 
 def _fibre_data(fib):
@@ -292,10 +292,10 @@ class TestLocalSolvability:
                     expected = oracles.local_solvability_report(fib, precision, 50)
                 except InsufficientPrecision:
                     with pytest.raises(InsufficientPrecision, match="over Q_2: .* need 5"):
-                        local_solvability_report(fib, precision, 50)
+                        local_solvability_report(fib, precision)
                     outcomes.add(("inconclusive", precision))
                     continue
-                assert local_solvability_report(fib, precision, 50) == expected, (fib.t, precision)
+                assert local_solvability_report(fib, precision) == expected, (fib.t, precision)
                 outcomes.add(("report", precision))
         assert outcomes == {("inconclusive", k) for k in range(1, 5)} | {("report", k) for k in range(5, 9)}
 
@@ -328,18 +328,13 @@ def _agrees_with_the_old_loop(n0, q):
 
 
 def _walk_report(fib, good_prime_bound):
-    """The report with every odd place certified by the walk of
-    `oracles.residue_walk_point`, as `local_solvability_report` did before
-    its closed rules."""
-    report = local_solvability_report(fib, 12, good_prime_bound)
-    return report._replace(
-        odd_bad_places=tuple(
-            (p, oracles.residue_walk_point(fib.N0, p) is not None)
-            for p, _ in fib.factorization.factors
-        ),
-        good_places_solvable=all(
-            oracles.residue_walk_point(fib.N0, q) is not None for q in report.good_places_checked
-        ),
+    """The report with every odd place up to `good_prime_bound` certified by
+    the walk of `oracles.residue_walk_point`, as `local_solvability_report`
+    did before its closed rules."""
+    walk = lambda q: oracles.residue_walk_point(fib.N0, q) is not None
+    return local_solvability_report(fib, 12)._replace(
+        odd_bad_places=tuple((p, walk(p)) for p, _ in fib.factorization.factors),
+        good_places_solvable=all(walk(q) for q in primes_up_to(good_prime_bound)[1:] if fib.N0 % q),
     )
 
 
@@ -390,23 +385,22 @@ class TestGoodPlaces:
 
     def test_report_equals_the_sweep_report(self):
         for fib in fibres_of_height_ten():
-            report = local_solvability_report(fib, 12, 50)
+            report = local_solvability_report(fib, 12)
             sweep = oracles.good_place_sweep(fib.N0, 12, 50)
-            assert report == elkies.LocalSolvabilityReport(
-                report.fib,
-                report.real_solvable,
-                report.two_adic_solvable,
-                report.odd_bad_places,
-                good_places_checked=tuple(q for q, _ in sweep),
-                good_places_solvable=all(found for _, found in sweep),
-            ), fib.t
+            assert report.good_places_solvable == all(found for _, found in sweep), fib.t
 
     def test_report_equals_the_walk_report_to_height_30(self):
         for fib in fibres_of_height_thirty():
+            report = local_solvability_report(fib, 12)
             for bound in (50, 200):
-                report = local_solvability_report(fib, 12, bound)
                 assert report == _walk_report(fib, bound), (fib.t, bound)
-                assert report.everywhere_solvable, fib.t
+            assert report.everywhere_solvable, fib.t
+
+    def test_the_table_serves_every_fibre_to_height_30(self):
+        # 3 and 5 never divide N0, whose primes are 1 mod 8
+        for fib in fibres_of_height_thirty():
+            for q, zeros in elkies._SMALL_PLACE_ZEROS.items():
+                assert _is_smooth_zero(fib.N0, q, zeros[fib.N0 % q]), (fib.t, q)
 
     def test_a_missing_certificate_is_no_local_point(self, monkeypatch, capsys):
         # a point mod p | N0 that is not a zero: (2ABc, c + 1) at t = infinity,
@@ -435,8 +429,7 @@ class TestGoodPlaces:
         # N0 = 17 = 2 mod 3, and (0, 1) is no zero of 2y^2 = z^4 - 17 mod 3
         monkeypatch.setitem(elkies._SMALL_PLACE_ZEROS, 3, {1: (0, 1), 2: (0, 1)})
         report = local_solvability_report(fibre(None))
-        assert 3 in report.good_places_checked and not report.good_places_solvable
-        assert not report.everywhere_solvable
+        assert not report.good_places_solvable and not report.everywhere_solvable
 
 
 class TestBadPlaces:
@@ -478,7 +471,7 @@ class TestBadPlaces:
     def test_report_equals_the_hensel_report(self):
         large = 0
         for fib in fibres_of_height_ten():
-            report = local_solvability_report(fib, 12, 50)
+            report = local_solvability_report(fib, 12)
             lifted = tuple(
                 (p, oracles.bad_place_lift(fib.N0, p, 12)) for p, _ in fib.factorization.factors
             )
@@ -530,7 +523,7 @@ class TestFamilyScan:
         assert scan.all_obstructed and scan.all_locally_solvable
 
     def test_full_height_ten_scan(self):
-        scan = family_scan(rationals_of_height(10), good_prime_bound=20)
+        scan = family_scan(rationals_of_height(10))
         assert scan.fibre_count == 128
         assert scan.all_obstructed
         assert scan.all_locally_solvable

@@ -17,7 +17,7 @@ from localglobal import cubic
 from localglobal.cubic import ONE, PI, Eisenstein, divide_by_pi, express, hilbert3, unit_part
 from localglobal.exact import _exact_coordinate, _exact_coordinates, _exact_quotient, residue
 from localglobal.symbols import InvariantValue
-from localglobal.tower import CurvePolynomial, KElement, descent_value_at, evaluate_F_symbolic, norm_K_over_k, sigma
+from localglobal.tower import EPS, CurvePolynomial, KElement, descent_value_at, evaluate_F_symbolic, norm_K_over_k, sigma
 
 DENOMINATORS = (3, 9, 27, 81, 5, 25, 125, 15, 675)
 BOUND = 10**6
@@ -52,7 +52,7 @@ def grid_eisenstein(rng, nonzero=False):
 
 
 def grid_k_element(rng):
-    return KElement(*(grid_eisenstein(rng) for _ in range(3)))
+    return KElement(grid_eisenstein(rng, nonzero=True), grid_eisenstein(rng), grid_eisenstein(rng))
 
 
 def as_fractions(x) -> tuple:
@@ -98,7 +98,7 @@ def test_every_eisenstein_coordinate_is_an_int_or_a_proper_fraction(seed):
         for r in results:
             assert_exact(r)
         assert x + (target - x) == target and (x / y) * y == x and x * x.inverse() == ONE
-        assert is_exact(x.norm())
+        assert is_exact(x.norm()) and x**-2 * (x * x) == ONE
         assert all(type(e) is int and 0 <= e < 3 for e in express(x)), x
         value = hilbert3(x, y).value
         assert type(value) is Fraction and value.denominator in (1, 3), (x, y)
@@ -113,11 +113,22 @@ def test_every_k_element_coordinate_is_an_int_or_a_proper_fraction(seed):
         n, q = rng.randint(-BOUND, BOUND), Fraction(rng.randint(1, BOUND), rng.choice(DENOMINATORS))
         results = [x, x + y, x - y, x * y, sigma(x), x + n, x * q, q - x, x.c0, x.c1, x.c2]
         results += [(x * y).c2, norm_K_over_k(x), x.norm(), x + (KElement.of(n) - x)]
+        results += [x.inverse(), x**-1, x**-2, x * x.inverse()]
         for r in results:
             assert_exact(r)
+        assert x * x.inverse() == KElement.of(1) == x**-2 * (x * x), x
         reduced = (X * X * X * x + y).reduce()  # X^3 -> (-4 Y^3 - 5 Z^3) / 3
         for coeff in reduced.terms.values():
             assert_exact(coeff)
+
+
+def test_negative_powers_of_both_rings():
+    assert EPS**-1 == EPS**2 * Fraction(1, 6)
+    assert EPS**-3 == KElement.of(Fraction(1, 6))
+    assert PI**-1 * PI == ONE
+    for zero in (Eisenstein(0, 0), KElement(0, 0, 0)):
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            zero**-1
 
 
 # ------------------------------------------------- the int path vs oracles

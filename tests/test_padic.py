@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from localglobal.exact import primes_up_to
 from localglobal.padic import (
     DEFAULT_PRECISION,
     InsufficientPrecision,
@@ -141,6 +142,34 @@ def test_square_class_counts():
                 if u % p:
                     classes.add(power_class(Fraction(u * p**v), 2, p))
         assert len(classes) == expected
+
+
+def test_exact_power_class_equals_the_padic_one():
+    """An int or Fraction is classed off its valuation and a residue, with
+    no PadicNumber: the class of its 40-digit PadicNumber."""
+    rng = random.Random(6)
+    for p in primes_up_to(50):
+        for n in (2, 3, 4):
+            for _ in range(30):
+                x = rng.choice((1, -1)) * rng.randrange(1, 10**6) * p ** rng.randrange(4)
+                if rng.randrange(2):
+                    x = Fraction(x, rng.randrange(1, 10**4) * p ** rng.randrange(4))
+                assert power_class(x, n, p) == power_class(from_q(x, p), n), (x, n, p)
+
+
+@pytest.mark.parametrize("args, error, message", [
+    ((0, 2, 5), InsufficientPrecision, "power class of a value that vanishes at working precision"),
+    ((Fraction(0), 4, 2), InsufficientPrecision, "power class of a value that vanishes at working precision"),
+    ((3, 2, 15), ValueError, "15 is not prime"),
+    ((0, 2, 15), ValueError, "15 is not prime"),   # the prime before the zero
+    ((3, 2), ValueError, "prime p required for exact input"),
+    ((0, 0, 15), ValueError, "n must be >= 1"),    # n before anything else
+])
+def test_exact_power_class_errors(args, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        power_class(*args)
+    with pytest.raises(error, match=f"^{message}$"):
+        is_nth_power(*args)
 
 
 def test_zero_flag_poisons_power_class():

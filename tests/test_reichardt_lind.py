@@ -10,14 +10,13 @@ import pytest
 import oracles
 from localglobal import symbols
 from localglobal.exact import is_squarefree, primes_up_to
-from localglobal.padic import DEFAULT_PRECISION, InsufficientPrecision
+from localglobal.padic import PadicNumber
 from localglobal.padic import is_nth_power as padic_is_nth_power
 from localglobal.reichardt_lind import (
     DensityReport,
     LocalPoint,
     NoPoint,
     TwistParams,
-    _passing_twists,
     density_experiment,
     exhaustive_search,
     forced_section_invariants,
@@ -155,45 +154,41 @@ class TestForcedSectionInvariants:
             rep = forced_section_invariants(tw)
             assert ZERO in rep.contribution(p)
 
-    def test_low_precision_names_place_and_precision(self):
-        # at q = 2, -31 = s^2: the symbol (x, 2s) needs s mod 8, and the
-        # square root over Q_2 keeps one digit less than it is given
-        with pytest.raises(InsufficientPrecision, match="at 2 needs more than precision 3"):
-            forced_section_invariants(TwistParams(2, 31), precision=3)
-        assert forced_section_invariants(TwistParams(2, 31), precision=4).verdict == "unobstructed"
+    def test_forced_sections_build_no_padic_number(self, monkeypatch):
+        # the biquadratic route (-p = s^2 over Q_q: q = 2 for p = 31, q = 3
+        # and 7 for p = 5) reads s off a residue of -p, and the tame route
+        # at 17 reads residues: no decision builds a p-adic number, so none
+        # can run out of digits
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PadicNumber was built")
 
-    @staticmethod
-    def _outcome(forced, tw, precision):
-        try:
-            return forced(tw, precision)
-        except InsufficientPrecision as exc:
-            return str(exc)
+        root = symbols._square_root
+        monkeypatch.setattr(PadicNumber, "__init__", refuse)
+        squares = []
+        monkeypatch.setattr(symbols, "_square_root", lambda a, q: squares.append(q) or root(a, q))
+        for (ell, p), verdict in (((2, 31), "unobstructed"), ((3, 5), "obstructed"),
+                                  ((7, 5), "obstructed"), ((2, 17), "obstructed")):
+            assert forced_section_invariants(TwistParams(ell, p)).verdict == verdict, (ell, p)
+        assert squares == [2, 3, 7]
 
     @pytest.mark.parametrize("ell", [2, -2, 3, 6, 7, -7])
     def test_equals_one_norm_decision_per_class(self, ell):
-        """Every passing twist below 3000, and every twist below 300 at
-        precisions 3, 4 and the default, where the symbol and biquadratic
-        routes and the precision errors are reached too."""
-        passing = list(_passing_twists(ell, primes_up_to(3000)))
-        assert passing
-        for tw in passing:
+        """Every twist below 3000, passing or not, where the tame, symbol
+        and biquadratic routes are all reached."""
+        twists = [TwistParams(ell, p) for p in primes_up_to(3000)
+                  if p != 2 and math.gcd(ell, p) == 1]
+        assert any(twist_conditions(tw).all_satisfied for tw in twists)
+        for tw in twists:
             assert forced_section_invariants(tw) == oracles.forced_section_invariants(tw), tw
-        for p in primes_up_to(300):
-            if p == 2 or math.gcd(ell, p) != 1:
-                continue
-            tw = TwistParams(ell, p)
-            for precision in (3, 4, DEFAULT_PRECISION):
-                assert (self._outcome(forced_section_invariants, tw, precision)
-                        == self._outcome(oracles.forced_section_invariants, tw, precision)), (tw, precision)
 
     def test_each_place_is_classified_once(self, monkeypatch):
         """The Q_q classification (`is_nth_power` of +-p) runs as often per
         place as for one norm decision, not once per y-class."""
         calls = []
 
-        def spy(x, n, p, *rest):
+        def spy(x, n, p):
             calls.append(p)
-            return padic_is_nth_power(x, n, p, *rest)
+            return padic_is_nth_power(x, n, p)
 
         monkeypatch.setattr(symbols, "is_nth_power", spy)
         expected = {RL: {2: 1, 17: 0}, TwistParams(2, 31): {2: 2, 31: 2},

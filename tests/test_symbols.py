@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from localglobal.padic import InsufficientPrecision, PadicNumber, power_class
+from localglobal.padic import PadicNumber, power_class
 from localglobal.symbols import (
     InvariantValue,
     Place,
@@ -13,6 +13,7 @@ from localglobal.symbols import (
     norm_test,
     product_formula_check,
 )
+import oracles
 from oracles import _quotient_product, quotient_norm
 
 
@@ -216,18 +217,18 @@ def test_norm_test_refuses_x_zero_on_every_route(p, m, d):
             test(zero)
 
 
-def test_precision_errors_wait_for_the_symbol_that_needs_the_digits():
-    """At q = 2, -31 = s^2: precision 2 cannot classify 31 at all, and at
-    precision 3 the root s keeps two digits, so (x, 2s) is undecided; it is
-    reached only for x with (x, -1)_2 = 1."""
-    for x in (1, 3, 2, -1):
-        with pytest.raises(InsufficientPrecision, match="only 2 digits known, need 3"):
-            is_local_norm(x, 2, 4, 31, precision=2)
-    for x in (3, 7, 6, 14, -1):
-        assert not is_local_norm(x, 2, 4, 31, precision=3)
-    for x in (1, 5, 2, 10, -3):
-        with pytest.raises(InsufficientPrecision, match="unit residue needs more digits"):
-            is_local_norm(x, 2, 4, 31, precision=3)
+def test_the_biquadratic_route_builds_no_padic_number(monkeypatch):
+    """At q = 2, -31 = s^2: the symbol (x, 2s) takes s off a residue of
+    -31, so every decision is definite and none builds a p-adic number."""
+    xs = (1, 3, 5, 7, 2, 6, 10, 14, -1, -3, Fraction(5, 3), 31 * 4)
+    expected = [oracles.is_local_norm(x, 2, 4, 31) for x in xs]
+    assert True in expected and False in expected
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PadicNumber was built")
+
+    monkeypatch.setattr(PadicNumber, "__init__", refuse)
+    assert [is_local_norm(x, 2, 4, 31) for x in xs] == expected
 
 
 def test_norm_test_equals_is_local_norm_on_int_and_fraction_inputs():
