@@ -17,9 +17,11 @@ and exit codes are argparse's own.  argparse is imported only there: a
 plain command line never loads it.
 
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
-no_local_point), 2 for inconclusive (precision budget exhausted), 1 for
-runtime errors and failed self-checks (status "error"), 64 for usage errors,
-a --precision, --max-prime, --samples or --height below 1 among them.
+no_local_point), 2 for inconclusive (a p-adic step could not certify its
+digits), 1 for runtime errors and failed self-checks (status "error"), 64
+for usage errors, a --max-prime, --samples or --height below 1 among them.
+No command takes a digit count: each p-adic step works out its own from
+its input.
 """
 
 from __future__ import annotations
@@ -92,11 +94,10 @@ def _prime_list(text: str) -> tuple[int, ...]:
 
 # The whole command line, described once: group -> (help, {command:
 # [(flags, add_argument keywords), ...]}).  Every command also takes _COMMON,
-# whose values default to _DEFAULTS.
-_DEFAULTS = {"precision": None, "max_prime": None, "seed": 0, "format": "json"}
+# whose values default to _DEFAULTS.  None of them sets a p-adic digit
+# count; --max-prime bounds only the searches that test primes.
+_DEFAULTS = {"max_prime": None, "seed": 0, "format": "json"}
 _COMMON = [
-    (("--precision",), {"type": _positive_int,
-                        "help": "working p-adic digits (per-command default)"}),
     (("--max-prime",), {"type": _positive_int,
                         "help": "prime bound: rl search and rl density test the primes up "
                                 "to it (defaults 100 and 200000); the other commands "
@@ -279,12 +280,8 @@ def _work_symbol(args, stage):
 def _work_rl(args, stage):
     if args.command == "verify":
         tw = TwistParams(args.ell, args.p)
-        precision = args.precision or 16
         t0 = time.perf_counter()
-        reports = [
-            point_obstruction(tw, precision=precision, variant=args.seed + k)
-            for k in range(args.samples)
-        ]
+        reports = [point_obstruction(tw, variant=args.seed + k) for k in range(args.samples)]
         stage("points", t0)
         totals = {report.total for report in reports}
         t0 = time.perf_counter()
@@ -338,11 +335,10 @@ def _work_rl(args, stage):
 
 
 def _work_elkies(args, stage):
-    precision = args.precision or 12
     if args.command == "verify":
         fib = fibre(args.t)
         t0 = time.perf_counter()
-        local = local_solvability_report(fib, precision)
+        local = local_solvability_report(fib)
         stage("local", t0)
         parity = obstruction_parity(fib)
         payload = {
@@ -363,7 +359,7 @@ def _work_elkies(args, stage):
         return parity.verdict, payload
     ts = rationals_of_height(args.height)
     t0 = time.perf_counter()
-    scan = family_scan(ts, precision)
+    scan = family_scan(ts)
     stage("scan", t0)
     payload = {
         "height": args.height,
@@ -377,16 +373,15 @@ def _work_elkies(args, stage):
 
 
 def _work_selmer(args, stage):
-    precision = args.precision or 12
     if args.command == "verify":
         gamma_norm = norm_K_over_k(GAMMA)
         coefficients = evaluate_F_symbolic()
         group = cube_class_group()
         t0 = time.perf_counter()
-        f_class = evaluate_F_local(precision)
+        f_class = evaluate_F_local()
         stage("descent", t0)
         expected = group.express(PI * (Eisenstein.of(1) + PI * PI))
-        section_point(precision)  # validates 4*10 - 40 = 0 at precision
+        section_point()  # validates 4*10 - 40 = 0 at its digits
         pairing = group.pairing_of_vectors(group.express(2), f_class)
         checks = f_class == expected and gamma_norm == Eisenstein.of(-10) and pairing != 0
         return ("ok" if checks else "error"), {
@@ -399,8 +394,8 @@ def _work_selmer(args, stage):
             "pairing_nontrivial": pairing != 0,
         }
     t0 = time.perf_counter()
-    report = survival_analysis(precision)
-    conjugated = survival_analysis(precision, conjugate=True)
+    report = survival_analysis()
+    conjugated = survival_analysis(conjugate=True)
     stage("analysis", t0)
     consistent = (
         conjugated.survives == report.survives

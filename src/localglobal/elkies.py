@@ -8,7 +8,7 @@ nonresidue mod p is an odd multiple of 1/2.  The parity is certified via
 the two-square-style composition identity for the form a^2 + 16b^2 and
 the quartic residue symbol of 2, which the obstruction reads off by
 Euler's criterion.  Every place is certified locally solvable by rule,
-with no search and no prime bound; only the Q_2 root reads p-adic digits.
+with no search, no prime bound and no p-adic digits.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .exact import (
     quartic_residue_symbol,
     record,
 )
-from .padic import InsufficientPrecision, PadicNumber, is_nth_power_unit, padic_root
+from .padic import is_nth_power_unit
 from .symbols import InvariantValue
 
 __all__ = [
@@ -201,13 +201,13 @@ def _bad_place_point(fib: ElkiesFibre) -> tuple[int, int]:
 _SMALL_PLACE_ZEROS = {3: {1: (0, 1), 2: (1, 1)}, 5: {1: (0, 1), 2: (2, 0), 3: (1, 0), 4: (1, 1)}}
 
 
-def local_solvability_report(fib: ElkiesFibre, precision: int = 12) -> LocalSolvabilityReport:
+def local_solvability_report(fib: ElkiesFibre) -> LocalSolvabilityReport:
     """Certify points of the fibre over R, Q_2, every Q_p with p | N0, and
     every Q_q with q odd and prime to N0, with no search.
 
-    R: N0 > 0.  Q_2: N0 = 1 mod 16 is a fourth power in Q_2, so y = 0,
-    z = N0^(1/4) is a point; `padic_root` reads the root off a residue mod
-    2^(2 v_2(4) + 1), so fewer than 5 digits are InsufficientPrecision.
+    R: N0 > 0.  Q_2: `ElkiesFibre` refuses any N0 other than 1 mod 16, a
+    fourth power of a unit of Z_2 (`is_nth_power_unit`), so y = 0,
+    z = N0^(1/4) is a point.
     Each p | N0: as c^2 - 8A^2B^2 = N0, `_bad_place_point` is a zero of
     2y^2 - z^4 + N0 = N0(1 - c^2) with y a unit mod p: p divides neither A
     nor 2B (they are coprime), nor c, else N0 = -8A^2B^2 mod p.  Each good
@@ -219,18 +219,12 @@ def local_solvability_report(fib: ElkiesFibre, precision: int = 12) -> LocalSolv
     (0, 0) (Silverman, AEC, V.1.1).
     """
     n0 = fib.N0
-    try:
-        root = padic_root(PadicNumber.from_int(n0, 2, precision), 4)
-    except InsufficientPrecision as exc:
-        raise InsufficientPrecision(f"the point y = 0, z = N0^(1/4) over Q_2: {exc}") from exc
-    two_ok = pow(root.unit, 4, 2**root.prec) == n0 % 2**root.prec  # N0 odd: a unit root
-
     y, z = _bad_place_point(fib)
     g = 2 * y * y - z**4 + n0
     odd_entries = tuple((p, g % p == 0 and y % p != 0) for p, _ in fib.factorization.factors)
     good_ok = all((2 * v * v - w**4 + n0) % q == 0
                   for q, zeros in _SMALL_PLACE_ZEROS.items() for v, w in [zeros[n0 % q]])
-    return LocalSolvabilityReport(fib, n0 > 0, two_ok, odd_entries, good_ok)
+    return LocalSolvabilityReport(fib, n0 > 0, is_nth_power_unit(n0, 4, 2), odd_entries, good_ok)
 
 
 # -------------------------------------------------- quartic representations
@@ -331,12 +325,12 @@ class FamilyScanReport(record("FamilyScanReport", "entries")):
         return all(loc.everywhere_solvable for _, _, loc in self.entries)
 
 
-def family_scan(ts, precision: int = 12) -> FamilyScanReport:
+def family_scan(ts) -> FamilyScanReport:
     """fibre -> local solvability -> obstruction parity for each t; the
     family claim is that every entry is locally solvable and obstructed."""
     entries = []
     for t in ts:
         fib = fibre(t)
-        loc = local_solvability_report(fib, precision)
+        loc = local_solvability_report(fib)
         entries.append((t, obstruction_parity(fib), loc))
     return FamilyScanReport(tuple(entries))

@@ -224,7 +224,7 @@ def _integral_residue(c, p: int, n: int) -> int:
     return residue(c, p**n)
 
 
-def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION, target=None) -> PadicNumber:
+def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION) -> PadicNumber:
     """Newton-lift a simple approximate root of f (ascending coefficients).
 
     The working precision N is the absolute precision of the start value
@@ -236,9 +236,9 @@ def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION, target=None) -> P
     NoConvergence, and iterates x <- x - (f(x)/p**t) * (f'(x)/p**t)**-1
     modulo p**(N-t) until f(x) = 0 mod p**N.  The root is returned at
     absolute precision N - t, which is what Hensel's lemma proves: the
-    p-adic root r of f has v(r - x) >= v(f(x)) - t >= N - t.  A `target`
-    above N, or f(a) = 0 mod p**N with N <= 2t (which does not show
-    v(f(a)) > 2t), raises InsufficientPrecision.
+    p-adic root r of f has v(r - x) >= v(f(x)) - t >= N - t.
+    f(a) = 0 mod p**N with N <= 2t (which does not show v(f(a)) > 2t)
+    raises InsufficientPrecision.
     """
     if isinstance(start, PadicNumber):
         p = start.p
@@ -271,8 +271,6 @@ def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION, target=None) -> P
         raise InsufficientPrecision(
             f"f(a) = 0 mod {p}^{n} does not show v(f(a)) > 2*v(f'(a))={2 * t}"
         )
-    if target is not None and target > n:
-        raise InsufficientPrecision(f"target {target} exceeds working precision {n}")
     scale, low = p**t, p ** (n - t)
     for _ in range(64):
         if not fx:
@@ -417,27 +415,26 @@ def power_class(x, n: int, p=None) -> PowerClass:
 
     Accepts an int, Fraction or PadicNumber.  An exact x is read off its
     valuation and its unit residue mod p**(2 v_p(n) + 1), with no p-adic
-    digits; an exact 0, like a PadicNumber carrying the zero flag, raises
-    InsufficientPrecision (its class is undetermined).
+    digits.  An exact 0 has no class: ValueError.  A PadicNumber carrying
+    the zero flag raises InsufficientPrecision (its digits cannot tell it
+    from 0).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if isinstance(x, PadicNumber):
-        p, zero = x.p, x.is_zero
-    elif p is None:
+        if x.is_zero:
+            raise InsufficientPrecision("power class of a value that vanishes at working precision")
+        k = _unit_label_digits(x.p, n)
+        return power_class_from_parts(x.p, n, x.valuation(), x.unit_residue(k))
+    if p is None:
         raise ValueError("prime p required for exact input")
-    elif not is_probable_prime(p):
+    if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
-    else:
-        x = x if isinstance(x, int) else Fraction(x)
-        zero = x == 0
-    if zero:
-        raise InsufficientPrecision("power class of a value that vanishes at working precision")
-    k = _unit_label_digits(p, n)
-    if isinstance(x, PadicNumber):
-        return power_class_from_parts(p, n, x.valuation(), x.unit_residue(k))
+    x = x if isinstance(x, int) else Fraction(x)
+    if x == 0:
+        raise ValueError("nonzero arguments required")
     v, u = split_prime_power(x, p)
-    return power_class_from_parts(p, n, v, residue(u, p**k))
+    return power_class_from_parts(p, n, v, residue(u, p ** _unit_label_digits(p, n)))
 
 
 def is_nth_power(x, n: int, p=None) -> bool:

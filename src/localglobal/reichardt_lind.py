@@ -148,57 +148,57 @@ def _residue_valuation(r: int, q: int, k: int) -> int | None:
     return valuation(r, q) if r % q**k else None
 
 
-def local_point(
-    tw: TwistParams,
-    v,
-    precision: int = 16,
-    *,
-    variant: int = 0,
-) -> LocalPoint | NoPoint:
+# Binary digits of the real place's dyadic y; its symbol reads only signs.
+_REAL_PRECISION = 16
+
+
+def local_point(tw: TwistParams, v, *, variant: int = 0) -> LocalPoint | NoPoint:
     """Search for a point with y != 0 of the twist over the completion at v.
 
     Finite places: breadth-first search over the zeros mod q^d of both
-    affine charts, d = 1, 2, ..., in (y, z) order; a branch is closed out
-    by Hensel's lemma as soon as d exceeds twice the valuation of one
-    partial derivative.  Zeros mod q are drawn lazily and each lifting
-    level costs O(q) per live node (see `_chart_search`).  `variant` skips
-    that many certified branches first (deterministically different points
-    for sampling).  Real place: the least z >= 0 with ell*(z^4 - p) > 0,
-    floor(p^(1/4)) + 1 for ell > 0 and 0 for ell < 0, and
-    y = sqrt((z^4 - p)/ell) rounded down to a dyadic fraction.
+    affine charts, d = 1, 2, ..., D, in (y, z) order, with the depth bound
+    D = 2 v_q(4 ell^2 p) + 6; a branch is closed out by Hensel's lemma as
+    soon as d exceeds twice the valuation t of one partial derivative, and
+    its point is lifted at D digits (see `_certify`).  Zeros mod q are drawn
+    lazily and each lifting level costs O(q) per live node (see
+    `_chart_search`).  `variant` skips that many certified branches first
+    (deterministically different points for sampling).  Real place: the
+    least z >= 0 with ell*(z^4 - p) > 0, floor(p^(1/4)) + 1 for ell > 0 and
+    0 for ell < 0, and y = sqrt((z^4 - p)/ell) rounded down to a dyadic
+    fraction.
     """
     place = as_place(v)
     if place.is_real:
         z = math.isqrt(math.isqrt(tw.p)) + 1 if tw.ell > 0 else 0
         # y = (sqrt(m) - d)/|ell| with 0 <= d < 1/scale, so ell*y^2 misses
-        # z^4 - p by less than 2 sqrt(m)/scale < 2^-precision
+        # z^4 - p by less than 2 sqrt(m)/scale < 2^-_REAL_PRECISION
         m = tw.ell * (z**4 - tw.p)
-        scale = 2 ** (precision + 1 + m.bit_length())
+        scale = 2 ** (_REAL_PRECISION + 1 + m.bit_length())
         y = Fraction(math.isqrt(m * scale * scale), abs(tw.ell) * scale)
-        return LocalPoint(place, y, Fraction(z), precision, "real")
+        return LocalPoint(place, y, Fraction(z), _REAL_PRECISION, "real")
 
     q = place.prime
     depth_bound = 2 * valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
     skip = variant
     for chart in ("near", "far"):
-        result, skip = _chart_search(tw, q, chart, depth_bound, precision, skip)
+        result, skip = _chart_search(tw, q, chart, depth_bound, skip)
         if result is not None:
             return result
     return NoPoint(place, depth_bound)
 
 
-def _chart_search(tw, q, chart, depth_bound, precision, skip):
+def _chart_search(tw, q, chart, depth_bound, skip):
     """BFS one affine chart; returns (LocalPoint | None, remaining skip).
 
     Depth d holds the zeros of the chart modulo q^d in (y, z) order.  The
     depth-1 zeros are drawn from `residue_zeros` one at a time, and each
     node's children come from the linear congruence of `_lift_children`,
-    so a level costs O(q) per node instead of O(q^2).  A branch whose
-    working precision cannot show its derivative is not refined: its
-    descendants share that derivative's valuation, so none of them can be
-    certified either.  If the chart then ends without a point, that
-    InsufficientPrecision is raised.  A certified branch that `skip` passes
-    by is counted from its residues (`_lifts_to_a_point`) and not lifted.
+    so a level costs O(q) per node instead of O(q^2).  A certified node
+    with y0 != 0 lifts to a point with y != 0 (see `_certify`), so a
+    branch that `skip` passes by is counted from its residues and not
+    lifted.  A certified node with y0 = 0 has t_y = None and lifts z, so
+    its point keeps y = 0: it is refined instead, since nearby branches may
+    carry admissible points.
     """
     ell = tw.ell
     a, b = _chart(tw, chart)
@@ -215,7 +215,6 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip):
     def exact_z_poly(y0):  # -a*z^4 + (ell*y0^2 - b), ascending
         return [ell * y0 * y0 - b, 0, 0, 0, -a]
 
-    short = None  # InsufficientPrecision of an abandoned branch
     frontier = residue_zeros(ell, a, b, q)
     for depth in range(1, depth_bound + 1):
         mod = q**depth
@@ -224,25 +223,14 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip):
             t_y = _residue_valuation(2 * ell * y0, q, depth)
             t_z = _residue_valuation(dz_coeff(z0, mod), q, depth)
             candidates = [t for t in (t_y, t_z) if t is not None]
-            t_min = min(candidates) if candidates else None
-            if t_min is not None and depth > 2 * t_min:
-                if skip > 0 and _lifts_to_a_point(q, y0, z0, t_y, t_z, precision):
-                    skip -= 1  # deterministic variant: pass this branch by
-                    continue
-                try:
-                    pt = _certify(
-                        tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
-                        exact_z_poly,
-                    )
-                except InsufficientPrecision as exc:
-                    short = exc
-                    continue
-                if pt is not None:
-                    return pt, 0
-                # certified branch rejected (its point would have y = 0):
-                # keep refining, nearby branches may carry admissible points
+            if y0 and candidates and depth > 2 * min(candidates):
+                if not skip:
+                    return _certify(q, chart, y0, z0, t_y, t_z, depth_bound,
+                                    exact_y_poly, exact_z_poly), 0
+                skip -= 1  # deterministic variant: pass this branch by
+                continue
             if depth == depth_bound:
-                raise short or InsufficientPrecision(
+                raise InsufficientPrecision(
                     f"lifting tree still alive at depth {depth} over Q_{q}"
                 )
             next_frontier += _lift_children(
@@ -252,8 +240,6 @@ def _chart_search(tw, q, chart, depth_bound, precision, skip):
         if not next_frontier:
             break
         frontier = next_frontier
-    if short is not None:
-        raise short
     return None, skip
 
 
@@ -314,53 +300,27 @@ def _lift_children(y0, z0, c0, g_y, g_z, q, step):
     return [(y0 + dy * step, z0 + dz * step) for dy in range(q) for dz in range(q)]
 
 
-def _lift_plan(q, y0, z0, t_y, t_z, precision):
-    """(use_y, n, t): `_certify` lifts y if use_y, else z, from its residue
-    at working precision n along a derivative of valuation t."""
-    use_y = t_y is not None and (t_z is None or t_y <= t_z)
-    start, t = (y0, t_y) if use_y else (z0, t_z)
-    return use_y, precision + (valuation(start, q) if start else 0), t
+def _certify(q, chart, y0, z0, t_y, t_z, depth_bound, exact_y_poly, exact_z_poly):
+    """Lift a node (y0, z0) mod q^d with y0 != 0, certified at depth d > 2t
+    along a derivative of valuation t, to an exact local point.
 
-
-def _lifts_to_a_point(q, y0, z0, t_y, t_z, precision) -> bool:
-    """Whether `_certify` surely returns a point for the certified node
-    (y0, z0) mod q^depth, depth > 2t, read off its residues: y0 != 0 and
-    the working precision n exceeds 2t.  The point then has y != 0: a
-    lifted z leaves y = y0, and a lifted y agrees with y0 mod
-    q^(min(depth, n) - t), above v(y0) <= t = v(2*ell*y0)."""
-    if not y0:
-        return False
-    _, n, t = _lift_plan(q, y0, z0, t_y, t_z, precision)
-    return n > 2 * t
-
-
-def _certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
-             exact_z_poly):
-    """Turn a Hensel-liftable residue pair into an exact local point.
-
-    The lifted coordinate starts from its integer residue at absolute
-    precision `precision` + v_q(start), or `precision` for a zero start:
-    the precision `PadicNumber.from_int` would give it.  Hensel's lemma
-    needs more than 2t digits for a derivative of valuation t; a working
-    precision of at most 2t raises InsufficientPrecision.  A node with
-    y0 = 0 lifts z (t_y is None there) and so keeps y = 0: it is refused
-    before the lift.  Any other node gives y != 0 (see `_lifts_to_a_point`).
+    With D = `depth_bound` >= d, the lifted coordinate starts from its
+    integer residue at n = D + v_q(start) absolute digits (D for a zero
+    start), and the other one is exact at D digits.  D digits are enough:
+    n >= D >= d > 2t is the digit count Hensel's lemma needs, and the root
+    comes back at n - t digits, so a lifted y keeps D - t > D/2 >= 3 unit
+    digits, all that `hilbert2` reads (at q = 2).  The point has y != 0: a
+    lifted z leaves y = y0, and a lifted y agrees with y0 modulo
+    q^(d - t), above v(y0) <= t = v(2*ell*y0).
     """
-    use_y, n, t = _lift_plan(q, y0, z0, t_y, t_z, precision)
-    if n <= 2 * t:
-        raise InsufficientPrecision(
-            f"{n} digits over Q_{q} cannot show a derivative of valuation {t}:"
-            f" Hensel lifting needs more than {2 * t}"
-        )
-    if not y0:
-        return None
-    if use_y:
-        z = PadicNumber.from_int(z0, q, precision)
-        y = hensel_root(exact_y_poly(z0), y0, q, n)
+    if t_y is not None and (t_z is None or t_y <= t_z):
+        z = PadicNumber.from_int(z0, q, depth_bound)
+        y = hensel_root(exact_y_poly(z0), y0, q, depth_bound + valuation(y0, q))
     else:
-        y = PadicNumber.from_int(y0, q, precision)
-        z = hensel_root(exact_z_poly(y0), z0, q, n)
-    return LocalPoint(Place.finite(q), y, z, precision, chart)
+        y = PadicNumber.from_int(y0, q, depth_bound)
+        z = hensel_root(exact_z_poly(y0), z0, q,
+                        depth_bound + (valuation(z0, q) if z0 else 0))
+    return LocalPoint(Place.finite(q), y, z, depth_bound, chart)
 
 
 # ----------------------------------------------------------- obstruction
@@ -401,12 +361,7 @@ def _make_report(contributions: dict) -> ObstructionReport:
     return ObstructionReport(ordered, total, verdict)
 
 
-def point_obstruction(
-    tw: TwistParams,
-    places=None,
-    precision: int = 16,
-    variant: int = 0,
-) -> ObstructionReport:
+def point_obstruction(tw: TwistParams, places=None, variant: int = 0) -> ObstructionReport:
     """Sum of local invariants of the class (y, p) at a found adelic point.
 
     Unsampled places of good reduction contribute 0: the class extends
@@ -418,7 +373,7 @@ def point_obstruction(
     contributions = {}
     for v in places:
         place = as_place(v)
-        pt = local_point(tw, place, precision, variant=variant)
+        pt = local_point(tw, place, variant=variant)
         if isinstance(pt, NoPoint):
             raise NoPointError(place, pt.depth)
         # On the far chart, y_affine = y_far / z_far^2 differs from y_far

@@ -18,15 +18,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from .cubic import Eisenstein, cube_class_group
+from .cubic import Eisenstein, cube_class_group, pi_valuation
 from .exact import CertificateError, legendre_symbol, record, sqrt_mod_prime
-from .padic import (
-    InsufficientPrecision,
-    NoConvergence,
-    PadicNumber,
-    hensel_root,
-    padic_root,
-)
+from .padic import NoConvergence, PadicNumber, hensel_root, padic_root
 from .tower import descent_value_at, evaluate_F_symbolic
 
 __all__ = [
@@ -327,38 +321,57 @@ def isogeny_sweep(primes=(7, 11, 13, 17, 19, 23), per_prime: int = 100, seed: in
 
 
 # ----------------------------------------------- the local descent class
-def section_point(precision: int = 20) -> SelmerPoint:
+# Absolute 3-adic digits asked of the Hensel root delta of x^3 - 10; it
+# comes back at one fewer, as v_3(f'(delta)) = v_3(3 delta^2) = 1.
+_DELTA_DIGITS = 20
+
+
+def section_point() -> SelmerPoint:
     """The 3-adic point [0 : delta : -2] on 3X^3+4Y^3+5Z^3 = 0, where delta
     is the unique cube root of 10 in Q_3 (Hensel from 4; the other two
     roots generate ramified extensions, so there is no choice to make)."""
-    delta = hensel_root([-10, 0, 0, 1], 4, 3, precision)
+    delta = hensel_root([-10, 0, 0, 1], 4, 3, _DELTA_DIGITS)
     return SelmerPoint(Fraction(0), delta, Fraction(-2))
 
 
-def evaluate_F_local(precision: int = 12) -> tuple[int, int, int, int]:
+def _class_at_digits(k: int, delta: PadicNumber, coefficients, group):
+    """The cube class of F(delta) read off delta_k = delta mod 3^k, or None
+    where the rule below does not prove it.
+
+    With F = c0 + c1 x + c2 x^2 (`evaluate_F_symbolic`),
+    F(delta_k) - F(delta) = (delta_k - delta)(c1 + c2 (delta_k + delta)) has
+    pi-valuation at least 2k + m, m = min v_pi(c1, c2): v_pi(3) = 2 and
+    delta_k, delta are integral.  So F(delta) / F(delta_k) lies in
+    1 + pi^(2k + m - v) O, v = v_pi(F(delta_k)), and the units 1 + pi^4 O
+    are cubes: U^(n+2) = (U^(n))^3 for n >= 2, as U^(n) = p^n for
+    n > e/(p - 1) = 1 (Neukirch, ANT II.5.5).  The classes agree once
+    2k + m - v >= 4.
+    """
+    _, c1, c2 = coefficients
+    m = min(pi_valuation(c1), pi_valuation(c2))
+    value = descent_value_at(Fraction(delta.residue(k)), coefficients)
+    if value.is_zero or 2 * k + m - pi_valuation(value) < 4:
+        return None
+    return group.express(value)
+
+
+def evaluate_F_local() -> tuple[int, int, int, int]:
     """Cube class of the descent value at [0 : delta : -2] in F_3^4.
 
-    The symbolic value is a polynomial in delta with coefficients in
-    Q(zeta_3) whose denominators divide 5, so substituting an integer
-    residue of delta that is correct modulo 3**precision gives the true
-    value up to that precision; the class is computed twice at different
-    precisions and must agree, else InsufficientPrecision."""
+    The class of F(delta_k) at the least k at which `_class_at_digits`
+    proves it that of F(delta), delta_k running over the residues of one
+    Hensel root; CertificateError if none of its digits does (k = 4 does)."""
     group = cube_class_group()
     coefficients = evaluate_F_symbolic()
-
-    def class_at(k: int):
-        # the root of x^3 - 10 is not simple mod 3 (f' = 3 x^2), so Newton
-        # pays a few absolute digits; ask for extra working precision
-        delta = hensel_root([-10, 0, 0, 1], 4, 3, k + 6)
-        return group.express(descent_value_at(Fraction(delta.residue(k)), coefficients))
-
-    vec = class_at(precision)
-    if class_at(precision + 2) != vec:
-        raise InsufficientPrecision(
-            f"the descent class of the 3-adic point [0 : cbrt(10) : -2] did not"
-            f" stabilize: precisions {precision} and {precision + 2} give different classes"
-        )
-    return vec
+    delta = section_point().y
+    for k in range(1, delta.abs_prec + 1):
+        vec = _class_at_digits(k, delta, coefficients, group)
+        if vec is not None:
+            return vec
+    raise CertificateError(
+        f"the descent class of the 3-adic point [0 : cbrt(10) : -2] is not proven"
+        f" by any of the {delta.abs_prec} digits of cbrt(10)"
+    )
 
 
 # ---------------------------------------------------------- the analysis
@@ -388,7 +401,7 @@ class SurvivalReport(record(
         return self.in_annihilator_60 and self.witness is not None
 
 
-def survival_analysis(precision: int = 12, conjugate: bool = False) -> SurvivalReport:
+def survival_analysis(conjugate: bool = False) -> SurvivalReport:
     """Run the full F_3 linear algebra around the descent class.
 
     With conjugate=True the class is replaced by its image under the
@@ -396,7 +409,7 @@ def survival_analysis(precision: int = 12, conjugate: bool = False) -> SurvivalR
     numbers 2, 3, 60 are fixed by it); all verdicts and dimensions must
     be unchanged, which the callers use as a consistency check."""
     group = cube_class_group()
-    f_vec = evaluate_F_local(precision)
+    f_vec = evaluate_F_local()
     if conjugate:
         f_vec = group.apply_tau(f_vec)
 

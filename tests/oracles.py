@@ -64,6 +64,7 @@ from localglobal.cubic import (
     Eisenstein,
     _rank3,
     _rref3,
+    cube_class_group,
     divide_by_pi,
     pi_valuation,
 )
@@ -292,15 +293,14 @@ def nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
     return padic_hensel_root(coeffs, PadicNumber(q, 0, start, precision))
 
 
-def good_place_sweep(n0: int, precision: int, good_prime_bound: int) -> tuple:
+def good_place_sweep(n0: int, good_prime_bound: int) -> tuple:
     """(q, found) for each odd prime q <= good_prime_bound not dividing n0:
     whether `reichardt_lind.local_point` finds a point of 2y^2 = z^4 - n0
-    over Q_q, lifted to `precision` digits.  This search certified the good
-    places in `elkies.local_solvability_report` before `residue_walk_point`
-    did."""
+    over Q_q.  This search certified the good places in
+    `elkies.local_solvability_report` before `residue_walk_point` did."""
     eq = Quartic(2, n0)
     return tuple(
-        (q, not isinstance(rl_local_point(eq, q, precision), NoPoint))
+        (q, not isinstance(rl_local_point(eq, q), NoPoint))
         for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q
     )
 
@@ -459,7 +459,7 @@ def local_solvability_report(fib: ElkiesFibre, precision: int = 12,
             raise CertificateError(f"{p} divides N0 = {n0} but is not 1 mod 8")
         solvable = smooth_residue_point(n0, p) is not None
         if solvable and p < 500:
-            solvable = not isinstance(rl_local_point(eq, p, precision), NoPoint)
+            solvable = not isinstance(rl_local_point(eq, p), NoPoint)
         odd_entries.append((p, solvable))
     good = (q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q)
     good_ok = all(smooth_residue_point(n0, q) is not None for q in good)
@@ -1069,6 +1069,26 @@ def express(x) -> tuple[int, int, int, int]:
     """Coordinates of x in Q_3(zeta_3)*/cubes, basis pi, zeta_3, 1 + pi^2, 1 + pi^3."""
     v, u = unit_part(Eisenstein.of(x))
     return (v % 3,) + unit_class_table()[pi_digits(u, 5)]
+
+
+def evaluate_F_local(precision: int = 12) -> tuple[int, int, int, int]:
+    """`selmer.evaluate_F_local` before its digit rule: the class of the
+    descent value at delta mod 3**precision, computed again at precision + 2
+    and required to agree, else InsufficientPrecision."""
+    group = cube_class_group()
+    coefficients = tower.evaluate_F_symbolic()
+
+    def class_at(k: int):
+        delta = padic_hensel_root([-10, 0, 0, 1], 4, 3, k + 6)
+        return group.express(tower.descent_value_at(Fraction(delta.residue(k)), coefficients))
+
+    vec = class_at(precision)
+    if class_at(precision + 2) != vec:
+        raise InsufficientPrecision(
+            f"the descent class of the 3-adic point [0 : cbrt(10) : -2] did not"
+            f" stabilize: precisions {precision} and {precision + 2} give different classes"
+        )
+    return vec
 
 
 # ------------------------------------------------------- K/k norms

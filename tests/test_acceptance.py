@@ -171,7 +171,7 @@ def test_c08_exhaustive_search_vs_local_points():
     tw = TwistParams(2, 17)
     places = ["infinity"] + [q for q in primes_up_to(100)]
     for v in places:
-        pt = local_point(tw, v, precision=10)
+        pt = local_point(tw, v)
         assert not isinstance(pt, NoPoint), v
     elapsed = time.perf_counter() - t0
     print(f"C08 PASS no integer point with |z_i| <= 1000 on 2y^2 = z0^4 - 17 z1^4, "
@@ -187,7 +187,7 @@ def test_c09_cubic_descent_exact_values():
     assert c2 == Eisenstein(Fraction(0), Fraction(-9, 5))
     group = cube_class_group()
     expected = group.express(PI * (Eisenstein.of(1) + PI * PI))
-    assert evaluate_F_local(12) == expected
+    assert evaluate_F_local() == expected
     delta = hensel_root([-10, 0, 0, 1], 4, 3, 18)
     from localglobal.tower import descent_value_at
     value = descent_value_at(Fraction(delta.residue(12)))

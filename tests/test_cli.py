@@ -21,10 +21,9 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def _case(*argv, option="--precision", values=range(1, 9)):
+def _case(*argv, option, values):
     """A command line and the values of one option to run it with."""
-    name = " ".join(argv) + ("" if option == "--precision" else f" {option}")
-    return pytest.param(argv, option, values, id=name)
+    return pytest.param(argv, option, values, id=" ".join(argv) + f" {option}")
 
 
 class TestSymbolCommands:
@@ -159,14 +158,6 @@ class TestSelmerCommands:
         assert result["F_class"] == [1, 0, 1, 0] == result["expected_class"]
         assert result["classes_match"] and result["pairing_nontrivial"]
 
-    def test_verify_at_precision_2_names_the_unstable_class(self, capsys):
-        code, rep = run_json(capsys, "selmer", "verify", "--precision", "2")
-        assert code == 2 and rep["status"] == "inconclusive"
-        assert rep["result"]["message"] == (
-            "the descent class of the 3-adic point [0 : cbrt(10) : -2] did not"
-            " stabilize: precisions 2 and 4 give different classes"
-        )
-
     def test_survival(self, capsys):
         code, rep = run_json(capsys, "selmer", "survival")
         assert code == 0 and rep["status"] == "ok"
@@ -189,11 +180,8 @@ class TestPlumbing:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
-        ["elkies", "verify", "--t=1/3", "--precision", "0"],
-        ["elkies", "verify", "--t=1/3", "--precision", "-3"],
         ["elkies", "verify", "--t=1/3", "--max-prime", "0"],
         ["elkies", "scan", "--height", "1", "--max-prime", "-5"],
-        ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "-3"],
         ["rl", "search", "--ell", "2", "--max-prime", "0"],
         ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "0"],
         ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "-1"],
@@ -205,38 +193,44 @@ class TestPlumbing:
         captured = capsys.readouterr()
         assert captured.out == "" and "must be a positive integer" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["elkies", "verify", "--t=1/3"],
+        ["elkies", "scan", "--height", "6"],
+        ["rl", "verify", "--ell", "2", "--p", "17"],
+        ["rl", "search", "--ell", "2"],
+        ["selmer", "verify"],
+        ["selmer", "survival"],
+        ["symbol", "legendre", "2", "17"],
+    ], ids=" ".join)
+    def test_precision_is_a_usage_error(self, argv, capsys):
+        """No command takes a digit count: --precision, at any value, is an
+        unrecognized argument (exit 64), also where the value is dash-led."""
+        for value in ("0", "-3", "2", "5", "16", "1000"):
+            assert cli.main(argv + ["--precision", value]) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --precision" in captured.err, value
+        assert cli.main(argv + ["--precision=12"]) == 64
+        assert "unrecognized arguments: --precision=12" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, option, values", [
-        _case("elkies", "verify", "--t=1/3"),
-        _case("rl", "verify", "--ell", "2", "--p", "17"),
         # elkies certifies every good place by rule and reads no prime bound
         *(_case("elkies", "verify", f"--t={t}", option="--max-prime", values=(7, 50, 100000))
           for t in ("infinity", "1", "13/5", "98/103")),
         _case("elkies", "scan", "--height", "6", option="--max-prime", values=(7, 50, 100000)),
     ])
     def test_low_precision_is_inconclusive_never_error(self, argv, option, values, capsys):
-        """A --precision below what a command needs gives inconclusive
-        (exit 2), never another report; elkies ignores --max-prime.
-        Either way the report is the default one apart from the option in
+        """An option the command accepts but does not read (elkies and
+        --max-prime) never turns a verdict inconclusive or into another
+        report: the report is the default one apart from the option in
         params and the timings."""
         code, default = run_json(capsys, *argv)
         assert code == 0 and default["status"] == "obstructed"
-        allowed = (default["status"], "inconclusive") if option == "--precision" else (default["status"],)
         for value in values:
             code, rep = run_json(capsys, *argv, option, str(value))
-            assert rep["status"] in allowed, (value, rep)
-            assert code == (2 if rep["status"] == "inconclusive" else 0)
+            assert code == 0 and rep["status"] == default["status"], (value, rep)
             assert rep["params"] == dict(default["params"], **{cli._dest(option): value})
-            if rep["status"] == default["status"]:
-                assert rep["result"] == default["result"], value
-
-    def test_elkies_needs_five_digits_at_2(self, capsys):
-        # the Q_2 point (0, N0^(1/4)) is read off a residue mod 2^5
-        code, rep = run_json(capsys, "elkies", "verify", "--t=1/3", "--precision", "4")
-        assert code == 2 and rep["result"]["message"] == (
-            "the point y = 0, z = N0^(1/4) over Q_2: only 4 digits known, need 5"
-        )
-        code, rep = run_json(capsys, "elkies", "verify", "--t=1/3", "--precision", "5")
-        assert code == 0 and rep["status"] == "obstructed"
+            assert rep["result"] == default["result"], value
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

@@ -100,9 +100,14 @@ CI = [
     ["elkies", "scan", "--height", "6"],
     ["elkies", "scan", "--height", "20"],
     ["elkies", "verify", "--t=1/3"],
-    ["elkies", "verify", "--t=1/3", "--precision", "2"],
-    ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "3"],
     ["symbol", "legendre", "--", "-3", "7"],
+]
+# the CI workflow's spellings that must be usage errors: no command takes
+# a digit count
+CI_USAGE_ERRORS = [
+    ["elkies", "verify", "--t=1/3", "--precision", "5"],
+    ["elkies", "verify", "--t=1/3", "--precision", "0"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "3"],
 ]
 PERFBENCH = [["elkies", "verify", f"--t={t}"] for t in ("infinity", "1", "-1/2", "-3/7", "13/14")]
 
@@ -148,10 +153,13 @@ def test_plain_spellings_are_read_without_argparse():
         assert cli._read(argv) is not None, argv
 
 
-def test_argparse_only_spellings_are_passed_over():
+def test_argparse_only_spellings_are_passed_over(capsys):
     dashed = [argv for argv in DASHES if not plain(argv)]
-    for argv in HELP + USAGE_ERRORS + OPTIONS_MOVED[:3] + dashed:
+    for argv in HELP + USAGE_ERRORS + OPTIONS_MOVED[:3] + dashed + CI_USAGE_ERRORS:
         assert cli._read(argv) is None, argv
+    parser = cli.build_parser()
+    for argv in CI_USAGE_ERRORS:
+        assert outcome(parser, argv, capsys)[0] == ("exit", cli.USAGE_EXIT), argv
 
 
 # ------------------------------------------------------------ fuzzed argv
@@ -265,7 +273,8 @@ def test_the_full_tree_builds_every_command():
         assert list(built) == list(commands)
         assert "-h" in _option_strings(groups[group])
         for parser in built.values():
-            assert {"-h", "--precision", "--max-prime", "--seed", "--format"} <= _option_strings(parser)
+            assert {"-h", "--max-prime", "--seed", "--format"} <= _option_strings(parser)
+            assert "--precision" not in _option_strings(parser)
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):

@@ -29,7 +29,7 @@ from localglobal.exact import (
     primes_up_to,
     quartic_residue_symbol,
 )
-from localglobal.padic import InsufficientPrecision, is_nth_power_unit
+from localglobal.padic import is_nth_power_unit
 from localglobal.symbols import InvariantValue
 
 
@@ -81,13 +81,13 @@ class TestFibre:
 
     def test_reports_do_not_factor_n0_again(self, monkeypatch):
         f = fibre(Fraction(2, 3))
-        expected = (local_solvability_report(f, 12), obstruction_parity(f))
+        expected = (local_solvability_report(f), obstruction_parity(f))
 
         def no_factoring(n):
             raise AssertionError(f"factorize({n}) called again")
 
         monkeypatch.setattr(elkies, "factorize", no_factoring)
-        assert (local_solvability_report(f, 12), obstruction_parity(f)) == expected
+        assert (local_solvability_report(f), obstruction_parity(f)) == expected
 
 
 def _fibre_data(fib):
@@ -283,21 +283,13 @@ class TestLocalSolvability:
         assert rep.everywhere_solvable
 
     def test_report_equals_the_oracle_report(self):
-        # the oracle searches Q_2 and the places p | N0 below 500 with
-        # local_point; below 5 digits both give up at Q_2
-        outcomes = set()
+        # the oracle searches Q_2, at its own 12 digits, and the places
+        # p | N0 below 500 with local_point; the library reads Q_2 off the
+        # rule N0 = 1 mod 16, with no digits
         for fib in fibres_of_height_ten():
-            for precision in range(1, 9):
-                try:
-                    expected = oracles.local_solvability_report(fib, precision, 50)
-                except InsufficientPrecision:
-                    with pytest.raises(InsufficientPrecision, match="over Q_2: .* need 5"):
-                        local_solvability_report(fib, precision)
-                    outcomes.add(("inconclusive", precision))
-                    continue
-                assert local_solvability_report(fib, precision) == expected, (fib.t, precision)
-                outcomes.add(("report", precision))
-        assert outcomes == {("inconclusive", k) for k in range(1, 5)} | {("report", k) for k in range(5, 9)}
+            expected = oracles.local_solvability_report(fib, 12, 50)
+            assert expected.two_adic_solvable, fib.t
+            assert local_solvability_report(fib) == expected, fib.t
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +324,7 @@ def _walk_report(fib, good_prime_bound):
     the walk of `oracles.residue_walk_point`, as `local_solvability_report`
     did before its closed rules."""
     walk = lambda q: oracles.residue_walk_point(fib.N0, q) is not None
-    return local_solvability_report(fib, 12)._replace(
+    return local_solvability_report(fib)._replace(
         odd_bad_places=tuple((p, walk(p)) for p, _ in fib.factorization.factors),
         good_places_solvable=all(walk(q) for q in primes_up_to(good_prime_bound)[1:] if fib.N0 % q),
     )
@@ -378,20 +370,20 @@ class TestGoodPlaces:
     def test_certificate_agrees_with_the_sweep_below_200(self):
         pairs = 0
         for fib in fibres_of_height_ten():
-            for q, found in oracles.good_place_sweep(fib.N0, 12, 200):
+            for q, found in oracles.good_place_sweep(fib.N0, 200):
                 assert (oracles.residue_walk_point(fib.N0, q) is not None) == found, (fib.t, q)
                 pairs += 1
         assert pairs == 5716
 
     def test_report_equals_the_sweep_report(self):
         for fib in fibres_of_height_ten():
-            report = local_solvability_report(fib, 12)
-            sweep = oracles.good_place_sweep(fib.N0, 12, 50)
+            report = local_solvability_report(fib)
+            sweep = oracles.good_place_sweep(fib.N0, 50)
             assert report.good_places_solvable == all(found for _, found in sweep), fib.t
 
     def test_report_equals_the_walk_report_to_height_30(self):
         for fib in fibres_of_height_thirty():
-            report = local_solvability_report(fib, 12)
+            report = local_solvability_report(fib)
             for bound in (50, 200):
                 assert report == _walk_report(fib, bound), (fib.t, bound)
             assert report.everywhere_solvable, fib.t
@@ -471,7 +463,7 @@ class TestBadPlaces:
     def test_report_equals_the_hensel_report(self):
         large = 0
         for fib in fibres_of_height_ten():
-            report = local_solvability_report(fib, 12)
+            report = local_solvability_report(fib)
             lifted = tuple(
                 (p, oracles.bad_place_lift(fib.N0, p, 12)) for p, _ in fib.factorization.factors
             )

@@ -7,9 +7,11 @@ children.  Both must visit the same frontiers in the same order, so they
 return the same point (to full precision), the same `NoPoint` depth, or
 raise the same exception.  The constants are those of the twists' places:
 q^4 does not divide them, and points with y = 0 are not searched.
-The oracle starts each Hensel lift from `PadicNumber.from_int` values and
-the library from the integer residue at the same absolute precision, so
-the points are compared on (is_zero, v, unit, prec) of both coordinates.
+The library lifts its points at its depth bound D = 2 v_q(4 ell^2 p) + 6,
+and the oracle, which takes a precision, is given that D.  The oracle
+starts each Hensel lift from `PadicNumber.from_int` values and the library
+from the integer residue at the same absolute precision, so the points are
+compared on (is_zero, v, unit, prec) of both coordinates.
 """
 
 import json
@@ -20,7 +22,6 @@ import pytest
 
 import oracles
 from localglobal import cli, exact, reichardt_lind
-from localglobal.padic import InsufficientPrecision
 from localglobal.reichardt_lind import (
     LocalPoint,
     NoPoint,
@@ -43,9 +44,19 @@ def _padic_key(x):
     return (x.is_zero, x.v, x.unit, x.prec)
 
 
-def outcome(search, eq, q, precision, variant):
+def depth_bound(eq, q):
+    """D = 2 v_q(4 ell^2 p) + 6: the depth bound of the search at q, and the
+    digits its points are lifted at."""
+    return 2 * exact.valuation(4 * eq.ell * eq.ell * eq.p, q) + 6
+
+
+def oracle_point(eq, q, *, variant):
+    return oracles.local_point(eq, q, depth_bound(eq, q), variant=variant)
+
+
+def outcome(search, eq, q, variant):
     try:
-        pt = search(eq, q, precision, variant=variant)
+        pt = search(eq, q, variant=variant)
     except Exception as exc:  # noqa: BLE001 - the type is compared
         return ("raises", type(exc))
     if isinstance(pt, NoPoint):
@@ -54,26 +65,25 @@ def outcome(search, eq, q, precision, variant):
 
 
 def _grid():
-    """Cases (ell, p, q, precision, variant), q^4 never dividing p.
+    """Cases (ell, p, q, variant), q^4 never dividing p.
 
     They put q | ell, q = 2 (where ell = 1, p = -7 has only far-chart
-    points, and precision 3 or 4 cannot certify any branch) and q | p with
-    v_q(p) = 1, 2, 3 (odd and even q, both signs) on every variant.
+    points) and q | p with v_q(p) = 1, 2, 3 (odd and even q, both signs) on
+    every variant.
     """
     cases = []
     for ell, q in ((3, 3), (6, 3), (10, 5), (5, 5), (11, 11), (2, 2), (6, 2), (-2, 2), (1, 2)):
         for p in (1, 7, -7, 17, -17, 97):
             if math.gcd(ell, p) == 1:
-                cases += [(ell, p, q, 8, var) for var in (0, 1, 3)]
-    cases += [(ell, p, 2, n, var) for ell, p, n in ((5, 13, 3), (-5, 17, 3), (11, 97, 4))
-              for var in (0, 1, 3)]
+                cases += [(ell, p, q, var) for var in (0, 1, 3)]
+    cases += [(ell, p, 2, var) for ell, p in ((5, 13), (-5, 17), (11, 97)) for var in (0, 1, 3)]
     for q in (2, 3, 5, 7):
         for v in (1, 2, 3):
             for ell in (1, -1, 2, 3, 5, 11):
                 for u in (1, -1, 3, -5):
                     p = u * q**v
                     if math.gcd(ell, p) == 1 and p % q**4:
-                        cases += [(ell, p, q, 8, var) for var in (0, 1, 3)]
+                        cases += [(ell, p, q, var) for var in (0, 1, 3)]
     return cases
 
 
@@ -101,14 +111,13 @@ def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
     monkeypatch.setattr(reichardt_lind, "residue_zeros", recording_residue_zeros)
     monkeypatch.setattr(reichardt_lind, "_lift_children", checking_lift_children)
     mismatches, kinds = [], set()
-    for ell, p, q, precision, variant in _grid():
+    for ell, p, q, variant in _grid():
         eq = Quartic(ell, p)
-        fast = outcome(local_point, eq, q, precision, variant)
-        slow = outcome(oracles.local_point, eq, q, precision, variant)
-        kinds.add(fast[:2] if fast[0] == "raises" else fast[0] if fast[0] != "point"
-                  else (fast[2], "q | p" if p % q == 0 else "q ∤ p"))
+        fast = outcome(local_point, eq, q, variant)
+        slow = outcome(oracle_point, eq, q, variant)
+        kinds.add(fast[0] if fast[0] != "point" else (fast[2], "q | p" if p % q == 0 else "q ∤ p"))
         if fast != slow:
-            mismatches.append(((ell, p, q, precision, variant), fast, slow))
+            mismatches.append(((ell, p, q, variant), fast, slow))
     assert mismatches == []
     # a unit g_y certifies its node at depth 1, so only the lifting test
     # below reaches that branch
@@ -117,59 +126,54 @@ def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
         ("g_z unit", "q odd"), ("singular, q | c0", "q odd"), ("singular, dead", "q odd"),
         ("singular, q | c0", "q = 2"), ("singular, dead", "q = 2"),
     } <= seen
-    assert {("near", "q | p"), ("far", "q | p"), ("far", "q ∤ p"), "no point",
-            ("raises", InsufficientPrecision)} <= kinds
+    # lifted at D digits, every certified branch is a point: nothing raises
+    assert {("near", "q | p"), ("far", "q | p"), ("far", "q ∤ p"), "no point"} <= kinds
+    assert "raises" not in kinds
 
 
 def test_every_variant_matches_the_quadratic_oracle():
     # a branch that variant passes by is counted from its residues and not
     # lifted; the oracle lifts every branch, so both must skip the same ones
     mismatches = []
-    for ell, p, q, precision in sorted({case[:4] for case in _grid()}):
+    for ell, p, q in sorted({case[:3] for case in _grid()}):
         eq = Quartic(ell, p)
         for variant in range(6):
-            fast = outcome(local_point, eq, q, precision, variant)
-            slow = outcome(oracles.local_point, eq, q, precision, variant)
+            fast = outcome(local_point, eq, q, variant)
+            slow = outcome(oracle_point, eq, q, variant)
             if fast != slow:
-                mismatches.append(((ell, p, q, precision, variant), fast, slow))
+                mismatches.append(((ell, p, q, variant), fast, slow))
     assert mismatches == []
 
 
 def test_counted_branches_are_those_that_lift(monkeypatch):
-    # a branch that a variant passes by is counted from its residues and
-    # never lifted, so `_lifts_to_a_point` must say exactly which certified
-    # branches `_certify` turns into points.  With the count switched off
-    # and every point refused after the check, each certified branch of the
-    # tree reaches `_certify`.  Over Q_2 at precision 2, a branch with
-    # n = 2t (y0 = 2 mod 4 on 3y^2 = z^4 - 13) is not counted: it raises,
-    # and the search ends inconclusive from variant 16 on.  At p = 17 and
-    # precision 8 the branches with y0 = 0 are certified, and refused
-    cases = [(ell, p, precision, variant) for ell in (3, 11, -5) for p in (13, 29, 7, -43)
-             for precision in (2, 3, 4) for variant in range(21)]
-    counted = [outcome(local_point, Quartic(ell, p), 2, precision, variant)
-               for ell, p, precision, variant in cases]
-    assert counted[cases.index((3, 13, 2, 16))] == ("raises", InsufficientPrecision)
-
-    lifts_to_a_point, certify = reichardt_lind._lifts_to_a_point, reichardt_lind._certify
+    # a certified branch that a variant passes by is counted from its
+    # residues (y0 != 0) and never lifted, so every counted branch must
+    # lift to a point with y != 0.  Variant k returns the lift of the k-th
+    # counted branch, so running the variants up to past the count hands
+    # each one to `_certify`, checked here: y keeps v(y0) and more than
+    # D/2 >= 3 unit digits, all `hilbert2` reads
+    certify = reichardt_lind._certify
     seen = set()
 
-    def checking_certify(tw, q, chart, y0, z0, t_y, t_z, precision, *polys):
-        expected = lifts_to_a_point(q, y0, z0, t_y, t_z, precision)
-        try:
-            pt = certify(tw, q, chart, y0, z0, t_y, t_z, precision, *polys)
-        except InsufficientPrecision:
-            assert not expected, (tw, chart, y0, z0, precision)
-            seen.add("raises")
-            raise
-        assert (pt is not None) == expected, (tw, chart, y0, z0, precision)
-        seen.add("point" if expected else "refused")
-        return None
+    def checking_certify(q, chart, y0, z0, t_y, t_z, digits, *polys):
+        pt = certify(q, chart, y0, z0, t_y, t_z, digits, *polys)
+        assert y0 and not pt.y.is_zero and pt.y.valuation() == exact.valuation(y0, q)
+        assert pt.y.prec > digits / 2 >= 3 and pt.precision == digits
+        seen.add("y lifted" if t_y is not None and (t_z is None or t_y <= t_z) else "z lifted")
+        return pt
 
-    monkeypatch.setattr(reichardt_lind, "_lifts_to_a_point", lambda *args: False)
     monkeypatch.setattr(reichardt_lind, "_certify", checking_certify)
-    for ell, p, precision in sorted({case[:3] for case in cases}) + [(3, 17, 8), (-5, 17, 8)]:
-        outcome(local_point, Quartic(ell, p), 2, precision, 0)
-    assert seen == {"point", "refused", "raises"}
+    ends = set()
+    cases = [(ell, p, 2) for ell in (3, 11, -5) for p in (13, 17, 29, 7, -43)]
+    for ell, p, q in cases + sorted({case[:3] for case in _grid()}):
+        eq = Quartic(ell, p)
+        for variant in range(21):
+            pt = local_point(eq, q, variant=variant)
+            if isinstance(pt, NoPoint):
+                ends.add("count exhausted")
+                break
+            assert verify_local_point(eq, pt), (ell, p, q, variant)
+    assert seen == {"y lifted", "z lifted"} and ends == {"count exhausted"}
 
 
 RL_VERIFY_TWISTS = ((2, 17), (-2, 113), (2, 31), (-1, 17), (3, 13), (-6, 97), (11, 29), (19, 41))
@@ -185,37 +189,68 @@ def test_rl_verify_matches_the_quadratic_chart_search(monkeypatch, capsys, ell, 
         code = cli.main(["rl", "verify", "--ell", str(ell), "--p", str(p), "--samples", "6"])
         out = json.loads(capsys.readouterr().out)
         out.pop("timings")
-        return code, out, [outcome(local_point, tw, v.prime, 16, k)
+        return code, out, [outcome(local_point, tw, v.prime, k)
                            for v in tw.bad_finite_places for k in range(6)]
 
     fast = report()
-    monkeypatch.setattr(reichardt_lind, "_chart_search", oracles.chart_search)
+    monkeypatch.setattr(
+        reichardt_lind, "_chart_search",
+        lambda tw, q, chart, depth, skip: oracles.chart_search(tw, q, chart, depth, depth, skip),
+    )
     assert fast == report()
+
+
+def certify_at_16(q, chart, y0, z0, t_y, t_z, digits, *polys):
+    """`oracles.certify` at 16 digits, the fixed precision the twists'
+    points were lifted at before their depth bound was."""
+    return oracles.certify(None, q, chart, y0, z0, t_y, t_z, 16, *polys)
+
+
+def test_point_obstruction_matches_lifting_at_16(monkeypatch):
+    # every odd prime p < 2000 prime to ell, for six ell and variants 0-2: the points lifted
+    # at D <= 14 digits give the report the points at 16 digits gave
+    def reports():
+        out = []
+        for ell in (2, -2, 3, 6, 7, -7):
+            for p in reichardt_lind.primes_up_to(2000)[1:]:
+                if ell % p == 0:
+                    continue
+                tw = TwistParams(ell, p)
+                for variant in range(3):
+                    try:
+                        out.append(reichardt_lind.point_obstruction(tw, variant=variant).as_dict())
+                    except reichardt_lind.NoPointError as exc:
+                        out.append(str(exc))
+        return out
+
+    fast = reports()
+    assert {type(r) for r in fast} == {dict, str}  # points, and places with none
+    monkeypatch.setattr(reichardt_lind, "_certify", certify_at_16)
+    assert fast == reports()
 
 
 def test_only_kept_branches_are_lifted(monkeypatch):
     # rl verify --ell 2 --p 1000721: 20 samples at the finite places 2 and
-    # p.  Each sample lifts the one branch it keeps; the only other lifts
-    # are the branches with y0 = 0 (whose points, y = 0, are refused)
+    # p.  Each sample lifts the one branch it keeps, and no other
     lifted = []
     certify = reichardt_lind._certify
 
-    def recording_certify(tw, q, chart, y0, *rest):
+    def recording_certify(q, chart, y0, *rest):
         lifted.append(y0 != 0)
-        return certify(tw, q, chart, y0, *rest)
+        return certify(q, chart, y0, *rest)
 
     monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
     tw = TwistParams(2, 1000721)
     for variant in range(20):
         reichardt_lind.point_obstruction(tw, variant=variant)
-    assert lifted.count(True) == 40
+    assert lifted == [True] * 40
 
 
 def test_refused_branches_are_not_lifted(monkeypatch, capsys):
-    # rl verify --ell 2 --p 1000721 certifies 116 nodes; the 76 with y0 = 0
-    # would give points with y = 0 and are refused before any Hensel lift,
-    # so the 40 lifts are those of the kept branches, and the report is the
-    # one of a certify that lifts every node first
+    # rl verify --ell 2 --p 1000721: the certified nodes with y0 = 0 would
+    # give points with y = 0 and are refined without reaching `_certify`,
+    # so its 40 calls lift the kept branches, once each, and the report is
+    # the one of the oracle's certify at 16 digits
     def report():
         code = cli.main(["rl", "verify", "--ell", "2", "--p", "1000721"])
         out = json.loads(capsys.readouterr().out)
@@ -225,9 +260,9 @@ def test_refused_branches_are_not_lifted(monkeypatch, capsys):
     certified, lifts = [], []
     certify, hensel_root = reichardt_lind._certify, reichardt_lind.hensel_root
 
-    def recording_certify(tw, q, chart, y0, *rest):
+    def recording_certify(q, chart, y0, *rest):
         certified.append(y0)
-        return certify(tw, q, chart, y0, *rest)
+        return certify(q, chart, y0, *rest)
 
     def recording_root(*args):
         lifts.append(certified[-1] if certified else None)
@@ -236,9 +271,9 @@ def test_refused_branches_are_not_lifted(monkeypatch, capsys):
     monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
     monkeypatch.setattr(reichardt_lind, "hensel_root", recording_root)
     fast = report()
-    assert (len(certified), certified.count(0)) == (116, 76)
+    assert len(certified) == 40 and 0 not in certified
     assert len(lifts) == 40 and None not in lifts and 0 not in lifts
-    monkeypatch.setattr(reichardt_lind, "_certify", oracles.certify)
+    monkeypatch.setattr(reichardt_lind, "_certify", certify_at_16)
     assert report() == fast
 
 
@@ -347,31 +382,6 @@ def test_points_of_a_twist_at_a_64_bit_prime():
         pt = local_point(tw, tw.p, variant=variant)
         assert isinstance(pt, LocalPoint) and verify_local_point(tw, pt)
     assert time.perf_counter() - started < 5
-
-
-@pytest.mark.parametrize("precision", [1, 2])
-def test_precision_below_the_derivative_valuation_is_insufficient(precision):
-    # over Q_2 every certified branch of 2y^2 = z^4 - 17 lifts along a
-    # derivative of valuation 2, which 1 or 2 digits cannot show
-    with pytest.raises(InsufficientPrecision, match="cannot show a derivative"):
-        local_point(TwistParams(2, 17), 2, precision)
-
-
-def test_uncertifiable_branches_are_not_refined(monkeypatch):
-    # at precision 3 every certified branch over Q_2 needs more than
-    # 2t = 4 digits; the first such branches are the 2^6 zeros mod 2^5,
-    # and none of their descendants is tried again
-    calls = []
-    certify = reichardt_lind._certify
-
-    def counting_certify(*args):
-        calls.append(args)
-        return certify(*args)
-
-    monkeypatch.setattr(reichardt_lind, "_certify", counting_certify)
-    with pytest.raises(InsufficientPrecision, match="3 digits over Q_2"):
-        local_point(TwistParams(2, 17), 2, precision=3)
-    assert 0 < len(calls) <= 2**6
 
 
 def _real_point_cases():

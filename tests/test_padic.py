@@ -70,8 +70,8 @@ def test_hensel_examples():
     r = hensel_root([-10, 0, 0, 1], 4, p=3)
     assert r.residue(2) == 4
     assert (r**3).approx_eq(from_q(10, 3), digits=30)
-    r20 = hensel_root([-10, 0, 0, 1], 4, p=3, target=20)
-    assert (r20**3).approx_eq(from_q(10, 3), digits=20)
+    r20 = hensel_root([-10, 0, 0, 1], 4, p=3, prec=21)
+    assert r20.abs_prec == 20 and (r20**3).approx_eq(from_q(10, 3), digits=20)
     # T^3 - T^2 + 3600 over Q_3 from start 1: root = 1 mod 9
     t = hensel_root([3600, 0, -1, 1], 1, p=3)
     assert t.residue(2) == 1
@@ -158,12 +158,17 @@ def test_exact_power_class_equals_the_padic_one():
 
 
 @pytest.mark.parametrize("args, error, message", [
-    ((0, 2, 5), InsufficientPrecision, "power class of a value that vanishes at working precision"),
-    ((Fraction(0), 4, 2), InsufficientPrecision, "power class of a value that vanishes at working precision"),
+    # a value that vanishes at its digits is inconclusive, an exact 0 has no class
+    ((PadicNumber.zero(5, 10), 2), InsufficientPrecision,
+     "power class of a value that vanishes at working precision"),
+    ((PadicNumber.zero(2, 10), 4), InsufficientPrecision,
+     "power class of a value that vanishes at working precision"),
     ((3, 2, 15), ValueError, "15 is not prime"),
     ((0, 2, 15), ValueError, "15 is not prime"),   # the prime before the zero
     ((3, 2), ValueError, "prime p required for exact input"),
     ((0, 0, 15), ValueError, "n must be >= 1"),    # n before anything else
+    ((0, 2, 5), ValueError, "nonzero arguments required"),
+    ((Fraction(0), 4, 2), ValueError, "nonzero arguments required"),
 ])
 def test_exact_power_class_errors(args, error, message):
     with pytest.raises(error, match=f"^{message}$"):

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from localglobal import selmer
 from localglobal.cubic import Eisenstein, PI, cube_class_group, pi_valuation
+from localglobal.exact import CertificateError
 from localglobal.padic import PadicNumber, hensel_root, padic_root
 from localglobal.selmer import (
     FpElement,
@@ -23,7 +26,7 @@ from localglobal.selmer import (
     section_point,
     survival_analysis,
 )
-from localglobal.tower import descent_value_at
+from localglobal.tower import descent_value_at, evaluate_F_symbolic
 
 
 def fp(p, *values):
@@ -160,7 +163,24 @@ class TestDescentClass:
         assert evaluate_F_local() == expected == (1, 0, 1, 0)
 
     def test_class_is_precision_stable(self):
-        assert evaluate_F_local(10) == evaluate_F_local(16)
+        # the rule proves the class of F(delta mod 3^k) that of F(delta)
+        # from k = 4 on (v_pi(F) = 7, m = 4); every class it accepts is the
+        # one the two-precision oracle finds, and the two it refuses first
+        # are wrong
+        group, coefficients = cube_class_group(), evaluate_F_symbolic()
+        delta = section_point().y
+        classes = {k: selmer._class_at_digits(k, delta, coefficients, group) for k in range(1, 16)}
+        assert [k for k, vec in classes.items() if vec is not None] == list(range(4, 16))
+        oracle = {oracles.evaluate_F_local(n) for n in (3, 10, 12, 16)}
+        assert oracle == {evaluate_F_local()} == {classes[k] for k in range(4, 16)}
+        wrong = [group.express(descent_value_at(Fraction(delta.residue(k)), coefficients))
+                 for k in (1, 2)]
+        assert wrong == [(0, 2, 1, 2), (1, 0, 2, 1)]
+
+    def test_an_unproven_class_is_a_certificate_error(self, monkeypatch):
+        monkeypatch.setattr(selmer, "_class_at_digits", lambda *args: None)
+        with pytest.raises(CertificateError, match="not proven by any of the 19 digits"):
+            evaluate_F_local()
 
     def test_ten_is_a_cube_locally(self):
         assert cube_class_group().express(10) == (0, 0, 0, 0)
