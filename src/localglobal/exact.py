@@ -223,9 +223,10 @@ class Factorization(record("Factorization", "sign factors")):
 
 
 def factorize(n: int) -> Factorization:
-    """Factor a nonzero integer: trial division by the primes below 50, then
-    a primality test, a perfect-square test or a deterministic Brent rho
-    split on each remaining cofactor."""
+    """Factor a nonzero integer: trial division by the primes below 50, which
+    stops at the first p with p^2 > rest, then a primality test, a
+    perfect-square test or a deterministic Brent rho split on each
+    remaining cofactor."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
@@ -236,6 +237,11 @@ def factorize(n: int) -> Factorization:
         found[p] = found.get(p, 0) + e
 
     for p in _TRIAL_PRIMES:
+        if p * p > rest:  # no prime below p divides rest: it is 1 or a prime
+            if rest > 1:
+                count(rest)
+            rest = 1
+            break
         while rest % p == 0:
             count(p)
             rest //= p
@@ -257,12 +263,6 @@ def factorize(n: int) -> Factorization:
     if fz.value != n:
         raise FactorizationError(f"the factors of {n} multiply to {fz.value}")
     return fz
-
-
-def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e == 1 for _, e in factorize(n).factors)
 
 
 def valuation(n: int, p: int) -> int:

@@ -30,13 +30,12 @@ from fractions import Fraction
 from functools import reduce
 
 from .exact import (
+    Factorization,
     _least_nonresidue,
     _sqrt_mod_odd_prime,
     factorize,
     is_perfect_square,
     is_probable_prime,
-    is_squarefree,
-    legendre_symbol,
     primes_up_to,
     record,
     valuation,
@@ -81,23 +80,33 @@ class NoPointError(Exception):
 
 
 # ---------------------------------------------------------------- parameters
-class TwistParams(record("TwistParams", "ell p")):
-    """The twisted quartic ell*Y^2 = Z^4 - p."""
+class TwistParams(record("TwistParams", "ell p ell_factorization", (None,))):
+    """The twisted quartic ell*Y^2 = Z^4 - p, with the factorization of
+    |ell|, factored here when none is given.  A given factorization must
+    multiply to |ell| and have proven primes."""
 
     __slots__ = ()
 
-    def __new__(cls, ell: int, p: int):
-        if ell == 0 or not is_squarefree(abs(ell)):
+    def __new__(cls, ell: int, p: int, ell_factorization: Factorization | None = None):
+        if ell == 0:
+            raise ValueError("ell must be a nonzero squarefree integer")
+        if ell_factorization is None:
+            ell_factorization = factorize(abs(ell))
+        elif ell_factorization.value != abs(ell) or not all(
+            is_probable_prime(q) for q, _ in ell_factorization.factors
+        ):
+            raise ValueError(f"the factorization given is not one of |ell| = {abs(ell)}")
+        if any(e > 1 for _, e in ell_factorization.factors):
             raise ValueError("ell must be a nonzero squarefree integer")
         if p < 3 or not is_probable_prime(p):
             raise ValueError("p must be an odd prime")
         if p % 2 == 0 or math.gcd(ell, p) != 1:
             raise ValueError("p must be odd and coprime to ell")
-        return tuple.__new__(cls, (ell, p))
+        return tuple.__new__(cls, (ell, p, ell_factorization))
 
     @property
     def odd_ell_primes(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in factorize(abs(self.ell)).factors if q != 2)
+        return _odd_primes(self.ell_factorization)
 
     @property
     def bad_finite_places(self) -> tuple[Place, ...]:
@@ -425,26 +434,25 @@ class TwistConditions(record("TwistConditions", (
 
     @property
     def all_satisfied(self) -> bool:
-        return (
-            self.odd_prime_coprime
-            and self.quartic_nonresidue
-            and self.square_mod_ell_primes
-            and self.two_adic_solvable
-        )
+        return all(self)
 
 
 def twist_conditions(tw: TwistParams) -> TwistConditions:
     """Decide the four arithmetic conditions that make the twist a
     counterexample to the local-global principle with obstructed sections."""
-    ell, p = tw.ell, tw.p
-    # (i) holds by construction: TwistParams refuses an even or non-prime p
-    # and gcd(ell, p) != 1.  The report keeps the field so that it lists
-    # all four conditions.
-    cond_i = True
+    return TwistConditions(*_conditions(tw.ell, tw.odd_ell_primes, tw.p))
+
+
+def _conditions(ell: int, odd_ell_primes: tuple[int, ...], p: int) -> tuple[bool, ...]:
+    """Conditions (i)-(iv), in the fields' order, for an odd prime p coprime
+    to ell, whose odd prime factors are `odd_ell_primes`.  Every prime here
+    is already proven, so each condition is a rule on integers."""
+    # (i) holds by the caller's contract: TwistParams refuses an even or
+    # non-prime p and gcd(ell, p) != 1, and the searches sieve p.  The
+    # report keeps the field so that it lists all four conditions.
     cond_ii = p % 4 == 1 and pow(ell % p, (p - 1) // 4, p) != 1
-    cond_iii = all(
-        q % 4 == 3 and legendre_symbol(p, q) == 1 for q in tw.odd_ell_primes
-    )
+    # (iii) by Euler's criterion at each prime q
+    cond_iii = all(q % 4 == 3 and pow(p, (q - 1) // 2, q) == 1 for q in odd_ell_primes)
     # (iv) p = 1 mod 16: y = 0, z = p^(1/4).  Even ell, p = 9 mod 16: y = 2
     # gives z^4 = p + 4*ell = 1 mod 16, a 4th power in Q_2.  Odd ell,
     # p = 9 mod 16, by v(z): v(z) = 0 makes v(z^4 - p) = 3 odd, no point;
@@ -452,30 +460,39 @@ def twist_conditions(tw: TwistParams) -> TwistConditions:
     # so ell = 7 mod 8; v(z) < 0 needs ell*(y*w^2)^2 = 1 - p*w^4 = 1 mod 16
     # (w = 1/z), so ell = 1 mod 8.  Then z = 2 resp. w = 2 gives a point.
     cond_iv = p % 8 == 1 and (ell % 2 == 0 or p % 16 == 1 or ell % 8 in (1, 7))
-    return TwistConditions(cond_i, cond_ii, cond_iii, cond_iv)
+    return True, cond_ii, cond_iii, cond_iv
 
 
-def _check_ell(ell: int) -> None:
-    if ell == 0 or not is_squarefree(abs(ell)):
+def _odd_primes(fz: Factorization) -> tuple[int, ...]:
+    return tuple(q for q, _ in fz.factors if q != 2)
+
+
+def _check_ell(ell: int) -> Factorization:
+    """The factorization of |ell|, once ell is known nonzero and squarefree."""
+    if ell == 0:
         raise ValueError("ell must be squarefree and nonzero")
+    fz = factorize(abs(ell))
+    if any(e > 1 for _, e in fz.factors):
+        raise ValueError("ell must be squarefree and nonzero")
+    return fz
 
 
-def _passing_twists(ell: int, primes):
-    """The twists ell*y^2 = z^4 - p over the odd p in `primes` coprime to
-    ell that pass all four conditions, in the order of `primes`."""
+def _passing_primes(ell: int, fz: Factorization, primes):
+    """The odd p in `primes` coprime to ell whose twists pass all four
+    conditions, in the order of `primes`; fz factors |ell|.  `primes` come
+    from the sieve, which proves them prime."""
+    odd_ell_primes = _odd_primes(fz)
     for p in primes:
-        if p != 2 and math.gcd(ell, p) == 1:
-            tw = TwistParams(ell, p)
-            if twist_conditions(tw).all_satisfied:
-                yield tw
+        if p != 2 and ell % p and all(_conditions(ell, odd_ell_primes, p)):
+            yield p
 
 
 def twist_search(ell: int, p_max: int) -> list[int]:
     """Ascending primes p <= p_max for which the twist passes all four
     conditions and the forced-invariant computation certifies obstruction."""
-    _check_ell(ell)
-    return [tw.p for tw in _passing_twists(ell, primes_up_to(p_max))
-            if forced_section_invariants(tw).verdict == "obstructed"]
+    fz = _check_ell(ell)
+    return [p for p in _passing_primes(ell, fz, primes_up_to(p_max))
+            if forced_section_invariants(TwistParams(ell, p, fz)).verdict == "obstructed"]
 
 
 class DensityReport(record("DensityReport", "ell p_max valid_count prime_count ratio predicted")):
@@ -496,18 +513,17 @@ def density_experiment(ell: int, p_max: int) -> DensityReport:
     refused: it is a 4th power mod every p = 1 mod 8, so (ii) fails and
     the density is 0.  So is p_max < 2, which leaves no prime to count.
     """
-    _check_ell(ell)
+    fz = _check_ell(ell)
     if abs(ell) == 1:
         raise ValueError("ell = +-1 is a 4th power mod every p = 1 mod 8: no twist passes")
-    factors = factorize(abs(ell)).factors
-    if any(q % 4 != 3 for q, _ in factors if q != 2):
+    if any(q % 4 != 3 for q in _odd_primes(fz)):
         raise ValueError("density prediction needs all odd factors = 3 mod 4")
-    n = len(factors)
+    n = len(fz.factors)
     extra = 2 if ell % 2 == 0 else 3 if ell % 8 in (1, 7) else 4
     if p_max < 2:
         raise ValueError(f"max_prime = {p_max} leaves no prime to count; the least is 2")
     primes = primes_up_to(p_max)
-    valid = sum(1 for _ in _passing_twists(ell, primes))
+    valid = sum(1 for _ in _passing_primes(ell, fz, primes))
     return DensityReport(
         ell, p_max, valid, len(primes), Fraction(valid, len(primes)),
         Fraction(1, 2 ** (n + extra)),

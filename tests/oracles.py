@@ -9,7 +9,10 @@ kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
 computations.  The 2s of the biquadratic norm case is a Hensel square root
 of -d.  The forced sections of a twist call the library's
-`is_local_norm` once per y-class.  The local point search is the
+`is_local_norm` once per y-class.  The twist conditions are decided on
+a fresh `TwistParams` for each prime, with ell factored again and (iii)
+by `legendre_symbol`, which proves each prime of ell again; the twist
+search and the density count loop over them.  The local point search is the
 quadratic one: every residue pair at depth 1 and every one of the q^2
 children of each node are tried,
 each chart has its own written-out equation, the certified nodes start
@@ -78,6 +81,7 @@ from localglobal.exact import (
     _brent_rho,
     _miller_rabin_round,
     is_probable_prime,
+    legendre_symbol,
     primes_up_to,
     quartic_residue_symbol,
     split_prime_power,
@@ -99,6 +103,8 @@ from localglobal.reichardt_lind import (
     LocalPoint,
     NoPoint,
     ObstructionReport,
+    TwistConditions,
+    TwistParams,
     _make_report,
     _residue_valuation,
     _square_class_reps,
@@ -242,6 +248,32 @@ def forced_section_invariants(tw) -> ObstructionReport:
         )
     contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
     return _make_report(contributions)
+
+
+def twist_conditions(ell: int, p: int) -> TwistConditions:
+    """The four twist conditions on a fresh `TwistParams`, which proves p
+    prime, with the primes of ell factored again and (iii) decided by
+    `legendre_symbol`, which proves each of them prime again."""
+    TwistParams(ell, p)
+    odd_ell_primes = [q for q, _ in exact.factorize(abs(ell)).factors if q != 2]
+    cond_ii = p % 4 == 1 and pow(ell % p, (p - 1) // 4, p) != 1
+    cond_iii = all(q % 4 == 3 and legendre_symbol(p, q) == 1 for q in odd_ell_primes)
+    cond_iv = p % 8 == 1 and (ell % 2 == 0 or p % 16 == 1 or ell % 8 in (1, 7))
+    return TwistConditions(True, cond_ii, cond_iii, cond_iv)
+
+
+def passing_twists(ell: int, p_max: int) -> list[int]:
+    """The odd primes p <= p_max coprime to ell whose conditions all hold,
+    one `twist_conditions` each."""
+    return [p for p in primes_up_to(p_max)[1:]
+            if math.gcd(ell, p) == 1 and twist_conditions(ell, p).all_satisfied]
+
+
+def twist_search(ell: int, p_max: int) -> list[int]:
+    """The passing primes whose forced sections, on a fresh `TwistParams`
+    and one `is_local_norm` per y-class, are obstructed."""
+    return [p for p in passing_twists(ell, p_max)
+            if forced_section_invariants(TwistParams(ell, p)).verdict == "obstructed"]
 
 
 def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,

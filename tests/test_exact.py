@@ -14,7 +14,6 @@ from localglobal.exact import (
     factorize,
     is_perfect_square,
     is_probable_prime,
-    is_squarefree,
     legendre_symbol,
     primes_up_to,
     quartic_residue_symbol,
@@ -294,7 +293,6 @@ def test_small_helpers():
     assert oracles.fourth_root(16) == 2
     assert oracles.fourth_root(15) is None
     assert oracles.fourth_root(0) == 0
-    assert is_squarefree(2 * 3 * 5) and not is_squarefree(12)
     ps = primes_up_to(100)
     assert ps[:5] == [2, 3, 5, 7, 11] and len(ps) == 25
 

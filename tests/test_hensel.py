@@ -1,7 +1,7 @@
 """`padic.hensel_root` (Newton's method on integer residues mod q^N) against
 the `PadicNumber` Newton iteration it replaced, an independent check of every
 returned digit, and its error paths; `exact.factorize` against the version
-with trial division up to 10**4."""
+with trial division up to 10**4, also at every |n| < 10**4."""
 
 import random
 from fractions import Fraction
@@ -154,3 +154,7 @@ def test_factorize_without_trial_division_to_ten_thousand():
     for _ in range(300):
         n = rng.randrange(2, 10**12) * rng.choice((1, -1))
         assert factorize(n) == oracles.factorize(n), n
+    # trial division stops at the first prime p with p^2 > rest
+    for n in range(1, 10_000):
+        assert factorize(n) == oracles.factorize(n), n
+        assert factorize(-n) == oracles.factorize(-n), -n

@@ -144,6 +144,9 @@ def test_elkies_fibre_keeps_its_factorization_and_stays_frozen():
         (lambda: reichardt_lind.TwistParams(3, 3), ValueError),
         (lambda: reichardt_lind.TwistParams(2, 1), ValueError),
         (lambda: reichardt_lind.TwistParams(2, -17), ValueError),
+        (lambda: reichardt_lind.TwistParams(6, 73, exact.factorize(10)), ValueError),
+        (lambda: reichardt_lind.TwistParams(6, 73, exact.Factorization(1, ((6, 1),))), ValueError),
+        (lambda: reichardt_lind.TwistParams(12, 73, exact.factorize(12)), ValueError),
         (lambda: exact.Factorization(2, ()), ValueError),
         (lambda: exact.Factorization(1, ((3, 1), (2, 1))), ValueError),
         (lambda: exact.Factorization(1, ((2, 1), (2, 1))), ValueError),

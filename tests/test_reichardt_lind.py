@@ -8,15 +8,17 @@ from functools import lru_cache
 import pytest
 
 import oracles
-from localglobal import symbols
-from localglobal.exact import is_squarefree, primes_up_to
+from localglobal import cli, cubic, elkies, exact, padic, reichardt_lind, selmer, symbols, tower
+from localglobal.exact import factorize, primes_up_to
 from localglobal.padic import PadicNumber
 from localglobal.padic import is_nth_power as padic_is_nth_power
 from localglobal.reichardt_lind import (
     DensityReport,
     LocalPoint,
     NoPoint,
+    TwistConditions,
     TwistParams,
+    _conditions,
     density_experiment,
     exhaustive_search,
     forced_section_invariants,
@@ -229,6 +231,85 @@ class TestTwistConditions:
             twist_search(12, 100)
 
 
+DIFFERENTIAL_ELLS = (2, -2, 3, 6, 7, -7, 11)
+
+
+class TestConditionsOnIntegers:
+    """The conditions decided once per prime on integers, with |ell|
+    factored once, against the route on a fresh `TwistParams` per prime
+    with (iii) by `legendre_symbol`."""
+
+    # 5 and -10 have a prime 1 mod 4, for which (iii) fails at every p
+    @pytest.mark.parametrize("ell", DIFFERENTIAL_ELLS + (5, -10))
+    def test_conditions_match_the_legendre_route(self, ell):
+        odd_ell_primes = tuple(q for q, _ in factorize(abs(ell)).factors if q != 2)
+        seen = set()
+        for p in primes_up_to(10_000)[1:]:
+            if math.gcd(ell, p) == 1:
+                expected = oracles.twist_conditions(ell, p)
+                assert twist_conditions(TwistParams(ell, p)) == expected, p
+                assert TwistConditions(*_conditions(ell, odd_ell_primes, p)) == expected, p
+                seen.add(expected)
+        assert {c.quartic_nonresidue for c in seen} == {c.two_adic_solvable for c in seen} == {True, False}
+        iii = {c.square_mod_ell_primes for c in seen}
+        if ell in (5, -10):
+            assert iii == {False}
+        else:
+            assert iii == ({True} if ell in (2, -2) else {True, False})
+            assert {c.all_satisfied for c in seen} == {True, False}
+
+    @pytest.mark.parametrize("ell", DIFFERENTIAL_ELLS)
+    def test_search_and_density_match_the_oracle_loop(self, ell):
+        assert twist_search(ell, 20_000) == oracles.twist_search(ell, 20_000)
+        rep = density_experiment(ell, 20_000)
+        passing = oracles.passing_twists(ell, 20_000)
+        assert (rep.valid_count, rep.prime_count) == (len(passing), len(primes_up_to(20_000)))
+
+
+MODULES = (exact, padic, symbols, cubic, tower, reichardt_lind, elkies, selmer, cli)
+
+
+class TestEllFactoredOnce:
+    """|ell| is factored once per command, and the density count proves no
+    prime again: the sieve is the proof."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"factorize": [], "is_probable_prime": []}
+        for name, real in (("factorize", factorize), ("is_probable_prime", exact.is_probable_prime)):
+            def spy(n, name=name, real=real):
+                calls[name].append(n)
+                return real(n)
+
+            for module in MODULES:
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, spy)
+        return calls
+
+    def test_verify_factors_ell_once(self, calls, capsys):
+        assert cli.main(["rl", "verify", "--ell", "6", "--p", "73"]) == 0
+        assert '"verdict": "obstructed"' in capsys.readouterr().out
+        assert calls["factorize"] == [6]
+
+    def test_density_factors_ell_once_and_proves_no_prime(self, calls, capsys):
+        assert cli.main(["rl", "density", "--ell", "2", "--max-prime", "20000"]) == 0
+        assert '"primes_tested": 2262' in capsys.readouterr().out
+        assert calls == {"factorize": [2], "is_probable_prime": []}
+
+    def test_search_builds_twists_only_for_passing_primes(self, calls, monkeypatch):
+        built = []
+
+        def spy(*args):
+            built.append(args[1])
+            return TwistParams(*args)
+
+        monkeypatch.setattr(reichardt_lind, "TwistParams", spy)
+        found = twist_search(6, 2000)
+        assert calls["factorize"] == [6]
+        assert found == oracles.twist_search(6, 2000)
+        assert built == oracles.passing_twists(6, 2000)
+
+
 @lru_cache(maxsize=None)
 def has_dyadic_point(ell, p):
     """Whether the quadratic search finds a Q_2 point, y = 0 allowed."""
@@ -239,7 +320,8 @@ def condition_iv_rows():
     """(ell, p): every odd squarefree |ell| < 100 with every p = 9 mod 16
     below 3000 (4,258 pairs), then p = 1 mod 16, p != 1 mod 8 and even
     ell."""
-    odd = [s * e for e in range(1, 100, 2) if is_squarefree(e) for s in (1, -1)]
+    odd = [s * e for e in range(1, 100, 2) if all(k == 1 for _, k in factorize(e).factors)
+           for s in (1, -1)]
     even = [2, -2, 6, -6, 10, -10, 14, 22, -30]
     primes = primes_up_to(3000)[1:]
     rows = [(ell, p) for ell in odd for p in primes if p % 16 == 9]
