@@ -95,17 +95,16 @@ def _prime_list(text: str) -> tuple[int, ...]:
 # The whole command line, described once: group -> (help, {command:
 # [(flags, add_argument keywords), ...]}).  Every command also takes _COMMON,
 # whose values default to _DEFAULTS.  None of them sets a p-adic digit
-# count; --max-prime bounds only the searches that test primes.
-_DEFAULTS = {"max_prime": None, "seed": 0, "format": "json"}
+# count, and only the searches that test primes take a prime bound.
+_DEFAULTS = {"seed": 0, "format": "json"}
 _COMMON = [
-    (("--max-prime",), {"type": _positive_int,
-                        "help": "prime bound: rl search and rl density test the primes up "
-                                "to it (defaults 100 and 200000); the other commands "
-                                "accept it and ignore it"}),
     (("--seed",), {"type": int, "help": "seed for any randomized sampling (default 0)"}),
     (("--format",), {"choices": ("json", "text"), "help": "report rendering (default json)"}),
 ]
 _ELL = (("--ell",), {"type": int, "required": True})
+_MAX_PRIME = (("--max-prime",), {"type": _positive_int,
+                                 "help": "test the primes up to this bound (default 100 for "
+                                         "rl search, 200000 for rl density)"})
 
 _CLI = {
     "symbol": ("residue and Hilbert symbols", {
@@ -119,8 +118,8 @@ _CLI = {
         "verify": [_ELL, (("--p",), {"type": int, "required": True}),
                    (("--samples",), {"type": _positive_int, "default": 20,
                                      "help": "number of adelic points to sample (default 20)"})],
-        "search": [_ELL],
-        "density": [_ELL],
+        "search": [_ELL, _MAX_PRIME],
+        "density": [_ELL, _MAX_PRIME],
         "exhaust": [(("--ell",), {"type": int, "default": 2}),
                     (("--rhs",), {"type": int, "default": 17}),
                     (("--bound",), {"type": int, "required": True})],

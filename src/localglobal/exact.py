@@ -16,6 +16,7 @@ fixed schedule of polynomial offsets.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import namedtuple
@@ -429,15 +430,16 @@ def is_perfect_square(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """Simple sieve of Eratosthenes."""
+    """Sieve of Eratosthenes; the primes are read out by `compress`, with
+    no Python loop over the sieve."""
     if n < 2:
         return []
     sieve = bytearray([1]) * (n + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, ok in enumerate(sieve) if ok]
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 # ------------------------------------------------------------ ring elements

@@ -1,14 +1,17 @@
-"""Finite-precision p-adic numbers, Hensel lifting, and n-th power classes.
+"""Hensel lifting and n-th power classes on integer residues, and the
+finite-precision p-adic numbers of the 3-adic curve points in `selmer`.
 
-A nonzero p-adic number is stored as p**v * u with u a unit known modulo
+Hensel lifting runs Newton's method on integer residues modulo p**N and
+returns a root at which v(f') = t as the pair (residue, N - t): the residue
+modulo p**(N - t), the digits that Hensel's lemma proves.  A power class is
+read off the valuation and a unit residue of an int or Fraction.  Every
+verdict path works on these integers.
+
+`PadicNumber` is the field Q_p at finite precision in which `selmer` checks
+points of its elliptic curves over Q_3: p**v * u with u a unit known modulo
 p**prec ("prec significant digits").  A value whose digits are all zero at
 the working precision only carries the absolute precision at which it
 vanishes; such values poison any query that depends on the unit part.
-
-Hensel lifting does no PadicNumber arithmetic: Newton's method runs on
-integer residues modulo p**N, N the absolute precision of the start value,
-and a root at which v(f') = t is returned to the N - t digits that Hensel's
-lemma proves.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ import math
 from fractions import Fraction
 
 from .exact import is_probable_prime, record, residue, split_prime_power, valuation
-
-DEFAULT_PRECISION = 40
 
 
 class InsufficientPrecision(Exception):
@@ -59,11 +60,7 @@ class PadicNumber:
         return cls(p, abs_prec, 0, 0, _zero=True)
 
     @classmethod
-    def from_int(cls, n, p, prec=DEFAULT_PRECISION):
-        return cls.from_fraction(Fraction(n), p, prec)
-
-    @classmethod
-    def from_fraction(cls, q, p, prec=DEFAULT_PRECISION):
+    def from_fraction(cls, q, p, prec):
         q = Fraction(q)
         if q == 0:
             return cls.zero(p, prec)
@@ -115,13 +112,15 @@ class PadicNumber:
 
     # ------------------------------------------------------------- arithmetic
     def _coerce(self, other):
+        """An exact other at the digits self carries: its relative
+        precision, or the absolute one of a value that vanished."""
         if isinstance(other, PadicNumber):
             if other.p != self.p:
                 raise ValueError("mixed primes")
             return other
         if isinstance(other, (int, Fraction)):
             return PadicNumber.from_fraction(
-                Fraction(other), self.p, self.prec if not self._zero else DEFAULT_PRECISION
+                Fraction(other), self.p, max(self.v, 1) if self._zero else self.prec
             )
         return NotImplemented
 
@@ -190,64 +189,30 @@ class PadicNumber:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    def __pow__(self, k: int):
-        if k == 0:
-            return PadicNumber(self.p, 0, 1, self.prec if not self._zero else DEFAULT_PRECISION)
-        if k < 0:
-            return self.inverse() ** (-k)
-        if self._zero:
-            return PadicNumber.zero(self.p, self.v * k)
-        mod = self.p**self.prec
-        return PadicNumber(self.p, self.v * k, pow(self.unit, k, mod), self.prec)
-
-    # -------------------------------------------------------------- equality
-    def approx_eq(self, other, digits=None) -> bool:
-        """Agreement modulo p**digits (absolute); defaults to shared precision."""
-        other = self._coerce(other)
-        diff = self - other
-        if digits is None:
-            return diff._zero
-        return diff.v >= digits
-
 
 def _integral_residue(c, p: int, n: int) -> int:
-    """c (int, Fraction or PadicNumber) modulo p**n; ValueError if v(c) < 0."""
+    """c (int or Fraction) modulo p**n; ValueError if v(c) < 0."""
     if isinstance(c, int):
         return c % p**n
-    if isinstance(c, PadicNumber):
-        if c.p != p:
-            raise ValueError("mixed primes")
-        return c.residue(n)
     c = Fraction(c)
     if c.denominator % p == 0:
         raise ValueError(f"{c} is not a {p}-adic integer")
     return residue(c, p**n)
 
 
-def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION) -> PadicNumber:
-    """Newton-lift a simple approximate root of f (ascending coefficients).
+def hensel_root(coeffs, start, p: int, n: int) -> tuple[int, int]:
+    """Newton-lift a simple approximate root of f (ascending coefficients)
+    from `start` at n working digits; returns (x, n - t).
 
-    The working precision N is the absolute precision of the start value
-    (`prec` for an int or Fraction start), lowered to that of any
-    PadicNumber coefficient; int and Fraction coefficients are exact.  The
-    start and the coefficients must be p-adic integers, else ValueError.
-    Newton's method runs on integer residues modulo p**N, with no p-adic
-    object arithmetic: with t = v(f'(a)) it requires v(f(a)) > 2t, else
+    The coefficients and the start are ints or Fractions, and must be
+    p-adic integers, else ValueError.  Newton's method runs on integer
+    residues modulo p**n: with t = v(f'(a)) it requires v(f(a)) > 2t, else
     NoConvergence, and iterates x <- x - (f(x)/p**t) * (f'(x)/p**t)**-1
-    modulo p**(N-t) until f(x) = 0 mod p**N.  The root is returned at
-    absolute precision N - t, which is what Hensel's lemma proves: the
-    p-adic root r of f has v(r - x) >= v(f(x)) - t >= N - t.
-    f(a) = 0 mod p**N with N <= 2t (which does not show v(f(a)) > 2t)
-    raises InsufficientPrecision.
+    modulo p**(n-t) until f(x) = 0 mod p**n.  The root x in [0, p**(n-t))
+    is proven to its n - t digits by Hensel's lemma: the p-adic root r of f
+    has v(r - x) >= v(f(x)) - t >= n - t.  f(a) = 0 mod p**n with n <= 2t
+    (which does not show v(f(a)) > 2t) raises InsufficientPrecision.
     """
-    if isinstance(start, PadicNumber):
-        p = start.p
-        n = start.abs_prec
-    else:
-        if p is None:
-            raise ValueError("prime p required when start is not p-adic")
-        n = prec
-    n = min([n] + [c.abs_prec for c in coeffs if isinstance(c, PadicNumber)])
     if n <= 0:
         raise InsufficientPrecision(f"no {p}-adic digits known (N={n})")
     mod = p**n
@@ -279,11 +244,7 @@ def hensel_root(coeffs, start, p=None, prec=DEFAULT_PRECISION) -> PadicNumber:
         fx, dfx = value(f, x), value(df, x)
     else:
         raise InsufficientPrecision("Newton failed to reach working precision")
-    x %= low
-    if not x:
-        return PadicNumber.zero(p, n - t)
-    v = valuation(x, p)
-    return PadicNumber(p, v, x // p**v, n - t - v)
+    return x % low, n - t
 
 
 def padic_root(x: PadicNumber, n: int) -> PadicNumber:
@@ -306,9 +267,8 @@ def padic_root(x: PadicNumber, n: int) -> PadicNumber:
     start = next((r for r in range(1, mod) if r % p and pow(r, n, mod) == u), None)
     if start is None:
         raise ValueError(f"unit part is not an {n}-th power")
-    unit = PadicNumber(p, 0, x.unit, x.prec)
-    root = hensel_root([-unit] + [0] * (n - 1) + [1], PadicNumber(p, 0, start, x.prec))
-    return PadicNumber(p, root.v + x.v // n, root.unit, root.prec)
+    root, digits = hensel_root([-x.unit] + [0] * (n - 1) + [1], start, p, x.prec)
+    return PadicNumber(p, x.v // n, root, digits)
 
 
 # --------------------------------------------------------------------- classes
@@ -410,24 +370,14 @@ def power_class_from_parts(p: int, n: int, v: int, unit: int) -> PowerClass:
     return PowerClass(p, n, v % n, _canonical_unit_label(unit, n, p))
 
 
-def power_class(x, n: int, p=None) -> PowerClass:
-    """Class of nonzero x in Q_p*/(Q_p*)**n.
+def power_class(x, n: int, p: int) -> PowerClass:
+    """Class of the nonzero int or Fraction x in Q_p*/(Q_p*)**n.
 
-    Accepts an int, Fraction or PadicNumber.  An exact x is read off its
-    valuation and its unit residue mod p**(2 v_p(n) + 1), with no p-adic
-    digits.  An exact 0 has no class: ValueError.  A PadicNumber carrying
-    the zero flag raises InsufficientPrecision (its digits cannot tell it
-    from 0).
+    x is read off its valuation and its unit residue mod p**(2 v_p(n) + 1),
+    with no p-adic digits.  0 has no class: ValueError.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if isinstance(x, PadicNumber):
-        if x.is_zero:
-            raise InsufficientPrecision("power class of a value that vanishes at working precision")
-        k = _unit_label_digits(x.p, n)
-        return power_class_from_parts(x.p, n, x.valuation(), x.unit_residue(k))
-    if p is None:
-        raise ValueError("prime p required for exact input")
     if not is_probable_prime(p):
         raise ValueError(f"{p} is not prime")
     x = x if isinstance(x, int) else Fraction(x)
@@ -437,5 +387,5 @@ def power_class(x, n: int, p=None) -> PowerClass:
     return power_class_from_parts(p, n, v, residue(u, p ** _unit_label_digits(p, n)))
 
 
-def is_nth_power(x, n: int, p=None) -> bool:
+def is_nth_power(x, n: int, p: int) -> bool:
     return power_class(x, n, p).is_nth_power

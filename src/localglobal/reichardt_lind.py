@@ -4,11 +4,13 @@ The near affine chart is g(y, z) = ell*y^2 - z^4 + p = 0; the far chart
 (z = 1/w, y = u/w^2, covering points with |z| > 1) is
 h(u, w) = ell*u^2 - 1 + p*w^4 = 0.  Local points at finite places are found
 by a breadth-first lifting tree over residues and certified by Hensel's
-lemma; real points are found directly.  The zeros mod q come lazily from
-`residue_zeros`, which tests each y by Euler's criterion and takes the
-fourth roots from square roots, and the children of a zero mod q^d solve
-one linear congruence mod q, because a polynomial agrees with its
-first-order Taylor expansion modulo q^(d+1) on the box of side q^d.
+lemma, which leaves them as integers that solve the chart modulo q^D at
+the search's depth bound D; real points are found directly.  The zeros
+mod q come lazily from `residue_zeros`, which tests each y by Euler's
+criterion and takes the fourth roots from square roots, and the children
+of a zero mod q^d solve one linear congruence mod q, because a polynomial
+agrees with its first-order Taylor expansion modulo q^(d+1) on the box of
+side q^d.
 
 Two obstruction computations are provided:
 
@@ -40,7 +42,7 @@ from .exact import (
     record,
     valuation,
 )
-from .padic import InsufficientPrecision, PadicNumber, hensel_root
+from .padic import InsufficientPrecision, hensel_root
 from .symbols import (
     REAL_PLACE,
     InvariantValue,
@@ -122,7 +124,9 @@ class TwistParams(record("TwistParams", "ell p ell_factorization", (None,))):
 class LocalPoint(record("LocalPoint", "place y z precision chart", defaults=("near",))):
     """A certified local solution; chart 'near' solves ell*y^2 = z^4 - p,
     chart 'far' solves ell*y^2 = 1 - p*z^4 (the substitution z -> 1/z,
-    y -> y/z^2), and chart 'real' holds rational approximants."""
+    y -> y/z^2), and chart 'real' holds rational approximants.  At a
+    finite place q, y and z are integers that solve the chart modulo
+    q**precision."""
 
     __slots__ = ()
 
@@ -134,15 +138,15 @@ def _chart(tw: TwistParams, chart: str) -> tuple[int, int]:
 
 
 def verify_local_point(tw: TwistParams, pt: LocalPoint) -> bool:
-    """Check the chart's equation at the point's stated precision; a real
-    point lies on the near chart."""
+    """Check the chart's equation at the point's stated precision: modulo
+    q**precision at a finite place q, to 2**-precision at the real place,
+    where a point lies on the near chart."""
     real = pt.chart == "real"
     a, b = _chart(tw, "near" if real else pt.chart)
-    y, z = (Fraction(pt.y), Fraction(pt.z)) if real else (pt.y, pt.z)
-    residual = tw.ell * y * y - (a * z * z * z * z + b)
+    residual = tw.ell * pt.y * pt.y - (a * pt.z**4 + b)
     if real:
         return abs(residual) <= Fraction(1, 2 ** pt.precision)
-    return residual.is_zero
+    return residual % pt.place.prime**pt.precision == 0
 
 
 class NoPoint(record("NoPoint", "place depth")):
@@ -311,24 +315,28 @@ def _lift_children(y0, z0, c0, g_y, g_z, q, step):
 
 def _certify(q, chart, y0, z0, t_y, t_z, depth_bound, exact_y_poly, exact_z_poly):
     """Lift a node (y0, z0) mod q^d with y0 != 0, certified at depth d > 2t
-    along a derivative of valuation t, to an exact local point.
+    along a derivative of valuation t, to an integer local point.
 
     With D = `depth_bound` >= d, the lifted coordinate starts from its
-    integer residue at n = D + v_q(start) absolute digits (D for a zero
-    start), and the other one is exact at D digits.  D digits are enough:
-    n >= D >= d > 2t is the digit count Hensel's lemma needs, and the root
-    comes back at n - t digits, so a lifted y keeps D - t > D/2 >= 3 unit
-    digits, all that `hilbert2` reads (at q = 2).  The point has y != 0: a
-    lifted z leaves y = y0, and a lifted y agrees with y0 modulo
-    q^(d - t), above v(y0) <= t = v(2*ell*y0).
+    residue at n = D + v_q(start) working digits (D for a zero start), and
+    the other one is its residue, exact.  D digits are enough: n >= D >=
+    d > 2t is the digit count Hensel's lemma needs, and the root comes back
+    to n - t digits, so the point solves the chart modulo q^D.  A lifted y
+    keeps D - t > D/2 >= 3 digits past its valuation, all that `hilbert2`
+    reads (3 at q = 2, 1 at odd q); fewer raise InsufficientPrecision.  The
+    point has y != 0: a lifted z leaves y = y0, and a lifted y agrees with
+    y0 modulo q^(d - t), above v(y0) <= t = v(2*ell*y0).
     """
+    y, z = y0, z0
     if t_y is not None and (t_z is None or t_y <= t_z):
-        z = PadicNumber.from_int(z0, q, depth_bound)
-        y = hensel_root(exact_y_poly(z0), y0, q, depth_bound + valuation(y0, q))
+        y, digits = hensel_root(exact_y_poly(z0), y0, q, depth_bound + valuation(y0, q))
+        if not y or digits - valuation(y, q) < (3 if q == 2 else 1):
+            raise InsufficientPrecision(
+                f"the lifted y over Q_{q} has too few digits for its symbol"
+            )
     else:
-        y = PadicNumber.from_int(y0, q, depth_bound)
-        z = hensel_root(exact_z_poly(y0), z0, q,
-                        depth_bound + (valuation(z0, q) if z0 else 0))
+        z, _ = hensel_root(exact_z_poly(y0), z0, q,
+                           depth_bound + (valuation(z0, q) if z0 else 0))
     return LocalPoint(Place.finite(q), y, z, depth_bound, chart)
 
 

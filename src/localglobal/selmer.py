@@ -239,14 +239,15 @@ def isogeny_preimage_Q3(pt: WeierstrassPoint, precision: int = 20) -> Weierstras
     constant = 3600 / (a * a * a)
     if constant.valuation() < 1:
         raise CertificateError("T-equation constant must be in 3 Z_3")
+    n = min(precision, constant.abs_prec)
     try:
-        t = hensel_root([constant, 0, -1, 1], PadicNumber.from_int(1, 3, precision))
+        t, digits = hensel_root([constant.residue(n), 0, -1, 1], 1, 3, n)
     except NoConvergence as exc:  # pragma: no cover - would refute surjectivity
         raise NoConvergence(
             f"isogeny preimage Newton failed at a={pt.a}: {exc}; "
             "this contradicts Q_3-surjectivity of the isogeny"
         ) from exc
-    u = t * a
+    u = PadicNumber(3, 0, t, digits) * a
     u3 = u * u * u
     pre = WeierstrassPoint("Eprime", u, b * u3 / (u3 - 7200))
     back = isogeny_map(pre)
@@ -322,19 +323,24 @@ def isogeny_sweep(primes=(7, 11, 13, 17, 19, 23), per_prime: int = 100, seed: in
 
 # ----------------------------------------------- the local descent class
 # Absolute 3-adic digits asked of the Hensel root delta of x^3 - 10; it
-# comes back at one fewer, as v_3(f'(delta)) = v_3(3 delta^2) = 1.
+# comes back to one fewer, as v_3(f'(delta)) = v_3(3 delta^2) = 1.
 _DELTA_DIGITS = 20
+
+
+def _delta() -> tuple[int, int]:
+    """delta = cbrt(10) in Q_3 as (residue, digits), Hensel-lifted from 4."""
+    return hensel_root([-10, 0, 0, 1], 4, 3, _DELTA_DIGITS)
 
 
 def section_point() -> SelmerPoint:
     """The 3-adic point [0 : delta : -2] on 3X^3+4Y^3+5Z^3 = 0, where delta
     is the unique cube root of 10 in Q_3 (Hensel from 4; the other two
     roots generate ramified extensions, so there is no choice to make)."""
-    delta = hensel_root([-10, 0, 0, 1], 4, 3, _DELTA_DIGITS)
-    return SelmerPoint(Fraction(0), delta, Fraction(-2))
+    delta, digits = _delta()
+    return SelmerPoint(Fraction(0), PadicNumber(3, 0, delta, digits), Fraction(-2))
 
 
-def _class_at_digits(k: int, delta: PadicNumber, coefficients, group):
+def _class_at_digits(k: int, delta_k: int, coefficients, group):
     """The cube class of F(delta) read off delta_k = delta mod 3^k, or None
     where the rule below does not prove it.
 
@@ -349,7 +355,7 @@ def _class_at_digits(k: int, delta: PadicNumber, coefficients, group):
     """
     _, c1, c2 = coefficients
     m = min(pi_valuation(c1), pi_valuation(c2))
-    value = descent_value_at(Fraction(delta.residue(k)), coefficients)
+    value = descent_value_at(Fraction(delta_k), coefficients)
     if value.is_zero or 2 * k + m - pi_valuation(value) < 4:
         return None
     return group.express(value)
@@ -363,14 +369,14 @@ def evaluate_F_local() -> tuple[int, int, int, int]:
     Hensel root; CertificateError if none of its digits does (k = 4 does)."""
     group = cube_class_group()
     coefficients = evaluate_F_symbolic()
-    delta = section_point().y
-    for k in range(1, delta.abs_prec + 1):
-        vec = _class_at_digits(k, delta, coefficients, group)
+    delta, digits = _delta()
+    for k in range(1, digits + 1):
+        vec = _class_at_digits(k, delta % 3**k, coefficients, group)
         if vec is not None:
             return vec
     raise CertificateError(
         f"the descent class of the 3-adic point [0 : cbrt(10) : -2] is not proven"
-        f" by any of the {delta.abs_prec} digits of cbrt(10)"
+        f" by any of the {digits} digits of cbrt(10)"
     )
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import _sqrt_mod_odd_prime, is_probable_prime, record, residue, split_prime_power
-from .padic import InsufficientPrecision, PadicNumber, is_nth_power
+from .padic import is_nth_power
 
 __all__ = [
     "Place",
@@ -148,16 +148,8 @@ def _hilbert2_finite(p: int, va: int, ua: int, vb: int, ub: int) -> int:
 
 def _vu(x, p: int) -> tuple[int, int]:
     """Valuation and unit residue (mod 8 at p = 2, mod p otherwise) of x."""
-    mod = 8 if p == 2 else p
-    if isinstance(x, PadicNumber):
-        if x.is_zero:
-            raise InsufficientPrecision("symbol of a value that vanishes at precision")
-        need = 3 if p == 2 else 1
-        if x.prec < need:
-            raise InsufficientPrecision("unit residue needs more digits")
-        return x.valuation(), x.unit_residue(need) % mod
     v, u = split_prime_power(x, p)
-    return v, residue(u, mod)
+    return v, residue(u, 8 if p == 2 else p)
 
 
 def hilbert2(a, b, v) -> tuple[int, InvariantValue]:
@@ -171,8 +163,6 @@ def hilbert2(a, b, v) -> tuple[int, InvariantValue]:
     """
     place = as_place(v)
     if place.is_real:
-        if isinstance(a, PadicNumber) or isinstance(b, PadicNumber):
-            raise ValueError("real place needs exact rational arguments")
         if a == 0 or b == 0:
             raise ValueError("nonzero arguments required")
         sign = -1 if a < 0 and b < 0 else 1

@@ -89,7 +89,6 @@ from localglobal.exact import (
 )
 from localglobal.elkies import ElkiesFibre, LocalSolvabilityReport, QuarticRep, RepresentationNotFound
 from localglobal.padic import (
-    DEFAULT_PRECISION,
     InsufficientPrecision,
     NoConvergence,
     PadicNumber,
@@ -114,6 +113,9 @@ from localglobal.reichardt_lind import (
 from localglobal.symbols import REAL_PLACE, InvariantValue, Place, hilbert2
 from localglobal.symbols import is_local_norm as symbols_is_local_norm
 from localglobal.tower import GAMMA, KElement
+
+# The digits a PadicNumber was given when none were asked for
+DEFAULT_PRECISION = 40
 
 # ell*y^2 = z^4 - p with any nonzero coprime constants: the shape the local
 # point searches read, without the prime p and squarefree ell of TwistParams
@@ -221,7 +223,7 @@ def is_local_norm(x, p: int, m: int, d) -> bool:
         if not minus_one_square:
             return True
         s = padic_root(PadicNumber.from_fraction(d, p, DEFAULT_PRECISION), 2)
-        return hilbert2(x, s, p)[0] == 1
+        return hilbert2(x, rational(s), p)[0] == 1
     if is_nth_power(-4 * d, 4, p):
         return minus_one_square or hilbert2(x, -1, p)[0] == 1
     if minus_one_square or is_nth_power(-d, 2, p):
@@ -229,11 +231,44 @@ def is_local_norm(x, p: int, m: int, d) -> bool:
     return hilbert2(x, d, p)[0] == 1
 
 
-def biquadratic_two_s(d, p: int) -> PadicNumber:
+def biquadratic_two_s(d, p: int) -> Fraction:
     """2s with s^2 = -d, the second symbol argument of the biquadratic norm
     case, as `symbols.norm_test` built it before `symbols._square_root`:
-    a Hensel square root of -d at the default precision."""
-    return 2 * padic_root(PadicNumber.from_fraction(-d, p, DEFAULT_PRECISION), 2)
+    a Hensel square root of -d at the default precision, to all its digits."""
+    return rational(2 * padic_root(PadicNumber.from_fraction(-d, p, DEFAULT_PRECISION), 2))
+
+
+def rational(x: PadicNumber) -> Fraction:
+    """p**v * u for the nonzero x = p**v * u: the rational that carries every
+    digit of x, for the symbols, which read valuations and unit residues
+    of ints and Fractions."""
+    return x.unit * Fraction(x.p) ** x.v
+
+
+def residue_of(x: PadicNumber) -> int:
+    """The p-adic integer x as an int, modulo p to its absolute precision."""
+    return x.residue(x.abs_prec)
+
+
+def integer_point(pt):
+    """A LocalPoint of `local_point` or `certify` with its PadicNumber
+    coordinates as the library's integer residues; anything else, the
+    library's own points among it, unchanged."""
+    if not isinstance(pt, LocalPoint) or not isinstance(pt.y, PadicNumber):
+        return pt
+    return pt._replace(y=residue_of(pt.y), z=residue_of(pt.z))
+
+
+def lift_from(coeffs, start: PadicNumber) -> PadicNumber:
+    """`padic.hensel_root` from a PadicNumber start, as it was before it
+    returned residues: the working digits are the start's absolute
+    precision, and the root comes back as a PadicNumber."""
+    p, n = start.p, start.abs_prec
+    root, digits = padic_hensel_root(coeffs, start.residue(n), p, n)
+    if not root:
+        return PadicNumber.zero(p, digits)
+    v = split_prime_power(root, p)[0]
+    return PadicNumber(p, v, root // p**v, digits - v)
 
 
 def forced_section_invariants(tw) -> ObstructionReport:
@@ -322,7 +357,7 @@ def nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
         r for r in range(1, mod) if r % q and pow(r, n, mod) == residue
     )
     coeffs = [-target] + [0] * (n - 1) + [1]
-    return padic_hensel_root(coeffs, PadicNumber(q, 0, start, precision))
+    return lift_from(coeffs, PadicNumber(q, 0, start, precision))
 
 
 def good_place_sweep(n0: int, good_prime_bound: int) -> tuple:
@@ -427,8 +462,8 @@ def bad_place_lift(n0: int, p: int, precision: int) -> bool:
         u = (n0 + 2 * y * y) % p
         if u and pow(u, (p - 1) // math.gcd(4, p - 1), p) == 1:
             z0 = sqrt_mod_prime(sqrt_mod_prime(u, p), p)
-            root = padic_hensel_root([-(n0 + 2 * y * y), 0, 0, 0, 1], z0, p, precision)
-            return root.valuation() == 0
+            root, _ = padic_hensel_root([-(n0 + 2 * y * y), 0, 0, 0, 1], z0, p, precision)
+            return root % p != 0
     return False
 
 
@@ -572,16 +607,16 @@ def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero=False)
 def certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
             exact_z_poly, allow_y_zero=False):
     """`reichardt_lind._certify` with both residues wrapped in
-    `PadicNumber.from_int` before the Hensel lift."""
+    `PadicNumber.from_fraction` before the Hensel lift."""
     place = Place.finite(q)
     use_y = t_y is not None and (t_z is None or t_y <= t_z)
     try:
         if use_y:
-            z = PadicNumber.from_int(z0, q, precision)
-            y = padic_hensel_root(exact_y_poly(z0), PadicNumber.from_int(y0, q, precision))
+            z = PadicNumber.from_fraction(z0, q, precision)
+            y = lift_from(exact_y_poly(z0), PadicNumber.from_fraction(y0, q, precision))
         else:
-            y = PadicNumber.from_int(y0, q, precision)
-            z = padic_hensel_root(exact_z_poly(y0), PadicNumber.from_int(z0, q, precision))
+            y = PadicNumber.from_fraction(y0, q, precision)
+            z = lift_from(exact_z_poly(y0), PadicNumber.from_fraction(z0, q, precision))
     except InsufficientPrecision:
         return None
     if y.is_zero and not allow_y_zero:
@@ -1111,8 +1146,8 @@ def evaluate_F_local(precision: int = 12) -> tuple[int, int, int, int]:
     coefficients = tower.evaluate_F_symbolic()
 
     def class_at(k: int):
-        delta = padic_hensel_root([-10, 0, 0, 1], 4, 3, k + 6)
-        return group.express(tower.descent_value_at(Fraction(delta.residue(k)), coefficients))
+        delta, _ = padic_hensel_root([-10, 0, 0, 1], 4, 3, k + 6)
+        return group.express(tower.descent_value_at(Fraction(delta % 3**k), coefficients))
 
     vec = class_at(precision)
     if class_at(precision + 2) != vec:

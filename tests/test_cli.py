@@ -21,11 +21,6 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
-def _case(*argv, option, values):
-    """A command line and the values of one option to run it with."""
-    return pytest.param(argv, option, values, id=" ".join(argv) + f" {option}")
-
-
 class TestSymbolCommands:
     def test_legendre_example(self, capsys):
         code, rep = run_json(capsys, "symbol", "legendre", "1", "7")
@@ -180,8 +175,7 @@ class TestPlumbing:
         capsys.readouterr()
 
     @pytest.mark.parametrize("argv", [
-        ["elkies", "verify", "--t=1/3", "--max-prime", "0"],
-        ["elkies", "scan", "--height", "1", "--max-prime", "-5"],
+        ["rl", "density", "--ell", "2", "--max-prime", "-5"],
         ["rl", "search", "--ell", "2", "--max-prime", "0"],
         ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "0"],
         ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "-1"],
@@ -213,24 +207,31 @@ class TestPlumbing:
         assert cli.main(argv + ["--precision=12"]) == 64
         assert "unrecognized arguments: --precision=12" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv, option, values", [
+    @pytest.mark.parametrize("argv", [
+        ["symbol", "legendre", "2", "17"],
+        ["symbol", "quartic", "2", "17"],
+        ["symbol", "hilbert2", "3", "17", "17"],
+        ["symbol", "hilbert3", "2", "60"],
+        ["rl", "verify", "--ell", "2", "--p", "17"],
+        ["rl", "exhaust", "--bound", "3"],
+        ["rl", "smooth"],
         # elkies certifies every good place by rule and reads no prime bound
-        *(_case("elkies", "verify", f"--t={t}", option="--max-prime", values=(7, 50, 100000))
-          for t in ("infinity", "1", "13/5", "98/103")),
-        _case("elkies", "scan", "--height", "6", option="--max-prime", values=(7, 50, 100000)),
-    ])
-    def test_low_precision_is_inconclusive_never_error(self, argv, option, values, capsys):
-        """An option the command accepts but does not read (elkies and
-        --max-prime) never turns a verdict inconclusive or into another
-        report: the report is the default one apart from the option in
-        params and the timings."""
-        code, default = run_json(capsys, *argv)
-        assert code == 0 and default["status"] == "obstructed"
-        for value in values:
-            code, rep = run_json(capsys, *argv, option, str(value))
-            assert code == 0 and rep["status"] == default["status"], (value, rep)
-            assert rep["params"] == dict(default["params"], **{cli._dest(option): value})
-            assert rep["result"] == default["result"], value
+        *(["elkies", "verify", f"--t={t}"] for t in ("infinity", "1", "13/5", "98/103")),
+        ["elkies", "scan", "--height", "6"],
+        ["selmer", "verify"],
+        ["selmer", "survival"],
+    ], ids=" ".join)
+    def test_max_prime_outside_the_searches_is_a_usage_error(self, argv, capsys):
+        """Only rl search and rl density test primes up to a bound:
+        --max-prime on any other command, at any value, is an unrecognized
+        argument (exit 64), also where the value is dash-led."""
+        for value in ("0", "-5", "7", "50", "100000"):
+            assert cli.main(argv + ["--max-prime", value]) == 64
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --max-prime" in captured.err, value
+        assert cli.main(argv + ["--max-prime=50"]) == 64
+        assert "unrecognized arguments: --max-prime=50" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert cli.main(["--help"]) == 0

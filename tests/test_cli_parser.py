@@ -103,11 +103,12 @@ CI = [
     ["symbol", "legendre", "--", "-3", "7"],
 ]
 # the CI workflow's spellings that must be usage errors: no command takes
-# a digit count
+# a digit count, and only rl search and rl density a prime bound
 CI_USAGE_ERRORS = [
     ["elkies", "verify", "--t=1/3", "--precision", "5"],
     ["elkies", "verify", "--t=1/3", "--precision", "0"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "3"],
+    ["elkies", "scan", "--height", "10", "--max-prime", "100000"],
 ]
 PERFBENCH = [["elkies", "verify", f"--t={t}"] for t in ("infinity", "1", "-1/2", "-3/7", "13/14")]
 
@@ -272,9 +273,12 @@ def test_the_full_tree_builds_every_command():
         built = _subparsers(groups[group])
         assert list(built) == list(commands)
         assert "-h" in _option_strings(groups[group])
-        for parser in built.values():
-            assert {"-h", "--max-prime", "--seed", "--format"} <= _option_strings(parser)
+        for command, parser in built.items():
+            assert {"-h", "--seed", "--format"} <= _option_strings(parser)
             assert "--precision" not in _option_strings(parser)
+            # only the searches that test primes take a prime bound
+            takes_bound = (group, command) in (("rl", "search"), ("rl", "density"))
+            assert ("--max-prime" in _option_strings(parser)) == takes_bound
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):

@@ -297,6 +297,19 @@ def test_small_helpers():
     assert ps[:5] == [2, 3, 5, 7, 11] and len(ps) == 25
 
 
+def test_sieve_matches_trial_division_to_two_thousand():
+    # every n <= 2000, the ends of each marking slice among them: the
+    # sieve's list is the numbers 2 <= m <= n with no divisor up to sqrt(m)
+    def prime(m):
+        return m >= 2 and all(m % d for d in range(2, math.isqrt(m) + 1))
+
+    expected = []
+    for n in range(-2, 2001):
+        if prime(n):
+            expected.append(n)
+        assert primes_up_to(n) == expected, n
+
+
 def test_valuation():
     rng = random.Random(10)
     for p in (2, 3, 5, 17):

@@ -1,6 +1,7 @@
-"""`padic.hensel_root` (Newton's method on integer residues mod q^N) against
-the `PadicNumber` Newton iteration it replaced, an independent check of every
-returned digit, and its error paths; `exact.factorize` against the version
+"""`padic.hensel_root` (Newton's method on integer residues mod q^N, which
+returns the root as (residue, digits)) against the `PadicNumber` Newton
+iteration it replaced, an independent check of every returned digit, and
+its error paths; `exact.factorize` against the version
 with trial division up to 10**4, also at every |n| < 10**4."""
 
 import random
@@ -68,29 +69,27 @@ def test_newton_on_residues_matches_or_certifies(q):
                 coeffs, a = _lifting_problem(rng, q, degree, t)
                 assert _v(_derivative(coeffs, a), q) == t
                 prec = rng.randrange(2 * t + 2, 30)
-                start = PadicNumber.from_int(a, q, prec)
-                got = hensel_root(coeffs, start)
+                start = PadicNumber.from_fraction(a, q, prec)
+                x, digits = hensel_root(coeffs, a, q, start.abs_prec)
                 if t == 0:
                     old = oracles.hensel_root(coeffs, start)
-                    assert (got.is_zero, got.v, got.unit, got.prec) == (
-                        old.is_zero, old.v, old.unit, old.prec
-                    ), (q, coeffs, a, prec)
+                    assert (x, digits) == (oracles.residue_of(old), old.abs_prec), (
+                        q, coeffs, a, prec
+                    )
                 # every returned digit is proven: f(x) = 0 mod q^(N) with
-                # N = abs_prec + t, and x is still a simple root to order t
-                x = got.residue(got.abs_prec)
-                assert got.abs_prec == start.abs_prec - t
-                assert _value(coeffs, x) % q ** (got.abs_prec + t) == 0
+                # N = digits + t, and x is still a simple root to order t
+                assert 0 <= x < q**digits and digits == start.abs_prec - t
+                assert _value(coeffs, x) % q ** (digits + t) == 0
                 assert _v(_derivative(coeffs, x), q) == t
 
 
 def test_int_start_uses_prec_as_absolute_precision():
-    r = hensel_root([1, 0, 1], 2, p=5, prec=9)
-    assert (r.v, r.prec) == (0, 9)
-    assert (r.residue(9) ** 2 + 1) % 5**9 == 0
-    # a PadicNumber coefficient lowers the working precision to its own
-    c = PadicNumber.from_int(1, 5, 6)
-    r = hensel_root([c, 0, 1], 2, p=5, prec=9)
-    assert r.abs_prec == 6 and (r.residue(6) ** 2 + 1) % 5**6 == 0
+    r, digits = hensel_root([1, 0, 1], 2, 5, 9)
+    assert digits == 9 and 0 < r < 5**9
+    assert (r**2 + 1) % 5**9 == 0
+    # a Fraction coefficient is exact too
+    r, digits = hensel_root([Fraction(1, 2), 0, Fraction(1, 2)], 2, 5, 6)
+    assert digits == 6 and (r**2 + 1) % 5**6 == 0
 
 
 def test_cube_root_of_ten_claims_only_proven_digits():
@@ -99,45 +98,42 @@ def test_cube_root_of_ten_claims_only_proven_digits():
     old = oracles.hensel_root([-10, 0, 0, 1], 4, p=3, prec=20)
     assert old.prec == 17 and old.residue(17) == 53515174
     assert _v(53515174**3 - 10, 3) == 17
-    root = hensel_root([-10, 0, 0, 1], 4, p=3, prec=20)
-    assert (root.v, root.prec) == (0, 19)
-    assert root.residue(17) == 10468453
-    assert _v(root.residue(19) ** 3 - 10, 3) >= 20
+    root, digits = hensel_root([-10, 0, 0, 1], 4, 3, 20)
+    assert digits == 19
+    assert root % 3**17 == 10468453
+    assert _v(root**3 - 10, 3) >= 20
 
 
 def test_fourth_root_of_1921_over_q2():
     # f'(1) = 4: twelve working digits prove ten
     old = oracles.hensel_root([-1921, 0, 0, 0, 1], 1, p=2, prec=12)
     assert old.residue(10) == 481 and (481**4 - 1921) % 2**12
-    root = hensel_root([-1921, 0, 0, 0, 1], 1, p=2, prec=12)
-    assert root.abs_prec == 10 and root.residue(10) == 993
+    assert hensel_root([-1921, 0, 0, 0, 1], 1, 2, 12) == (993, 10)
     assert (993**4 - 1921) % 2**12 == 0
 
 
 def test_bad_start_and_vanishing_derivative_do_not_converge():
     with pytest.raises(NoConvergence, match=r"v\(f\(a\)\)=0 <= 2\*v\(f'\(a\)\)=2"):
-        hensel_root([-2, 0, 1], 1, p=2)
+        hensel_root([-2, 0, 1], 1, 2, 40)
     with pytest.raises(NoConvergence, match="derivative vanishes"):
-        hensel_root([0, 0, 1], 0, p=7, prec=10)
+        hensel_root([0, 0, 1], 0, 7, 10)
 
 
 def test_precision_errors():
     # f(a) = 0 mod q^N does not show v(f(a)) > 2t when N <= 2t
     with pytest.raises(InsufficientPrecision):
-        hensel_root([-16, 0, 1], 4, p=2, prec=4)
+        hensel_root([-16, 0, 1], 4, 2, 4)
+    with pytest.raises(InsufficientPrecision):
+        hensel_root([-1, 0, 1], 1, 3, 0)
 
 
 def test_non_integral_input_is_rejected():
     with pytest.raises(ValueError):
-        hensel_root([Fraction(-1, 3), 0, 1], 1, p=3, prec=10)
+        hensel_root([Fraction(-1, 3), 0, 1], 1, 3, 10)
     with pytest.raises(ValueError):
-        hensel_root([-1, 0, 1], Fraction(1, 3), p=3, prec=10)
+        hensel_root([-1, 0, 1], Fraction(1, 3), 3, 10)
     with pytest.raises(ValueError):
-        hensel_root([-1, 0, 1], PadicNumber.from_fraction(Fraction(1, 9), 3, 10))
-    with pytest.raises(ValueError):
-        hensel_root([-1, 0, 1], 1)  # no prime for an exact start
-    with pytest.raises(ValueError, match="mixed primes"):
-        hensel_root([PadicNumber.from_int(-1, 5, 10), 0, 1], 1, p=3, prec=10)
+        hensel_root([-1, 0, 1], Fraction(1, 9), 3, 10)
 
 
 # ----------------------------------------------------------- factoring

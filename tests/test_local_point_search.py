@@ -9,9 +9,10 @@ raise the same exception.  The constants are those of the twists' places:
 q^4 does not divide them, and points with y = 0 are not searched.
 The library lifts its points at its depth bound D = 2 v_q(4 ell^2 p) + 6,
 and the oracle, which takes a precision, is given that D.  The oracle
-starts each Hensel lift from `PadicNumber.from_int` values and the library
+starts each Hensel lift from `PadicNumber.from_fraction` values and the library
 from the integer residue at the same absolute precision, so the points are
-compared on (is_zero, v, unit, prec) of both coordinates.
+compared on their integer coordinates: the library's, and the residues of
+the oracle's PadicNumbers to all their digits.
 """
 
 import json
@@ -40,10 +41,6 @@ def chart_polynomial(ell, p, chart):
     return (lambda y, z: ell * y * y - 1 + p * z**4), (lambda z: 4 * p * z**3)
 
 
-def _padic_key(x):
-    return (x.is_zero, x.v, x.unit, x.prec)
-
-
 def depth_bound(eq, q):
     """D = 2 v_q(4 ell^2 p) + 6: the depth bound of the search at q, and the
     digits its points are lifted at."""
@@ -61,7 +58,8 @@ def outcome(search, eq, q, variant):
         return ("raises", type(exc))
     if isinstance(pt, NoPoint):
         return ("no point", pt.place, pt.depth)
-    return ("point", pt.place, pt.chart, pt.precision, _padic_key(pt.y), _padic_key(pt.z))
+    pt = oracles.integer_point(pt)
+    return ("point", pt.place, pt.chart, pt.precision, pt.y, pt.z)
 
 
 def _grid():
@@ -150,18 +148,32 @@ def test_counted_branches_are_those_that_lift(monkeypatch):
     # residues (y0 != 0) and never lifted, so every counted branch must
     # lift to a point with y != 0.  Variant k returns the lift of the k-th
     # counted branch, so running the variants up to past the count hands
-    # each one to `_certify`, checked here: y keeps v(y0) and more than
-    # D/2 >= 3 unit digits, all `hilbert2` reads
-    certify = reichardt_lind._certify
-    seen = set()
+    # each one to `_certify`, checked here: y keeps v(y0), and a lifted y
+    # keeps more than D/2 >= 3 digits past it (the digit count of
+    # `hensel_root`), all `hilbert2` reads: 3 at q = 2, 1 at odd q
+    certify, hensel_root = reichardt_lind._certify, reichardt_lind.hensel_root
+    seen, roots = set(), []
 
-    def checking_certify(q, chart, y0, z0, t_y, t_z, digits, *polys):
-        pt = certify(q, chart, y0, z0, t_y, t_z, digits, *polys)
-        assert y0 and not pt.y.is_zero and pt.y.valuation() == exact.valuation(y0, q)
-        assert pt.y.prec > digits / 2 >= 3 and pt.precision == digits
-        seen.add("y lifted" if t_y is not None and (t_z is None or t_y <= t_z) else "z lifted")
+    def recording_root(*args):
+        roots.append(hensel_root(*args))
+        return roots[-1]
+
+    def checking_certify(q, chart, y0, z0, t_y, t_z, depth_bound, *polys):
+        roots.clear()
+        pt = certify(q, chart, y0, z0, t_y, t_z, depth_bound, *polys)
+        assert y0 and pt.y and exact.valuation(pt.y, q) == exact.valuation(y0, q)
+        assert pt.precision == depth_bound and len(roots) == 1
+        if t_y is not None and (t_z is None or t_y <= t_z):
+            (root, digits), = roots
+            assert root == pt.y
+            assert digits - exact.valuation(pt.y, q) > depth_bound / 2 >= 3
+            seen.add("y lifted")
+        else:
+            assert pt.y == y0 and roots[0][0] == pt.z
+            seen.add("z lifted")
         return pt
 
+    monkeypatch.setattr(reichardt_lind, "hensel_root", recording_root)
     monkeypatch.setattr(reichardt_lind, "_certify", checking_certify)
     ends = set()
     cases = [(ell, p, 2) for ell in (3, 11, -5) for p in (13, 17, 29, 7, -43)]
@@ -174,6 +186,46 @@ def test_counted_branches_are_those_that_lift(monkeypatch):
                 break
             assert verify_local_point(eq, pt), (ell, p, q, variant)
     assert seen == {"y lifted", "z lifted"} and ends == {"count exhausted"}
+
+
+def _short_of_the_symbol(hensel_root, zero=False):
+    """`hensel_root` that claims one digit fewer past v(root) than the
+    symbol of a lifted y reads (3 at q = 2, 1 at odd q), or returns 0."""
+    def short_root(coeffs, start, q, n):
+        root, _ = hensel_root(coeffs, start, q, n)
+        if zero:
+            return 0, n
+        return root, exact.valuation(root, q) + (3 if q == 2 else 1) - 1
+    return short_root
+
+
+def test_a_lifted_y_short_of_digits_is_inconclusive(monkeypatch, capsys):
+    # `_certify` checks the digits of each lifted y: every y-lift of the
+    # twists (2, 17) and (2, 31) (at 17, and at 2 and 31), handed a root
+    # with one digit too few or a zero root, raises InsufficientPrecision,
+    # and rl verify --ell 2 --p 17 is inconclusive (exit 2), never a
+    # definite verdict
+    certify, hensel_root = reichardt_lind._certify, reichardt_lind.hensel_root
+    lifts = []
+
+    def recording_certify(q, chart, y0, z0, t_y, t_z, *rest):
+        if t_y is not None and (t_z is None or t_y <= t_z):
+            lifts.append((q, chart, y0, z0, t_y, t_z, *rest))
+        return certify(q, chart, y0, z0, t_y, t_z, *rest)
+
+    monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
+    for p in (17, 31):
+        for variant in range(20):
+            reichardt_lind.point_obstruction(TwistParams(2, p), variant=variant)
+    assert {args[0] for args in lifts} == {2, 17, 31}
+    monkeypatch.setattr(reichardt_lind, "_certify", certify)
+    for zero in (False, True):
+        monkeypatch.setattr(reichardt_lind, "hensel_root", _short_of_the_symbol(hensel_root, zero))
+        for args in lifts:
+            with pytest.raises(reichardt_lind.InsufficientPrecision):
+                certify(*args)
+        assert cli.main(["rl", "verify", "--ell", "2", "--p", "17"]) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "inconclusive"
 
 
 RL_VERIFY_TWISTS = ((2, 17), (-2, 113), (2, 31), (-1, 17), (3, 13), (-6, 97), (11, 29), (19, 41))
@@ -193,17 +245,18 @@ def test_rl_verify_matches_the_quadratic_chart_search(monkeypatch, capsys, ell, 
                            for v in tw.bad_finite_places for k in range(6)]
 
     fast = report()
-    monkeypatch.setattr(
-        reichardt_lind, "_chart_search",
-        lambda tw, q, chart, depth, skip: oracles.chart_search(tw, q, chart, depth, depth, skip),
-    )
+    def oracle_search(tw, q, chart, depth, skip):
+        pt, skip = oracles.chart_search(tw, q, chart, depth, depth, skip)
+        return oracles.integer_point(pt), skip
+
+    monkeypatch.setattr(reichardt_lind, "_chart_search", oracle_search)
     assert fast == report()
 
 
 def certify_at_16(q, chart, y0, z0, t_y, t_z, digits, *polys):
     """`oracles.certify` at 16 digits, the fixed precision the twists'
-    points were lifted at before their depth bound was."""
-    return oracles.certify(None, q, chart, y0, z0, t_y, t_z, 16, *polys)
+    points were lifted at before their depth bound was, as integers."""
+    return oracles.integer_point(oracles.certify(None, q, chart, y0, z0, t_y, t_z, 16, *polys))
 
 
 def test_point_obstruction_matches_lifting_at_16(monkeypatch):
@@ -369,7 +422,7 @@ def test_point_at_a_prime_near_ten_to_the_five(eq, q):
     elapsed = time.perf_counter() - started
     assert isinstance(pt, LocalPoint)
     assert verify_local_point(eq, pt)
-    assert not pt.y.is_zero
+    assert pt.y
     assert elapsed < 5, f"{elapsed:.2f} s: the search is not linear in q"
 
 

@@ -1,6 +1,7 @@
 """Tests for local points, obstruction reports, and the twist family of
 the quartic curves ell*Y^2 = Z^4 - p."""
 
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -9,7 +10,7 @@ import pytest
 
 import oracles
 from localglobal import cli, cubic, elkies, exact, padic, reichardt_lind, selmer, symbols, tower
-from localglobal.exact import factorize, primes_up_to
+from localglobal.exact import factorize, primes_up_to, valuation
 from localglobal.padic import PadicNumber
 from localglobal.padic import is_nth_power as padic_is_nth_power
 from localglobal.reichardt_lind import (
@@ -61,7 +62,7 @@ class TestLocalPoint:
         pt = local_point(RL, 17)
         assert isinstance(pt, LocalPoint)
         assert verify_local_point(RL, pt)
-        assert not pt.y.is_zero
+        assert pt.y % 17**pt.precision
 
     def test_point_at_two(self):
         pt = local_point(RL, 2)
@@ -69,8 +70,8 @@ class TestLocalPoint:
         assert verify_local_point(RL, pt)
         # the dyadic points sit over z^4 = 17 mod 32, i.e. v(z) = 0,
         # and have y of even positive valuation
-        assert pt.z.valuation() == 0
-        assert pt.y.valuation() > 0 and pt.y.valuation() % 2 == 0
+        assert pt.z % 2 == 1
+        assert valuation(pt.y, 2) > 0 and valuation(pt.y, 2) % 2 == 0
 
     def test_point_at_real_place(self):
         pt = local_point(RL, "infinity")
@@ -95,13 +96,13 @@ class TestLocalPoint:
         pt = oracles.local_point(RL, 2, allow_y_zero=True)
         assert isinstance(pt, LocalPoint) and pt.y.is_zero
         pt_strict = local_point(RL, 2)
-        assert not pt_strict.y.is_zero
+        assert pt_strict.y % 2**pt_strict.precision
 
     def test_variants_give_distinct_points(self):
         seen = set()
         for variant in range(6):
             pt = local_point(RL, 17, variant=variant)
-            seen.add((pt.y.unit_residue(2), pt.z.unit_residue(2)))
+            seen.add((pt.y % 17**2, pt.z % 17**2))
         assert len(seen) >= 3
 
 
@@ -172,6 +173,22 @@ class TestForcedSectionInvariants:
                                   ((7, 5), "obstructed"), ((2, 17), "obstructed")):
             assert forced_section_invariants(TwistParams(ell, p)).verdict == verdict, (ell, p)
         assert squares == [2, 3, 7]
+
+    @pytest.mark.parametrize("argv, status", [
+        ("rl verify --ell 2 --p 17", "obstructed"),
+        ("rl verify --ell -6 --p 97", "ok"),
+        ("rl search --ell 2 --max-prime 200", "ok"),
+        ("elkies verify --t=13/5", "obstructed"),
+    ])
+    def test_command_lines_build_no_padic_number(self, monkeypatch, capsys, argv, status):
+        # local points, their symbols, forced sections and the Elkies places
+        # are all integers: the whole command runs with PadicNumber refused
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PadicNumber was built")
+
+        monkeypatch.setattr(PadicNumber, "__init__", refuse)
+        assert cli.main(argv.split()) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == status
 
     @pytest.mark.parametrize("ell", [2, -2, 3, 6, 7, -7])
     def test_equals_one_norm_decision_per_class(self, ell):

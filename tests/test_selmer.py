@@ -114,7 +114,7 @@ class TestIsogeny:
 class TestIsogenyPreimage:
     def test_unit_coordinate_example(self):
         b = padic_root(PadicNumber.from_fraction(Fraction(1 - 24300), 3, 20), 2)
-        pt = WeierstrassPoint("E", PadicNumber.from_int(1, 3, 20), b)
+        pt = WeierstrassPoint("E", PadicNumber.from_fraction(1, 3, 20), b)
         pre = isogeny_preimage_Q3(pt)
         assert pre.curve == "Eprime"
         assert pre.a.valuation() == 0
@@ -150,11 +150,12 @@ class TestDescentClass:
     def test_section_point_is_on_the_cubic(self):
         pt = section_point()
         assert pt.form == (3, 4, 5)
-        assert (pt.y**3).residue(8) == 10 % 3**8
+        assert (pt.y * pt.y * pt.y).residue(8) == 10 % 3**8
 
     def test_descent_value_valuation(self):
-        delta = hensel_root([-10, 0, 0, 1], 4, 3, 18)
-        value = descent_value_at(Fraction(delta.residue(12)))
+        delta, digits = hensel_root([-10, 0, 0, 1], 4, 3, 18)
+        assert digits == 17
+        value = descent_value_at(Fraction(delta % 3**12))
         assert pi_valuation(value) == 7
 
     def test_class_matches_the_expected_unit_times_pi(self):
@@ -168,12 +169,14 @@ class TestDescentClass:
         # one the two-precision oracle finds, and the two it refuses first
         # are wrong
         group, coefficients = cube_class_group(), evaluate_F_symbolic()
-        delta = section_point().y
-        classes = {k: selmer._class_at_digits(k, delta, coefficients, group) for k in range(1, 16)}
+        delta, digits = selmer._delta()  # the residue of the y of section_point
+        assert (digits, delta) == (19, section_point().y.residue(19))
+        classes = {k: selmer._class_at_digits(k, delta % 3**k, coefficients, group)
+                   for k in range(1, 16)}
         assert [k for k, vec in classes.items() if vec is not None] == list(range(4, 16))
         oracle = {oracles.evaluate_F_local(n) for n in (3, 10, 12, 16)}
         assert oracle == {evaluate_F_local()} == {classes[k] for k in range(4, 16)}
-        wrong = [group.express(descent_value_at(Fraction(delta.residue(k)), coefficients))
+        wrong = [group.express(descent_value_at(Fraction(delta % 3**k), coefficients))
                  for k in (1, 2)]
         assert wrong == [(0, 2, 1, 2), (1, 0, 2, 1)]
 

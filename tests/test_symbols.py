@@ -1,8 +1,10 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from localglobal import cli
 from localglobal.padic import PadicNumber, power_class
 from localglobal.symbols import (
     InvariantValue,
@@ -63,13 +65,6 @@ def test_hilbert2_symmetric_bimultiplicative():
         assert hilbert2(a * c, b, v)[0] == hilbert2(a, b, v)[0] * hilbert2(c, b, v)[0]
         # squares are everywhere norms
         assert hilbert2(a * a, b, v)[0] == 1
-
-
-def test_hilbert2_accepts_padic_arguments():
-    x = PadicNumber.from_fraction(Fraction(3), 17, 20)
-    assert hilbert2(x, 17, 17)[0] == -1
-    y = PadicNumber.from_fraction(Fraction(17), 2, 20)
-    assert hilbert2(y, y, 2)[0] == 1  # 17 = 1 mod 8 is a square unit
 
 
 def _quadratic_norm_classes(p, b, bound=60):
@@ -229,6 +224,17 @@ def test_the_biquadratic_route_builds_no_padic_number(monkeypatch):
 
     monkeypatch.setattr(PadicNumber, "__init__", refuse)
     assert [is_local_norm(x, 2, 4, 31) for x in xs] == expected
+
+
+def test_the_hilbert2_command_builds_no_padic_number(monkeypatch, capsys):
+    # (3, 17)_17 = -1: 3 is the least non-residue mod 17
+    def refuse(*args, **kwargs):
+        raise AssertionError("a PadicNumber was built")
+
+    monkeypatch.setattr(PadicNumber, "__init__", refuse)
+    assert cli.main(["symbol", "hilbert2", "3", "17", "17"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["result"]["sign"]) == ("ok", -1)
 
 
 def test_norm_test_equals_is_local_norm_on_int_and_fraction_inputs():
