@@ -221,7 +221,7 @@ class TestPlumbing:
         ["selmer", "verify"],
         ["selmer", "survival"],
     ], ids=" ".join)
-    def test_max_prime_outside_the_searches_is_a_usage_error(self, argv, capsys):
+    def test_max_prime_elsewhere_is_a_usage_error(self, argv, capsys):
         """Only rl search and rl density test primes up to a bound:
         --max-prime on any other command, at any value, is an unrecognized
         argument (exit 64), also where the value is dash-led."""
