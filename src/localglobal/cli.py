@@ -19,9 +19,9 @@ plain command line never loads it.
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (a p-adic step could not certify its
 digits), 1 for runtime errors and failed self-checks (status "error"), 64
-for usage errors, a --max-prime, --samples or --height below 1 among them.
-No command takes a digit count: each p-adic step works out its own from
-its input.
+for usage errors, a --max-prime, --samples or --height below 1 and a
+--seed below 0 among them.  No command takes a digit count: each p-adic
+step works out its own from its input.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .reichardt_lind import (
     exhaustive_search,
     forced_section_invariants,
     model_smoothness_check,
-    point_obstruction,
+    point_obstructions,
     twist_conditions,
     twist_search,
 )
@@ -75,14 +75,20 @@ def _parameter_t(text: str):
     return _rational(text)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise _Refused(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise _Refused(f"must be a positive integer: {text!r}")
-    return value
+def _int_at_least(least: int):
+    """The type of an integer option that refuses values below `least`."""
+    def read(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise _Refused(f"not an integer: {text!r}") from exc
+        if value < least:
+            raise _Refused(f"must be a {'positive' if least else 'non-negative'} integer: {text!r}")
+        return value
+    return read
+
+
+_positive_int, _non_negative_int = _int_at_least(1), _int_at_least(0)
 
 
 def _prime_list(text: str) -> tuple[int, ...]:
@@ -98,7 +104,8 @@ def _prime_list(text: str) -> tuple[int, ...]:
 # count, and only the searches that test primes take a prime bound.
 _DEFAULTS = {"seed": 0, "format": "json"}
 _COMMON = [
-    (("--seed",), {"type": int, "help": "seed for any randomized sampling (default 0)"}),
+    (("--seed",), {"type": _non_negative_int, "help": "rl verify: the index of the first "
+                   "sampled local point at each place, not a random seed (default 0)"}),
     (("--format",), {"choices": ("json", "text"), "help": "report rendering (default json)"}),
 ]
 _ELL = (("--ell",), {"type": int, "required": True})
@@ -280,18 +287,14 @@ def _work_rl(args, stage):
     if args.command == "verify":
         tw = TwistParams(args.ell, args.p)
         t0 = time.perf_counter()
-        reports = [point_obstruction(tw, variant=args.seed + k) for k in range(args.samples)]
+        reports = point_obstructions(tw, args.samples, args.seed)
         stage("points", t0)
         totals = {report.total for report in reports}
         t0 = time.perf_counter()
         forced = forced_section_invariants(tw)
         stage("forced", t0)
         conditions = twist_conditions(tw)
-        obstructed = (
-            len(totals) == 1
-            and reports[0].verdict == "obstructed"
-            and forced.verdict == "obstructed"
-        )
+        obstructed = len(totals) == 1 and reports[0].verdict == forced.verdict == "obstructed"
         return ("obstructed" if obstructed else "ok"), {
             "ell": args.ell,
             "p": args.p,
@@ -442,10 +445,10 @@ def _render(report: dict, fmt: str) -> str:
 
 
 def _params_of(args) -> dict:
-    skip = {"group", "command", "format"}
+    hidden = {"group", "command", "format"}
     out = {}
     for key, v in sorted(vars(args).items()):
-        if key in skip or (v is None and key != "t"):
+        if key in hidden or (v is None and key != "t"):
             continue
         if key == "t":
             out[key] = "infinity" if v is None else str(v)

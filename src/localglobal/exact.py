@@ -157,7 +157,7 @@ def is_probable_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """Find a nontrivial factor of composite odd n (Brent's cycle variant).
+    """Find a nontrivial factor of composite odd n (Brent's form of Pollard rho).
 
     The polynomial offsets c = 1, 2, 3, ... are tried in order, so the result
     is fully deterministic.

@@ -10,13 +10,15 @@ mod q come lazily from `residue_zeros`, which tests each y by Euler's
 criterion and takes the fourth roots from square roots, and the children
 of a zero mod q^d solve one linear congruence mod q, because a polynomial
 agrees with its first-order Taylor expansion modulo q^(d+1) on the box of
-side q^d.
+side q^d.  `local_points` yields the certified points of a place one
+branch at a time, so one search serves every sample.
 
 Two obstruction computations are provided:
 
-* `point_obstruction` evaluates the quaternion class (y, p) at a found
-  adelic point and sums the local invariants; the curve has points
-  everywhere locally yet the sum is the nonzero class 1/2.
+* `point_obstructions` evaluates the quaternion class (y, p) at sampled
+  adelic points, drawn from one search per place, and sums the local
+  invariants; the curve has points everywhere locally yet each sum is
+  the nonzero class 1/2.
 * `forced_section_invariants` computes, at each bad place v, the set of
   invariants forced on *any* local splitting of the fundamental group
   extension: the y-coordinate classes for which ell*y^2 is a norm from
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from itertools import islice, product
 
 from .exact import (
     Factorization,
@@ -61,8 +64,9 @@ __all__ = [
     "TwistConditions",
     "DensityReport",
     "local_point",
+    "local_points",
     "residue_zeros",
-    "point_obstruction",
+    "point_obstructions",
     "forced_section_invariants",
     "twist_conditions",
     "twist_search",
@@ -165,20 +169,19 @@ def _residue_valuation(r: int, q: int, k: int) -> int | None:
 _REAL_PRECISION = 16
 
 
-def local_point(tw: TwistParams, v, *, variant: int = 0) -> LocalPoint | NoPoint:
-    """Search for a point with y != 0 of the twist over the completion at v.
+def local_points(tw: TwistParams, v):
+    """The certified points with y != 0 of the twist over the completion at
+    v, lazily, from one search.
 
-    Finite places: breadth-first search over the zeros mod q^d of both
-    affine charts, d = 1, 2, ..., D, in (y, z) order, with the depth bound
-    D = 2 v_q(4 ell^2 p) + 6; a branch is closed out by Hensel's lemma as
-    soon as d exceeds twice the valuation t of one partial derivative, and
-    its point is lifted at D digits (see `_certify`).  Zeros mod q are drawn
-    lazily and each lifting level costs O(q) per live node (see
-    `_chart_search`).  `variant` skips that many certified branches first
-    (deterministically different points for sampling).  Real place: the
-    least z >= 0 with ell*(z^4 - p) > 0, floor(p^(1/4)) + 1 for ell > 0 and
-    0 for ell < 0, and y = sqrt((z^4 - p)/ell) rounded down to a dyadic
-    fraction.
+    Finite places: breadth-first search over the zeros mod q^d of the near,
+    then the far chart (see `_chart_points`), d = 1, 2, ..., D, with the
+    depth bound D = 2 v_q(4 ell^2 p) + 6; a branch is closed out by Hensel's
+    lemma once d exceeds twice the valuation t of one partial derivative,
+    and its point is lifted at D digits (see `_certify`).  A tree still
+    alive at depth D raises InsufficientPrecision once the points before it
+    are taken.  Real place: one point, at the least z >= 0 with
+    ell*(z^4 - p) > 0, floor(p^(1/4)) + 1 for ell > 0 and 0 for ell < 0,
+    and y = sqrt((z^4 - p)/ell) rounded down to a dyadic fraction.
     """
     place = as_place(v)
     if place.is_real:
@@ -188,32 +191,37 @@ def local_point(tw: TwistParams, v, *, variant: int = 0) -> LocalPoint | NoPoint
         m = tw.ell * (z**4 - tw.p)
         scale = 2 ** (_REAL_PRECISION + 1 + m.bit_length())
         y = Fraction(math.isqrt(m * scale * scale), abs(tw.ell) * scale)
-        return LocalPoint(place, y, Fraction(z), _REAL_PRECISION, "real")
-
-    q = place.prime
-    depth_bound = 2 * valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
-    skip = variant
+        yield LocalPoint(place, y, Fraction(z), _REAL_PRECISION, "real")
+        return
+    depth_bound = _depth_bound(tw, place.prime)
     for chart in ("near", "far"):
-        result, skip = _chart_search(tw, q, chart, depth_bound, skip)
-        if result is not None:
-            return result
-    return NoPoint(place, depth_bound)
+        yield from _chart_points(tw, place, chart, depth_bound)
 
 
-def _chart_search(tw, q, chart, depth_bound, skip):
-    """BFS one affine chart; returns (LocalPoint | None, remaining skip).
+def local_point(tw: TwistParams, v) -> LocalPoint | NoPoint:
+    """The first of `local_points`, or `NoPoint` if the tree died out."""
+    place = as_place(v)
+    pt = next(local_points(tw, place), None)
+    return NoPoint(place, _depth_bound(tw, place.prime)) if pt is None else pt
+
+
+def _depth_bound(tw: TwistParams, q: int) -> int:
+    return 2 * valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
+
+
+def _chart_points(tw, place, chart, depth_bound):
+    """BFS one affine chart, yielding the point of each certified branch.
 
     Depth d holds the zeros of the chart modulo q^d in (y, z) order.  The
     depth-1 zeros are drawn from `residue_zeros` one at a time, and each
     node's children come from the linear congruence of `_lift_children`,
     so a level costs O(q) per node instead of O(q^2).  A certified node
-    with y0 != 0 lifts to a point with y != 0 (see `_certify`), so a
-    branch that `skip` passes by is counted from its residues and not
-    lifted.  A certified node with y0 = 0 has t_y = None and lifts z, so
-    its point keeps y = 0: it is refined instead, since nearby branches may
-    carry admissible points.
+    with y0 != 0 lifts to a point with y != 0 (see `_certify`).  A
+    certified node with y0 = 0 has t_y = None and lifts z, so its point
+    keeps y = 0: it is refined instead, since nearby branches may carry
+    admissible points.
     """
-    ell = tw.ell
+    ell, q = tw.ell, place.prime
     a, b = _chart(tw, chart)
 
     def g(y, z, mod):  # ell*y^2 - a*z^4 - b
@@ -237,10 +245,8 @@ def _chart_search(tw, q, chart, depth_bound, skip):
             t_z = _residue_valuation(dz_coeff(z0, mod), q, depth)
             candidates = [t for t in (t_y, t_z) if t is not None]
             if y0 and candidates and depth > 2 * min(candidates):
-                if not skip:
-                    return _certify(q, chart, y0, z0, t_y, t_z, depth_bound,
-                                    exact_y_poly, exact_z_poly), 0
-                skip -= 1  # deterministic variant: pass this branch by
+                yield _certify(place, chart, y0, z0, t_y, t_z, depth_bound,
+                               exact_y_poly, exact_z_poly)
                 continue
             if depth == depth_bound:
                 raise InsufficientPrecision(
@@ -251,9 +257,8 @@ def _chart_search(tw, q, chart, depth_bound, skip):
                 dz_coeff(z0, q), q, mod,
             )
         if not next_frontier:
-            break
+            return
         frontier = next_frontier
-    return None, skip
 
 
 def residue_zeros(ell: int, a: int, b: int, q: int):
@@ -313,9 +318,10 @@ def _lift_children(y0, z0, c0, g_y, g_z, q, step):
     return [(y0 + dy * step, z0 + dz * step) for dy in range(q) for dz in range(q)]
 
 
-def _certify(q, chart, y0, z0, t_y, t_z, depth_bound, exact_y_poly, exact_z_poly):
+def _certify(place, chart, y0, z0, t_y, t_z, depth_bound, exact_y_poly, exact_z_poly):
     """Lift a node (y0, z0) mod q^d with y0 != 0, certified at depth d > 2t
-    along a derivative of valuation t, to an integer local point.
+    along a derivative of valuation t, to an integer local point at the
+    search's place q.
 
     With D = `depth_bound` >= d, the lifted coordinate starts from its
     residue at n = D + v_q(start) working digits (D for a zero start), and
@@ -327,7 +333,7 @@ def _certify(q, chart, y0, z0, t_y, t_z, depth_bound, exact_y_poly, exact_z_poly
     point has y != 0: a lifted z leaves y = y0, and a lifted y agrees with
     y0 modulo q^(d - t), above v(y0) <= t = v(2*ell*y0).
     """
-    y, z = y0, z0
+    q, y, z = place.prime, y0, z0
     if t_y is not None and (t_z is None or t_y <= t_z):
         y, digits = hensel_root(exact_y_poly(z0), y0, q, depth_bound + valuation(y0, q))
         if not y or digits - valuation(y, q) < (3 if q == 2 else 1):
@@ -337,7 +343,7 @@ def _certify(q, chart, y0, z0, t_y, t_z, depth_bound, exact_y_poly, exact_z_poly
     else:
         z, _ = hensel_root(exact_z_poly(y0), z0, q,
                            depth_bound + (valuation(z0, q) if z0 else 0))
-    return LocalPoint(Place.finite(q), y, z, depth_bound, chart)
+    return LocalPoint(place, y, z, depth_bound, chart)
 
 
 # ----------------------------------------------------------- obstruction
@@ -378,26 +384,33 @@ def _make_report(contributions: dict) -> ObstructionReport:
     return ObstructionReport(ordered, total, verdict)
 
 
-def point_obstruction(tw: TwistParams, places=None, variant: int = 0) -> ObstructionReport:
-    """Sum of local invariants of the class (y, p) at a found adelic point.
-
-    Unsampled places of good reduction contribute 0: the class extends
-    over the smooth projective model there, so its evaluation lands in
-    the Brauer group of the local integers, which vanishes.
+def point_obstructions(tw: TwistParams, samples: int, seed: int = 0) -> list[ObstructionReport]:
+    """Sums of local invariants of the class (y, p) at `samples` adelic
+    points.  Each bad place is searched once, for the first seed + samples
+    points of `local_points`; sample k reads point (seed + k) mod n of the
+    n found.  A tree alive at the depth bound ends a stream that gave a
+    point, and is InsufficientPrecision before one; a place with no point
+    raises NoPointError.  Good places contribute 0: the class extends over
+    the smooth model there, into the Brauer group of the local integers,
+    which vanishes.
     """
-    if places is None:
-        places = tw.bad_places
-    contributions = {}
-    for v in places:
-        place = as_place(v)
-        pt = local_point(tw, place, variant=variant)
-        if isinstance(pt, NoPoint):
-            raise NoPointError(place, pt.depth)
+    columns = {}
+    for place in tw.bad_places:
+        found = []
+        try:
+            for pt in islice(local_points(tw, place), seed + samples):
+                found.append(pt)
+        except InsufficientPrecision:
+            if not found:
+                raise
+        if not found:
+            raise NoPointError(place, _depth_bound(tw, place.prime))
         # On the far chart, y_affine = y_far / z_far^2 differs from y_far
         # by a square, so the symbol sees the same class either way.
-        _, inv = hilbert2(pt.y, tw.p, place)
-        contributions[place] = frozenset({inv})
-    return _make_report(contributions)
+        columns[place] = [hilbert2(found[(seed + k) % len(found)].y, tw.p, place)[1]
+                          for k in range(samples)]
+    return [_make_report({place: frozenset({column[k]}) for place, column in columns.items()})
+            for k in range(samples)]
 
 
 _UNIT_SQUARE_REPS_2 = (1, 3, 5, 7, 2, 6, 10, 14)
@@ -572,14 +585,10 @@ def model_smoothness_check(q: int, tw: TwistParams = TwistParams(2, 17)) -> bool
     if (2 * tw.ell * tw.p) % q == 0:
         raise ValueError(f"q = {q} is a place of bad reduction")
     ell, p = tw.ell % q, tw.p % q
-
-    def points():
-        for first in range(4):  # index of the first unit coordinate
-            fixed = [0] * first + [1]
-            for rest in _tuples(q, 3 - first):
-                yield tuple(fixed + list(rest))
-
-    for t, a, b, c in points():
+    # the points of P^3(F_q), scaled to 1 at their first nonzero coordinate
+    points = ((0,) * first + (1,) + rest
+              for first in range(4) for rest in product(range(q), repeat=3 - first))
+    for t, a, b, c in points:
         if (ell * t * t - a * a + p * b * b) % q or (a * b - c * c) % q:
             continue
         row1 = (2 * ell * t % q, -2 * a % q, 2 * p * b % q, 0)
@@ -589,18 +598,6 @@ def model_smoothness_check(q: int, tw: TwistParams = TwistParams(2, 17)) -> bool
     return True
 
 
-def _tuples(q: int, length: int):
-    if length == 0:
-        yield ()
-        return
-    for head in range(q):
-        for tail in _tuples(q, length - 1):
-            yield (head, *tail)
-
-
 def _rank2(row1, row2, q: int) -> bool:
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if (row1[i] * row2[j] - row1[j] * row2[i]) % q:
-                return True
-    return False
+    return any((row1[i] * row2[j] - row1[j] * row2[i]) % q
+               for i in range(4) for j in range(i + 1, 4))

@@ -181,11 +181,16 @@ class TestPlumbing:
         ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "-1"],
         ["elkies", "scan", "--height", "-2"],
         ["elkies", "scan", "--height", "0"],
+        ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "-1"],
+        ["rl", "verify", "--ell", "2", "--p", "17", "--seed=-1000"],
+        ["elkies", "verify", "--t=1/3", "--seed", "-3"],
     ], ids=" ".join)
     def test_non_positive_precision_or_max_prime_exits_64(self, argv, capsys):
+        # --seed is the offset of the first sampled point: 0 is allowed
         assert cli.main(argv) == 64
         captured = capsys.readouterr()
-        assert captured.out == "" and "must be a positive integer" in captured.err
+        least = "non-negative" if any(token.startswith("--seed") for token in argv) else "positive"
+        assert captured.out == "" and f"must be a {least} integer" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["elkies", "verify", "--t=1/3"],
@@ -265,7 +270,7 @@ class TestPlumbing:
         def boom(*a, **k):
             raise InsufficientPrecision("digit budget exhausted")
 
-        monkeypatch.setattr(cli, "point_obstruction", boom)
+        monkeypatch.setattr(cli, "point_obstructions", boom)
         code, rep = run_json(capsys, "rl", "verify", "--ell", "2", "--p", "17")
         assert code == 2 and rep["status"] == "inconclusive"
 
@@ -273,7 +278,7 @@ class TestPlumbing:
         def boom(*a, **k):
             raise NoPointError(as_place(2), 8)
 
-        monkeypatch.setattr(cli, "point_obstruction", boom)
+        monkeypatch.setattr(cli, "point_obstructions", boom)
         code, rep = run_json(capsys, "rl", "verify", "--ell", "11", "--p", "41")
         assert code == 0 and rep["status"] == "no_local_point"
         assert "no local point at 2" in rep["result"]["message"]

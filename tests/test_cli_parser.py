@@ -24,6 +24,8 @@ README = [
     ["symbol", "quartic", "2", "17"],
     ["symbol", "hilbert3", "2", "60"],
     ["rl", "verify", "--ell", "2", "--p", "17"],
+    ["rl", "verify", "--ell", "3", "--p", "13"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "1000"],
     ["rl", "search", "--ell", "2", "--max-prime", "100"],
     ["rl", "search", "--ell", "2", "--max-prime", "100000"],
     ["rl", "density", "--ell", "2", "--max-prime", "200000"],
@@ -63,6 +65,8 @@ USAGE_ERRORS = [
     ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "x"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "0"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "-1"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "-1"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--seed=-1"],
     ["elkies", "scan", "--height", "-2"],
     ["elkies", "scan", "--height", "0"],
 ]
@@ -109,6 +113,7 @@ CI_USAGE_ERRORS = [
     ["elkies", "verify", "--t=1/3", "--precision", "0"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "3"],
     ["elkies", "scan", "--height", "10", "--max-prime", "100000"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "-1"],
 ]
 PERFBENCH = [["elkies", "verify", f"--t={t}"] for t in ("infinity", "1", "-1/2", "-3/7", "13/14")]
 
@@ -167,6 +172,7 @@ def test_argparse_only_spellings_are_passed_over(capsys):
 _VALID = {
     int: lambda rng: str(rng.choice([1, 2, 3, 7, 17, 40, 113])),
     cli._positive_int: lambda rng: str(rng.randrange(1, 60)),
+    cli._non_negative_int: lambda rng: str(rng.randrange(0, 60)),
     cli._rational: lambda rng: rng.choice(["2", "1/3", "-3/7", "60", "0"]),
     cli._parameter_t: lambda rng: rng.choice(["1", "1/3", "2/5", "infinity", "oo", "INF"]),
     cli._prime_list: lambda rng: rng.choice(["3,5,7", "11", "3, 13"]),

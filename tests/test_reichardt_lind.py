@@ -1,6 +1,7 @@
 """Tests for local points, obstruction reports, and the twist family of
 the quartic curves ell*Y^2 = Z^4 - p."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -24,8 +25,9 @@ from localglobal.reichardt_lind import (
     exhaustive_search,
     forced_section_invariants,
     local_point,
+    local_points,
     model_smoothness_check,
-    point_obstruction,
+    point_obstructions,
     twist_conditions,
     twist_search,
     verify_local_point,
@@ -99,32 +101,41 @@ class TestLocalPoint:
         assert pt_strict.y % 2**pt_strict.precision
 
     def test_variants_give_distinct_points(self):
+        # the first six points of the one search at 17
         seen = set()
-        for variant in range(6):
-            pt = local_point(RL, 17, variant=variant)
+        for pt in itertools.islice(local_points(RL, 17), 6):
             seen.add((pt.y % 17**2, pt.z % 17**2))
         assert len(seen) >= 3
+
+    def test_local_point_is_the_first_of_the_stream(self):
+        for v in (2, 17, 7, "infinity"):
+            assert local_point(RL, v) == next(local_points(RL, v))
+        assert list(local_points(RL, "infinity")) == [local_point(RL, "infinity")]
+        assert list(local_points(TwistParams(11, 41), 2)) == []
 
 
 class TestPointObstruction:
     def test_reichardt_lind_total(self):
-        rep = point_obstruction(RL)
+        rep, = point_obstructions(RL, 1)
         assert rep.total == frozenset({HALF})
         assert rep.verdict == "obstructed"
 
     def test_contribution_at_two_vanishes(self):
-        rep = point_obstruction(RL)
+        rep, = point_obstructions(RL, 1)
         assert rep.contribution(2) == frozenset({ZERO})
         assert rep.contribution(17) == frozenset({HALF})
         assert rep.contribution(REAL_PLACE) == frozenset({ZERO})
 
     def test_good_place_contribution_vanishes(self):
-        rep = point_obstruction(RL, places=(2, 7, 17, REAL_PLACE))
+        # the class (y, p) at a point over Q_7, a place of good reduction,
+        # and the report, which reads only the bad places
+        assert hilbert2(local_point(RL, 7).y, RL.p, 7) == (1, ZERO)
+        rep, = point_obstructions(RL, 1)
         assert rep.contribution(7) == frozenset({ZERO})
         assert rep.total == frozenset({HALF})
 
     def test_total_constant_across_twenty_adelic_points(self):
-        totals = {point_obstruction(RL, variant=i).total for i in range(20)}
+        totals = {rep.total for rep in point_obstructions(RL, 20)}
         assert totals == {frozenset({HALF})}
 
 
@@ -144,7 +155,7 @@ class TestForcedSectionInvariants:
 
     def test_point_invariant_lies_in_forced_set(self):
         forced = forced_section_invariants(RL)
-        points = point_obstruction(RL)
+        points, = point_obstructions(RL, 1)
         for place, values in points.contributions:
             assert values <= forced.contribution(place)
 
