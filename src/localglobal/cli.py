@@ -33,7 +33,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .cubic import PI, Eisenstein, cube_class_group, hilbert3
-from .elkies import fibre, family_scan, local_solvability_report, obstruction_parity, rationals_of_height
+from .elkies import fibre, family_scan, local_solvability_report, obstruction_parity
 from .exact import legendre_symbol, quartic_residue_symbol
 from .padic import InsufficientPrecision
 from .reichardt_lind import (
@@ -359,19 +359,17 @@ def _work_elkies(args, stage):
         if not local.everywhere_solvable:
             return "no_local_point", payload
         return parity.verdict, payload
-    ts = rationals_of_height(args.height)
     t0 = time.perf_counter()
-    scan = family_scan(ts)
+    fibres, solvable, obstructed = family_scan(args.height)
     stage("scan", t0)
     payload = {
         "height": args.height,
-        "fibres": scan.fibre_count,
-        "all_locally_solvable": scan.all_locally_solvable,
-        "all_obstructed": scan.all_obstructed,
-        "every_count_odd": all(par.count % 2 == 1 for _, par, _ in scan.entries),
+        "fibres": fibres,
+        "all_locally_solvable": solvable == fibres,
+        "all_obstructed": obstructed == fibres,
+        "every_count_odd": obstructed == fibres,  # k = 2: an odd count of contributing primes
     }
-    good = scan.all_locally_solvable and scan.all_obstructed
-    return ("obstructed" if good else "ok"), payload
+    return ("obstructed" if solvable == obstructed == fibres else "ok"), payload
 
 
 def _work_selmer(args, stage):

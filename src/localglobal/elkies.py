@@ -4,11 +4,11 @@ Every fibre is everywhere locally solvable, yet globally empty: the
 quartic-free part N0 of N(t) is a sum A^4 + 16B^4 with A, B odd and
 coprime, each odd prime p | N0 is 1 mod 8, and the invariant sum of the
 quaternion class (y, N0) over the places with v_p(N0) odd and 2 a quartic
-nonresidue mod p is an odd multiple of 1/2.  The parity is certified via
-the two-square-style composition identity for the form a^2 + 16b^2 and
-the quartic residue symbol of 2, which the obstruction reads off by
-Euler's criterion.  Every place is certified locally solvable by rule,
-with no search, no prime bound and no p-adic digits.
+nonresidue mod p is an odd multiple of 1/2.  Every place is certified
+locally solvable by rule, with no search and no p-adic digits.  `elkies
+verify` factors N0 and reads the parity prime by prime (Euler's
+criterion); `elkies scan` factors nothing and reads it off one quartic
+symbol (`fibre_certificate`), which for this family is the theorem itself.
 """
 
 from __future__ import annotations
@@ -34,16 +34,15 @@ __all__ = [
     "QuarticRep",
     "RepresentationNotFound",
     "fibre",
-    "rationals_of_height",
+    "fibre_certificate",
+    "quartic_symbol_of_two",
     "local_solvability_report",
     "LocalSolvabilityReport",
     "quartic_rep",
-    "gauss_criterion_check",
     "norm_identity_check",
     "obstruction_parity",
     "ObstructionParity",
     "family_scan",
-    "FamilyScanReport",
 ]
 
 
@@ -132,23 +131,25 @@ def _least_b(fz: Factorization) -> tuple[int, int]:
     return a, b
 
 
-def fibre(t) -> ElkiesFibre:
-    """Construct the fibre at t (a rational, or None/'infinity').
+def _uw(a: int, b: int) -> tuple[int, int]:
+    """(u, w) = (a^2 + ab + 3b^2, a^2 + ab + b^2) for t = a/b in lowest terms
+    (1/0 at infinity): 1 + t + t^2 = w/b^2, so N(t) = (u^4 + 16w^4)/w^4, in
+    lowest terms as w is odd and prime to b, u = w + 2b^2 and gcd(u, w) = 1."""
+    w = a * a + a * b + b * b
+    return w + 2 * b * b, w
 
-    For t = a/b in lowest terms (a/b = 1/0 at infinity) put
-    u = a^2 + ab + 3b^2 and w = a^2 + ab + b^2.  Then 1 + t + t^2 = w/b^2
-    and N(t) = (u^4 + 16w^4)/w^4 in lowest terms: w is odd and prime to b,
-    and u = w + 2b^2, so gcd(u, w) = 1.  The numerator is factored once;
-    N0 and its factorization come from the exponents mod 4, and (A, B) is
-    the least-B decomposition of N0 in Z[i] (`_least_b`).
-    """
+
+def fibre(t) -> ElkiesFibre:
+    """The fibre at t (a rational, or None/'infinity').  The numerator
+    u^4 + 16w^4 of N(t) (`_uw`) is factored once; N0 and its factorization
+    come from the exponents mod 4, and (A, B) is the least-B decomposition
+    of N0 in Z[i] (`_least_b`)."""
     if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
         t_val, a, b = None, 1, 0
     else:
         t_val = Fraction(t)
         a, b = t_val.numerator, t_val.denominator
-    w = a * a + a * b + b * b
-    u = w + 2 * b * b
+    u, w = _uw(a, b)
     n = u**4 + 16 * w**4
     n_val = Fraction(n, w**4)
     fz = factorize(n)
@@ -158,18 +159,6 @@ def fibre(t) -> ElkiesFibre:
     if n % 16 != 1:  # refused before `_least_b` finds no decomposition
         raise CertificateError(f"N0 = {n} is not 1 mod 16")
     return ElkiesFibre(t_val, n_val, n, *_least_b(fz), fz)
-
-
-def rationals_of_height(h: int) -> list:
-    """None (the fibre at infinity) followed by all rationals a/b in
-    lowest terms with |a|, b <= h, ordered by (height, value)."""
-    values = {Fraction(0)}
-    for b in range(1, h + 1):
-        for a in range(-h, h + 1):
-            if math.gcd(a, b) == 1:
-                values.add(Fraction(a, b))
-    key = lambda q: (max(abs(q.numerator), q.denominator), q)
-    return [None] + sorted(values, key=key)
 
 
 # ------------------------------------------------- local solvability
@@ -192,13 +181,19 @@ class LocalSolvabilityReport(record("LocalSolvabilityReport", (
         )
 
 
-def _bad_place_point(fib: ElkiesFibre) -> tuple[int, int]:
-    """(2ABc, c) with c = A^2 + 4B^2: a zero mod every p | N0."""
-    c = fib.A**2 + 4 * fib.B**2
-    return 2 * fib.A * fib.B * c, c
+def _bad_place_point(A: int, B: int) -> tuple[int, int]:
+    """(2ABc, c) with c = A^2 + 4B^2: a zero mod every p | A^4 + 16B^4."""
+    c = A * A + 4 * B * B
+    return 2 * A * B * c, c
 
 
 _SMALL_PLACE_ZEROS = {3: {1: (0, 1), 2: (1, 1)}, 5: {1: (0, 1), 2: (2, 0), 3: (1, 0), 4: (1, 1)}}
+
+
+def _small_places_solvable(n: int) -> bool:
+    """The zeros `_SMALL_PLACE_ZEROS` lists at q = 3, 5 (q prime to n), checked."""
+    return all((2 * v * v - z**4 + n) % q == 0
+               for q, zeros in _SMALL_PLACE_ZEROS.items() for v, z in [zeros[n % q]])
 
 
 def local_solvability_report(fib: ElkiesFibre) -> LocalSolvabilityReport:
@@ -219,12 +214,35 @@ def local_solvability_report(fib: ElkiesFibre) -> LocalSolvabilityReport:
     (0, 0) (Silverman, AEC, V.1.1).
     """
     n0 = fib.N0
-    y, z = _bad_place_point(fib)
+    y, z = _bad_place_point(fib.A, fib.B)
     g = 2 * y * y - z**4 + n0
     odd_entries = tuple((p, g % p == 0 and y % p != 0) for p, _ in fib.factorization.factors)
-    good_ok = all((2 * v * v - w**4 + n0) % q == 0
-                  for q, zeros in _SMALL_PLACE_ZEROS.items() for v, w in [zeros[n0 % q]])
-    return LocalSolvabilityReport(fib, n0 > 0, is_nth_power_unit(n0, 4, 2), odd_entries, good_ok)
+    return LocalSolvabilityReport(fib, n0 > 0, is_nth_power_unit(n0, 4, 2), odd_entries,
+                                  _small_places_solvable(n0))
+
+
+def quartic_symbol_of_two(r: int, s: int) -> int:
+    """k with [2/pi]_4 = i^k for pi = r + si primary (r odd, r + s = 1 mod
+    4) and primitive, from 2 = -i(1 + i)^2 and the supplementary laws of
+    quartic reciprocity (Ireland & Rosen, ch. 9; Lemmermeyer, Reciprocity
+    Laws, ch. 6), which add over the primes of pi."""
+    if r % 2 == 0 or (r + s) % 4 != 1 or math.gcd(r, s) != 1:
+        raise ValueError(f"{r} + {s}i is not primary and primitive")
+    return ((r - 1) // 2 + (r - s - s * s - 1) // 2) % 4
+
+
+def fibre_certificate(u: int, w: int) -> tuple[bool, int | None]:
+    """(locally solvable, k) for 2Y^2 = Z^4 - N, N = u^4 + 16w^4, unfactored:
+    the rules of `local_solvability_report`, (u, w) for (A, B), with one gcd
+    for all p | N that also keeps 3 and 5 off N.  [2/pi]_4 = i^k for
+    pi = u^2 + 4w^2 i is -1 iff the count of `obstruction_parity` is odd: the
+    obstruction is k = 2, forced on the family by u^2 = 1 mod 8 and
+    4w^2 = 4 mod 32.  k is None when the rules certify nothing."""
+    n = u**4 + 16 * w**4
+    y, _ = _bad_place_point(u, w)
+    if n > 0 and n % 16 == 1 and math.gcd(y, n) == 1 and _small_places_solvable(n):
+        return True, quartic_symbol_of_two(u * u, 4 * w * w)
+    return False, None
 
 
 # -------------------------------------------------- quartic representations
@@ -257,20 +275,9 @@ def quartic_rep(p: int) -> QuarticRep:
     x, y = _two_squares(p)
     a, even = (x, y) if x % 2 else (y, x)
     rep = QuarticRep(p, a, even // 4)
-    symbol_plus = quartic_residue_symbol(2, p).exponent == 0
-    if symbol_plus != rep.b_even:
-        raise ArithmeticError(
-            f"quartic criterion failed at p={p}: b={rep.b}, (2/p)_4 "
-            f"{'+1' if symbol_plus else 'nontrivial'}"
-        )
+    if (quartic_residue_symbol(2, p).exponent == 0) != rep.b_even:
+        raise ArithmeticError(f"Gauss's quartic criterion fails at p = {p}: b = {rep.b}")
     return rep
-
-
-def gauss_criterion_check(p: int) -> bool:
-    """True when the representation parity matches the quartic character
-    of 2 at p (raises inside quartic_rep on mismatch)."""
-    rep = quartic_rep(p)
-    return (quartic_residue_symbol(2, p).exponent == 0) == rep.b_even
 
 
 def norm_identity_check(a: int, b: int, c: int, d: int) -> bool:
@@ -296,41 +303,31 @@ def obstruction_parity(fib: ElkiesFibre) -> ObstructionParity:
     because N0 = A^4 + 16B^4 forces the representation parity b = B^2 = 1
     mod 2 multiplicatively across the factorization.
     """
-    contributing = []
-    for p, e in fib.factorization.factors:
-        if e % 2 == 1 and not is_nth_power_unit(2, 4, p):
-            contributing.append(p)
+    contributing = tuple(p for p, e in fib.factorization.factors
+                         if e % 2 == 1 and not is_nth_power_unit(2, 4, p))
     count = len(contributing)
     invariant = InvariantValue.zero() if count % 2 == 0 else InvariantValue.half()
     verdict = "obstructed" if count % 2 == 1 else "unobstructed"
-    return ObstructionParity(fib, tuple(contributing), count, invariant, verdict)
+    return ObstructionParity(fib, contributing, count, invariant, verdict)
 
 
 # ------------------------------------------------------------- family scan
-class FamilyScanReport(record("FamilyScanReport", "entries")):
-    """entries: ((t, ObstructionParity, LocalSolvabilityReport), ...)."""
-
-    __slots__ = ()
-
-    @property
-    def fibre_count(self) -> int:
-        return len(self.entries)
-
-    @property
-    def all_obstructed(self) -> bool:
-        return all(par.verdict == "obstructed" for _, par, _ in self.entries)
-
-    @property
-    def all_locally_solvable(self) -> bool:
-        return all(loc.everywhere_solvable for _, _, loc in self.entries)
+def _coprime_pairs(height: int):
+    """(1, 0) for infinity, then (a, b) for each t = a/b in lowest terms, b > 0,
+    shell by shell: shell n holds the t with max(|a|, b) = n <= height."""
+    yield 1, 0
+    for n in range(1, height + 1):
+        yield from ((a, n) for a in range(-n, n + 1) if math.gcd(a, n) == 1)
+        yield from ((e * n, b) for b in range(1, n) if math.gcd(n, b) == 1 for e in (1, -1))
 
 
-def family_scan(ts) -> FamilyScanReport:
-    """fibre -> local solvability -> obstruction parity for each t; the
-    family claim is that every entry is locally solvable and obstructed."""
-    entries = []
-    for t in ts:
-        fib = fibre(t)
-        loc = local_solvability_report(fib)
-        entries.append((t, obstruction_parity(fib), loc))
-    return FamilyScanReport(tuple(entries))
+def family_scan(height: int) -> tuple[int, int, int]:
+    """(fibres, locally solvable, obstructed) by `fibre_certificate` over
+    `_coprime_pairs(height)`; the family claim is that all three are equal."""
+    fibres = solvable = obstructed = 0
+    for a, b in _coprime_pairs(height):
+        local, k = fibre_certificate(*_uw(a, b))
+        fibres += 1
+        solvable += local
+        obstructed += k == 2
+    return fibres, solvable, obstructed

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import islice, product
 
 from .exact import (
@@ -171,7 +171,7 @@ _REAL_PRECISION = 16
 
 def local_points(tw: TwistParams, v):
     """The certified points with y != 0 of the twist over the completion at
-    v, lazily, from one search.
+    v, lazily, from one search: each node of `_nodes` lifted.
 
     Finite places: breadth-first search over the zeros mod q^d of the near,
     then the far chart (see `_chart_points`), d = 1, 2, ..., D, with the
@@ -183,7 +183,11 @@ def local_points(tw: TwistParams, v):
     ell*(z^4 - p) > 0, floor(p^(1/4)) + 1 for ell > 0 and 0 for ell < 0,
     and y = sqrt((z^4 - p)/ell) rounded down to a dyadic fraction.
     """
-    place = as_place(v)
+    yield from (node() for node in _nodes(tw, as_place(v)))
+
+
+def _nodes(tw: TwistParams, place):
+    """The certified nodes of `local_points`, lazily: each a call that lifts it."""
     if place.is_real:
         z = math.isqrt(math.isqrt(tw.p)) + 1 if tw.ell > 0 else 0
         # y = (sqrt(m) - d)/|ell| with 0 <= d < 1/scale, so ell*y^2 misses
@@ -191,7 +195,7 @@ def local_points(tw: TwistParams, v):
         m = tw.ell * (z**4 - tw.p)
         scale = 2 ** (_REAL_PRECISION + 1 + m.bit_length())
         y = Fraction(math.isqrt(m * scale * scale), abs(tw.ell) * scale)
-        yield LocalPoint(place, y, Fraction(z), _REAL_PRECISION, "real")
+        yield partial(LocalPoint, place, y, Fraction(z), _REAL_PRECISION, "real")
         return
     depth_bound = _depth_bound(tw, place.prime)
     for chart in ("near", "far"):
@@ -210,7 +214,7 @@ def _depth_bound(tw: TwistParams, q: int) -> int:
 
 
 def _chart_points(tw, place, chart, depth_bound):
-    """BFS one affine chart, yielding the point of each certified branch.
+    """BFS one affine chart, yielding each certified branch as its `_certify` call.
 
     Depth d holds the zeros of the chart modulo q^d in (y, z) order.  The
     depth-1 zeros are drawn from `residue_zeros` one at a time, and each
@@ -245,8 +249,8 @@ def _chart_points(tw, place, chart, depth_bound):
             t_z = _residue_valuation(dz_coeff(z0, mod), q, depth)
             candidates = [t for t in (t_y, t_z) if t is not None]
             if y0 and candidates and depth > 2 * min(candidates):
-                yield _certify(place, chart, y0, z0, t_y, t_z, depth_bound,
-                               exact_y_poly, exact_z_poly)
+                yield partial(_certify, place, chart, y0, z0, t_y, t_z, depth_bound,
+                              exact_y_poly, exact_z_poly)
                 continue
             if depth == depth_bound:
                 raise InsufficientPrecision(
@@ -386,28 +390,28 @@ def _make_report(contributions: dict) -> ObstructionReport:
 
 def point_obstructions(tw: TwistParams, samples: int, seed: int = 0) -> list[ObstructionReport]:
     """Sums of local invariants of the class (y, p) at `samples` adelic
-    points.  Each bad place is searched once, for the first seed + samples
-    points of `local_points`; sample k reads point (seed + k) mod n of the
-    n found.  A tree alive at the depth bound ends a stream that gave a
-    point, and is InsufficientPrecision before one; a place with no point
-    raises NoPointError.  Good places contribute 0: the class extends over
-    the smooth model there, into the Brauer group of the local integers,
-    which vanishes.
+    points.  Each bad place is searched once, for its first seed + samples
+    nodes (`_nodes`); sample k lifts node (seed + k) mod n of the n found,
+    and no other node is lifted.  A tree alive at the depth bound ends a
+    stream that gave a node, and is InsufficientPrecision before one; a
+    place with no node raises NoPointError.  Good places contribute 0: the
+    class extends over the smooth model there, into the Brauer group of the
+    local integers, which vanishes.
     """
     columns = {}
     for place in tw.bad_places:
-        found = []
+        nodes = []
         try:
-            for pt in islice(local_points(tw, place), seed + samples):
-                found.append(pt)
+            for node in islice(_nodes(tw, place), seed + samples):
+                nodes.append(node)
         except InsufficientPrecision:
-            if not found:
+            if not nodes:
                 raise
-        if not found:
+        if not nodes:
             raise NoPointError(place, _depth_bound(tw, place.prime))
         # On the far chart, y_affine = y_far / z_far^2 differs from y_far
         # by a square, so the symbol sees the same class either way.
-        columns[place] = [hilbert2(found[(seed + k) % len(found)].y, tw.p, place)[1]
+        columns[place] = [hilbert2(nodes[(seed + k) % len(nodes)]().y, tw.p, place)[1]
                           for k in range(samples)]
     return [_make_report({place: frozenset({column[k]}) for place, column in columns.items()})
             for k in range(samples)]

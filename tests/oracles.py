@@ -30,7 +30,10 @@ obstruction reads the quartic residue symbol of 2, and p = a^2 + 16b^2 is
 found by a loop over b.  Its smooth residue
 points come from a loop of its own over y, and its local solvability
 report from the quadratic search at 2, where a point with y = 0 is
-allowed, and the library's search below p = 500.  The
+allowed, and the library's search below p = 500.  The family scan
+enumerates the rationals of a height in a set of Fractions and builds,
+factors and reports every fibre; the quartic symbol [2/pi]_4 is a
+product over the factored norm of pi, one Euler criterion per prime.  The
 ring formulas are the hand-written products and norms of Q(zeta_3), of
 its extension by a cube root of 6 and of the delta-algebra over that,
 with the cofactor determinant behind the radical norms.  The generic
@@ -59,7 +62,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from localglobal import exact, tower
+from localglobal import elkies, exact, tower
 from localglobal.cubic import (
     ONE,
     PI,
@@ -531,6 +534,43 @@ def local_solvability_report(fib: ElkiesFibre, precision: int = 12,
     good = (q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q)
     good_ok = all(smooth_residue_point(n0, q) is not None for q in good)
     return LocalSolvabilityReport(fib, n0 > 0, two_ok, tuple(odd_entries), good_ok)
+
+
+def rationals_of_height(h: int) -> list:
+    """None (the fibre at infinity) followed by all rationals a/b in
+    lowest terms with |a|, b <= h, ordered by (height, value): what
+    `elkies` enumerated, in a set of Fractions, before `_coprime_pairs`."""
+    values = {Fraction(0)}
+    for b in range(1, h + 1):
+        for a in range(-h, h + 1):
+            if math.gcd(a, b) == 1:
+                values.add(Fraction(a, b))
+    key = lambda q: (max(abs(q.numerator), q.denominator), q)
+    return [None] + sorted(values, key=key)
+
+
+def family_scan(ts) -> tuple:
+    """((t, ObstructionParity, LocalSolvabilityReport), ...) for each t: the
+    per-fibre path of `elkies.family_scan` before `fibre_certificate`,
+    which factors N0 (`elkies.fibre`) and reads the parity prime by prime."""
+    entries = []
+    for t in ts:
+        fib = elkies.fibre(t)
+        entries.append((t, elkies.obstruction_parity(fib), elkies.local_solvability_report(fib)))
+    return tuple(entries)
+
+
+def quartic_symbol_of_two(r: int, s: int) -> int:
+    """k with [2/pi]_4 = i^k for pi = r + si primary and primitive, as a
+    product over the primes p^e || r^2 + s^2 (`exact.factorize`): the prime
+    of Z[i] over p under pi sends i to the root m = -r/s of m^2 = -1 mod p,
+    and 2^((p-1)/4) = m^j mod p (Euler's criterion) adds e*j to k."""
+    k = 0
+    for p, e in exact.factorize(r * r + s * s).factors:
+        m = -r * pow(s, -1, p) % p
+        value = pow(2, (p - 1) // 4, p)
+        k += e * next(j for j in range(4) if pow(m, j, p) == value)
+    return k % 4
 
 
 def contributes(p: int, e: int) -> bool:

@@ -7,15 +7,11 @@ import random
 import time
 from fractions import Fraction
 
+import oracles
 from localglobal import cli
 from localglobal.cubic import Eisenstein, PI, cube_class_group, hilbert3
-from localglobal.elkies import (
-    family_scan,
-    fibre,
-    gauss_criterion_check,
-    rationals_of_height,
-)
-from localglobal.exact import primes_up_to
+from localglobal.elkies import family_scan, fibre, quartic_rep
+from localglobal.exact import primes_up_to, quartic_residue_symbol
 from localglobal.padic import hensel_root, power_class
 from localglobal.reichardt_lind import (
     NoPoint,
@@ -140,7 +136,7 @@ def test_c06_gauss_criterion_sweep():
     checked = 0
     for p in primes_up_to(100_000):
         if p % 8 == 1:
-            assert gauss_criterion_check(p), p
+            assert quartic_rep(p).b_even == quartic_residue_symbol(2, p).is_plus_one, p
             checked += 1
     elapsed = time.perf_counter() - t0
     assert checked == 2384
@@ -151,12 +147,13 @@ def test_c06_gauss_criterion_sweep():
 
 def test_c07_family_scan_height_10():
     t0 = time.perf_counter()
-    scan = family_scan(rationals_of_height(10))
+    fibres, solvable, obstructed = family_scan(10)
     elapsed = time.perf_counter() - t0
-    assert scan.fibre_count == 128  # 127 rationals plus infinity
-    assert scan.all_locally_solvable
-    assert scan.all_obstructed
-    assert all(par.count % 2 == 1 for _, par, _ in scan.entries)
+    assert fibres == 128  # 127 rationals plus infinity
+    assert solvable == fibres  # all locally solvable
+    assert obstructed == fibres  # all obstructed
+    entries = oracles.family_scan(oracles.rationals_of_height(10))  # factored, per fibre
+    assert all(par.count % 2 == 1 and loc.everywhere_solvable for _, par, loc in entries)
     inf = fibre(None)
     assert inf.N == 17 and inf.N0 == 17
     assert elapsed < 60

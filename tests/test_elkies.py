@@ -16,12 +16,12 @@ from localglobal.elkies import (
     ElkiesFibre,
     family_scan,
     fibre,
-    gauss_criterion_check,
+    fibre_certificate,
     local_solvability_report,
     norm_identity_check,
     obstruction_parity,
     quartic_rep,
-    rationals_of_height,
+    quartic_symbol_of_two,
 )
 from localglobal.exact import (
     CertificateError,
@@ -31,6 +31,13 @@ from localglobal.exact import (
 )
 from localglobal.padic import is_nth_power_unit
 from localglobal.symbols import InvariantValue
+
+rationals_of_height = oracles.rationals_of_height
+
+
+def pairs_as_rationals(height):
+    """The scan's stream of `_coprime_pairs` as the rationals it encodes."""
+    return [None if b == 0 else Fraction(a, b) for a, b in elkies._coprime_pairs(height)]
 
 
 class TestFibre:
@@ -62,16 +69,27 @@ class TestFibre:
             assert round(den ** 0.25) ** 4 == den
 
     def test_height_enumeration(self):
-        values = rationals_of_height(10)
-        assert values[0] is None
-        assert len(values) == 128  # 127 rationals plus the fibre at infinity
-        assert len(set(values[1:])) == 127
-        assert all(
-            max(abs(q.numerator), q.denominator) <= 10 for q in values[1:]
-        )
+        # the oracle's sorted Fraction set, and the scan's stream of integer
+        # pairs, shell by shell, which holds the same rationals
+        for values in (rationals_of_height(10), pairs_as_rationals(10)):
+            assert values[0] is None
+            assert len(values) == 128  # 127 rationals plus the fibre at infinity
+            assert len(set(values[1:])) == 127
+            assert all(
+                max(abs(q.numerator), q.denominator) <= 10 for q in values[1:]
+            )
+        for h in range(1, 41):
+            pairs = list(elkies._coprime_pairs(h))
+            assert all(b > 0 and math.gcd(a, b) == 1 for a, b in pairs[1:]), h
+            shells = [max(abs(a), b) for a, b in pairs[1:]]
+            assert shells == sorted(shells) and shells[-1] == h, h
+            values = pairs_as_rationals(h)
+            assert len(values) == len(set(values)) == len(rationals_of_height(h)), h
+            assert set(values) == set(rationals_of_height(h)), h
 
     def test_height_one(self):
         assert rationals_of_height(1) == [None, Fraction(-1), Fraction(0), Fraction(1)]
+        assert pairs_as_rationals(1) == [None, Fraction(-1), Fraction(0), Fraction(1)]
 
     def test_fibre_carries_the_factorization_of_n0(self):
         for t in (None, 0, 1, Fraction(1, 3), Fraction(-7, 5)):
@@ -233,10 +251,21 @@ class TestQuarticRep:
         checked = 0
         for p in primes_up_to(100_000):
             if p % 8 == 1:
-                assert gauss_criterion_check(p), p
-                assert quartic_rep(p) == oracles.quartic_rep(p), p  # the b-loop it replaced
+                rep = quartic_rep(p)  # raises when b even disagrees with (2/p)_4
+                assert rep.b_even == quartic_residue_symbol(2, p).is_plus_one, p
+                assert rep == oracles.quartic_rep(p), p  # the b-loop it replaced
                 checked += 1
         assert checked == 2384
+
+    def test_a_wrong_quartic_character_is_refused(self, monkeypatch):
+        # quartic_rep checks Gauss's criterion itself: with (2/p)_4 read as
+        # its opposite it raises instead of returning the representation
+        symbol = elkies.quartic_residue_symbol
+        monkeypatch.setattr(elkies, "quartic_residue_symbol",
+                            lambda a, p: symbol(2, 257) if symbol(a, p).exponent else symbol(2, 17))
+        for p in (17, 41, 73, 113, 257):  # 2 is a fourth power mod 73, 113 and 257
+            with pytest.raises(ArithmeticError, match=f"criterion fails at p = {p}"):
+                quartic_rep(p)
 
     def test_norm_identity_frozen(self):
         assert norm_identity_check(1, 1, 7, 2)
@@ -398,7 +427,7 @@ class TestGoodPlaces:
         # a point mod p | N0 that is not a zero: (2ABc, c + 1) at t = infinity,
         # where 2 * 10^2 - 6^4 + 17 = -1079 is prime to 17
         point = elkies._bad_place_point
-        monkeypatch.setattr(elkies, "_bad_place_point", lambda fib: (point(fib)[0], point(fib)[1] + 1))
+        monkeypatch.setattr(elkies, "_bad_place_point", lambda A, B: (point(A, B)[0], point(A, B)[1] + 1))
         report = local_solvability_report(fibre(None))
         assert report.odd_bad_places == ((17, False),)
         assert report.real_solvable and report.two_adic_solvable and report.good_places_solvable
@@ -411,17 +440,21 @@ class TestGoodPlaces:
     def test_the_singular_zero_is_no_certificate(self, monkeypatch):
         # (0, 0) is a zero mod every p | N0, but y = 0 leaves no unit
         # derivative to lift it by
-        monkeypatch.setattr(elkies, "_bad_place_point", lambda fib: (0, 0))
+        monkeypatch.setattr(elkies, "_bad_place_point", lambda A, B: (0, 0))
         for fib in (fibre(None), fibre(1), fibre(Fraction(13, 5))):
             report = local_solvability_report(fib)
             assert report.odd_bad_places and not any(ok for _, ok in report.odd_bad_places)
             assert not report.everywhere_solvable
+        # the certificate's gcd sees y = 0 too
+        assert fibre_certificate(1, 1) == (False, None)
+        assert family_scan(3) == (16, 0, 0)
 
     def test_a_wrong_table_entry_is_no_local_point(self, monkeypatch):
         # N0 = 17 = 2 mod 3, and (0, 1) is no zero of 2y^2 = z^4 - 17 mod 3
         monkeypatch.setitem(elkies._SMALL_PLACE_ZEROS, 3, {1: (0, 1), 2: (0, 1)})
         report = local_solvability_report(fibre(None))
         assert not report.good_places_solvable and not report.everywhere_solvable
+        assert fibre_certificate(1, 1) == (False, None)
 
 
 class TestBadPlaces:
@@ -430,7 +463,7 @@ class TestBadPlaces:
 
     def test_the_point_is_a_zero_at_every_bad_place_to_height_30(self):
         for fib in fibres_of_height_thirty():
-            y, z = elkies._bad_place_point(fib)
+            y, z = elkies._bad_place_point(fib.A, fib.B)
             c = fib.A**2 + 4 * fib.B**2
             assert (y, z) == (2 * fib.A * fib.B * c, c)
             assert 2 * y * y - z**4 == -c * c * fib.N0, fib.t
@@ -503,21 +536,98 @@ class TestObstructionParity:
 
 
 class TestFamilyScan:
+    """The scan by `fibre_certificate` against the per-fibre path it
+    replaced (`oracles.family_scan`): fibre, factored N0, local report and
+    parity, one record per fibre."""
+
     def test_three_fibres(self):
-        scan = family_scan([None, 0, 1])
-        assert scan.fibre_count == 3
-        assert scan.all_obstructed
-        assert scan.all_locally_solvable
+        entries = oracles.family_scan([None, 0, 1])
+        assert len(entries) == 3
+        for (t, par, loc), (a, b) in zip(entries, ((1, 0), (0, 1), (1, 1))):
+            assert par.verdict == "obstructed" and loc.everywhere_solvable, t
+            assert fibre_certificate(*elkies._uw(a, b)) == (True, 2), t
 
     def test_empty(self):
-        scan = family_scan([])
-        assert scan.fibre_count == 0
-        assert scan.all_obstructed and scan.all_locally_solvable
+        # height 0 holds no rational: the scan reads the fibre at infinity only
+        assert oracles.family_scan([]) == ()
+        assert family_scan(0) == (1, 1, 1)
 
     def test_full_height_ten_scan(self):
-        scan = family_scan(rationals_of_height(10))
-        assert scan.fibre_count == 128
-        assert scan.all_obstructed
-        assert scan.all_locally_solvable
-        for _, par, _ in scan.entries:
+        assert family_scan(10) == (128, 128, 128)
+        entries = oracles.family_scan(rationals_of_height(10))
+        assert len(entries) == 128
+        for t, par, loc in entries:
+            assert par.verdict == "obstructed" and loc.everywhere_solvable, t
             assert par.count % 2 == 1  # the parity theorem, fibre by fibre
+
+
+def _random_primary(rng, bound):
+    """A seeded primary, primitive r + si with |r|, |s| < bound."""
+    while True:
+        r, s = rng.randrange(-bound + 1, bound), 2 * rng.randrange(-bound // 2 + 1, bound // 2)
+        if r % 2 and (r + s) % 4 == 1 and s and math.gcd(r, s) == 1:
+            return r, s
+
+
+class TestFibreCertificate:
+    """`fibre_certificate` and `quartic_symbol_of_two` against the
+    factored derivations, and on inputs from outside the family."""
+
+    def test_matches_the_factored_path_to_height_30(self):
+        entries = oracles.family_scan(rationals_of_height(30))
+        assert len(entries) == 1112
+        for t, par, loc in entries:
+            a, b = (1, 0) if t is None else (t.numerator, t.denominator)
+            u, w = elkies._uw(a, b)
+            local, k = fibre_certificate(u, w)
+            assert (local, k == 2) == (loc.everywhere_solvable, par.count % 2 == 1), t
+            assert k == oracles.quartic_symbol_of_two(u * u, 4 * w * w), t
+        assert family_scan(30) == (1112, 1112, 1112)
+
+    def test_symbol_matches_the_factored_oracle(self):
+        rng = random.Random(29)
+        seen = set()
+        for _ in range(600):
+            r, s = _random_primary(rng, 2 * 10**5)
+            k = quartic_symbol_of_two(r, s)
+            assert k == oracles.quartic_symbol_of_two(r, s), (r, s)
+            seen.add(k)
+        assert seen == {0, 1, 2, 3}
+
+    def test_symbol_refuses_a_pi_not_primary_and_primitive(self):
+        for r, s in ((2, 1), (1, 2), (3, 0), (-1, 4), (9, 36), (5, 0)):
+            with pytest.raises(ValueError, match="not primary and primitive"):
+                quartic_symbol_of_two(r, s)
+
+    def test_a_common_factor_is_not_certified(self):
+        # (3, 3) and (7, 7) pass N > 0 and N = 1 mod 16, and 7 keeps 3 and 5
+        # off N; only the gcd refuses them (a certificate without it would
+        # read the table at N = 0 mod 3, or certify (7, 7))
+        for u, w in ((3, 3), (7, 7), (5, 15)):
+            assert fibre_certificate(u, w) == (False, None), (u, w)
+        assert fibre_certificate(2, 1) == (False, None)  # N = 0 mod 16
+
+    def test_a_certified_fibre_off_the_family_is_unobstructed(self):
+        # w even: N = 1 + 16*2^4 = 257, a prime at which 2 is a fourth power
+        # (257 = 1^2 + 16*4^2, b even), so k = 0 (unobstructed); the family
+        # has w odd and k = 2
+        assert fibre_certificate(1, 2) == (True, 0)
+        assert pow(2, (257 - 1) // 4, 257) == 1
+        assert oracles.quartic_symbol_of_two(1, 16) == 0
+        for u, w in ((1, 1), (3, 1), (1, 4), (5, 3)):
+            assert fibre_certificate(u, w) == (True, 2 if w % 2 else 0), (u, w)
+            assert fibre_certificate(u, w)[1] == oracles.quartic_symbol_of_two(u * u, 4 * w * w)
+
+    def test_the_scan_factors_nothing(self, monkeypatch, capsys):
+        calls = []
+
+        def spy(n):
+            calls.append(n)
+            return factorize(n)
+
+        monkeypatch.setattr(elkies, "factorize", spy)
+        monkeypatch.setattr(exact, "factorize", spy)
+        assert cli.main(["elkies", "scan", "--height", "30"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "obstructed" and out["result"]["fibres"] == 1112
+        assert calls == []

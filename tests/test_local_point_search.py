@@ -257,12 +257,12 @@ def test_rl_verify_matches_the_quadratic_chart_search(monkeypatch, capsys, ell, 
 
     fast = report()
 
-    def oracle_points(tw, place, chart, depth):
+    def oracle_points(tw, place, chart, depth):  # nodes that return the oracle's points
         for k in itertools.count():
             pt, _ = oracles.chart_search(tw, place.prime, chart, depth, depth, k)
             if pt is None:
                 return
-            yield oracles.integer_point(pt)
+            yield lambda pt=oracles.integer_point(pt): pt
 
     monkeypatch.setattr(reichardt_lind, "_chart_points", oracle_points)
     assert fast == report()
@@ -394,6 +394,24 @@ def test_only_kept_branches_are_lifted(monkeypatch):
     monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
     reichardt_lind.point_obstructions(TwistParams(2, 1000721), 20)
     assert lifted == [True] * 40
+
+
+def test_a_far_seed_lifts_only_the_points_it_reads(monkeypatch, capsys):
+    # rl verify --ell 2 --p 2^64 + 2065 --seed 10000: each bad place is
+    # searched for its first 10020 certified nodes, and only the nodes the
+    # 20 samples read are lifted, so hensel_root runs at most 20 times at
+    # each finite place, not once for every node below the seed
+    hensel_root, lifts = reichardt_lind.hensel_root, []
+
+    def counting_root(coeffs, start, q, n):
+        lifts.append(q)
+        return hensel_root(coeffs, start, q, n)
+
+    monkeypatch.setattr(reichardt_lind, "hensel_root", counting_root)
+    p = 18446744073709553681
+    code, out = rl_verify(capsys, 2, p, "--seed", "10000")
+    assert (code, out["status"]) == (0, "obstructed")
+    assert set(lifts) == {2, p} and all(lifts.count(q) <= 20 for q in (2, p))
 
 
 def test_refused_branches_are_not_lifted(monkeypatch, capsys):
