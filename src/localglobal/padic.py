@@ -1,17 +1,11 @@
-"""Hensel lifting and n-th power classes on integer residues, and the
-finite-precision p-adic numbers of the 3-adic curve points in `selmer`.
+"""Hensel lifting and n-th power classes on integer residues.
 
 Hensel lifting runs Newton's method on integer residues modulo p**N and
 returns a root at which v(f') = t as the pair (residue, N - t): the residue
 modulo p**(N - t), the digits that Hensel's lemma proves.  A power class is
 read off the valuation and a unit residue of an int or Fraction.  Every
-verdict path works on these integers.
-
-`PadicNumber` is the field Q_p at finite precision in which `selmer` checks
-points of its elliptic curves over Q_3: p**v * u with u a unit known modulo
-p**prec ("prec significant digits").  A value whose digits are all zero at
-the working precision only carries the absolute precision at which it
-vanishes; such values poison any query that depends on the unit part.
+p-adic value in the package is such an integer or rational: there is no
+p-adic number type.
 """
 
 from __future__ import annotations
@@ -28,166 +22,6 @@ class InsufficientPrecision(Exception):
 
 class NoConvergence(Exception):
     """Newton iteration precondition v(f(a)) > 2 v(f'(a)) fails."""
-
-
-class PadicNumber:
-    """Immutable p-adic number at finite relative precision."""
-
-    __slots__ = ("p", "v", "unit", "prec", "_zero")
-
-    def __init__(self, p, v, unit, prec, _zero=False):
-        if prec <= 0 and not _zero:
-            raise InsufficientPrecision(f"no significant digits left (prec={prec})")
-        self.p = p
-        self._zero = _zero
-        if _zero:
-            # v holds the absolute precision O(p**v); unit/prec are unused.
-            self.v = v
-            self.unit = 0
-            self.prec = 0
-        else:
-            unit %= p**prec
-            if unit % p == 0:
-                raise ValueError("unit part must be a p-adic unit")
-            self.v = v
-            self.unit = unit
-            self.prec = prec
-
-    # ------------------------------------------------------------------ const
-    @classmethod
-    def zero(cls, p, abs_prec):
-        """The class O(p**abs_prec): indistinguishable from 0."""
-        return cls(p, abs_prec, 0, 0, _zero=True)
-
-    @classmethod
-    def from_fraction(cls, q, p, prec):
-        q = Fraction(q)
-        if q == 0:
-            return cls.zero(p, prec)
-        v, u = split_prime_power(q, p)
-        return cls(p, v, residue(u, p**prec), prec)
-
-    # ------------------------------------------------------------------ views
-    @property
-    def is_zero(self) -> bool:
-        return self._zero
-
-    @property
-    def abs_prec(self) -> int:
-        """Absolute precision: the value is known modulo p**abs_prec."""
-        return self.v if self._zero else self.v + self.prec
-
-    def valuation(self) -> int:
-        if self._zero:
-            raise InsufficientPrecision(
-                f"value is O({self.p}^{self.v}); valuation undetermined"
-            )
-        return self.v
-
-    def unit_residue(self, k: int) -> int:
-        """The unit part modulo p**k."""
-        if self._zero:
-            raise InsufficientPrecision("zero at working precision has no unit part")
-        if k > self.prec:
-            raise InsufficientPrecision(f"only {self.prec} digits known, need {k}")
-        return self.unit % self.p**k
-
-    def residue(self, k: int) -> int:
-        """The value modulo p**k (requires v >= 0 and enough digits)."""
-        if self._zero:
-            if self.v >= k:
-                return 0
-            raise InsufficientPrecision("not enough digits for requested residue")
-        if self.v < 0:
-            raise ValueError("negative valuation: not a p-adic integer")
-        if self.v + self.prec < k:
-            raise InsufficientPrecision(f"known mod p^{self.v + self.prec}, need p^{k}")
-        return self.unit * self.p**self.v % self.p**k
-
-    def __repr__(self):
-        if self._zero:
-            return f"O({self.p}^{self.v})"
-        show = self.unit % self.p ** min(self.prec, 6)
-        return f"{self.p}^{self.v}*{show}... + O({self.p}^{self.abs_prec})"
-
-    # ------------------------------------------------------------- arithmetic
-    def _coerce(self, other):
-        """An exact other at the digits self carries: its relative
-        precision, or the absolute one of a value that vanished."""
-        if isinstance(other, PadicNumber):
-            if other.p != self.p:
-                raise ValueError("mixed primes")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PadicNumber.from_fraction(
-                Fraction(other), self.p, max(self.v, 1) if self._zero else self.prec
-            )
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.p
-        cap = min(self.abs_prec, other.abs_prec)
-        lo = min(
-            (x.v for x in (self, other) if not x._zero), default=cap
-        )
-        if lo >= cap:
-            return PadicNumber.zero(p, cap)
-        total = 0
-        for x in (self, other):
-            if not x._zero:
-                total += x.unit * p ** (x.v - lo)
-        total %= p ** (cap - lo)
-        if total == 0:
-            return PadicNumber.zero(p, cap)
-        v = valuation(total, p)
-        return PadicNumber(p, lo + v, total // p**v, cap - lo - v)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        if self._zero:
-            return self
-        return PadicNumber(self.p, self.v, (-self.unit) % self.p**self.prec, self.prec)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.p
-        if self._zero or other._zero:
-            # v is a lower bound on the product's valuation either way
-            return PadicNumber.zero(p, self.v + other.v)
-        prec = min(self.prec, other.prec)
-        return PadicNumber(p, self.v + other.v, self.unit * other.unit, prec)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        if self._zero:
-            raise ZeroDivisionError("cannot invert a value that vanishes at precision")
-        mod = self.p**self.prec
-        return PadicNumber(self.p, -self.v, pow(self.unit, -1, mod), self.prec)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
 
 
 def _integral_residue(c, p: int, n: int) -> int:
@@ -245,30 +79,6 @@ def hensel_root(coeffs, start, p: int, n: int) -> tuple[int, int]:
     else:
         raise InsufficientPrecision("Newton failed to reach working precision")
     return x % low, n - t
-
-
-def padic_root(x: PadicNumber, n: int) -> PadicNumber:
-    """An n-th root by residue search plus Hensel lifting; ValueError if none.
-
-    Newton needs v(r^n - u) > 2 v(n r^(n-1)) = 2 v_p(n), so the start is the
-    least unit r with r^n = u mod p**k, k = 2 v_p(n) + 1 (mod 8 for square
-    roots at p = 2, mod p for odd p prime to n).  Fewer than k known
-    digits cannot show v(f(r)) > 2 v(f'(r)), so they raise
-    InsufficientPrecision.
-    """
-    p = x.p
-    if x.is_zero:
-        raise InsufficientPrecision("cannot extract a root of a vanished value")
-    if x.v % n:
-        raise ValueError(f"valuation {x.v} is not divisible by {n}")
-    k = _unit_label_digits(p, n)
-    mod = p**k
-    u = x.unit_residue(k)
-    start = next((r for r in range(1, mod) if r % p and pow(r, n, mod) == u), None)
-    if start is None:
-        raise ValueError(f"unit part is not an {n}-th power")
-    root, digits = hensel_root([-x.unit] + [0] * (n - 1) + [1], start, p, x.prec)
-    return PadicNumber(p, x.v // n, root, digits)
 
 
 # --------------------------------------------------------------------- classes

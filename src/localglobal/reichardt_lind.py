@@ -30,6 +30,7 @@ Two obstruction computations are provided:
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import islice, product
@@ -390,29 +391,37 @@ def _make_report(contributions: dict) -> ObstructionReport:
 
 def point_obstructions(tw: TwistParams, samples: int, seed: int = 0) -> list[ObstructionReport]:
     """Sums of local invariants of the class (y, p) at `samples` adelic
-    points.  Each bad place is searched once, for its first seed + samples
-    nodes (`_nodes`); sample k lifts node (seed + k) mod n of the n found,
-    and no other node is lifted.  A tree alive at the depth bound ends a
-    stream that gave a node, and is InsufficientPrecision before one; a
-    place with no node raises NoPointError.  Good places contribute 0: the
-    class extends over the smooth model there, into the Brauer group of the
-    local integers, which vanishes.
+    points.  Each bad place is searched for its first seed + samples nodes
+    (`_nodes`); sample k lifts node (seed + k) mod n of the n found, and no
+    other node is lifted.  Only the last `samples` nodes are kept: they are
+    the ones read unless the stream ends early and the reads wrap; then, if
+    n > samples, a second walk keeps the nodes that are read.  A tree alive
+    at the depth bound ends a stream that gave a node, and is
+    InsufficientPrecision before one; a place with no node raises
+    NoPointError.  Good places contribute 0: the class extends over the
+    smooth model there, into the Brauer group of the local integers, which
+    vanishes.
     """
     columns = {}
     for place in tw.bad_places:
-        nodes = []
+        window, n = deque(maxlen=samples), 0
         try:
-            for node in islice(_nodes(tw, place), seed + samples):
-                nodes.append(node)
+            for n, node in enumerate(islice(_nodes(tw, place), seed + samples), 1):
+                window.append(node)
         except InsufficientPrecision:
-            if not nodes:
+            if not n:
                 raise
-        if not nodes:
+        if not n:
             raise NoPointError(place, _depth_bound(tw, place.prime))
+        if n < seed + samples:  # the reads wrap around the n nodes
+            reads = [(seed + k) % n for k in range(samples)]
+            wanted = set(reads)
+            stream = window if n <= samples else islice(_nodes(tw, place), n)
+            kept = {i: node for i, node in enumerate(stream) if i in wanted}
+            window = [kept[i] for i in reads]
         # On the far chart, y_affine = y_far / z_far^2 differs from y_far
         # by a square, so the symbol sees the same class either way.
-        columns[place] = [hilbert2(nodes[(seed + k) % len(nodes)]().y, tw.p, place)[1]
-                          for k in range(samples)]
+        columns[place] = [hilbert2(node().y, tw.p, place)[1] for node in window]
     return [_make_report({place: frozenset({column[k]}) for place, column in columns.items()})
             for k in range(samples)]
 

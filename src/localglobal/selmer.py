@@ -10,6 +10,12 @@ of Q_3(zeta_3) that pairs nontrivially with 2 -- the obstruction -- yet
 lies in the annihilator of 60 and can be shifted inside that annihilator
 to a class orthogonal to both 2 and 3.  That witness is the shadow of an
 adelic section the obstruction does not kill.
+
+Points of these curves have int and Fraction coordinates (ints where
+integral) and name the field they lie over: None for Q, where the equation
+holds exactly; a prime p for F_p, with coordinates reduced to [0, p) and p
+dividing the equation; or `Q3`, a rational point that Hensel's lemma lifts
+to a true Q_3 point (see `_on_curve`).
 """
 
 from __future__ import annotations
@@ -18,13 +24,21 @@ import itertools
 import random
 from fractions import Fraction
 
-from .cubic import Eisenstein, cube_class_group, pi_valuation
-from .exact import CertificateError, legendre_symbol, record, sqrt_mod_prime
-from .padic import NoConvergence, PadicNumber, hensel_root, padic_root
+from .cubic import cube_class_group, pi_valuation
+from .exact import (
+    CertificateError,
+    _exact_coordinate,
+    legendre_symbol,
+    record,
+    residue,
+    split_prime_power,
+    sqrt_mod_prime,
+)
+from .padic import hensel_root
 from .tower import descent_value_at, evaluate_F_symbolic
 
 __all__ = [
-    "FpElement",
+    "Q3",
     "WeierstrassPoint",
     "SelmerPoint",
     "SurvivalReport",
@@ -45,6 +59,14 @@ __all__ = [
 # Weierstrass shifts: b^2 = a^3 + SHIFT[curve]
 CURVE_SHIFT = {"E": -24300, "Eprime": 900}
 
+# The field tag of a point over Q_3 (None is Q and a prime p is F_p).
+Q3 = "Q3"
+
+# Working 3-adic digits of every Hensel root taken here: the cube root
+# delta of 10 comes back to one fewer (v_3(3 delta^2) = 1), the square
+# roots of `random_E_points_Q3` and the T of `isogeny_preimage_Q3` to all.
+_Q3_DIGITS = 20
+
 
 class NoWitness(ArithmeticError):
     """No class in the allowed coset kills both pairings; this would mean
@@ -52,103 +74,73 @@ class NoWitness(ArithmeticError):
     conclusion, so it is raised loudly instead of being reported."""
 
 
-# ---------------------------------------------------------- prime fields
-class FpElement(record("FpElement", "p r")):
-    """An element of F_p with operator coercion from int."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, r: int):
-        return tuple.__new__(cls, (p, r % p))
-
-    def _lift(self, other):
-        if isinstance(other, FpElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return FpElement(self.p, other)
-        return None
-
-    def __add__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.p, self.r + o.r)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FpElement(self.p, -self.r)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.p, self.r - o.r)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.p, o.r - self.r)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        return NotImplemented if o is None else FpElement(self.p, self.r * o.r)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return FpElement(self.p, self.r * pow(o.r, -1, self.p))
-
-    def __pow__(self, k: int):
-        return FpElement(self.p, pow(self.r, k, self.p))
-
-    def __str__(self):
-        return f"{self.r} (mod {self.p})"
-
-
-def _vanishes(x) -> bool:
-    """Zero test across the coordinate domains used here."""
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    if isinstance(x, FpElement):
-        return x.r == 0
-    if isinstance(x, (PadicNumber, Eisenstein)):
-        return x.is_zero
-    raise TypeError(f"no zero test for {type(x).__name__}")
-
-
-def _coord(x):
-    """Exact ints become Fractions so that division stays exact."""
-    return Fraction(x) if isinstance(x, int) else x
-
-
 # ------------------------------------------------------------ point types
-class WeierstrassPoint(record("WeierstrassPoint", "curve a b infinity")):
-    """Affine point (a, b) with b^2 = a^3 + shift, or the point at infinity.
+def _v3(x) -> int:
+    return split_prime_power(x, 3)[0]
+
+
+def _on_curve(value, coords, partials, weights, degree, field) -> bool:
+    """Does F = 0 hold over the field at this point?  `value` is F at
+    `coords` and `partials` its dF/dx_i there.  Over Q exactly, over F_p
+    modulo p; over Q_3 when Hensel's lemma lifts the point to a Q_3 point.
+
+    F has integral coefficients and is weighted homogeneous of degree
+    `degree` apart from its constant, x_i of weight w_i.  With k >= 0 the
+    least that makes every 3^(k w_i) x_i integral, x_i -> 3^(k w_i) x_i
+    keeps the coefficients integral, multiplies F by 3^(k degree) and
+    dF/dx_i by 3^(k (degree - w_i)).  There Hensel's lemma in the one
+    variable of the least v_3(dF/dx_i) != 0 needs v_3(F) > 2 v_3(dF/dx_i),
+    the others fixed.  An exact zero is a point already."""
+    if field != Q3 or value == 0:
+        return _is_zero(value, field)
+    k = max([0] + [-(_v3(x) // w) for x, w in zip(coords, weights) if x])
+    least = min((_v3(d) + k * (degree - w) for d, w in zip(partials, weights) if d),
+                default=None)
+    return least is not None and _v3(value) + k * degree > 2 * least
+
+
+def _is_zero(x, field) -> bool:
+    """The zero test of the field: modulo p over F_p, exact otherwise."""
+    return x % field == 0 if isinstance(field, int) else x == 0
+
+
+def _coordinates(coords, field) -> tuple:
+    """ints in [0, p) over F_p, else ints where integral and Fractions."""
+    if isinstance(field, int):
+        return tuple(residue(c, field) for c in coords)
+    if field is not None and field != Q3:
+        raise ValueError(f"unknown field {field!r}")
+    return tuple(_exact_coordinate(c) for c in coords)
+
+
+class WeierstrassPoint(record("WeierstrassPoint", "curve a b infinity field")):
+    """Affine point (a, b) with b^2 = a^3 + shift over `field`, or the point
+    at infinity.
 
     curve is "E" (shift -24300) or "Eprime" (shift +900); the equation is
-    verified on construction, exactly over Q and F_p and to the stored
-    precision over Q_3.
+    verified on construction by `_on_curve`.
     """
 
     __slots__ = ()
 
-    def __new__(cls, curve: str, a=None, b=None, infinity: bool = False):
+    def __new__(cls, curve: str, a=None, b=None, infinity: bool = False, field=None):
         if curve not in CURVE_SHIFT:
             raise ValueError(f"unknown curve tag {curve!r}")
         if not infinity:
-            a, b = _coord(a), _coord(b)
-            if not _vanishes(b * b - a * a * a - CURVE_SHIFT[curve]):
-                raise ValueError(f"({a}, {b}) is not on {curve}")
-        return tuple.__new__(cls, (curve, a, b, infinity))
+            a, b = _coordinates((a, b), field)
+            value = b * b - a * a * a - CURVE_SHIFT[curve]
+            if not _on_curve(value, (a, b), (-3 * a * a, 2 * b), (2, 3), 6, field):
+                raise ValueError(f"({a}, {b}) is not on {curve} over {field}")
+        return tuple.__new__(cls, (curve, a, b, infinity, field))
 
     @classmethod
-    def at_infinity(cls, curve: str) -> "WeierstrassPoint":
-        return cls(curve, infinity=True)
+    def at_infinity(cls, curve: str, field=None) -> "WeierstrassPoint":
+        return cls(curve, infinity=True, field=field)
 
 
-class SelmerPoint(record("SelmerPoint", "x y z form")):
-    """Projective point [x : y : z] on a diagonal cubic sum(form_i w_i^3)=0.
+class SelmerPoint(record("SelmerPoint", "x y z form field")):
+    """Projective point [x : y : z] on a diagonal cubic sum(form_i w_i^3)=0
+    over `field`.
 
     The default form (3, 4, 5) is the everywhere-locally-solvable cubic
     itself; (1, 1, 60) is the norm-side cubic that maps to E.
@@ -156,16 +148,15 @@ class SelmerPoint(record("SelmerPoint", "x y z form")):
 
     __slots__ = ()
 
-    def __new__(cls, x, y, z, form: tuple = (3, 4, 5)):
-        coords = (_coord(x), _coord(y), _coord(z))
-        if all(_vanishes(c) for c in coords):
+    def __new__(cls, x, y, z, form: tuple = (3, 4, 5), field=None):
+        coords = _coordinates((x, y, z), field)
+        if all(_is_zero(c, field) for c in coords):
             raise ValueError("projective coordinates must not all vanish")
-        total = 0
-        for coeff, c in zip(form, coords):
-            total = coeff * c * c * c + total
-        if not _vanishes(total):
-            raise ValueError(f"point is not on the cubic {form}")
-        return tuple.__new__(cls, (*coords, form))
+        value = sum(coeff * c * c * c for coeff, c in zip(form, coords))
+        partials = [3 * coeff * c * c for coeff, c in zip(form, coords)]
+        if not _on_curve(value, coords, partials, (1, 1, 1), 3, field):
+            raise ValueError(f"point is not on the cubic {form} over {field}")
+        return tuple.__new__(cls, (*coords, form, field))
 
     @property
     def coords(self):
@@ -181,9 +172,10 @@ def cubic_to_weierstrass(pt: SelmerPoint) -> WeierstrassPoint:
         raise ValueError("the Weierstrass map needs the norm-side cubic (1, 1, 60)")
     a_, b_, c_ = pt.coords
     s = a_ + b_
-    if _vanishes(s):
-        return WeierstrassPoint.at_infinity("E")
-    return WeierstrassPoint("E", -180 * c_ / s, 270 * (a_ - b_) / s)
+    if _is_zero(s, pt.field):
+        return WeierstrassPoint.at_infinity("E", pt.field)
+    return WeierstrassPoint("E", Fraction(-180 * c_, s), Fraction(270 * (a_ - b_), s),
+                            field=pt.field)
 
 
 def isogeny_map(pt: WeierstrassPoint) -> WeierstrassPoint:
@@ -193,11 +185,12 @@ def isogeny_map(pt: WeierstrassPoint) -> WeierstrassPoint:
     verified on E by WeierstrassPoint itself."""
     if pt.curve != "Eprime":
         raise ValueError("isogeny_map starts on Eprime")
-    if pt.infinity or _vanishes(pt.a):
-        return WeierstrassPoint.at_infinity("E")
+    if pt.infinity or _is_zero(pt.a, pt.field):
+        return WeierstrassPoint.at_infinity("E", pt.field)
     u, v = pt.a, pt.b
     u3 = u * u * u
-    return WeierstrassPoint("E", (u3 + 3600) / (u * u), v * (u3 - 7200) / u3)
+    return WeierstrassPoint("E", Fraction(u3 + 3600, u * u), Fraction(v * (u3 - 7200), u3),
+                            field=pt.field)
 
 
 def isogeny_identity_check() -> bool:
@@ -218,59 +211,49 @@ def isogeny_identity_check() -> bool:
     return lhs == rhs
 
 
-def isogeny_preimage_Q3(pt: WeierstrassPoint, precision: int = 20) -> WeierstrassPoint:
-    """Invert the isogeny on a Q_3-point of E.
+def isogeny_preimage_Q3(pt: WeierstrassPoint) -> WeierstrassPoint:
+    """Invert the isogeny on a Q_3-point of E (or a rational one).
 
     Every affine Q_3-point has v_3(a) <= 0 (otherwise v_3(b^2) would be odd),
-    so 3600/a^3 lies in 3 Z_3 and T^3 - T^2 + 3600/a^3 has a simple root
-    at T = 1 mod 3; Newton lifts it, u = T a, and v = b u^3/(u^3 - 7200).
-    The round trip through isogeny_map is checked to the working precision.
+    so 3600/a^3 lies in 9 Z_3 and f(T) = T^3 - T^2 + 3600/a^3 has a simple
+    root at T = 1 mod 3; Hensel lifts it to _Q3_DIGITS digits, u = T a, and
+    v = b u^3/(u^3 - 7200).  The image of (u, v) is (a + a f(T)/T^2, b), so
+    the round trip through isogeny_map must give b exactly and a to
+    v_3(a) + digits(T) digits; CertificateError otherwise.
     """
     if pt.curve != "E":
         raise ValueError("isogeny_preimage_Q3 starts on E")
+    if pt.field not in (None, Q3):
+        raise ValueError(f"isogeny_preimage_Q3 needs a point over Q or Q_3, not {pt.field}")
     if pt.infinity:
-        return WeierstrassPoint.at_infinity("Eprime")
-    a, b = (
-        c if isinstance(c, PadicNumber) else PadicNumber.from_fraction(Fraction(c), 3, precision)
-        for c in (pt.a, pt.b)
-    )
-    if a.valuation() > 0:
+        return WeierstrassPoint.at_infinity("Eprime", Q3)
+    a, b = pt.a, pt.b
+    if _v3(a) > 0:
         raise ValueError("no affine Q_3-point of E has positive valuation in a")
-    constant = 3600 / (a * a * a)
-    if constant.valuation() < 1:
-        raise CertificateError("T-equation constant must be in 3 Z_3")
-    n = min(precision, constant.abs_prec)
-    try:
-        t, digits = hensel_root([constant.residue(n), 0, -1, 1], 1, 3, n)
-    except NoConvergence as exc:  # pragma: no cover - would refute surjectivity
-        raise NoConvergence(
-            f"isogeny preimage Newton failed at a={pt.a}: {exc}; "
-            "this contradicts Q_3-surjectivity of the isogeny"
-        ) from exc
-    u = PadicNumber(3, 0, t, digits) * a
+    t, digits = hensel_root([Fraction(3600) / a**3, 0, -1, 1], 1, 3, _Q3_DIGITS)
+    u = t * a
     u3 = u * u * u
-    pre = WeierstrassPoint("Eprime", u, b * u3 / (u3 - 7200))
+    pre = WeierstrassPoint("Eprime", u, Fraction(b * u3, u3 - 7200), field=Q3)
     back = isogeny_map(pre)
-    if not ((back.a - a).is_zero and (back.b - b).is_zero):
-        raise CertificateError(f"isogeny round trip drifted at a={pt.a}")
+    if back.b != b or (back.a != a and _v3(back.a - a) < _v3(a) + digits):
+        raise CertificateError(f"isogeny round trip drifted at a={a}")
     return pre
 
 
 # ------------------------------------------------------------- sampling
-def random_E_points_Q3(count: int, precision: int = 20, seed: int = 0):
-    """Random points of E(Q_3): any a = 1 mod 3 (occasionally scaled to
-    v_3(a) = -2) makes a^3 - 24300 a square unit times an even power of 3,
-    and the square root Hensel-lifts."""
+def random_E_points_Q3(count: int, seed: int = 0):
+    """Random points of E(Q_3): for a = 1 mod 3, divided by 9 one time in
+    four, a^3 - 24300 is 3^v w with v = 0 or -6 and the unit w = 1 mod 9,
+    whose square root Hensel lifts from 1; b = 3^(v/2) sqrt(w)."""
     rng = random.Random(seed)
     points = []
-    while len(points) < count:
-        a = Fraction(1 + 3 * rng.randrange(1, 500))
-        if rng.random() < 0.25:
-            a /= 9
-        b = padic_root(PadicNumber.from_fraction(a**3 - 24300, 3, precision), 2)
-        points.append(
-            WeierstrassPoint("E", PadicNumber.from_fraction(a, 3, precision), b)
-        )
+    for _ in range(count):
+        a = 1 + 3 * rng.randrange(1, 500)
+        if rng.randrange(4) == 0:
+            a = Fraction(a, 9)
+        v, w = split_prime_power(a**3 - 24300, 3)
+        root, _ = hensel_root([-w, 0, 1], 1, 3, _Q3_DIGITS)
+        points.append(WeierstrassPoint("E", a, root * Fraction(3) ** (v // 2), field=Q3))
     return points
 
 
@@ -286,10 +269,9 @@ def random_curve_points_mod_p(curve: str, p: int, count: int, seed: int = 0):
         u = rng.randrange(p)
         w = (u**3 + shift) % p
         if w == 0:
-            points.append(WeierstrassPoint(curve, FpElement(p, u), FpElement(p, 0)))
+            points.append(WeierstrassPoint(curve, u, 0, field=p))
         elif legendre_symbol(w, p) == 1:
-            v = sqrt_mod_prime(w, p)
-            points.append(WeierstrassPoint(curve, FpElement(p, u), FpElement(p, v)))
+            points.append(WeierstrassPoint(curve, u, sqrt_mod_prime(w, p), field=p))
     return points
 
 
@@ -303,9 +285,7 @@ def cubic_points_mod_p(p: int, form: tuple = (1, 1, 60)):
         ((0, 0, 1),),
     ):
         if sum(c * w**3 for c, w in zip(form, rep)) % p == 0:
-            found.append(
-                SelmerPoint(FpElement(p, rep[0]), FpElement(p, rep[1]), FpElement(p, rep[2]), form)
-            )
+            found.append(SelmerPoint(*rep, form, field=p))
     return found
 
 
@@ -322,22 +302,16 @@ def isogeny_sweep(primes=(7, 11, 13, 17, 19, 23), per_prime: int = 100, seed: in
 
 
 # ----------------------------------------------- the local descent class
-# Absolute 3-adic digits asked of the Hensel root delta of x^3 - 10; it
-# comes back to one fewer, as v_3(f'(delta)) = v_3(3 delta^2) = 1.
-_DELTA_DIGITS = 20
-
-
 def _delta() -> tuple[int, int]:
     """delta = cbrt(10) in Q_3 as (residue, digits), Hensel-lifted from 4."""
-    return hensel_root([-10, 0, 0, 1], 4, 3, _DELTA_DIGITS)
+    return hensel_root([-10, 0, 0, 1], 4, 3, _Q3_DIGITS)
 
 
 def section_point() -> SelmerPoint:
     """The 3-adic point [0 : delta : -2] on 3X^3+4Y^3+5Z^3 = 0, where delta
     is the unique cube root of 10 in Q_3 (Hensel from 4; the other two
     roots generate ramified extensions, so there is no choice to make)."""
-    delta, digits = _delta()
-    return SelmerPoint(Fraction(0), PadicNumber(3, 0, delta, digits), Fraction(-2))
+    return SelmerPoint(0, _delta()[0], -2, field=Q3)
 
 
 def _class_at_digits(k: int, delta_k: int, coefficients, group):

@@ -7,9 +7,12 @@ lists every class of Q_p*/(Q_p*)**m and samples norms until the generated
 subgroup reaches the index predicted by local reciprocity.  Classes are
 kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
-computations.  The 2s of the biquadratic norm case is a Hensel square root
+computations.  `PadicNumber`, the field Q_p at finite precision, and its
+`padic_root` are the reference arithmetic several oracles below compute
+in.  The 2s of the biquadratic norm case is a Hensel square root
 of -d.  The forced sections of a twist call the library's
-`is_local_norm` once per y-class.  The twist conditions are decided on
+`is_local_norm` once per y-class, and the sampled point obstructions keep
+every node up to seed + samples.  The twist conditions are decided on
 a fresh `TwistParams` for each prime, with ell factored again and (iii)
 by `legendre_symbol`, which proves each prime of ell again; the twist
 search and the density count loop over them.  The local point search is the
@@ -62,7 +65,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from localglobal import elkies, exact, tower
+from localglobal import elkies, exact, reichardt_lind, tower
 from localglobal.cubic import (
     ONE,
     PI,
@@ -87,19 +90,19 @@ from localglobal.exact import (
     legendre_symbol,
     primes_up_to,
     quartic_residue_symbol,
+    residue,
     split_prime_power,
     sqrt_mod_prime,
+    valuation,
 )
 from localglobal.elkies import ElkiesFibre, LocalSolvabilityReport, QuarticRep, RepresentationNotFound
 from localglobal.padic import (
     InsufficientPrecision,
     NoConvergence,
-    PadicNumber,
     _unit_label_digits,
     hensel_root as padic_hensel_root,
     is_nth_power as padic_is_nth_power,
     is_nth_power_unit,
-    padic_root,
 )
 from localglobal.reichardt_lind import (
     LocalPoint,
@@ -123,6 +126,199 @@ DEFAULT_PRECISION = 40
 # ell*y^2 = z^4 - p with any nonzero coprime constants: the shape the local
 # point searches read, without the prime p and squarefree ell of TwistParams
 Quartic = namedtuple("Quartic", "ell p")
+
+
+# ------------------------------------------------------- p-adic numbers
+# The finite-precision field Q_p that the library's 3-adic curve points
+# and Hensel lifts were computed in before they moved to int and Fraction
+# coordinates; the Newton iteration and the local point search below are
+# written in it.  p**v * u with u a unit known modulo p**prec ("prec
+# significant digits"); a value whose digits are all zero at the working
+# precision only carries the absolute precision at which it vanishes.
+
+
+class PadicNumber:
+    """Immutable p-adic number at finite relative precision."""
+
+    __slots__ = ("p", "v", "unit", "prec", "_zero")
+
+    def __init__(self, p, v, unit, prec, _zero=False):
+        if prec <= 0 and not _zero:
+            raise InsufficientPrecision(f"no significant digits left (prec={prec})")
+        self.p = p
+        self._zero = _zero
+        if _zero:
+            # v holds the absolute precision O(p**v); unit/prec are unused.
+            self.v = v
+            self.unit = 0
+            self.prec = 0
+        else:
+            unit %= p**prec
+            if unit % p == 0:
+                raise ValueError("unit part must be a p-adic unit")
+            self.v = v
+            self.unit = unit
+            self.prec = prec
+
+    # ------------------------------------------------------------------ const
+    @classmethod
+    def zero(cls, p, abs_prec):
+        """The class O(p**abs_prec): indistinguishable from 0."""
+        return cls(p, abs_prec, 0, 0, _zero=True)
+
+    @classmethod
+    def from_fraction(cls, q, p, prec):
+        q = Fraction(q)
+        if q == 0:
+            return cls.zero(p, prec)
+        v, u = split_prime_power(q, p)
+        return cls(p, v, residue(u, p**prec), prec)
+
+    # ------------------------------------------------------------------ views
+    @property
+    def is_zero(self) -> bool:
+        return self._zero
+
+    @property
+    def abs_prec(self) -> int:
+        """Absolute precision: the value is known modulo p**abs_prec."""
+        return self.v if self._zero else self.v + self.prec
+
+    def valuation(self) -> int:
+        if self._zero:
+            raise InsufficientPrecision(
+                f"value is O({self.p}^{self.v}); valuation undetermined"
+            )
+        return self.v
+
+    def unit_residue(self, k: int) -> int:
+        """The unit part modulo p**k."""
+        if self._zero:
+            raise InsufficientPrecision("zero at working precision has no unit part")
+        if k > self.prec:
+            raise InsufficientPrecision(f"only {self.prec} digits known, need {k}")
+        return self.unit % self.p**k
+
+    def residue(self, k: int) -> int:
+        """The value modulo p**k (requires v >= 0 and enough digits)."""
+        if self._zero:
+            if self.v >= k:
+                return 0
+            raise InsufficientPrecision("not enough digits for requested residue")
+        if self.v < 0:
+            raise ValueError("negative valuation: not a p-adic integer")
+        if self.v + self.prec < k:
+            raise InsufficientPrecision(f"known mod p^{self.v + self.prec}, need p^{k}")
+        return self.unit * self.p**self.v % self.p**k
+
+    def __repr__(self):
+        if self._zero:
+            return f"O({self.p}^{self.v})"
+        show = self.unit % self.p ** min(self.prec, 6)
+        return f"{self.p}^{self.v}*{show}... + O({self.p}^{self.abs_prec})"
+
+    # ------------------------------------------------------------- arithmetic
+    def _coerce(self, other):
+        """An exact other at the digits self carries: its relative
+        precision, or the absolute one of a value that vanished."""
+        if isinstance(other, PadicNumber):
+            if other.p != self.p:
+                raise ValueError("mixed primes")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return PadicNumber.from_fraction(
+                Fraction(other), self.p, max(self.v, 1) if self._zero else self.prec
+            )
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        p = self.p
+        cap = min(self.abs_prec, other.abs_prec)
+        lo = min(
+            (x.v for x in (self, other) if not x._zero), default=cap
+        )
+        if lo >= cap:
+            return PadicNumber.zero(p, cap)
+        total = 0
+        for x in (self, other):
+            if not x._zero:
+                total += x.unit * p ** (x.v - lo)
+        total %= p ** (cap - lo)
+        if total == 0:
+            return PadicNumber.zero(p, cap)
+        v = valuation(total, p)
+        return PadicNumber(p, lo + v, total // p**v, cap - lo - v)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        if self._zero:
+            return self
+        return PadicNumber(self.p, self.v, (-self.unit) % self.p**self.prec, self.prec)
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        p = self.p
+        if self._zero or other._zero:
+            # v is a lower bound on the product's valuation either way
+            return PadicNumber.zero(p, self.v + other.v)
+        prec = min(self.prec, other.prec)
+        return PadicNumber(p, self.v + other.v, self.unit * other.unit, prec)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self._zero:
+            raise ZeroDivisionError("cannot invert a value that vanishes at precision")
+        mod = self.p**self.prec
+        return PadicNumber(self.p, -self.v, pow(self.unit, -1, mod), self.prec)
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+
+def padic_root(x: PadicNumber, n: int) -> PadicNumber:
+    """An n-th root by residue search plus Hensel lifting; ValueError if none.
+
+    Newton needs v(r^n - u) > 2 v(n r^(n-1)) = 2 v_p(n), so the start is the
+    least unit r with r^n = u mod p**k, k = 2 v_p(n) + 1 (mod 8 for square
+    roots at p = 2, mod p for odd p prime to n).  Fewer than k known
+    digits cannot show v(f(r)) > 2 v(f'(r)), so they raise
+    InsufficientPrecision.
+    """
+    p = x.p
+    if x.is_zero:
+        raise InsufficientPrecision("cannot extract a root of a vanished value")
+    if x.v % n:
+        raise ValueError(f"valuation {x.v} is not divisible by {n}")
+    k = _unit_label_digits(p, n)
+    mod = p**k
+    u = x.unit_residue(k)
+    start = next((r for r in range(1, mod) if r % p and pow(r, n, mod) == u), None)
+    if start is None:
+        raise ValueError(f"unit part is not an {n}-th power")
+    root, digits = padic_hensel_root([-x.unit] + [0] * (n - 1) + [1], start, p, x.prec)
+    return PadicNumber(p, x.v // n, root, digits)
 
 
 @lru_cache(maxsize=None)
@@ -286,6 +482,27 @@ def forced_section_invariants(tw) -> ObstructionReport:
         )
     contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
     return _make_report(contributions)
+
+
+def point_obstructions(tw, samples: int, seed: int = 0) -> list:
+    """`reichardt_lind.point_obstructions` as it kept every node: the first
+    seed + samples nodes of each bad place in one list, sample k lifting
+    node (seed + k) mod n of the n found."""
+    columns = {}
+    for place in tw.bad_places:
+        nodes = []
+        try:
+            for node in itertools.islice(reichardt_lind._nodes(tw, place), seed + samples):
+                nodes.append(node)
+        except InsufficientPrecision:
+            if not nodes:
+                raise
+        if not nodes:
+            raise reichardt_lind.NoPointError(place, reichardt_lind._depth_bound(tw, place.prime))
+        columns[place] = [hilbert2(nodes[(seed + k) % len(nodes)]().y, tw.p, place)[1]
+                          for k in range(samples)]
+    return [_make_report({place: frozenset({column[k]}) for place, column in columns.items()})
+            for k in range(samples)]
 
 
 def twist_conditions(ell: int, p: int) -> TwistConditions:

@@ -11,7 +11,7 @@ import oracles
 from localglobal import cli
 from localglobal.cubic import Eisenstein, PI, cube_class_group, hilbert3
 from localglobal.elkies import family_scan, fibre, quartic_rep
-from localglobal.exact import primes_up_to, quartic_residue_symbol
+from localglobal.exact import primes_up_to, quartic_residue_symbol, split_prime_power
 from localglobal.padic import hensel_root, power_class
 from localglobal.reichardt_lind import (
     NoPoint,
@@ -214,14 +214,15 @@ def test_c11_isogeny_suite():
     t0 = time.perf_counter()
     checked = isogeny_sweep(per_prime=100, seed=2)
     assert checked >= 500
-    for pt in random_E_points_Q3(50, precision=20, seed=9):
-        pre = isogeny_preimage_Q3(pt, precision=20)
+    for pt in random_E_points_Q3(50, seed=9):
+        pre = isogeny_preimage_Q3(pt)
         back = isogeny_map(pre)
-        assert (back.a - pt.a).is_zero and (back.b - pt.b).is_zero
+        assert back.b == pt.b
+        assert split_prime_power(back.a - pt.a, 3)[0] >= split_prime_power(pt.a, 3)[0] + 20
     elapsed = time.perf_counter() - t0
     assert elapsed < 30
     print(f"C11 PASS isogeny: {checked} finite-field points verified on the target "
-          f"curve; 50 Q_3 preimages round-trip at precision 3^20 [{elapsed:.1f}s < 30s]")
+          f"curve; 50 Q_3 preimages round-trip, b exact and a to 20 digits [{elapsed:.1f}s < 30s]")
 
 
 def test_c12_model_smoothness():

@@ -11,12 +11,8 @@ import oracles
 import pytest
 
 from localglobal.exact import factorize, primes_up_to, split_prime_power
-from localglobal.padic import (
-    InsufficientPrecision,
-    NoConvergence,
-    PadicNumber,
-    hensel_root,
-)
+from localglobal.padic import InsufficientPrecision, NoConvergence, hensel_root
+from oracles import PadicNumber
 
 PRIMES = (2, 3, 5, 7, 37, 499)
 

@@ -330,6 +330,36 @@ def test_sample_k_reads_point_seed_plus_k_mod_n_of_each_place(ell, p):
                 assert report.contribution(place) == {hilbert2(y, p, place)[1]}, (place, seed, k)
 
 
+@pytest.mark.parametrize("ell, p", [(2, 17), (3, 13), (-1, 17), (2, 31)])
+def test_the_kept_window_reads_as_keeping_every_node(ell, p):
+    # the places hold 1 to 256 nodes (2 and 17 of (2, 17): 120 and 66, the
+    # stream at 2 ending at the depth bound), so these reads stay inside the
+    # stream, wrap inside the window, and wrap past it
+    tw = TwistParams(ell, p)
+    for seed, samples in ((0, 20), (3, 20), (7, 2), (50, 6), (118, 8), (121, 1), (1000, 20),
+                          (0, 130)):
+        assert (reichardt_lind.point_obstructions(tw, samples, seed)
+                == oracles.point_obstructions(tw, samples, seed)), (seed, samples)
+
+
+def test_a_place_is_walked_again_only_when_the_reads_wrap_past_the_window(monkeypatch):
+    # (2, 31) has 256 nodes at 2, 122 at 31 and 1 at infinity
+    walks, nodes = [], reichardt_lind._nodes
+    monkeypatch.setattr(reichardt_lind, "_nodes",
+                        lambda tw, place: walks.append(str(place)) or nodes(tw, place))
+    tw = TwistParams(2, 31)
+    for seed, samples, expected in (
+        (0, 20, ["2", "31", "infinity"]),        # no place wraps past its window
+        (230, 20, ["2", "31", "31", "infinity"]),
+        (118, 8, ["2", "31", "31", "infinity"]),
+        (250, 10, ["2", "2", "31", "31", "infinity"]),
+        (0, 200, ["2", "31", "infinity"]),       # 31 wraps, inside its window
+    ):
+        walks.clear()
+        reichardt_lind.point_obstructions(tw, samples, seed)
+        assert walks == expected, (seed, samples)
+
+
 def test_each_place_is_proven_prime_once_for_all_samples(monkeypatch, capsys):
     # a place is built once and handed to every point lifted there, so the
     # primality proofs of p do not grow with the number of samples

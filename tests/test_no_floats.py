@@ -1,11 +1,15 @@
-"""Source guard: no float literal or float() call on a decision path.
+"""Source guards: no float literal or float() call on a decision path,
+and no hand-written p-adic or finite-field number type.
 
 Every verdict is decided in exact arithmetic.  The scan lists each float
-literal and each call of the builtin `float` in the library; the only ones
-allowed are a display string and a sampling draw that decides nothing.
+literal and each call of the builtin `float` in the library; the only one
+allowed is a display string.  p-adic values are ints and Fractions that
+Hensel's lemma certifies, and F_p elements are ints mod p: no module of
+the library names `PadicNumber`, `padic_root` or `FpElement`.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import localglobal
@@ -14,8 +18,9 @@ SOURCE = Path(localglobal.__file__).parent
 
 ALLOWED = {
     ("cli.py", '"relative_error": f"{float(relative):.6f}",'),  # display only
-    ("selmer.py", "if rng.random() < 0.25:"),  # which section point to sample
 }
+
+NUMBER_TYPES = re.compile(r"\b(PadicNumber|padic_root|FpElement)\b")
 
 
 def float_sites(path: Path):
@@ -43,3 +48,19 @@ def test_the_scan_sees_floats(tmp_path):
         ("probe.py", "bound = int((n0 / 16) ** 0.25) + 2"),
         ("probe.py", "ratio = float(n0)"),
     }
+
+
+def number_type_sites(path: Path):
+    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+        if NUMBER_TYPES.search(line):
+            yield path.name, lineno
+
+
+def test_no_module_names_a_padic_number_type():
+    assert [site for path in sorted(SOURCE.glob("*.py")) for site in number_type_sites(path)] == []
+
+
+def test_the_scan_sees_number_types(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("x = PadicNumber(3, 0, 1, 5)\n# padic_root(x, 2)\nFpElementary = 1\nFpElement\n")
+    assert list(number_type_sites(probe)) == [("probe.py", 1), ("probe.py", 2), ("probe.py", 4)]

@@ -7,14 +7,13 @@ from localglobal.exact import primes_up_to, valuation
 from localglobal.padic import (
     InsufficientPrecision,
     NoConvergence,
-    PadicNumber,
     hensel_root,
     is_nth_power,
     is_nth_power_unit,
-    padic_root,
     power_class,
     power_class_from_parts,
 )
+from oracles import PadicNumber, padic_root
 
 
 def from_q(q, p, prec=40):

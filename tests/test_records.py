@@ -58,7 +58,6 @@ SAMPLES = {
     "LocalSolvabilityReport": lambda: elkies.local_solvability_report(elkies.fibre(1)),
     "QuarticRep": lambda: elkies.quartic_rep(17),
     "ObstructionParity": lambda: elkies.obstruction_parity(elkies.fibre(1)),
-    "FpElement": lambda: selmer.FpElement(7, 10),
     "WeierstrassPoint": lambda: selmer.WeierstrassPoint("Eprime", 0, 30),
     "SelmerPoint": lambda: selmer.SelmerPoint(1, -1, 0, (1, 1, 60)),
     "SurvivalReport": lambda: selmer.survival_analysis(),
@@ -74,7 +73,7 @@ def hash_of(x):
 
 def test_every_record_class_has_a_sample():
     classes = record_classes()
-    assert len(classes) >= 21
+    assert len(classes) >= 20
     assert set(classes) == set(SAMPLES)
 
 
@@ -171,14 +170,14 @@ def test_validations_still_refuse(build, error):
 
 
 def test_normalisations_reach_the_fields():
-    assert selmer.FpElement(7, 10).r == 3
     assert symbols.InvariantValue(Fraction(5, 2)).value == Fraction(1, 2)
     assert symbols.InvariantValue(Fraction(5, 2)) == symbols.InvariantValue.half()
-    point = selmer.WeierstrassPoint("Eprime", 0, 30)
-    assert type(point.a) is Fraction and type(point.b) is Fraction
+    point = selmer.WeierstrassPoint("Eprime", Fraction(0), Fraction(30))
+    assert type(point.a) is int and type(point.b) is int and point.field is None
+    assert selmer.WeierstrassPoint("Eprime", 7, 30, field=7) == selmer.WeierstrassPoint("Eprime", 0, 2, field=7)
     assert selmer.WeierstrassPoint.at_infinity("E") == selmer.WeierstrassPoint("E", None, None, True)
     cubic_point = selmer.SelmerPoint(1, -1, 0, (1, 1, 60))
-    assert all(type(c) is Fraction for c in cubic_point.coords) and cubic_point.form == (1, 1, 60)
+    assert all(type(c) is int for c in cubic_point.coords) and cubic_point.form == (1, 1, 60)
     assert reichardt_lind.LocalPoint(symbols.Place(5), 1, 2, 8).chart == "near"
 
 

@@ -9,9 +9,9 @@ import oracles
 from localglobal import selmer
 from localglobal.cubic import Eisenstein, PI, cube_class_group, pi_valuation
 from localglobal.exact import CertificateError
-from localglobal.padic import PadicNumber, hensel_root, padic_root
+from localglobal.padic import hensel_root
 from localglobal.selmer import (
-    FpElement,
+    Q3,
     SelmerPoint,
     WeierstrassPoint,
     cubic_points_mod_p,
@@ -27,10 +27,6 @@ from localglobal.selmer import (
     survival_analysis,
 )
 from localglobal.tower import descent_value_at, evaluate_F_symbolic
-
-
-def fp(p, *values):
-    return tuple(FpElement(p, v) for v in values)
 
 
 class TestPointTypes:
@@ -52,10 +48,24 @@ class TestPointTypes:
         SelmerPoint(1, -1, 0, (1, 1, 60))
 
     def test_fp_arithmetic(self):
-        x = FpElement(7, 3)
-        assert (2 * x + 1).r == 0
-        assert (x / FpElement(7, 5)).r == 3 * 3 % 7
-        assert (x**3).r == 27 % 7
+        # over F_p the coordinates are ints reduced to [0, p), a Fraction
+        # by the inverse of its denominator, and p divides the equation
+        pt = WeierstrassPoint("Eprime", 14, Fraction(21, 2), field=11)
+        assert (pt.a, pt.b, pt.field) == (3, 21 * pow(2, -1, 11) % 11, 11) == (3, 5, 11)
+        assert WeierstrassPoint("Eprime", 3, 5, field=11) == pt
+        with pytest.raises(ValueError):
+            WeierstrassPoint("Eprime", 1, 0, field=11)  # 1 + 900 = 10 mod 11
+        with pytest.raises(ValueError):
+            WeierstrassPoint("Eprime", Fraction(1, 11), 0, field=11)  # no residue mod 11
+        with pytest.raises(ValueError):
+            WeierstrassPoint("Eprime", 0, 30, field="Q5")
+
+    def test_rational_coordinates_are_ints_where_integral(self):
+        pt = WeierstrassPoint("Eprime", Fraction(0), Fraction(60, 2))
+        assert (type(pt.a), type(pt.b), pt.field) == (int, int, None)
+        coords = [c for pt in random_E_points_Q3(20, seed=1) for c in (pt.a, pt.b)]
+        assert {type(c) for c in coords} == {int, Fraction}
+        assert all(type(c) is int or c.denominator > 1 for c in coords)
 
 
 class TestCubicToWeierstrass:
@@ -63,9 +73,8 @@ class TestCubicToWeierstrass:
         assert cubic_to_weierstrass(SelmerPoint(1, -1, 0, (1, 1, 60))).infinity
 
     def test_mod7_example(self):
-        a, b, c = fp(7, 1, 3, 0)
-        image = cubic_to_weierstrass(SelmerPoint(a, b, c, (1, 1, 60)))
-        assert (image.a.r, image.b.r) == (0, 5)
+        image = cubic_to_weierstrass(SelmerPoint(1, 3, 0, (1, 1, 60), field=7))
+        assert (image.a, image.b, image.field) == (0, 5, 7)
         assert (5 * 5 - (0 - 24300)) % 7 == 0
 
     def test_all_mod13_points_land_on_E(self):
@@ -75,7 +84,7 @@ class TestCubicToWeierstrass:
         images = [cubic_to_weierstrass(q) for q in points]
         assert sum(1 for w in images if w.infinity) >= 1
         # WeierstrassPoint validated each affine image on construction
-        assert all(w.infinity or isinstance(w.a, FpElement) for w in images)
+        assert all(w.infinity or w.field == 13 and 0 <= w.a < 13 for w in images)
 
     def test_requires_the_norm_side_cubic(self):
         with pytest.raises(ValueError):
@@ -84,9 +93,8 @@ class TestCubicToWeierstrass:
 
 class TestIsogeny:
     def test_mod11_example(self):
-        u, v = fp(11, 3, 5)
-        image = isogeny_map(WeierstrassPoint("Eprime", u, v))
-        assert (image.a.r, image.b.r) == (7, 10)
+        image = isogeny_map(WeierstrassPoint("Eprime", 3, 5, field=11))
+        assert (image.a, image.b, image.field) == (7, 10, 11)
         assert (10 * 10 - (7**3 - 24300)) % 11 == 0
 
     def test_kernel_to_infinity(self):
@@ -113,26 +121,24 @@ class TestIsogeny:
 
 class TestIsogenyPreimage:
     def test_unit_coordinate_example(self):
-        b = padic_root(PadicNumber.from_fraction(Fraction(1 - 24300), 3, 20), 2)
-        pt = WeierstrassPoint("E", PadicNumber.from_fraction(1, 3, 20), b)
-        pre = isogeny_preimage_Q3(pt)
-        assert pre.curve == "Eprime"
-        assert pre.a.valuation() == 0
-        assert pre.a.residue(2) == 1  # T = 1 mod 9 and u = T a = T
+        b, _ = hensel_root([24300 - 1, 0, 1], 1, 3, 20)
+        pre = isogeny_preimage_Q3(WeierstrassPoint("E", 1, b, field=Q3))
+        assert (pre.curve, pre.field) == ("Eprime", Q3)
+        assert type(pre.a) is int and pre.a % 9 == 1  # T = 1 mod 9 and u = T a = T
 
     def test_scaled_coordinate_example(self):
         a = Fraction(4, 9)  # valuation -2 from scaling
-        b = padic_root(PadicNumber.from_fraction(a**3 - 24300, 3, 24), 2)
-        pre = isogeny_preimage_Q3(
-            WeierstrassPoint("E", PadicNumber.from_fraction(a, 3, 24), b)
-        )
-        assert pre.a.valuation() == -2
+        b, _ = hensel_root([24300 * 3**6 - 4**3, 0, 1], 1, 3, 24)
+        pre = isogeny_preimage_Q3(WeierstrassPoint("E", a, Fraction(b, 27), field=Q3))
+        assert selmer._v3(pre.a) == -2
 
     def test_round_trip_on_50_random_points(self):
-        for pt in random_E_points_Q3(50, precision=20, seed=11):
+        # b comes back exactly and a to v_3(a) + 20 digits, the digits of T
+        for pt in random_E_points_Q3(50, seed=11):
             pre = isogeny_preimage_Q3(pt)
             back = isogeny_map(pre)
-            assert (back.a - pt.a).is_zero and (back.b - pt.b).is_zero
+            assert back.field == pre.field == Q3
+            assert back.b == pt.b and selmer._v3(back.a - pt.a) >= selmer._v3(pt.a) + 20
 
     def test_infinity_and_wrong_curve(self):
         assert isogeny_preimage_Q3(WeierstrassPoint.at_infinity("E")).infinity
@@ -140,17 +146,69 @@ class TestIsogenyPreimage:
             isogeny_preimage_Q3(WeierstrassPoint.at_infinity("Eprime"))
 
     def test_sampler_is_deterministic(self):
-        one = random_E_points_Q3(5, seed=4)
-        two = random_E_points_Q3(5, seed=4)
-        keys = lambda pts: [(p.a.valuation(), p.a.unit_residue(6)) for p in pts]
-        assert keys(one) == keys(two)
+        assert random_E_points_Q3(5, seed=4) == random_E_points_Q3(5, seed=4)
+
+    def test_a_drifting_round_trip_is_a_certificate_error(self, monkeypatch):
+        # T cut to 19 digits while 20 are claimed: back.a - a keeps
+        # v_3(a) + 19, which the round-trip check refuses
+        root = selmer.hensel_root
+        b, _ = root([24300 - 1, 0, 1], 1, 3, 20)
+        monkeypatch.setattr(selmer, "hensel_root", lambda *args: (root(*args)[0] % 3**19, 20))
+        with pytest.raises(CertificateError, match="round trip drifted"):
+            isogeny_preimage_Q3(WeierstrassPoint("E", 1, b, field=Q3))
+
+
+def refuses_a_unit_residual():
+    # b^2 - a^3 + 24300 = 24299 is a unit at (1, 0), and dF/db = 2b = 0:
+    # only dF/da = -3 is left, and v_3(F) = 0 is not > 2 v_3(-3) = 2
+    with pytest.raises(ValueError, match="not on E over Q3"):
+        WeierstrassPoint("E", 1, 0, field=Q3)
+
+
+def refuses_a_point_with_the_wrong_valuations():
+    # v_3(a) = -4 forces v_3(b) = -6 on E; at (3^-4, 3^-5), v_3(F) = -12
+    # beats 2 v_3(dF/da) = -14 only before the coordinates are made
+    # integral: scaled by 3^8 and 3^12, v(F) = 0 is not > 2 min(1, 1)
+    with pytest.raises(ValueError, match="not on E over Q3"):
+        WeierstrassPoint("E", Fraction(1, 3**4), Fraction(1, 3**5), field=Q3)
+
+
+class TestQ3Points:
+    def test_refuses_a_unit_residual(self):
+        refuses_a_unit_residual()
+
+    def test_refuses_a_point_with_the_wrong_valuations(self):
+        refuses_a_point_with_the_wrong_valuations()
+
+    def test_every_built_point_satisfies_the_hensel_inequality(self):
+        points = random_E_points_Q3(50, seed=9)
+        points += [isogeny_preimage_Q3(pt) for pt in points]
+        for pt in points:
+            a, b = pt.a, pt.b
+            k = max(0, -(selmer._v3(a) // 2), -(selmer._v3(b) // 3))
+            value = 3 ** (6 * k) * (b * b - a**3 - selmer.CURVE_SHIFT[pt.curve])
+            least = min(selmer._v3(2 * b) + 3 * k, selmer._v3(3 * a * a) + 4 * k)
+            assert pt.field == Q3 and k in (0, 1) and selmer._v3(value) > 2 * least
+        delta = section_point().y
+        assert selmer._v3(4 * delta**3 - 40) > 2 * selmer._v3(12 * delta**2) == 2
+
+    @pytest.mark.parametrize("mutant, test", [
+        (lambda on_curve: lambda *args: args[-1] == Q3 or on_curve(*args),
+         refuses_a_unit_residual),
+        (lambda on_curve: lambda value, coords, *rest: on_curve(value, (), *rest),
+         refuses_a_point_with_the_wrong_valuations),
+    ], ids=["no_inequality", "no_scaling"])
+    def test_a_weaker_hensel_rule_fails_a_test(self, monkeypatch, mutant, test):
+        monkeypatch.setattr(selmer, "_on_curve", mutant(selmer._on_curve))
+        with pytest.raises(pytest.fail.Exception):
+            test()
 
 
 class TestDescentClass:
     def test_section_point_is_on_the_cubic(self):
         pt = section_point()
         assert pt.form == (3, 4, 5)
-        assert (pt.y * pt.y * pt.y).residue(8) == 10 % 3**8
+        assert pt.field == Q3 and pt.y**3 % 3**20 == 10
 
     def test_descent_value_valuation(self):
         delta, digits = hensel_root([-10, 0, 0, 1], 4, 3, 18)
@@ -170,7 +228,7 @@ class TestDescentClass:
         # are wrong
         group, coefficients = cube_class_group(), evaluate_F_symbolic()
         delta, digits = selmer._delta()  # the residue of the y of section_point
-        assert (digits, delta) == (19, section_point().y.residue(19))
+        assert (digits, delta) == (19, section_point().y)
         classes = {k: selmer._class_at_digits(k, delta % 3**k, coefficients, group)
                    for k in range(1, 16)}
         assert [k for k, vec in classes.items() if vec is not None] == list(range(4, 16))
