@@ -4,9 +4,9 @@ package as a machine-readable report.
 Reports are JSON objects {command, params, result, status, timings} printed
 to standard output (or a flattened text rendering with --format text).
 Invariant values appear as exact fraction strings ("0", "1/2", "1/3",
-"2/3"); prime lists are ascending.  For fixed arguments and seed the
-report is reproducible byte for byte apart from the timings block, which
-records wall-clock milliseconds.
+"2/3"); prime lists are ascending.  For fixed arguments the report is
+reproducible byte for byte apart from the timings block, which records
+wall-clock milliseconds.
 
 The command line is described once, in the `_CLI` table.  `main` reads the
 plain spellings (group, command, exact long flags, positionals) straight
@@ -19,9 +19,9 @@ plain command line never loads it.
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (a p-adic step could not certify its
 digits), 1 for runtime errors and failed self-checks (status "error"), 64
-for usage errors, a --max-prime, --samples or --height below 1 and a
---seed below 0 among them.  No command takes a digit count: each p-adic
-step works out its own from its input.
+for usage errors, a --max-prime or --height below 1 and a --bound below 0
+among them.  No command takes a digit count: each p-adic step works out
+its own from its input.
 """
 
 from __future__ import annotations
@@ -34,17 +34,18 @@ from types import SimpleNamespace
 
 from .cubic import PI, Eisenstein, cube_class_group, hilbert3
 from .elkies import fibre, family_scan, local_solvability_report, obstruction_parity
-from .exact import legendre_symbol, quartic_residue_symbol
+from .exact import CertificateError, legendre_symbol, quartic_residue_symbol
 from .padic import InsufficientPrecision
 from .reichardt_lind import (
     NoPointError,
     ObstructionReport,
     TwistParams,
+    _make_report,
     density_experiment,
     exhaustive_search,
     forced_section_invariants,
+    local_image,
     model_smoothness_check,
-    point_obstructions,
     twist_conditions,
     twist_search,
 )
@@ -102,10 +103,8 @@ def _prime_list(text: str) -> tuple[int, ...]:
 # [(flags, add_argument keywords), ...]}).  Every command also takes _COMMON,
 # whose values default to _DEFAULTS.  None of them sets a p-adic digit
 # count, and only the searches that test primes take a prime bound.
-_DEFAULTS = {"seed": 0, "format": "json"}
+_DEFAULTS = {"format": "json"}
 _COMMON = [
-    (("--seed",), {"type": _non_negative_int, "help": "rl verify: the index of the first "
-                   "sampled local point at each place, not a random seed (default 0)"}),
     (("--format",), {"choices": ("json", "text"), "help": "report rendering (default json)"}),
 ]
 _ELL = (("--ell",), {"type": int, "required": True})
@@ -122,14 +121,12 @@ _CLI = {
         "hilbert3": [(("a",), {"type": _rational}), (("b",), {"type": _rational})],
     }),
     "rl": ("the quartic twist family ell*y^2 = z^4 - p", {
-        "verify": [_ELL, (("--p",), {"type": int, "required": True}),
-                   (("--samples",), {"type": _positive_int, "default": 20,
-                                     "help": "number of adelic points to sample (default 20)"})],
+        "verify": [_ELL, (("--p",), {"type": int, "required": True})],
         "search": [_ELL, _MAX_PRIME],
         "density": [_ELL, _MAX_PRIME],
         "exhaust": [(("--ell",), {"type": int, "default": 2}),
                     (("--rhs",), {"type": int, "default": 17}),
-                    (("--bound",), {"type": int, "required": True})],
+                    (("--bound",), {"type": _non_negative_int, "required": True})],
         "smooth": [(("--ell",), {"type": int, "default": 2}),
                    (("--p",), {"type": int, "default": 17}),
                    (("--primes",), {"type": _prime_list, "default": (3, 5, 7, 11, 13)})],
@@ -287,20 +284,20 @@ def _work_rl(args, stage):
     if args.command == "verify":
         tw = TwistParams(args.ell, args.p)
         t0 = time.perf_counter()
-        reports = point_obstructions(tw, args.samples, args.seed)
+        points = _make_report({place: local_image(tw, place) for place in tw.bad_places})
         stage("points", t0)
-        totals = {report.total for report in reports}
         t0 = time.perf_counter()
         forced = forced_section_invariants(tw)
         stage("forced", t0)
+        for place, values in points.contributions:
+            if not values <= forced.contribution(place):
+                raise CertificateError(f"the point image at {place} exceeds its forced set")
         conditions = twist_conditions(tw)
-        obstructed = len(totals) == 1 and reports[0].verdict == forced.verdict == "obstructed"
+        obstructed = points.verdict == forced.verdict == "obstructed"
         return ("obstructed" if obstructed else "ok"), {
             "ell": args.ell,
             "p": args.p,
-            "samples": args.samples,
-            "totals_constant": len(totals) == 1,
-            "point_analysis": _obstruction_payload(reports[0]),
+            "point_analysis": _obstruction_payload(points),
             "forced_analysis": _obstruction_payload(forced),
             "conditions": {
                 "odd_prime_coprime": conditions.odd_prime_coprime,

@@ -445,10 +445,12 @@ def primes_up_to(n: int) -> list[int]:
 # ------------------------------------------------------------ ring elements
 def _exact_coordinate(v) -> int | Fraction:
     """v as a ring coordinate: an int when it is integral, else a Fraction
-    (a value of another rational type is read through Fraction), never a
-    float."""
+    (a value of another rational type is read through Fraction).  A float
+    is a TypeError: 0.1 is not 1/10."""
     if type(v) is not int:
         if type(v) is not Fraction:
+            if isinstance(v, float):
+                raise TypeError(f"a float is not an exact coordinate: {v!r}")
             v = Fraction(v)
         if v.denominator == 1:
             return v.numerator

@@ -11,14 +11,15 @@ criterion and takes the fourth roots from square roots, and the children
 of a zero mod q^d solve one linear congruence mod q, because a polynomial
 agrees with its first-order Taylor expansion modulo q^(d+1) on the box of
 side q^d.  `local_points` yields the certified points of a place one
-branch at a time, so one search serves every sample.
+branch at a time.
 
 Two obstruction computations are provided:
 
-* `point_obstructions` evaluates the quaternion class (y, p) at sampled
-  adelic points, drawn from one search per place, and sums the local
-  invariants; the curve has points everywhere locally yet each sum is
-  the nonzero class 1/2.
+* `local_image` gives, at each bad place, the exact set of invariants of
+  the quaternion class (y, p) over the local points: by closed rules, and
+  at q = 2 by one complete search.  For (2, 17) the curve has points
+  everywhere locally, yet every sum of one invariant per place is the
+  nonzero class 1/2.
 * `forced_section_invariants` computes, at each bad place v, the set of
   invariants forced on *any* local splitting of the fundamental group
   extension: the y-coordinate classes for which ell*y^2 is a norm from
@@ -30,12 +31,12 @@ Two obstruction computations are provided:
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import islice, product
+from itertools import product
 
 from .exact import (
+    CertificateError,
     Factorization,
     _least_nonresidue,
     _sqrt_mod_odd_prime,
@@ -46,7 +47,7 @@ from .exact import (
     record,
     valuation,
 )
-from .padic import InsufficientPrecision, hensel_root
+from .padic import InsufficientPrecision, hensel_root, is_nth_power
 from .symbols import (
     REAL_PLACE,
     InvariantValue,
@@ -67,7 +68,7 @@ __all__ = [
     "local_point",
     "local_points",
     "residue_zeros",
-    "point_obstructions",
+    "local_image",
     "forced_section_invariants",
     "twist_conditions",
     "twist_search",
@@ -389,41 +390,40 @@ def _make_report(contributions: dict) -> ObstructionReport:
     return ObstructionReport(ordered, total, verdict)
 
 
-def point_obstructions(tw: TwistParams, samples: int, seed: int = 0) -> list[ObstructionReport]:
-    """Sums of local invariants of the class (y, p) at `samples` adelic
-    points.  Each bad place is searched for its first seed + samples nodes
-    (`_nodes`); sample k lifts node (seed + k) mod n of the n found, and no
-    other node is lifted.  Only the last `samples` nodes are kept: they are
-    the ones read unless the stream ends early and the reads wrap; then, if
-    n > samples, a second walk keeps the nodes that are read.  A tree alive
-    at the depth bound ends a stream that gave a node, and is
-    InsufficientPrecision before one; a place with no node raises
-    NoPointError.  Good places contribute 0: the class extends over the
-    smooth model there, into the Brauer group of the local integers, which
-    vanishes.
+def local_image(tw: TwistParams, place) -> frozenset:
+    """The invariants of (y, p) over the points of X(Q_v) with y != 0, at a
+    bad place v; an empty image raises NoPointError.  (A good place gives
+    {0}: the class extends over the smooth model there, into the Brauer
+    group of the local integers, which vanishes.)
+
+    q = p: v(z) >= 1 gives ell*y^2 an odd valuation, and for v(z) <= 0
+    ell*y^2/z^4 is a 1-unit, hence a square, so y lies in the class of
+    +-1/r with r^2 = ell mod p: the image is {inv(r), inv(-r)}, or empty if
+    ell is not a square mod p, and the first certified point must lie in
+    it, else CertificateError.  The real place, and q != p with p a 4th
+    power in Q_q: {0}, as p is a square, and at q the smooth point
+    (0, p^(1/4)) gives points with y != 0.  Other odd q | ell: empty, as
+    v(ell*y^2) is odd and v(z^4 - p) even.  q = 2 otherwise: the invariants
+    of every point of `local_points`, whose tree is bounded; one alive at
+    the depth bound raises InsufficientPrecision.  (A far-chart y differs
+    from the affine one by a square.)
     """
-    columns = {}
-    for place in tw.bad_places:
-        window, n = deque(maxlen=samples), 0
-        try:
-            for n, node in enumerate(islice(_nodes(tw, place), seed + samples), 1):
-                window.append(node)
-        except InsufficientPrecision:
-            if not n:
-                raise
-        if not n:
-            raise NoPointError(place, _depth_bound(tw, place.prime))
-        if n < seed + samples:  # the reads wrap around the n nodes
-            reads = [(seed + k) % n for k in range(samples)]
-            wanted = set(reads)
-            stream = window if n <= samples else islice(_nodes(tw, place), n)
-            kept = {i: node for i, node in enumerate(stream) if i in wanted}
-            window = [kept[i] for i in reads]
-        # On the far chart, y_affine = y_far / z_far^2 differs from y_far
-        # by a square, so the symbol sees the same class either way.
-        columns[place] = [hilbert2(node().y, tw.p, place)[1] for node in window]
-    return [_make_report({place: frozenset({column[k]}) for place, column in columns.items()})
-            for k in range(samples)]
+    place = as_place(place)
+    q, image = place.prime, set()
+    if q == tw.p:
+        if pow(tw.ell, (q - 1) // 2, q) == 1:
+            r = _sqrt_mod_odd_prime(tw.ell, q)
+            image = {hilbert2(r, q, place)[1], hilbert2(q - r, q, place)[1]}
+            first = hilbert2(next(_nodes(tw, place))().y, q, place)[1]
+            if first not in image:
+                raise CertificateError(f"a point over Q_{q} has the invariant {first}, off the rule")
+    elif place.is_real or is_nth_power(tw.p, 4, q):
+        image = {InvariantValue.zero()}
+    elif q == 2:
+        image = {hilbert2(node().y, tw.p, place)[1] for node in _nodes(tw, place)}
+    if not image:
+        raise NoPointError(place, _depth_bound(tw, q))
+    return frozenset(image)
 
 
 _UNIT_SQUARE_REPS_2 = (1, 3, 5, 7, 2, 6, 10, 14)

@@ -11,8 +11,10 @@ computations.  `PadicNumber`, the field Q_p at finite precision, and its
 `padic_root` are the reference arithmetic several oracles below compute
 in.  The 2s of the biquadratic norm case is a Hensel square root
 of -d.  The forced sections of a twist call the library's
-`is_local_norm` once per y-class, and the sampled point obstructions keep
-every node up to seed + samples.  The twist conditions are decided on
+`is_local_norm` once per y-class.  The point obstructions are the sampled
+reading that the exact local images replaced, keeping every node up to
+seed + samples, and the local image of a place is read off a complete
+walk of its lifting tree.  The twist conditions are decided on
 a fresh `TwistParams` for each prime, with ell factored again and (iii)
 by `legendre_symbol`, which proves each prime of ell again; the twist
 search and the density count loop over them.  The local point search is the
@@ -485,9 +487,9 @@ def forced_section_invariants(tw) -> ObstructionReport:
 
 
 def point_obstructions(tw, samples: int, seed: int = 0) -> list:
-    """`reichardt_lind.point_obstructions` as it kept every node: the first
-    seed + samples nodes of each bad place in one list, sample k lifting
-    node (seed + k) mod n of the n found."""
+    """The sampled reading that `reichardt_lind.local_image` replaced: the
+    first seed + samples nodes of each bad place in one list, sample k
+    lifting node (seed + k) mod n of the n found."""
     columns = {}
     for place in tw.bad_places:
         nodes = []
@@ -503,6 +505,20 @@ def point_obstructions(tw, samples: int, seed: int = 0) -> list:
                           for k in range(samples)]
     return [_make_report({place: frozenset({column[k]}) for place, column in columns.items()})
             for k in range(samples)]
+
+
+def local_image(tw, place) -> tuple[frozenset, bool]:
+    """The invariants of (y, p) at every certified point of a complete walk
+    of `reichardt_lind._nodes` at the place, and whether the walk ended.  A
+    tree still alive at the depth bound stops the walk there, and the set
+    holds the invariants of the points before it."""
+    image = set()
+    try:
+        for node in reichardt_lind._nodes(tw, place):
+            image.add(hilbert2(node().y, tw.p, place)[1])
+    except InsufficientPrecision:
+        return frozenset(image), False
+    return frozenset(image), True
 
 
 def twist_conditions(ell: int, p: int) -> TwistConditions:

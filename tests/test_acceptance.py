@@ -45,11 +45,11 @@ def test_c01_quartic_obstruction_at_2_17(capsys):
     elapsed = time.perf_counter() - t0
     assert code == 0 and rep["status"] == "obstructed"
     result = rep["result"]
-    assert result["samples"] >= 20 and result["totals_constant"]
     assert result["point_analysis"]["total"] == ["1/2"]
     assert result["forced_analysis"]["total"] == ["1/2"]
+    assert result["point_analysis"]["contributions"] == result["forced_analysis"]["contributions"]
     assert elapsed < 10
-    print(f"C01 PASS obstruction (ell=2, p=17): total 1/2 over 20 adelic points "
+    print(f"C01 PASS obstruction (ell=2, p=17): total 1/2 over every adelic point "
           f"and for forced sections [{elapsed:.2f}s < 10s]")
 
 

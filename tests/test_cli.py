@@ -7,7 +7,7 @@ import pytest
 from localglobal import cli, selmer
 from localglobal.padic import InsufficientPrecision
 from localglobal.reichardt_lind import NoPointError
-from localglobal.symbols import as_place
+from localglobal.symbols import InvariantValue, as_place
 
 
 def run(capsys, *argv):
@@ -55,7 +55,8 @@ class TestRlCommands:
         assert code == 0
         assert rep["status"] == "obstructed"
         result = rep["result"]
-        assert result["samples"] == 20 and result["totals_constant"]
+        assert rep["params"] == {"ell": 2, "p": 17}
+        assert sorted(result) == ["conditions", "ell", "forced_analysis", "p", "point_analysis"]
         for analysis in (result["point_analysis"], result["forced_analysis"]):
             assert analysis["total"] == ["1/2"]
             assert analysis["verdict"] == "obstructed"
@@ -184,13 +185,19 @@ class TestPlumbing:
         ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "-1"],
         ["rl", "verify", "--ell", "2", "--p", "17", "--seed=-1000"],
         ["elkies", "verify", "--t=1/3", "--seed", "-3"],
+        ["rl", "exhaust", "--bound", "-1"],
     ], ids=" ".join)
     def test_non_positive_precision_or_max_prime_exits_64(self, argv, capsys):
-        # --seed is the offset of the first sampled point: 0 is allowed
+        # no command samples: --samples and --seed are unrecognized
+        # arguments; a --bound may be 0
         assert cli.main(argv) == 64
         captured = capsys.readouterr()
-        least = "non-negative" if any(token.startswith("--seed") for token in argv) else "positive"
-        assert captured.out == "" and f"must be a {least} integer" in captured.err
+        assert captured.out == ""
+        if any(token.startswith(("--seed", "--samples")) for token in argv):
+            assert "unrecognized arguments: --s" in captured.err
+        else:
+            least = "non-negative" if "--bound" in argv else "positive"
+            assert f"must be a {least} integer" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["elkies", "verify", "--t=1/3"],
@@ -247,7 +254,7 @@ class TestPlumbing:
         assert json.loads(json.dumps(rep, sort_keys=True)) == rep
 
     def test_reports_deterministic_apart_from_timings(self, capsys):
-        argv = ("rl", "verify", "--ell", "2", "--p", "17", "--seed", "7")
+        argv = ("rl", "verify", "--ell", "2", "--p", "31")
         _, first = run_json(capsys, *argv)
         _, second = run_json(capsys, *argv)
         first.pop("timings"), second.pop("timings")
@@ -270,7 +277,7 @@ class TestPlumbing:
         def boom(*a, **k):
             raise InsufficientPrecision("digit budget exhausted")
 
-        monkeypatch.setattr(cli, "point_obstructions", boom)
+        monkeypatch.setattr(cli, "local_image", boom)
         code, rep = run_json(capsys, "rl", "verify", "--ell", "2", "--p", "17")
         assert code == 2 and rep["status"] == "inconclusive"
 
@@ -278,10 +285,22 @@ class TestPlumbing:
         def boom(*a, **k):
             raise NoPointError(as_place(2), 8)
 
-        monkeypatch.setattr(cli, "point_obstructions", boom)
+        monkeypatch.setattr(cli, "local_image", boom)
         code, rep = run_json(capsys, "rl", "verify", "--ell", "11", "--p", "41")
         assert code == 0 and rep["status"] == "no_local_point"
         assert "no local point at 2" in rep["result"]["message"]
+
+    def test_points_outside_the_forced_sections_exit_one(self, capsys, monkeypatch):
+        # forced sets of 0 alone: the points at 17 of (2, 17) reach 1/2,
+        # which no local section may, so the subset check fails
+        def zeros(tw):
+            return cli._make_report({place: frozenset({InvariantValue.zero()})
+                                     for place in tw.bad_places})
+
+        monkeypatch.setattr(cli, "forced_section_invariants", zeros)
+        code, rep = run_json(capsys, "rl", "verify", "--ell", "2", "--p", "17")
+        assert code == 1 and rep["status"] == "error"
+        assert rep["result"]["message"].startswith("CertificateError: the point image at 17 exceeds")
 
     def test_failed_verify_self_check_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "norm_K_over_k", lambda gamma: cli.Eisenstein.of(10))

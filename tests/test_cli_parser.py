@@ -25,7 +25,6 @@ README = [
     ["symbol", "hilbert3", "2", "60"],
     ["rl", "verify", "--ell", "2", "--p", "17"],
     ["rl", "verify", "--ell", "3", "--p", "13"],
-    ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "1000"],
     ["rl", "search", "--ell", "2", "--max-prime", "100"],
     ["rl", "search", "--ell", "2", "--max-prime", "100000"],
     ["rl", "density", "--ell", "2", "--max-prime", "200000"],
@@ -63,12 +62,15 @@ USAGE_ERRORS = [
     ["elkies", "verify", "--t=1/3", "--max-prime", "0"],
     ["rl", "search", "--ell", "2", "--max-prime", "-1"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "x"],
+    # no command samples: --samples and --seed are unrecognized at any value
     ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "0"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "-1"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "-1"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--seed=-1"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "1000"],
     ["elkies", "scan", "--height", "-2"],
     ["elkies", "scan", "--height", "0"],
+    ["rl", "exhaust", "--bound", "-1"],
 ]
 
 OPTIONS_MOVED = [
@@ -100,6 +102,7 @@ CI = [
     ["rl", "verify", "--ell", "2", "--p", "17"],
     ["rl", "verify", "--ell", "-2", "--p", "113"],
     ["rl", "verify", "--ell", "2", "--p", "31"],
+    ["rl", "verify", "--ell", "2305843009213693951", "--p", "5"],
     ["rl", "search", "--ell", "-2", "--max-prime", "50"],
     ["elkies", "scan", "--height", "6"],
     ["elkies", "scan", "--height", "20"],
@@ -107,13 +110,15 @@ CI = [
     ["symbol", "legendre", "--", "-3", "7"],
 ]
 # the CI workflow's spellings that must be usage errors: no command takes
-# a digit count, and only rl search and rl density a prime bound
+# a digit count or samples, and only rl search and rl density a prime bound
 CI_USAGE_ERRORS = [
     ["elkies", "verify", "--t=1/3", "--precision", "5"],
     ["elkies", "verify", "--t=1/3", "--precision", "0"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--precision", "3"],
     ["elkies", "scan", "--height", "10", "--max-prime", "100000"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--samples", "0"],
     ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "-1"],
+    ["rl", "verify", "--ell", "2", "--p", "17", "--seed", "0"],
 ]
 PERFBENCH = [["elkies", "verify", f"--t={t}"] for t in ("infinity", "1", "-1/2", "-3/7", "13/14")]
 
@@ -205,7 +210,7 @@ def fuzz_argv(rng):
     command = rng.choice(list(cli._CLI[group][1]))
     arguments = cli._CLI[group][1][command]
     options, positionals = [], []
-    for flags, kwargs in arguments + rng.sample(cli._COMMON, rng.randrange(3)):
+    for flags, kwargs in arguments + rng.sample(cli._COMMON, rng.randrange(len(cli._COMMON) + 1)):
         if not flags[0].startswith("-"):
             positionals.append(_value(rng, kwargs))
         elif kwargs.get("required") or rng.random() < 0.4:
@@ -280,8 +285,8 @@ def test_the_full_tree_builds_every_command():
         assert list(built) == list(commands)
         assert "-h" in _option_strings(groups[group])
         for command, parser in built.items():
-            assert {"-h", "--seed", "--format"} <= _option_strings(parser)
-            assert "--precision" not in _option_strings(parser)
+            assert {"-h", "--format"} <= _option_strings(parser)
+            assert not {"--precision", "--seed", "--samples"} & _option_strings(parser)
             # only the searches that test primes take a prime bound
             takes_bound = (group, command) in (("rl", "search"), ("rl", "density"))
             assert ("--max-prime" in _option_strings(parser)) == takes_bound

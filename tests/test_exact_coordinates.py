@@ -16,6 +16,7 @@ import oracles
 from localglobal import cubic
 from localglobal.cubic import ONE, PI, Eisenstein, divide_by_pi, express, hilbert3, unit_part
 from localglobal.exact import _exact_coordinate, _exact_coordinates, _exact_quotient, residue
+from localglobal.selmer import WeierstrassPoint
 from localglobal.symbols import InvariantValue
 from localglobal.tower import EPS, CurvePolynomial, KElement, descent_value_at, evaluate_F_symbolic, norm_K_over_k, sigma
 
@@ -64,7 +65,12 @@ def test_exact_coordinate_and_quotient():
     for value, want in ((7, 7), (True, 1), (Fraction(12, 4), 3), (Fraction(-6, 4), Fraction(-3, 2))):
         got = _exact_coordinate(value)
         assert (type(got), got) == (type(want), want), value
-    assert (type(_exact_coordinate(0.5)), _exact_coordinate(0.5)) == (Fraction, Fraction(1, 2))
+    # a float is refused, in the helper and in the constructors that use
+    # it: 0.1 would stand in for its binary value, not for 1/10
+    for build in (lambda: _exact_coordinate(0.5), lambda: Eisenstein(0.5, 0.1),
+                  lambda: WeierstrassPoint("Eprime", 0.0, 30.0)):
+        with pytest.raises(TypeError, match="a float is not an exact coordinate"):
+            build()
     assert _exact_coordinates((1, -2, 0)) == (1, -2, 0)
     assert [type(v) for v in _exact_coordinates((Fraction(4, 2), Fraction(1, 3), 5))] == [int, Fraction, int]
     for n, d, want in (

@@ -37,6 +37,7 @@ from localglobal.reichardt_lind import (
 from localglobal.symbols import as_place, hilbert2
 
 Quartic = oracles.Quartic
+ZERO, HALF = symbols.InvariantValue.zero(), symbols.InvariantValue.half()
 
 
 def chart_polynomial(ell, p, chart):
@@ -226,7 +227,9 @@ def test_a_lifted_y_short_of_digits_is_inconclusive(monkeypatch, capsys):
 
     monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
     for p in (17, 31):
-        reichardt_lind.point_obstructions(TwistParams(2, p), 20)
+        tw = TwistParams(2, p)
+        for place in tw.bad_finite_places:
+            list(itertools.islice(local_points(tw, place), 20))
     assert {args[0].prime for args in lifts} == {2, 17, 31}
     monkeypatch.setattr(reichardt_lind, "_certify", certify)
     for zero in (False, True):
@@ -243,13 +246,14 @@ RL_VERIFY_TWISTS = ((2, 17), (-2, 113), (2, 31), (-1, 17), (3, 13), (-6, 97), (1
 
 @pytest.mark.parametrize("ell, p", RL_VERIFY_TWISTS)
 def test_rl_verify_matches_the_quadratic_chart_search(monkeypatch, capsys, ell, p):
-    # six samples are the first six points at every bad place; points and
-    # report agree with the chart streams read off the oracle search, whose
-    # k-th point is the branch its variant k keeps
+    # the first six points at every bad place, and the report, which walks
+    # a whole tree at 2 where p is not a 4th power and reads the first
+    # point at p, agree with the chart streams read off the oracle search,
+    # whose k-th point is the branch its variant k keeps
     tw = TwistParams(ell, p)
 
     def report():
-        code = cli.main(["rl", "verify", "--ell", str(ell), "--p", str(p), "--samples", "6"])
+        code = cli.main(["rl", "verify", "--ell", str(ell), "--p", str(p)])
         out = json.loads(capsys.readouterr().out)
         out.pop("timings")
         return code, out, [outcome(nth_point, tw, v.prime, k)
@@ -273,28 +277,62 @@ def rl_verify(capsys, ell, p, *options):
     return code, json.loads(capsys.readouterr().out)
 
 
-def test_samples_past_the_branches_of_a_place_reuse_its_points(capsys):
-    # the place 2 of (3, 13) has 16 certified branches and (2, 17) 66 at
-    # 17: samples past them wrap around and never read a place as pointless
+def test_rl_verify_reads_the_whole_image_of_a_place(capsys):
+    # the place 2 of (3, 13) has 16 points, all of invariant 0, though its
+    # forced sections admit 1/2 as well.  At p = 31 = 3 mod 4, y lies in
+    # the class of r or -r (r^2 = 2 mod 31), whose invariants differ as -1
+    # is no square mod 31; the 256 points at 2 reach both invariants too
     code, out = rl_verify(capsys, 3, 13)
-    assert (code, out["status"], out["result"]["totals_constant"]) == (0, "ok", True)
-    for seed in ("50", "1000"):
-        code, out = rl_verify(capsys, 2, 17, "--seed", seed)
-        assert (code, out["status"], out["result"]["totals_constant"]) == (0, "obstructed", True)
+    assert (code, out["status"]) == (0, "ok")
+    assert out["result"]["point_analysis"]["contributions"]["2"] == ["0"]
+    assert out["result"]["forced_analysis"]["contributions"]["2"] == ["0", "1/2"]
+    code, out = rl_verify(capsys, 2, 31)
+    assert (code, out["status"]) == (0, "ok")
+    points = out["result"]["point_analysis"]
+    assert points["contributions"] == {"2": ["0", "1/2"], "31": ["0", "1/2"], "infinity": ["0"]}
+    assert points["contributions"] == out["result"]["forced_analysis"]["contributions"]
+    r = exact.sqrt_mod_prime(2, 31)
+    assert {hilbert2(y, 31, 31)[1] for y in (r, 31 - r)} == {HALF, ZERO}
+
+
+def test_a_first_point_off_the_rule_at_p_is_a_certificate_error(monkeypatch, capsys):
+    # the rule at p = 17 gives {1/2} for ell = 2, a square but no 4th power
+    # mod 17; a search whose first point has y = 1, of invariant 0, fails
+    # the check (exit 1), never a definite verdict
+    monkeypatch.setattr(reichardt_lind, "_nodes",
+                        lambda tw, place: iter([lambda: LocalPoint(place, 1, 0, 8, "near")]))
+    code, out = rl_verify(capsys, 2, 17)
+    assert (code, out["status"]) == (1, "error")
+    assert out["result"]["message"] == ("CertificateError: a point over Q_17 has the invariant 0, "
+                                        "off the rule")
+
+
+def test_an_odd_prime_of_ell_where_p_is_no_4th_power_has_no_point(capsys):
+    # v(ell*y^2) is odd at q | ell and v(z^4 - p) even: the rule reads no
+    # tree, the search at q finds no point, and rl verify names q, though
+    # 2 and p have points
+    for ell, p, q in ((5, 19, 5), (-5, 29, 5), (13, 17, 13), (13, 43, 13)):
+        tw = TwistParams(ell, p)
+        assert isinstance(local_point(tw, q), NoPoint)
+        assert not any(isinstance(local_point(tw, v), NoPoint) for v in (2, p))
+        code, out = rl_verify(capsys, ell, p)
+        assert (code, out["status"]) == (0, "no_local_point")
+        assert out["result"]["message"] == f"no local point at {q} (searched depth 10)"
 
 
 @pytest.mark.parametrize("ell, p", RL_VERIFY_TWISTS)
 def test_no_seed_loses_the_points_of_a_place(capsys, ell, p):
-    # where local_point finds a point at every bad place, no seed makes
-    # rl verify say no_local_point or inconclusive
+    # rl verify takes no seed, a usage error (exit 64), and reads the whole
+    # image of each place: where local_point finds a point at every bad
+    # place it says neither no_local_point nor inconclusive, and where it
+    # finds none, no_local_point
     tw = TwistParams(ell, p)
     everywhere = not any(isinstance(local_point(tw, v), NoPoint) for v in tw.bad_places)
-    statuses = {rl_verify(capsys, ell, p, "--seed", str(seed))[1]["status"]
-                for seed in (0, 3, 50, 1000)}
-    if everywhere:
-        assert statuses <= {"ok", "obstructed"}
-    else:
-        assert statuses == {"no_local_point"}
+    for option in ("--seed", "--samples"):
+        assert cli.main(["rl", "verify", "--ell", str(ell), "--p", str(p), option, "3"]) == 64
+        assert f"unrecognized arguments: {option} 3" in capsys.readouterr().err
+    status = rl_verify(capsys, ell, p)[1]["status"]
+    assert status in ({"ok", "obstructed"} if everywhere else {"no_local_point"})
 
 
 def oracle_stream(tw, place, count):
@@ -316,12 +354,13 @@ def oracle_stream(tw, place, count):
 
 @pytest.mark.parametrize("ell, p", [(2, 17), (3, 13), (-1, 17), (2, 31)])
 def test_sample_k_reads_point_seed_plus_k_mod_n_of_each_place(ell, p):
-    # n is the number of points a place has among its first seed + samples.
-    # The 122 points at 31 of (2, 31) end with 1/2 and start with 0, so
-    # seed 118 and 8 samples tell a wrap from a stream that stops
+    # the sampled reading that the local images replaced (`oracles`): n is
+    # the number of points a place has among its first seed + samples.  The
+    # 122 points at 31 of (2, 31) end with 1/2 and start with 0, so seed 118
+    # and 8 samples tell a wrap from a stream that stops
     tw = TwistParams(ell, p)
     for seed, samples in ((0, 20), (3, 20), (7, 2), (50, 6), (118, 8)):
-        reports = reichardt_lind.point_obstructions(tw, samples, seed)
+        reports = oracles.point_obstructions(tw, samples, seed)
         assert len(reports) == samples
         for place in tw.bad_places:
             points = oracle_stream(tw, place, seed + samples)
@@ -331,38 +370,90 @@ def test_sample_k_reads_point_seed_plus_k_mod_n_of_each_place(ell, p):
 
 
 @pytest.mark.parametrize("ell, p", [(2, 17), (3, 13), (-1, 17), (2, 31)])
-def test_the_kept_window_reads_as_keeping_every_node(ell, p):
+def test_every_sampled_reading_lies_in_the_local_image(ell, p):
     # the places hold 1 to 256 nodes (2 and 17 of (2, 17): 120 and 66, the
-    # stream at 2 ending at the depth bound), so these reads stay inside the
-    # stream, wrap inside the window, and wrap past it
+    # stream at 2 ending at the depth bound), so these reads stay inside
+    # the stream and wrap past its end.  Each sampled invariant lies in the
+    # image of its place, and where the reads cover a whole stream that
+    # ends, they reach all of the image
     tw = TwistParams(ell, p)
+    images = {place: reichardt_lind.local_image(tw, place) for place in tw.bad_places}
+    reached = {place: set() for place in tw.bad_places}
     for seed, samples in ((0, 20), (3, 20), (7, 2), (50, 6), (118, 8), (121, 1), (1000, 20),
-                          (0, 130)):
-        assert (reichardt_lind.point_obstructions(tw, samples, seed)
-                == oracles.point_obstructions(tw, samples, seed)), (seed, samples)
+                          (0, 130), (0, 300)):
+        for report in oracles.point_obstructions(tw, samples, seed):
+            for place, values in report.contributions:
+                assert values <= images[place], (place, seed, samples)
+                reached[place] |= values
+    for place, image in images.items():
+        walked, ended = oracles.local_image(tw, place)
+        assert reached[place] == walked if ended else reached[place] <= walked <= image, place
 
 
-def test_a_place_is_walked_again_only_when_the_reads_wrap_past_the_window(monkeypatch):
-    # (2, 31) has 256 nodes at 2, 122 at 31 and 1 at infinity
+def image_or_empty(tw, place):
+    try:
+        return reichardt_lind.local_image(tw, place)
+    except reichardt_lind.NoPointError:
+        return frozenset()
+
+
+def test_local_images_match_a_complete_walk():
+    # every squarefree |ell| <= 20 and odd prime p < 120 prime to it, at
+    # each bad place: the rules give the invariants of a complete walk of
+    # the lifting tree where it ends, and contain them where it is alive at
+    # the depth bound (the 4th-power places)
+    twists, kinds, mismatches = 0, set(), []
+    for ell in range(-20, 21):
+        if not ell or any(ell % (k * k) == 0 for k in (2, 3)):
+            continue
+        for p in reichardt_lind.primes_up_to(120)[1:]:
+            if ell % p == 0:
+                continue
+            tw, twists = TwistParams(ell, p), twists + 1
+            for place in tw.bad_places:
+                rule = image_or_empty(tw, place)
+                walked, ended = oracles.local_image(tw, place)
+                if not (rule == walked if ended else walked <= rule):
+                    mismatches.append((ell, p, str(place), rule, walked, ended))
+                kind = ("real" if place.is_real else "p" if place.prime == p
+                        else "2" if place.prime == 2 else "odd q | ell")
+                kinds.add((kind, ended, len(rule)))
+    assert twists == 730 and mismatches == []
+    assert {("p", True, 0), ("p", True, 1), ("p", True, 2), ("2", True, 0), ("2", True, 1),
+            ("2", True, 2), ("2", False, 1), ("odd q | ell", True, 0),
+            ("odd q | ell", False, 1), ("real", True, 1)} <= kinds
+
+
+def test_rl_verify_at_a_61_bit_prime_ell(capsys):
+    # ell = 2^61 - 1 is prime: at q = ell the rules need no lifting tree,
+    # whose nodes have ell children each.  The points are obstructed (1/2 at
+    # 2 only) and the sections are not, so the status is ok
+    start = time.perf_counter()
+    code, out = rl_verify(capsys, 2**61 - 1, 5)
+    assert (code, out["status"]) == (0, "ok")
+    points, forced = out["result"]["point_analysis"], out["result"]["forced_analysis"]
+    assert points["contributions"] == {"2": ["1/2"], "2305843009213693951": ["0"], "5": ["0"],
+                                       "infinity": ["0"]}
+    assert (points["verdict"], forced["verdict"]) == ("obstructed", "unobstructed")
+    assert time.perf_counter() - start < 2
+
+
+def test_each_place_is_walked_at_most_once(monkeypatch, capsys):
+    # (2, 31) walks the whole tree at 2 and reads the first node at 31;
+    # (2, 17) and (2, 2^64 + 2065) read one node at p, and p = 1 mod 16 is
+    # a 4th power in Q_2; no twist walks the real place
     walks, nodes = [], reichardt_lind._nodes
     monkeypatch.setattr(reichardt_lind, "_nodes",
                         lambda tw, place: walks.append(str(place)) or nodes(tw, place))
-    tw = TwistParams(2, 31)
-    for seed, samples, expected in (
-        (0, 20, ["2", "31", "infinity"]),        # no place wraps past its window
-        (230, 20, ["2", "31", "31", "infinity"]),
-        (118, 8, ["2", "31", "31", "infinity"]),
-        (250, 10, ["2", "2", "31", "31", "infinity"]),
-        (0, 200, ["2", "31", "infinity"]),       # 31 wraps, inside its window
-    ):
+    for p, expected in ((31, ["2", "31"]), (17, ["17"]), (2**64 + 2065, [str(2**64 + 2065)])):
         walks.clear()
-        reichardt_lind.point_obstructions(tw, samples, seed)
-        assert walks == expected, (seed, samples)
+        rl_verify(capsys, 2, p)
+        assert walks == expected, p
 
 
 def test_each_place_is_proven_prime_once_for_all_samples(monkeypatch, capsys):
     # a place is built once and handed to every point lifted there, so the
-    # primality proofs of p do not grow with the number of samples
+    # primality proofs of p do not grow with the number of points lifted
     p = 18446744073709553681
     calls, proving = [], exact.is_probable_prime
 
@@ -372,13 +463,15 @@ def test_each_place_is_proven_prime_once_for_all_samples(monkeypatch, capsys):
 
     for module in (exact, padic, symbols, tower, reichardt_lind, elkies):
         monkeypatch.setattr(module, "is_probable_prime", counting)
+    tw, place = TwistParams(2, p), as_place(p)
     counts = []
-    for samples in ("1", "20"):
+    for points in (1, 20):
         calls.clear()
-        code, out = rl_verify(capsys, 2, p, "--samples", samples)
-        assert (code, out["status"]) == (0, "obstructed")
+        assert len(list(itertools.islice(local_points(tw, place), points))) == points
         counts.append(calls.count(p))
-    assert counts[0] == counts[1] and counts[0] > 0
+    assert counts == [0, 0]
+    code, out = rl_verify(capsys, 2, p)
+    assert (code, out["status"]) == (0, "obstructed") and calls.count(p) > 0
 
 
 def certify_at_16(place, chart, y0, z0, t_y, t_z, digits, *polys):
@@ -389,8 +482,8 @@ def certify_at_16(place, chart, y0, z0, t_y, t_z, digits, *polys):
 
 
 def test_point_obstruction_matches_lifting_at_16(monkeypatch):
-    # every odd prime p < 2000 prime to ell, for six ell and three samples: the points lifted
-    # at D <= 14 digits give the reports the points at 16 digits gave
+    # every odd prime p < 2000 prime to ell, for six ell: the local images
+    # of the points lifted at D <= 14 digits are those of the points at 16
     def reports():
         out = []
         for ell in (2, -2, 3, 6, 7, -7):
@@ -399,7 +492,8 @@ def test_point_obstruction_matches_lifting_at_16(monkeypatch):
                     continue
                 tw = TwistParams(ell, p)
                 try:
-                    out += [r.as_dict() for r in reichardt_lind.point_obstructions(tw, 3)]
+                    out.append(reichardt_lind._make_report(
+                        {v: reichardt_lind.local_image(tw, v) for v in tw.bad_places}).as_dict())
                 except reichardt_lind.NoPointError as exc:
                     out.append(str(exc))
         return out
@@ -411,26 +505,26 @@ def test_point_obstruction_matches_lifting_at_16(monkeypatch):
 
 
 def test_only_kept_branches_are_lifted(monkeypatch):
-    # rl verify --ell 2 --p 1000721: 20 samples at the finite places 2 and
-    # p, each with at least 20 branches.  Each place lifts the 20 branches
-    # its samples keep, and no other
+    # rl verify --ell 2 --p 1000721: p = 1 mod 16 is a 4th power in Q_2,
+    # and the rule at p is checked against its first branch, so that branch
+    # is the only one lifted
     lifted = []
     certify = reichardt_lind._certify
 
     def recording_certify(place, chart, y0, *rest):
-        lifted.append(y0 != 0)
+        lifted.append((place.prime, y0 != 0))
         return certify(place, chart, y0, *rest)
 
     monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
-    reichardt_lind.point_obstructions(TwistParams(2, 1000721), 20)
-    assert lifted == [True] * 40
+    tw = TwistParams(2, 1000721)
+    for place in tw.bad_places:
+        reichardt_lind.local_image(tw, place)
+    assert lifted == [(1000721, True)]
 
 
-def test_a_far_seed_lifts_only_the_points_it_reads(monkeypatch, capsys):
-    # rl verify --ell 2 --p 2^64 + 2065 --seed 10000: each bad place is
-    # searched for its first 10020 certified nodes, and only the nodes the
-    # 20 samples read are lifted, so hensel_root runs at most 20 times at
-    # each finite place, not once for every node below the seed
+def test_rl_verify_lifts_at_most_one_node_at_p(monkeypatch, capsys):
+    # rl verify --ell 2 --p 2^64 + 2065: hensel_root runs once, for the
+    # first node at p, and never at 2, where p is a 4th power
     hensel_root, lifts = reichardt_lind.hensel_root, []
 
     def counting_root(coeffs, start, q, n):
@@ -439,16 +533,16 @@ def test_a_far_seed_lifts_only_the_points_it_reads(monkeypatch, capsys):
 
     monkeypatch.setattr(reichardt_lind, "hensel_root", counting_root)
     p = 18446744073709553681
-    code, out = rl_verify(capsys, 2, p, "--seed", "10000")
+    code, out = rl_verify(capsys, 2, p)
     assert (code, out["status"]) == (0, "obstructed")
-    assert set(lifts) == {2, p} and all(lifts.count(q) <= 20 for q in (2, p))
+    assert lifts == [p]
 
 
 def test_refused_branches_are_not_lifted(monkeypatch, capsys):
     # rl verify --ell 2 --p 1000721: the certified nodes with y0 = 0 would
     # give points with y = 0 and are refined without reaching `_certify`,
-    # so its 40 calls lift the kept branches, once each, and the report is
-    # the one of the oracle's certify at 16 digits
+    # so its one call lifts the first kept branch at p, once, and the
+    # report is the one of the oracle's certify at 16 digits
     def report():
         code = cli.main(["rl", "verify", "--ell", "2", "--p", "1000721"])
         out = json.loads(capsys.readouterr().out)
@@ -469,8 +563,8 @@ def test_refused_branches_are_not_lifted(monkeypatch, capsys):
     monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
     monkeypatch.setattr(reichardt_lind, "hensel_root", recording_root)
     fast = report()
-    assert len(certified) == 40 and 0 not in certified
-    assert len(lifts) == 40 and None not in lifts and 0 not in lifts
+    assert len(certified) == 1 and 0 not in certified
+    assert len(lifts) == 1 and None not in lifts and 0 not in lifts
     monkeypatch.setattr(reichardt_lind, "_certify", certify_at_16)
     assert report() == fast
 

@@ -23,9 +23,9 @@ from localglobal.reichardt_lind import (
     exhaustive_search,
     forced_section_invariants,
     local_point,
+    local_image,
     local_points,
     model_smoothness_check,
-    point_obstructions,
     twist_conditions,
     twist_search,
     verify_local_point,
@@ -112,14 +112,19 @@ class TestLocalPoint:
         assert list(local_points(TwistParams(11, 41), 2)) == []
 
 
+def point_report(tw):
+    """The report `rl verify` prints as its point analysis."""
+    return reichardt_lind._make_report({v: local_image(tw, v) for v in tw.bad_places})
+
+
 class TestPointObstruction:
     def test_reichardt_lind_total(self):
-        rep, = point_obstructions(RL, 1)
+        rep = point_report(RL)
         assert rep.total == frozenset({HALF})
         assert rep.verdict == "obstructed"
 
     def test_contribution_at_two_vanishes(self):
-        rep, = point_obstructions(RL, 1)
+        rep = point_report(RL)
         assert rep.contribution(2) == frozenset({ZERO})
         assert rep.contribution(17) == frozenset({HALF})
         assert rep.contribution(REAL_PLACE) == frozenset({ZERO})
@@ -128,13 +133,15 @@ class TestPointObstruction:
         # the class (y, p) at a point over Q_7, a place of good reduction,
         # and the report, which reads only the bad places
         assert hilbert2(local_point(RL, 7).y, RL.p, 7) == (1, ZERO)
-        rep, = point_obstructions(RL, 1)
+        rep = point_report(RL)
         assert rep.contribution(7) == frozenset({ZERO})
         assert rep.total == frozenset({HALF})
 
     def test_total_constant_across_twenty_adelic_points(self):
-        totals = {rep.total for rep in point_obstructions(RL, 20)}
-        assert totals == {frozenset({HALF})}
+        # twenty adelic points of the sampled reading (`oracles`): each sums
+        # to 1/2, as every choice from the local images does
+        totals = {rep.total for rep in oracles.point_obstructions(RL, 20)}
+        assert totals == {frozenset({HALF})} == {point_report(RL).total}
 
 
 class TestForcedSectionInvariants:
@@ -153,9 +160,14 @@ class TestForcedSectionInvariants:
 
     def test_point_invariant_lies_in_forced_set(self):
         forced = forced_section_invariants(RL)
-        points, = point_obstructions(RL, 1)
-        for place, values in points.contributions:
+        for place, values in point_report(RL).contributions:
             assert values <= forced.contribution(place)
+        # at (3, 41) the norm test admits a section class at 2, yet there
+        # is no Q_2 point: condition (iv) fails
+        tw = TwistParams(3, 41)
+        assert forced_section_invariants(tw).contribution(2)
+        with pytest.raises(reichardt_lind.NoPointError, match="no local point at 2"):
+            local_image(tw, 2)
 
     def test_rejected_primes_have_zero_in_forced_set(self):
         # p = 1 mod 8 where ell is a fourth power mod p: the forced set
