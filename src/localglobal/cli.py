@@ -18,10 +18,11 @@ plain command line never loads it.
 
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (a p-adic step could not certify its
-digits), 1 for runtime errors and failed self-checks (status "error"), 64
-for usage errors, a --max-prime or --height below 1 and a --bound below 0
-among them.  No command takes a digit count: each p-adic step works out
-its own from its input.
+digits; rl verify decides every place by rule, so it never is), 1 for
+runtime errors and failed self-checks (status "error"), 64 for usage
+errors, a --max-prime or --height below 1 and a --bound below 0 among
+them.  No command takes a digit count: each p-adic step works out its own
+from its input.
 """
 
 from __future__ import annotations

@@ -1,25 +1,15 @@
-"""Local points and local-global obstructions for quartics ell*Y^2 = Z^4 - p.
-
-The near affine chart is g(y, z) = ell*y^2 - z^4 + p = 0; the far chart
-(z = 1/w, y = u/w^2, covering points with |z| > 1) is
-h(u, w) = ell*u^2 - 1 + p*w^4 = 0.  Local points at finite places are found
-by a breadth-first lifting tree over residues and certified by Hensel's
-lemma, which leaves them as integers that solve the chart modulo q^D at
-the search's depth bound D; real points are found directly.  The zeros
-mod q come lazily from `residue_zeros`, which tests each y by Euler's
-criterion and takes the fourth roots from square roots, and the children
-of a zero mod q^d solve one linear congruence mod q, because a polynomial
-agrees with its first-order Taylor expansion modulo q^(d+1) on the box of
-side q^d.  `local_points` yields the certified points of a place one
-branch at a time.
+"""Local images and local-global obstructions for quartics ell*Y^2 = Z^4 - p.
 
 Two obstruction computations are provided:
 
 * `local_image` gives, at each bad place, the exact set of invariants of
-  the quaternion class (y, p) over the local points: by closed rules, and
-  at q = 2 by one complete search.  For (2, 17) the curve has points
-  everywhere locally, yet every sum of one invariant per place is the
-  nonzero class 1/2.
+  the quaternion class (y, p) over the local points, each by a closed
+  rule: the classes of the square roots of ell at q = p, checked against
+  one point that Hensel's lemma certifies; every class where p is a 4th
+  power in Q_q; none at the other odd q | ell; and at q = 2 a rule on the
+  valuation of z, ell mod 32 and p mod 16.  No lifting tree is searched.
+  For (2, 17) the curve has points everywhere locally, yet every sum of
+  one invariant per place is the nonzero class 1/2.
 * `forced_section_invariants` computes, at each bad place v, the set of
   invariants forced on *any* local splitting of the fundamental group
   extension: the y-coordinate classes for which ell*y^2 is a norm from
@@ -32,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 from itertools import product
 
 from .exact import (
@@ -45,9 +35,8 @@ from .exact import (
     is_probable_prime,
     primes_up_to,
     record,
-    valuation,
 )
-from .padic import InsufficientPrecision, hensel_root, is_nth_power
+from .padic import hensel_root, is_nth_power
 from .symbols import (
     REAL_PLACE,
     InvariantValue,
@@ -59,15 +48,10 @@ from .symbols import (
 
 __all__ = [
     "TwistParams",
-    "LocalPoint",
-    "NoPoint",
     "NoPointError",
     "ObstructionReport",
     "TwistConditions",
     "DensityReport",
-    "local_point",
-    "local_points",
-    "residue_zeros",
     "local_image",
     "forced_section_invariants",
     "twist_conditions",
@@ -79,12 +63,12 @@ __all__ = [
 
 
 class NoPointError(Exception):
-    """Raised when an obstruction computation needs a missing local point."""
+    """Raised when a bad place has no local point with y != 0; the message
+    names the rule that shows it."""
 
-    def __init__(self, place: Place, depth: int):
+    def __init__(self, place: Place, reason: str):
         self.place = place
-        self.depth = depth
-        super().__init__(f"no local point at {place} (searched depth {depth})")
+        super().__init__(f"no local point at {place}: {reason}")
 
 
 # ---------------------------------------------------------------- parameters
@@ -124,232 +108,6 @@ class TwistParams(record("TwistParams", "ell p ell_factorization", (None,))):
     @property
     def bad_places(self) -> tuple[Place, ...]:
         return self.bad_finite_places + (REAL_PLACE,)
-
-
-# ------------------------------------------------------------- local points
-class LocalPoint(record("LocalPoint", "place y z precision chart", defaults=("near",))):
-    """A certified local solution; chart 'near' solves ell*y^2 = z^4 - p,
-    chart 'far' solves ell*y^2 = 1 - p*z^4 (the substitution z -> 1/z,
-    y -> y/z^2), and chart 'real' holds rational approximants.  At a
-    finite place q, y and z are integers that solve the chart modulo
-    q**precision."""
-
-    __slots__ = ()
-
-
-def _chart(tw: TwistParams, chart: str) -> tuple[int, int]:
-    """(a, b) with the chart's equation ell*y^2 = a*z^4 + b: (1, -p) near,
-    (-p, 1) far."""
-    return (1, -tw.p) if chart == "near" else (-tw.p, 1)
-
-
-def verify_local_point(tw: TwistParams, pt: LocalPoint) -> bool:
-    """Check the chart's equation at the point's stated precision: modulo
-    q**precision at a finite place q, to 2**-precision at the real place,
-    where a point lies on the near chart."""
-    real = pt.chart == "real"
-    a, b = _chart(tw, "near" if real else pt.chart)
-    residual = tw.ell * pt.y * pt.y - (a * pt.z**4 + b)
-    if real:
-        return abs(residual) <= Fraction(1, 2 ** pt.precision)
-    return residual % pt.place.prime**pt.precision == 0
-
-
-class NoPoint(record("NoPoint", "place depth")):
-    """Witness that the lifting tree died out at every residue branch."""
-
-    __slots__ = ()
-
-
-def _residue_valuation(r: int, q: int, k: int) -> int | None:
-    """Valuation of an integer residue known mod q^k; None if it could
-    exceed the window."""
-    return valuation(r, q) if r % q**k else None
-
-
-# Binary digits of the real place's dyadic y; its symbol reads only signs.
-_REAL_PRECISION = 16
-
-
-def local_points(tw: TwistParams, v):
-    """The certified points with y != 0 of the twist over the completion at
-    v, lazily, from one search: each node of `_nodes` lifted.
-
-    Finite places: breadth-first search over the zeros mod q^d of the near,
-    then the far chart (see `_chart_points`), d = 1, 2, ..., D, with the
-    depth bound D = 2 v_q(4 ell^2 p) + 6; a branch is closed out by Hensel's
-    lemma once d exceeds twice the valuation t of one partial derivative,
-    and its point is lifted at D digits (see `_certify`).  A tree still
-    alive at depth D raises InsufficientPrecision once the points before it
-    are taken.  Real place: one point, at the least z >= 0 with
-    ell*(z^4 - p) > 0, floor(p^(1/4)) + 1 for ell > 0 and 0 for ell < 0,
-    and y = sqrt((z^4 - p)/ell) rounded down to a dyadic fraction.
-    """
-    yield from (node() for node in _nodes(tw, as_place(v)))
-
-
-def _nodes(tw: TwistParams, place):
-    """The certified nodes of `local_points`, lazily: each a call that lifts it."""
-    if place.is_real:
-        z = math.isqrt(math.isqrt(tw.p)) + 1 if tw.ell > 0 else 0
-        # y = (sqrt(m) - d)/|ell| with 0 <= d < 1/scale, so ell*y^2 misses
-        # z^4 - p by less than 2 sqrt(m)/scale < 2^-_REAL_PRECISION
-        m = tw.ell * (z**4 - tw.p)
-        scale = 2 ** (_REAL_PRECISION + 1 + m.bit_length())
-        y = Fraction(math.isqrt(m * scale * scale), abs(tw.ell) * scale)
-        yield partial(LocalPoint, place, y, Fraction(z), _REAL_PRECISION, "real")
-        return
-    depth_bound = _depth_bound(tw, place.prime)
-    for chart in ("near", "far"):
-        yield from _chart_points(tw, place, chart, depth_bound)
-
-
-def local_point(tw: TwistParams, v) -> LocalPoint | NoPoint:
-    """The first of `local_points`, or `NoPoint` if the tree died out."""
-    place = as_place(v)
-    pt = next(local_points(tw, place), None)
-    return NoPoint(place, _depth_bound(tw, place.prime)) if pt is None else pt
-
-
-def _depth_bound(tw: TwistParams, q: int) -> int:
-    return 2 * valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
-
-
-def _chart_points(tw, place, chart, depth_bound):
-    """BFS one affine chart, yielding each certified branch as its `_certify` call.
-
-    Depth d holds the zeros of the chart modulo q^d in (y, z) order.  The
-    depth-1 zeros are drawn from `residue_zeros` one at a time, and each
-    node's children come from the linear congruence of `_lift_children`,
-    so a level costs O(q) per node instead of O(q^2).  A certified node
-    with y0 != 0 lifts to a point with y != 0 (see `_certify`).  A
-    certified node with y0 = 0 has t_y = None and lifts z, so its point
-    keeps y = 0: it is refined instead, since nearby branches may carry
-    admissible points.
-    """
-    ell, q = tw.ell, place.prime
-    a, b = _chart(tw, chart)
-
-    def g(y, z, mod):  # ell*y^2 - a*z^4 - b
-        return (ell * y * y - a * pow(z, 4, mod) - b) % mod
-
-    def dz_coeff(z, mod):  # d/dz of -a*z^4
-        return -4 * a * pow(z, 3, mod) % mod
-
-    def exact_y_poly(z0):  # ell*y^2 - (a*z0^4 + b), ascending
-        return [-(a * z0**4 + b), 0, ell]
-
-    def exact_z_poly(y0):  # -a*z^4 + (ell*y0^2 - b), ascending
-        return [ell * y0 * y0 - b, 0, 0, 0, -a]
-
-    frontier = residue_zeros(ell, a, b, q)
-    for depth in range(1, depth_bound + 1):
-        mod = q**depth
-        next_frontier = []
-        for y0, z0 in frontier:
-            t_y = _residue_valuation(2 * ell * y0, q, depth)
-            t_z = _residue_valuation(dz_coeff(z0, mod), q, depth)
-            candidates = [t for t in (t_y, t_z) if t is not None]
-            if y0 and candidates and depth > 2 * min(candidates):
-                yield partial(_certify, place, chart, y0, z0, t_y, t_z, depth_bound,
-                              exact_y_poly, exact_z_poly)
-                continue
-            if depth == depth_bound:
-                raise InsufficientPrecision(
-                    f"lifting tree still alive at depth {depth} over Q_{q}"
-                )
-            next_frontier += _lift_children(
-                y0, z0, g(y0, z0, mod * q) // mod, 2 * ell * y0 % q,
-                dz_coeff(z0, q), q, mod,
-            )
-        if not next_frontier:
-            return
-        frontier = next_frontier
-
-
-def residue_zeros(ell: int, a: int, b: int, q: int):
-    """The zeros (y, z) of ell*y^2 = a*z^4 + b mod the prime q, lazily, in
-    (y, z) order.  If q | a, z is free; q = 2 is a scan.  Otherwise
-    u = (ell*y^2 - b)/a has the root 0 if u = 0, and if u is a fourth power
-    (Euler's criterion) the roots +-z, and +-iz (i^2 = -1) for q = 1 mod 4,
-    with z a square root of a square root of u.  That square root is a
-    square: both signs are for q = 1 mod 4, and u^((q+1)/4) = z^2 for
-    q = 3 mod 4.  For q = 1 mod 4 the least non-residue c is searched once,
-    at the first fourth power; it serves every square root and gives
-    i = c^((q-1)/4)."""
-    if a % q == 0:
-        yield from ((y, z) for y in range(q) if (ell * y * y - b) % q == 0 for z in range(q))
-        return
-    if q == 2:
-        yield from ((y, z) for y in (0, 1) for z in (0, 1) if (ell * y - a * z - b) % 2 == 0)
-        return
-    inv_a = pow(a, -1, q)
-    euler = (q - 1) // (4 if q % 4 == 1 else 2)
-    c = i = None  # for q = 1 mod 4, found at the first fourth power
-    for y in range(q):
-        u = (ell * y * y - b) * inv_a % q
-        if u == 0:
-            yield y, 0
-        elif pow(u, euler, q) == 1:
-            if q % 4 == 1 and c is None:
-                c = _least_nonresidue(q)
-                i = pow(c, (q - 1) // 4, q)
-            z = _sqrt_mod_odd_prime(_sqrt_mod_odd_prime(u, q, c), q, c)
-            roots = [z, q - z]
-            if i is not None:
-                roots += [z * i % q, q - z * i % q]
-            for r in sorted(roots):
-                yield y, r
-
-
-def _lift_children(y0, z0, c0, g_y, g_z, q, step):
-    """Zeros mod q*step above the zero (y0, z0) mod step, in (dy, dz) order.
-
-    Taylor's formula is exact for a polynomial: every term of degree >= 2
-    in (dy*step, dz*step) is divisible by step^2, hence by q*step, so
-    g(y0 + dy*step, z0 + dz*step) = g(y0, z0) + step*(g_y*dy + g_z*dz)
-    mod q*step, q = 2 included.  With c0 = g(y0, z0)/step and the partial
-    derivatives g_y, g_z reduced mod q, a child is a solution of
-    c0 + g_y*dy + g_z*dz = 0 mod q.
-    """
-    if g_z:
-        inv = pow(g_z, -1, q)
-        return [(y0 + dy * step, z0 + (-(c0 + g_y * dy) * inv % q) * step)
-                for dy in range(q)]
-    if g_y:
-        y1 = y0 + (-c0 * pow(g_y, -1, q) % q) * step
-        return [(y1, z0 + dz * step) for dz in range(q)]
-    if c0:
-        return []
-    return [(y0 + dy * step, z0 + dz * step) for dy in range(q) for dz in range(q)]
-
-
-def _certify(place, chart, y0, z0, t_y, t_z, depth_bound, exact_y_poly, exact_z_poly):
-    """Lift a node (y0, z0) mod q^d with y0 != 0, certified at depth d > 2t
-    along a derivative of valuation t, to an integer local point at the
-    search's place q.
-
-    With D = `depth_bound` >= d, the lifted coordinate starts from its
-    residue at n = D + v_q(start) working digits (D for a zero start), and
-    the other one is its residue, exact.  D digits are enough: n >= D >=
-    d > 2t is the digit count Hensel's lemma needs, and the root comes back
-    to n - t digits, so the point solves the chart modulo q^D.  A lifted y
-    keeps D - t > D/2 >= 3 digits past its valuation, all that `hilbert2`
-    reads (3 at q = 2, 1 at odd q); fewer raise InsufficientPrecision.  The
-    point has y != 0: a lifted z leaves y = y0, and a lifted y agrees with
-    y0 modulo q^(d - t), above v(y0) <= t = v(2*ell*y0).
-    """
-    q, y, z = place.prime, y0, z0
-    if t_y is not None and (t_z is None or t_y <= t_z):
-        y, digits = hensel_root(exact_y_poly(z0), y0, q, depth_bound + valuation(y0, q))
-        if not y or digits - valuation(y, q) < (3 if q == 2 else 1):
-            raise InsufficientPrecision(
-                f"the lifted y over Q_{q} has too few digits for its symbol"
-            )
-    else:
-        z, _ = hensel_root(exact_z_poly(y0), z0, q,
-                           depth_bound + (valuation(z0, q) if z0 else 0))
-    return LocalPoint(place, y, z, depth_bound, chart)
 
 
 # ----------------------------------------------------------- obstruction
@@ -392,38 +150,71 @@ def _make_report(contributions: dict) -> ObstructionReport:
 
 def local_image(tw: TwistParams, place) -> frozenset:
     """The invariants of (y, p) over the points of X(Q_v) with y != 0, at a
-    bad place v; an empty image raises NoPointError.  (A good place gives
-    {0}: the class extends over the smooth model there, into the Brauer
-    group of the local integers, which vanishes.)
+    bad place v, each by a closed rule; an empty image raises NoPointError,
+    whose message names the rule.  (A good place gives {0}: the class
+    extends over the smooth model there, into the Brauer group of the local
+    integers, which vanishes.)
 
     q = p: v(z) >= 1 gives ell*y^2 an odd valuation, and for v(z) <= 0
     ell*y^2/z^4 is a 1-unit, hence a square, so y lies in the class of
     +-1/r with r^2 = ell mod p: the image is {inv(r), inv(-r)}, or empty if
-    ell is not a square mod p, and the first certified point must lie in
-    it, else CertificateError.  The real place, and q != p with p a 4th
-    power in Q_q: {0}, as p is a square, and at q the smooth point
+    ell is not a square mod p.  The rule is checked on one point: (y, 1)
+    with ell*y^2 = 1 - p, whose y is certified by Hensel's lemma from the
+    simple root y0 = sqrt((1 - p)/ell) mod p, to the one digit the symbol
+    of a unit reads.  y0 is found apart from r, and its invariant must lie
+    in the image, else CertificateError.  The real place, and q != p with
+    p a 4th power in Q_q: {0}, as p is a square, and at q the smooth point
     (0, p^(1/4)) gives points with y != 0.  Other odd q | ell: empty, as
-    v(ell*y^2) is odd and v(z^4 - p) even.  q = 2 otherwise: the invariants
-    of every point of `local_points`, whose tree is bounded; one alive at
-    the depth bound raises InsufficientPrecision.  (A far-chart y differs
-    from the affine one by a square.)
+    v(ell*y^2) is odd and v(z^4 - p) even.  q = 2 otherwise: the
+    invariants of `_dyadic_ys`.
     """
     place = as_place(place)
-    q, image = place.prime, set()
-    if q == tw.p:
-        if pow(tw.ell, (q - 1) // 2, q) == 1:
-            r = _sqrt_mod_odd_prime(tw.ell, q)
-            image = {hilbert2(r, q, place)[1], hilbert2(q - r, q, place)[1]}
-            first = hilbert2(next(_nodes(tw, place))().y, q, place)[1]
-            if first not in image:
-                raise CertificateError(f"a point over Q_{q} has the invariant {first}, off the rule")
-    elif place.is_real or is_nth_power(tw.p, 4, q):
-        image = {InvariantValue.zero()}
-    elif q == 2:
-        image = {hilbert2(node().y, tw.p, place)[1] for node in _nodes(tw, place)}
+    q, ell, p = place.prime, tw.ell, tw.p
+    if q == p:
+        if pow(ell, (p - 1) // 2, p) != 1:
+            raise NoPointError(place, f"{ell} is not a square mod {p}")
+        r = _sqrt_mod_odd_prime(ell, p)
+        image = frozenset({hilbert2(r, p, place)[1], hilbert2(p - r, p, place)[1]})
+        y0 = _sqrt_mod_odd_prime((1 - p) * pow(ell, -1, p), p)
+        y, _ = hensel_root([p - 1, 0, ell], y0, p, 1)
+        first = hilbert2(y, p, place)[1]
+        if first not in image:
+            raise CertificateError(f"a point over Q_{p} has the invariant {first}, off the rule")
+        return image
+    if place.is_real or is_nth_power(p, 4, q):
+        return frozenset({InvariantValue.zero()})
+    if q != 2:
+        raise NoPointError(place, f"v({ell}*y^2) is odd and v(z^4 - {p}) even")
+    image = frozenset(hilbert2(y, p, place)[1] for y in _dyadic_ys(ell, p))
     if not image:
-        raise NoPointError(place, _depth_bound(tw, q))
-    return frozenset(image)
+        raise NoPointError(place, f"no valuation of z admits {ell}*y^2 = z^4 - {p}")
+    return image
+
+
+def _dyadic_ys(ell: int, p: int) -> list[int]:
+    """y-values that carry the invariants of (y, p) over the points of the
+    twist over Q_2 with y != 0, for p != 1 mod 16.
+
+    The unit 4th powers of Z_2 are 1 + 16Z_2, and the symbol of a unit y
+    reads y mod 4, so each case lists y up to squares and mod 4.
+    v(z) < 0: with w = 1/z, ell*(y*w^2)^2 = 1 - p*w^4 = 1 mod 16 is a
+    square, so ell = 1 mod 8, and y is +-1.  v(z) > 0: ell*y^2 = z^4 - p =
+    -p mod 16, so ell = -p mod 8 (odd), and y is a unit, +-1.  v(z) = 0:
+    z^4 - p runs over (1 - p) + 16Z_2.  For p = 3 mod 4, (z^4 - p)/2 is a
+    fixed unit mod 8, so ell is even with ell/2 = (1 - p)/2 mod 8, and y is
+    +-1.  For p = 5 mod 8, (z^4 - p)/4 is a fixed unit mod 4, so ell is odd
+    with ell = (1 - p)/4 mod 4, and y is +-2.  For p = 9 mod 16, (z^4 - p)/8
+    is any unit, so ell is even, and y is +-2.
+    """
+    units = ell % 8 == 1 or (ell + p) % 8 == 0  # v(z) < 0, v(z) > 0
+    evens = False
+    if p % 4 == 3:
+        units = units or (ell % 2 == 0 and (ell // 2 - (1 - p) // 2) % 8 == 0)
+    elif p % 8 == 5:
+        evens = ell % 2 == 1 and (ell - (1 - p) // 4) % 4 == 0
+    else:
+        evens = ell % 2 == 0
+    return ([1, -1] if units else []) + ([2, -2] if evens else [])
 
 
 _UNIT_SQUARE_REPS_2 = (1, 3, 5, 7, 2, 6, 10, 14)

@@ -1,5 +1,5 @@
-"""Enumerating reference implementations of the closed forms in `padic` and
-`symbols`, and of the linear-time local point search in `reichardt_lind`.
+"""Enumerating reference implementations of the closed forms in `padic`,
+`symbols` and `reichardt_lind`.
 
 A power-class label is the least member of its coset, found by listing the
 whole n-th power subgroup.  Norm membership for an abelian radical extension
@@ -11,22 +11,26 @@ computations.  `PadicNumber`, the field Q_p at finite precision, and its
 `padic_root` are the reference arithmetic several oracles below compute
 in.  The 2s of the biquadratic norm case is a Hensel square root
 of -d.  The forced sections of a twist call the library's
-`is_local_norm` once per y-class.  The point obstructions are the sampled
-reading that the exact local images replaced, keeping every node up to
-seed + samples, and the local image of a place is read off a complete
-walk of its lifting tree.  The twist conditions are decided on
+`is_local_norm` once per y-class.  The local image of a place, which the
+library decides by rule, is read off a complete walk of its lifting tree:
+`local_points`, the linear-time search the library ran before its rules,
+with its residue zeros from `residue_zeros`, the children of a node from
+one linear congruence and each point lifted by `_certify`.  The point
+obstructions are the sampled reading that the exact local images
+replaced, keeping every node up to seed + samples.  The twist conditions
+are decided on
 a fresh `TwistParams` for each prime, with ell factored again and (iii)
 by `legendre_symbol`, which proves each prime of ell again; the twist
-search and the density count loop over them.  The local point search is the
-quadratic one: every residue pair at depth 1 and every one of the q^2
-children of each node are tried,
+search and the density count loop over them.  The linear search is
+checked against the quadratic one, `quadratic_local_point`: every residue
+pair at depth 1 and every one of the q^2 children of each node are tried,
 each chart has its own written-out equation, the certified nodes start
 the Hensel lift from `PadicNumber` values, a fourth root starts from a
 residue of the exact rational, and the real point counts z up from 0.
-The library's zeros mod q are checked against a table of fourth roots.
+The linear search's zeros mod q are checked against a table of fourth roots.
 The first smooth zero of an Elkies fibre mod q comes from the walk of
 `residue_zeros` that certified its odd places before the closed rules.
-The good places of an Elkies fibre are swept with the library's own
+The good places of an Elkies fibre are swept with the linear search's
 `local_point`, one search per prime, on `Quartic`, the plain pair
 (ell, p) that composite constants are written in; the
 fibre itself is built from N(t) in Fractions with a quartic-free part and
@@ -35,7 +39,7 @@ obstruction reads the quartic residue symbol of 2, and p = a^2 + 16b^2 is
 found by a loop over b.  Its smooth residue
 points come from a loop of its own over y, and its local solvability
 report from the quadratic search at 2, where a point with y = 0 is
-allowed, and the library's search below p = 500.  The family scan
+allowed, and the linear search below p = 500.  The family scan
 enumerates the rationals of a height in a set of Fractions and builds,
 factors and reports every fibre; the quartic symbol [2/pi]_4 is a
 product over the factored norm of pi, one Euler criterion per prime.  The
@@ -65,7 +69,7 @@ import math
 import random
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from localglobal import elkies, exact, reichardt_lind, tower
 from localglobal.cubic import (
@@ -87,11 +91,14 @@ from localglobal.exact import (
     _SMALL_WITNESSES,
     _TRIAL_PRIMES,
     _brent_rho,
+    _least_nonresidue,
     _miller_rabin_round,
+    _sqrt_mod_odd_prime,
     is_probable_prime,
     legendre_symbol,
     primes_up_to,
     quartic_residue_symbol,
+    record,
     residue,
     split_prime_power,
     sqrt_mod_prime,
@@ -107,18 +114,13 @@ from localglobal.padic import (
     is_nth_power_unit,
 )
 from localglobal.reichardt_lind import (
-    LocalPoint,
-    NoPoint,
     ObstructionReport,
     TwistConditions,
     TwistParams,
     _make_report,
-    _residue_valuation,
     _square_class_reps,
-    local_point as rl_local_point,
-    residue_zeros,
 )
-from localglobal.symbols import REAL_PLACE, InvariantValue, Place, hilbert2
+from localglobal.symbols import REAL_PLACE, InvariantValue, Place, as_place, hilbert2
 from localglobal.symbols import is_local_norm as symbols_is_local_norm
 from localglobal.tower import GAMMA, KElement
 
@@ -486,6 +488,236 @@ def forced_section_invariants(tw) -> ObstructionReport:
     return _make_report(contributions)
 
 
+# ------------------------------------------------------------ lifting tree
+# The linear-time search over the lifting tree that `reichardt_lind` ran
+# before every place of a twist had a closed rule, as it was there.
+
+
+class LocalPoint(record("LocalPoint", "place y z precision chart", defaults=("near",))):
+    """A certified local solution; chart 'near' solves ell*y^2 = z^4 - p,
+    chart 'far' solves ell*y^2 = 1 - p*z^4 (the substitution z -> 1/z,
+    y -> y/z^2), and chart 'real' holds rational approximants.  At a
+    finite place q, y and z are integers that solve the chart modulo
+    q**precision."""
+
+    __slots__ = ()
+
+
+def _chart(tw: TwistParams, chart: str) -> tuple[int, int]:
+    """(a, b) with the chart's equation ell*y^2 = a*z^4 + b: (1, -p) near,
+    (-p, 1) far."""
+    return (1, -tw.p) if chart == "near" else (-tw.p, 1)
+
+
+def verify_local_point(tw: TwistParams, pt: LocalPoint) -> bool:
+    """Check the chart's equation at the point's stated precision: modulo
+    q**precision at a finite place q, to 2**-precision at the real place,
+    where a point lies on the near chart."""
+    real = pt.chart == "real"
+    a, b = _chart(tw, "near" if real else pt.chart)
+    residual = tw.ell * pt.y * pt.y - (a * pt.z**4 + b)
+    if real:
+        return abs(residual) <= Fraction(1, 2 ** pt.precision)
+    return residual % pt.place.prime**pt.precision == 0
+
+
+class NoPoint(record("NoPoint", "place depth")):
+    """Witness that the lifting tree died out at every residue branch."""
+
+    __slots__ = ()
+
+
+def _residue_valuation(r: int, q: int, k: int) -> int | None:
+    """Valuation of an integer residue known mod q^k; None if it could
+    exceed the window."""
+    return valuation(r, q) if r % q**k else None
+
+
+# Binary digits of the real place's dyadic y; its symbol reads only signs.
+_REAL_PRECISION = 16
+
+
+def local_points(tw: TwistParams, v):
+    """The certified points with y != 0 of the twist over the completion at
+    v, lazily, from one search: each node of `_nodes` lifted.
+
+    Finite places: breadth-first search over the zeros mod q^d of the near,
+    then the far chart (see `_chart_points`), d = 1, 2, ..., D, with the
+    depth bound D = 2 v_q(4 ell^2 p) + 6; a branch is closed out by Hensel's
+    lemma once d exceeds twice the valuation t of one partial derivative,
+    and its point is lifted at D digits (see `_certify`).  A tree still
+    alive at depth D raises InsufficientPrecision once the points before it
+    are taken.  Real place: one point, at the least z >= 0 with
+    ell*(z^4 - p) > 0, floor(p^(1/4)) + 1 for ell > 0 and 0 for ell < 0,
+    and y = sqrt((z^4 - p)/ell) rounded down to a dyadic fraction.
+    """
+    yield from (node() for node in _nodes(tw, as_place(v)))
+
+
+def _nodes(tw: TwistParams, place):
+    """The certified nodes of `local_points`, lazily: each a call that lifts it."""
+    if place.is_real:
+        z = math.isqrt(math.isqrt(tw.p)) + 1 if tw.ell > 0 else 0
+        # y = (sqrt(m) - d)/|ell| with 0 <= d < 1/scale, so ell*y^2 misses
+        # z^4 - p by less than 2 sqrt(m)/scale < 2^-_REAL_PRECISION
+        m = tw.ell * (z**4 - tw.p)
+        scale = 2 ** (_REAL_PRECISION + 1 + m.bit_length())
+        y = Fraction(math.isqrt(m * scale * scale), abs(tw.ell) * scale)
+        yield partial(LocalPoint, place, y, Fraction(z), _REAL_PRECISION, "real")
+        return
+    depth_bound = _depth_bound(tw, place.prime)
+    for chart in ("near", "far"):
+        yield from _chart_points(tw, place, chart, depth_bound)
+
+
+def local_point(tw: TwistParams, v) -> LocalPoint | NoPoint:
+    """The first of `local_points`, or `NoPoint` if the tree died out."""
+    place = as_place(v)
+    pt = next(local_points(tw, place), None)
+    return NoPoint(place, _depth_bound(tw, place.prime)) if pt is None else pt
+
+
+def _depth_bound(tw: TwistParams, q: int) -> int:
+    return 2 * valuation(4 * tw.ell * tw.ell * tw.p, q) + 6
+
+
+def _chart_points(tw, place, chart, depth_bound):
+    """BFS one affine chart, yielding each certified branch as its `_certify` call.
+
+    Depth d holds the zeros of the chart modulo q^d in (y, z) order.  The
+    depth-1 zeros are drawn from `residue_zeros` one at a time, and each
+    node's children come from the linear congruence of `_lift_children`,
+    so a level costs O(q) per node instead of O(q^2).  A certified node
+    with y0 != 0 lifts to a point with y != 0 (see `_certify`).  A
+    certified node with y0 = 0 has t_y = None and lifts z, so its point
+    keeps y = 0: it is refined instead, since nearby branches may carry
+    admissible points.
+    """
+    ell, q = tw.ell, place.prime
+    a, b = _chart(tw, chart)
+
+    def g(y, z, mod):  # ell*y^2 - a*z^4 - b
+        return (ell * y * y - a * pow(z, 4, mod) - b) % mod
+
+    def dz_coeff(z, mod):  # d/dz of -a*z^4
+        return -4 * a * pow(z, 3, mod) % mod
+
+    def exact_y_poly(z0):  # ell*y^2 - (a*z0^4 + b), ascending
+        return [-(a * z0**4 + b), 0, ell]
+
+    def exact_z_poly(y0):  # -a*z^4 + (ell*y0^2 - b), ascending
+        return [ell * y0 * y0 - b, 0, 0, 0, -a]
+
+    frontier = residue_zeros(ell, a, b, q)
+    for depth in range(1, depth_bound + 1):
+        mod = q**depth
+        next_frontier = []
+        for y0, z0 in frontier:
+            t_y = _residue_valuation(2 * ell * y0, q, depth)
+            t_z = _residue_valuation(dz_coeff(z0, mod), q, depth)
+            candidates = [t for t in (t_y, t_z) if t is not None]
+            if y0 and candidates and depth > 2 * min(candidates):
+                yield partial(_certify, place, chart, y0, z0, t_y, t_z, depth_bound,
+                              exact_y_poly, exact_z_poly)
+                continue
+            if depth == depth_bound:
+                raise InsufficientPrecision(
+                    f"lifting tree still alive at depth {depth} over Q_{q}"
+                )
+            next_frontier += _lift_children(
+                y0, z0, g(y0, z0, mod * q) // mod, 2 * ell * y0 % q,
+                dz_coeff(z0, q), q, mod,
+            )
+        if not next_frontier:
+            return
+        frontier = next_frontier
+
+
+def residue_zeros(ell: int, a: int, b: int, q: int):
+    """The zeros (y, z) of ell*y^2 = a*z^4 + b mod the prime q, lazily, in
+    (y, z) order.  If q | a, z is free; q = 2 is a scan.  Otherwise
+    u = (ell*y^2 - b)/a has the root 0 if u = 0, and if u is a fourth power
+    (Euler's criterion) the roots +-z, and +-iz (i^2 = -1) for q = 1 mod 4,
+    with z a square root of a square root of u.  That square root is a
+    square: both signs are for q = 1 mod 4, and u^((q+1)/4) = z^2 for
+    q = 3 mod 4.  For q = 1 mod 4 the least non-residue c is searched once,
+    at the first fourth power; it serves every square root and gives
+    i = c^((q-1)/4)."""
+    if a % q == 0:
+        yield from ((y, z) for y in range(q) if (ell * y * y - b) % q == 0 for z in range(q))
+        return
+    if q == 2:
+        yield from ((y, z) for y in (0, 1) for z in (0, 1) if (ell * y - a * z - b) % 2 == 0)
+        return
+    inv_a = pow(a, -1, q)
+    euler = (q - 1) // (4 if q % 4 == 1 else 2)
+    c = i = None  # for q = 1 mod 4, found at the first fourth power
+    for y in range(q):
+        u = (ell * y * y - b) * inv_a % q
+        if u == 0:
+            yield y, 0
+        elif pow(u, euler, q) == 1:
+            if q % 4 == 1 and c is None:
+                c = _least_nonresidue(q)
+                i = pow(c, (q - 1) // 4, q)
+            z = _sqrt_mod_odd_prime(_sqrt_mod_odd_prime(u, q, c), q, c)
+            roots = [z, q - z]
+            if i is not None:
+                roots += [z * i % q, q - z * i % q]
+            for r in sorted(roots):
+                yield y, r
+
+
+def _lift_children(y0, z0, c0, g_y, g_z, q, step):
+    """Zeros mod q*step above the zero (y0, z0) mod step, in (dy, dz) order.
+
+    Taylor's formula is exact for a polynomial: every term of degree >= 2
+    in (dy*step, dz*step) is divisible by step^2, hence by q*step, so
+    g(y0 + dy*step, z0 + dz*step) = g(y0, z0) + step*(g_y*dy + g_z*dz)
+    mod q*step, q = 2 included.  With c0 = g(y0, z0)/step and the partial
+    derivatives g_y, g_z reduced mod q, a child is a solution of
+    c0 + g_y*dy + g_z*dz = 0 mod q.
+    """
+    if g_z:
+        inv = pow(g_z, -1, q)
+        return [(y0 + dy * step, z0 + (-(c0 + g_y * dy) * inv % q) * step)
+                for dy in range(q)]
+    if g_y:
+        y1 = y0 + (-c0 * pow(g_y, -1, q) % q) * step
+        return [(y1, z0 + dz * step) for dz in range(q)]
+    if c0:
+        return []
+    return [(y0 + dy * step, z0 + dz * step) for dy in range(q) for dz in range(q)]
+
+
+def _certify(place, chart, y0, z0, t_y, t_z, depth_bound, exact_y_poly, exact_z_poly):
+    """Lift a node (y0, z0) mod q^d with y0 != 0, certified at depth d > 2t
+    along a derivative of valuation t, to an integer local point at the
+    search's place q.
+
+    With D = `depth_bound` >= d, the lifted coordinate starts from its
+    residue at n = D + v_q(start) working digits (D for a zero start), and
+    the other one is its residue, exact.  D digits are enough: n >= D >=
+    d > 2t is the digit count Hensel's lemma needs, and the root comes back
+    to n - t digits, so the point solves the chart modulo q^D.  A lifted y
+    keeps D - t > D/2 >= 3 digits past its valuation, all that `hilbert2`
+    reads (3 at q = 2, 1 at odd q); fewer raise InsufficientPrecision.  The
+    point has y != 0: a lifted z leaves y = y0, and a lifted y agrees with
+    y0 modulo q^(d - t), above v(y0) <= t = v(2*ell*y0).
+    """
+    q, y, z = place.prime, y0, z0
+    if t_y is not None and (t_z is None or t_y <= t_z):
+        y, digits = padic_hensel_root(exact_y_poly(z0), y0, q, depth_bound + valuation(y0, q))
+        if not y or digits - valuation(y, q) < (3 if q == 2 else 1):
+            raise InsufficientPrecision(
+                f"the lifted y over Q_{q} has too few digits for its symbol"
+            )
+    else:
+        z, _ = padic_hensel_root(exact_z_poly(y0), z0, q,
+                                 depth_bound + (valuation(z0, q) if z0 else 0))
+    return LocalPoint(place, y, z, depth_bound, chart)
+
+
 def point_obstructions(tw, samples: int, seed: int = 0) -> list:
     """The sampled reading that `reichardt_lind.local_image` replaced: the
     first seed + samples nodes of each bad place in one list, sample k
@@ -494,13 +726,14 @@ def point_obstructions(tw, samples: int, seed: int = 0) -> list:
     for place in tw.bad_places:
         nodes = []
         try:
-            for node in itertools.islice(reichardt_lind._nodes(tw, place), seed + samples):
+            for node in itertools.islice(_nodes(tw, place), seed + samples):
                 nodes.append(node)
         except InsufficientPrecision:
             if not nodes:
                 raise
         if not nodes:
-            raise reichardt_lind.NoPointError(place, reichardt_lind._depth_bound(tw, place.prime))
+            raise reichardt_lind.NoPointError(
+                place, f"the lifting tree died out by depth {_depth_bound(tw, place.prime)}")
         columns[place] = [hilbert2(nodes[(seed + k) % len(nodes)]().y, tw.p, place)[1]
                           for k in range(samples)]
     return [_make_report({place: frozenset({column[k]}) for place, column in columns.items()})
@@ -509,12 +742,12 @@ def point_obstructions(tw, samples: int, seed: int = 0) -> list:
 
 def local_image(tw, place) -> tuple[frozenset, bool]:
     """The invariants of (y, p) at every certified point of a complete walk
-    of `reichardt_lind._nodes` at the place, and whether the walk ended.  A
+    of `_nodes` at the place, and whether the walk ended.  A
     tree still alive at the depth bound stops the walk there, and the set
     holds the invariants of the points before it."""
     image = set()
     try:
-        for node in reichardt_lind._nodes(tw, place):
+        for node in _nodes(tw, place):
             image.add(hilbert2(node().y, tw.p, place)[1])
     except InsufficientPrecision:
         return frozenset(image), False
@@ -547,9 +780,9 @@ def twist_search(ell: int, p_max: int) -> list[int]:
             if forced_section_invariants(TwistParams(ell, p)).verdict == "obstructed"]
 
 
-def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
-                variant: int = 0):
-    """`reichardt_lind.local_point` at a finite place q by the quadratic
+def quadratic_local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
+                          variant: int = 0):
+    """`local_point` at a finite place q by the quadratic
     search.  With `allow_y_zero` a point with y = 0 is accepted too: first
     z = p^(1/4) when p is a fourth power, then any branch whose point has
     y = 0.  This is the dyadic search that decided condition (iv) before
@@ -569,7 +802,7 @@ def local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool = False,
 
 
 def real_point_z(tw) -> int | None:
-    """The z of `reichardt_lind.local_point` at the real place, counted up
+    """The z of `local_point` at the real place, counted up
     from 0 to the first z with ell*(z^4 - p) > 0; None where it gives up."""
     z = 0
     while (z**4 - tw.p) * tw.ell <= 0:
@@ -598,12 +831,12 @@ def nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
 
 def good_place_sweep(n0: int, good_prime_bound: int) -> tuple:
     """(q, found) for each odd prime q <= good_prime_bound not dividing n0:
-    whether `reichardt_lind.local_point` finds a point of 2y^2 = z^4 - n0
+    whether `local_point` finds a point of 2y^2 = z^4 - n0
     over Q_q.  This search certified the good places in
     `elkies.local_solvability_report` before `residue_walk_point` did."""
     eq = Quartic(2, n0)
     return tuple(
-        (q, not isinstance(rl_local_point(eq, q), NoPoint))
+        (q, not isinstance(local_point(eq, q), NoPoint))
         for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q
     )
 
@@ -707,7 +940,7 @@ def fourth_root_table_zeros(ell: int, a: int, b: int, q: int) -> list:
     """The zeros (y, z) of ell*y^2 = a*z^4 + b mod q in (y, z) order, read
     off a table of fourth roots mod q filled by one pass over z; when q | a
     the equation leaves z free.  This table was the depth-1 frontier of
-    `reichardt_lind.local_point` before `reichardt_lind.residue_zeros`."""
+    `local_point` before `residue_zeros`."""
     if a % q == 0:
         return [(y, z) for y in range(q) if (ell * y * y - b) % q == 0 for z in range(q)]
     roots = {}
@@ -755,14 +988,14 @@ def local_solvability_report(fib: ElkiesFibre, precision: int = 12,
     `smooth_residue_point`."""
     n0 = fib.N0
     eq = Quartic(2, n0)
-    two_ok = not isinstance(local_point(eq, 2, precision, allow_y_zero=True), NoPoint)
+    two_ok = not isinstance(quadratic_local_point(eq, 2, precision, allow_y_zero=True), NoPoint)
     odd_entries = []
     for p, _ in fib.factorization.factors:
         if p % 8 != 1:
             raise CertificateError(f"{p} divides N0 = {n0} but is not 1 mod 8")
         solvable = smooth_residue_point(n0, p) is not None
         if solvable and p < 500:
-            solvable = not isinstance(rl_local_point(eq, p), NoPoint)
+            solvable = not isinstance(local_point(eq, p), NoPoint)
         odd_entries.append((p, solvable))
     good = (q for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q)
     good_ok = all(smooth_residue_point(n0, q) is not None for q in good)
@@ -879,7 +1112,7 @@ def chart_search(tw, q, chart, depth_bound, precision, skip, allow_y_zero=False)
 
 def certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
             exact_z_poly, allow_y_zero=False):
-    """`reichardt_lind._certify` with both residues wrapped in
+    """`_certify` with both residues wrapped in
     `PadicNumber.from_fraction` before the Hensel lift."""
     place = Place.finite(q)
     use_y = t_y is not None and (t_z is None or t_y <= t_z)

@@ -283,12 +283,12 @@ class TestPlumbing:
 
     def test_no_local_point_exit_code(self, capsys, monkeypatch):
         def boom(*a, **k):
-            raise NoPointError(as_place(2), 8)
+            raise NoPointError(as_place(2), "a rule")
 
         monkeypatch.setattr(cli, "local_image", boom)
         code, rep = run_json(capsys, "rl", "verify", "--ell", "11", "--p", "41")
         assert code == 0 and rep["status"] == "no_local_point"
-        assert "no local point at 2" in rep["result"]["message"]
+        assert rep["result"]["message"] == "no local point at 2: a rule"
 
     def test_points_outside_the_forced_sections_exit_one(self, capsys, monkeypatch):
         # forced sets of 0 alone: the points at 17 of (2, 17) reach 1/2,

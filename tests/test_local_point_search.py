@@ -1,15 +1,19 @@
-"""The linear-time local point search against the quadratic one it replaced.
+"""The local images of `rl verify` against the lifting tree they replaced,
+and that tree's linear-time search against the quadratic one before it.
 
-`reichardt_lind.local_points` draws the depth-1 residue points lazily from
-`residue_zeros` and lifts each node by one linear congruence;
-`oracles.local_point` tries every residue pair and every one of the q^2
-children, and its `variant` k skips the first k certified branches.  Both
+`reichardt_lind.local_image` decides every bad place by a closed rule.
+`oracles.local_points`, the search the library ran before, draws the
+depth-1 residue points lazily from `residue_zeros` and lifts each node by
+one linear congruence; a complete walk of it is the reference the rules
+are tested against.  `oracles.quadratic_local_point` tries every residue
+pair and every one of the q^2 children, and its `variant` k skips the
+first k certified branches.  Both
 must visit the same frontiers in the same order, so the k-th point of the
 one stream and variant k of the oracle are the same point (to full
 precision), the same `NoPoint` depth, or raise the same exception.  The
 constants are those of the twists' places: q^4 does not divide them, and
 points with y = 0 are not searched.
-The library lifts its points at its depth bound D = 2 v_q(4 ell^2 p) + 6,
+The linear search lifts its points at its depth bound D = 2 v_q(4 ell^2 p) + 6,
 and the oracle, which takes a precision, is given that D.  The oracle
 starts each Hensel lift from `PadicNumber.from_fraction` values and the library
 from the integer residue at the same absolute precision, so the points are
@@ -17,24 +21,21 @@ compared on their integer coordinates: the library's, and the residues of
 the oracle's PadicNumbers to all their digits.
 """
 
+import ast
 import itertools
 import json
 import math
 import time
+from functools import lru_cache, partial
+from pathlib import Path
 
 import pytest
 
 import oracles
 from localglobal import cli, elkies, exact, padic, reichardt_lind, symbols, tower
-from localglobal.reichardt_lind import (
-    LocalPoint,
-    NoPoint,
-    TwistParams,
-    local_point,
-    local_points,
-    verify_local_point,
-)
+from localglobal.reichardt_lind import TwistParams
 from localglobal.symbols import as_place, hilbert2
+from oracles import LocalPoint, NoPoint, local_point, local_points, verify_local_point
 
 Quartic = oracles.Quartic
 ZERO, HALF = symbols.InvariantValue.zero(), symbols.InvariantValue.half()
@@ -54,7 +55,7 @@ def depth_bound(eq, q):
 
 
 def oracle_point(eq, q, k):
-    return oracles.local_point(eq, q, depth_bound(eq, q), variant=k)
+    return oracles.quadratic_local_point(eq, q, depth_bound(eq, q), variant=k)
 
 
 def nth_point(eq, q, k):
@@ -99,7 +100,7 @@ def _grid():
 
 def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
     seen = set()  # which paths of the linear search the grid exercised
-    residue_zeros, lift_children = reichardt_lind.residue_zeros, reichardt_lind._lift_children
+    residue_zeros, lift_children = oracles.residue_zeros, oracles._lift_children
     searching = {}
 
     def recording_residue_zeros(ell, a, b, q):
@@ -118,8 +119,8 @@ def test_linear_search_matches_the_quadratic_oracle(monkeypatch):
         seen.add((kind, "q = 2" if q == 2 else "q odd"))
         return lift_children(y0, z0, c0, g_y, g_z, q, step)
 
-    monkeypatch.setattr(reichardt_lind, "residue_zeros", recording_residue_zeros)
-    monkeypatch.setattr(reichardt_lind, "_lift_children", checking_lift_children)
+    monkeypatch.setattr(oracles, "residue_zeros", recording_residue_zeros)
+    monkeypatch.setattr(oracles, "_lift_children", checking_lift_children)
     mismatches, kinds = [], set()
     for ell, p, q, k in _grid():
         eq = Quartic(ell, p)
@@ -163,7 +164,7 @@ def test_counted_branches_are_those_that_lift(monkeypatch):
     # v(y0), and a lifted y keeps more than D/2 >= 3 digits past it (the
     # digit count of `hensel_root`), all `hilbert2` reads: 3 at q = 2, 1 at
     # odd q
-    certify, hensel_root = reichardt_lind._certify, reichardt_lind.hensel_root
+    certify, hensel_root = oracles._certify, oracles.padic_hensel_root
     seen, roots = set(), []
 
     def recording_root(*args):
@@ -186,8 +187,8 @@ def test_counted_branches_are_those_that_lift(monkeypatch):
             seen.add("z lifted")
         return pt
 
-    monkeypatch.setattr(reichardt_lind, "hensel_root", recording_root)
-    monkeypatch.setattr(reichardt_lind, "_certify", checking_certify)
+    monkeypatch.setattr(oracles, "padic_hensel_root", recording_root)
+    monkeypatch.setattr(oracles, "_certify", checking_certify)
     ends = set()
     cases = [(ell, p, 2) for ell in (3, 11, -5) for p in (13, 17, 29, 7, -43)]
     for ell, p, q in cases + sorted({case[:3] for case in _grid()}):
@@ -211,13 +212,12 @@ def _short_of_the_symbol(hensel_root, zero=False):
     return short_root
 
 
-def test_a_lifted_y_short_of_digits_is_inconclusive(monkeypatch, capsys):
-    # `_certify` checks the digits of each lifted y: every y-lift of the
-    # twists (2, 17) and (2, 31) (at 17, and at 2 and 31), handed a root
-    # with one digit too few or a zero root, raises InsufficientPrecision,
-    # and rl verify --ell 2 --p 17 is inconclusive (exit 2), never a
-    # definite verdict
-    certify, hensel_root = reichardt_lind._certify, reichardt_lind.hensel_root
+def test_a_lifted_y_short_of_digits_is_inconclusive(monkeypatch):
+    # the linear search's `_certify` checks the digits of each lifted y:
+    # every y-lift of the twists (2, 17) and (2, 31) (at 17, and at 2 and
+    # 31), handed a root with one digit too few or a zero root, raises
+    # InsufficientPrecision, never a point
+    certify, hensel_root = oracles._certify, oracles.padic_hensel_root
     lifts = []
 
     def recording_certify(place, chart, y0, z0, t_y, t_z, *rest):
@@ -225,20 +225,18 @@ def test_a_lifted_y_short_of_digits_is_inconclusive(monkeypatch, capsys):
             lifts.append((place, chart, y0, z0, t_y, t_z, *rest))
         return certify(place, chart, y0, z0, t_y, t_z, *rest)
 
-    monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
+    monkeypatch.setattr(oracles, "_certify", recording_certify)
     for p in (17, 31):
         tw = TwistParams(2, p)
         for place in tw.bad_finite_places:
             list(itertools.islice(local_points(tw, place), 20))
     assert {args[0].prime for args in lifts} == {2, 17, 31}
-    monkeypatch.setattr(reichardt_lind, "_certify", certify)
+    monkeypatch.setattr(oracles, "_certify", certify)
     for zero in (False, True):
-        monkeypatch.setattr(reichardt_lind, "hensel_root", _short_of_the_symbol(hensel_root, zero))
+        monkeypatch.setattr(oracles, "padic_hensel_root", _short_of_the_symbol(hensel_root, zero))
         for args in lifts:
-            with pytest.raises(reichardt_lind.InsufficientPrecision):
+            with pytest.raises(padic.InsufficientPrecision):
                 certify(*args)
-        assert cli.main(["rl", "verify", "--ell", "2", "--p", "17"]) == 2
-        assert json.loads(capsys.readouterr().out)["status"] == "inconclusive"
 
 
 RL_VERIFY_TWISTS = ((2, 17), (-2, 113), (2, 31), (-1, 17), (3, 13), (-6, 97), (11, 29), (19, 41))
@@ -246,20 +244,28 @@ RL_VERIFY_TWISTS = ((2, 17), (-2, 113), (2, 31), (-1, 17), (3, 13), (-6, 97), (1
 
 @pytest.mark.parametrize("ell, p", RL_VERIFY_TWISTS)
 def test_rl_verify_matches_the_quadratic_chart_search(monkeypatch, capsys, ell, p):
-    # the first six points at every bad place, and the report, which walks
-    # a whole tree at 2 where p is not a 4th power and reads the first
-    # point at p, agree with the chart streams read off the oracle search,
+    # the report's image at each bad place is that of a complete walk of
+    # the linear search where the walk ends, and holds it where the tree is
+    # alive at the depth bound; the first six points of that search at
+    # every bad place are the chart streams read off the quadratic search,
     # whose k-th point is the branch its variant k keeps
     tw = TwistParams(ell, p)
+    images = {}
+    for place in tw.bad_places:
+        rule = image_or_empty(tw, place)
+        walked, ended = oracles.local_image(tw, place)
+        assert rule == walked if ended else walked <= rule, place
+        images[str(place)] = sorted(str(x) for x in rule)
+    code, out = rl_verify(capsys, ell, p)
+    if all(images.values()):
+        assert (code, out["result"]["point_analysis"]["contributions"]) == (0, images)
+    else:
+        assert (code, out["status"]) == (0, "no_local_point")
 
-    def report():
-        code = cli.main(["rl", "verify", "--ell", str(ell), "--p", str(p)])
-        out = json.loads(capsys.readouterr().out)
-        out.pop("timings")
-        return code, out, [outcome(nth_point, tw, v.prime, k)
-                           for v in tw.bad_finite_places for k in range(6)]
+    def stream():
+        return [outcome(nth_point, tw, v.prime, k) for v in tw.bad_finite_places for k in range(6)]
 
-    fast = report()
+    fast = stream()
 
     def oracle_points(tw, place, chart, depth):  # nodes that return the oracle's points
         for k in itertools.count():
@@ -268,8 +274,8 @@ def test_rl_verify_matches_the_quadratic_chart_search(monkeypatch, capsys, ell, 
                 return
             yield lambda pt=oracles.integer_point(pt): pt
 
-    monkeypatch.setattr(reichardt_lind, "_chart_points", oracle_points)
-    assert fast == report()
+    monkeypatch.setattr(oracles, "_chart_points", oracle_points)
+    assert fast == stream()
 
 
 def rl_verify(capsys, ell, p, *options):
@@ -297,10 +303,9 @@ def test_rl_verify_reads_the_whole_image_of_a_place(capsys):
 
 def test_a_first_point_off_the_rule_at_p_is_a_certificate_error(monkeypatch, capsys):
     # the rule at p = 17 gives {1/2} for ell = 2, a square but no 4th power
-    # mod 17; a search whose first point has y = 1, of invariant 0, fails
-    # the check (exit 1), never a definite verdict
-    monkeypatch.setattr(reichardt_lind, "_nodes",
-                        lambda tw, place: iter([lambda: LocalPoint(place, 1, 0, 8, "near")]))
+    # mod 17; a Hensel lift that returns y = 1, of invariant 0, fails the
+    # check (exit 1), never a definite verdict
+    monkeypatch.setattr(reichardt_lind, "hensel_root", lambda coeffs, start, q, n: (1, n))
     code, out = rl_verify(capsys, 2, 17)
     assert (code, out["status"]) == (1, "error")
     assert out["result"]["message"] == ("CertificateError: a point over Q_17 has the invariant 0, "
@@ -308,16 +313,29 @@ def test_a_first_point_off_the_rule_at_p_is_a_certificate_error(monkeypatch, cap
 
 
 def test_an_odd_prime_of_ell_where_p_is_no_4th_power_has_no_point(capsys):
-    # v(ell*y^2) is odd at q | ell and v(z^4 - p) even: the rule reads no
-    # tree, the search at q finds no point, and rl verify names q, though
-    # 2 and p have points
+    # v(ell*y^2) is odd at q | ell and v(z^4 - p) even: the rule, whose
+    # message rl verify prints, agrees with the linear search, which finds
+    # no point at q, though 2 and p have points
     for ell, p, q in ((5, 19, 5), (-5, 29, 5), (13, 17, 13), (13, 43, 13)):
         tw = TwistParams(ell, p)
         assert isinstance(local_point(tw, q), NoPoint)
         assert not any(isinstance(local_point(tw, v), NoPoint) for v in (2, p))
         code, out = rl_verify(capsys, ell, p)
         assert (code, out["status"]) == (0, "no_local_point")
-        assert out["result"]["message"] == f"no local point at {q} (searched depth 10)"
+        assert out["result"]["message"] == (
+            f"no local point at {q}: v({ell}*y^2) is odd and v(z^4 - {p}) even")
+
+
+def test_no_local_point_names_the_rule_that_empties_the_image(capsys):
+    # at 2 no valuation of z admits (3, 41), and 7 is no square mod 5: the
+    # complete walk of the place finds no point either
+    for ell, p, place, reason in (
+            (3, 41, 2, "no valuation of z admits 3*y^2 = z^4 - 41"),
+            (7, 5, 5, "7 is not a square mod 5")):
+        assert oracles.local_image(TwistParams(ell, p), as_place(place)) == (frozenset(), True)
+        code, out = rl_verify(capsys, ell, p)
+        assert (code, out["status"]) == (0, "no_local_point")
+        assert out["result"]["message"] == f"no local point at {place}: {reason}"
 
 
 @pytest.mark.parametrize("ell, p", RL_VERIFY_TWISTS)
@@ -344,7 +362,7 @@ def oracle_stream(tw, place, count):
     for k in range(count):
         try:
             pt = oracle_point(tw, place.prime, k)
-        except reichardt_lind.InsufficientPrecision:
+        except padic.InsufficientPrecision:
             break
         if isinstance(pt, NoPoint):
             break
@@ -397,31 +415,110 @@ def image_or_empty(tw, place):
         return frozenset()
 
 
-def test_local_images_match_a_complete_walk():
-    # every squarefree |ell| <= 20 and odd prime p < 120 prime to it, at
-    # each bad place: the rules give the invariants of a complete walk of
-    # the lifting tree where it ends, and contain them where it is alive at
-    # the depth bound (the 4th-power places)
-    twists, kinds, mismatches = 0, set(), []
+def small_twists():
+    """Every squarefree |ell| <= 20 and odd prime p < 120 prime to it."""
     for ell in range(-20, 21):
-        if not ell or any(ell % (k * k) == 0 for k in (2, 3)):
-            continue
-        for p in reichardt_lind.primes_up_to(120)[1:]:
-            if ell % p == 0:
-                continue
-            tw, twists = TwistParams(ell, p), twists + 1
-            for place in tw.bad_places:
-                rule = image_or_empty(tw, place)
-                walked, ended = oracles.local_image(tw, place)
-                if not (rule == walked if ended else walked <= rule):
-                    mismatches.append((ell, p, str(place), rule, walked, ended))
-                kind = ("real" if place.is_real else "p" if place.prime == p
-                        else "2" if place.prime == 2 else "odd q | ell")
-                kinds.add((kind, ended, len(rule)))
+        if ell and all(ell % (k * k) for k in (2, 3)):
+            yield from (TwistParams(ell, p) for p in reichardt_lind.primes_up_to(120)[1:] if ell % p)
+
+
+def test_local_images_match_a_complete_walk():
+    # every small twist, at each bad place: the rules give the invariants
+    # of a complete walk of the lifting tree where it ends, and contain
+    # them where it is alive at the depth bound (the 4th-power places)
+    twists, kinds, mismatches = 0, set(), []
+    for tw in small_twists():
+        twists += 1
+        for place in tw.bad_places:
+            rule = image_or_empty(tw, place)
+            walked, ended = oracles.local_image(tw, place)
+            if not (rule == walked if ended else walked <= rule):
+                mismatches.append((tw.ell, tw.p, str(place), rule, walked, ended))
+            kind = ("real" if place.is_real else "p" if place.prime == tw.p
+                    else "2" if place.prime == 2 else "odd q | ell")
+            kinds.add((kind, ended, len(rule)))
     assert twists == 730 and mismatches == []
     assert {("p", True, 0), ("p", True, 1), ("p", True, 2), ("2", True, 0), ("2", True, 1),
             ("2", True, 2), ("2", False, 1), ("odd q | ell", True, 0),
             ("odd q | ell", False, 1), ("real", True, 1)} <= kinds
+
+
+def dyadic_class(ell, p):
+    """What the image at 2 depends on: v_2(ell) in {0, 1}, the unit of ell
+    mod 16, and p mod 16.  y -> u^2*y and z -> u*z, for units u with
+    u^4 = 1 mod 16, carry the points of one twist to those of another in
+    the same class, and keep the square class of y."""
+    return ell % 2, (ell if ell % 2 else ell // 2) % 16, p % 16
+
+
+@lru_cache(maxsize=None)
+def dyadic_rows():
+    """((ell, p), walked, ended): the first twist, by |ell| and then p, of
+    each of the 128 class pairs, with the invariants of a complete walk of
+    its tree at 2 and whether the walk ended."""
+    rows = {}
+    for size in range(1, 40):
+        for ell in (size, -size):
+            if all(ell % (k * k) for k in (2, 3, 5)):
+                for p in reichardt_lind.primes_up_to(200)[1:]:
+                    if ell % p:
+                        rows.setdefault(dyadic_class(ell, p), (ell, p))
+    return tuple((row, *oracles.local_image(TwistParams(*row), as_place(2)))
+                 for row in sorted(rows.values()))
+
+
+def dyadic_mismatches(rule) -> list:
+    """The class rows where rule(ell, p) is not the image of the walk at 2
+    (where the walk ends), or misses part of it (where it does not)."""
+    return [row for row, walked, ended in dyadic_rows()
+            if not (rule(*row) == walked if ended else walked <= rule(*row))]
+
+
+def dyadic_model(ell, p, drop=None, flip=False):
+    """The rule at 2, written out branch by branch, with the branch `drop`
+    left out, or with ell = -p mod 8 flipped to ell = p mod 8 for v(z) > 0."""
+    if p % 16 == 1:
+        return frozenset({ZERO})
+    ys = []
+    if drop != "v(z) < 0" and ell % 8 == 1:
+        ys += [1, -1]
+    if drop != "v(z) > 0" and (ell - p if flip else ell + p) % 8 == 0:
+        ys += [1, -1]
+    if p % 4 == 3:
+        if drop != "p = 3 mod 4" and ell % 2 == 0 and (ell // 2 - (1 - p) // 2) % 8 == 0:
+            ys += [1, -1]
+    elif p % 8 == 5:
+        if drop != "p = 5 mod 8" and ell % 2 and (ell - (1 - p) // 4) % 4 == 0:
+            ys += [2, -2]
+    elif drop != "p = 9 mod 16" and ell % 2 == 0:
+        ys += [2, -2]
+    return frozenset(hilbert2(y, p, 2)[1] for y in ys)
+
+
+class TestDyadicRule:
+    """The image at 2 by its closed rule against a complete walk of the
+    lifting tree, on one twist of every class pair it depends on."""
+
+    def test_rows_cover_every_class_pair(self):
+        classes = [dyadic_class(*row) for row, _, _ in dyadic_rows()]
+        assert len(classes) == len(set(classes)) == 2 * 8 * 8
+        assert {ended for _, _, ended in dyadic_rows()} == {True, False}
+
+    def test_rule_matches_the_walk(self):
+        assert dyadic_mismatches(lambda ell, p: image_or_empty(TwistParams(ell, p), 2)) == []
+        assert dyadic_mismatches(dyadic_model) == []
+
+    @pytest.mark.parametrize("mutant", [
+        partial(dyadic_model, drop="v(z) < 0"),
+        partial(dyadic_model, drop="v(z) > 0"),
+        partial(dyadic_model, drop="p = 3 mod 4"),
+        partial(dyadic_model, drop="p = 5 mod 8"),
+        partial(dyadic_model, drop="p = 9 mod 16"),
+        partial(dyadic_model, flip=True),
+    ], ids=["no v(z) < 0", "no v(z) > 0", "no p 3 mod 4", "no p 5 mod 8", "no p 9 mod 16",
+            "ell = p mod 8"])
+    def test_the_rows_refute_a_mutated_rule(self, mutant):
+        assert dyadic_mismatches(mutant)
 
 
 def test_rl_verify_at_a_61_bit_prime_ell(capsys):
@@ -436,19 +533,6 @@ def test_rl_verify_at_a_61_bit_prime_ell(capsys):
                                        "infinity": ["0"]}
     assert (points["verdict"], forced["verdict"]) == ("obstructed", "unobstructed")
     assert time.perf_counter() - start < 2
-
-
-def test_each_place_is_walked_at_most_once(monkeypatch, capsys):
-    # (2, 31) walks the whole tree at 2 and reads the first node at 31;
-    # (2, 17) and (2, 2^64 + 2065) read one node at p, and p = 1 mod 16 is
-    # a 4th power in Q_2; no twist walks the real place
-    walks, nodes = [], reichardt_lind._nodes
-    monkeypatch.setattr(reichardt_lind, "_nodes",
-                        lambda tw, place: walks.append(str(place)) or nodes(tw, place))
-    for p, expected in ((31, ["2", "31"]), (17, ["17"]), (2**64 + 2065, [str(2**64 + 2065)])):
-        walks.clear()
-        rl_verify(capsys, 2, p)
-        assert walks == expected, p
 
 
 def test_each_place_is_proven_prime_once_for_all_samples(monkeypatch, capsys):
@@ -482,75 +566,77 @@ def certify_at_16(place, chart, y0, z0, t_y, t_z, digits, *polys):
 
 
 def test_point_obstruction_matches_lifting_at_16(monkeypatch):
-    # every odd prime p < 2000 prime to ell, for six ell: the local images
-    # of the points lifted at D <= 14 digits are those of the points at 16
-    def reports():
-        out = []
-        for ell in (2, -2, 3, 6, 7, -7):
-            for p in reichardt_lind.primes_up_to(2000)[1:]:
-                if ell % p == 0:
-                    continue
+    # every odd prime p < 2000 prime to ell, for six ell: the rule's image
+    # at 2 is that of a complete walk of the lifting tree with its points
+    # lifted at 16 digits where the walk ends, and holds it where the tree
+    # is alive at the depth bound (p = 1 mod 16)
+    monkeypatch.setattr(oracles, "_certify", certify_at_16)
+    kinds, two = set(), as_place(2)
+    for ell in (2, -2, 3, 6, 7, -7):
+        for p in reichardt_lind.primes_up_to(2000)[1:]:
+            if ell % p:
                 tw = TwistParams(ell, p)
-                try:
-                    out.append(reichardt_lind._make_report(
-                        {v: reichardt_lind.local_image(tw, v) for v in tw.bad_places}).as_dict())
-                except reichardt_lind.NoPointError as exc:
-                    out.append(str(exc))
-        return out
-
-    fast = reports()
-    assert {type(r) for r in fast} == {dict, str}  # points, and places with none
-    monkeypatch.setattr(reichardt_lind, "_certify", certify_at_16)
-    assert fast == reports()
+                rule = image_or_empty(tw, two)
+                walked, ended = oracles.local_image(tw, two)
+                assert rule == walked if ended else walked <= rule, (ell, p)
+                kinds.add((ended, len(rule)))
+    assert kinds == {(True, 0), (True, 1), (True, 2), (False, 1)}
 
 
 def test_only_kept_branches_are_lifted(monkeypatch):
     # rl verify --ell 2 --p 1000721: p = 1 mod 16 is a 4th power in Q_2,
-    # and the rule at p is checked against its first branch, so that branch
-    # is the only one lifted
-    lifted = []
-    certify = reichardt_lind._certify
+    # and the rule at p is checked on the one point (y, 1), 2y^2 = 1 - p,
+    # so its y is the only value lifted: from a square root of 1/2 mod p,
+    # to one digit
+    hensel_root, lifted = reichardt_lind.hensel_root, []
 
-    def recording_certify(place, chart, y0, *rest):
-        lifted.append((place.prime, y0 != 0))
-        return certify(place, chart, y0, *rest)
+    def recording_root(coeffs, start, q, n):
+        lifted.append((coeffs, start, q, n))
+        return hensel_root(coeffs, start, q, n)
 
-    monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
+    monkeypatch.setattr(reichardt_lind, "hensel_root", recording_root)
     tw = TwistParams(2, 1000721)
     for place in tw.bad_places:
         reichardt_lind.local_image(tw, place)
-    assert lifted == [(1000721, True)]
+    (coeffs, start, q, n), = lifted
+    assert (coeffs, q, n) == ([1000720, 0, 2], 1000721, 1)
+    assert (2 * start * start - 1) % q == 0
 
 
 def test_rl_verify_lifts_at_most_one_node_at_p(monkeypatch, capsys):
-    # rl verify --ell 2 --p 2^64 + 2065: hensel_root runs once, for the
-    # first node at p, and never at 2, where p is a 4th power
+    # rl verify calls hensel_root once, at p, when ell is a square mod p
+    # and every place before p has points, and otherwise never: at
+    # 2^64 + 2065, and on every small twist
     hensel_root, lifts = reichardt_lind.hensel_root, []
 
     def counting_root(coeffs, start, q, n):
         lifts.append(q)
         return hensel_root(coeffs, start, q, n)
 
-    monkeypatch.setattr(reichardt_lind, "hensel_root", counting_root)
     p = 18446744073709553681
+    monkeypatch.setattr(reichardt_lind, "hensel_root", counting_root)
     code, out = rl_verify(capsys, 2, p)
     assert (code, out["status"]) == (0, "obstructed")
     assert lifts == [p]
+    counts = set()
+    for tw in small_twists():
+        reached = all(image_or_empty(tw, v) for v in tw.bad_finite_places if v.prime < tw.p)
+        square = pow(tw.ell, (tw.p - 1) // 2, tw.p) == 1
+        lifts.clear()
+        rl_verify(capsys, tw.ell, tw.p)
+        assert lifts == ([tw.p] if reached and square else []), tw
+        counts.add((reached, square))
+    assert counts == {(True, True), (True, False), (False, True), (False, False)}
 
 
-def test_refused_branches_are_not_lifted(monkeypatch, capsys):
-    # rl verify --ell 2 --p 1000721: the certified nodes with y0 = 0 would
-    # give points with y = 0 and are refined without reaching `_certify`,
-    # so its one call lifts the first kept branch at p, once, and the
-    # report is the one of the oracle's certify at 16 digits
-    def report():
-        code = cli.main(["rl", "verify", "--ell", "2", "--p", "1000721"])
-        out = json.loads(capsys.readouterr().out)
-        out.pop("timings")
-        return code, out
-
+def test_refused_branches_are_not_lifted(monkeypatch):
+    # the lifting tree of (2, 1000721) at p: the certified nodes with
+    # y0 = 0 would give points with y = 0 and are refined without reaching
+    # `_certify`, so its first point takes one call, lifted once; lifted at
+    # 16 digits it is the same point mod p, and its invariant is the image
+    # of the rule
     certified, lifts = [], []
-    certify, hensel_root = reichardt_lind._certify, reichardt_lind.hensel_root
+    certify, hensel_root = oracles._certify, oracles.padic_hensel_root
 
     def recording_certify(place, chart, y0, *rest):
         certified.append(y0)
@@ -560,13 +646,41 @@ def test_refused_branches_are_not_lifted(monkeypatch, capsys):
         lifts.append(certified[-1] if certified else None)
         return hensel_root(*args)
 
-    monkeypatch.setattr(reichardt_lind, "_certify", recording_certify)
-    monkeypatch.setattr(reichardt_lind, "hensel_root", recording_root)
-    fast = report()
+    monkeypatch.setattr(oracles, "_certify", recording_certify)
+    monkeypatch.setattr(oracles, "padic_hensel_root", recording_root)
+    tw = TwistParams(2, 1000721)
+    pt = local_point(tw, tw.p)
     assert len(certified) == 1 and 0 not in certified
     assert len(lifts) == 1 and None not in lifts and 0 not in lifts
-    monkeypatch.setattr(reichardt_lind, "_certify", certify_at_16)
-    assert report() == fast
+    monkeypatch.setattr(oracles, "_certify", certify_at_16)
+    assert local_point(tw, tw.p).y % tw.p == pt.y % tw.p
+    assert reichardt_lind.local_image(tw, tw.p) == {hilbert2(pt.y, tw.p, tw.p)[1]}
+
+
+REMOVED_FROM_THE_LIBRARY = {
+    "local_points", "local_point", "_nodes", "_chart_points", "residue_zeros", "_lift_children",
+    "_certify", "_residue_valuation", "_depth_bound", "_REAL_PRECISION", "LocalPoint", "NoPoint",
+    "verify_local_point", "_chart",
+}
+
+
+def test_the_library_defines_no_lifting_tree():
+    # every place of rl verify is decided by rule: no module of the package
+    # defines or exports the search, which `oracles` keeps, and
+    # reichardt_lind imports no InsufficientPrecision
+    defined, imported = set(), set()
+    for path in Path(reichardt_lind.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif isinstance(node, ast.ImportFrom) and path.stem == "reichardt_lind":
+                imported |= {alias.name for alias in node.names}
+    assert defined & REMOVED_FROM_THE_LIBRARY == set()
+    assert REMOVED_FROM_THE_LIBRARY.isdisjoint(reichardt_lind.__all__)
+    assert "InsufficientPrecision" not in imported
+    assert REMOVED_FROM_THE_LIBRARY <= set(vars(oracles))
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 17])
@@ -583,7 +697,7 @@ def test_residue_zeros_match_a_scan_of_all_pairs(q, chart):
 
 def chart_zeros(ell, p, q, chart):
     a, b = (1, -p) if chart == "near" else (-p, 1)  # ell*y^2 = a*z^4 + b
-    return reichardt_lind.residue_zeros(ell, a, b, q)
+    return oracles.residue_zeros(ell, a, b, q)
 
 
 def test_residue_zeros_match_the_fourth_root_table():
@@ -593,7 +707,7 @@ def test_residue_zeros_match_the_fourth_root_table():
     for q in reichardt_lind.primes_up_to(2000):
         for ell, p, chart in ((2, 17, "near"), (-3, -7, "far"), (11, 5 * q, "far")):
             a, b = (1, -p) if chart == "near" else (-p, 1)
-            zeros = list(reichardt_lind.residue_zeros(ell, a, b, q))
+            zeros = list(oracles.residue_zeros(ell, a, b, q))
             assert zeros == oracles.fourth_root_table_zeros(ell, a, b, q), (q, ell, p, chart)
             branches.add("z free" if a % q == 0 else "q = 2" if q == 2 else f"q = {q % 4} mod 4")
     assert branches == {"z free", "q = 2", "q = 1 mod 4", "q = 3 mod 4"}
@@ -610,10 +724,10 @@ def test_residue_zeros_search_one_nonresidue_per_prime(monkeypatch):
 
     least_nonresidue = exact._least_nonresidue
     monkeypatch.setattr(exact, "_least_nonresidue", counting)
-    monkeypatch.setattr(reichardt_lind, "_least_nonresidue", counting)
+    monkeypatch.setattr(oracles, "_least_nonresidue", counting)
     for q in reichardt_lind.primes_up_to(1000)[1:]:
         searches.clear()
-        zeros = list(reichardt_lind.residue_zeros(2, 1, -17, q))
+        zeros = list(oracles.residue_zeros(2, 1, -17, q))
         assert searches == ([q] if q % 4 == 1 and any(z for _, z in zeros) else []), q
 
 
@@ -640,7 +754,7 @@ def test_lift_children_match_the_brute_force_children(q, chart):
                         if g(y0 + dy * step, z0 + dz * step) % (q * step) == 0
                     ]
                     c0, gy, gz = g(y0, z0) // step % q, 2 * ell * y0 % q, g_z(z0) % q
-                    got = reichardt_lind._lift_children(y0, z0, c0, gy, gz, q, step)
+                    got = oracles._lift_children(y0, z0, c0, gy, gz, q, step)
                     assert got == expected, (ell, p, y0, z0, depth)
                     branches.add("g_z" if gz else "g_y" if gy else "singular" if c0 == 0 else "dead")
     # mod an odd q the far chart has no singular residue: y = z = 0 gives -1

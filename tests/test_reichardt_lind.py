@@ -1,5 +1,7 @@
 """Tests for local points, obstruction reports, and the twist family of
-the quartic curves ell*Y^2 = Z^4 - p."""
+the quartic curves ell*Y^2 = Z^4 - p.  The local points are those of the
+lifting-tree search that `oracles` keeps; the library decides each place
+by rule."""
 
 import itertools
 import math
@@ -14,23 +16,20 @@ from localglobal.exact import factorize, primes_up_to, valuation
 from localglobal.padic import is_nth_power as padic_is_nth_power
 from localglobal.reichardt_lind import (
     DensityReport,
-    LocalPoint,
-    NoPoint,
+    NoPointError,
     TwistConditions,
     TwistParams,
     _conditions,
     density_experiment,
     exhaustive_search,
     forced_section_invariants,
-    local_point,
     local_image,
-    local_points,
     model_smoothness_check,
     twist_conditions,
     twist_search,
-    verify_local_point,
 )
 from localglobal.symbols import REAL_PLACE, InvariantValue, Place, hilbert2, is_local_norm
+from oracles import LocalPoint, NoPoint, local_point, local_points, verify_local_point
 
 RL = TwistParams(2, 17)
 ZERO = InvariantValue.zero()
@@ -93,7 +92,7 @@ class TestLocalPoint:
         # 17 = 1 mod 16 is a fourth power in Q_2: the oracle search with
         # y = 0 allowed returns the point on the z-axis, the library's
         # search, whose y the symbol (y, p) reads, one with y != 0
-        pt = oracles.local_point(RL, 2, allow_y_zero=True)
+        pt = oracles.quadratic_local_point(RL, 2, allow_y_zero=True)
         assert isinstance(pt, LocalPoint) and pt.y.is_zero
         pt_strict = local_point(RL, 2)
         assert pt_strict.y % 2**pt_strict.precision
@@ -166,7 +165,7 @@ class TestForcedSectionInvariants:
         # is no Q_2 point: condition (iv) fails
         tw = TwistParams(3, 41)
         assert forced_section_invariants(tw).contribution(2)
-        with pytest.raises(reichardt_lind.NoPointError, match="no local point at 2"):
+        with pytest.raises(NoPointError, match="no local point at 2"):
             local_image(tw, 2)
 
     def test_rejected_primes_have_zero_in_forced_set(self):
@@ -332,7 +331,8 @@ class TestEllFactoredOnce:
 @lru_cache(maxsize=None)
 def has_dyadic_point(ell, p):
     """Whether the quadratic search finds a Q_2 point, y = 0 allowed."""
-    return not isinstance(oracles.local_point(TwistParams(ell, p), 2, 8, allow_y_zero=True), NoPoint)
+    return not isinstance(oracles.quadratic_local_point(TwistParams(ell, p), 2, 8, allow_y_zero=True),
+                          NoPoint)
 
 
 def condition_iv_rows():
@@ -372,6 +372,26 @@ class TestConditionFour:
             return twist_conditions(TwistParams(ell, p)).two_adic_solvable
 
         assert condition_iv_mismatches(library) == []
+
+    def test_two_adic_solvable_is_p_1_mod_8_with_an_image_at_two(self):
+        # the rule of (iv) and the rule of the image at 2 decide the same
+        # Q_2 points: (iv) holds exactly when p = 1 mod 8 and the points
+        # with y != 0 give 2 an invariant
+        def image_at_two(tw):
+            try:
+                return local_image(tw, 2)
+            except NoPointError:
+                return frozenset()
+
+        mismatches, kinds = [], set()
+        for ell, p in condition_iv_rows():
+            tw = TwistParams(ell, p)
+            nonempty = bool(image_at_two(tw))
+            if twist_conditions(tw).two_adic_solvable != (p % 8 == 1 and nonempty):
+                mismatches.append((ell, p))
+            kinds.add((p % 8 == 1, nonempty))
+        assert mismatches == []
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
     @pytest.mark.parametrize("mutant", [
         lambda ell, p: p % 8 == 1 and (ell % 2 == 0 or p % 16 == 1 or ell % 8 in (1,)),
