@@ -35,20 +35,22 @@ from types import SimpleNamespace
 
 from .cubic import PI, Eisenstein, cube_class_group, hilbert3
 from .elkies import fibre, family_scan, local_solvability_report, obstruction_parity
-from .exact import CertificateError, legendre_symbol, quartic_residue_symbol
+from .exact import CertificateError, legendre_symbol, primes_up_to, quartic_residue_symbol
 from .padic import InsufficientPrecision
 from .reichardt_lind import (
     NoPointError,
     ObstructionReport,
     TwistParams,
+    _check_ell,
     _make_report,
+    _obstructed_twists,
+    _passing_primes,
     density_experiment,
     exhaustive_search,
     forced_section_invariants,
     local_image,
     model_smoothness_check,
     twist_conditions,
-    twist_search,
 )
 from .selmer import evaluate_F_local, section_point, survival_analysis
 from .symbols import as_place, hilbert2
@@ -307,10 +309,16 @@ def _work_rl(args, stage):
                 "two_adic_solvable": conditions.two_adic_solvable,
             },
         }
-    if args.command == "search":
+    if args.command == "search":  # `twist_search`, timed by stage
         bound = args.max_prime or 100
-        return "ok", {"ell": args.ell, "max_prime": bound,
-                      "twists": twist_search(args.ell, bound)}
+        fz = _check_ell(args.ell)
+        t0 = time.perf_counter()
+        passing = list(_passing_primes(args.ell, fz, primes_up_to(bound)))
+        stage("sieve", t0)
+        t0 = time.perf_counter()
+        twists = _obstructed_twists(args.ell, fz, passing)
+        stage("forced", t0)
+        return "ok", {"ell": args.ell, "max_prime": bound, "twists": twists}
     if args.command == "density":
         bound = args.max_prime or 200_000
         report = density_experiment(args.ell, bound)

@@ -281,6 +281,8 @@ def residue(q, m: int) -> int:
     """An int or Fraction modulo m: the numerator times the inverse of the
     denominator, in [0, m).  ValueError if the denominator is not
     invertible mod m (q is not integral at a prime dividing m)."""
+    if isinstance(q, int):
+        return q % m
     return q.numerator * pow(q.denominator, -1, m) % m
 
 

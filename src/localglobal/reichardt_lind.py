@@ -36,13 +36,13 @@ from .exact import (
     primes_up_to,
     record,
 )
-from .padic import hensel_root, is_nth_power
+from .padic import hensel_root, is_nth_power_unit
 from .symbols import (
     REAL_PLACE,
     InvariantValue,
     Place,
     as_place,
-    hilbert2,
+    hilbert2_reader,
     norm_test,
 )
 
@@ -75,7 +75,8 @@ class NoPointError(Exception):
 class TwistParams(record("TwistParams", "ell p ell_factorization", (None,))):
     """The twisted quartic ell*Y^2 = Z^4 - p, with the factorization of
     |ell|, factored here when none is given.  A given factorization must
-    multiply to |ell| and have proven primes."""
+    multiply to |ell| and have proven primes.  p and the primes of |ell|
+    are proven here, once, so the bad places are built without a proof."""
 
     __slots__ = ()
 
@@ -103,7 +104,7 @@ class TwistParams(record("TwistParams", "ell p ell_factorization", (None,))):
     @property
     def bad_finite_places(self) -> tuple[Place, ...]:
         primes = sorted({2, self.p, *self.odd_ell_primes})
-        return tuple(Place.finite(q) for q in primes)
+        return tuple(Place._proven(q) for q in primes)
 
     @property
     def bad_places(self) -> tuple[Place, ...]:
@@ -173,19 +174,21 @@ def local_image(tw: TwistParams, place) -> frozenset:
     if q == p:
         if pow(ell, (p - 1) // 2, p) != 1:
             raise NoPointError(place, f"{ell} is not a square mod {p}")
+        invariant = hilbert2_reader(place, p)
         r = _sqrt_mod_odd_prime(ell, p)
-        image = frozenset({hilbert2(r, p, place)[1], hilbert2(p - r, p, place)[1]})
+        image = frozenset({invariant(r), invariant(p - r)})
         y0 = _sqrt_mod_odd_prime((1 - p) * pow(ell, -1, p), p)
         y, _ = hensel_root([p - 1, 0, ell], y0, p, 1)
-        first = hilbert2(y, p, place)[1]
+        first = invariant(y)
         if first not in image:
             raise CertificateError(f"a point over Q_{p} has the invariant {first}, off the rule")
         return image
-    if place.is_real or is_nth_power(p, 4, q):
+    if place.is_real or is_nth_power_unit(p, 4, q):
         return frozenset({InvariantValue.zero()})
     if q != 2:
         raise NoPointError(place, f"v({ell}*y^2) is odd and v(z^4 - {p}) even")
-    image = frozenset(hilbert2(y, p, place)[1] for y in _dyadic_ys(ell, p))
+    invariant = hilbert2_reader(place, p)
+    image = frozenset(invariant(y) for y in _dyadic_ys(ell, p))
     if not image:
         raise NoPointError(place, f"no valuation of z admits {ell}*y^2 = z^4 - {p}")
     return image
@@ -235,14 +238,14 @@ def forced_section_invariants(tw: TwistParams) -> ObstructionReport:
     classes form S_v.  Away from the bad places, and at the real place
     (p > 0), the set is {0}.  If the sumset misses 0, the fundamental
     group extension admits no section.  Every decision is on integers
-    (`norm_test`), so none is inconclusive.
+    (`norm_test`, `hilbert2_reader`: one reading of p per place), so none is
+    inconclusive.
     """
     contributions = {}
     for place in tw.bad_finite_places:
-        q = place.prime
-        is_norm = norm_test(q, 4, tw.p)
+        is_norm, invariant = norm_test(place, 4, tw.p), hilbert2_reader(place, tw.p)
         contributions[place] = frozenset(
-            hilbert2(y, tw.p, place)[1] for y in _square_class_reps(q) if is_norm(tw.ell * y * y)
+            invariant(y) for y in _square_class_reps(place.prime) if is_norm(tw.ell * y * y)
         )
     contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
     return _make_report(contributions)
@@ -312,12 +315,20 @@ def _passing_primes(ell: int, fz: Factorization, primes):
             yield p
 
 
+def _obstructed_twists(ell: int, fz: Factorization, primes) -> list[int]:
+    """The p in `primes` whose twists the forced sections obstruct; fz
+    factors |ell|."""
+    return [p for p in primes
+            if forced_section_invariants(TwistParams(ell, p, fz)).verdict == "obstructed"]
+
+
 def twist_search(ell: int, p_max: int) -> list[int]:
     """Ascending primes p <= p_max for which the twist passes all four
-    conditions and the forced-invariant computation certifies obstruction."""
+    conditions and the forced-invariant computation certifies obstruction.
+    Two stages: the sieve with the conditions, then the forced sections of
+    each passing twist."""
     fz = _check_ell(ell)
-    return [p for p in _passing_primes(ell, fz, primes_up_to(p_max))
-            if forced_section_invariants(TwistParams(ell, p, fz)).verdict == "obstructed"]
+    return _obstructed_twists(ell, fz, _passing_primes(ell, fz, primes_up_to(p_max)))
 
 
 class DensityReport(record("DensityReport", "ell p_max valid_count prime_count ratio predicted")):

@@ -4,6 +4,11 @@ Quadratic Hilbert symbols at every place (closed formulas, no enumeration),
 the invariant-value group Q/Z they land in, and exact norm-group membership
 for the radical extensions Q_p[x]/(x^m - d).
 
+A finite place is a `Place`, whose prime is proven when it is built; every
+function here that takes one proves an int prime first, and trusts a Place.
+`norm_test` and `hilbert2_reader` read their fixed argument once per place
+and return a test for many values.
+
 Norm membership is decided by closed forms only; nothing is sampled.
 Quadratic cases use the Hilbert symbol.  Tame Kummer cases (p = 1 mod m,
 so mu_m lies in Q_p and p does not divide m) use the tame m-th power
@@ -22,13 +27,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import _sqrt_mod_odd_prime, is_probable_prime, record, residue, split_prime_power
-from .padic import is_nth_power
+from .padic import is_nth_power_unit
 
 __all__ = [
     "Place",
     "REAL_PLACE",
     "InvariantValue",
     "hilbert2",
+    "hilbert2_reader",
     "product_formula_check",
     "is_local_norm",
     "norm_test",
@@ -49,6 +55,11 @@ class Place(record("Place", "prime")):
     @classmethod
     def finite(cls, p: int) -> "Place":
         return cls(p)
+
+    @classmethod
+    def _proven(cls, p: int) -> "Place":
+        """The place of a prime that the caller has already proven."""
+        return tuple.__new__(cls, (p,))
 
     @classmethod
     def real(cls) -> "Place":
@@ -78,6 +89,15 @@ def as_place(v) -> Place:
     return Place(int(v))
 
 
+def _finite_prime(p) -> int:
+    """The prime of a finite place given as a Place, proven when it was
+    built, or as an int, proven here."""
+    place = p if isinstance(p, Place) else Place(p)
+    if place.is_real:
+        raise ValueError("a finite place is required")
+    return place.prime
+
+
 # --------------------------------------------------------------- invariants
 class InvariantValue(record("InvariantValue", "value")):
     """An element of Q/Z represented by its reduced fraction in [0, 1).
@@ -85,15 +105,21 @@ class InvariantValue(record("InvariantValue", "value")):
     The value 0 means "no local obstruction here"; values with denominator
     2 come from quaternion classes, denominator 3 from cubic classes.
     Addition is modulo 1.
+
+    The four legal values 0, 1/3, 1/2 and 2/3 are built once, with their
+    hashes: construction, + and - return those instances from tables, and
+    do no Fraction arithmetic.
     """
 
     __slots__ = ()
 
     def __new__(cls, value):
-        reduced = Fraction(value) % 1
-        if reduced.denominator not in (1, 2, 3):
-            raise ValueError(f"unsupported invariant denominator: {reduced}")
-        return tuple.__new__(cls, (reduced,))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        d = value.denominator
+        if d > 3:
+            raise ValueError(f"unsupported invariant denominator: {value % 1}")
+        return _BY_SIXTHS[value.numerator % d * (6 // d)]
 
     @classmethod
     def zero(cls) -> "InvariantValue":
@@ -105,23 +131,38 @@ class InvariantValue(record("InvariantValue", "value")):
 
     @classmethod
     def thirds(cls, k: int) -> "InvariantValue":
-        return cls(Fraction(k, 3))
+        return _BY_SIXTHS[2 * k % 6]
 
     @property
     def is_zero(self) -> bool:
-        return self.value == 0
+        return self is _ZERO
+
+    def __hash__(self):
+        return _HASHES[id(self)]
 
     def __add__(self, other: "InvariantValue") -> "InvariantValue":
-        return InvariantValue(self.value + other.value)
+        total = _SUMS.get((id(self), id(other)))
+        if total is not None:
+            return total
+        if not isinstance(other, InvariantValue):
+            return NotImplemented
+        raise ValueError(f"unsupported invariant denominator: {(self.value + other.value) % 1}")
 
     def __neg__(self) -> "InvariantValue":
-        return InvariantValue(-self.value)
+        return _NEGATIVES[id(self)]
 
     def __str__(self) -> str:
         return str(self.value)
 
 
-_ZERO, _HALF = InvariantValue(0), InvariantValue(Fraction(1, 2))
+# The four values k/6, keyed by k; their hashes, sums and negatives are
+# keyed by the ids of these instances, which are the only ones __new__ makes.
+_BY_SIXTHS = {k: tuple.__new__(InvariantValue, (Fraction(k, 6),)) for k in (0, 2, 3, 4)}
+_ZERO, _HALF = _BY_SIXTHS[0], _BY_SIXTHS[3]
+_HASHES = {id(x): hash((x.value,)) for x in _BY_SIXTHS.values()}
+_SUMS = {(id(x), id(y)): _BY_SIXTHS[(j + k) % 6]
+         for j, x in _BY_SIXTHS.items() for k, y in _BY_SIXTHS.items() if (j + k) % 6 in _BY_SIXTHS}
+_NEGATIVES = {id(x): _BY_SIXTHS[-k % 6] for k, x in _BY_SIXTHS.items()}
 
 
 # ------------------------------------------------------- quadratic symbols
@@ -152,6 +193,24 @@ def _vu(x, p: int) -> tuple[int, int]:
     return v, residue(u, 8 if p == 2 else p)
 
 
+def hilbert2_reader(p, b):
+    """The map a -> the invariant of (a, b)_p at the finite place p, for
+    many a: the Hilbert-symbol counterpart of `norm_test`.
+
+    b's valuation and unit residue are read here, once; each a is then
+    read and evaluated by `_hilbert2_finite`.  p is a Place or an int prime
+    (`_finite_prime`).  A zero a or b raises ValueError.
+    """
+    p = _finite_prime(p)
+    vb, ub = _vu(b, p)
+
+    def invariant(a) -> InvariantValue:
+        va, ua = _vu(a, p)
+        return _HALF if _hilbert2_finite(p, va, ua, vb, ub) == -1 else _ZERO
+
+    return invariant
+
+
 def hilbert2(a, b, v) -> tuple[int, InvariantValue]:
     """Quadratic Hilbert symbol (a, b)_v as (sign, invariant).
 
@@ -159,20 +218,17 @@ def hilbert2(a, b, v) -> tuple[int, InvariantValue]:
     z^2 = a x^2 + b y^2 has a nontrivial Q_v-point); the invariant is 1/2
     exactly when the sign is -1.  Closed formulas at every place: the real
     place is -1 iff both arguments are negative; odd p uses valuations and
-    Legendre symbols; p = 2 uses the standard unit formulas mod 8.
+    Legendre symbols; p = 2 uses the standard unit formulas mod 8.  A
+    finite place is `hilbert2_reader(v, b)(a)`.
     """
     place = as_place(v)
     if place.is_real:
         if a == 0 or b == 0:
             raise ValueError("nonzero arguments required")
-        sign = -1 if a < 0 and b < 0 else 1
+        inv = _HALF if a < 0 and b < 0 else _ZERO
     else:
-        p = place.prime
-        va, ua = _vu(a, p)
-        vb, ub = _vu(b, p)
-        sign = _hilbert2_finite(p, va, ua, vb, ub)
-    inv = InvariantValue.half() if sign == -1 else InvariantValue.zero()
-    return sign, inv
+        inv = hilbert2_reader(place, b)(a)
+    return (-1 if inv is _HALF else 1), inv
 
 
 def product_formula_check(a, b) -> InvariantValue:
@@ -217,16 +273,22 @@ def _square_root(a, p: int) -> Fraction:
     return r * Fraction(p) ** (v // 2)
 
 
-def norm_test(p: int, m: int, d):
+def _is_square(x, p: int) -> bool:
+    """Is the nonzero x a square in Q_p, p a proven prime?"""
+    v, u = _vu(x, p)
+    return v % 2 == 0 and is_nth_power_unit(u, 2, p)
+
+
+def norm_test(p, m: int, d):
     """The test x -> `is_local_norm(x, p, m, d)`.
 
     p, m and d are checked and the algebra Q_p[t]/(t^m - d) is classified
     here, once; the test reads the valuation and a residue of x and
-    evaluates one symbol, or two, or none.  An int d stays an int.
+    evaluates one symbol, or two, or none.  An int d stays an int.  p is a
+    Place or an int prime (`_finite_prime`).
     """
     d = _nonzero(d)
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
+    p = _finite_prime(p)
     if m not in (2, 3, 4):
         raise ValueError("supported degrees: 2, 3, 4")
 
@@ -248,9 +310,9 @@ def norm_test(p: int, m: int, d):
     # of s does not matter: (x, -2s) = (x, -1)(x, 2s), and both symbols
     # must be 1.
     bs = (d,)
-    if m == 3 or m == 4 and is_nth_power(d, 2, p):
+    if m == 3 or m == 4 and _is_square(d, p):
         bs = ()
-    elif m == 4 and is_nth_power(-d, 2, p):
+    elif m == 4 and _is_square(-d, p):
         bs = (-1, 2 * _square_root(-d, p))
     parts = [_vu(b, p) for b in bs]
 

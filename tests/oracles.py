@@ -476,7 +476,9 @@ def lift_from(coeffs, start: PadicNumber) -> PadicNumber:
 
 def forced_section_invariants(tw) -> ObstructionReport:
     """The forced sections with one `symbols.is_local_norm` per y-class,
-    which classifies the algebra Q_q[t]/(t^4 - p) again for every class."""
+    which classifies the algebra Q_q[t]/(t^4 - p) again for every class.
+    The total is the sumset of the invariants as plain Fractions mod 1, not
+    `_make_report`'s table of interned sums."""
     contributions = {}
     for place in tw.bad_finite_places:
         q = place.prime
@@ -485,7 +487,12 @@ def forced_section_invariants(tw) -> ObstructionReport:
             if symbols_is_local_norm(tw.ell * y * y, q, 4, tw.p)
         )
     contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
-    return _make_report(contributions)
+    ordered = tuple(sorted(contributions.items(), key=lambda item: (item[0].is_real, item[0].prime or 0)))
+    total = {Fraction(0)}
+    for _, values in ordered:
+        total = {(s + x.value) % 1 for s in total for x in values}
+    verdict = "unobstructed" if 0 in total else "obstructed"
+    return ObstructionReport(ordered, frozenset(InvariantValue(s) for s in total), verdict)
 
 
 # ------------------------------------------------------------ lifting tree

@@ -74,6 +74,7 @@ class TestRlCommands:
         code, rep = run_json(capsys, "rl", "search", "--ell", "2", "--max-prime", "100")
         assert code == 0
         assert rep["result"]["twists"] == [17, 41, 97]
+        assert sorted(rep["timings"]) == ["forced", "sieve", "total"]
 
     def test_density_small_exact(self, capsys):
         code, rep = run_json(capsys, "rl", "density", "--ell", "2", "--max-prime", "20")

@@ -13,7 +13,6 @@ import pytest
 import oracles
 from localglobal import cli, cubic, elkies, exact, padic, reichardt_lind, selmer, symbols, tower
 from localglobal.exact import factorize, primes_up_to, valuation
-from localglobal.padic import is_nth_power as padic_is_nth_power
 from localglobal.reichardt_lind import (
     DensityReport,
     NoPointError,
@@ -202,15 +201,16 @@ class TestForcedSectionInvariants:
             assert forced_section_invariants(tw) == oracles.forced_section_invariants(tw), tw
 
     def test_each_place_is_classified_once(self, monkeypatch):
-        """The Q_q classification (`is_nth_power` of +-p) runs as often per
+        """The Q_q classification (`_is_square` of +-p) runs as often per
         place as for one norm decision, not once per y-class."""
         calls = []
+        is_square = symbols._is_square
 
-        def spy(x, n, p):
+        def spy(x, p):
             calls.append(p)
-            return padic_is_nth_power(x, n, p)
+            return is_square(x, p)
 
-        monkeypatch.setattr(symbols, "is_nth_power", spy)
+        monkeypatch.setattr(symbols, "_is_square", spy)
         expected = {RL: {2: 1, 17: 0}, TwistParams(2, 31): {2: 2, 31: 2},
                     TwistParams(-2, 113): {2: 1, 113: 0}, TwistParams(6, 73): {2: 1, 3: 1, 73: 0}}
         for tw, counts in expected.items():
@@ -323,9 +323,12 @@ class TestEllFactoredOnce:
 
         monkeypatch.setattr(reichardt_lind, "TwistParams", spy)
         found = twist_search(6, 2000)
+        # each passing p is proven once, in TwistParams, and not again by
+        # its bad places, their norm tests or their symbols
+        proofs = [n for n in calls["is_probable_prime"] if n not in (2, 3)]
         assert calls["factorize"] == [6]
         assert found == oracles.twist_search(6, 2000)
-        assert built == oracles.passing_twists(6, 2000)
+        assert built == oracles.passing_twists(6, 2000) == proofs
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ from localglobal.symbols import (
     Place,
     REAL_PLACE,
     hilbert2,
+    hilbert2_reader,
     is_local_norm,
     norm_test,
     product_formula_check,
@@ -35,6 +36,46 @@ def test_invariant_values():
     assert str(-InvariantValue.thirds(1)) == "2/3"
     with pytest.raises(ValueError):
         InvariantValue(Fraction(1, 5))
+
+
+LEGAL = [Fraction(k, 6) for k in (0, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("x", LEGAL, ids=str)
+@pytest.mark.parametrize("y", LEGAL, ids=str)
+def test_interned_sums_are_fraction_sums_mod_1(x, y):
+    """The sum table against Fraction arithmetic mod 1, on all 16 pairs: a
+    sum with denominator 6 (1/2 + 1/3) is refused as before."""
+    a, b = InvariantValue(x), InvariantValue(y)
+    total = (x + y) % 1
+    if total.denominator == 6:
+        with pytest.raises(ValueError, match="unsupported invariant denominator"):
+            a + b
+    else:
+        assert (a + b).value == total and a + b is InvariantValue(total)
+
+
+@pytest.mark.parametrize("x", LEGAL, ids=str)
+def test_interned_values_keep_the_record_contract(x):
+    """Negation is -x mod 1; equal values are one instance, whose hash is
+    that of the tuple of its field and whose repr names that field."""
+    value = InvariantValue(x)
+    assert (-value).value == -x % 1 and -value is InvariantValue(-x)
+    assert value is InvariantValue(x + 3) is InvariantValue(str(x - 1))
+    assert hash(value) == hash((x,)) == tuple.__hash__(value)
+    assert repr(value) == f"InvariantValue(value={x!r})"
+    assert value.is_zero == (x == 0)
+
+
+def test_interned_construction():
+    assert InvariantValue(Fraction(5, 2)) is InvariantValue.half()
+    assert InvariantValue(-4) is InvariantValue.zero()
+    assert InvariantValue.thirds(-1) is InvariantValue(Fraction(2, 3))
+    for bad in (Fraction(1, 6), Fraction(7, 4), Fraction(-1, 12)):
+        with pytest.raises(ValueError, match=f"unsupported invariant denominator: {bad % 1}"):
+            InvariantValue(bad)
+    with pytest.raises(TypeError):
+        InvariantValue.half() + Fraction(1, 2)
 
 
 def test_hilbert2_examples():
@@ -90,6 +131,22 @@ def test_hilbert2_against_norm_brute_force():
                 cache[key] = _quadratic_norm_classes(p, b)
             is_norm = power_class(a, 2, p) in cache[key]
             assert (hilbert2(a, b, p)[0] == 1) == is_norm, (p, a, b)
+            assert hilbert2_reader(p, b)(a) == hilbert2(a, b, p)[1], (p, a, b)
+            assert hilbert2_reader(Place(p), b)(a).is_zero == is_norm, (p, a, b)
+
+
+def test_zero_has_no_hilbert_symbol():
+    for a, b, v in ((0, 3, 5), (3, 0, 5), (0, 3, 2), (Fraction(0), 3, REAL_PLACE)):
+        with pytest.raises(ValueError):
+            hilbert2(a, b, v)
+    with pytest.raises(ValueError):
+        hilbert2_reader(5, 0)
+    with pytest.raises(ValueError):
+        hilbert2_reader(5, 3)(0)
+    with pytest.raises(ValueError):
+        hilbert2_reader(15, 3)
+    with pytest.raises(ValueError):
+        hilbert2_reader(REAL_PLACE, 3)
 
 
 def test_product_formula_examples():
