@@ -43,7 +43,6 @@ from .reichardt_lind import (
     TwistParams,
     _check_ell,
     _make_report,
-    _obstructed_twists,
     _passing_primes,
     density_experiment,
     exhaustive_search,
@@ -309,14 +308,18 @@ def _work_rl(args, stage):
                 "two_adic_solvable": conditions.two_adic_solvable,
             },
         }
-    if args.command == "search":  # `twist_search`, timed by stage
+    if args.command == "search":
+        # The ascending p <= bound whose twists pass the four conditions (the
+        # sieve) and whose forced sections are obstructed; |ell| is factored
+        # once, and a TwistParams is built only for a passing p.
         bound = args.max_prime or 100
         fz = _check_ell(args.ell)
         t0 = time.perf_counter()
         passing = list(_passing_primes(args.ell, fz, primes_up_to(bound)))
         stage("sieve", t0)
         t0 = time.perf_counter()
-        twists = _obstructed_twists(args.ell, fz, passing)
+        twists = [p for p in passing
+                  if forced_section_invariants(TwistParams(args.ell, p, fz)).verdict == "obstructed"]
         stage("forced", t0)
         return "ok", {"ell": args.ell, "max_prime": bound, "twists": twists}
     if args.command == "density":

@@ -196,6 +196,3 @@ def power_class(x, n: int, p: int) -> PowerClass:
     v, u = split_prime_power(x, p)
     return power_class_from_parts(p, n, v, residue(u, p ** _unit_label_digits(p, n)))
 
-
-def is_nth_power(x, n: int, p: int) -> bool:
-    return power_class(x, n, p).is_nth_power

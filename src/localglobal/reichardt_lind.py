@@ -55,7 +55,6 @@ __all__ = [
     "local_image",
     "forced_section_invariants",
     "twist_conditions",
-    "twist_search",
     "density_experiment",
     "exhaustive_search",
     "model_smoothness_check",
@@ -313,22 +312,6 @@ def _passing_primes(ell: int, fz: Factorization, primes):
     for p in primes:
         if p != 2 and ell % p and all(_conditions(ell, odd_ell_primes, p)):
             yield p
-
-
-def _obstructed_twists(ell: int, fz: Factorization, primes) -> list[int]:
-    """The p in `primes` whose twists the forced sections obstruct; fz
-    factors |ell|."""
-    return [p for p in primes
-            if forced_section_invariants(TwistParams(ell, p, fz)).verdict == "obstructed"]
-
-
-def twist_search(ell: int, p_max: int) -> list[int]:
-    """Ascending primes p <= p_max for which the twist passes all four
-    conditions and the forced-invariant computation certifies obstruction.
-    Two stages: the sieve with the conditions, then the forced sections of
-    each passing twist."""
-    fz = _check_ell(ell)
-    return _obstructed_twists(ell, fz, _passing_primes(ell, fz, primes_up_to(p_max)))
 
 
 class DensityReport(record("DensityReport", "ell p_max valid_count prime_count ratio predicted")):

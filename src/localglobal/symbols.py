@@ -6,8 +6,9 @@ for the radical extensions Q_p[x]/(x^m - d).
 
 A finite place is a `Place`, whose prime is proven when it is built; every
 function here that takes one proves an int prime first, and trusts a Place.
-`norm_test` and `hilbert2_reader` read their fixed argument once per place
-and return a test for many values.
+(`padic.power_class`, which classes d for a quartic without 4th roots of
+unity, proves its prime again.)  `norm_test` and `hilbert2_reader` read
+their fixed argument once per place and return a test for many values.
 
 Norm membership is decided by closed forms only; nothing is sampled.
 Quadratic cases use the Hilbert symbol.  Tame Kummer cases (p = 1 mod m,
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exact import _sqrt_mod_odd_prime, is_probable_prime, record, residue, split_prime_power
-from .padic import is_nth_power_unit
+from .padic import power_class
 
 __all__ = [
     "Place",
@@ -51,10 +52,6 @@ class Place(record("Place", "prime")):
         if prime is not None and not is_probable_prime(prime):
             raise ValueError(f"{prime} is not prime")
         return tuple.__new__(cls, (prime,))
-
-    @classmethod
-    def finite(cls, p: int) -> "Place":
-        return cls(p)
 
     @classmethod
     def _proven(cls, p: int) -> "Place":
@@ -273,18 +270,13 @@ def _square_root(a, p: int) -> Fraction:
     return r * Fraction(p) ** (v // 2)
 
 
-def _is_square(x, p: int) -> bool:
-    """Is the nonzero x a square in Q_p, p a proven prime?"""
-    v, u = _vu(x, p)
-    return v % 2 == 0 and is_nth_power_unit(u, 2, p)
-
-
 def norm_test(p, m: int, d):
     """The test x -> `is_local_norm(x, p, m, d)`.
 
     p, m and d are checked and the algebra Q_p[t]/(t^m - d) is classified
-    here, once; the test reads the valuation and a residue of x and
-    evaluates one symbol, or two, or none.  An int d stays an int.  p is a
+    here, once (a quartic without 4th roots of unity by the square classes
+    of d and -d, `power_class`); the test reads the valuation and a
+    residue of x and evaluates one symbol, or two, or none.  An int d stays an int.  p is a
     Place or an int prime (`_finite_prime`).
     """
     d = _nonzero(d)
@@ -310,9 +302,9 @@ def norm_test(p, m: int, d):
     # of s does not matter: (x, -2s) = (x, -1)(x, 2s), and both symbols
     # must be 1.
     bs = (d,)
-    if m == 3 or m == 4 and _is_square(d, p):
+    if m == 3 or m == 4 and power_class(d, 2, p).is_nth_power:
         bs = ()
-    elif m == 4 and _is_square(-d, p):
+    elif m == 4 and power_class(-d, 2, p).is_nth_power:
         bs = (-1, 2 * _square_root(-d, p))
     parts = [_vu(b, p) for b in bs]
 

@@ -110,8 +110,8 @@ from localglobal.padic import (
     NoConvergence,
     _unit_label_digits,
     hensel_root as padic_hensel_root,
-    is_nth_power as padic_is_nth_power,
     is_nth_power_unit,
+    power_class,
 )
 from localglobal.reichardt_lind import (
     ObstructionReport,
@@ -794,9 +794,9 @@ def quadratic_local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool
     z = p^(1/4) when p is a fourth power, then any branch whose point has
     y = 0.  This is the dyadic search that decided condition (iv) before
     its closed rule."""
-    place = Place.finite(q)
+    place = Place(q)
     depth_bound = 2 * split_prime_power(4 * tw.ell * tw.ell * tw.p, q)[0] + 6
-    if allow_y_zero and padic_is_nth_power(Fraction(tw.p), 4, q):
+    if allow_y_zero and power_class(tw.p, 4, q).is_nth_power:
         root = nth_root_padic(tw.p, 4, q, precision)
         return LocalPoint(place, PadicNumber.zero(q, precision), root, precision)
     skip = variant
@@ -1121,7 +1121,7 @@ def certify(tw, q, chart, y0, z0, t_y, t_z, precision, exact_y_poly,
             exact_z_poly, allow_y_zero=False):
     """`_certify` with both residues wrapped in
     `PadicNumber.from_fraction` before the Hensel lift."""
-    place = Place.finite(q)
+    place = Place(q)
     use_y = t_y is not None and (t_z is None or t_y <= t_z)
     try:
         if use_y:

@@ -1,16 +1,17 @@
 """Differential tests: the closed-form power-class labels and norm symbols
 against the enumerating oracles in `oracles.py`."""
 
+import json
 import random
 from fractions import Fraction
 
 import oracles
 import pytest
 
-from localglobal import symbols
+from localglobal import cli, symbols
 from localglobal.exact import primes_up_to
 from localglobal.padic import _canonical_unit_label, _unit_label_digits
-from localglobal.reichardt_lind import density_experiment, twist_search
+from localglobal.reichardt_lind import density_experiment
 from localglobal.symbols import is_local_norm
 
 PRIMES_2000 = primes_up_to(2000)
@@ -84,8 +85,9 @@ def test_is_local_norm_on_drawn_cases():
         assert is_local_norm(x, p, m, d) == oracles.is_local_norm(x, p, m, d), (x, p, m, d)
 
 
-def test_twist_search_to_100000_counts_every_valid_twist():
-    twists = twist_search(2, 10**5)
+def test_twist_search_to_100000_counts_every_valid_twist(capsys):
+    assert cli.main(["rl", "search", "--ell", "2", "--max-prime", "100000"]) == 0
+    twists = json.loads(capsys.readouterr().out)["result"]["twists"]
     assert len(twists) == density_experiment(2, 10**5).valid_count == 1202
 
 

@@ -4,6 +4,7 @@ lifting-tree search that `oracles` keeps; the library decides each place
 by rule."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -25,7 +26,6 @@ from localglobal.reichardt_lind import (
     local_image,
     model_smoothness_check,
     twist_conditions,
-    twist_search,
 )
 from localglobal.symbols import REAL_PLACE, InvariantValue, Place, hilbert2, is_local_norm
 from oracles import LocalPoint, NoPoint, local_point, local_points, verify_local_point
@@ -37,11 +37,11 @@ HALF = InvariantValue.half()
 
 class TestTwistParams:
     def test_valid(self):
-        assert RL.bad_finite_places == (Place.finite(2), Place.finite(17))
+        assert RL.bad_finite_places == (Place(2), Place(17))
         assert TwistParams(6, 73).bad_finite_places == (
-            Place.finite(2),
-            Place.finite(3),
-            Place.finite(73),
+            Place(2),
+            Place(3),
+            Place(73),
         )
 
     def test_rejects_bad_parameters(self):
@@ -201,16 +201,16 @@ class TestForcedSectionInvariants:
             assert forced_section_invariants(tw) == oracles.forced_section_invariants(tw), tw
 
     def test_each_place_is_classified_once(self, monkeypatch):
-        """The Q_q classification (`_is_square` of +-p) runs as often per
-        place as for one norm decision, not once per y-class."""
+        """The Q_q classification (the square class of +-p) runs as often
+        per place as for one norm decision, not once per y-class."""
         calls = []
-        is_square = symbols._is_square
+        power_class = symbols.power_class
 
-        def spy(x, p):
+        def spy(x, n, p):
             calls.append(p)
-            return is_square(x, p)
+            return power_class(x, n, p)
 
-        monkeypatch.setattr(symbols, "_is_square", spy)
+        monkeypatch.setattr(symbols, "power_class", spy)
         expected = {RL: {2: 1, 17: 0}, TwistParams(2, 31): {2: 2, 31: 2},
                     TwistParams(-2, 113): {2: 1, 113: 0}, TwistParams(6, 73): {2: 1, 3: 1, 73: 0}}
         for tw, counts in expected.items():
@@ -237,16 +237,22 @@ class TestTwistConditions:
     def test_nineteen_seventeen_all_hold(self):
         assert twist_conditions(TwistParams(19, 17)).all_satisfied
 
-    def test_search_ell_two(self):
-        assert twist_search(2, 100) == [17, 41, 97]
+    def test_search_ell_two(self, capsys):
+        assert rl_search(capsys, 2, 100) == [17, 41, 97]
 
-    def test_search_other_twists(self):
-        assert 97 in twist_search(11, 100)
-        assert 73 in twist_search(6, 100)
+    def test_search_other_twists(self, capsys):
+        assert 97 in rl_search(capsys, 11, 100)
+        assert 73 in rl_search(capsys, 6, 100)
 
-    def test_search_rejects_non_squarefree(self):
-        with pytest.raises(ValueError):
-            twist_search(12, 100)
+    def test_search_rejects_non_squarefree(self, capsys):
+        assert cli.main(["rl", "search", "--ell", "12", "--max-prime", "100"]) == 1
+        assert "ell must be squarefree" in capsys.readouterr().out
+
+
+def rl_search(capsys, ell: int, bound: int) -> list[int]:
+    """The twists that `rl search --ell ell --max-prime bound` reports."""
+    assert cli.main(["rl", "search", "--ell", str(ell), "--max-prime", str(bound)]) == 0
+    return json.loads(capsys.readouterr().out)["result"]["twists"]
 
 
 DIFFERENTIAL_ELLS = (2, -2, 3, 6, 7, -7, 11)
@@ -277,8 +283,8 @@ class TestConditionsOnIntegers:
             assert {c.all_satisfied for c in seen} == {True, False}
 
     @pytest.mark.parametrize("ell", DIFFERENTIAL_ELLS)
-    def test_search_and_density_match_the_oracle_loop(self, ell):
-        assert twist_search(ell, 20_000) == oracles.twist_search(ell, 20_000)
+    def test_search_and_density_match_the_oracle_loop(self, ell, capsys):
+        assert rl_search(capsys, ell, 20_000) == oracles.twist_search(ell, 20_000)
         rep = density_experiment(ell, 20_000)
         passing = oracles.passing_twists(ell, 20_000)
         assert (rep.valid_count, rep.prime_count) == (len(passing), len(primes_up_to(20_000)))
@@ -314,17 +320,18 @@ class TestEllFactoredOnce:
         assert '"primes_tested": 2262' in capsys.readouterr().out
         assert calls == {"factorize": [2], "is_probable_prime": []}
 
-    def test_search_builds_twists_only_for_passing_primes(self, calls, monkeypatch):
+    def test_search_builds_twists_only_for_passing_primes(self, calls, monkeypatch, capsys):
         built = []
 
         def spy(*args):
             built.append(args[1])
             return TwistParams(*args)
 
-        monkeypatch.setattr(reichardt_lind, "TwistParams", spy)
-        found = twist_search(6, 2000)
+        monkeypatch.setattr(cli, "TwistParams", spy)
+        found = rl_search(capsys, 6, 2000)
         # each passing p is proven once, in TwistParams, and not again by
-        # its bad places, their norm tests or their symbols
+        # its bad places, their norm tests or their symbols (the square
+        # classes at 2 and 3 prove those two again)
         proofs = [n for n in calls["is_probable_prime"] if n not in (2, 3)]
         assert calls["factorize"] == [6]
         assert found == oracles.twist_search(6, 2000)

@@ -19,12 +19,12 @@ from oracles import _quotient_product, quotient_norm
 
 
 def test_place_basics():
-    assert Place.finite(17).prime == 17
+    assert Place(17).prime == 17
     assert REAL_PLACE.is_real and not REAL_PLACE.is_finite
-    assert str(Place.finite(2)) == "2"
+    assert str(Place(2)) == "2"
     assert str(REAL_PLACE) == "infinity"
     with pytest.raises(ValueError):
-        Place.finite(15)
+        Place(15)
 
 
 def test_invariant_values():
@@ -93,7 +93,7 @@ def test_hilbert2_examples():
 
 def test_hilbert2_symmetric_bimultiplicative():
     rng = random.Random(11)
-    places = [REAL_PLACE, Place.finite(2), Place.finite(3), Place.finite(5), Place.finite(17)]
+    places = [REAL_PLACE, Place(2), Place(3), Place(5), Place(17)]
     for _ in range(150):
         v = rng.choice(places)
         a, b, c = (
