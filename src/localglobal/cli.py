@@ -311,15 +311,16 @@ def _work_rl(args, stage):
     if args.command == "search":
         # The ascending p <= bound whose twists pass the four conditions (the
         # sieve) and whose forced sections are obstructed; |ell| is factored
-        # once, and a TwistParams is built only for a passing p.
+        # once, and a TwistParams is built only for a passing p, with no
+        # proof: the sieve proved p and `_check_ell` the primes of |ell|.
         bound = args.max_prime or 100
         fz = _check_ell(args.ell)
         t0 = time.perf_counter()
         passing = list(_passing_primes(args.ell, fz, primes_up_to(bound)))
         stage("sieve", t0)
         t0 = time.perf_counter()
-        twists = [p for p in passing
-                  if forced_section_invariants(TwistParams(args.ell, p, fz)).verdict == "obstructed"]
+        twists = [p for p in passing if forced_section_invariants(
+            TwistParams._proven(args.ell, p, fz)).verdict == "obstructed"]
         stage("forced", t0)
         return "ok", {"ell": args.ell, "max_prime": bound, "twists": twists}
     if args.command == "density":

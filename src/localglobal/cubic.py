@@ -347,10 +347,10 @@ def cube_class_group() -> CubeClassGroup:
     The cubic Hilbert symbol is a nonzero bilinear form on F_3^4 with
     (x, -x) = 0 and (x, 1 - x) = 0 (Neukirch, Algebraic Number Theory,
     V.3).  Those relations on the elements a + b zeta_3 with
-    |a|, |b| <= 2 are linear in the 16 entries of the matrix and leave
-    exactly one line of solutions, which is scaled so that its first
-    nonzero entry (row-major) is 1.  That the matrix is skew and of
-    rank 4 is then checked, not assumed.
+    |a|, |b| <= 2 are linear in the 16 entries of the matrix; their 30
+    distinct nonzero rows (of 47) leave exactly one line of solutions,
+    which is scaled so that its first nonzero entry (row-major) is 1.
+    That the matrix is skew and of rank 4 is then checked, not assumed.
     """
     generators = (PI,) + _UNIT_GENERATORS
     for idx, g in enumerate(generators):
@@ -358,7 +358,10 @@ def cube_class_group() -> CubeClassGroup:
         if express(g) != want:
             raise CertificateError("generators must map to the standard basis")
 
-    line = _nullspace3(_steinberg_rows(), 16)
+    # Repeated and zero rows add no relation; only the distinct nonzero
+    # rows go to the elimination.
+    rows = dict.fromkeys(tuple(row) for row in _steinberg_rows() if any(row))
+    line = _nullspace3(list(rows), 16)
     if len(line) != 1:
         raise CertificateError(
             f"Steinberg relations leave {len(line)} free entries, expected 1"

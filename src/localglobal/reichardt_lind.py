@@ -75,7 +75,8 @@ class TwistParams(record("TwistParams", "ell p ell_factorization", (None,))):
     """The twisted quartic ell*Y^2 = Z^4 - p, with the factorization of
     |ell|, factored here when none is given.  A given factorization must
     multiply to |ell| and have proven primes.  p and the primes of |ell|
-    are proven here, once, so the bad places are built without a proof."""
+    are proven here, once, so the bad places are built without a proof;
+    `_proven` builds a twist from values its caller has proven."""
 
     __slots__ = ()
 
@@ -94,6 +95,13 @@ class TwistParams(record("TwistParams", "ell p ell_factorization", (None,))):
             raise ValueError("p must be an odd prime")
         if p % 2 == 0 or math.gcd(ell, p) != 1:
             raise ValueError("p must be odd and coprime to ell")
+        return tuple.__new__(cls, (ell, p, ell_factorization))
+
+    @classmethod
+    def _proven(cls, ell: int, p: int, ell_factorization: Factorization) -> "TwistParams":
+        """The twist of an odd prime p coprime to ell and a squarefree
+        factorization of |ell| into primes, all of which the caller has
+        already proven."""
         return tuple.__new__(cls, (ell, p, ell_factorization))
 
     @property

@@ -6,9 +6,10 @@ stores one flat over Z[zeta_3, eps]: the 6-tuple of the rational
 coordinates of c0, c1 and c2, under the coordinate rule of
 `exact.QuotientElement` that `Eisenstein` follows too (an int where
 integral, a Fraction otherwise, divided by `exact._exact_quotient`),
-multiplied by `_k_product`, whose nine Z[zeta_3] pair products fold back
-by eps^3 = 6.  The curve polynomials and the descent function in
-K[delta]/(delta^3 - 10) below hold their coefficients as the same tuples.
+multiplied by `_k_product`, one straight-line expression over the twelve
+coordinates with eps^3 = 6 folded in.  The curve polynomials and the
+descent function in K[delta]/(delta^3 - 10) below hold their
+coefficients as the same tuples.
 Norms to k run on integer pairs after clearing denominators: the closed
 form of `_closed_norm`, checked against the determinant of multiplication.
 The Galois group of K/k is generated by sigma: eps -> zeta_3 eps.  On the
@@ -19,8 +20,11 @@ plane cubic 3X^3 + 4Y^3 + 5Z^3 = 0 the Lagrange-resolvent function
 
 satisfies sigma(U)/U = P0/(g Z), and its norm down to k is the descent
 function whose local classes the cubic pairing consumes.  The identities
-are proved here symbolically (reduction modulo the curve equation) and
-rechecked on points over finite fields F_p where the tower splits: each
+are proved here symbolically and rechecked on points over finite fields
+F_p where the tower splits.  The norm of P0 and the doubling identity are
+exact polynomial identities; the resolvent identities hold modulo the
+curve equation, and the sides of the norm factorization are reduced
+modulo it as they are multiplied.  In the numeric checks each
 polynomial's coefficients are embedded into F_p once per prime and the
 polynomials are evaluated on residues mod p.
 """
@@ -70,26 +74,24 @@ def _k_sum(x: tuple, y: tuple) -> tuple:
 
 
 def _k_product(x: tuple, y: tuple) -> tuple:
-    """x y on flat 6-tuples: nine Z[zeta_3] pair products, then eps^3 = 6
-    folds the eps^3 and eps^4 terms back into degrees 0 and 1."""
-    x0, x1, x2 = x[0:2], x[2:4], x[4:6]
-    y0, y1, y2 = y[0:2], y[2:4], y[4:6]
-    a00, b00 = _pair_product(x0, y0)
-    a01, b01 = _pair_product(x0, y1)
-    a02, b02 = _pair_product(x0, y2)
-    a10, b10 = _pair_product(x1, y0)
-    a11, b11 = _pair_product(x1, y1)
-    a12, b12 = _pair_product(x1, y2)
-    a20, b20 = _pair_product(x2, y0)
-    a21, b21 = _pair_product(x2, y1)
-    a22, b22 = _pair_product(x2, y2)
+    """x y on flat 6-tuples, in one straight line over the twelve
+    coordinates.  With x_i = a_i + b_i zeta and y_j = c_j + d_j zeta,
+    x_i y_j = (a_i c_j - b_i d_j) + (a_i d_j + b_i c_j - b_i d_j) zeta
+    (zeta^2 = -1 - zeta), so each b_i d_j is computed once and subtracted
+    from both coordinates of its power eps^(i+j); eps^3 = 6 folds the
+    eps^3 and eps^4 terms back into degrees 0 and 1."""
+    a0, b0, a1, b1, a2, b2 = x
+    c0, d0, c1, d1, c2, d2 = y
+    t0 = b0 * d0 + 6 * (b1 * d2 + b2 * d1)
+    t1 = b0 * d1 + b1 * d0 + 6 * (b2 * d2)
+    t2 = b0 * d2 + b1 * d1 + b2 * d0
     return (
-        a00 + 6 * (a12 + a21),
-        b00 + 6 * (b12 + b21),
-        a01 + a10 + 6 * a22,
-        b01 + b10 + 6 * b22,
-        a02 + a11 + a20,
-        b02 + b11 + b20,
+        a0 * c0 + 6 * (a1 * c2 + a2 * c1) - t0,
+        a0 * d0 + b0 * c0 + 6 * (a1 * d2 + b1 * c2 + a2 * d1 + b2 * c1) - t0,
+        a0 * c1 + a1 * c0 + 6 * (a2 * c2) - t1,
+        a0 * d1 + b0 * c1 + a1 * d0 + b1 * c0 + 6 * (a2 * d2 + b2 * c2) - t1,
+        a0 * c2 + a1 * c1 + a2 * c0 - t2,
+        a0 * d2 + b0 * c2 + a1 * d1 + b1 * c1 + a2 * d0 + b2 * c0 - t2,
     )
 
 
@@ -361,17 +363,35 @@ def _resolvent_parts():
     return num, den, forms, X, Y, Z
 
 
+def _reduced_product(factors):
+    """The product of `factors` in normal form modulo the curve: the two
+    halves are multiplied recursively, and every partial product is
+    reduced before it is multiplied again."""
+    if len(factors) == 1:
+        return factors[0]
+    half = len(factors) // 2
+    return (_reduced_product(factors[:half]) * _reduced_product(factors[half:])).reduce()
+
+
 def _identity_sides(num, den, forms, Z):
     """Both sides of identities (b) and (c), cross-multiplied so that they
     are polynomials: (b) sigma(U)/U = P0/(gamma Z) and
-    (c) N(U) = (sigma^2(gamma)/gamma) U^3 P0/P2."""
+    (c) N(U) = (sigma^2(gamma)/gamma) U^3 P0/P2.
+
+    The sides of (b) are the full products.  Those of (c) come out in
+    normal form: each partial product is reduced modulo 3X^3 + 4Y^3 +
+    5Z^3 as it is built.  That still proves (c), because reduction is
+    the ring map onto the quotient by the curve written in its normal
+    form (X-degree below 3): the reduced product of reduced factors is
+    the reduced full product, so the sides agree after reduction exactly
+    when the full products do."""
     P0, _, P2 = forms
     snum, sden = num.apply_sigma(), den.apply_sigma()
     s2num, s2den = snum.apply_sigma(), sden.apply_sigma()
     lhs_b = snum * den * (GAMMA * Z)
     rhs_b = num * sden * P0
-    lhs_c = num * snum * s2num * GAMMA * (den * den * den) * P2
-    rhs_c = sigma(sigma(GAMMA)) * (num * num * num) * P0 * (den * sden * s2den)
+    lhs_c = _reduced_product((num, snum, s2num, den, den, den, GAMMA * P2))
+    rhs_c = _reduced_product((num, num, num, den, sden, s2den, sigma(sigma(GAMMA)) * P0))
     return lhs_b, rhs_b, lhs_c, rhs_c
 
 

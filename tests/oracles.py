@@ -53,13 +53,15 @@ iteration on `PadicNumber` objects, Miller-Rabin to all thirteen prime
 bases up to 41 whatever the size of n, and the factoring with trial
 division up to 10**4 follow.  Last come the cube classes of Q_3(zeta_3) read off
 Fraction pi-digit expansions, the F_3 nullspace found by trying every
-vector, the K/k norm as closed form and generic
-determinant on Fraction coordinates, the search for elements of norm
--10 that evaluates `norm_K_over_k` on every candidate, and the cubic
+vector, the flat product of the tower as nine Z[zeta_3] pair products,
+the K/k norm as closed form and generic determinant on Fraction
+coordinates, the search for elements of norm -10 that evaluates
+`norm_K_over_k` on every candidate, and the cubic
 Hilbert pairing matrix built from sampled norm subgroups of Kummer
 extensions.  Last, the curve polynomials of the identity suite with
-generic K coefficients, and the descent-value coefficients computed in
-the delta-algebra over them.
+generic K coefficients, the two sides of its identity (c) multiplied out
+in full, and the descent-value coefficients computed in the delta-algebra
+over them.
 """
 
 from __future__ import annotations
@@ -1671,6 +1673,34 @@ def evaluate_F_local(precision: int = 12) -> tuple[int, int, int, int]:
     return vec
 
 
+# ------------------------------------------ flat Z[zeta_3, eps] product
+# The product that `tower._k_product` writes as one straight line over the
+# twelve coordinates, here as nine Z[zeta_3] pair products folded back by
+# eps^3 = 6.
+
+
+def pair_product(x: tuple, y: tuple) -> tuple:
+    """(a + b zeta_3)(c + d zeta_3) on pairs, zeta_3^2 = -1 - zeta_3."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c - b * d
+
+
+def k_product_by_pairs(x: tuple, y: tuple) -> tuple:
+    """x y on flat 6-tuples: the pair product of each x_i with each y_j
+    lands on eps^(i+j), and eps^3 = 6 folds degrees 3 and 4 back into 0
+    and 1."""
+    xs, ys = (x[0:2], x[2:4], x[4:6]), (y[0:2], y[2:4], y[4:6])
+    raw = [[0, 0] for _ in range(5)]
+    for i, xi in enumerate(xs):
+        for j, yj in enumerate(ys):
+            a, b = pair_product(xi, yj)
+            raw[i + j][0] += a
+            raw[i + j][1] += b
+    folded = [(raw[0][0] + 6 * raw[3][0], raw[0][1] + 6 * raw[3][1]),
+              (raw[1][0] + 6 * raw[4][0], raw[1][1] + 6 * raw[4][1]), tuple(raw[2])]
+    return tuple(v for pair in folded for v in pair)
+
+
 # ------------------------------------------------------- K/k norms
 def norm_K_over_k(x: KElement) -> Eisenstein:
     """The closed-form norm c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2 and the
@@ -1933,6 +1963,19 @@ def resolvent_parts():
     num = forms[0] * forms[1] + G_GAMMA * (Z * forms[1]) + (G_GAMMA * sigma(G_GAMMA)) * (Z * Z)
     den = forms[0] * forms[1]
     return num, den, forms, X, Y, Z
+
+
+def norm_factorization_sides(num, den, forms):
+    """Both sides of identity (c), N(U) = (sigma^2(gamma)/gamma) U^3 P0/P2
+    cross-multiplied, as full products that are never reduced: the
+    products that `tower._identity_sides` reduces as it multiplies.  The
+    arguments are those of `resolvent_parts`, on GenericK coefficients."""
+    P0, _, P2 = forms
+    snum, sden = num.apply_sigma(), den.apply_sigma()
+    s2num, s2den = snum.apply_sigma(), sden.apply_sigma()
+    lhs = num * snum * s2num * G_GAMMA * (den * den * den) * P2
+    rhs = sigma(sigma(G_GAMMA)) * (num * num * num) * P0 * (den * sden * s2den)
+    return lhs, rhs
 
 
 def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:

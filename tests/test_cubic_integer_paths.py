@@ -280,6 +280,31 @@ def test_k_product_and_sigma_match_the_k_element_arithmetic():
     assert any(type(v) is Fraction for v in x.coeffs)
 
 
+def kernel_samples(rng):
+    """Seeded flat 6-tuples: small ints with zeros and negatives, 100-bit
+    ints, and Fractions, with one all-zero tuple."""
+    small = lambda: rng.choice((0, 0, 1, -1, rng.randint(-50, 50)))
+    big = lambda: rng.choice((1, -1)) * rng.getrandbits(100)
+    frac = lambda: Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+    samples = [(0,) * 6]
+    for draw in (small, big, frac, lambda: rng.choice((small, big, frac))()):
+        samples += [tuple(draw() for _ in range(6)) for _ in range(60)]
+    return samples
+
+
+def test_straight_line_k_product_matches_the_nine_pair_products():
+    rng = random.Random(74)
+    samples = kernel_samples(rng)
+    for x in samples:
+        y = rng.choice(samples)
+        got = _k_product(x, y)
+        assert got == oracles.k_product_by_pairs(x, y), (x, y)
+        assert [type(v) for v in got] == [type(v) for v in oracles.k_product_by_pairs(x, y)], (x, y)
+        a, b = KElement._make(x), KElement._make(y)
+        assert norm_K_over_k(a * b) == norm_K_over_k(a) * norm_K_over_k(b), (x, y)
+    assert any(abs(v) >= 2**99 for x in samples for v in x)
+
+
 def test_flat_coordinates_are_ints_exactly_when_integral():
     x = KElement(Eisenstein(Fraction(6, 3), Fraction(1, 2)), Eisenstein.of(0), Eisenstein(-4, Fraction(9, 3)))
     assert [type(v) for v in x.coeffs] == [int, Fraction, int, int, int, int]
@@ -314,6 +339,31 @@ def test_identity_sides_reduce_like_the_oracle():
         assert flat_terms(ours) == flat_terms(theirs), name
         assert flat_terms(ours.reduce()) == flat_terms(theirs.reduce()), name
     assert not flat_terms((tower_sides[2] - tower_sides[3]).reduce())
+
+
+def test_norm_factorization_sides_are_the_reduced_full_products():
+    # (c)'s sides reduced as they are multiplied, against the sides
+    # multiplied out in full and reduced once, on generic coefficients
+    num, den, forms, _, _, Z = _resolvent_parts()
+    _, _, lhs_c, rhs_c = _identity_sides(num, den, forms, Z)
+    onum, oden, oforms, *_ = oracles.resolvent_parts()
+    full_lhs, full_rhs = oracles.norm_factorization_sides(onum, oden, oforms)
+    assert max(i for i, _, _ in full_lhs.terms) > 3
+    assert all(i < 3 for side in (lhs_c, rhs_c) for i, _, _ in side.terms)
+    assert flat_terms(lhs_c) == flat_terms(full_lhs.reduce())
+    assert flat_terms(rhs_c) == flat_terms(full_rhs.reduce())
+
+
+def test_reducing_the_factors_first_gives_the_same_normal_form():
+    rng = random.Random(75)
+    for _ in range(40):
+        a, b = (CurvePolynomial({
+            (rng.randrange(7), rng.randrange(4), rng.randrange(4)): flat_k_element(rng)
+            for _ in range(rng.randrange(1, 6))
+        }) for _ in "ab")
+        product = (a * b).reduce()
+        assert product.terms == (a.reduce() * b.reduce()).reduce().terms
+        assert all(i < 3 for i, _, _ in product.terms)
 
 
 def random_polynomial(rng, cls, coefficients):
@@ -364,6 +414,19 @@ def test_a_perturbed_gamma_fails_the_symbolic_identities(monkeypatch):
     assert not report.all_ok
     assert "resolvent twist identity (symbolic)" in report.failures
     assert "norm factorization identity (symbolic)" in report.failures
+
+
+def test_sigma_gamma_in_place_of_sigma2_gamma_fails_identity_c_only(monkeypatch):
+    # a wrong companion in (c) alone: sigma^2(gamma) read as sigma(gamma)
+    gsig = sigma(GAMMA)
+    monkeypatch.setattr(tower, "sigma", lambda x: x if x == gsig else sigma(x))
+    report = curve_identity_suite()
+    assert report.norm_of_linear_form_ok and report.doubling_identity_ok
+    assert report.resolvent_symbolic_ok and report.resolvent_points_ok
+    assert not report.norm_factorization_symbolic_ok
+    assert not report.norm_factorization_points_ok
+    assert "norm factorization identity (symbolic)" in report.failures
+    assert not report.all_ok
 
 
 def test_curve_identity_suite_is_fast():

@@ -322,20 +322,22 @@ class TestEllFactoredOnce:
 
     def test_search_builds_twists_only_for_passing_primes(self, calls, monkeypatch, capsys):
         built = []
+        proven = TwistParams._proven.__func__
 
-        def spy(*args):
-            built.append(args[1])
-            return TwistParams(*args)
+        def spy(cls, ell, p, fz):
+            built.append(p)
+            return proven(cls, ell, p, fz)
 
-        monkeypatch.setattr(cli, "TwistParams", spy)
+        monkeypatch.setattr(TwistParams, "_proven", classmethod(spy))
         found = rl_search(capsys, 6, 2000)
-        # each passing p is proven once, in TwistParams, and not again by
-        # its bad places, their norm tests or their symbols (the square
-        # classes at 2 and 3 prove those two again)
+        # no passing p is proven again after the sieve: not by its
+        # TwistParams, its bad places, their norm tests or their symbols
+        # (the square classes at 2 and 3 prove those two again)
         proofs = [n for n in calls["is_probable_prime"] if n not in (2, 3)]
         assert calls["factorize"] == [6]
         assert found == oracles.twist_search(6, 2000)
-        assert built == oracles.passing_twists(6, 2000) == proofs
+        assert built == oracles.passing_twists(6, 2000)
+        assert proofs == []
 
 
 @lru_cache(maxsize=None)
