@@ -443,9 +443,14 @@ def _flatten(prefix: str, value, lines: list):
         lines.append(f"{prefix} = {json.dumps(value)}")
 
 
+# json.dumps(report, sort_keys=True) builds an encoder per call; this one is
+# built once, holds no state between calls and writes the same bytes
+_JSON_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, sort_keys=True)
+        return _JSON_ENCODER.encode(report)
     lines: list = []
     for key in ("command", "status", "params", "result", "timings"):
         _flatten(key, report[key], lines)

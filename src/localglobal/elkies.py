@@ -1,14 +1,18 @@
 """The isotrivial family 2Y^2 = Z^4 - N(t), N(t) = (1 + 2/(1+t+t^2))^4 + 16.
 
-Every fibre is everywhere locally solvable, yet globally empty: the
-quartic-free part N0 of N(t) is a sum A^4 + 16B^4 with A, B odd and
-coprime, each odd prime p | N0 is 1 mod 8, and the invariant sum of the
-quaternion class (y, N0) over the places with v_p(N0) odd and 2 a quartic
-nonresidue mod p is an odd multiple of 1/2.  Every place is certified
-locally solvable by rule, with no search and no p-adic digits.  `elkies
-verify` factors N0 and reads the parity prime by prime (Euler's
-criterion); `elkies scan` factors nothing and reads it off one quartic
-symbol (`fibre_certificate`), which for this family is the theorem itself.
+Every fibre is everywhere locally solvable, yet globally empty: each odd
+prime p | N0, the quartic-free part of N(t), is 1 mod 8, and the invariant
+sum of the quaternion class (y, N0) over the places with v_p(N0) odd and 2
+a quartic nonresidue mod p is an odd multiple of 1/2.  Every place
+is certified locally solvable by rule, with no search and no p-adic
+digits.  `elkies scan` factors nothing and reads the parity off one
+quartic symbol (`fibre_certificate`), which for this family is the theorem
+itself.  `elkies verify` factors N0, certifies its places with a
+decomposition N0 = A^4 + 16B^4 (A, B odd and coprime) and reads the parity
+prime by prime (Euler's criterion).  Not every N0 has such a
+decomposition: at t = -167/20, 147/20 and 644/423, 17^4 divides the
+numerator of N(t), and `fibre` raises RepresentationNotFound on a fibre
+that `elkies scan` counts as obstructed.
 """
 
 from __future__ import annotations
@@ -47,8 +51,9 @@ __all__ = [
 
 
 class RepresentationNotFound(Exception):
-    """N0 is not A^4 + 16B^4 with A, B odd coprime; this would falsify the
-    family property."""
+    """N0 is not A^4 + 16B^4 with A, B odd coprime.  The numerator
+    u^4 + 16w^4 of N(t) always is; its quartic-free part need not be when a
+    fourth power divides it (t = -167/20: 17^4)."""
 
 
 # ------------------------------------------------------------------ fibres
@@ -84,29 +89,36 @@ class ElkiesFibre(record("ElkiesFibre", "t N N0 A B factorization", (None,))):
         return tuple.__new__(cls, (t, N, N0, A, B, factorization))
 
 
-def _two_squares(p: int) -> tuple[int, int]:
-    """(x, y) with x^2 + y^2 = p, for a prime p = 1 mod 4: Euclid's
-    algorithm on p and a square root of -1 mod p stops at x, the first
-    remainder below sqrt(p) (Hermite-Serret)."""
+def _two_squares(p: int, root: int) -> tuple[int, int]:
+    """(x, y) with x^2 + y^2 = p, for a prime p = 1 mod 4 and a square root
+    `root` of -1 mod p: Euclid's algorithm on p and the root stops at x,
+    the first remainder below sqrt(p) (Hermite-Serret; Brillhart, Math.
+    Comp. 26, 1972).  Either root gives the same pair: for r < p/2, Euclid
+    on (p, p - r) steps to (p - r, r) and then to (r, p mod r), as Euclid
+    on (p, r) does, and p - r > sqrt(p).  The pair is checked: a number
+    that is no root of -1 (13 and 4) raises CertificateError or still
+    gives p's one pair up to order (13 and 2), never a wrong pair."""
     if p % 4 != 1:
         raise CertificateError(f"{p} is not 1 mod 4")
-    a, b = p, _sqrt_minus_one(p)
+    a, b = p, root
     while b * b > p:
         a, b = b, a % b
     y = math.isqrt(p - b * b)
     if b * b + y * y != p:
-        raise CertificateError(f"{p} is not a sum of two squares")
+        raise CertificateError(f"Euclid on {p} and {root} finds no x^2 + y^2 = {p}")
     return b, y
 
 
-def _coprime_two_squares(fz: Factorization) -> list[tuple[int, int]]:
-    """One coprime pair X^2 + Y^2 = n = fz.value (n odd) for each such pair
+def _coprime_two_squares(fz: Factorization, X: int, Y: int) -> list[tuple[int, int]]:
+    """One coprime pair x^2 + y^2 = n = fz.value (n odd) for each such pair
     up to order and sign: in Z[i], up to units, the product of pi_p^e or its
     conjugate over the p^e || n, p = pi_p conj(pi_p) (`_two_squares`), with
-    pi_p^e for the first p, since conjugating the product keeps the pair."""
+    pi_p^e for the first p, since conjugating the product keeps the pair.
+    X^2 + Y^2 is a multiple of n with Y prime to n, so each p | n reads its
+    root of -1 off it: (X/Y)^2 = -1 mod p."""
     reps = [(1, 0)]
     for i, (p, e) in enumerate(fz.factors):
-        x, y = _two_squares(p)
+        x, y = _two_squares(p, X * pow(Y, -1, p) % p)
         g, h = 1, 0
         for _ in range(e):
             g, h = g * x - h * y, g * y + h * x
@@ -115,16 +127,18 @@ def _coprime_two_squares(fz: Factorization) -> list[tuple[int, int]]:
     return reps
 
 
-def _least_b(fz: Factorization) -> tuple[int, int]:
+def _least_b(fz: Factorization, X: int, Y: int) -> tuple[int, int]:
     """(A, B) with n = fz.value = A^4 + 16B^4, A and B odd and coprime, and
-    B least, read off the coprime pairs X^2 + Y^2 = n with X = A^2 and
-    Y = 4B^2; RepresentationNotFound if there is none."""
+    B least, read off the coprime pairs x^2 + y^2 = n with x = A^2 and
+    y = 4B^2 (`_coprime_two_squares`, its roots of -1 read off the
+    representation X^2 + Y^2 of a multiple of n, Y prime to n);
+    RepresentationNotFound if there is none."""
     found = []
-    for X, Y in _coprime_two_squares(fz):
-        X, Y = (abs(X), abs(Y)) if X % 2 else (abs(Y), abs(X))
-        b = math.isqrt(Y // 4)
-        if Y == 4 * b * b and b % 2 == 1 and is_perfect_square(X):
-            found.append((b, math.isqrt(X)))
+    for x, y in _coprime_two_squares(fz, X, Y):
+        x, y = (abs(x), abs(y)) if x % 2 else (abs(y), abs(x))
+        b = math.isqrt(y // 4)
+        if y == 4 * b * b and b % 2 == 1 and is_perfect_square(x):
+            found.append((b, math.isqrt(x)))
     if not found:
         raise RepresentationNotFound(f"N0 = {fz.value} is not A^4 + 16B^4 (A, B odd coprime)")
     b, a = min(found)
@@ -143,7 +157,10 @@ def fibre(t) -> ElkiesFibre:
     """The fibre at t (a rational, or None/'infinity').  The numerator
     u^4 + 16w^4 of N(t) (`_uw`) is factored once; N0 and its factorization
     come from the exponents mod 4, and (A, B) is the least-B decomposition
-    of N0 in Z[i] (`_least_b`)."""
+    of N0 in Z[i] (`_least_b`).  Each p | N0 divides u^4 + 16w^4 =
+    (u^2)^2 + (4w^2)^2 and not 4w^2, as gcd(u, w) = 1, so u^2 / 4w^2 is a
+    square root of -1 mod p, with no search for a non-residue.
+    RepresentationNotFound when N0 has no decomposition (t = -167/20)."""
     if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
         t_val, a, b = None, 1, 0
     else:
@@ -158,7 +175,7 @@ def fibre(t) -> ElkiesFibre:
         n = fz.value
     if n % 16 != 1:  # refused before `_least_b` finds no decomposition
         raise CertificateError(f"N0 = {n} is not 1 mod 16")
-    return ElkiesFibre(t_val, n_val, n, *_least_b(fz), fz)
+    return ElkiesFibre(t_val, n_val, n, *_least_b(fz, u * u, 4 * w * w), fz)
 
 
 # ------------------------------------------------- local solvability
@@ -266,13 +283,14 @@ class QuarticRep(record("QuarticRep", "p a b")):
 
 def quartic_rep(p: int) -> QuarticRep:
     """The representation p = a^2 + 16b^2 (a, b > 0), read off p = x^2 + y^2
-    (`_two_squares`, unique up to order and sign): a is the odd one of x
-    and y, and b the even one over 4, a multiple of 4 since a^2 = 1 = p
-    mod 8.  Cross-checked against the quartic character: 2 is a fourth
-    power mod p iff b is even."""
+    (`_two_squares`, unique up to order and sign; with no representation
+    to read a root of -1 off, it comes from the least non-residue,
+    `_sqrt_minus_one`): a is the odd one of x and y, and b the even one
+    over 4, a multiple of 4 since a^2 = 1 = p mod 8.  Cross-checked against
+    the quartic character: 2 is a fourth power mod p iff b is even."""
     if p % 8 != 1 or not is_probable_prime(p):
         raise ValueError("need a prime p = 1 mod 8")
-    x, y = _two_squares(p)
+    x, y = _two_squares(p, _sqrt_minus_one(p))
     a, even = (x, y) if x % 2 else (y, x)
     rep = QuarticRep(p, a, even // 4)
     if (quartic_residue_symbol(2, p).exponent == 0) != rep.b_even:

@@ -4,12 +4,13 @@ globally empty quartics and its quartic-residue parity obstruction."""
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
 import oracles
 import pytest
-from sympy.ntheory import nthroot_mod
+from sympy.ntheory import nthroot_mod, sqrt_mod
 
 from localglobal import cli, elkies, exact
 from localglobal.elkies import (
@@ -164,10 +165,13 @@ class TestClosedFormFibre:
         17**6 * 506609 * 41**4,  # N0 = 17^2 * 506609 = 1 + 16*55^4
     ])
     def test_a_numerator_with_fourth_powers_falls_back_to_the_search(self, monkeypatch, numerator):
-        # fibre(0) is handed this numerator's factorization in place of 97's;
-        # it reduces the exponents mod 4, and B comes from the Gaussian integers
+        # fibre(0) is handed (u, w) = (A, B) of the expected N0 and this
+        # numerator's factorization in place of N0's, so that the roots of -1
+        # read off (A^2, 4B^2) are roots mod the injected primes; it reduces
+        # the exponents mod 4, and B comes from the Gaussian integers
         old = oracles.quartic_free_fibre(Fraction(0), Fraction(numerator))
-        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator if n == 97 else n))
+        monkeypatch.setattr(elkies, "_uw", lambda a, b: (old.A, old.B))
+        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator if n == old.N0 else n))
         fib = fibre(0)
         assert fib.N0 == old.N0 and (fib.A, fib.B) == (old.A, old.B)
         assert fib.factorization == old.factorization == factorize(fib.N0)
@@ -178,11 +182,35 @@ class TestClosedFormFibre:
         (17 * 41 * 97**4, CertificateError),  # N0 = 697 = 9 mod 16
     ])
     def test_the_fallback_fails_as_the_oracle_does(self, monkeypatch, numerator, error):
-        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator if n == 97 else n))
+        # fibre(0) is handed (u, w) = (u, 1) with N0 | u^4 + 16, so that the
+        # roots of -1 read off (u^2, 4) are roots mod the injected primes
+        n0, _ = oracles.quartic_free_part(Fraction(numerator))
+        u = next(u for u in range(1, n0) if (u**4 + 16) % n0 == 0)
+        monkeypatch.setattr(elkies, "_uw", lambda a, b: (u, 1))
+        monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator if n == u**4 + 16 else n))
         with pytest.raises(error):
             fibre(0)
         with pytest.raises(error):
             oracles.quartic_free_fibre(Fraction(0), Fraction(numerator))
+
+    @pytest.mark.parametrize("t", ["-167/20", "147/20", "644/423"])
+    def test_no_decomposition_fails_as_the_oracle_does(self, t, capsys):
+        # 17^4 divides u^4 + 16w^4 and the quartic-free N0, 1 mod 16, is not
+        # A^4 + 16B^4 with A, B odd and coprime, so `elkies verify` reports
+        # an error; the scan's certificate, which factors nothing, still
+        # reads the fibre as obstructed
+        assert cli.main(["elkies", "verify", f"--t={t}"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "error"
+        assert report["result"]["message"].startswith("RepresentationNotFound")
+        t = Fraction(t)
+        u, w = elkies._uw(t.numerator, t.denominator)
+        assert (u**4 + 16 * w**4) % 17**4 == 0
+        with pytest.raises(elkies.RepresentationNotFound):
+            fibre(t)
+        with pytest.raises(elkies.RepresentationNotFound):
+            oracles.quartic_free_fibre(t, Fraction(u**4 + 16 * w**4, w**4))
+        assert fibre_certificate(u, w) == (True, 2)
 
     def test_a_smaller_b_is_found_in_the_gaussian_integers(self):
         # Euler: 59^4 + 158^4 = 133^4 + 134^4, so 635318657 is
@@ -196,7 +224,8 @@ class TestClosedFormFibre:
         ):
             assert all(a**4 + 16 * b**4 == n for a, b in reps)
             least = min(reps, key=lambda r: r[1])
-            assert elkies._least_b(factorize(n)) == least == oracles.least_b_search(n)
+            a, b = reps[0]
+            assert elkies._least_b(factorize(n), a * a, 4 * b * b) == least == oracles.least_b_search(n)
 
     def test_eulers_number_builds_one_product_per_pair(self, monkeypatch):
         # four primes: 2^3 products, each coprime pair X^2 + Y^2 = n once up
@@ -205,14 +234,14 @@ class TestClosedFormFibre:
         built = []
         products = elkies._coprime_two_squares
 
-        def spy(fz):
-            built.extend(products(fz))
+        def spy(fz, X, Y):
+            built.extend(products(fz, X, Y))
             return built
 
         monkeypatch.setattr(elkies, "_coprime_two_squares", spy)
         fz = factorize(635318657)
         assert len(fz.factors) == 4
-        assert elkies._least_b(fz) == (133, 67)
+        assert elkies._least_b(fz, 59**2, 4 * 79**2) == (133, 67)
         assert len(built) == 8
         assert len({frozenset((abs(x), abs(y))) for x, y in built}) == 8
         assert all(x * x + y * y == fz.value and math.gcd(x, y) == 1 for x, y in built)
@@ -226,7 +255,48 @@ class TestClosedFormFibre:
             if math.gcd(u, w) > 1:
                 continue
             n = u**4 + 16 * w**4
-            assert elkies._least_b(factorize(n)) == oracles.least_b_search(n), (u, w)
+            assert elkies._least_b(factorize(n), u * u, 4 * w * w) == oracles.least_b_search(n), (u, w)
+
+    def test_either_root_of_minus_one_gives_the_same_pair(self):
+        # Euclid on (p, p - r) meets Euclid on (p, r) after one step, so a
+        # root, its negative and the least non-residue's power give one pair
+        checked = 0
+        for p in primes_up_to(100_000):
+            if p % 4 == 1:
+                r = sqrt_mod(p - 1, p)
+                assert (r * r + 1) % p == 0
+                assert (
+                    elkies._two_squares(p, r)
+                    == elkies._two_squares(p, p - r)
+                    == elkies._two_squares(p, exact._sqrt_minus_one(p))
+                ), p
+                checked += 1
+        assert checked == 4783
+
+    @pytest.mark.parametrize("p, root", [(13, 4), (13, 0), (13, 13), (17, 3), (97, 96)])
+    def test_a_number_that_is_not_a_root_of_minus_one_is_refused(self, p, root):
+        assert (root * root + 1) % p
+        with pytest.raises(CertificateError, match=f"finds no x\\^2 \\+ y\\^2 = {p}"):
+            elkies._two_squares(p, root)
+
+    def test_the_fibre_reads_its_roots_off_its_representation(self, monkeypatch, capsys):
+        # no non-residue search on the verify path: each root of -1 is
+        # u^2 / 4w^2 mod p, and (A, B) agrees with the search for B
+        def no_search(p):
+            raise AssertionError(f"a non-residue search mod {p}")
+
+        monkeypatch.setattr(elkies, "_sqrt_minus_one", no_search)
+        monkeypatch.setattr(exact, "_sqrt_minus_one", no_search)
+        monkeypatch.setattr(exact, "_least_nonresidue", no_search)
+        ts = rationals_of_height(20)
+        began = time.perf_counter()
+        for t in ts:
+            fib = fibre(t)
+            assert (fib.A, fib.B) == oracles.least_b_search(fib.N0), t
+        assert time.perf_counter() - began < 2.0
+        for t in ("13/5", "98/103", "infinity"):
+            assert cli.main(["elkies", "verify", f"--t={t}"]) == 0
+            assert json.loads(capsys.readouterr().out)["status"] == "obstructed"
 
 
 class TestQuarticRep:
