@@ -1,11 +1,12 @@
-"""Hensel lifting and n-th power classes on integer residues.
+"""Hensel lifting and n-th power tests on integer residues.
 
 Hensel lifting runs Newton's method on integer residues modulo p**N and
 returns a root at which v(f') = t as the pair (residue, N - t): the residue
-modulo p**(N - t), the digits that Hensel's lemma proves.  A power class is
-read off the valuation and a unit residue of an int or Fraction.  Every
-p-adic value in the package is such an integer or rational: there is no
-p-adic number type.
+modulo p**(N - t), the digits that Hensel's lemma proves.  Whether a unit
+is an n-th power is read off its residue modulo p**(2 v_p(n) + 1).  Every
+p-adic value in the package is an int or a Fraction: there is no p-adic
+number type.  The labelled power classes of Q_p*/(Q_p*)**n live in
+`tests/oracles.py`, as a reference of the norm test there.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import is_probable_prime, record, residue, split_prime_power, valuation
+from .exact import residue, valuation
 
 
 class InsufficientPrecision(Exception):
@@ -81,33 +82,10 @@ def hensel_root(coeffs, start, p: int, n: int) -> tuple[int, int]:
     return x % low, n - t
 
 
-# --------------------------------------------------------------------- classes
+# ----------------------------------------------------------------- n-th powers
 def _unit_label_digits(p: int, n: int) -> int:
     """Units congruent mod p**k (k = 2 v_p(n) + 1) share their n-th power class."""
     return 2 * valuation(n, p) + 1
-
-
-def _canonical_unit_label(u: int, n: int, p: int) -> int:
-    """Least member of the coset u * (units)**n mod p**k: one label per class.
-
-    Tame case (odd p not dividing n): by Hensel's lemma a unit is an n-th
-    power iff it is one mod p, and (Z/p)* is cyclic, so the n-th power units
-    are the kernel of the power-residue character r -> r**e mod p with
-    e = (p-1)/gcd(n, p-1) (Serre, A Course in Arithmetic, II.3).  The coset
-    of u is the fibre of that character over u**e, and the label is the
-    least r >= 1 with r**e = u**e mod p: about gcd(n, p-1) candidates are
-    tried.  Wild case (p = 2 or p | n): the least unit r mod p**k with
-    u / r an n-th power, tested by `is_nth_power_unit` on that small ring.
-    """
-    if p != 2 and n % p:
-        e = (p - 1) // math.gcd(n, p - 1)
-        target = pow(u, e, p)
-        return next(r for r in range(1, p) if pow(r, e, p) == target)
-    mod = p ** _unit_label_digits(p, n)
-    return next(
-        r for r in range(1, mod)
-        if r % p and is_nth_power_unit(u * pow(r, -1, mod) % mod, n, p)
-    )
 
 
 def is_nth_power_unit(u: int, n: int, p: int) -> bool:
@@ -135,64 +113,3 @@ def is_nth_power_unit(u: int, n: int, p: int) -> bool:
         return u % 9 in (1, 8)
     mod = p ** _unit_label_digits(p, n)
     return any(r % p and pow(r, n, mod) == u % mod for r in range(1, mod))
-
-
-class PowerClass(record("PowerClass", "p n val_mod unit_label")):
-    """Class of x in Q_p* / (Q_p*)**n: valuation mod n plus a unit label.
-
-    The label is the least residue in the coset u * (units)**n modulo
-    p**(2 v_p(n) + 1), so equal classes compare (and hash) equal; two
-    classes multiply componentwise.
-    """
-
-    __slots__ = ()
-
-    @property
-    def is_nth_power(self) -> bool:
-        return self.val_mod == 0 and is_nth_power_unit(self.unit_label, self.n, self.p)
-
-    def __mul__(self, other: "PowerClass") -> "PowerClass":
-        if (self.p, self.n) != (other.p, other.n):
-            raise ValueError("mixed class groups")
-        k = _unit_label_digits(self.p, self.n)
-        return power_class_from_parts(
-            self.p, self.n, self.val_mod + other.val_mod, self.unit_label * other.unit_label % self.p**k
-        )
-
-    def representative(self) -> Fraction:
-        """A small rational in this class: p**v times a canonical unit.
-
-        For n = 2 and odd p the label is 1 or the least positive
-        non-residue u, so this lands in {1, u, p, u p}; at p = 2 it lands in
-        {±1, ±5} * 2**{0,1}.
-        """
-        u = self.unit_label
-        if self.n == 2 and self.p == 2:
-            for cand in (1, -1, 5, -5):
-                if (u - cand) % 8 == 0:
-                    return Fraction(cand * 2**self.val_mod)
-        return Fraction(u * self.p**self.val_mod)
-
-
-def power_class_from_parts(p: int, n: int, v: int, unit: int) -> PowerClass:
-    if unit % p == 0:
-        raise ValueError("unit part must be prime to p")
-    return PowerClass(p, n, v % n, _canonical_unit_label(unit, n, p))
-
-
-def power_class(x, n: int, p: int) -> PowerClass:
-    """Class of the nonzero int or Fraction x in Q_p*/(Q_p*)**n.
-
-    x is read off its valuation and its unit residue mod p**(2 v_p(n) + 1),
-    with no p-adic digits.  0 has no class: ValueError.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not is_probable_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x = x if isinstance(x, int) else Fraction(x)
-    if x == 0:
-        raise ValueError("nonzero arguments required")
-    v, u = split_prime_power(x, p)
-    return power_class_from_parts(p, n, v, residue(u, p ** _unit_label_digits(p, n)))
-

@@ -1,21 +1,24 @@
 """Local images and local-global obstructions for quartics ell*Y^2 = Z^4 - p.
 
-Two obstruction computations are provided:
+Two obstruction computations are provided, each a closed rule at every
+bad place; no lifting tree is searched and no norm group is classified:
 
 * `local_image` gives, at each bad place, the exact set of invariants of
-  the quaternion class (y, p) over the local points, each by a closed
-  rule: the classes of the square roots of ell at q = p, checked against
-  one point that Hensel's lemma certifies; every class where p is a 4th
-  power in Q_q; none at the other odd q | ell; and at q = 2 a rule on the
-  valuation of z, ell mod 32 and p mod 16.  No lifting tree is searched.
-  For (2, 17) the curve has points everywhere locally, yet every sum of
-  one invariant per place is the nonzero class 1/2.
+  the quaternion class (y, p) over the local points: the classes of the
+  square roots of ell at q = p (`_image_at_p`), checked against one point
+  that Hensel's lemma certifies; every class where p is a 4th power in
+  Q_q; none at the other odd q | ell; and at q = 2 a rule on the
+  valuation of z, ell mod 32 and p mod 16.  For (2, 17) the curve has
+  points everywhere locally, yet every sum of one invariant per place is
+  the nonzero class 1/2.
 * `forced_section_invariants` computes, at each bad place v, the set of
   invariants forced on *any* local splitting of the fundamental group
   extension: the y-coordinate classes for which ell*y^2 is a norm from
-  the degree-4 radical algebra Q_v[t]/(t^4 - p).  If 0 is not in the
-  sumset of these forced sets, no global section can exist, regardless
-  of whether the curve has rational points.
+  the degree-4 radical algebra Q_v[t]/(t^4 - p).  It reads each set from
+  a rule: the image at q = p, {0} or nothing at an odd q | ell, and a
+  64-key table at q = 2.  If 0 is not in the sumset of these forced sets,
+  no global section can exist, regardless of whether the curve has
+  rational points.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from itertools import product
 from .exact import (
     CertificateError,
     Factorization,
-    _least_nonresidue,
     _sqrt_mod_odd_prime,
     factorize,
     is_perfect_square,
@@ -43,7 +45,6 @@ from .symbols import (
     Place,
     as_place,
     hilbert2_reader,
-    norm_test,
 )
 
 __all__ = [
@@ -156,6 +157,25 @@ def _make_report(contributions: dict) -> ObstructionReport:
     return ObstructionReport(ordered, total, verdict)
 
 
+_NONE = frozenset()
+_ZERO_ONLY = frozenset({InvariantValue.zero()})
+_HALF_ONLY = frozenset({InvariantValue.half()})
+_BOTH = _ZERO_ONLY | _HALF_ONLY
+
+
+def _image_at_p(ell: int, p: int) -> frozenset:
+    """{inv(r), inv(-r)} for the invariant inv(r) = (r, p)_p = (r/p) of
+    the roots r of r^2 = ell mod p, or the empty set if ell is not a
+    square mod p.  For p = 3 mod 4, (-1/p) = -1 makes it {0, 1/2}; for
+    p = 1 mod 4 both roots give (r/p) = r^((p-1)/2) = ell^((p-1)/4), so no
+    root is taken: s = ell^((p-1)/4) mod p is 1 ({0}), -1 ({1/2}) or
+    neither, when s^2 = (ell/p) = -1."""
+    if p % 4 == 3:
+        return _BOTH if pow(ell, (p - 1) // 2, p) == 1 else _NONE
+    s = pow(ell, (p - 1) // 4, p)
+    return _ZERO_ONLY if s == 1 else _HALF_ONLY if s == p - 1 else _NONE
+
+
 def local_image(tw: TwistParams, place) -> frozenset:
     """The invariants of (y, p) over the points of X(Q_v) with y != 0, at a
     bad place v, each by a closed rule; an empty image raises NoPointError,
@@ -165,33 +185,31 @@ def local_image(tw: TwistParams, place) -> frozenset:
 
     q = p: v(z) >= 1 gives ell*y^2 an odd valuation, and for v(z) <= 0
     ell*y^2/z^4 is a 1-unit, hence a square, so y lies in the class of
-    +-1/r with r^2 = ell mod p: the image is {inv(r), inv(-r)}, or empty if
-    ell is not a square mod p.  The rule is checked on one point: (y, 1)
-    with ell*y^2 = 1 - p, whose y is certified by Hensel's lemma from the
-    simple root y0 = sqrt((1 - p)/ell) mod p, to the one digit the symbol
-    of a unit reads.  y0 is found apart from r, and its invariant must lie
-    in the image, else CertificateError.  The real place, and q != p with
-    p a 4th power in Q_q: {0}, as p is a square, and at q the smooth point
-    (0, p^(1/4)) gives points with y != 0.  Other odd q | ell: empty, as
-    v(ell*y^2) is odd and v(z^4 - p) even.  q = 2 otherwise: the
-    invariants of `_dyadic_ys`.
+    +-1/r with r^2 = ell mod p: the image is {inv(r), inv(-r)}
+    (`_image_at_p`), or empty if ell is not a square mod p.  The rule is
+    checked on one point: (y, 1) with ell*y^2 = 1 - p, whose y is certified
+    by Hensel's lemma from the simple root y0 = sqrt((1 - p)/ell) mod p, to
+    the one digit the symbol of a unit reads.  y0 is found apart from the
+    rule, and its invariant must lie in the image, else CertificateError.
+    The real place, and q != p with p a 4th power in Q_q: {0}, as p is a
+    square, and at q the smooth point (0, p^(1/4)) gives points with
+    y != 0.  Other odd q | ell: empty, as v(ell*y^2) is odd and
+    v(z^4 - p) even.  q = 2 otherwise: the invariants of `_dyadic_ys`.
     """
     place = as_place(place)
     q, ell, p = place.prime, tw.ell, tw.p
     if q == p:
-        if pow(ell, (p - 1) // 2, p) != 1:
+        image = _image_at_p(ell, p)
+        if not image:
             raise NoPointError(place, f"{ell} is not a square mod {p}")
-        invariant = hilbert2_reader(place, p)
-        r = _sqrt_mod_odd_prime(ell, p)
-        image = frozenset({invariant(r), invariant(p - r)})
         y0 = _sqrt_mod_odd_prime((1 - p) * pow(ell, -1, p), p)
         y, _ = hensel_root([p - 1, 0, ell], y0, p, 1)
-        first = invariant(y)
+        first = hilbert2_reader(place, p)(y)
         if first not in image:
             raise CertificateError(f"a point over Q_{p} has the invariant {first}, off the rule")
         return image
     if place.is_real or is_nth_power_unit(p, 4, q):
-        return frozenset({InvariantValue.zero()})
+        return _ZERO_ONLY
     if q != 2:
         raise NoPointError(place, f"v({ell}*y^2) is odd and v(z^4 - {p}) even")
     invariant = hilbert2_reader(place, p)
@@ -227,34 +245,77 @@ def _dyadic_ys(ell: int, p: int) -> list[int]:
     return ([1, -1] if units else []) + ([2, -2] if evens else [])
 
 
-_UNIT_SQUARE_REPS_2 = (1, 3, 5, 7, 2, 6, 10, 14)
+# The forced set at q = 2 for p != 1 mod 8: the p mod 16 whose set is
+# {0, 1/2}, keyed by (v_2(ell), the odd part of ell mod 8); every other
+# p mod 16 gives the empty set.
+_DYADIC_OPEN = {
+    (0, 1): frozenset({3, 5, 7, 11, 13, 15}),
+    (0, 3): frozenset({5, 13}),
+    (0, 5): frozenset({3, 5, 11, 13}),
+    (0, 7): frozenset({5, 13}),
+    (1, 1): frozenset({15}),
+    (1, 3): frozenset({3, 11}),
+    (1, 5): frozenset({7}),
+    (1, 7): frozenset({3, 11}),
+}
 
 
-def _square_class_reps(q: int) -> tuple[int, ...]:
-    if q == 2:
-        return _UNIT_SQUARE_REPS_2
-    u = _least_nonresidue(q)
-    return (1, u, q, q * u)
+def _forced_at_2(ell: int, p: int) -> frozenset:
+    """The forced set at q = 2 (`forced_section_invariants`)."""
+    if p % 8 == 1:
+        return _ZERO_ONLY
+    v = 1 - ell % 2  # v_2(ell), as ell is squarefree
+    return _BOTH if p % 16 in _DYADIC_OPEN[v, (ell >> v) % 8] else _NONE
 
 
 def forced_section_invariants(tw: TwistParams) -> ObstructionReport:
     """Invariant sets forced on any collection of local sections.
 
     At each bad place v the section forces a y-class with ell*y^2 a norm
-    from Q_v[t]/(t^4 - p); the possible invariants of (y, p) over such
+    from A = Q_v[t]/(t^4 - p); the possible invariants of (y, p) over such
     classes form S_v.  Away from the bad places, and at the real place
     (p > 0), the set is {0}.  If the sumset misses 0, the fundamental
-    group extension admits no section.  Every decision is on integers
-    (`norm_test`, `hilbert2_reader`: one reading of p per place), so none is
-    inconclusive.
+    group extension admits no section.  Each S_v is a rule on integers, so
+    none is inconclusive:
+
+    * q = p: A is a totally ramified quartic field (t^4 - p is
+      Eisenstein).  For p = 3 mod 4 it is not Galois (it would contain
+      the unramified Q_p(i)), and by norm limitation its norm group is that
+      of its quadratic subfield Q_p(sqrt(p)): ell*y^2 is a norm iff
+      (ell, p)_p = (ell/p) = 1, for every y, so S_p is {0, 1/2} or empty.
+      For p = 1 mod 4 it is a Kummer field, whose norm group is the kernel
+      of the quartic symbol (x, p)_4, which is ell^((p-1)/4) * (y, p)_p
+      mod p at x = ell*y^2: S_p is empty unless ell is a square mod p, else
+      the one class with (y, p)_p = ell^((p-1)/4).  Both are the image at
+      p, `_image_at_p`.
+    * odd q | ell: if p is a 4th power in Q_q, t^4 - p has a linear factor,
+      so A has Q_q as a factor and every element is a norm; and (y, p)_q
+      is trivial for the square unit p: S_q = {0}.  Otherwise t^4 - p has
+      no root mod q, hence no linear or cubic factor over F_q, and by
+      Hensel's lemma A is a product of unramified fields of degree 2 or 4,
+      whose norms have even valuation; ell*y^2 has odd valuation, so S_q
+      is empty.
+    * q = 2: A is fixed by the class of p modulo 4th powers, which is
+      p mod 16 (the unit 4th powers of Z_2 are 1 + 16Z_2), and whether
+      ell*y^2 is a norm by the square class of ell, which is v_2(ell) with
+      the odd part of ell mod 8.  So S_2 is a function of those 2 * 4 * 8
+      = 64 keys, and the table `_DYADIC_OPEN` is their finite exhaustion
+      by the norm test of A and the symbol (y, p)_2 over the 8 square
+      classes of y: {0} for p = 1 mod 8 (p is a square there, so every
+      invariant is 0, and some class is always a norm), {0, 1/2} on 20
+      keys and empty on the others.  The tests check every key against
+      that norm test.
     """
-    contributions = {}
+    ell, p = tw.ell, tw.p
+    contributions = {REAL_PLACE: _ZERO_ONLY}
     for place in tw.bad_finite_places:
-        is_norm, invariant = norm_test(place, 4, tw.p), hilbert2_reader(place, tw.p)
-        contributions[place] = frozenset(
-            invariant(y) for y in _square_class_reps(place.prime) if is_norm(tw.ell * y * y)
-        )
-    contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
+        q = place.prime
+        if q == p:
+            contributions[place] = _image_at_p(ell, p)
+        elif q == 2:
+            contributions[place] = _forced_at_2(ell, p)
+        else:
+            contributions[place] = _ZERO_ONLY if is_nth_power_unit(p, 4, q) else _NONE
     return _make_report(contributions)
 
 

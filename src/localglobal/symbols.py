@@ -1,34 +1,21 @@
 """Local symbols over the completions of Q.
 
-Quadratic Hilbert symbols at every place (closed formulas, no enumeration),
-the invariant-value group Q/Z they land in, and exact norm-group membership
-for the radical extensions Q_p[x]/(x^m - d).
+Quadratic Hilbert symbols at every place (closed formulas, no enumeration)
+and the invariant-value group Q/Z they land in.
 
 A finite place is a `Place`, whose prime is proven when it is built; every
 function here that takes one proves an int prime first, and trusts a Place.
-(`padic.power_class`, which classes d for a quartic without 4th roots of
-unity, proves its prime again.)  `norm_test` and `hilbert2_reader` read
-their fixed argument once per place and return a test for many values.
-
-Norm membership is decided by closed forms only; nothing is sampled.
-Quadratic cases use the Hilbert symbol.  Tame Kummer cases (p = 1 mod m,
-so mu_m lies in Q_p and p does not divide m) use the tame m-th power
-symbol, whose kernel is the norm group of Q_p(d^(1/m)) (Serre, Local
-Fields, ch. XIV, section 3; Neukirch, Algebraic Number Theory, V.3).  The
-quartic without fourth roots of unity (p = 2, or p = 3 mod 4) with
--d = s^2 is the biquadratic field Q_p(i, sqrt(2s)), whose norm group is
-the intersection of two quadratic norm groups: two Hilbert symbols, with
-s read off the valuation and a residue of -d (`_square_root`).  On int
-and Fraction inputs a norm decision builds no p-adic number and reads no
-p-adic digits, so it is never inconclusive.
+`hilbert2_reader` reads its fixed argument once per place and returns the
+symbol for many values.  The norm test of the radical algebras
+Q_p[x]/(x^m - d) lives in `tests/oracles.py`, as the reference of the
+forced-section rules of `reichardt_lind`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exact import _sqrt_mod_odd_prime, is_probable_prime, record, residue, split_prime_power
-from .padic import power_class
+from .exact import is_probable_prime, record, residue, split_prime_power
 
 __all__ = [
     "Place",
@@ -37,8 +24,6 @@ __all__ = [
     "hilbert2",
     "hilbert2_reader",
     "product_formula_check",
-    "is_local_norm",
-    "norm_test",
 ]
 
 
@@ -192,7 +177,7 @@ def _vu(x, p: int) -> tuple[int, int]:
 
 def hilbert2_reader(p, b):
     """The map a -> the invariant of (a, b)_p at the finite place p, for
-    many a: the Hilbert-symbol counterpart of `norm_test`.
+    many a.
 
     b's valuation and unit residue are read here, once; each a is then
     read and evaluated by `_hilbert2_finite`.  p is a Place or an int prime
@@ -250,97 +235,3 @@ def product_formula_check(a, b) -> InvariantValue:
         total = total + hilbert2(a, b, p)[1]
     total = total + hilbert2(a, b, REAL_PLACE)[1]
     return total
-
-
-# --------------------------------------------------------- norm membership
-def _nonzero(x):
-    """x as an int or a Fraction; ValueError on 0."""
-    x = x if isinstance(x, int) else Fraction(x)
-    if x == 0:
-        raise ValueError("nonzero arguments required")
-    return x
-
-
-def _square_root(a, p: int) -> Fraction:
-    """A square root of the square a = p^(2k) u of Q_p, up to sign, to the
-    unit residue `_vu` reads: p^k times 1 or 5 as u = 1 or 9 mod 16 at
-    p = 2 (5 = -3 mod 8, and 3^2 = 9), times a square root of u mod p at odd p."""
-    v, u = split_prime_power(a, p)
-    r = (1 if residue(u, 16) == 1 else 5) if p == 2 else _sqrt_mod_odd_prime(residue(u, p), p)
-    return r * Fraction(p) ** (v // 2)
-
-
-def norm_test(p, m: int, d):
-    """The test x -> `is_local_norm(x, p, m, d)`.
-
-    p, m and d are checked and the algebra Q_p[t]/(t^m - d) is classified
-    here, once (a quartic without 4th roots of unity by the square classes
-    of d and -d, `power_class`); the test reads the valuation and a
-    residue of x and evaluates one symbol, or two, or none.  An int d stays an int.  p is a
-    Place or an int prime (`_finite_prime`).
-    """
-    d = _nonzero(d)
-    p = _finite_prime(p)
-    if m not in (2, 3, 4):
-        raise ValueError("supported degrees: 2, 3, 4")
-
-    if m != 2 and p % m == 1:
-        b, ud = split_prime_power(d, p)
-        ud, e = residue(ud, p), (p - 1) // m
-
-        def tame(x) -> bool:
-            # The m-th power residue of (-1)**(a b) x**b / d**a, a = v_p(x).
-            a, ux = split_prime_power(_nonzero(x), p)
-            sign = -1 if a * b % 2 else 1
-            return pow(sign * pow(residue(ux, p), b, p) * pow(ud, -a, p), e, p) == 1
-
-        return tame
-    # The Hilbert symbols (x, b)_p that must all be 1: (x, d) also for the
-    # non-Galois quartic, whose norms are those of Q_p(sqrt(d)); none for
-    # m = 3 and for d = s^2, where x^2 -+ s give two quadratic fields whose
-    # norm groups differ by the character of -1 and so fill Q_p*.  The sign
-    # of s does not matter: (x, -2s) = (x, -1)(x, 2s), and both symbols
-    # must be 1.
-    bs = (d,)
-    if m == 3 or m == 4 and power_class(d, 2, p).is_nth_power:
-        bs = ()
-    elif m == 4 and power_class(-d, 2, p).is_nth_power:
-        bs = (-1, 2 * _square_root(-d, p))
-    parts = [_vu(b, p) for b in bs]
-
-    def symbols(x) -> bool:
-        va, ua = _vu(_nonzero(x), p)
-        return all(_hilbert2_finite(p, va, ua, vb, ub) == 1 for vb, ub in parts)
-
-    return symbols
-
-
-def is_local_norm(x, p: int, m: int, d) -> bool:
-    """Is x a norm from the radical extension of Q_p defined by x^m = d?
-
-    When x^m - d is irreducible this is literal membership in
-    N(L*/Q_p) for the degree-m field L.  When it is reducible the algebra
-    Q_p[x]/(x^m - d) splits into a product of smaller fields (the
-    completions of the global radical field above p) and membership means
-    x lies in the product of their norm groups; a linear factor therefore
-    makes every x a norm.  Degrees 2, 3, 4 are supported.  `norm_test`
-    classifies the algebra once for many x.
-
-    Decision routes, all closed forms:
-
-    * degree 2 and every quadratic subcase: the Hilbert symbol;
-    * p = 1 mod m (Kummer: mu_m in Q_p, p odd and prime to m): the algebra
-      is a product of copies of Q_p(d^(1/m)), whose norm group is the
-      kernel of the tame m-th power symbol (Serre, Local Fields, XIV.3;
-      Neukirch, Algebraic Number Theory, V.3);
-    * degree 3 otherwise: no cube roots of unity, so the cubic is not
-      Galois and its norm map is onto;
-    * degree 4 at p = 2 or p = 3 mod 4 with -d = s^2: with a^2 = is the
-      other roots are -a and +-s/a, so the Galois group is Z/2 x Z/2, and
-      (a + s/a)^2 = 2s makes the algebra Q_p(i, sqrt(2s)) (a product of
-      copies of Q_p(i) when +-2s is a square).  Its norm group is the
-      intersection of those of Q_p(i) and Q_p(sqrt(2s)): two Hilbert
-      symbols.
-    """
-    x = _nonzero(x)
-    return norm_test(p, m, d)(x)

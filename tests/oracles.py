@@ -9,13 +9,17 @@ kept here as plain (valuation mod n, label) pairs built from the oracle's
 own labels, so the differential tests compare two independent
 computations.  `PadicNumber`, the field Q_p at finite precision, and its
 `padic_root` are the reference arithmetic several oracles below compute
-in.  The 2s of the biquadratic norm case is a Hensel square root
-of -d.  The forced sections of a twist call the library's
-`is_local_norm` once per y-class.  The local image of a place, which the
-library decides by rule, is read off a complete walk of its lifting tree:
-`local_points`, the linear-time search the library ran before its rules,
-with its residue zeros from `residue_zeros`, the children of a node from
-one linear congruence and each point lifted by `_certify`.  The point
+in.  The 2s of the biquadratic norm case is a Hensel square root of -d.
+The closed forms the library decided forced sections by before its rules
+follow, tested against those enumerations: labelled power classes
+(`power_class`) and the norm test of Q_p[t]/(t^m - d) (`norm_test`,
+`closed_is_local_norm`).  The forced sections of a twist call
+`closed_is_local_norm` once per y-class.  The local image of a place,
+which the library decides by rule, is read off a complete walk of its
+lifting tree: `local_points`, the linear-time search the library ran
+before its rules, with its residue zeros from `residue_zeros`, the
+children of a node from one linear congruence and each point lifted by
+`_certify`.  The point
 obstructions are the sampled reading that the exact local images
 replaced, keeping every node up to seed + samples.  The twist conditions
 are decided on
@@ -113,17 +117,23 @@ from localglobal.padic import (
     _unit_label_digits,
     hensel_root as padic_hensel_root,
     is_nth_power_unit,
-    power_class,
 )
 from localglobal.reichardt_lind import (
     ObstructionReport,
     TwistConditions,
     TwistParams,
     _make_report,
-    _square_class_reps,
 )
-from localglobal.symbols import REAL_PLACE, InvariantValue, Place, as_place, hilbert2
-from localglobal.symbols import is_local_norm as symbols_is_local_norm
+from localglobal.symbols import (
+    REAL_PLACE,
+    InvariantValue,
+    Place,
+    _finite_prime,
+    _hilbert2_finite,
+    _vu,
+    as_place,
+    hilbert2,
+)
 from localglobal.tower import GAMMA, KElement
 
 # The digits a PadicNumber was given when none were asked for
@@ -438,7 +448,7 @@ def is_local_norm(x, p: int, m: int, d) -> bool:
 
 def biquadratic_two_s(d, p: int) -> Fraction:
     """2s with s^2 = -d, the second symbol argument of the biquadratic norm
-    case, as `symbols.norm_test` built it before `symbols._square_root`:
+    case, as `norm_test` built it before `_square_root`:
     a Hensel square root of -d at the default precision, to all its digits."""
     return rational(2 * padic_root(PadicNumber.from_fraction(-d, p, DEFAULT_PRECISION), 2))
 
@@ -476,18 +486,213 @@ def lift_from(coeffs, start: PadicNumber) -> PadicNumber:
     return PadicNumber(p, v, root // p**v, digits - v)
 
 
-def forced_section_invariants(tw) -> ObstructionReport:
-    """The forced sections with one `symbols.is_local_norm` per y-class,
-    which classifies the algebra Q_q[t]/(t^4 - p) again for every class.
-    The total is the sumset of the invariants as plain Fractions mod 1, not
-    `_make_report`'s table of interned sums."""
-    contributions = {}
-    for place in tw.bad_finite_places:
-        q = place.prime
-        contributions[place] = frozenset(
-            hilbert2(y, tw.p, place)[1] for y in _square_class_reps(q)
-            if symbols_is_local_norm(tw.ell * y * y, q, 4, tw.p)
+# ------------------------------------------------------ closed norm test
+# The closed forms that decided the forced sections before their rules:
+# power classes labelled by the least member of their coset, and the norm
+# test of Q_p[t]/(t^m - d), which classifies the algebra once and then
+# reads one Hilbert or tame symbol, or two, or none, per x.  The
+# enumerating `is_local_norm` above is the reference they are tested
+# against, and they are the reference of the forced-section rules.
+
+def _canonical_unit_label(u: int, n: int, p: int) -> int:
+    """Least member of the coset u * (units)**n mod p**k: one label per class.
+
+    Tame case (odd p not dividing n): by Hensel's lemma a unit is an n-th
+    power iff it is one mod p, and (Z/p)* is cyclic, so the n-th power units
+    are the kernel of the power-residue character r -> r**e mod p with
+    e = (p-1)/gcd(n, p-1) (Serre, A Course in Arithmetic, II.3).  The coset
+    of u is the fibre of that character over u**e, and the label is the
+    least r >= 1 with r**e = u**e mod p: about gcd(n, p-1) candidates are
+    tried.  Wild case (p = 2 or p | n): the least unit r mod p**k with
+    u / r an n-th power, tested by `is_nth_power_unit` on that small ring.
+    """
+    if p != 2 and n % p:
+        e = (p - 1) // math.gcd(n, p - 1)
+        target = pow(u, e, p)
+        return next(r for r in range(1, p) if pow(r, e, p) == target)
+    mod = p ** _unit_label_digits(p, n)
+    return next(
+        r for r in range(1, mod)
+        if r % p and is_nth_power_unit(u * pow(r, -1, mod) % mod, n, p)
+    )
+
+
+class PowerClass(record("PowerClass", "p n val_mod unit_label")):
+    """Class of x in Q_p* / (Q_p*)**n: valuation mod n plus a unit label.
+
+    The label is the least residue in the coset u * (units)**n modulo
+    p**(2 v_p(n) + 1), so equal classes compare (and hash) equal; two
+    classes multiply componentwise.
+    """
+
+    __slots__ = ()
+
+    @property
+    def is_nth_power(self) -> bool:
+        return self.val_mod == 0 and is_nth_power_unit(self.unit_label, self.n, self.p)
+
+    def __mul__(self, other: "PowerClass") -> "PowerClass":
+        if (self.p, self.n) != (other.p, other.n):
+            raise ValueError("mixed class groups")
+        k = _unit_label_digits(self.p, self.n)
+        return power_class_from_parts(
+            self.p, self.n, self.val_mod + other.val_mod, self.unit_label * other.unit_label % self.p**k
         )
+
+    def representative(self) -> Fraction:
+        """A small rational in this class: p**v times a canonical unit.
+
+        For n = 2 and odd p the label is 1 or the least positive
+        non-residue u, so this lands in {1, u, p, u p}; at p = 2 it lands in
+        {±1, ±5} * 2**{0,1}.
+        """
+        u = self.unit_label
+        if self.n == 2 and self.p == 2:
+            for cand in (1, -1, 5, -5):
+                if (u - cand) % 8 == 0:
+                    return Fraction(cand * 2**self.val_mod)
+        return Fraction(u * self.p**self.val_mod)
+
+
+def power_class_from_parts(p: int, n: int, v: int, unit: int) -> PowerClass:
+    if unit % p == 0:
+        raise ValueError("unit part must be prime to p")
+    return PowerClass(p, n, v % n, _canonical_unit_label(unit, n, p))
+
+
+def power_class(x, n: int, p: int) -> PowerClass:
+    """Class of the nonzero int or Fraction x in Q_p*/(Q_p*)**n.
+
+    x is read off its valuation and its unit residue mod p**(2 v_p(n) + 1),
+    with no p-adic digits.  0 has no class: ValueError.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not is_probable_prime(p):
+        raise ValueError(f"{p} is not prime")
+    x = x if isinstance(x, int) else Fraction(x)
+    if x == 0:
+        raise ValueError("nonzero arguments required")
+    v, u = split_prime_power(x, p)
+    return power_class_from_parts(p, n, v, residue(u, p ** _unit_label_digits(p, n)))
+
+
+def _nonzero(x):
+    """x as an int or a Fraction; ValueError on 0."""
+    x = x if isinstance(x, int) else Fraction(x)
+    if x == 0:
+        raise ValueError("nonzero arguments required")
+    return x
+
+
+def _square_root(a, p: int) -> Fraction:
+    """A square root of the square a = p^(2k) u of Q_p, up to sign, to the
+    unit residue `_vu` reads: p^k times 1 or 5 as u = 1 or 9 mod 16 at
+    p = 2 (5 = -3 mod 8, and 3^2 = 9), times a square root of u mod p at odd p."""
+    v, u = split_prime_power(a, p)
+    r = (1 if residue(u, 16) == 1 else 5) if p == 2 else _sqrt_mod_odd_prime(residue(u, p), p)
+    return r * Fraction(p) ** (v // 2)
+
+
+def norm_test(p, m: int, d):
+    """The test x -> `closed_is_local_norm(x, p, m, d)`.
+
+    p, m and d are checked and the algebra Q_p[t]/(t^m - d) is classified
+    here, once (a quartic without 4th roots of unity by the square classes
+    of d and -d, `power_class`); the test reads the valuation and a
+    residue of x and evaluates one symbol, or two, or none.  An int d stays an int.  p is a
+    Place or an int prime (`_finite_prime`).
+    """
+    d = _nonzero(d)
+    p = _finite_prime(p)
+    if m not in (2, 3, 4):
+        raise ValueError("supported degrees: 2, 3, 4")
+
+    if m != 2 and p % m == 1:
+        b, ud = split_prime_power(d, p)
+        ud, e = residue(ud, p), (p - 1) // m
+
+        def tame(x) -> bool:
+            # The m-th power residue of (-1)**(a b) x**b / d**a, a = v_p(x).
+            a, ux = split_prime_power(_nonzero(x), p)
+            sign = -1 if a * b % 2 else 1
+            return pow(sign * pow(residue(ux, p), b, p) * pow(ud, -a, p), e, p) == 1
+
+        return tame
+    # The Hilbert symbols (x, b)_p that must all be 1: (x, d) also for the
+    # non-Galois quartic, whose norms are those of Q_p(sqrt(d)); none for
+    # m = 3 and for d = s^2, where x^2 -+ s give two quadratic fields whose
+    # norm groups differ by the character of -1 and so fill Q_p*.  The sign
+    # of s does not matter: (x, -2s) = (x, -1)(x, 2s), and both symbols
+    # must be 1.
+    bs = (d,)
+    if m == 3 or m == 4 and power_class(d, 2, p).is_nth_power:
+        bs = ()
+    elif m == 4 and power_class(-d, 2, p).is_nth_power:
+        bs = (-1, 2 * _square_root(-d, p))
+    parts = [_vu(b, p) for b in bs]
+
+    def symbols(x) -> bool:
+        va, ua = _vu(_nonzero(x), p)
+        return all(_hilbert2_finite(p, va, ua, vb, ub) == 1 for vb, ub in parts)
+
+    return symbols
+
+
+def closed_is_local_norm(x, p: int, m: int, d) -> bool:
+    """Is x a norm from the radical extension of Q_p defined by x^m = d?
+
+    When x^m - d is irreducible this is literal membership in
+    N(L*/Q_p) for the degree-m field L.  When it is reducible the algebra
+    Q_p[x]/(x^m - d) splits into a product of smaller fields (the
+    completions of the global radical field above p) and membership means
+    x lies in the product of their norm groups; a linear factor therefore
+    makes every x a norm.  Degrees 2, 3, 4 are supported.  `norm_test`
+    classifies the algebra once for many x.
+
+    Decision routes, all closed forms:
+
+    * degree 2 and every quadratic subcase: the Hilbert symbol;
+    * p = 1 mod m (Kummer: mu_m in Q_p, p odd and prime to m): the algebra
+      is a product of copies of Q_p(d^(1/m)), whose norm group is the
+      kernel of the tame m-th power symbol (Serre, Local Fields, XIV.3;
+      Neukirch, Algebraic Number Theory, V.3);
+    * degree 3 otherwise: no cube roots of unity, so the cubic is not
+      Galois and its norm map is onto;
+    * degree 4 at p = 2 or p = 3 mod 4 with -d = s^2: with a^2 = is the
+      other roots are -a and +-s/a, so the Galois group is Z/2 x Z/2, and
+      (a + s/a)^2 = 2s makes the algebra Q_p(i, sqrt(2s)) (a product of
+      copies of Q_p(i) when +-2s is a square).  Its norm group is the
+      intersection of those of Q_p(i) and Q_p(sqrt(2s)): two Hilbert
+      symbols.
+    """
+    x = _nonzero(x)
+    return norm_test(p, m, d)(x)
+
+
+_UNIT_SQUARE_REPS_2 = (1, 3, 5, 7, 2, 6, 10, 14)
+
+
+def _square_class_reps(q: int) -> tuple[int, ...]:
+    if q == 2:
+        return _UNIT_SQUARE_REPS_2
+    u = _least_nonresidue(q)
+    return (1, u, q, q * u)
+
+
+def forced_set(ell: int, p: int, q: int) -> frozenset:
+    """The invariants of (y, p)_q over the square classes of y with ell*y^2
+    a norm from Q_q[t]/(t^4 - p), by one `closed_is_local_norm` per class,
+    which classifies the algebra again for every class."""
+    return frozenset(hilbert2(y, p, q)[1] for y in _square_class_reps(q)
+                     if closed_is_local_norm(ell * y * y, q, 4, p))
+
+
+def forced_section_invariants(tw) -> ObstructionReport:
+    """The forced sections with one `forced_set` per bad place.  The total
+    is the sumset of the invariants as plain Fractions mod 1, not
+    `_make_report`'s table of interned sums."""
+    contributions = {place: forced_set(tw.ell, tw.p, place.prime) for place in tw.bad_finite_places}
     contributions[REAL_PLACE] = frozenset({InvariantValue.zero()})
     ordered = tuple(sorted(contributions.items(), key=lambda item: (item[0].is_real, item[0].prime or 0)))
     total = {Fraction(0)}
@@ -784,7 +989,7 @@ def passing_twists(ell: int, p_max: int) -> list[int]:
 
 def twist_search(ell: int, p_max: int) -> list[int]:
     """The passing primes whose forced sections, on a fresh `TwistParams`
-    and one `is_local_norm` per y-class, are obstructed."""
+    and one `closed_is_local_norm` per y-class, are obstructed."""
     return [p for p in passing_twists(ell, p_max)
             if forced_section_invariants(TwistParams(ell, p)).verdict == "obstructed"]
 

@@ -8,11 +8,12 @@ import time
 from fractions import Fraction
 
 import oracles
+from oracles import power_class
 from localglobal import cli
 from localglobal.cubic import Eisenstein, PI, cube_class_group, hilbert3
 from localglobal.elkies import family_scan, fibre, quartic_rep
 from localglobal.exact import primes_up_to, quartic_residue_symbol, split_prime_power
-from localglobal.padic import hensel_root, power_class
+from localglobal.padic import hensel_root
 from localglobal.reichardt_lind import (
     TwistParams,
     exhaustive_search,

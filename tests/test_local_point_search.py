@@ -546,7 +546,8 @@ def test_each_place_is_proven_prime_once_for_all_samples(monkeypatch, capsys):
         return proving(n)
 
     for module in (exact, padic, symbols, tower, reichardt_lind, elkies):
-        monkeypatch.setattr(module, "is_probable_prime", counting)
+        if getattr(module, "is_probable_prime", None) is proving:
+            monkeypatch.setattr(module, "is_probable_prime", counting)
     tw, place = TwistParams(2, p), as_place(p)
     counts = []
     for points in (1, 20):

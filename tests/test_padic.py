@@ -9,10 +9,8 @@ from localglobal.padic import (
     NoConvergence,
     hensel_root,
     is_nth_power_unit,
-    power_class,
-    power_class_from_parts,
 )
-from oracles import PadicNumber, padic_root
+from oracles import PadicNumber, padic_root, power_class, power_class_from_parts
 
 
 def from_q(q, p, prec=40):

@@ -1,12 +1,14 @@
 """The value records: named tuples that behave as values of their own class.
 
 Every record class of the nine modules, found by scanning them for
-subclasses of `exact.Record`, must be frozen, equal only to records of its
-own class, hash as the tuple of its fields, print as Name(field=value, ...)
-and refuse the tuple's `+`, `*` and `<` unless it defines its own operator.
-The validations that build a record still refuse the same inputs with the
-same exceptions.  Importing the package loads neither `dataclasses` (and
-with it `inspect`) nor `argparse`, which only help and usage errors need.
+subclasses of `exact.Record`, and `oracles.PowerClass`, which the
+library defined before its forced sections read rules, must be frozen,
+equal only to records of its own class, hash as the tuple of its fields,
+print as Name(field=value, ...) and refuse the tuple's `+`, `*` and `<`
+unless it defines its own operator.  The validations that build a record
+still refuse the same inputs with the same exceptions.  Importing the
+package loads neither `dataclasses` (and with it `inspect`) nor
+`argparse`, which only help and usage errors need.
 """
 
 import ast
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import localglobal
+import oracles
 from localglobal import cubic, elkies, exact, padic, reichardt_lind, selmer, symbols, tower
 from localglobal.exact import CertificateError, Record, record
 
@@ -28,8 +31,9 @@ SRC = str(Path(localglobal.__file__).parent.parent)
 
 
 def record_classes() -> dict:
-    """name -> class for every record class defined in the nine modules."""
-    found = {}
+    """name -> class for every record class defined in the nine modules,
+    and for `oracles.PowerClass`."""
+    found = {"PowerClass": oracles.PowerClass}
     for name in MODULES:
         module = importlib.import_module(f"localglobal.{name}")
         for obj in vars(module).values():
@@ -43,7 +47,7 @@ TW = reichardt_lind.TwistParams(2, 17)
 SAMPLES = {
     "Factorization": lambda: exact.factorize(-360),
     "QuarticResidue": lambda: exact.quartic_residue_symbol(2, 17),
-    "PowerClass": lambda: padic.power_class(Fraction(12, 5), 2, 2),
+    "PowerClass": lambda: oracles.power_class(Fraction(12, 5), 2, 2),
     "Place": lambda: symbols.Place(5),
     "InvariantValue": lambda: symbols.InvariantValue.half(),
     "CubeClassGroup": lambda: cubic.cube_class_group(),

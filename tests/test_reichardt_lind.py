@@ -27,7 +27,7 @@ from localglobal.reichardt_lind import (
     model_smoothness_check,
     twist_conditions,
 )
-from localglobal.symbols import REAL_PLACE, InvariantValue, Place, hilbert2, is_local_norm
+from localglobal.symbols import REAL_PLACE, InvariantValue, Place, hilbert2
 from oracles import LocalPoint, NoPoint, local_point, local_points, verify_local_point
 
 RL = TwistParams(2, 17)
@@ -176,19 +176,24 @@ class TestForcedSectionInvariants:
             rep = forced_section_invariants(tw)
             assert ZERO in rep.contribution(p)
 
-    def test_forced_sections_build_no_padic_number(self, monkeypatch):
-        # the biquadratic route (-p = s^2 over Q_q: q = 2 for p = 31, q = 3
-        # and 7 for p = 5) reads s off a residue of -p, and the tame route
-        # at 17 reads residues: every decision is on integers, so none can
-        # run out of digits (the package has no p-adic number type at all:
-        # `test_no_module_names_a_padic_number_type`)
-        root = symbols._square_root
-        squares = []
-        monkeypatch.setattr(symbols, "_square_root", lambda a, q: squares.append(q) or root(a, q))
+    def test_forced_stage_reads_no_norm_test_symbol_or_root(self, monkeypatch):
+        # every forced set is a rule on integers: no norm classification,
+        # no Hilbert-symbol reader and no square root mod p, also where the
+        # norm test took the biquadratic route (-p = s^2 over Q_q: q = 2 for
+        # p = 31, q = 3 and 7 for p = 5) or the tame one (17)
+        calls = []
+        for module in (exact, symbols, reichardt_lind, oracles):
+            for name in ("norm_test", "hilbert2_reader", "_sqrt_mod_odd_prime"):
+                if hasattr(module, name):
+                    real = getattr(module, name)
+                    monkeypatch.setattr(module, name, lambda *a, name=name, real=real:
+                                        calls.append(name) or real(*a))
         for (ell, p), verdict in (((2, 31), "unobstructed"), ((3, 5), "obstructed"),
                                   ((7, 5), "obstructed"), ((2, 17), "obstructed")):
             assert forced_section_invariants(TwistParams(ell, p)).verdict == verdict, (ell, p)
-        assert squares == [2, 3, 7]
+        assert calls == []
+        local_image(TwistParams(2, 31), 31)  # the spies are live: the point check reads both
+        assert sorted(set(calls)) == ["_sqrt_mod_odd_prime", "hilbert2_reader"]
 
     @pytest.mark.parametrize("ell", [2, -2, 3, 6, 7, -7])
     def test_equals_one_norm_decision_per_class(self, ell):
@@ -200,27 +205,80 @@ class TestForcedSectionInvariants:
         for tw in twists:
             assert forced_section_invariants(tw) == oracles.forced_section_invariants(tw), tw
 
-    def test_each_place_is_classified_once(self, monkeypatch):
-        """The Q_q classification (the square class of +-p) runs as often
-        per place as for one norm decision, not once per y-class."""
+    def test_each_place_reads_one_rule(self, monkeypatch):
+        """One rule per bad place: the image at p, the table at 2 and the
+        4th-power test at each odd q | ell."""
         calls = []
-        power_class = symbols.power_class
-
-        def spy(x, n, p):
-            calls.append(p)
-            return power_class(x, n, p)
-
-        monkeypatch.setattr(symbols, "power_class", spy)
-        expected = {RL: {2: 1, 17: 0}, TwistParams(2, 31): {2: 2, 31: 2},
-                    TwistParams(-2, 113): {2: 1, 113: 0}, TwistParams(6, 73): {2: 1, 3: 1, 73: 0}}
-        for tw, counts in expected.items():
-            for q in counts:
-                calls.clear()
-                is_local_norm(tw.ell, q, 4, tw.p)
-                assert len(calls) == counts[q], (tw, q)
+        for name in ("_image_at_p", "_forced_at_2", "is_nth_power_unit"):
+            real = getattr(reichardt_lind, name)
+            monkeypatch.setattr(reichardt_lind, name, lambda *a, name=name, real=real:
+                                calls.append((name, a)) or real(*a))
+        expected = {
+            RL: [("_forced_at_2", (2, 17)), ("_image_at_p", (2, 17))],
+            TwistParams(-21, 5): [("_forced_at_2", (-21, 5)), ("is_nth_power_unit", (5, 4, 3)),
+                                  ("_image_at_p", (-21, 5)), ("is_nth_power_unit", (5, 4, 7))],
+        }
+        for tw, rules in expected.items():
             calls.clear()
             forced_section_invariants(tw)
-            assert {q: calls.count(q) for q in counts} == counts, tw
+            assert calls == rules, tw
+
+    def test_every_small_twist_equals_the_norm_test(self):
+        """All 5608 twists with squarefree |ell| <= 60 and p < 400, against
+        one norm decision per y-class."""
+        twists = [TwistParams(ell, p) for ell in range(-60, 61) if ell and squarefree(ell)
+                  for p in primes_up_to(400)[1:] if ell % p]
+        assert len(twists) == 5608
+        for tw in twists:
+            assert forced_section_invariants(tw) == oracles.forced_section_invariants(tw), tw
+
+
+def squarefree(n: int) -> bool:
+    return all(e == 1 for _, e in factorize(abs(n)).factors)
+
+
+class TestForcedRules:
+    """Each rule of `forced_section_invariants` against the norm test, on
+    every class it is keyed by."""
+
+    def test_the_table_at_two_on_every_key(self):
+        # (v_2(ell), odd part of ell mod 8, p mod 16), each key with a
+        # positive and a negative ell, and p = 1 mod 16 as 17
+        seen = {}
+        for v in (0, 1):
+            for odd in (1, 3, 5, 7):
+                for p in range(3, 35, 2):
+                    for ell in (odd * 2**v, (odd - 8) * 2**v):
+                        rule = reichardt_lind._forced_at_2(ell, p)
+                        assert rule == oracles.forced_set(ell, p, 2), (ell, p)
+                        seen.setdefault(rule, set()).add((v, odd, p % 16))
+        assert sum(len(keys) for keys in seen.values()) == 64
+        assert {rule: len(keys) for rule, keys in seen.items()} == {
+            frozenset({ZERO}): 16, frozenset({ZERO, HALF}): 20, frozenset(): 28}
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13])
+    def test_the_odd_rule_on_every_class_of_p(self, q):
+        u = next(n for n in range(2, q) if pow(n, (q - 1) // 2, q) != 1)
+        ells = [sign * k * q for k in (1, 2, u) for sign in (1, -1) if squarefree(k * q)]
+        sets = set()
+        for r in range(1, q):
+            for ell in ells:
+                p = next(p for p in primes_up_to(2000)[1:] if p % q == r and ell % p)
+                rule = forced_section_invariants(TwistParams(ell, p)).contribution(q)
+                assert rule == oracles.forced_set(ell, p, q), (ell, p)
+                sets.add(rule)
+        assert sets == {frozenset({ZERO}), frozenset()}
+
+    def test_the_rule_at_p_on_every_class_of_ell(self):
+        for p in primes_up_to(200)[1:]:
+            sets = set()
+            for ell in range(-p + 1, p):
+                if ell and squarefree(ell):
+                    rule = reichardt_lind._image_at_p(ell, p)
+                    assert rule == oracles.forced_set(ell, p, p), (ell, p)
+                    sets.add(rule)
+            # {0, 1/2} or nothing at p = 3 mod 4; {0}, {1/2} or nothing else
+            assert len(sets) == (2 if p % 4 == 3 else 3), p
 
 
 class TestTwistConditions:
@@ -330,14 +388,25 @@ class TestEllFactoredOnce:
 
         monkeypatch.setattr(TwistParams, "_proven", classmethod(spy))
         found = rl_search(capsys, 6, 2000)
-        # no passing p is proven again after the sieve: not by its
-        # TwistParams, its bad places, their norm tests or their symbols
-        # (the square classes at 2 and 3 prove those two again)
-        proofs = [n for n in calls["is_probable_prime"] if n not in (2, 3)]
-        assert calls["factorize"] == [6]
+        # no prime is proven again after the sieve: not by a TwistParams,
+        # its bad places or their rules
+        assert calls == {"factorize": [6], "is_probable_prime": []}
         assert found == oracles.twist_search(6, 2000)
         assert built == oracles.passing_twists(6, 2000)
-        assert proofs == []
+
+    @pytest.mark.parametrize("ell", [2, -6, 21])
+    def test_search_proves_no_prime_after_the_sieve(self, ell, calls, monkeypatch, capsys):
+        # the sieve proves each p and `_check_ell` the primes of |ell|; the
+        # forced sections read rules on those proven values
+        sieve = cli._passing_primes
+
+        def sieved(*args):
+            passing = list(sieve(*args))
+            calls["is_probable_prime"].clear()
+            return passing
+
+        monkeypatch.setattr(cli, "_passing_primes", sieved)
+        assert rl_search(capsys, ell, 20_000) and calls["is_probable_prime"] == []
 
 
 @lru_cache(maxsize=None)

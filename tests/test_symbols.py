@@ -3,19 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from localglobal.padic import power_class
 from localglobal.symbols import (
     InvariantValue,
     Place,
     REAL_PLACE,
     hilbert2,
     hilbert2_reader,
-    is_local_norm,
-    norm_test,
     product_formula_check,
 )
 import oracles
-from oracles import _quotient_product, quotient_norm
+from oracles import _quotient_product, norm_test, power_class, quotient_norm
+from oracles import closed_is_local_norm as is_local_norm
 
 
 def test_place_basics():
