@@ -18,11 +18,13 @@ plain command line never loads it.
 
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
 no_local_point), 2 for inconclusive (a p-adic step could not certify its
-digits; rl verify decides every place by rule, so it never is), 1 for
-runtime errors and failed self-checks (status "error"), 64 for usage
-errors, a --max-prime or --height below 1 and a --bound below 0 among
-them.  No command takes a digit count: each p-adic step works out its own
-from its input.
+digits, or factoring ran out of its budget of rho iterations, and the
+message names the cofactor it could not split; rl verify decides every
+place by rule, so only its factoring of |ell| can be), 1 for runtime
+errors and failed self-checks (status "error"), 64 for usage errors, a
+--max-prime or --height below 1 and a --bound below 0 among them.  No
+command takes a digit count: each p-adic step works out its own from its
+input.
 """
 
 from __future__ import annotations
@@ -35,7 +37,13 @@ from types import SimpleNamespace
 
 from .cubic import PI, Eisenstein, cube_class_group, hilbert3
 from .elkies import fibre, family_scan, local_solvability_report, obstruction_parity
-from .exact import CertificateError, legendre_symbol, primes_up_to, quartic_residue_symbol
+from .exact import (
+    CertificateError,
+    FactoringBudgetExhausted,
+    legendre_symbol,
+    primes_up_to,
+    quartic_residue_symbol,
+)
 from .padic import InsufficientPrecision
 from .reichardt_lind import (
     NoPointError,
@@ -494,7 +502,7 @@ def main(argv=None) -> int:
         code = 1 if status == "error" else 0
     except NoPointError as exc:
         status, result, code = "no_local_point", {"message": str(exc)}, 0
-    except InsufficientPrecision as exc:
+    except (InsufficientPrecision, FactoringBudgetExhausted) as exc:
         status, result, code = "inconclusive", {"message": str(exc)}, 2
     except Exception as exc:  # noqa: BLE001 - reported in the payload
         status, result, code = "error", {"message": f"{type(exc).__name__}: {exc}"}, 1

@@ -11,7 +11,8 @@ above that Miller-Rabin to the first k prime bases, k sized to n by the
 least strong pseudoprimes psi_k (Pomerance, Selfridge & Wagstaff 1980;
 Jaeschke 1993; Sorenson & Webster 2017).  Larger inputs use 40 rounds
 drawn from an RNG seeded by the input itself, and Pollard rho walks a
-fixed schedule of polynomial offsets.
+fixed schedule of polynomial offsets within a fixed budget of iterations
+(`RHO_BUDGET`), past which `factorize` raises `FactoringBudgetExhausted`.
 """
 
 from __future__ import annotations
@@ -47,9 +48,25 @@ _WITNESS_TIERS = (
 
 _TRIAL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
+# The rho iterations one `factorize` call may spend, over all its cofactors
+# and offsets c.  A fixed count, not a time, so that running out is
+# reproducible.  2^22 iterations split a cofactor whose least prime has
+# about 40 bits, and take a few seconds on 200-bit cofactors.
+RHO_BUDGET = 1 << 22
+
 
 class FactorizationError(Exception):
     """Raised when a factoring invariant is violated (should not happen)."""
+
+
+class FactoringBudgetExhausted(ArithmeticError):
+    """`factorize` spent its `RHO_BUDGET` rho iterations without splitting
+    the composite `cofactor`: its factors are unknown, not refuted."""
+
+    def __init__(self, cofactor: int):
+        super().__init__(f"the factoring budget of {RHO_BUDGET} rho iterations "
+                         f"ran out on the composite cofactor {cofactor}")
+        self.cofactor = cofactor
 
 
 class CertificateError(ArithmeticError):
@@ -156,37 +173,50 @@ def is_probable_prime(n: int) -> bool:
     return all(_miller_rabin_round(n, a, d, s) for a in witnesses)
 
 
-def _brent_rho(n: int) -> int:
-    """Find a nontrivial factor of composite odd n (Brent's form of Pollard rho).
+def _brent_rho(n: int, budget: int) -> tuple[int, int]:
+    """A nontrivial factor of composite odd n (Brent's form of Pollard rho)
+    and the number of iterations x -> x^2 + c it took.
 
     The polynomial offsets c = 1, 2, 3, ... are tried in order, so the result
-    is fully deterministic.
+    is fully deterministic.  The iterations are counted across all offsets
+    and checked against `budget` before each doubling of the walk and after
+    each gcd batch, never inside a batch; past it, FactoringBudgetExhausted
+    names n.
     """
     if n % 2 == 0:
-        return 2
+        return 2, 0
+    spent = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
         while g == 1:
+            spent += r
+            if spent > budget:
+                raise FactoringBudgetExhausted(n)
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                batch = min(m, r - k)
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
                 g = math.gcd(q, n)
                 k += m
+                spent += batch
+                if spent > budget:
+                    raise FactoringBudgetExhausted(n)
             r *= 2
-        if g == n:
+        if g == n:  # the batch overshot: walk it again one gcd at a time
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
+                spent += 1
         if g != n:
-            return g
+            return g, spent
     raise FactorizationError(f"rho failed on {n}")
 
 
@@ -227,7 +257,8 @@ def factorize(n: int) -> Factorization:
     """Factor a nonzero integer: trial division by the primes below 50, which
     stops at the first p with p^2 > rest, then a primality test, a
     perfect-square test or a deterministic Brent rho split on each
-    remaining cofactor."""
+    remaining cofactor.  The rho splits share `RHO_BUDGET` iterations;
+    FactoringBudgetExhausted names the cofactor on which they run out."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
@@ -247,6 +278,7 @@ def factorize(n: int) -> Factorization:
             count(p)
             rest //= p
     stack = [rest] if rest > 1 else []
+    budget = RHO_BUDGET
     while stack:
         m = stack.pop()
         if m == 1:
@@ -258,7 +290,8 @@ def factorize(n: int) -> Factorization:
         if root * root == m:
             stack += [root, root]
             continue
-        d = _brent_rho(m)
+        d, spent = _brent_rho(m, budget)
+        budget -= spent
         stack += [d, m // d]
     fz = Factorization(sign, tuple(sorted(found.items())))
     if fz.value != n:

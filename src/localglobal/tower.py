@@ -10,8 +10,10 @@ multiplied by `_k_product`, one straight-line expression over the twelve
 coordinates with eps^3 = 6 folded in.  The curve polynomials and the
 descent function in K[delta]/(delta^3 - 10) below hold their
 coefficients as the same tuples.
-Norms to k run on integer pairs after clearing denominators: the closed
-form of `_closed_norm`, checked against the determinant of multiplication.
+Norms to k clear denominators once and run on the six integer
+coordinates, in two straight-line routes that are compared on every call:
+the closed form of `norm_K_over_k` and the cofactor determinant of
+`KElement.norm`.
 The Galois group of K/k is generated by sigma: eps -> zeta_3 eps.  On the
 plane cubic 3X^3 + 4Y^3 + 5Z^3 = 0 the Lagrange-resolvent function
 
@@ -25,18 +27,18 @@ F_p where the tower splits.  The norm of P0 and the doubling identity are
 exact polynomial identities; the resolvent identities hold modulo the
 curve equation, and the sides of the norm factorization are reduced
 modulo it as they are multiplied.  In the numeric checks each
-polynomial's coefficients are embedded into F_p once per prime and the
-polynomials are evaluated on residues mod p.
+polynomial, all of degree at most 2, has its coefficients embedded into
+F_p once per prime and is evaluated on residues mod p as one quadric
+expression.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .cubic import ZETA, Eisenstein, _pair_product
+from .cubic import ZETA, Eisenstein
 from .exact import (
     CertificateError,
     QuotientElement,
@@ -53,7 +55,6 @@ __all__ = [
     "GAMMA",
     "sigma",
     "norm_K_over_k",
-    "gamma_search",
     "CurvePolynomial",
     "CurveIdentityReport",
     "curve_identity_suite",
@@ -101,41 +102,19 @@ def _k_sigma(c: tuple) -> tuple:
     return (a0, b0, -b1, a1 - b1, b2 - a2, -a2)
 
 
-def _integer_pairs(c: tuple) -> tuple[int, tuple]:
-    """(d, (c0, c1, c2)): d the least common denominator of the flat
-    6-tuple c, and the coordinates of d c as three integer pairs."""
-    d = math.lcm(*(v.denominator for v in c))
-    a0, b0, a1, b1, a2, b2 = (v.numerator * (d // v.denominator) for v in c)
-    return d, ((a0, b0), (a1, b1), (a2, b2))
-
-
-def _closed_norm(c0: tuple, c1: tuple, c2: tuple) -> tuple[int, int]:
-    """N(c0 + c1 eps + c2 eps^2) = c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2
-    on Z[zeta_3] pairs."""
-    (a0, b0), (a1, b1), (a2, b2) = (_pair_product(c, _pair_product(c, c)) for c in (c0, c1, c2))
-    m0, m1 = _pair_product(c0, _pair_product(c1, c2))
-    return a0 + 6 * a1 + 36 * a2 - 18 * m0, b0 + 6 * b1 + 36 * b2 - 18 * m1
-
-
-def _pair_det3(rows) -> tuple[int, int]:
-    """Determinant of a 3 x 3 matrix of Z[zeta_3] pairs, by cofactors
-    along the first row."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-
-    def minor(p, q, r, s):  # p s - q r
-        (ps0, ps1), (qr0, qr1) = _pair_product(p, s), _pair_product(q, r)
-        return ps0 - qr0, ps1 - qr1
-
-    (t0, t1), (u0, u1), (w0, w1) = (
-        _pair_product(a, minor(e, f, h, i)),
-        _pair_product(b, minor(d, f, g, i)),
-        _pair_product(c, minor(d, e, g, h)),
-    )
-    return t0 - u0 + w0, t1 - u1 + w1
+def _cleared(c: tuple) -> tuple[int, tuple]:
+    """(d, d c): d the least common denominator of the flat 6-tuple c, 1
+    when every coordinate is an int, and d c as six ints."""
+    if Fraction not in map(type, c):
+        return 1, c
+    d = math.lcm(*[v.denominator for v in c])
+    return d, tuple([v.numerator * (d // v.denominator) for v in c])
 
 
 def _over(pair: tuple[int, int], d: int) -> Eisenstein:
     """The integer pair divided by d, as an Eisenstein."""
+    if d == 1:
+        return Eisenstein._make(pair)
     return Eisenstein._make((_exact_quotient(pair[0], d), _exact_quotient(pair[1], d)))
 
 
@@ -173,12 +152,39 @@ class KElement(QuotientElement):
         """N_{K/k}: the determinant of multiplication by self in the basis
         1, eps, eps^2 (Cohen, A Course in Computational Algebraic Number
         Theory, section 4.2).  Its columns are x, eps x and eps^2 x, each
-        folded back by eps^3 = 6.  It runs on d x, whose coordinates are
-        integer pairs for d the least common denominator; the norm is
-        cubic, so N(x) = N(d x) / d^3."""
-        d, (c0, c1, c2) = _integer_pairs(self.coeffs)
-        six1, six2 = (6 * c1[0], 6 * c1[1]), (6 * c2[0], 6 * c2[1])
-        return _over(_pair_det3(((c0, six2, six1), (c1, c0, six2), (c2, c1, c0))), d * d * d)
+        folded back by eps^3 = 6:
+
+            | c0  6c2  6c1 |
+            | c1   c0  6c2 |  = c0 M0 - 6c2 M1 + 6c1 M2, by cofactors
+            | c2   c1   c0 |    along the first row.
+
+        It runs on d x, whose six coordinates are integers for d the least
+        common denominator; the norm is cubic, so N(x) = N(d x) / d^3.
+        Each product of c_i = a_i + b_i zeta is written out on the
+        integers, with zeta^2 = -1 - zeta."""
+        d, (a0, b0, a1, b1, a2, b2) = _cleared(self.coeffs)
+        # the six products c_i c_j that the cofactors need
+        t = b0 * b0
+        c00, d00 = a0 * a0 - t, 2 * a0 * b0 - t
+        t = b1 * b1
+        c11, d11 = a1 * a1 - t, 2 * a1 * b1 - t
+        t = b2 * b2
+        c22, d22 = a2 * a2 - t, 2 * a2 * b2 - t
+        t = b0 * b1
+        c01, d01 = a0 * a1 - t, a0 * b1 + b0 * a1 - t
+        t = b0 * b2
+        c02, d02 = a0 * a2 - t, a0 * b2 + b0 * a2 - t
+        t = b1 * b2
+        c12, d12 = a1 * a2 - t, a1 * b2 + b1 * a2 - t
+        # M0 = c0 c0 - 6 c2 c1, M1 = c1 c0 - 6 c2 c2, M2 = c1 c1 - c0 c2
+        m0, n0 = c00 - 6 * c12, d00 - 6 * d12
+        m1, n1 = c01 - 6 * c22, d01 - 6 * d22
+        m2, n2 = c11 - c02, d11 - d02
+        t0, t1, t2 = b0 * n0, b2 * n1, b1 * n2
+        return _over((
+            a0 * m0 - t0 - 6 * (a2 * m1 - t1) + 6 * (a1 * m2 - t2),
+            a0 * n0 + b0 * m0 - t0 - 6 * (a2 * n1 + b2 * m1 - t1) + 6 * (a1 * n2 + b1 * m2 - t2),
+        ), d * d * d)
 
     def inverse(self) -> "KElement":
         """sigma(x) sigma^2(x) / N(x), N the cross-checked `norm_K_over_k`;
@@ -203,35 +209,23 @@ def sigma(x: KElement) -> KElement:
 def norm_K_over_k(x: KElement) -> Eisenstein:
     """Norm to k: x sigma(x) sigma^2(x), which for eps^3 = 6 is the closed
     form c0^3 + 6 c1^3 + 36 c2^3 - 18 c0 c1 c2, cross-checked against
-    `KElement.norm`, the determinant of multiplication by x.  Both run on
-    integer pairs."""
-    d, pairs = _integer_pairs(x.coeffs)
-    closed = _over(_closed_norm(*pairs), d * d * d)
+    `KElement.norm`, the determinant of multiplication by x.  It runs on
+    the six integer coordinates of d x, d the least common denominator,
+    with (a + b zeta)^3 = (a^3 - 3ab^2 + b^3) + 3ab(a - b) zeta."""
+    d, (a0, b0, a1, b1, a2, b2) = _cleared(x.coeffs)
+    t = b1 * b2
+    u, v = a1 * a2 - t, a1 * b2 + b1 * a2 - t  # c1 c2
+    t = b0 * v
+    u, v = a0 * u - t, a0 * v + b0 * u - t  # c0 c1 c2
+    closed = _over((
+        a0 * a0 * a0 - 3 * a0 * b0 * b0 + b0 * b0 * b0
+        + 6 * (a1 * a1 * a1 - 3 * a1 * b1 * b1 + b1 * b1 * b1)
+        + 36 * (a2 * a2 * a2 - 3 * a2 * b2 * b2 + b2 * b2 * b2) - 18 * u,
+        3 * (a0 * b0 * (a0 - b0) + 6 * a1 * b1 * (a1 - b1) + 36 * a2 * b2 * (a2 - b2)) - 18 * v,
+    ), d * d * d)
     if closed != x.norm():
         raise CertificateError(f"norm evaluations of {x} disagree")
     return closed
-
-
-def gamma_search(bound: int) -> list[KElement]:
-    """All elements with coordinates x + y zeta_3, |x|, |y| <= bound, whose
-    norm to k is exactly -10.
-
-    The closed-form norm is evaluated on integer pairs (a, b) = a + b zeta_3,
-    and every hit is certified by `norm_K_over_k`.
-    """
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    span = range(-bound, bound + 1)
-    pairs = list(itertools.product(span, repeat=2))
-    target = Eisenstein.of(-10)
-    found = []
-    for c0, c1, c2 in itertools.product(pairs, repeat=3):
-        if _closed_norm(c0, c1, c2) == (-10, 0):
-            cand = KElement._make(c0 + c1 + c2)
-            if norm_K_over_k(cand) != target:
-                raise CertificateError(f"integer norm search accepted {cand}")
-            found.append(cand)
-    return found
 
 
 # ----------------------------------------------------- curve polynomials
@@ -451,15 +445,32 @@ def _embed_flat(c: tuple, p: int, zeta: int, eps: int) -> int:
     return (a0 + b0 * zeta + (a1 + b1 * zeta) * eps + (a2 + b2 * zeta) * eps * eps) % p
 
 
+# The slot of each monomial of degree <= 2 in the coefficient list c0..c9
+# of `_embed_polynomial`: 1, x, y, z, x^2, xy, xz, y^2, yz, z^2.
+_QUADRIC_SLOTS = {
+    (0, 0, 0): 0, (1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): 3, (2, 0, 0): 4,
+    (1, 1, 0): 5, (1, 0, 1): 6, (0, 2, 0): 7, (0, 1, 1): 8, (0, 0, 2): 9,
+}
+
+
 def _embed_polynomial(f: CurvePolynomial, p: int, zeta: int, eps: int):
-    """f with its flat coefficients embedded into F_p, as a function of a
-    point (x, y, z) of residues mod p.  The embedding is a ring
-    homomorphism on p-integral coefficients, so the value is
-    `_embed_flat(f.evaluate(x, y, z).coeffs)`."""
-    terms = [(i, j, k, _embed_flat(c, p, zeta, eps)) for (i, j, k), c in f.terms.items()]
+    """f, of degree at most 2, with its flat coefficients embedded into
+    F_p, as a function of a point (x, y, z) of residues mod p: the one
+    expression c0 + x(c1 + c4 x + c5 y + c6 z) + y(c2 + c7 y + c8 z) +
+    z(c3 + c9 z) mod p, in the slots of `_QUADRIC_SLOTS`.  The embedding
+    is a ring homomorphism on p-integral coefficients, so the value is
+    `_embed_flat(f.evaluate(x, y, z).coeffs)`.  ValueError on a term of
+    degree above 2."""
+    c = [0] * 10
+    for mono, coeff in f.terms.items():
+        slot = _QUADRIC_SLOTS.get(mono)
+        if slot is None:
+            raise ValueError(f"the term {mono} has degree above 2")
+        c[slot] = _embed_flat(coeff, p, zeta, eps)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9 = c
 
     def at(x: int, y: int, z: int) -> int:
-        return sum(c * x**i * y**j * z**k for i, j, k, c in terms) % p
+        return (c0 + x * (c1 + c4 * x + c5 * y + c6 * z) + y * (c2 + c7 * y + c8 * z) + z * (c3 + c9 * z)) % p
 
     return at
 

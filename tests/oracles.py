@@ -1769,7 +1769,7 @@ def factorize(n: int) -> Factorization:
         if root * root == m:
             stack += [root, root]
             continue
-        d = _brent_rho(m)
+        d, _ = _brent_rho(m, math.inf)
         stack += [d, m // d]
     fz = Factorization(sign, tuple(sorted(found.items())))
     if fz.value != sign * math.prod(p**e for p, e in found.items()):
@@ -1931,6 +1931,26 @@ def gamma_search(bound: int) -> list[KElement]:
         if cand.is_zero:
             continue
         if tower.norm_K_over_k(cand) == target:
+            found.append(cand)
+    return found
+
+
+def integer_gamma_search(bound: int) -> list[KElement]:
+    """The same elements as `gamma_search`, screened on integer pairs: the
+    closed form `k_closed_norm` on every triple of pairs (a, b) = a +
+    b zeta_3 with |a|, |b| <= bound, each hit certified by
+    `tower.norm_K_over_k`."""
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    span = range(-bound, bound + 1)
+    pairs = list(itertools.product(span, repeat=2))
+    target = Eisenstein.of(-10)
+    found = []
+    for c in itertools.product(pairs, repeat=3):
+        if k_closed_norm(c) == (-10, 0):
+            cand = KElement._make(c[0] + c[1] + c[2])
+            if tower.norm_K_over_k(cand) != target:
+                raise CertificateError(f"integer norm screen accepted {cand}")
             found.append(cand)
     return found
 

@@ -1,6 +1,10 @@
 """CLI tests: report schema, frozen outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -318,3 +322,21 @@ class TestPlumbing:
         code, rep = run_json(capsys, "selmer", "survival")
         assert code == 1 and rep["status"] == "error"
         assert rep["result"]["survives"] is False
+
+
+# |ell| = (2^100 + 277)(2^101 + 81), both factors prime, and the fibre
+# numerator of t = 12345678901/98765432107 have no factor that rho finds
+# within the budget.
+@pytest.mark.parametrize("argv", [
+    ["rl", "verify", "--ell", str((2**100 + 277) * (2**101 + 81)), "--p", "17"],
+    ["elkies", "verify", "--t=12345678901/98765432107"],
+], ids=["composite-ell", "large-fibre"])
+def test_exhausted_factoring_budget_is_inconclusive(argv):
+    # in a child with a deadline, which a factoring without budget overruns
+    source = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([source, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run([sys.executable, "-m", "localglobal.cli", *argv],
+                            env=env, capture_output=True, text=True, timeout=30)
+    rep = json.loads(result.stdout)
+    assert result.returncode == 2 and rep["status"] == "inconclusive", result.stdout
+    assert rep["result"]["message"].startswith("the factoring budget of 4194304 rho iterations ran out")

