@@ -36,7 +36,15 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .cubic import PI, Eisenstein, cube_class_group, hilbert3
-from .elkies import fibre, family_scan, local_solvability_report, obstruction_parity
+from .elkies import (
+    _bad_place_point,
+    family_scan,
+    fibre,
+    fibre_certificate,
+    obstruction_parity,
+    uncertified_rule,
+    uw_of,
+)
 from .exact import (
     CertificateError,
     FactoringBudgetExhausted,
@@ -356,27 +364,34 @@ def _work_rl(args, stage):
 
 def _work_elkies(args, stage):
     if args.command == "verify":
+        # one certificate decides the fibre, as in `elkies scan`; the
+        # factored parity and the decomposition (A, B) annotate it, and the
+        # parity must agree with it
         fib = fibre(args.t)
+        u, w = uw_of(fib.t)
         t0 = time.perf_counter()
-        local = local_solvability_report(fib)
+        local, k = fibre_certificate(u, w)
         stage("local", t0)
+        if not local:
+            raise CertificateError(f"no local certificate for the fibre: {uncertified_rule(u, w)}")
+        verdict = "obstructed" if k == 2 else "unobstructed"
         parity = obstruction_parity(fib)
-        payload = {
+        if parity.verdict != verdict:
+            raise CertificateError(f"the factored parity is {parity.verdict}, the certificate {verdict}")
+        y, _ = _bad_place_point(u, w)
+        return verdict, {
             "t": "infinity" if args.t is None else str(args.t),
             "N": str(fib.N),
             "N0": fib.N0,
             "A": fib.A,
             "B": fib.B,
-            "everywhere_locally_solvable": local.everywhere_solvable,
-            "odd_bad_places": {str(p): ok for p, ok in local.odd_bad_places},
+            "everywhere_locally_solvable": local,
+            "odd_bad_places": {str(p): y % p != 0 for p, _ in fib.factorization.factors},
             "contributing_primes": list(parity.contributing_primes),
             "count": parity.count,
             "invariant": str(parity.invariant),
-            "verdict": parity.verdict,
+            "verdict": verdict,
         }
-        if not local.everywhere_solvable:
-            return "no_local_point", payload
-        return parity.verdict, payload
     t0 = time.perf_counter()
     fibres, solvable, obstructed = family_scan(args.height)
     stage("scan", t0)

@@ -3,16 +3,16 @@
 Every fibre is everywhere locally solvable, yet globally empty: each odd
 prime p | N0, the quartic-free part of N(t), is 1 mod 8, and the invariant
 sum of the quaternion class (y, N0) over the places with v_p(N0) odd and 2
-a quartic nonresidue mod p is an odd multiple of 1/2.  Every place
-is certified locally solvable by rule, with no search and no p-adic
-digits.  `elkies scan` factors nothing and reads the parity off one
-quartic symbol (`fibre_certificate`), which for this family is the theorem
-itself.  `elkies verify` factors N0, certifies its places with a
-decomposition N0 = A^4 + 16B^4 (A, B odd and coprime) and reads the parity
-prime by prime (Euler's criterion).  Not every N0 has such a
-decomposition: at t = -167/20, 147/20 and 644/423, 17^4 divides the
-numerator of N(t), and `fibre` raises RepresentationNotFound on a fibre
-that `elkies scan` counts as obstructed.
+a quartic nonresidue mod p is an odd multiple of 1/2.  `elkies scan` and
+`elkies verify` decide a fibre by one certificate on the integers (u, w) of
+t, with no search, no p-adic digits and no factoring (`fibre_certificate`):
+one gcd certifies every place, and one quartic symbol reads the parity,
+which for this family is the theorem itself.  `elkies verify` also factors
+N0 and reads the parity prime by prime (Euler's criterion), a second
+derivation that must agree, and annotates the fibre with the decomposition
+N0 = A^4 + 16B^4 (A, B odd and coprime) with the least B.  Not every N0 has
+one: at t = -167/20, 147/20 and 644/423, 17^4 divides the numerator of
+N(t), and A and B are None.
 """
 
 from __future__ import annotations
@@ -20,63 +20,46 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import (
-    CertificateError,
-    Factorization,
-    _sqrt_minus_one,
-    factorize,
-    is_perfect_square,
-    is_probable_prime,
-    quartic_residue_symbol,
-    record,
-)
+from .exact import CertificateError, Factorization, factorize, is_perfect_square, record
 from .padic import is_nth_power_unit
 from .symbols import InvariantValue
 
 __all__ = [
     "ElkiesFibre",
-    "QuarticRep",
-    "RepresentationNotFound",
     "fibre",
+    "uw_of",
     "fibre_certificate",
     "quartic_symbol_of_two",
-    "local_solvability_report",
-    "LocalSolvabilityReport",
-    "quartic_rep",
-    "norm_identity_check",
+    "uncertified_rule",
     "obstruction_parity",
     "ObstructionParity",
     "family_scan",
 ]
 
 
-class RepresentationNotFound(Exception):
-    """N0 is not A^4 + 16B^4 with A, B odd coprime.  The numerator
-    u^4 + 16w^4 of N(t) always is; its quartic-free part need not be when a
-    fourth power divides it (t = -167/20: 17^4)."""
-
-
 # ------------------------------------------------------------------ fibres
 class ElkiesFibre(record("ElkiesFibre", "t N N0 A B factorization", (None,))):
     """One member of the family: parameter t (None encodes the fibre at
-    infinity), its value N, the fourth-power-free part N0, the canonical
-    decomposition N0 = A^4 + 16B^4, the one with the smallest B, and the
-    factorization of N0, factored here when none is given.  Every p | N0
-    is 1 mod 8: p divides neither A nor 2B, and (A/2B)^4 = -1 mod p, so
-    A/2B has order 8 in F_p*."""
+    infinity), its value N, the fourth-power-free part N0, the decomposition
+    N0 = A^4 + 16B^4 with the smallest B, or A = B = None where N0 has none,
+    and the factorization of N0, factored here when none is given.  Every
+    p | N0 is 1 mod 8: for t = a/b, p divides u^4 + 16w^4 (`_uw`) and not
+    2w, as gcd(u, w) = 1, so (u/2w)^4 = -1 mod p, and u/2w has order 8 in
+    F_p*."""
 
     __slots__ = ()
 
     def __new__(
-        cls, t: Fraction | None, N: Fraction, N0: int, A: int, B: int,
+        cls, t: Fraction | None, N: Fraction, N0: int, A: int | None, B: int | None,
         factorization: Factorization | None = None,
     ):
-        if N0 != A**4 + 16 * B**4:
-            raise CertificateError(f"N0 = {N0} != {A}^4 + 16*{B}^4")
-        if A % 2 == 0 or B % 2 == 0:
-            raise CertificateError(f"A = {A} and B = {B} must be odd")
-        if math.gcd(A, B) != 1:
-            raise CertificateError(f"A = {A} and B = {B} must be coprime")
+        if A is not None or B is not None:
+            if A is None or B is None or N0 != A**4 + 16 * B**4:
+                raise CertificateError(f"N0 = {N0} != {A}^4 + 16*{B}^4")
+            if A % 2 == 0 or B % 2 == 0:
+                raise CertificateError(f"A = {A} and B = {B} must be odd")
+            if math.gcd(A, B) != 1:
+                raise CertificateError(f"A = {A} and B = {B} must be coprime")
         if N0 % 16 != 1:
             raise CertificateError(f"N0 = {N0} is not 1 mod 16")
         if factorization is None:
@@ -127,21 +110,19 @@ def _coprime_two_squares(fz: Factorization, X: int, Y: int) -> list[tuple[int, i
     return reps
 
 
-def _least_b(fz: Factorization, X: int, Y: int) -> tuple[int, int]:
+def _least_b(fz: Factorization, X: int, Y: int) -> tuple[int | None, int | None]:
     """(A, B) with n = fz.value = A^4 + 16B^4, A and B odd and coprime, and
     B least, read off the coprime pairs x^2 + y^2 = n with x = A^2 and
     y = 4B^2 (`_coprime_two_squares`, its roots of -1 read off the
     representation X^2 + Y^2 of a multiple of n, Y prime to n);
-    RepresentationNotFound if there is none."""
+    (None, None) if there is none."""
     found = []
     for x, y in _coprime_two_squares(fz, X, Y):
         x, y = (abs(x), abs(y)) if x % 2 else (abs(y), abs(x))
         b = math.isqrt(y // 4)
         if y == 4 * b * b and b % 2 == 1 and is_perfect_square(x):
             found.append((b, math.isqrt(x)))
-    if not found:
-        raise RepresentationNotFound(f"N0 = {fz.value} is not A^4 + 16B^4 (A, B odd coprime)")
-    b, a = min(found)
+    b, a = min(found, default=(None, None))
     return a, b
 
 
@@ -153,55 +134,39 @@ def _uw(a: int, b: int) -> tuple[int, int]:
     return w + 2 * b * b, w
 
 
+def uw_of(t: Fraction | None) -> tuple[int, int]:
+    """`_uw` at t = a/b in lowest terms, or at infinity (t = None, 1/0): the
+    one reading of t that `fibre` factors and `fibre_certificate` decides."""
+    return _uw(1, 0) if t is None else _uw(t.numerator, t.denominator)
+
+
 def fibre(t) -> ElkiesFibre:
     """The fibre at t (a rational, or None/'infinity').  The numerator
-    u^4 + 16w^4 of N(t) (`_uw`) is factored once; N0 and its factorization
-    come from the exponents mod 4, and (A, B) is the least-B decomposition
-    of N0 in Z[i] (`_least_b`).  Each p | N0 divides u^4 + 16w^4 =
-    (u^2)^2 + (4w^2)^2 and not 4w^2, as gcd(u, w) = 1, so u^2 / 4w^2 is a
-    square root of -1 mod p, with no search for a non-residue.
-    RepresentationNotFound when N0 has no decomposition (t = -167/20)."""
+    u^4 + 16w^4 of N(t) (`uw_of`) is factored once; N0 and its
+    factorization come from the exponents mod 4, and (A, B) is the least-B
+    decomposition of N0 in Z[i] (`_least_b`), or (None, None).  Each p | N0
+    divides u^4 + 16w^4 = (u^2)^2 + (4w^2)^2 and not 4w^2, as
+    gcd(u, w) = 1, so u^2 / 4w^2 is a square root of -1 mod p, with no
+    search for a non-residue."""
     if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
-        t_val, a, b = None, 1, 0
+        t = None
     else:
-        t_val = Fraction(t)
-        a, b = t_val.numerator, t_val.denominator
-    u, w = _uw(a, b)
+        t = Fraction(t)
+    u, w = uw_of(t)
     n = u**4 + 16 * w**4
     n_val = Fraction(n, w**4)
     fz = factorize(n)
     if any(e >= 4 for _, e in fz.factors):
         fz = Factorization(1, tuple((p, e % 4) for p, e in fz.factors if e % 4))
         n = fz.value
-    if n % 16 != 1:  # refused before `_least_b` finds no decomposition
-        raise CertificateError(f"N0 = {n} is not 1 mod 16")
-    return ElkiesFibre(t_val, n_val, n, *_least_b(fz, u * u, 4 * w * w), fz)
+    return ElkiesFibre(t, n_val, n, *_least_b(fz, u * u, 4 * w * w), fz)
 
 
-# ------------------------------------------------- local solvability
-class LocalSolvabilityReport(record("LocalSolvabilityReport", (
-    "fib",
-    "real_solvable",
-    "two_adic_solvable",
-    "odd_bad_places",        # ((p, solvable), ...) for p | N0
-    "good_places_solvable",  # every odd q not dividing N0
-))):
-    __slots__ = ()
-
-    @property
-    def everywhere_solvable(self) -> bool:
-        return (
-            self.real_solvable
-            and self.two_adic_solvable
-            and all(ok for _, ok in self.odd_bad_places)
-            and self.good_places_solvable
-        )
-
-
-def _bad_place_point(A: int, B: int) -> tuple[int, int]:
-    """(2ABc, c) with c = A^2 + 4B^2: a zero mod every p | A^4 + 16B^4."""
-    c = A * A + 4 * B * B
-    return 2 * A * B * c, c
+# ------------------------------------------------- the fibre certificate
+def _bad_place_point(u: int, w: int) -> tuple[int, int]:
+    """(2uwc, c) with c = u^2 + 4w^2: a zero mod every p | u^4 + 16w^4."""
+    c = u * u + 4 * w * w
+    return 2 * u * w * c, c
 
 
 _SMALL_PLACE_ZEROS = {3: {1: (0, 1), 2: (1, 1)}, 5: {1: (0, 1), 2: (2, 0), 3: (1, 0), 4: (1, 1)}}
@@ -211,31 +176,6 @@ def _small_places_solvable(n: int) -> bool:
     """The zeros `_SMALL_PLACE_ZEROS` lists at q = 3, 5 (q prime to n), checked."""
     return all((2 * v * v - z**4 + n) % q == 0
                for q, zeros in _SMALL_PLACE_ZEROS.items() for v, z in [zeros[n % q]])
-
-
-def local_solvability_report(fib: ElkiesFibre) -> LocalSolvabilityReport:
-    """Certify points of the fibre over R, Q_2, every Q_p with p | N0, and
-    every Q_q with q odd and prime to N0, with no search.
-
-    R: N0 > 0.  Q_2: `ElkiesFibre` refuses any N0 other than 1 mod 16, a
-    fourth power of a unit of Z_2 (`is_nth_power_unit`), so y = 0,
-    z = N0^(1/4) is a point.
-    Each p | N0: as c^2 - 8A^2B^2 = N0, `_bad_place_point` is a zero of
-    2y^2 - z^4 + N0 = N0(1 - c^2) with y a unit mod p: p divides neither A
-    nor 2B (they are coprime), nor c, else N0 = -8A^2B^2 mod p.  Each good
-    q: Hasse-Weil gives the smooth genus-one curve over F_q at least
-    q + 1 - 2 sqrt(q) points, at most two at infinity, so an affine one when
-    (q - 1)^2 > 4q, that is q >= 7; for q = 3 and 5, which never divide N0
-    (its primes are 1 mod 8), `_SMALL_PLACE_ZEROS` has one for each residue
-    of N0, checked here.  Hensel's lemma lifts every zero but the singular
-    (0, 0) (Silverman, AEC, V.1.1).
-    """
-    n0 = fib.N0
-    y, z = _bad_place_point(fib.A, fib.B)
-    g = 2 * y * y - z**4 + n0
-    odd_entries = tuple((p, g % p == 0 and y % p != 0) for p, _ in fib.factorization.factors)
-    return LocalSolvabilityReport(fib, n0 > 0, is_nth_power_unit(n0, 4, 2), odd_entries,
-                                  _small_places_solvable(n0))
 
 
 def quartic_symbol_of_two(r: int, s: int) -> int:
@@ -248,62 +188,43 @@ def quartic_symbol_of_two(r: int, s: int) -> int:
     return ((r - 1) // 2 + (r - s - s * s - 1) // 2) % 4
 
 
-def fibre_certificate(u: int, w: int) -> tuple[bool, int | None]:
-    """(locally solvable, k) for 2Y^2 = Z^4 - N, N = u^4 + 16w^4, unfactored:
-    the rules of `local_solvability_report`, (u, w) for (A, B), with one gcd
-    for all p | N that also keeps 3 and 5 off N.  [2/pi]_4 = i^k for
-    pi = u^2 + 4w^2 i is -1 iff the count of `obstruction_parity` is odd: the
-    obstruction is k = 2, forced on the family by u^2 = 1 mod 8 and
-    4w^2 = 4 mod 32.  k is None when the rules certify nothing."""
+def uncertified_rule(u: int, w: int) -> str | None:
+    """The first rule of `fibre_certificate` that (u, w) fails, or None."""
     n = u**4 + 16 * w**4
+    if n % 16 != 1:
+        return f"Q_2: N = {n} is not 1 mod 16"
     y, _ = _bad_place_point(u, w)
-    if n > 0 and n % 16 == 1 and math.gcd(y, n) == 1 and _small_places_solvable(n):
+    if (g := math.gcd(y, n)) != 1:
+        return f"the places p | N: gcd(2uwc, N) = {g}"
+    if not _small_places_solvable(n):
+        return f"q = 3, 5: the table lists no zero for N = {n}"
+    return None
+
+
+def fibre_certificate(u: int, w: int) -> tuple[bool, int | None]:
+    """(locally solvable, k) for 2Y^2 = Z^4 - N, N = u^4 + 16w^4, with no
+    search and no factoring; k is None when the rules certify nothing
+    (`uncertified_rule` names the one that fails).
+
+    The fibre's N0 differs from N by a fourth power, so the two curves have
+    points over the same fields.  R: N > 0, as N = 1 mod 16 and N >= 0.
+    Q_2: N = 1 mod 16 is a fourth power of a unit of Z_2
+    (`is_nth_power_unit`), so y = 0, z = N^(1/4) is a point.  Each p | N:
+    as c^2 - 8u^2w^2 = N, `_bad_place_point` (y, z) = (2uwc, c) is a zero of
+    2y^2 - z^4 + N = N(1 - c^2), and gcd(y, N) = 1 makes y a unit mod every
+    p | N at once; the same gcd keeps 3 and 5 off N.  Each good q:
+    Hasse-Weil gives the smooth genus-one curve over F_q at least
+    q + 1 - 2 sqrt(q) points, at most two at infinity, so an affine one when
+    (q - 1)^2 > 4q, that is q >= 7; for q = 3 and 5, `_SMALL_PLACE_ZEROS`
+    has one for each residue of N, checked here.  Hensel's lemma lifts every
+    zero but the singular (0, 0) (Silverman, AEC, V.1.1).
+
+    [2/pi]_4 = i^k for pi = u^2 + 4w^2 i is -1 iff the count of
+    `obstruction_parity` is odd: the obstruction is k = 2, forced on the
+    family by u^2 = 1 mod 8 and 4w^2 = 4 mod 32."""
+    if uncertified_rule(u, w) is None:
         return True, quartic_symbol_of_two(u * u, 4 * w * w)
     return False, None
-
-
-# -------------------------------------------------- quartic representations
-class QuarticRep(record("QuarticRep", "p a b")):
-    """p = a^2 + 16 b^2 with a odd; the parity of b decides whether 2 is a
-    fourth power mod p."""
-
-    __slots__ = ()
-
-    def __new__(cls, p: int, a: int, b: int):
-        if a**2 + 16 * b**2 != p:
-            raise CertificateError(f"{p} != {a}^2 + 16*{b}^2")
-        if a % 2 == 0 or a <= 0 or b <= 0:
-            raise CertificateError(f"need a odd, a > 0 and b > 0, got {a}, {b}")
-        return tuple.__new__(cls, (p, a, b))
-
-    @property
-    def b_even(self) -> bool:
-        return self.b % 2 == 0
-
-
-def quartic_rep(p: int) -> QuarticRep:
-    """The representation p = a^2 + 16b^2 (a, b > 0), read off p = x^2 + y^2
-    (`_two_squares`, unique up to order and sign; with no representation
-    to read a root of -1 off, it comes from the least non-residue,
-    `_sqrt_minus_one`): a is the odd one of x and y, and b the even one
-    over 4, a multiple of 4 since a^2 = 1 = p mod 8.  Cross-checked against
-    the quartic character: 2 is a fourth power mod p iff b is even."""
-    if p % 8 != 1 or not is_probable_prime(p):
-        raise ValueError("need a prime p = 1 mod 8")
-    x, y = _two_squares(p, _sqrt_minus_one(p))
-    a, even = (x, y) if x % 2 else (y, x)
-    rep = QuarticRep(p, a, even // 4)
-    if (quartic_residue_symbol(2, p).exponent == 0) != rep.b_even:
-        raise ArithmeticError(f"Gauss's quartic criterion fails at p = {p}: b = {rep.b}")
-    return rep
-
-
-def norm_identity_check(a: int, b: int, c: int, d: int) -> bool:
-    """Composition law of the form x^2 + 16y^2:
-    (a^2+16b^2)(c^2+16d^2) = (ac-16bd)^2 + 16(ad+bc)^2."""
-    lhs = (a * a + 16 * b * b) * (c * c + 16 * d * d)
-    rhs = (a * c - 16 * b * d) ** 2 + 16 * (a * d + b * c) ** 2
-    return lhs == rhs
 
 
 # ----------------------------------------------------------- obstruction
@@ -317,9 +238,9 @@ def obstruction_parity(fib: ElkiesFibre) -> ObstructionParity:
     A prime p | N0 contributes 1/2 exactly when v_p(N0) is odd and 2 is
     not a fourth power mod p, that is 2^((p-1)/4) != 1 mod p (Euler's
     criterion; every p | N0 is 1 mod 8); the fibre is obstructed iff the
-    number of contributing primes is odd.  For family members the count is odd
-    because N0 = A^4 + 16B^4 forces the representation parity b = B^2 = 1
-    mod 2 multiplicatively across the factorization.
+    number of contributing primes is odd.  This is the factored derivation
+    of the parity that `fibre_certificate` reads off one quartic symbol,
+    which is multiplicative over the primes of pi.
     """
     contributing = tuple(p for p, e in fib.factorization.factors
                          if e % 2 == 1 and not is_nth_power_unit(2, 4, p))

@@ -364,11 +364,6 @@ def _least_nonresidue(p: int) -> int:
     return c
 
 
-def _sqrt_minus_one(p: int) -> int:
-    """c^((p-1)/4), a square root of -1 mod the prime p = 1 mod 4, c the least non-residue."""
-    return pow(_least_nonresidue(p), (p - 1) // 4, p)
-
-
 def _sqrt_mod_odd_prime(a: int, p: int, nonresidue: int | None = None) -> int:
     """`sqrt_mod_prime` for a p already known to be an odd prime, without
     testing it again.  A caller that holds a quadratic non-residue mod p

@@ -110,7 +110,7 @@ from localglobal.exact import (
     sqrt_mod_prime,
     valuation,
 )
-from localglobal.elkies import ElkiesFibre, LocalSolvabilityReport, QuarticRep, RepresentationNotFound
+from localglobal.elkies import ElkiesFibre
 from localglobal.padic import (
     InsufficientPrecision,
     NoConvergence,
@@ -1046,13 +1046,58 @@ def nth_root_padic(a, n: int, q: int, precision: int) -> PadicNumber:
 def good_place_sweep(n0: int, good_prime_bound: int) -> tuple:
     """(q, found) for each odd prime q <= good_prime_bound not dividing n0:
     whether `local_point` finds a point of 2y^2 = z^4 - n0
-    over Q_q.  This search certified the good places in
-    `elkies.local_solvability_report` before `residue_walk_point` did."""
+    over Q_q.  This search certified the good places of `elkies verify`
+    before `residue_walk_point` did."""
     eq = Quartic(2, n0)
     return tuple(
         (q, not isinstance(local_point(eq, q), NoPoint))
         for q in primes_up_to(good_prime_bound) if q != 2 and n0 % q
     )
+
+
+class RepresentationNotFound(Exception):
+    """N0 is not A^4 + 16B^4 with A, B odd coprime.  The numerator
+    u^4 + 16w^4 of N(t) always is; its quartic-free part need not be when a
+    fourth power divides it (t = -167/20: 17^4)."""
+
+
+class LocalSolvabilityReport(record("LocalSolvabilityReport", (
+    "fib",
+    "real_solvable",
+    "two_adic_solvable",
+    "odd_bad_places",        # ((p, solvable), ...) for p | N0
+    "good_places_solvable",  # every odd q not dividing N0, up to a bound
+))):
+    """The places of a fibre as `local_solvability_report` certifies them."""
+
+    __slots__ = ()
+
+    @property
+    def everywhere_solvable(self) -> bool:
+        return (
+            self.real_solvable
+            and self.two_adic_solvable
+            and all(ok for _, ok in self.odd_bad_places)
+            and self.good_places_solvable
+        )
+
+
+class QuarticRep(record("QuarticRep", "p a b")):
+    """p = a^2 + 16 b^2 with a odd; the parity of b decides whether 2 is a
+    fourth power mod p (Gauss)."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, a: int, b: int):
+        if a**2 + 16 * b**2 != p:
+            raise CertificateError(f"{p} != {a}^2 + 16*{b}^2")
+        if a % 2 == 0 or a <= 0 or b <= 0:
+            raise CertificateError(f"need a odd, a > 0 and b > 0, got {a}, {b}")
+        return tuple.__new__(cls, (p, a, b))
+
+    @property
+    def b_even(self) -> bool:
+        return self.b % 2 == 0
 
 
 def quartic_free_part(q: Fraction) -> tuple[int, Fraction]:
@@ -1127,8 +1172,7 @@ def least_b_search(n0: int) -> tuple[int, int]:
 
 def quartic_rep(p: int) -> QuarticRep:
     """p = a^2 + 16b^2 for a prime p = 1 mod 8 by trying b = 1, 2, 3, ...
-    until p - 16b^2 is a square: `elkies.quartic_rep` before it read the
-    representation off `elkies._two_squares`."""
+    until p - 16b^2 is a square."""
     for b in range(1, math.isqrt(p // 16) + 1):
         a = math.isqrt(p - 16 * b * b)
         if a * a + 16 * b * b == p:
@@ -1140,7 +1184,7 @@ def bad_place_lift(n0: int, p: int, precision: int) -> bool:
     """Whether the first y with n0 + 2y^2 a nonzero fourth power mod p
     gives a fourth root z0 that `padic.hensel_root` lifts to a unit of
     Z_p at `precision` digits: the certificate of a bad place p | n0 in
-    `elkies.local_solvability_report` before `residue_walk_point` was."""
+    `elkies verify` before `residue_walk_point` was."""
     for y in range(p):
         u = (n0 + 2 * y * y) % p
         if u and pow(u, (p - 1) // math.gcd(4, p - 1), p) == 1:
@@ -1168,9 +1212,9 @@ def residue_walk_point(n0: int, q: int) -> tuple[int, int] | None:
     """The first zero (y, z) mod q of 2y^2 = z^4 - n0 in `residue_zeros`
     order with a unit partial derivative (any but (0, 0)), for an odd prime
     q, or None; Hensel's lemma lifts it to a Q_q point.  It certified every
-    odd place in `elkies.local_solvability_report` before the closed rules
-    there: the point (2ABc, c) at each p | N0, Hasse-Weil at each good
-    q >= 7 and a table for q = 3 and 5."""
+    odd place in `elkies verify` before the closed rules of
+    `elkies.fibre_certificate`: the point (2uwc, c) at each p | N0,
+    Hasse-Weil at each good q >= 7 and a table for q = 3 and 5."""
     for y, z in residue_zeros(2, 1, -n0, q):
         if y or z:
             return y, z
@@ -1194,7 +1238,7 @@ def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
 
 def local_solvability_report(fib: ElkiesFibre, precision: int = 12,
                              good_prime_bound: int = 50) -> LocalSolvabilityReport:
-    """`elkies.local_solvability_report` before its closed rules: the Q_2
+    """The local report of `elkies verify` before its closed rules: the Q_2
     point from the quadratic `local_point` search above with y = 0
     allowed, each place
     p | N0 by `smooth_residue_point` above, confirmed below p = 500 by the
@@ -1232,11 +1276,12 @@ def rationals_of_height(h: int) -> list:
 def family_scan(ts) -> tuple:
     """((t, ObstructionParity, LocalSolvabilityReport), ...) for each t: the
     per-fibre path of `elkies.family_scan` before `fibre_certificate`,
-    which factors N0 (`elkies.fibre`) and reads the parity prime by prime."""
+    which factors N0 (`elkies.fibre`), reads the parity prime by prime and
+    certifies the places by `local_solvability_report` above."""
     entries = []
     for t in ts:
         fib = elkies.fibre(t)
-        entries.append((t, elkies.obstruction_parity(fib), elkies.local_solvability_report(fib)))
+        entries.append((t, elkies.obstruction_parity(fib), local_solvability_report(fib)))
     return tuple(entries)
 
 

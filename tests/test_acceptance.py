@@ -11,7 +11,7 @@ import oracles
 from oracles import power_class
 from localglobal import cli
 from localglobal.cubic import Eisenstein, PI, cube_class_group, hilbert3
-from localglobal.elkies import family_scan, fibre, quartic_rep
+from localglobal.elkies import family_scan, fibre
 from localglobal.exact import primes_up_to, quartic_residue_symbol, split_prime_power
 from localglobal.padic import hensel_root
 from localglobal.reichardt_lind import (
@@ -135,7 +135,7 @@ def test_c06_gauss_criterion_sweep():
     checked = 0
     for p in primes_up_to(100_000):
         if p % 8 == 1:
-            assert quartic_rep(p).b_even == quartic_residue_symbol(2, p).is_plus_one, p
+            assert oracles.quartic_rep(p).b_even == quartic_residue_symbol(2, p).is_plus_one, p
             checked += 1
     elapsed = time.perf_counter() - t0
     assert checked == 2384

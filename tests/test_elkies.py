@@ -7,6 +7,7 @@ import random
 import time
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
 import oracles
 import pytest
@@ -18,11 +19,9 @@ from localglobal.elkies import (
     family_scan,
     fibre,
     fibre_certificate,
-    local_solvability_report,
-    norm_identity_check,
     obstruction_parity,
-    quartic_rep,
     quartic_symbol_of_two,
+    uncertified_rule,
 )
 from localglobal.exact import (
     CertificateError,
@@ -39,6 +38,19 @@ rationals_of_height = oracles.rationals_of_height
 def pairs_as_rationals(height):
     """The scan's stream of `_coprime_pairs` as the rationals it encodes."""
     return [None if b == 0 else Fraction(a, b) for a, b in elkies._coprime_pairs(height)]
+
+
+def verify_result(t):
+    """The result block of `elkies verify` at t (a Fraction, or None)."""
+    return cli._work_elkies(SimpleNamespace(command="verify", t=t), lambda name, began: None)[1]
+
+
+def verify_places(fib):
+    """(everywhere locally solvable, ((p, solvable), ...) for p | N0), as
+    `elkies verify` reports them for the fibre."""
+    result = verify_result(fib.t)
+    return (result["everywhere_locally_solvable"],
+            tuple((int(p), ok) for p, ok in result["odd_bad_places"].items()))
 
 
 class TestFibre:
@@ -100,13 +112,13 @@ class TestFibre:
 
     def test_reports_do_not_factor_n0_again(self, monkeypatch):
         f = fibre(Fraction(2, 3))
-        expected = (local_solvability_report(f), obstruction_parity(f))
+        expected = (fibre_certificate(*elkies._uw(2, 3)), obstruction_parity(f))
 
         def no_factoring(n):
             raise AssertionError(f"factorize({n}) called again")
 
         monkeypatch.setattr(elkies, "factorize", no_factoring)
-        assert (local_solvability_report(f), obstruction_parity(f)) == expected
+        assert (fibre_certificate(*elkies._uw(2, 3)), obstruction_parity(f)) == expected
 
 
 def _fibre_data(fib):
@@ -177,40 +189,62 @@ class TestClosedFormFibre:
         assert fib.factorization == old.factorization == factorize(fib.N0)
         assert fib.N0 < numerator
 
-    @pytest.mark.parametrize("numerator, error", [
-        (17**5 * 97, elkies.RepresentationNotFound),  # N0 = 1649 = 1 mod 16
-        (17 * 41 * 97**4, CertificateError),  # N0 = 697 = 9 mod 16
-    ])
-    def test_the_fallback_fails_as_the_oracle_does(self, monkeypatch, numerator, error):
-        # fibre(0) is handed (u, w) = (u, 1) with N0 | u^4 + 16, so that the
-        # roots of -1 read off (u^2, 4) are roots mod the injected primes
+    @staticmethod
+    def _inject(monkeypatch, numerator):
+        """fibre(0) is handed (u, w) = (u, 1) with N0 | u^4 + 16, so that the
+        roots of -1 read off (u^2, 4) are roots mod the injected primes, and
+        this numerator's factorization in place of u^4 + 16's."""
         n0, _ = oracles.quartic_free_part(Fraction(numerator))
         u = next(u for u in range(1, n0) if (u**4 + 16) % n0 == 0)
         monkeypatch.setattr(elkies, "_uw", lambda a, b: (u, 1))
         monkeypatch.setattr(elkies, "factorize", lambda n: factorize(numerator if n == u**4 + 16 else n))
+        return n0
+
+    @pytest.mark.parametrize("numerator, error", [
+        (17 * 41 * 97**4, CertificateError),  # N0 = 697 = 9 mod 16
+    ])
+    def test_the_fallback_fails_as_the_oracle_does(self, monkeypatch, numerator, error):
+        self._inject(monkeypatch, numerator)
         with pytest.raises(error):
             fibre(0)
         with pytest.raises(error):
             oracles.quartic_free_fibre(Fraction(0), Fraction(numerator))
 
+    def test_the_fallback_without_a_decomposition_keeps_a_and_b_null(self, monkeypatch):
+        # N0 = 1649 = 17 * 97 = 1 mod 16 is not A^4 + 16B^4 with A, B odd
+        # and coprime: the oracle refuses the fibre, and the library builds
+        # it with A = B = None
+        n0 = self._inject(monkeypatch, 17**5 * 97)
+        fib = fibre(0)
+        assert (fib.N0, fib.A, fib.B) == (n0, None, None) == (1649, None, None)
+        assert fib.factorization == factorize(1649)
+        with pytest.raises(oracles.RepresentationNotFound):
+            oracles.quartic_free_fibre(Fraction(0), Fraction(17**5 * 97))
+
     @pytest.mark.parametrize("t", ["-167/20", "147/20", "644/423"])
     def test_no_decomposition_fails_as_the_oracle_does(self, t, capsys):
         # 17^4 divides u^4 + 16w^4 and the quartic-free N0, 1 mod 16, is not
-        # A^4 + 16B^4 with A, B odd and coprime, so `elkies verify` reports
-        # an error; the scan's certificate, which factors nothing, still
-        # reads the fibre as obstructed
-        assert cli.main(["elkies", "verify", f"--t={t}"]) == 1
+        # A^4 + 16B^4 with A, B odd and coprime: the search for one fails in
+        # the library as in the oracle, and `elkies verify` decides the fibre
+        # by its certificate, which needs none, with A and B null
+        assert cli.main(["elkies", "verify", f"--t={t}"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["status"] == "error"
-        assert report["result"]["message"].startswith("RepresentationNotFound")
+        assert report["status"] == "obstructed"
+        result = report["result"]
+        assert result["A"] is None and result["B"] is None
+        assert result["everywhere_locally_solvable"] and all(result["odd_bad_places"].values())
+        assert (result["count"], result["invariant"], result["verdict"]) == (1, "1/2", "obstructed")
         t = Fraction(t)
         u, w = elkies._uw(t.numerator, t.denominator)
         assert (u**4 + 16 * w**4) % 17**4 == 0
-        with pytest.raises(elkies.RepresentationNotFound):
-            fibre(t)
-        with pytest.raises(elkies.RepresentationNotFound):
+        fib = fibre(t)
+        assert (fib.A, fib.B) == (None, None)
+        with pytest.raises(oracles.RepresentationNotFound):
+            oracles.least_b_search(fib.N0)
+        with pytest.raises(oracles.RepresentationNotFound):
             oracles.quartic_free_fibre(t, Fraction(u**4 + 16 * w**4, w**4))
         assert fibre_certificate(u, w) == (True, 2)
+        assert obstruction_parity(fib).verdict == "obstructed"  # the factored parity agrees
 
     def test_a_smaller_b_is_found_in_the_gaussian_integers(self):
         # Euler: 59^4 + 158^4 = 133^4 + 134^4, so 635318657 is
@@ -268,7 +302,7 @@ class TestClosedFormFibre:
                 assert (
                     elkies._two_squares(p, r)
                     == elkies._two_squares(p, p - r)
-                    == elkies._two_squares(p, exact._sqrt_minus_one(p))
+                    == elkies._two_squares(p, pow(exact._least_nonresidue(p), (p - 1) // 4, p))
                 ), p
                 checked += 1
         assert checked == 4783
@@ -285,8 +319,6 @@ class TestClosedFormFibre:
         def no_search(p):
             raise AssertionError(f"a non-residue search mod {p}")
 
-        monkeypatch.setattr(elkies, "_sqrt_minus_one", no_search)
-        monkeypatch.setattr(exact, "_sqrt_minus_one", no_search)
         monkeypatch.setattr(exact, "_least_nonresidue", no_search)
         ts = rationals_of_height(20)
         began = time.perf_counter()
@@ -299,43 +331,50 @@ class TestClosedFormFibre:
             assert json.loads(capsys.readouterr().out)["status"] == "obstructed"
 
 
+def compose(a, b, c, d):
+    """(e, f) with (a^2 + 16b^2)(c^2 + 16d^2) = e^2 + 16f^2: the composition
+    law of the form x^2 + 16y^2."""
+    return a * c - 16 * b * d, a * d + b * c
+
+
+def norm_identity_check(a, b, c, d):
+    e, f = compose(a, b, c, d)
+    return (a * a + 16 * b * b) * (c * c + 16 * d * d) == e * e + 16 * f * f
+
+
 class TestQuarticRep:
+    """Gauss's criterion on `oracles.quartic_rep`, the representation
+    p = a^2 + 16b^2 by a search for b."""
+
     def test_frozen_examples(self):
-        r17 = quartic_rep(17)
+        r17 = oracles.quartic_rep(17)
         assert (r17.a, r17.b) == (1, 1) and not r17.b_even
         assert quartic_residue_symbol(2, 17).label == "-1"
-        r113 = quartic_rep(113)
+        r113 = oracles.quartic_rep(113)
         assert (r113.a, r113.b) == (7, 2) and r113.b_even
         assert quartic_residue_symbol(2, 113).label == "+1"
-        r97 = quartic_rep(97)
+        r97 = oracles.quartic_rep(97)
         assert (r97.a, r97.b) == (9, 1) and not r97.b_even
         assert quartic_residue_symbol(2, 97).label == "-1"
 
     def test_rejects_wrong_residue_class(self):
+        # neither 13 = 5 mod 8 nor 15 is a^2 + 16b^2 with b > 0
         with pytest.raises(ValueError):
-            quartic_rep(13)  # 13 = 5 mod 8
+            oracles.quartic_rep(13)
         with pytest.raises(ValueError):
-            quartic_rep(15)  # not prime
+            oracles.quartic_rep(15)
 
     def test_gauss_criterion_below_1e5(self):
         checked = 0
         for p in primes_up_to(100_000):
             if p % 8 == 1:
-                rep = quartic_rep(p)  # raises when b even disagrees with (2/p)_4
+                rep = oracles.quartic_rep(p)
                 assert rep.b_even == quartic_residue_symbol(2, p).is_plus_one, p
-                assert rep == oracles.quartic_rep(p), p  # the b-loop it replaced
+                # `_two_squares` reads the same representation off a root of -1
+                root = pow(exact._least_nonresidue(p), (p - 1) // 4, p)
+                assert set(elkies._two_squares(p, root)) == {rep.a, 4 * rep.b}, p
                 checked += 1
         assert checked == 2384
-
-    def test_a_wrong_quartic_character_is_refused(self, monkeypatch):
-        # quartic_rep checks Gauss's criterion itself: with (2/p)_4 read as
-        # its opposite it raises instead of returning the representation
-        symbol = elkies.quartic_residue_symbol
-        monkeypatch.setattr(elkies, "quartic_residue_symbol",
-                            lambda a, p: symbol(2, 257) if symbol(a, p).exponent else symbol(2, 17))
-        for p in (17, 41, 73, 113, 257):  # 2 is a fourth power mod 73, 113 and 257
-            with pytest.raises(ArithmeticError, match=f"criterion fails at p = {p}"):
-                quartic_rep(p)
 
     def test_norm_identity_frozen(self):
         assert norm_identity_check(1, 1, 7, 2)
@@ -355,40 +394,43 @@ class TestQuarticRep:
         rng = random.Random(7)
         for _ in range(40):
             p, q = rng.choice(eligible), rng.choice(eligible)
-            rp, rq = quartic_rep(p), quartic_rep(q)
-            e = rp.a * rq.a - 16 * rp.b * rq.b
-            f = rp.a * rq.b + rp.b * rq.a
+            rp, rq = oracles.quartic_rep(p), oracles.quartic_rep(q)
+            e, f = compose(rp.a, rp.b, rq.a, rq.b)
             assert e * e + 16 * f * f == p * q
             assert f % 2 == (rp.b + rq.b) % 2
 
 
 class TestLocalSolvability:
+    """The places `elkies verify` certifies, against the oracle's report,
+    which searches Q_2, at its own 12 digits, and the places p | N0 below
+    500 with local_point."""
+
     def test_original_fibre(self):
-        rep = local_solvability_report(fibre(None))
+        fib = fibre(None)
+        rep = oracles.local_solvability_report(fib)
+        everywhere, odd = verify_places(fib)
         assert rep.real_solvable and rep.two_adic_solvable
-        assert rep.odd_bad_places == ((17, True),)
+        assert rep.odd_bad_places == ((17, True),) == odd
         assert rep.good_places_solvable
-        assert rep.everywhere_solvable
+        assert rep.everywhere_solvable and everywhere
 
     def test_composite_fibre(self):
-        rep = local_solvability_report(fibre(1))
-        assert dict(rep.odd_bad_places) == {17: True, 113: True}
-        assert all(p % 8 == 1 for p, _ in rep.odd_bad_places)
-        assert rep.everywhere_solvable
+        everywhere, odd = verify_places(fibre(1))
+        assert dict(odd) == {17: True, 113: True}
+        assert all(p % 8 == 1 for p, _ in odd)
+        assert everywhere and oracles.local_solvability_report(fibre(1)).everywhere_solvable
 
     def test_fibre_at_zero_dyadic(self):
-        rep = local_solvability_report(fibre(0))
+        rep = oracles.local_solvability_report(fibre(0))
         assert rep.two_adic_solvable  # 97 = 1 mod 16 is a 4th power in Q_2
-        assert rep.everywhere_solvable
+        assert rep.everywhere_solvable and verify_places(fibre(0))[0]
 
     def test_report_equals_the_oracle_report(self):
-        # the oracle searches Q_2, at its own 12 digits, and the places
-        # p | N0 below 500 with local_point; the library reads Q_2 off the
-        # rule N0 = 1 mod 16, with no digits
+        # the library reads Q_2 off the rule N = 1 mod 16, with no digits
         for fib in fibres_of_height_ten():
             expected = oracles.local_solvability_report(fib, 12, 50)
             assert expected.two_adic_solvable, fib.t
-            assert local_solvability_report(fib) == expected, fib.t
+            assert verify_places(fib) == (expected.everywhere_solvable, expected.odd_bad_places), fib.t
 
 
 @lru_cache(maxsize=None)
@@ -419,14 +461,21 @@ def _agrees_with_the_old_loop(n0, q):
 
 
 def _walk_report(fib, good_prime_bound):
-    """The report with every odd place up to `good_prime_bound` certified by
-    the walk of `oracles.residue_walk_point`, as `local_solvability_report`
-    did before its closed rules."""
+    """The report with R and Q_2 by their rules and every odd place up to
+    `good_prime_bound` certified by the walk of `oracles.residue_walk_point`,
+    as `elkies verify` did before its closed rules."""
     walk = lambda q: oracles.residue_walk_point(fib.N0, q) is not None
-    return local_solvability_report(fib)._replace(
-        odd_bad_places=tuple((p, walk(p)) for p, _ in fib.factorization.factors),
-        good_places_solvable=all(walk(q) for q in primes_up_to(good_prime_bound)[1:] if fib.N0 % q),
+    return oracles.LocalSolvabilityReport(
+        fib, fib.N0 > 0, is_nth_power_unit(fib.N0, 4, 2),
+        tuple((p, walk(p)) for p, _ in fib.factorization.factors),
+        all(walk(q) for q in primes_up_to(good_prime_bound)[1:] if fib.N0 % q),
     )
+
+
+def run_verify(capsys, t="infinity"):
+    """(exit code, report) of `elkies verify` at t."""
+    code = cli.main(["elkies", "verify", "--t", t])
+    return code, json.loads(capsys.readouterr().out)
 
 
 class TestGoodPlaces:
@@ -476,16 +525,16 @@ class TestGoodPlaces:
 
     def test_report_equals_the_sweep_report(self):
         for fib in fibres_of_height_ten():
-            report = local_solvability_report(fib)
             sweep = oracles.good_place_sweep(fib.N0, 50)
-            assert report.good_places_solvable == all(found for _, found in sweep), fib.t
+            assert elkies._small_places_solvable(fib.N0) == all(found for _, found in sweep), fib.t
 
     def test_report_equals_the_walk_report_to_height_30(self):
         for fib in fibres_of_height_thirty():
-            report = local_solvability_report(fib)
+            everywhere, odd = verify_places(fib)
             for bound in (50, 200):
-                assert report == _walk_report(fib, bound), (fib.t, bound)
-            assert report.everywhere_solvable, fib.t
+                walk = _walk_report(fib, bound)
+                assert (everywhere, odd) == (walk.everywhere_solvable, walk.odd_bad_places), (fib.t, bound)
+            assert everywhere, fib.t
 
     def test_the_table_serves_every_fibre_to_height_30(self):
         # 3 and 5 never divide N0, whose primes are 1 mod 8
@@ -494,50 +543,51 @@ class TestGoodPlaces:
                 assert _is_smooth_zero(fib.N0, q, zeros[fib.N0 % q]), (fib.t, q)
 
     def test_a_missing_certificate_is_no_local_point(self, monkeypatch, capsys):
-        # a point mod p | N0 that is not a zero: (2ABc, c + 1) at t = infinity,
-        # where 2 * 10^2 - 6^4 + 17 = -1079 is prime to 17
+        # a point whose y is no unit at p | N: (17 * 2uwc, c) at t = infinity,
+        # where N = 17.  The family theorem certifies every fibre, so a
+        # missing certificate is a fault: status error and exit 1, with the
+        # rule that failed, not the definite verdict no_local_point
         point = elkies._bad_place_point
-        monkeypatch.setattr(elkies, "_bad_place_point", lambda A, B: (point(A, B)[0], point(A, B)[1] + 1))
-        report = local_solvability_report(fibre(None))
-        assert report.odd_bad_places == ((17, False),)
-        assert report.real_solvable and report.two_adic_solvable and report.good_places_solvable
-        assert not report.everywhere_solvable
-        assert cli.main(["elkies", "verify", "--t", "infinity"]) == 0
-        out = json.loads(capsys.readouterr().out)
-        assert out["status"] == "no_local_point"
-        assert out["result"]["everywhere_locally_solvable"] is False
+        monkeypatch.setattr(elkies, "_bad_place_point", lambda u, w: (17 * point(u, w)[0], point(u, w)[1]))
+        assert fibre_certificate(1, 1) == (False, None)
+        code, out = run_verify(capsys)
+        assert code == 1 and out["status"] == "error"
+        assert out["result"] == {"message": "CertificateError: no local certificate for the fibre: "
+                                            "the places p | N: gcd(2uwc, N) = 17"}
 
     def test_the_singular_zero_is_no_certificate(self, monkeypatch):
-        # (0, 0) is a zero mod every p | N0, but y = 0 leaves no unit
-        # derivative to lift it by
-        monkeypatch.setattr(elkies, "_bad_place_point", lambda A, B: (0, 0))
-        for fib in (fibre(None), fibre(1), fibre(Fraction(13, 5))):
-            report = local_solvability_report(fib)
-            assert report.odd_bad_places and not any(ok for _, ok in report.odd_bad_places)
-            assert not report.everywhere_solvable
-        # the certificate's gcd sees y = 0 too
+        # (0, 0) is a zero mod every p | N, but y = 0 leaves no unit
+        # derivative to lift it by, and the certificate's gcd sees it
+        monkeypatch.setattr(elkies, "_bad_place_point", lambda u, w: (0, 0))
+        for t in (None, Fraction(1), Fraction(13, 5)):
+            with pytest.raises(CertificateError, match="gcd"):
+                verify_result(t)
         assert fibre_certificate(1, 1) == (False, None)
         assert family_scan(3) == (16, 0, 0)
 
-    def test_a_wrong_table_entry_is_no_local_point(self, monkeypatch):
-        # N0 = 17 = 2 mod 3, and (0, 1) is no zero of 2y^2 = z^4 - 17 mod 3
+    def test_a_wrong_table_entry_is_no_local_point(self, monkeypatch, capsys):
+        # N0 = 17 = 2 mod 3, and (0, 1) is no zero of 2y^2 = z^4 - 17 mod 3:
+        # status error and exit 1, not no_local_point
         monkeypatch.setitem(elkies._SMALL_PLACE_ZEROS, 3, {1: (0, 1), 2: (0, 1)})
-        report = local_solvability_report(fibre(None))
-        assert not report.good_places_solvable and not report.everywhere_solvable
+        assert not elkies._small_places_solvable(17)
         assert fibre_certificate(1, 1) == (False, None)
+        code, out = run_verify(capsys)
+        assert code == 1 and out["status"] == "error"
+        assert out["result"]["message"].endswith("q = 3, 5: the table lists no zero for N = 17")
 
 
 class TestBadPlaces:
-    """The point (2ABc, c) at the primes p | N0, against the walk and the
+    """The point (2uwc, c) at the primes p | N0, against the walk and the
     Hensel lift of a fourth root that certified them before."""
 
     def test_the_point_is_a_zero_at_every_bad_place_to_height_30(self):
         for fib in fibres_of_height_thirty():
-            y, z = elkies._bad_place_point(fib.A, fib.B)
-            c = fib.A**2 + 4 * fib.B**2
-            assert (y, z) == (2 * fib.A * fib.B * c, c)
-            assert 2 * y * y - z**4 == -c * c * fib.N0, fib.t
-            assert math.gcd(y, fib.N0) == 1, fib.t
+            u, w = elkies.uw_of(fib.t)
+            y, z = elkies._bad_place_point(u, w)
+            c, n = u**2 + 4 * w**2, u**4 + 16 * w**4
+            assert (y, z) == (2 * u * w * c, c)
+            assert 2 * y * y - z**4 == -c * c * n, fib.t
+            assert n % fib.N0 == 0 and math.gcd(y, n) == 1, fib.t
             for p, _ in fib.factorization.factors:
                 assert _is_smooth_zero(fib.N0, p, (y, z)), (fib.t, p)
                 walk = oracles.residue_walk_point(fib.N0, p)
@@ -566,11 +616,10 @@ class TestBadPlaces:
     def test_report_equals_the_hensel_report(self):
         large = 0
         for fib in fibres_of_height_ten():
-            report = local_solvability_report(fib)
             lifted = tuple(
                 (p, oracles.bad_place_lift(fib.N0, p, 12)) for p, _ in fib.factorization.factors
             )
-            assert report.odd_bad_places == lifted, fib.t
+            assert verify_places(fib)[1] == lifted, fib.t
             large += sum(p >= 500 for p, _ in lifted)
         assert large > 100  # places the oracle report does not search either
 
@@ -676,6 +725,9 @@ class TestFibreCertificate:
         for u, w in ((3, 3), (7, 7), (5, 15)):
             assert fibre_certificate(u, w) == (False, None), (u, w)
         assert fibre_certificate(2, 1) == (False, None)  # N = 0 mod 16
+        assert uncertified_rule(2, 1) == "Q_2: N = 32 is not 1 mod 16"
+        assert uncertified_rule(3, 3) == "the places p | N: gcd(2uwc, N) = 81"
+        assert uncertified_rule(1, 1) is None
 
     def test_a_certified_fibre_off_the_family_is_unobstructed(self):
         # w even: N = 1 + 16*2^4 = 257, a prime at which 2 is a fourth power
@@ -687,6 +739,24 @@ class TestFibreCertificate:
         for u, w in ((1, 1), (3, 1), (1, 4), (5, 3)):
             assert fibre_certificate(u, w) == (True, 2 if w % 2 else 0), (u, w)
             assert fibre_certificate(u, w)[1] == oracles.quartic_symbol_of_two(u * u, 4 * w * w)
+
+    def test_a_parity_that_disagrees_with_the_certificate_is_an_error(self, monkeypatch, capsys):
+        # the factored parity is a second derivation of the verdict: read
+        # without its largest contributing prime it disagrees, and verify
+        # reports the disagreement instead of either verdict
+        parity = elkies.obstruction_parity
+
+        def dropped(fib):
+            par = parity(fib)
+            kept = par.contributing_primes[:-1]
+            return par._replace(contributing_primes=kept, count=len(kept), invariant=InvariantValue.zero(),
+                                verdict="unobstructed")
+
+        monkeypatch.setattr(cli, "obstruction_parity", dropped)
+        code, out = run_verify(capsys, "13/5")
+        assert code == 1 and out["status"] == "error"
+        assert out["result"] == {"message": "CertificateError: the factored parity is unobstructed, "
+                                            "the certificate obstructed"}
 
     def test_the_scan_factors_nothing(self, monkeypatch, capsys):
         calls = []

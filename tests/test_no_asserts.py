@@ -16,7 +16,7 @@ import pytest
 
 import localglobal
 from localglobal import cubic, tower
-from localglobal.elkies import ElkiesFibre, QuarticRep
+from localglobal.elkies import ElkiesFibre
 from localglobal.exact import CertificateError
 
 SOURCE = Path(localglobal.__file__).parent
@@ -45,10 +45,10 @@ def test_the_scan_sees_asserts(tmp_path):
         lambda: ElkiesFibre(None, Fraction(17), 17, 1, 3),
         lambda: ElkiesFibre(None, Fraction(32), 32, 2, 1),
         lambda: ElkiesFibre(None, Fraction(1377), 1377, 3, 3),
-        lambda: QuarticRep(17, 1, 2),
-        lambda: QuarticRep(17, -1, 1),
+        lambda: ElkiesFibre(None, Fraction(17), 17, 1, None),
+        lambda: ElkiesFibre(None, Fraction(33), 33, None, None),
     ],
-    ids=["A^4 + 16B^4 != N0", "A even", "A, B not coprime", "a^2 + 16b^2 != p", "a < 0"],
+    ids=["A^4 + 16B^4 != N0", "A even", "A, B not coprime", "B missing", "a factor of N0 not 1 mod 8"],
 )
 def test_self_checks_raise_certificate_errors(build):
     with pytest.raises(CertificateError):
