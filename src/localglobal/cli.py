@@ -35,7 +35,7 @@ import time
 from fractions import Fraction
 from types import SimpleNamespace
 
-from .cubic import PI, Eisenstein, cube_class_group, hilbert3
+from .cubic import PI, Eisenstein, cube_class_group, express, hilbert3
 from .elkies import (
     _bad_place_point,
     family_scan,
@@ -406,16 +406,16 @@ def _work_elkies(args, stage):
 
 
 def _work_selmer(args, stage):
+    group = cube_class_group()
     if args.command == "verify":
         gamma_norm = norm_K_over_k(GAMMA)
         coefficients = evaluate_F_symbolic()
-        group = cube_class_group()
         t0 = time.perf_counter()
         f_class = evaluate_F_local()
         stage("descent", t0)
-        expected = group.express(PI * (Eisenstein.of(1) + PI * PI))
+        expected = express(PI * (Eisenstein.of(1) + PI * PI))
         section_point()  # validates 4*10 - 40 = 0 at its digits
-        pairing = group.pairing_of_vectors(group.express(2), f_class)
+        pairing = group.pairing_of_vectors(express(2), f_class)
         checks = f_class == expected and gamma_norm == Eisenstein.of(-10) and pairing != 0
         return ("ok" if checks else "error"), {
             "gamma_norm": _eisenstein_pair(gamma_norm),
@@ -428,14 +428,14 @@ def _work_selmer(args, stage):
         }
     t0 = time.perf_counter()
     report = survival_analysis()
-    conjugated = survival_analysis(conjugate=True)
     stage("analysis", t0)
-    consistent = (
-        conjugated.survives == report.survives
-        and conjugated.ann_23_dimension == report.ann_23_dimension
-        and conjugated.ann_60_dimension == report.ann_60_dimension
-        and (conjugated.pairing_with_2 != 0) == (report.pairing_with_2 != 0)
-    )
+    # tau fixes the classes of 2, 3 and 60 and negates the pairing, so the
+    # verdicts carry over to tau(F): it pairs with 2 and annihilates 60, and
+    # tau(witness) is its witness; no dimension depends on the class
+    tau_f, tau_witness = group.apply_tau(report.F_class), group.apply_tau(report.witness)
+    pairings = [group.pairing_of_vectors(express(n), vec) for n, vec in (
+        (2, tau_f), (60, tau_f), (60, tau_witness), (2, tau_witness), (3, tau_witness))]
+    consistent = pairings[0] != 0 and not any(pairings[1:])
     status = "ok" if report.survives and consistent else "error"
     return status, {
         "F_class": list(report.F_class),

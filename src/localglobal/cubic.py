@@ -274,22 +274,14 @@ class CubeClassGroup(record("CubeClassGroup", "generators pairing_matrix tau_mat
     as coords(a)^T M coords(b) in F_3; it is the solution of the Steinberg
     relations and comes out skew (M = -M^T).  tau_matrix is the induced
     action of the automorphism zeta_3 -> zeta_3^2 on classes; it is an
-    involution.
+    involution and negates the pairing (tau^T M tau = -M).
     """
 
     __slots__ = ()
 
-    def express(self, x) -> tuple[int, int, int, int]:
-        return express(x)
-
-    def pairing(self, x, y) -> int:
-        """The pairing value in F_3: 0 iff y is a norm from k_v(x^{1/3})."""
-        return self.pairing_of_vectors(self.express(x), self.express(y))
-
-    def hilbert3(self, a, b) -> InvariantValue:
-        return InvariantValue.thirds(self.pairing(a, b))
-
     def pairing_of_vectors(self, xv, yv) -> int:
+        """The pairing in F_3 of the classes xv of x and yv of y: 0 iff y
+        is a norm from k_v(x^{1/3})."""
         return (
             sum(xv[i] * self.pairing_matrix[i][j] * yv[j] for i in range(4) for j in range(4))
             % 3
@@ -351,6 +343,12 @@ def cube_class_group() -> CubeClassGroup:
     distinct nonzero rows (of 47) leave exactly one line of solutions,
     which is scaled so that its first nonzero entry (row-major) is 1.
     That the matrix is skew and of rank 4 is then checked, not assumed.
+
+    tau, zeta_3 -> zeta_3^2, moves the cube roots of unity the symbol
+    takes its values in to their inverses, so it obeys the Galois law
+    <tau a, tau b> = -<a, b> (Neukirch, V.3): tau^T M tau = -M, checked
+    with tau^2 = 1.  The law carries every verdict of `survival_analysis`
+    over to the conjugate class.
     """
     generators = (PI,) + _UNIT_GENERATORS
     for idx, g in enumerate(generators):
@@ -384,6 +382,9 @@ def cube_class_group() -> CubeClassGroup:
     ]
     if square != [[1 if i == j else 0 for j in range(4)] for i in range(4)]:
         raise CertificateError("tau must be an involution")
+    if any((sum(tau[k][i] * matrix[k][m] * tau[m][j] for k in range(4) for m in range(4))
+            + matrix[i][j]) % 3 for i in range(4) for j in range(4)):
+        raise CertificateError("tau must obey the Galois law <tau a, tau b> = -<a, b>")
 
     return CubeClassGroup(
         generators=generators,

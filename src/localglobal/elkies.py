@@ -38,20 +38,19 @@ __all__ = [
 
 
 # ------------------------------------------------------------------ fibres
-class ElkiesFibre(record("ElkiesFibre", "t N N0 A B factorization", (None,))):
+class ElkiesFibre(record("ElkiesFibre", "t N N0 A B factorization")):
     """One member of the family: parameter t (None encodes the fibre at
     infinity), its value N, the fourth-power-free part N0, the decomposition
     N0 = A^4 + 16B^4 with the smallest B, or A = B = None where N0 has none,
-    and the factorization of N0, factored here when none is given.  Every
-    p | N0 is 1 mod 8: for t = a/b, p divides u^4 + 16w^4 (`_uw`) and not
-    2w, as gcd(u, w) = 1, so (u/2w)^4 = -1 mod p, and u/2w has order 8 in
-    F_p*."""
+    and the factorization of N0.  Every p | N0 is 1 mod 8: for t = a/b, p
+    divides u^4 + 16w^4 (`_uw`) and not 2w, as gcd(u, w) = 1, so
+    (u/2w)^4 = -1 mod p, and u/2w has order 8 in F_p*."""
 
     __slots__ = ()
 
     def __new__(
         cls, t: Fraction | None, N: Fraction, N0: int, A: int | None, B: int | None,
-        factorization: Factorization | None = None,
+        factorization: Factorization,
     ):
         if A is not None or B is not None:
             if A is None or B is None or N0 != A**4 + 16 * B**4:
@@ -62,8 +61,6 @@ class ElkiesFibre(record("ElkiesFibre", "t N N0 A B factorization", (None,))):
                 raise CertificateError(f"A = {A} and B = {B} must be coprime")
         if N0 % 16 != 1:
             raise CertificateError(f"N0 = {N0} is not 1 mod 16")
-        if factorization is None:
-            factorization = factorize(N0)
         for p, _ in factorization.factors:
             if p % 8 != 1:
                 raise CertificateError(f"the factor {p} of N0 = {N0} is not 1 mod 8")

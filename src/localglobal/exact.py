@@ -243,12 +243,6 @@ class Factorization(record("Factorization", "sign factors")):
             out *= p**e
         return out
 
-    def exponent(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
-
     def as_dict(self) -> dict[int, int]:
         return dict(self.factors)
 
@@ -265,8 +259,8 @@ def factorize(n: int) -> Factorization:
     rest = abs(n)
     found: dict[int, int] = {}
 
-    def count(p, e=1):
-        found[p] = found.get(p, 0) + e
+    def count(p):
+        found[p] = found.get(p, 0) + 1
 
     for p in _TRIAL_PRIMES:
         if p * p > rest:  # no prime below p divides rest: it is 1 or a prime

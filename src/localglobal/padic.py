@@ -12,7 +12,6 @@ number type.  The labelled power classes of Q_p*/(Q_p*)**n live in
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .exact import residue, valuation
 
@@ -23,16 +22,6 @@ class InsufficientPrecision(Exception):
 
 class NoConvergence(Exception):
     """Newton iteration precondition v(f(a)) > 2 v(f'(a)) fails."""
-
-
-def _integral_residue(c, p: int, n: int) -> int:
-    """c (int or Fraction) modulo p**n; ValueError if v(c) < 0."""
-    if isinstance(c, int):
-        return c % p**n
-    c = Fraction(c)
-    if c.denominator % p == 0:
-        raise ValueError(f"{c} is not a {p}-adic integer")
-    return residue(c, p**n)
 
 
 def hensel_root(coeffs, start, p: int, n: int) -> tuple[int, int]:
@@ -51,7 +40,7 @@ def hensel_root(coeffs, start, p: int, n: int) -> tuple[int, int]:
     if n <= 0:
         raise InsufficientPrecision(f"no {p}-adic digits known (N={n})")
     mod = p**n
-    f = [_integral_residue(c, p, n) for c in coeffs]
+    f = [residue(c, mod) for c in coeffs]
     df = [i * c % mod for i, c in enumerate(f)][1:]
 
     def value(poly, x):
@@ -60,7 +49,7 @@ def hensel_root(coeffs, start, p: int, n: int) -> tuple[int, int]:
             acc = (acc * x + c) % mod
         return acc
 
-    x = _integral_residue(start, p, n)
+    x = residue(start, mod)
     fx, dfx = value(f, x), value(df, x)
     if not dfx:
         raise NoConvergence("derivative vanishes at working precision")

@@ -72,7 +72,7 @@ class NoPointError(Exception):
 
 
 # ---------------------------------------------------------------- parameters
-class TwistParams(record("TwistParams", "ell p ell_factorization", (None,))):
+class TwistParams(record("TwistParams", "ell p ell_factorization")):
     """The twisted quartic ell*Y^2 = Z^4 - p, with the factorization of
     |ell|, factored here when none is given.  A given factorization must
     multiply to |ell| and have proven primes.  p and the primes of |ell|
@@ -132,10 +132,6 @@ class ObstructionReport(record("ObstructionReport", "contributions total verdict
             if entry == place:
                 return values
         return frozenset({InvariantValue.zero()})  # good places
-
-    def as_dict(self) -> dict:
-        return {str(place): sorted(str(x) for x in values)
-                for place, values in self.contributions}
 
 
 def _sumset(sets) -> frozenset:
@@ -419,7 +415,7 @@ def density_experiment(ell: int, p_max: int) -> DensityReport:
 
 
 # ------------------------------------------------------- global searches
-def exhaustive_search(bound: int, ell: int = 2, rhs: int = 17) -> list:
+def exhaustive_search(bound: int, ell: int, rhs: int) -> list:
     """Integer solutions of ell*y^2 = z0^4 - rhs*z1^4 with gcd(z0, z1) = 1,
     y != 0, 0 <= z_i <= bound (solutions come in sign families, so
     nonnegative representatives are exhaustive)."""
@@ -442,7 +438,7 @@ def exhaustive_search(bound: int, ell: int = 2, rhs: int = 17) -> list:
     return solutions
 
 
-def model_smoothness_check(q: int, tw: TwistParams = TwistParams(2, 17)) -> bool:
+def model_smoothness_check(q: int, tw: TwistParams) -> bool:
     """Smoothness of the projective model (ell*T^2 = A^2 - p*B^2, AB = C^2)
     over F_q at a prime q of good reduction: the 2x4 Jacobian
     [[2*ell*T, -2A, 2p*B, 0], [0, B, A, -2C]] must have rank 2 at every

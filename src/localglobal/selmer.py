@@ -24,7 +24,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .cubic import cube_class_group, pi_valuation
+from .cubic import cube_class_group, express, pi_valuation
 from .exact import (
     CertificateError,
     _exact_coordinate,
@@ -314,7 +314,7 @@ def section_point() -> SelmerPoint:
     return SelmerPoint(0, _delta()[0], -2, field=Q3)
 
 
-def _class_at_digits(k: int, delta_k: int, coefficients, group):
+def _class_at_digits(k: int, delta_k: int, coefficients):
     """The cube class of F(delta) read off delta_k = delta mod 3^k, or None
     where the rule below does not prove it.
 
@@ -332,7 +332,7 @@ def _class_at_digits(k: int, delta_k: int, coefficients, group):
     value = descent_value_at(Fraction(delta_k), coefficients)
     if value.is_zero or 2 * k + m - pi_valuation(value) < 4:
         return None
-    return group.express(value)
+    return express(value)
 
 
 def evaluate_F_local() -> tuple[int, int, int, int]:
@@ -341,11 +341,10 @@ def evaluate_F_local() -> tuple[int, int, int, int]:
     The class of F(delta_k) at the least k at which `_class_at_digits`
     proves it that of F(delta), delta_k running over the residues of one
     Hensel root; CertificateError if none of its digits does (k = 4 does)."""
-    group = cube_class_group()
     coefficients = evaluate_F_symbolic()
     delta, digits = _delta()
     for k in range(1, digits + 1):
-        vec = _class_at_digits(k, delta % 3**k, coefficients, group)
+        vec = _class_at_digits(k, delta % 3**k, coefficients)
         if vec is not None:
             return vec
     raise CertificateError(
@@ -358,9 +357,7 @@ def evaluate_F_local() -> tuple[int, int, int, int]:
 class SurvivalReport(record(
     "SurvivalReport",
     "F_class pairing_with_2 pairing_with_3 pairing_with_60 in_annihilator_60"
-    " ann_23_dimension ann_60_dimension witness tau_plus_dimension tau_minus_dimension"
-    " conjugated",
-    defaults=(False,),
+    " ann_23_dimension ann_60_dimension witness tau_plus_dimension tau_minus_dimension",
 )):
     """Linear-algebra record of the survival argument in F_3^4.
 
@@ -368,7 +365,9 @@ class SurvivalReport(record(
     point) but annihilates 60, and some shift of it inside the annihilator
     of 60 is orthogonal to both 2 and 3: that witness class is compatible
     with every constraint the obstruction imposes, so the adelic section
-    behind it survives."""
+    behind it survives.  The same holds for the Galois conjugate class,
+    with the conjugate witness: the conjugation fixes the classes of 2, 3
+    and 60 and negates the pairing."""
 
     __slots__ = ()
 
@@ -381,21 +380,21 @@ class SurvivalReport(record(
         return self.in_annihilator_60 and self.witness is not None
 
 
-def survival_analysis(conjugate: bool = False) -> SurvivalReport:
+def survival_analysis() -> SurvivalReport:
     """Run the full F_3 linear algebra around the descent class.
 
-    With conjugate=True the class is replaced by its image under the
-    Galois automorphism zeta_3 -> zeta_3^2 (the classes of the rational
-    numbers 2, 3, 60 are fixed by it); all verdicts and dimensions must
-    be unchanged, which the callers use as a consistency check."""
+    The Galois automorphism tau: zeta_3 -> zeta_3^2 fixes the classes of
+    the rational numbers 2, 3 and 60, checked here, and negates the
+    pairing, checked by `cube_class_group`.  So each verdict holds for
+    tau of the class as well: tau(witness) is a witness for it, it pairs
+    with 2 as minus the class does, and no dimension depends on the
+    class."""
     group = cube_class_group()
     f_vec = evaluate_F_local()
-    if conjugate:
-        f_vec = group.apply_tau(f_vec)
 
-    class2 = group.express(2)
-    class3 = group.express(3)
-    class60 = group.express(60)
+    class2 = express(2)
+    class3 = express(3)
+    class60 = express(60)
     for rational_class in (class2, class3, class60):
         if group.apply_tau(rational_class) != rational_class:
             raise CertificateError(f"the rational class {rational_class} is not fixed by tau")
@@ -436,5 +435,4 @@ def survival_analysis(conjugate: bool = False) -> SurvivalReport:
         witness=witness,
         tau_plus_dimension=len(group.tau_eigenspace(1)),
         tau_minus_dimension=len(group.tau_eigenspace(-1)),
-        conjugated=conjugate,
     )

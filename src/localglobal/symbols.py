@@ -33,7 +33,7 @@ class Place(record("Place", "prime")):
 
     __slots__ = ()
 
-    def __new__(cls, prime: int | None = None):
+    def __new__(cls, prime: int | None):
         if prime is not None and not is_probable_prime(prime):
             raise ValueError(f"{prime} is not prime")
         return tuple.__new__(cls, (prime,))

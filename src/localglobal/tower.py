@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .cubic import ZETA, Eisenstein
 from .exact import (
@@ -244,9 +243,9 @@ class CurvePolynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms: dict):
         self.terms: dict[tuple[int, int, int], tuple] = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in terms.items():
             coeff = KElement.of(coeff).coeffs
             if any(coeff):
                 self.terms[tuple(mono)] = coeff
@@ -418,16 +417,19 @@ class CurveIdentityReport(record("CurveIdentityReport", (
         )
 
 
-@lru_cache(maxsize=8)
-def identity_check_primes(count: int = 3, start: int = 31) -> tuple[int, ...]:
-    """First `count` primes p >= start, p = 1 mod 3, with 6 a nonzero cube
+# The curve points over each F_p at which the suite re-evaluates the identities.
+_POINTS_PER_PRIME = 50
+
+
+def identity_check_primes() -> tuple[int, ...]:
+    """The first three primes p > 30 with p = 1 mod 3 and 6 a nonzero cube
     mod p: there x^3 - 6 splits, so the whole tower embeds into F_p."""
     out = []
-    p = start
-    while len(out) < count:
+    p = 31
+    while len(out) < 3:
         if is_probable_prime(p) and p % 3 == 1 and pow(6, (p - 1) // 3, p) == 1:
             out.append(p)
-        p += 2 if p > 2 else 1
+        p += 2
     return tuple(out)
 
 
@@ -489,7 +491,7 @@ def _curve_points(p: int):
                     yield (x, y, z)
 
 
-def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
+def curve_identity_suite() -> CurveIdentityReport:
     """Prove the resolvent identities behind the descent function.
 
     Symbolic parts reduce polynomials modulo the curve equation; numeric
@@ -549,7 +551,7 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
         checked[p] = 0
         excluded[p] = 0
         for x, y, z in _curve_points(p):
-            if checked[p] >= points_per_prime:
+            if checked[p] >= _POINTS_PER_PRIME:
                 break
             vals = [f(x, y, z) for f in form_at]
             if z % p == 0 or any(v == 0 for v in vals):
@@ -576,7 +578,7 @@ def curve_identity_suite(points_per_prime: int = 50) -> CurveIdentityReport:
             if (n_form - n_pert) % p:
                 perturbed_fails_somewhere = True
             checked[p] += 1
-        if checked[p] < points_per_prime:
+        if checked[p] < _POINTS_PER_PRIME:
             failures.append(f"only {checked[p]} usable points over F_{p}")
             b_points_ok = c_points_ok = False
 
@@ -634,16 +636,13 @@ def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
     return tuple(_over(part[0:2], 100) for part in product)
 
 
-def descent_value_at(delta_residue: Fraction, coefficients=None) -> Eisenstein:
+def descent_value_at(delta_residue: Fraction, coefficients) -> Eisenstein:
     """Evaluate the descent function at a rational stand-in for delta.
 
     Exact in the coordinates; callers choose a residue congruent to the
     actual cube root of 10 to the precision their class computation needs.
-    `coefficients` are those of `evaluate_F_symbolic()`, which computes
-    them when none are passed.
+    `coefficients` are those of `evaluate_F_symbolic()`.
     """
-    if coefficients is None:
-        coefficients = evaluate_F_symbolic()
     c0, c1, c2 = coefficients
     d = Fraction(delta_residue)
     return c0 + c1 * Eisenstein.of(d) + c2 * Eisenstein.of(d * d)

@@ -85,7 +85,6 @@ from localglobal.cubic import (
     Eisenstein,
     _rank3,
     _rref3,
-    cube_class_group,
     divide_by_pi,
     pi_valuation,
 )
@@ -1127,8 +1126,8 @@ def elkies_fibre(t) -> ElkiesFibre:
     """The fibre at t as `elkies.fibre` built it before the closed form:
     N(t) evaluated in Fractions, N0 its quartic-free part from
     `exact.quartic_free_part` (which factors N's numerator and
-    denominator), A and B by `least_b_search`, and the fibre factors N0
-    again when it is built."""
+    denominator), A and B by `least_b_search`, and the factorization of
+    N0, factored again."""
     if t is None or (isinstance(t, str) and t.lower() in ("infinity", "inf", "oo")):
         return quartic_free_fibre(None, Fraction(17))
     t_val = Fraction(t)
@@ -1140,7 +1139,7 @@ def quartic_free_fibre(t_val, n_val: Fraction) -> ElkiesFibre:
     n0, _ = quartic_free_part(n_val)
     if n0 <= 0 or n0 % 16 != 1:
         raise CertificateError(f"N0 = {n0} is not a positive 1 mod 16")
-    return ElkiesFibre(t_val, n_val, n0, *least_b_search(n0))
+    return ElkiesFibre(t_val, n_val, n0, *least_b_search(n0), exact.factorize(n0))
 
 
 def fourth_root(n: int):
@@ -1907,12 +1906,11 @@ def evaluate_F_local(precision: int = 12) -> tuple[int, int, int, int]:
     """`selmer.evaluate_F_local` before its digit rule: the class of the
     descent value at delta mod 3**precision, computed again at precision + 2
     and required to agree, else InsufficientPrecision."""
-    group = cube_class_group()
     coefficients = tower.evaluate_F_symbolic()
 
     def class_at(k: int):
         delta, _ = padic_hensel_root([-10, 0, 0, 1], 4, 3, k + 6)
-        return group.express(tower.descent_value_at(Fraction(delta % 3**k), coefficients))
+        return express(tower.descent_value_at(Fraction(delta % 3**k), coefficients))
 
     vec = class_at(precision)
     if class_at(precision + 2) != vec:
@@ -2141,9 +2139,9 @@ class CurvePolynomial:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms: dict):
         self.terms: dict[tuple[int, int, int], GenericK] = {}
-        for mono, coeff in (terms or {}).items():
+        for mono, coeff in terms.items():
             coeff = generic(coeff)
             if not coeff.is_zero:
                 self.terms[tuple(mono)] = coeff
@@ -2187,7 +2185,7 @@ class CurvePolynomial:
     def __mul__(self, other) -> "CurvePolynomial":
         if not isinstance(other, CurvePolynomial):
             other = CurvePolynomial.constant(other)
-        out = CurvePolynomial()
+        out = CurvePolynomial({})
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
@@ -2201,7 +2199,7 @@ class CurvePolynomial:
 
     def reduce(self) -> "CurvePolynomial":
         """Normal form modulo 3X^3 + 4Y^3 + 5Z^3 (X-exponents below 3)."""
-        out = CurvePolynomial()
+        out = CurvePolynomial({})
         work = list(self.terms.items())
         third = Fraction(1, 3)
         while work:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import oracles
 from oracles import power_class
 from localglobal import cli
-from localglobal.cubic import Eisenstein, PI, cube_class_group, hilbert3
+from localglobal.cubic import Eisenstein, PI, cube_class_group, express, hilbert3
 from localglobal.elkies import family_scan, fibre
 from localglobal.exact import primes_up_to, quartic_residue_symbol, split_prime_power
 from localglobal.padic import hensel_root
@@ -163,8 +163,8 @@ def test_c07_family_scan_height_10():
 
 def test_c08_exhaustive_search_vs_local_points():
     t0 = time.perf_counter()
-    assert exhaustive_search(1000) == []
     tw = TwistParams(2, 17)
+    assert exhaustive_search(1000, tw.ell, tw.p) == []
     places = ["infinity"] + [q for q in primes_up_to(100)]
     for v in places:
         pt = oracles.local_point(tw, v)  # the lifting-tree search
@@ -181,12 +181,11 @@ def test_c09_cubic_descent_exact_values():
     assert c0 == Eisenstein(Fraction(9), Fraction(-81, 5))
     assert c1 == Eisenstein(Fraction(36, 5), Fraction(9, 5))
     assert c2 == Eisenstein(Fraction(0), Fraction(-9, 5))
-    group = cube_class_group()
-    expected = group.express(PI * (Eisenstein.of(1) + PI * PI))
+    expected = express(PI * (Eisenstein.of(1) + PI * PI))
     assert evaluate_F_local() == expected
     delta, _ = hensel_root([-10, 0, 0, 1], 4, 3, 18)
     from localglobal.tower import descent_value_at
-    value = descent_value_at(Fraction(delta % 3**12))
+    value = descent_value_at(Fraction(delta % 3**12), (c0, c1, c2))
     assert not hilbert3(2, value).is_zero
     elapsed = time.perf_counter() - t0
     assert elapsed < 30
@@ -202,8 +201,8 @@ def test_c10_survival_linear_algebra():
     assert rep.in_annihilator_60
     assert rep.witness is not None
     group = cube_class_group()
-    assert group.pairing_of_vectors(group.express(2), rep.witness) == 0
-    assert group.pairing_of_vectors(group.express(3), rep.witness) == 0
+    assert group.pairing_of_vectors(express(2), rep.witness) == 0
+    assert group.pairing_of_vectors(express(3), rep.witness) == 0
     elapsed = time.perf_counter() - t0
     print(f"C10 PASS survival: dim ann<2,3> = 2, dim ann<60> = 3, descent class "
           f"annihilates 60, witness {rep.witness} kills both pairings [{elapsed:.1f}s]")
@@ -226,8 +225,9 @@ def test_c11_isogeny_suite():
 
 def test_c12_model_smoothness():
     t0 = time.perf_counter()
+    tw = TwistParams(2, 17)
     for q in (3, 5, 7, 11, 13):
-        assert model_smoothness_check(q), q
+        assert model_smoothness_check(q, tw), q
     elapsed = time.perf_counter() - t0
     print(f"C12 PASS projective model smooth: Jacobian rank 2 at every F_q point "
           f"for q in {{3, 5, 7, 11, 13}} [{elapsed:.1f}s]")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from localglobal import cli, selmer
+from localglobal import cli, cubic, selmer
 from localglobal.padic import InsufficientPrecision
 from localglobal.reichardt_lind import NoPointError
 from localglobal.symbols import InvariantValue, as_place
@@ -322,6 +322,33 @@ class TestPlumbing:
         code, rep = run_json(capsys, "selmer", "survival")
         assert code == 1 and rep["status"] == "error"
         assert rep["result"]["survives"] is False
+
+    def test_survival_runs_the_analysis_once(self, capsys, monkeypatch):
+        calls = []
+
+        def spy():
+            calls.append(None)
+            return selmer.survival_analysis()
+
+        monkeypatch.setattr(cli, "survival_analysis", spy)
+        code, rep = run_json(capsys, "selmer", "survival")
+        assert code == 0 and rep["result"]["conjugation_consistent"]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("command", ["survival", "verify"])
+    def test_a_conjugation_that_breaks_the_galois_law_exits_one(self, capsys, monkeypatch, command):
+        # tau = identity is an involution and fixes 2, 3 and 60, but it
+        # keeps the pairing where the law <tau a, tau b> = -<a, b> negates it
+        monkeypatch.setattr(cubic.Eisenstein, "conjugate", lambda self: self)
+        cubic.cube_class_group.cache_clear()
+        try:
+            code, rep = run_json(capsys, "selmer", command)
+        finally:
+            monkeypatch.undo()
+            cubic.cube_class_group.cache_clear()
+        assert code == 1 and rep["status"] == "error"
+        assert rep["result"]["message"] == (
+            "CertificateError: tau must obey the Galois law <tau a, tau b> = -<a, b>")
 
 
 # |ell| = (2^100 + 277)(2^101 + 81), both factors prime, and the fibre

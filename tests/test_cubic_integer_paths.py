@@ -20,6 +20,7 @@ import oracles
 from localglobal import cubic
 from localglobal.cubic import ONE, PI, ZETA, Eisenstein, express
 from localglobal.exact import CertificateError, split_prime_power
+from localglobal.symbols import InvariantValue
 from localglobal import tower
 from localglobal.tower import (
     GAMMA,
@@ -129,7 +130,8 @@ def test_the_table_checks_fire(monkeypatch):
 
 
 def test_hilbert3_reads_the_class_of_a_once(monkeypatch):
-    expected = cubic.cube_class_group().hilbert3(2, 3)
+    group = cubic.cube_class_group()
+    expected = InvariantValue.thirds(group.pairing_of_vectors(express(2), express(3)))
     calls = []
     real = cubic.express
     monkeypatch.setattr(cubic, "express", lambda x: calls.append(x) or real(x))

@@ -161,8 +161,10 @@ class TestClosedFormFibre:
         obstruction_parity(oracles.elkies_fibre(Fraction(1, 3)))
         assert len(calls) == 3  # numerator, denominator, then N0 again
 
-    def test_a_directly_built_fibre_factors_n0(self):
-        f = ElkiesFibre(Fraction(1), Fraction(1921, 81), 1921, 5, 3)
+    def test_a_directly_built_fibre_takes_the_factorization_of_n0(self):
+        with pytest.raises(TypeError):
+            ElkiesFibre(Fraction(1), Fraction(1921, 81), 1921, 5, 3)  # the fibre does not factor
+        f = ElkiesFibre(Fraction(1), Fraction(1921, 81), 1921, 5, 3, factorize(1921))
         assert f.factorization == factorize(1921)
         assert f == fibre(1)
 

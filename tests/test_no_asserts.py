@@ -17,7 +17,7 @@ import pytest
 import localglobal
 from localglobal import cubic, tower
 from localglobal.elkies import ElkiesFibre
-from localglobal.exact import CertificateError
+from localglobal.exact import CertificateError, factorize
 
 SOURCE = Path(localglobal.__file__).parent
 
@@ -42,11 +42,11 @@ def test_the_scan_sees_asserts(tmp_path):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: ElkiesFibre(None, Fraction(17), 17, 1, 3),
-        lambda: ElkiesFibre(None, Fraction(32), 32, 2, 1),
-        lambda: ElkiesFibre(None, Fraction(1377), 1377, 3, 3),
-        lambda: ElkiesFibre(None, Fraction(17), 17, 1, None),
-        lambda: ElkiesFibre(None, Fraction(33), 33, None, None),
+        lambda: ElkiesFibre(None, Fraction(17), 17, 1, 3, factorize(17)),
+        lambda: ElkiesFibre(None, Fraction(32), 32, 2, 1, factorize(32)),
+        lambda: ElkiesFibre(None, Fraction(1377), 1377, 3, 3, factorize(1377)),
+        lambda: ElkiesFibre(None, Fraction(17), 17, 1, None, factorize(17)),
+        lambda: ElkiesFibre(None, Fraction(33), 33, None, None, factorize(33)),
     ],
     ids=["A^4 + 16B^4 != N0", "A even", "A, B not coprime", "B missing", "a factor of N0 not 1 mod 8"],
 )
@@ -68,9 +68,9 @@ def test_wrong_decomposition_raises_under_dash_O():
     program = (
         "from fractions import Fraction\n"
         "from localglobal.elkies import ElkiesFibre\n"
-        "from localglobal.exact import CertificateError\n"
+        "from localglobal.exact import CertificateError, factorize\n"
         "try:\n"
-        "    ElkiesFibre(None, Fraction(17), 17, 1, 3)\n"
+        "    ElkiesFibre(None, Fraction(17), 17, 1, 3, factorize(17))\n"
         "except CertificateError:\n"
         "    raise SystemExit(0)\n"
         "raise SystemExit('a wrong decomposition was accepted')\n"

@@ -9,6 +9,11 @@ a module runs on import, the scan follows every name a definition loads, in
 its own module or through `from .module import name`; a reached class
 brings its whole body.  Annotations are not followed.  A definition that is
 reached only by a pinned one is pinned too.
+
+Every parameter default of the library is pinned here as well, each with
+the reason it stays: a default that no command, the benchmark or CI sets to
+a second value is a constant, and one that only tests use is an argument
+the tests pass.
 """
 
 import ast
@@ -25,7 +30,7 @@ ISOGENY = "the isogeny apparatus behind CI's step of 50 Q_3 points of E and thei
 UNREACHED = {
     **{f"tower.{name}": IDENTITY_SUITE for name in (
         "CurveIdentityReport", "CurvePolynomial", "EPS", "_QUADRIC_SLOTS", "_curve_points",
-        "_embed_flat", "_embed_polynomial", "_embedding_data", "_identity_sides",
+        "_POINTS_PER_PRIME", "_embed_flat", "_embed_polynomial", "_embedding_data", "_identity_sides",
         "_reduced_product", "_resolvent_parts", "curve_identity_suite", "identity_check_primes",
     )},
     **{f"selmer.{name}": ISOGENY for name in (
@@ -36,6 +41,26 @@ UNREACHED = {
     "symbols.product_formula_check": "the product formula, checked by the tests on 1000 pairs",
     "cubic.is_cube": "a test's check that norms from K land in the cubes",
     "exact.sqrt_mod_prime": "the isogeny apparatus's F_p points and the oracles' residue walks",
+}
+
+ISOGENY_DEFAULT = ISOGENY + "; ROADMAP item 3 decides where that apparatus lives"
+
+DEFAULTS = {
+    "cli.main(argv)": "the entry point: None reads sys.argv",
+    "reichardt_lind.TwistParams.__new__(ell_factorization)":
+        "rl verify and the benchmark build twists without a factorization",
+    "exact.record(defaults)": "the field defaults of the oracles' LocalPoint",
+    "exact._sqrt_mod_odd_prime(nonresidue)":
+        "the oracles' residue walk passes one nonresidue per prime, "
+        "pinned by test_residue_zeros_search_one_nonresidue_per_prime",
+    **{f"selmer.{name}": ISOGENY_DEFAULT for name in (
+        "WeierstrassPoint.__new__(a)", "WeierstrassPoint.__new__(b)",
+        "WeierstrassPoint.__new__(infinity)", "WeierstrassPoint.__new__(field)",
+        "WeierstrassPoint.at_infinity(field)", "SelmerPoint.__new__(field)",
+        "random_E_points_Q3(seed)", "random_curve_points_mod_p(seed)", "cubic_points_mod_p(form)",
+        "isogeny_sweep(primes)", "isogeny_sweep(per_prime)", "isogeny_sweep(seed)",
+    )},
+    "selmer.SelmerPoint.__new__(form)": ISOGENY_DEFAULT + "; section_point builds its (3, 4, 5) point by it",
 }
 
 
@@ -147,3 +172,54 @@ def test_the_scan_sees_what_it_must(tmp_path):
     # bound with `first` by one tuple unpacking, `TABLE` and the
     # `on_import` that a statement calls on import are reached
     assert unreached(tmp_path) == {"cli.third", "lib.Pair", "lib.dead", "lib.only_dead"}
+
+
+def parameter_defaults(source: Path = SOURCE) -> set:
+    """'module.qualname(parameter)' for every parameter with a default, of a
+    def or a lambda at any depth, and 'module.record(Name)' for every
+    `record` call that gives its fields defaults."""
+    found = set()
+
+    def visit(node, module: str, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                name = prefix + getattr(child, "name", "<lambda>")
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):] + [
+                    arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+                found.update(f"{module}.{name}({arg.arg})" for arg in defaulted)
+                visit(child, module, name + ".")
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "record"
+                    and (len(child.args) > 2 or any(k.arg == "defaults" for k in child.keywords))):
+                found.add(f"{module}.record({ast.literal_eval(child.args[0])})")
+            visit(child, module, prefix + child.name + "." if isinstance(child, ast.ClassDef) else prefix)
+
+    for path in sorted(source.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, "")
+    return found
+
+
+def test_every_parameter_default_is_pinned_with_a_reason():
+    assert parameter_defaults() == set(DEFAULTS)
+    assert len(DEFAULTS) == 17 and all(DEFAULTS.values())
+
+
+def test_the_default_scan_sees_what_it_must(tmp_path):
+    (tmp_path / "lib.py").write_text(
+        "from .exact import record\n"
+        "def plain(a, b=1, *, c, d=2):\n"
+        "    def inner(e=3):\n"
+        "        return e\n"
+        "    return inner\n"
+        "class Point(record('Point', 'x y', defaults=(0,))):\n"
+        "    def __new__(cls, x, y=0):\n"
+        "        return (lambda f=x: f)()\n"
+        "Pair = record('Pair', 'u v', (None,))\n"
+        "Bare = record('Bare', 'w')\n"
+    )
+    assert parameter_defaults(tmp_path) == {
+        "lib.plain(b)", "lib.plain(d)", "lib.plain.inner(e)", "lib.record(Point)",
+        "lib.Point.__new__(y)", "lib.Point.__new__.<lambda>(f)", "lib.record(Pair)",
+    }

@@ -56,7 +56,7 @@ SAMPLES = {
     "Place": lambda: symbols.Place(5),
     "InvariantValue": lambda: symbols.InvariantValue.half(),
     "CubeClassGroup": lambda: cubic.cube_class_group(),
-    "CurveIdentityReport": lambda: tower.curve_identity_suite(points_per_prime=5),
+    "CurveIdentityReport": lambda: tower.curve_identity_suite(),
     "TwistParams": lambda: TW,
     "ObstructionReport": lambda: reichardt_lind.forced_section_invariants(TW),
     "TwistConditions": lambda: reichardt_lind.twist_conditions(TW),
@@ -159,7 +159,7 @@ def test_elkies_fibre_keeps_its_factorization_and_stays_frozen():
         (lambda: oracles.QuarticRep(17, 1, 2), CertificateError),
         (lambda: oracles.QuarticRep(20, 2, 1), CertificateError),
         (lambda: oracles.QuarticRep(17, 1, -1), CertificateError),
-        (lambda: elkies.ElkiesFibre(None, Fraction(17), 17, 1, 3), CertificateError),
+        (lambda: elkies.ElkiesFibre(None, Fraction(17), 17, 1, 3, exact.factorize(17)), CertificateError),
         (lambda: elkies.ElkiesFibre(None, Fraction(17), 17, 1, 1, exact.factorize(19)), CertificateError),
         (lambda: symbols.Place(4), ValueError),
         (lambda: symbols.InvariantValue(Fraction(1, 4)), ValueError),

@@ -532,8 +532,8 @@ class TestDensity:
 
 class TestGlobalSearches:
     def test_exhaustive_empty(self):
-        assert exhaustive_search(200) == []
-        assert exhaustive_search(0) == []
+        assert exhaustive_search(200, 2, 17) == []
+        assert exhaustive_search(0, 2, 17) == []
 
     def test_control_equation_solution_excluded_by_nonzero_y(self):
         # with 17 replaced by 16 the tuple (y, z0, z1) = (0, 2, 1) solves
@@ -543,21 +543,21 @@ class TestGlobalSearches:
 
     def test_rejects_negative_bound(self):
         with pytest.raises(ValueError):
-            exhaustive_search(-1)
+            exhaustive_search(-1, 2, 17)
 
     def test_rejects_ell_zero(self):
         with pytest.raises(ValueError, match="ell must be nonzero"):
-            exhaustive_search(3, ell=0)
+            exhaustive_search(3, ell=0, rhs=17)
 
 
 class TestSmoothness:
     def test_good_reduction_smooth(self):
-        assert model_smoothness_check(3)
-        assert model_smoothness_check(5)
-        assert model_smoothness_check(13)
+        assert model_smoothness_check(3, RL)
+        assert model_smoothness_check(5, RL)
+        assert model_smoothness_check(13, RL)
 
     def test_bad_reduction_rejected(self):
         with pytest.raises(ValueError):
-            model_smoothness_check(2)
+            model_smoothness_check(2, RL)
         with pytest.raises(ValueError):
-            model_smoothness_check(17)
+            model_smoothness_check(17, RL)

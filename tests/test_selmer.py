@@ -1,13 +1,14 @@
 """Tests for the diagonal-cubic descent: Weierstrass maps, the 3-isogeny,
 and the F_3 linear algebra showing a surviving adelic class."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 import oracles
 from localglobal import selmer
-from localglobal.cubic import Eisenstein, PI, cube_class_group, pi_valuation
+from localglobal.cubic import Eisenstein, PI, cube_class_group, express, pi_valuation
 from localglobal.exact import CertificateError
 from localglobal.padic import hensel_root
 from localglobal.selmer import (
@@ -213,12 +214,11 @@ class TestDescentClass:
     def test_descent_value_valuation(self):
         delta, digits = hensel_root([-10, 0, 0, 1], 4, 3, 18)
         assert digits == 17
-        value = descent_value_at(Fraction(delta % 3**12))
+        value = descent_value_at(Fraction(delta % 3**12), evaluate_F_symbolic())
         assert pi_valuation(value) == 7
 
     def test_class_matches_the_expected_unit_times_pi(self):
-        group = cube_class_group()
-        expected = group.express(PI * (Eisenstein.of(1) + PI * PI))
+        expected = express(PI * (Eisenstein.of(1) + PI * PI))
         assert evaluate_F_local() == expected == (1, 0, 1, 0)
 
     def test_class_is_precision_stable(self):
@@ -226,15 +226,15 @@ class TestDescentClass:
         # from k = 4 on (v_pi(F) = 7, m = 4); every class it accepts is the
         # one the two-precision oracle finds, and the two it refuses first
         # are wrong
-        group, coefficients = cube_class_group(), evaluate_F_symbolic()
+        coefficients = evaluate_F_symbolic()
         delta, digits = selmer._delta()  # the residue of the y of section_point
         assert (digits, delta) == (19, section_point().y)
-        classes = {k: selmer._class_at_digits(k, delta % 3**k, coefficients, group)
+        classes = {k: selmer._class_at_digits(k, delta % 3**k, coefficients)
                    for k in range(1, 16)}
         assert [k for k, vec in classes.items() if vec is not None] == list(range(4, 16))
         oracle = {oracles.evaluate_F_local(n) for n in (3, 10, 12, 16)}
         assert oracle == {evaluate_F_local()} == {classes[k] for k in range(4, 16)}
-        wrong = [group.express(descent_value_at(Fraction(delta % 3**k), coefficients))
+        wrong = [express(descent_value_at(Fraction(delta % 3**k), coefficients))
                  for k in (1, 2)]
         assert wrong == [(0, 2, 1, 2), (1, 0, 2, 1)]
 
@@ -244,7 +244,7 @@ class TestDescentClass:
             evaluate_F_local()
 
     def test_ten_is_a_cube_locally(self):
-        assert cube_class_group().express(10) == (0, 0, 0, 0)
+        assert express(10) == (0, 0, 0, 0)
 
 
 class TestSurvival:
@@ -263,7 +263,7 @@ class TestSurvival:
     def test_witness_properties_recomputed(self):
         group = cube_class_group()
         rep = survival_analysis()
-        class2, class3, class60 = (group.express(n) for n in (2, 3, 60))
+        class2, class3, class60 = (express(n) for n in (2, 3, 60))
         assert group.pairing_of_vectors(class2, rep.witness) == 0
         assert group.pairing_of_vectors(class3, rep.witness) == 0
         shift = tuple((w - f) % 3 for w, f in zip(rep.witness, rep.F_class))
@@ -271,19 +271,32 @@ class TestSurvival:
         assert group.pairing_of_vectors(class60, shift) == 0
 
     def test_conjugation_invariance(self):
+        # tau(F) keeps a nonzero pairing with 2 and stays in the annihilator
+        # of 60, and tau(witness) is a witness for it: orthogonal to 2 and
+        # 3, and in tau(F) + ann(60)
         group = cube_class_group()
         rep = survival_analysis()
-        conj = survival_analysis(conjugate=True)
-        assert conj.F_class == group.apply_tau(rep.F_class)
-        assert (conj.pairing_with_2 != 0) == (rep.pairing_with_2 != 0)
-        assert conj.in_annihilator_60 == rep.in_annihilator_60
-        assert conj.ann_23_dimension == rep.ann_23_dimension
-        assert conj.ann_60_dimension == rep.ann_60_dimension
-        assert conj.survives == rep.survives
+        class2, class3, class60 = (express(n) for n in (2, 3, 60))
+        tau_f, tau_witness = group.apply_tau(rep.F_class), group.apply_tau(rep.witness)
+        assert (tau_f, tau_witness) == ((1, 2, 1, 1), (0, 0, 1, 2))
+        assert group.pairing_of_vectors(class2, tau_f) == (-rep.pairing_with_2) % 3 != 0
+        assert group.pairing_of_vectors(class60, tau_f) == 0
+        assert group.pairing_of_vectors(class2, tau_witness) == 0
+        assert group.pairing_of_vectors(class3, tau_witness) == 0
+        shift = tuple((w - f) % 3 for w, f in zip(tau_witness, tau_f))
+        assert group.pairing_of_vectors(class60, shift) == 0
+
+    def test_tau_negates_the_pairing(self):
+        # the Galois law <tau x, tau y> = -<x, y> on all 81 x 81 class pairs
+        group = cube_class_group()
+        classes = list(itertools.product(range(3), repeat=4))
+        for x, y in itertools.product(classes, repeat=2):
+            tx, ty = group.apply_tau(x), group.apply_tau(y)
+            assert group.pairing_of_vectors(tx, ty) == -group.pairing_of_vectors(x, y) % 3, (x, y)
 
     def test_plus_eigenspace_is_spanned_by_2_and_3(self):
         group = cube_class_group()
-        class2, class3 = group.express(2), group.express(3)
+        class2, class3 = express(2), express(3)
         assert group.apply_tau(class2) == class2
         assert group.apply_tau(class3) == class3
         assert len(group.tau_eigenspace(1)) == 2
@@ -291,6 +304,6 @@ class TestSurvival:
         assert class3 not in (class2, tuple(2 * c % 3 for c in class2))
 
     def test_class_of_60_is_nontrivial(self):
-        vec = cube_class_group().express(60)
+        vec = express(60)
         assert vec == (2, 2, 1, 2)
         assert vec[0] == 2  # uniformizer exponent 2, not divisible by 3
