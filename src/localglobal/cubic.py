@@ -43,7 +43,6 @@ __all__ = [
     "ZETA",
     "PI",
     "express",
-    "is_cube",
     "CubeClassGroup",
     "cube_class_group",
     "hilbert3",
@@ -216,10 +215,6 @@ def express(x) -> tuple[int, int, int, int]:
     v, u = unit_part(x)
     e1, e2, e3 = _unit_class_table()[27 * residue(u.a, 27) + residue(u.b, 27)]
     return (v % 3, e1, e2, e3)
-
-
-def is_cube(x) -> bool:
-    return express(x) == (0, 0, 0, 0)
 
 
 # ------------------------------------------------------ F_3 linear algebra

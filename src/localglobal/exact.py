@@ -123,9 +123,9 @@ class Record(tuple):
         return cls(*iterable)  # through the validating __new__, also for _replace
 
 
-def record(name: str, fields, defaults: tuple = ()) -> type:
+def record(name: str, fields) -> type:
     """The base of a record class: `Record` over `namedtuple(name, fields)`."""
-    return type(name, (Record, namedtuple(name, fields, defaults=defaults)), {"__slots__": ()})
+    return type(name, (Record, namedtuple(name, fields)), {"__slots__": ()})
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
@@ -243,9 +243,6 @@ class Factorization(record("Factorization", "sign factors")):
             out *= p**e
         return out
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.factors)
-
 
 def factorize(n: int) -> Factorization:
     """Factor a nonzero integer: trial division by the primes below 50, which
@@ -338,18 +335,6 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if r == p - 1 else 1
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a modulo an odd prime p (Tonelli-Shanks).
-
-    Returns a root in [0, p); raises ValueError on a nonresidue.  p is
-    tested for primality once, unless a = 0 mod p; residuosity then uses
-    Euler's criterion.
-    """
-    if a % p and (p == 2 or not is_probable_prime(p)):
-        raise ValueError(f"{p} is not an odd prime")
-    return _sqrt_mod_odd_prime(a, p)
-
-
 def _least_nonresidue(p: int) -> int:
     """The least quadratic non-residue mod the odd prime p (Euler's criterion)."""
     c = 2
@@ -359,9 +344,10 @@ def _least_nonresidue(p: int) -> int:
 
 
 def _sqrt_mod_odd_prime(a: int, p: int, nonresidue: int | None = None) -> int:
-    """`sqrt_mod_prime` for a p already known to be an odd prime, without
-    testing it again.  A caller that holds a quadratic non-residue mod p
-    passes it in, and Tonelli-Shanks (p = 1 mod 4) skips its search."""
+    """A square root of a modulo p in [0, p), for a p already known to be
+    an odd prime (Tonelli-Shanks); ValueError on a nonresidue.  A caller
+    that holds a quadratic non-residue mod p passes it in, and
+    Tonelli-Shanks (p = 1 mod 4) skips its search."""
     a %= p
     if a == 0:
         return 0
@@ -406,19 +392,6 @@ class QuarticResidue(record("QuarticResidue", "exponent label")):
     __slots__ = ()
 
     _LABELS = ("+1", "+i", "-1", "-i")
-
-    @property
-    def is_plus_one(self) -> bool:
-        return self.exponent == 0
-
-    @property
-    def sign(self) -> int:
-        """+1 or -1 when the value is real; error on +-i."""
-        if self.exponent == 0:
-            return 1
-        if self.exponent == 2:
-            return -1
-        raise ValueError(f"quartic symbol {self.label} is imaginary")
 
     def __str__(self):
         return self.label

@@ -23,7 +23,6 @@ __all__ = [
     "InvariantValue",
     "hilbert2",
     "hilbert2_reader",
-    "product_formula_check",
 ]
 
 
@@ -50,10 +49,6 @@ class Place(record("Place", "prime")):
     @property
     def is_real(self) -> bool:
         return self.prime is None
-
-    @property
-    def is_finite(self) -> bool:
-        return self.prime is not None
 
     def __str__(self) -> str:
         return "infinity" if self.prime is None else str(self.prime)
@@ -212,26 +207,3 @@ def hilbert2(a, b, v) -> tuple[int, InvariantValue]:
         inv = hilbert2_reader(place, b)(a)
     return (-1 if inv is _HALF else 1), inv
 
-
-def product_formula_check(a, b) -> InvariantValue:
-    """Sum of the invariants of (a, b) over every place where it can ramify.
-
-    The symbol is trivial at odd primes not dividing either argument, so
-    the sum runs over 2, the primes dividing the numerators and
-    denominators, and the real place.  Reciprocity says the result is 0;
-    the exact sum is returned so callers can assert it.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("nonzero arguments required")
-    from .exact import factorize
-
-    primes = {2}
-    for q in (a, b):
-        primes.update(factorize(q.numerator).as_dict())
-        primes.update(factorize(q.denominator).as_dict())
-    total = InvariantValue.zero()
-    for p in sorted(primes):
-        total = total + hilbert2(a, b, p)[1]
-    total = total + hilbert2(a, b, REAL_PLACE)[1]
-    return total

@@ -143,10 +143,6 @@ class KElement(QuotientElement):
     c1 = property(lambda self: Eisenstein._make(self.coeffs[2:4]))
     c2 = property(lambda self: Eisenstein._make(self.coeffs[4:6]))
 
-    @property
-    def is_cyclo(self) -> bool:
-        return not any(self.coeffs[2:])
-
     def norm(self) -> Eisenstein:
         """N_{K/k}: the determinant of multiplication by self in the basis
         1, eps, eps^2 (Cohen, A Course in Computational Algebraic Number

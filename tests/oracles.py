@@ -62,10 +62,15 @@ the K/k norm as closed form and generic determinant on Fraction
 coordinates, the search for elements of norm -10 that evaluates
 `norm_K_over_k` on every candidate, and the cubic
 Hilbert pairing matrix built from sampled norm subgroups of Kummer
-extensions.  Last, the curve polynomials of the identity suite with
+extensions.  Then the curve polynomials of the identity suite with
 generic K coefficients, the two sides of its identity (c) multiplied out
 in full, and the descent-value coefficients computed in the delta-algebra
-over them.
+over them.  Last come the elliptic curves E and E' of the cubic's descent
+and the 3-isogeny E' -> E, which no command runs: points are plain pairs
+checked against their equations, the square roots mod p come from sympy,
+the Q_3 roots from a Newton iteration on residues, and the substitution
+identity from `sympy.expand`; and the product formula for the quadratic
+Hilbert symbol, summed over the places where it can ramify.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ import random
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, partial
+
+import sympy
+from sympy.ntheory import nthroot_mod, sqrt_mod
 
 from localglobal import elkies, exact, reichardt_lind, tower
 from localglobal.cubic import (
@@ -106,7 +114,6 @@ from localglobal.exact import (
     record,
     residue,
     split_prime_power,
-    sqrt_mod_prime,
     valuation,
 )
 from localglobal.elkies import ElkiesFibre
@@ -706,7 +713,7 @@ def forced_section_invariants(tw) -> ObstructionReport:
 # before every place of a twist had a closed rule, as it was there.
 
 
-class LocalPoint(record("LocalPoint", "place y z precision chart", defaults=("near",))):
+class LocalPoint(record("LocalPoint", "place y z precision chart")):
     """A certified local solution; chart 'near' solves ell*y^2 = z^4 - p,
     chart 'far' solves ell*y^2 = 1 - p*z^4 (the substitution z -> 1/z,
     y -> y/z^2), and chart 'real' holds rational approximants.  At a
@@ -1004,7 +1011,7 @@ def quadratic_local_point(tw, q: int, precision: int = 16, *, allow_y_zero: bool
     depth_bound = 2 * split_prime_power(4 * tw.ell * tw.ell * tw.p, q)[0] + 6
     if allow_y_zero and power_class(tw.p, 4, q).is_nth_power:
         root = nth_root_padic(tw.p, 4, q, precision)
-        return LocalPoint(place, PadicNumber.zero(q, precision), root, precision)
+        return LocalPoint(place, PadicNumber.zero(q, precision), root, precision, "near")
     skip = variant
     for chart in ("near", "far"):
         result, skip = chart_search(tw, q, chart, depth_bound, precision, skip,
@@ -1187,7 +1194,7 @@ def bad_place_lift(n0: int, p: int, precision: int) -> bool:
     for y in range(p):
         u = (n0 + 2 * y * y) % p
         if u and pow(u, (p - 1) // math.gcd(4, p - 1), p) == 1:
-            z0 = sqrt_mod_prime(sqrt_mod_prime(u, p), p)
+            z0 = nthroot_mod(u, 4, p)
             root, _ = padic_hensel_root([-(n0 + 2 * y * y), 0, 0, 0, 1], z0, p, precision)
             return root % p != 0
     return False
@@ -1223,15 +1230,15 @@ def residue_walk_point(n0: int, q: int) -> tuple[int, int] | None:
 def smooth_residue_point(n0: int, q: int) -> tuple[int, int] | None:
     """`residue_walk_point` before it drew from `residue_zeros`:
     for y = 0, 1, ... the zero (y, 0) when n0 + 2y^2 = 0 mod q and y != 0,
-    or (y, z) with z a fourth root of the unit n0 + 2y^2, taken as a square
-    root of a square root; None if no y gives one."""
+    or (y, z) with z a fourth root of the unit n0 + 2y^2; None if no y
+    gives one."""
     for y in range(q):
         u = (n0 + 2 * y * y) % q
         if u == 0:
             if y:
                 return y, 0
         elif is_nth_power_unit(u, 4, q):
-            return y, sqrt_mod_prime(sqrt_mod_prime(u, q), q)
+            return y, nthroot_mod(u, 4, q)
     return None
 
 
@@ -2259,3 +2266,183 @@ def evaluate_F_symbolic() -> tuple[Eisenstein, Eisenstein, Eisenstein]:
     if DeltaPoly(0, 0, 1) ** 3 != DeltaPoly.of(100):
         raise CertificateError("delta^6 must reduce to 100")
     return tuple(eisenstein(part.c0 * Fraction(1, 100)) for part in product.coeffs)
+
+
+# ------------------------------------------- E, E' and the 3-isogeny E' -> E
+# The elliptic curves of Selmer's descent for 3X^3 + 4Y^3 + 5Z^3 = 0, which
+# no command runs.  A point is a plain pair (a, b), checked against its
+# equation where it is made: over F_p a pair of residues in [0, p), over Q or
+# Q_3 a pair of ints and Fractions (ints where integral).  None is the point
+# at infinity.
+
+CURVES = {"E": -24300, "Eprime": 900}  # b^2 = a^3 + CURVES[curve]
+_Q3_DIGITS = 20
+
+
+def _v3(x) -> int:
+    return split_prime_power(x, 3)[0]
+
+
+def _int_where_integral(c):
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def rational_point(curve: str, a, b) -> tuple:
+    """(a, b) on the curve over Q: the equation holds exactly."""
+    a, b = _int_where_integral(a), _int_where_integral(b)
+    if b * b != a**3 + CURVES[curve]:
+        raise ValueError(f"({a}, {b}) is not on {curve} over Q")
+    return a, b
+
+
+def residue_point(curve: str, a, b, p: int) -> tuple:
+    """(a, b) on the curve over F_p, as residues; a Fraction is read through
+    the inverse of its denominator, a ValueError where p divides it."""
+    a, b = (Fraction(c).numerator * pow(Fraction(c).denominator, -1, p) % p for c in (a, b))
+    if (b * b - a**3 - CURVES[curve]) % p:
+        raise ValueError(f"({a}, {b}) is not on {curve} mod {p}")
+    return a, b
+
+
+def q3_point(curve: str, a, b) -> tuple:
+    """(a, b) on the curve over Q_3: a rational pair that Hensel's lemma
+    lifts.  With k >= 0 least such that A = 9^k a and B = 27^k b are
+    3-integral, G = B^2 - A^3 - 3^(6k) shift must vanish, or have v_3(G)
+    above twice the valuation of dG/dB = 2B or of dG/dA = -3A^2."""
+    a, b = _int_where_integral(a), _int_where_integral(b)
+    k = max([0] + [-(_v3(c) // w) for c, w in ((a, 2), (b, 3)) if c])
+    A, B = a * 9**k, b * 27**k
+    g = B * B - A**3 - 3 ** (6 * k) * CURVES[curve]
+    if g and not any(d and _v3(g) > 2 * _v3(d) for d in (2 * B, 3 * A * A)):
+        raise ValueError(f"({a}, {b}) is not on {curve} over Q_3")
+    return a, b
+
+
+def cubic_to_weierstrass(A, B, C, p: int | None = None):
+    """The point of E over Q (p None) or F_p that [A : B : C] on the
+    norm-side cubic A^3 + B^3 + 60C^3 = 0 maps to: (-180C/(A + B),
+    270(A - B)/(A + B)), or None where A + B = 0.  A ValueError if
+    [A : B : C] is not on that cubic."""
+    reduce = (lambda x: x) if p is None else (lambda x: x % p)
+    if not any(map(reduce, (A, B, C))) or reduce(A**3 + B**3 + 60 * C**3):
+        raise ValueError(f"[{A} : {B} : {C}] is not on A^3 + B^3 + 60C^3 = 0 over {p or 'Q'}")
+    if reduce(A + B) == 0:
+        return None
+    a, b = Fraction(-180 * C, A + B), Fraction(270 * (A - B), A + B)
+    return rational_point("E", a, b) if p is None else residue_point("E", a, b, p)
+
+
+def isogeny_map(pt, p: int | None = None):
+    """The 3-isogeny E' -> E, (u, v) -> ((u^3 + 3600)/u^2, v (u^3 - 7200)/u^3),
+    over Q_3 (p None) or F_p.  Both ends are checked on their curves; the
+    kernel u = 0 and the point at infinity go to infinity."""
+    if pt is None:
+        return None
+    point = q3_point if p is None else (lambda curve, a, b: residue_point(curve, a, b, p))
+    u, v = point("Eprime", *pt)
+    if u == 0:
+        return None
+    return point("E", Fraction(u**3 + 3600, u * u), Fraction(v * (u**3 - 7200), u**3))
+
+
+def isogeny_identity_check() -> bool:
+    """The substitution behind `isogeny_map` in x = u^3:
+    (x + 3600)^3 - 24300 x^2 = (x + 900)(x - 7200)^2, so v^2 = x + 900
+    forces b^2 = a^3 - 24300."""
+    x = sympy.Symbol("x")
+    return sympy.expand((x + 3600) ** 3 - 24300 * x**2 - (x + 900) * (x - 7200) ** 2) == 0
+
+
+def unit_root_3adic(coeffs, start: int) -> tuple[int, int]:
+    """(root mod 3^_Q3_DIGITS, _Q3_DIGITS) of the polynomial with 3-integral
+    coefficients `coeffs` (constant first) near `start`, where its
+    derivative is a 3-adic unit: Newton's iteration on residues."""
+    modulus = 3**_Q3_DIGITS
+    cs = [Fraction(c).numerator * pow(Fraction(c).denominator, -1, modulus) for c in coeffs]
+    x = start
+    for _ in range(_Q3_DIGITS):  # Newton doubles the digits of a simple root
+        f = sum(c * x**i for i, c in enumerate(cs)) % modulus
+        if f == 0:
+            return x, _Q3_DIGITS
+        x = (x - f * pow(sum(i * c * x ** (i - 1) for i, c in enumerate(cs) if i), -1, modulus)) % modulus
+    raise ValueError(f"no simple 3-adic root near {start}")
+
+
+def isogeny_preimage_Q3(pt):
+    """A Q_3 point of E' over the Q_3 point (a, b) of E, or None over None.
+
+    v_3(a) <= 0 (else v_3(b^2) would be odd), so 3600/a^3 lies in 9 Z_3 and
+    T^3 - T^2 + 3600/a^3 has a root T = 1 mod 3; then u = T a and
+    v = b u^3/(u^3 - 7200).  The image of (u, v) must return b exactly and
+    a to v_3(a) + digits(T) digits; CertificateError otherwise."""
+    if pt is None:
+        return None
+    a, b = q3_point("E", *pt)
+    if _v3(a) > 0:
+        raise ValueError("no affine Q_3-point of E has positive valuation in a")
+    t, digits = unit_root_3adic([Fraction(3600) / a**3, 0, -1, 1], 1)
+    u = t * a
+    pre = q3_point("Eprime", u, Fraction(b * u**3, u**3 - 7200))
+    back_a, back_b = isogeny_map(pre)
+    if back_b != b or (back_a != a and _v3(back_a - a) < _v3(a) + digits):
+        raise CertificateError(f"isogeny round trip drifted at a={a}")
+    return pre
+
+
+def random_E_points_Q3(count: int, seed: int = 0) -> list:
+    """Random Q_3 points of E: a = 1 mod 3, divided by 9 one time in four,
+    makes a^3 - 24300 = 3^v w with v in {0, -6} and w = 1 mod 9 a square;
+    b = 3^(v/2) sqrt(w)."""
+    rng = random.Random(seed)
+    points = []
+    for _ in range(count):
+        a = Fraction(1 + 3 * rng.randrange(1, 500), 9 if rng.randrange(4) == 0 else 1)
+        v, w = split_prime_power(a**3 - 24300, 3)
+        points.append(q3_point("E", a, unit_root_3adic([-w, 0, 1], 1)[0] * Fraction(3) ** (v // 2)))
+    return points
+
+
+def random_curve_points_mod_p(curve: str, p: int, count: int, seed: int = 0) -> list:
+    """`count` random affine points of E or E' over F_p, p prime to 30."""
+    if p < 7 or 30 % p == 0:
+        raise ValueError("need a prime of good reduction (coprime to 30)")
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        u = rng.randrange(p)
+        v = sqrt_mod((u**3 + CURVES[curve]) % p, p)
+        if v is not None:
+            points.append(residue_point(curve, u, v, p))
+    return points
+
+
+def cubic_points_mod_p(p: int) -> list:
+    """Every point of A^3 + B^3 + 60C^3 = 0 over F_p, one per line, with
+    the first nonzero coordinate 1."""
+    lines = [(1, b, c) for b in range(p) for c in range(p)] + [(0, 1, c) for c in range(p)] + [(0, 0, 1)]
+    return [(A, B, C) for A, B, C in lines if (A**3 + B**3 + 60 * C**3) % p == 0]
+
+
+def isogeny_sweep(primes=(7, 11, 13, 17, 19, 23), per_prime: int = 100, seed: int = 0) -> int:
+    """The number of random E'(F_p) points pushed through the isogeny, at
+    several good primes; each image is checked on E."""
+    checked = 0
+    for p in primes:
+        for pt in random_curve_points_mod_p("Eprime", p, per_prime, seed + p):
+            isogeny_map(pt, p)
+            checked += 1
+    return checked
+
+
+# ------------------------------------------------------- product formula
+def product_formula_check(a, b) -> InvariantValue:
+    """The sum of the invariants of (a, b) over 2, the real place and every
+    prime of a numerator or denominator, the only places where it can be
+    nonzero; reciprocity makes it 0."""
+    a, b = Fraction(a), Fraction(b)
+    primes = {2} | {q for x in (a, b) for n in (x.numerator, x.denominator) for q in sympy.primefactors(n)}
+    total = hilbert2(a, b, REAL_PLACE)[1]
+    for p in sorted(primes):
+        total = total + hilbert2(a, b, p)[1]
+    return total

@@ -199,7 +199,7 @@ def test_closed_norm_matches_the_oracle_and_the_conjugate_product():
         norm = norm_K_over_k(x)
         assert norm.coeffs == oracles.k_closed_norm(pairs(x)), x
         product = x * sigma(x) * sigma(sigma(x))
-        assert product.is_cyclo and product.c0 == norm, x
+        assert not any(product.coeffs[2:]) and product.c0 == norm, x
 
 
 @pytest.mark.parametrize("denominators", [(1, 2, 3, 5), (3, 9, 27), (1, 1, 27, 7, 9)])

@@ -7,6 +7,7 @@ import oracles
 import pytest
 import sympy
 from oracles import quartic_free_part
+from sympy.ntheory import sqrt_mod
 
 from localglobal import exact
 from localglobal.exact import (
@@ -19,7 +20,6 @@ from localglobal.exact import (
     quartic_residue_symbol,
     residue,
     split_prime_power,
-    sqrt_mod_prime,
     valuation,
 )
 
@@ -144,8 +144,8 @@ def test_bases_are_sized_to_n(monkeypatch):
 
 
 def test_factorize_examples():
-    assert factorize(24300).as_dict() == {2: 2, 3: 5, 5: 2}
-    assert factorize(1921).as_dict() == {17: 1, 113: 1}
+    assert dict(factorize(24300).factors) == {2: 2, 3: 5, 5: 2}
+    assert dict(factorize(1921).factors) == {17: 1, 113: 1}
     assert factorize(-17) == Factorization(-1, ((17, 1),))
     assert factorize(1) == Factorization(1, ())
     with pytest.raises(ValueError):
@@ -156,12 +156,12 @@ def test_factorize_random_against_sympy():
     rng = random.Random(7)
     for _ in range(60):
         n = rng.randrange(2, 10**12)
-        assert factorize(n).as_dict() == sympy.factorint(n), n
+        assert dict(factorize(n).factors) == sympy.factorint(n), n
     # hard-ish semiprimes
     ps = [100003, 999983, 15485863, 32452843]
     for a in ps:
         for b in ps:
-            assert factorize(a * b).as_dict() == sympy.factorint(a * b)
+            assert dict(factorize(a * b).factors) == sympy.factorint(a * b)
 
 
 # Two 40-bit primes: Brent rho splits their product in 454526 iterations.
@@ -210,7 +210,7 @@ def test_quartic_free_part():
         q *= rng.choice([-1, 1])
         n0, m = quartic_free_part(q)
         assert q * m**4 == n0
-        assert all(e < 4 for e in factorize(n0).as_dict().values()) or abs(n0) == 1
+        assert all(e < 4 for _, e in factorize(n0).factors) or abs(n0) == 1
 
 
 def test_legendre_symbol():
@@ -226,40 +226,38 @@ def test_legendre_symbol():
 
 
 def test_sqrt_mod_prime():
-    # p = 1 mod 8 takes the Tonelli-Shanks loop, p = 3 mod 4 the closed form
+    # p = 1 mod 8 takes the Tonelli-Shanks loop, p = 3 mod 4 the closed form;
+    # each root is sympy's up to sign, and each refusal a sympy nonresidue
     for p in [3, 5, 7, 13, 17, 41, 73, 97, 113, 257, 331, 337]:
         squares = {x * x % p for x in range(1, p)}
-        assert sqrt_mod_prime(0, p) == sqrt_mod_prime(p, p) == 0
+        assert exact._sqrt_mod_odd_prime(0, p) == exact._sqrt_mod_odd_prime(p, p) == sqrt_mod(0, p) == 0
         for a in range(1, p):
             if a in squares:
-                r = sqrt_mod_prime(a, p)
+                r = exact._sqrt_mod_odd_prime(a, p)
                 assert 0 <= r < p and r * r % p == a
-                assert sqrt_mod_prime(a - p, p) == r
+                assert exact._sqrt_mod_odd_prime(a - p, p) == r
+                assert {r, p - r} == set(sqrt_mod(a, p, all_roots=True))
             else:
+                assert sqrt_mod(a, p) is None
                 with pytest.raises(ValueError):
-                    sqrt_mod_prime(a, p)
-    assert (sqrt_mod_prime(2, 17), sqrt_mod_prime(2, 257), sqrt_mod_prime(49, 337)) == (6, 60, 7)
-    for a, n in [(4, 15), (1, 2), (9, 91)]:
-        with pytest.raises(ValueError):
-            sqrt_mod_prime(a, n)
+                    exact._sqrt_mod_odd_prime(a, p)
+    roots = [exact._sqrt_mod_odd_prime(a, p) for a, p in ((2, 17), (2, 257), (49, 337))]
+    assert roots == [6, 60, 7]
 
 
-def _sqrt_outcome(sqrt, a, p):
-    try:
-        return sqrt(a, p)
-    except ValueError as exc:
-        return str(exc)
-
-
-def test_sqrt_without_the_primality_test_matches_sqrt_mod_prime(monkeypatch):
-    # elkies takes roots mod primes it has sieved or factored through the
-    # helper, which skips the Miller-Rabin test; roots and refusals agree.
-    # The public function's test is memoized here only to keep the sweep fast.
-    monkeypatch.setattr(exact, "is_probable_prime", functools.cache(is_probable_prime))
+def test_sqrt_mod_odd_prime_matches_sympy_below_2000():
+    # elkies and reichardt_lind take roots mod primes they have sieved or
+    # factored, through the helper that tests no primality: its root is
+    # sympy's least root up to sign, and it refuses exactly sympy's
+    # nonresidues
     for p in primes_up_to(2000)[1:]:
         for a in range(p):
-            assert _sqrt_outcome(exact._sqrt_mod_odd_prime, a, p) == \
-                _sqrt_outcome(sqrt_mod_prime, a, p), (a, p)
+            want = sqrt_mod(a, p)
+            try:
+                root = exact._sqrt_mod_odd_prime(a, p)
+            except ValueError:
+                root = None
+            assert root is None if want is None else min(root, p - root) == want, (a, p)
 
 
 def test_sqrt_with_a_given_nonresidue():
@@ -286,14 +284,12 @@ def test_sqrt_helper_certifies_its_root(monkeypatch):
 
 def test_quartic_residue_symbol_examples():
     s = quartic_residue_symbol(2, 17)
-    assert s.label == "-1" and s.exponent == 2 and s.sign == -1
-    assert quartic_residue_symbol(2, 113).is_plus_one
-    assert quartic_residue_symbol(2, 97).sign == -1
+    assert s.label == "-1" and s.exponent == 2
+    assert quartic_residue_symbol(2, 113).exponent == 0
+    assert quartic_residue_symbol(2, 97).exponent == 2
     # imaginary values occur exactly for quadratic non-residues
     t = quartic_residue_symbol(3, 17)
-    assert t.label in ("+i", "-i")
-    with pytest.raises(ValueError):
-        t.sign
+    assert t.label in ("+i", "-i") and t.exponent in (1, 3)
 
 
 def test_quartic_symbol_matches_fourth_power_membership():
@@ -303,7 +299,7 @@ def test_quartic_symbol_matches_fourth_power_membership():
         for a in range(2, 40):
             if a % p == 0:
                 continue
-            assert quartic_residue_symbol(a, p).is_plus_one == (a % p in fourth)
+            assert (quartic_residue_symbol(a, p).exponent == 0) == (a % p in fourth)
 
 
 def test_quartic_symbol_squares_to_legendre():

@@ -16,7 +16,7 @@ import oracles
 from localglobal import cubic
 from localglobal.cubic import ONE, PI, Eisenstein, divide_by_pi, express, hilbert3, unit_part
 from localglobal.exact import _exact_coordinate, _exact_coordinates, _exact_quotient, residue
-from localglobal.selmer import WeierstrassPoint
+from localglobal.selmer import SelmerPoint
 from localglobal.symbols import InvariantValue
 from localglobal.tower import EPS, CurvePolynomial, KElement, descent_value_at, evaluate_F_symbolic, norm_K_over_k, sigma
 
@@ -68,7 +68,7 @@ def test_exact_coordinate_and_quotient():
     # a float is refused, in the helper and in the constructors that use
     # it: 0.1 would stand in for its binary value, not for 1/10
     for build in (lambda: _exact_coordinate(0.5), lambda: Eisenstein(0.5, 0.1),
-                  lambda: WeierstrassPoint("Eprime", 0.0, 30.0)):
+                  lambda: SelmerPoint(0, 0.5, -2)):
         with pytest.raises(TypeError, match="a float is not an exact coordinate"):
             build()
     assert _exact_coordinates((1, -2, 0)) == (1, -2, 0)

@@ -30,6 +30,7 @@ from functools import lru_cache, partial
 from pathlib import Path
 
 import pytest
+from sympy.ntheory import sqrt_mod
 
 import oracles
 from localglobal import cli, elkies, exact, padic, reichardt_lind, symbols, tower
@@ -297,7 +298,7 @@ def test_rl_verify_reads_the_whole_image_of_a_place(capsys):
     points = out["result"]["point_analysis"]
     assert points["contributions"] == {"2": ["0", "1/2"], "31": ["0", "1/2"], "infinity": ["0"]}
     assert points["contributions"] == out["result"]["forced_analysis"]["contributions"]
-    r = exact.sqrt_mod_prime(2, 31)
+    r = sqrt_mod(2, 31)
     assert {hilbert2(y, 31, 31)[1] for y in (r, 31 - r)} == {HALF, ZERO}
 
 

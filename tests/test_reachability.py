@@ -25,42 +25,20 @@ SOURCE = Path(localglobal.__file__).parent
 
 IDENTITY_SUITE = ("the curve identity suite: the benchmark's cubic workload and CI run it, "
                   "`selmer verify` does not yet (ROADMAP item 3)")
-ISOGENY = "the isogeny apparatus behind CI's step of 50 Q_3 points of E and their preimages"
 
-UNREACHED = {
-    **{f"tower.{name}": IDENTITY_SUITE for name in (
-        "CurveIdentityReport", "CurvePolynomial", "EPS", "_QUADRIC_SLOTS", "_curve_points",
-        "_POINTS_PER_PRIME", "_embed_flat", "_embed_polynomial", "_embedding_data", "_identity_sides",
-        "_reduced_product", "_resolvent_parts", "curve_identity_suite", "identity_check_primes",
-    )},
-    **{f"selmer.{name}": ISOGENY for name in (
-        "CURVE_SHIFT", "WeierstrassPoint", "cubic_points_mod_p", "cubic_to_weierstrass",
-        "isogeny_identity_check", "isogeny_map", "isogeny_preimage_Q3", "isogeny_sweep",
-        "random_E_points_Q3", "random_curve_points_mod_p",
-    )},
-    "symbols.product_formula_check": "the product formula, checked by the tests on 1000 pairs",
-    "cubic.is_cube": "a test's check that norms from K land in the cubes",
-    "exact.sqrt_mod_prime": "the isogeny apparatus's F_p points and the oracles' residue walks",
-}
-
-ISOGENY_DEFAULT = ISOGENY + "; ROADMAP item 3 decides where that apparatus lives"
+UNREACHED = {f"tower.{name}": IDENTITY_SUITE for name in (
+    "CurveIdentityReport", "CurvePolynomial", "EPS", "_QUADRIC_SLOTS", "_curve_points",
+    "_POINTS_PER_PRIME", "_embed_flat", "_embed_polynomial", "_embedding_data", "_identity_sides",
+    "_reduced_product", "_resolvent_parts", "curve_identity_suite", "identity_check_primes",
+)}
 
 DEFAULTS = {
     "cli.main(argv)": "the entry point: None reads sys.argv",
     "reichardt_lind.TwistParams.__new__(ell_factorization)":
         "rl verify and the benchmark build twists without a factorization",
-    "exact.record(defaults)": "the field defaults of the oracles' LocalPoint",
     "exact._sqrt_mod_odd_prime(nonresidue)":
         "the oracles' residue walk passes one nonresidue per prime, "
         "pinned by test_residue_zeros_search_one_nonresidue_per_prime",
-    **{f"selmer.{name}": ISOGENY_DEFAULT for name in (
-        "WeierstrassPoint.__new__(a)", "WeierstrassPoint.__new__(b)",
-        "WeierstrassPoint.__new__(infinity)", "WeierstrassPoint.__new__(field)",
-        "WeierstrassPoint.at_infinity(field)", "SelmerPoint.__new__(field)",
-        "random_E_points_Q3(seed)", "random_curve_points_mod_p(seed)", "cubic_points_mod_p(form)",
-        "isogeny_sweep(primes)", "isogeny_sweep(per_prime)", "isogeny_sweep(seed)",
-    )},
-    "selmer.SelmerPoint.__new__(form)": ISOGENY_DEFAULT + "; section_point builds its (3, 4, 5) point by it",
 }
 
 
@@ -203,7 +181,7 @@ def parameter_defaults(source: Path = SOURCE) -> set:
 
 def test_every_parameter_default_is_pinned_with_a_reason():
     assert parameter_defaults() == set(DEFAULTS)
-    assert len(DEFAULTS) == 17 and all(DEFAULTS.values())
+    assert len(DEFAULTS) == 3 and all(DEFAULTS.values())
 
 
 def test_the_default_scan_sees_what_it_must(tmp_path):

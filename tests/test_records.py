@@ -8,7 +8,9 @@ before (`PowerClass`, before its forced sections read rules, and
 equal only to records of its own class, hash as the tuple of its fields,
 print as Name(field=value, ...) and refuse the tuple's `+`, `*` and `<`
 unless it defines its own operator.  The validations that build a record
-still refuse the same inputs with the same exceptions.  Importing the
+still refuse the same inputs with the same exceptions, as do the oracles'
+checks on the points of E and E', which were library records before the
+isogeny left the library.  Importing the
 package loads neither `dataclasses` (and with it `inspect`) nor
 `argparse`, which only help and usage errors need.
 """
@@ -65,8 +67,7 @@ SAMPLES = {
     "LocalSolvabilityReport": lambda: oracles.local_solvability_report(elkies.fibre(1)),
     "QuarticRep": lambda: oracles.quartic_rep(17),
     "ObstructionParity": lambda: elkies.obstruction_parity(elkies.fibre(1)),
-    "WeierstrassPoint": lambda: selmer.WeierstrassPoint("Eprime", 0, 30),
-    "SelmerPoint": lambda: selmer.SelmerPoint(1, -1, 0, (1, 1, 60)),
+    "SelmerPoint": lambda: selmer.section_point(),
     "SurvivalReport": lambda: selmer.survival_analysis(),
 }
 
@@ -80,7 +81,7 @@ def hash_of(x):
 
 def test_every_record_class_has_a_sample():
     classes = record_classes()
-    assert len(classes) - len(ORACLE_RECORDS) == 15
+    assert len(classes) - len(ORACLE_RECORDS) == 14
     assert set(classes) == set(SAMPLES)
 
 
@@ -163,8 +164,8 @@ def test_elkies_fibre_keeps_its_factorization_and_stays_frozen():
         (lambda: elkies.ElkiesFibre(None, Fraction(17), 17, 1, 1, exact.factorize(19)), CertificateError),
         (lambda: symbols.Place(4), ValueError),
         (lambda: symbols.InvariantValue(Fraction(1, 4)), ValueError),
-        (lambda: selmer.WeierstrassPoint("F"), ValueError),
-        (lambda: selmer.WeierstrassPoint("E", 0, 0), ValueError),
+        (lambda: oracles.q3_point("E", 1, 0), ValueError),
+        (lambda: oracles.rational_point("E", 0, 0), ValueError),
         (lambda: selmer.SelmerPoint(0, 0, 0), ValueError),
         (lambda: selmer.SelmerPoint(1, 1, 1), ValueError),
         (lambda: reichardt_lind.TwistParams(2, 17)._replace(p=15), ValueError),
@@ -179,12 +180,11 @@ def test_validations_still_refuse(build, error):
 def test_normalisations_reach_the_fields():
     assert symbols.InvariantValue(Fraction(5, 2)).value == Fraction(1, 2)
     assert symbols.InvariantValue(Fraction(5, 2)) == symbols.InvariantValue.half()
-    point = selmer.WeierstrassPoint("Eprime", Fraction(0), Fraction(30))
-    assert type(point.a) is int and type(point.b) is int and point.field is None
-    assert selmer.WeierstrassPoint("Eprime", 7, 30, field=7) == selmer.WeierstrassPoint("Eprime", 0, 2, field=7)
-    assert selmer.WeierstrassPoint.at_infinity("E") == selmer.WeierstrassPoint("E", None, None, True)
-    cubic_point = selmer.SelmerPoint(1, -1, 0, (1, 1, 60))
-    assert all(type(c) is int for c in cubic_point.coords) and cubic_point.form == (1, 1, 60)
+    point = oracles.rational_point("Eprime", Fraction(0), Fraction(30))
+    assert type(point[0]) is int and type(point[1]) is int
+    assert oracles.residue_point("Eprime", 7, 30, 7) == oracles.residue_point("Eprime", 0, 2, 7)
+    cubic_point = selmer.SelmerPoint(Fraction(0), selmer.section_point().y, Fraction(-4, 2))
+    assert all(type(c) is int for c in cubic_point) and cubic_point == selmer.section_point()
 
 
 # ------------------------------------------------------------ import hygiene

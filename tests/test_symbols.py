@@ -9,16 +9,15 @@ from localglobal.symbols import (
     REAL_PLACE,
     hilbert2,
     hilbert2_reader,
-    product_formula_check,
 )
 import oracles
-from oracles import _quotient_product, norm_test, power_class, quotient_norm
+from oracles import _quotient_product, norm_test, power_class, product_formula_check, quotient_norm
 from oracles import closed_is_local_norm as is_local_norm
 
 
 def test_place_basics():
     assert Place(17).prime == 17
-    assert REAL_PLACE.is_real and not REAL_PLACE.is_finite
+    assert REAL_PLACE.is_real and REAL_PLACE.prime is None
     assert str(Place(2)) == "2"
     assert str(REAL_PLACE) == "infinity"
     with pytest.raises(ValueError):

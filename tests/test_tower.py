@@ -188,7 +188,7 @@ class TestDescentFunction:
                         new[e] = new.get(e, KElement.of(0)) + term
                 poly = new
             for e, coeff in poly.items():
-                assert coeff.is_cyclo
+                assert not any(coeff.coeffs[2:])
                 lhs = lhs + coeff.c0 * Eisenstein.of(d**e)
             rhs = (c0 + c1 * Eisenstein.of(d) + c2 * Eisenstein.of(d * d)) * 100
             assert lhs == rhs
