@@ -17,14 +17,13 @@ and exit codes are argparse's own.  argparse is imported only there: a
 plain command line never loads it.
 
 Exit codes: 0 for a definite scientific outcome (ok, obstructed, or
-no_local_point), 2 for inconclusive (a p-adic step could not certify its
-digits, or factoring ran out of its budget of rho iterations, and the
-message names the cofactor it could not split; rl verify decides every
-place by rule, so only its factoring of |ell| can be), 1 for runtime
-errors and failed self-checks (status "error"), 64 for usage errors, a
---max-prime or --height below 1 and a --bound below 0 among them.  No
-command takes a digit count: each p-adic step works out its own from its
-input.
+no_local_point), 2 for inconclusive (factoring ran out of its budget of
+rho iterations, and the message names the cofactor it could not split;
+the rl commands factor |ell| and `elkies verify` the numerator of N(t)),
+1 for runtime errors and failed self-checks (status "error"), 64 for
+usage errors, a --max-prime or --height below 1 and a --bound below 0
+among them.  No command takes a digit count: the one p-adic step,
+selmer's cube root of 10 in Q_3, has its digits fixed.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .exact import (
     primes_up_to,
     quartic_residue_symbol,
 )
-from .padic import InsufficientPrecision
 from .reichardt_lind import (
     NoPointError,
     ObstructionReport,
@@ -517,7 +515,7 @@ def main(argv=None) -> int:
         code = 1 if status == "error" else 0
     except NoPointError as exc:
         status, result, code = "no_local_point", {"message": str(exc)}, 0
-    except (InsufficientPrecision, FactoringBudgetExhausted) as exc:
+    except FactoringBudgetExhausted as exc:
         status, result, code = "inconclusive", {"message": str(exc)}, 2
     except Exception as exc:  # noqa: BLE001 - reported in the payload
         status, result, code = "error", {"message": f"{type(exc).__name__}: {exc}"}, 1

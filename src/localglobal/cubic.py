@@ -12,9 +12,9 @@ integer residues, gives every cube class.
 Everything here is exact: an element a + b zeta_3 is an `Eisenstein`,
 a pair of coordinates, each an int when it is integral and a Fraction
 otherwise, divided only by `exact._exact_quotient`.  Pairs are multiplied
-by `_pair_product`, the same product the integer residue tables use, and
-the norm is a^2 - ab + b^2; classes are vectors in F_3^4.  The cubic
-Hilbert pairing is the one nonzero bilinear form on F_3^4, up to scale,
+by `_pair_product`, the same product the integer residue tables use, v_pi
+is read off the norm a^2 - ab + b^2, and classes are vectors in F_3^4.  The
+cubic Hilbert pairing is the one nonzero bilinear form on F_3^4, up to scale,
 that obeys the Steinberg relations (x, 1 - x) = 0 and (x, -x) = 0 on a
 box of small elements; it is solved for by linear algebra over F_3, and
 its skewness and rank are checked afterwards.
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import (
@@ -76,25 +75,10 @@ class Eisenstein(QuotientElement):
     a = property(lambda self: self.coeffs[0])
     b = property(lambda self: self.coeffs[1])
 
-    def norm(self) -> int | Fraction:
-        """N(a + b zeta_3) = a^2 - ab + b^2."""
-        a, b = self.coeffs
-        return a * a - a * b + b * b
-
     def conjugate(self) -> "Eisenstein":
         """The nontrivial automorphism: zeta_3 -> zeta_3^2."""
         a, b = self.coeffs
         return Eisenstein._make((a - b, -b))
-
-    def inverse(self) -> "Eisenstein":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("inverse of zero")
-        a, b = self.conjugate().coeffs
-        return Eisenstein._make((_exact_quotient(a, n), _exact_quotient(b, n)))
-
-    def __truediv__(self, other) -> "Eisenstein":
-        return self * Eisenstein.of(other).inverse()
 
 
 ZETA = Eisenstein(0, 1)

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from .exact import CertificateError, Factorization, factorize, is_perfect_square, record
-from .padic import is_nth_power_unit
+from .padic import is_fourth_power_unit
 from .symbols import InvariantValue
 
 __all__ = [
@@ -206,7 +206,7 @@ def fibre_certificate(u: int, w: int) -> tuple[bool, int | None]:
     The fibre's N0 differs from N by a fourth power, so the two curves have
     points over the same fields.  R: N > 0, as N = 1 mod 16 and N >= 0.
     Q_2: N = 1 mod 16 is a fourth power of a unit of Z_2
-    (`is_nth_power_unit`), so y = 0, z = N^(1/4) is a point.  Each p | N:
+    (`is_fourth_power_unit`), so y = 0, z = N^(1/4) is a point.  Each p | N:
     as c^2 - 8u^2w^2 = N, `_bad_place_point` (y, z) = (2uwc, c) is a zero of
     2y^2 - z^4 + N = N(1 - c^2), and gcd(y, N) = 1 makes y a unit mod every
     p | N at once; the same gcd keeps 3 and 5 off N.  Each good q:
@@ -240,7 +240,7 @@ def obstruction_parity(fib: ElkiesFibre) -> ObstructionParity:
     which is multiplicative over the primes of pi.
     """
     contributing = tuple(p for p, e in fib.factorization.factors
-                         if e % 2 == 1 and not is_nth_power_unit(2, 4, p))
+                         if e % 2 == 1 and not is_fourth_power_unit(2, p))
     count = len(contributing)
     invariant = InvariantValue.zero() if count % 2 == 0 else InvariantValue.half()
     verdict = "obstructed" if count % 2 == 1 else "unobstructed"

@@ -129,10 +129,8 @@ def record(name: str, fields) -> type:
 
 
 def _miller_rabin_round(n: int, a: int, d: int, s: int) -> bool:
-    """One strong-probable-prime test; True means `a` does not witness n composite."""
-    a %= n
-    if a == 0:
-        return True
+    """One strong-probable-prime test of odd n > 47 to a base 2 <= a <= n - 2;
+    True means `a` does not witness n composite."""
     x = pow(a, d, n)
     if x == 1 or x == n - 1:
         return True
@@ -183,8 +181,6 @@ def _brent_rho(n: int, budget: int) -> tuple[int, int]:
     each gcd batch, never inside a batch; past it, FactoringBudgetExhausted
     names n.
     """
-    if n % 2 == 0:
-        return 2, 0
     spent = 0
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
@@ -272,8 +268,6 @@ def factorize(n: int) -> Factorization:
     budget = RHO_BUDGET
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             count(m)
             continue
@@ -393,9 +387,6 @@ class QuarticResidue(record("QuarticResidue", "exponent label")):
 
     _LABELS = ("+1", "+i", "-1", "-i")
 
-    def __str__(self):
-        return self.label
-
 
 def quartic_residue_symbol(a: int, p: int) -> QuarticResidue:
     """Quartic residue character a**((p-1)/4) mod p for p = 1 mod 4, p not | a."""
@@ -420,8 +411,7 @@ def quartic_residue_symbol(a: int, p: int) -> QuarticResidue:
 
 
 def is_perfect_square(n: int) -> bool:
-    if n < 0:
-        return False
+    """Is the integer n >= 0 a square?  (math.isqrt refuses n < 0.)"""
     r = math.isqrt(n)
     return r * r == n
 
@@ -473,16 +463,15 @@ class QuotientElement:
     """The operator shell of a ring element stored as a coordinate tuple.
 
     A subclass fixes the ring: `_product(a, b)` multiplies two coordinate
-    tuples, `_scalar(x)` gives the coordinates of a scalar x, and
-    `_SCALARS` lists the scalar types.  Integers and Fractions add into
-    the first coordinate and multiply coordinatewise; any other scalar is
-    embedded by `_scalar` first.  Results of arithmetic are built by
-    `_make`, which turns their integral coordinates into ints by
+    tuples and `_scalar(x)` gives the coordinates of a scalar x.  Elements
+    of one ring add, subtract and multiply; integers and Fractions add into
+    the first coordinate and multiply coordinatewise.  Powers are
+    nonnegative: the shell has no inverse.  Results of arithmetic are
+    built by `_make`, which turns their integral coordinates into ints by
     `_exact_coordinates`, and VARIABLE names the generator when printing.
     """
 
     __slots__ = ("coeffs",)
-    _SCALARS: tuple = (int, Fraction)
     VARIABLE = "x"
 
     @classmethod
@@ -502,9 +491,6 @@ class QuotientElement:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
     def __eq__(self, other):
         if type(other) is type(self):
             return self.coeffs == other.coeffs
@@ -518,8 +504,6 @@ class QuotientElement:
             return self._make(tuple([s + t for s, t in zip(self.coeffs, other.coeffs)]))
         if isinstance(other, (int, Fraction)):
             return self._make((self.coeffs[0] + other,) + self.coeffs[1:])
-        if isinstance(other, self._SCALARS):
-            return self + self.of(other)
         return NotImplemented
 
     __radd__ = __add__
@@ -530,29 +514,20 @@ class QuotientElement:
     def __sub__(self, other):
         if type(other) is type(self):
             return self._make(tuple([s - t for s, t in zip(self.coeffs, other.coeffs)]))
-        if isinstance(other, (int, Fraction)):
-            return self._make((self.coeffs[0] - other,) + self.coeffs[1:])
-        if isinstance(other, self._SCALARS):
-            return self - self.of(other)
         return NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         if type(other) is type(self):
             return self._make(self._product(self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction)):
             return self._make(tuple([c * other for c in self.coeffs]))
-        if isinstance(other, self._SCALARS):
-            return self * self.of(other)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** -k
+            raise ValueError(f"no negative power {k}: the ring has no inverse")
         out, base = None, self
         while k:
             if k & 1:

@@ -1,12 +1,13 @@
-"""Hensel lifting and n-th power tests on integer residues.
+"""Hensel lifting and the fourth-power test on integer residues.
 
 Hensel lifting runs Newton's method on integer residues modulo p**N and
 returns a root at which v(f') = t as the pair (residue, N - t): the residue
 modulo p**(N - t), the digits that Hensel's lemma proves.  Whether a unit
-is an n-th power is read off its residue modulo p**(2 v_p(n) + 1).  Every
-p-adic value in the package is an int or a Fraction: there is no p-adic
-number type.  The labelled power classes of Q_p*/(Q_p*)**n live in
-`tests/oracles.py`, as a reference of the norm test there.
+is a fourth power is read off its residue modulo 16 at p = 2 and modulo p
+at odd p.  Every p-adic value in the package is an int or a Fraction:
+there is no p-adic number type.  The general n-th power rule and the
+labelled power classes of Q_p*/(Q_p*)**n live in `tests/oracles.py`, as a
+reference of the norm test there.
 """
 
 from __future__ import annotations
@@ -71,34 +72,16 @@ def hensel_root(coeffs, start, p: int, n: int) -> tuple[int, int]:
     return x % low, n - t
 
 
-# ----------------------------------------------------------------- n-th powers
-def _unit_label_digits(p: int, n: int) -> int:
-    """Units congruent mod p**k (k = 2 v_p(n) + 1) share their n-th power class."""
-    return 2 * valuation(n, p) + 1
+# ------------------------------------------------------------- fourth powers
+def is_fourth_power_unit(u: int, p: int) -> bool:
+    """Is the unit u a fourth power in Z_p*?
 
-
-def is_nth_power_unit(u: int, n: int, p: int) -> bool:
-    """Is the unit u an n-th power in Z_p*?
-
-    Closed criteria: odd p uses u**((p-1)/g) = 1 mod p with g = gcd(n, p-1);
-    p = 2 uses u = 1 mod 8 (squares) and u = 1 mod 16 (fourth powers);
-    p = 3, n = 3 uses u = +-1 mod 9.  Anything else falls back to exhausting
-    the stabilized residue ring p**(2 v_p(n) + 1).
-    """
+    At p = 2 the unit fourth powers are 1 + 16 Z_2, so u = 1 mod 16.  At
+    odd p, Hensel's lemma lifts a fourth root of u mod p, and F_p* is
+    cyclic: u is a fourth power iff u**((p-1)/g) = 1 mod p, g = gcd(4, p-1)
+    (Euler's test)."""
     if u % p == 0:
         raise ValueError("not a unit")
-    if p != 2 and n % p != 0:
-        g = math.gcd(n, p - 1)
-        return pow(u % p, (p - 1) // g, p) == 1
     if p == 2:
-        s = valuation(n, 2)  # the odd part of n acts invertibly on Z_2 units
-        if s == 0:
-            return True
-        if s == 1:
-            return u % 8 == 1
-        if s == 2:
-            return u % 16 == 1
-    if p == 3 and n == 3:
-        return u % 9 in (1, 8)
-    mod = p ** _unit_label_digits(p, n)
-    return any(r % p and pow(r, n, mod) == u % mod for r in range(1, mod))
+        return u % 16 == 1
+    return pow(u % p, (p - 1) // math.gcd(4, p - 1), p) == 1

@@ -6,11 +6,11 @@ bad place; no lifting tree is searched and no norm group is classified:
 * `local_image` gives, at each bad place, the exact set of invariants of
   the quaternion class (y, p) over the local points: the classes of the
   square roots of ell at q = p (`_image_at_p`), checked against one point
-  that Hensel's lemma certifies; every class where p is a 4th power in
-  Q_q; none at the other odd q | ell; and at q = 2 a rule on the
-  valuation of z, ell mod 32 and p mod 16.  For (2, 17) the curve has
-  points everywhere locally, yet every sum of one invariant per place is
-  the nonzero class 1/2.
+  that Hensel's lemma lifts from a simple root mod p; every class where p
+  is a 4th power in Q_q; none at the other odd q | ell; and at q = 2 a
+  rule on the valuation of z, ell mod 32 and p mod 16.  For (2, 17) the
+  curve has points everywhere locally, yet every sum of one invariant per
+  place is the nonzero class 1/2.
 * `forced_section_invariants` computes, at each bad place v, the set of
   invariants forced on *any* local splitting of the fundamental group
   extension: the y-coordinate classes for which ell*y^2 is a norm from
@@ -38,7 +38,7 @@ from .exact import (
     primes_up_to,
     record,
 )
-from .padic import hensel_root, is_nth_power_unit
+from .padic import is_fourth_power_unit
 from .symbols import (
     REAL_PLACE,
     InvariantValue,
@@ -183,9 +183,10 @@ def local_image(tw: TwistParams, place) -> frozenset:
     ell*y^2/z^4 is a 1-unit, hence a square, so y lies in the class of
     +-1/r with r^2 = ell mod p: the image is {inv(r), inv(-r)}
     (`_image_at_p`), or empty if ell is not a square mod p.  The rule is
-    checked on one point: (y, 1) with ell*y^2 = 1 - p, whose y is certified
-    by Hensel's lemma from the simple root y0 = sqrt((1 - p)/ell) mod p, to
-    the one digit the symbol of a unit reads.  y0 is found apart from the
+    checked on one point: (y, 1) with ell*y^2 = 1 - p.  Its residue
+    y0 = sqrt((1 - p)/ell) mod p is a simple root (2*ell*y0 is a unit), so
+    Hensel's lemma lifts it to a point of Q_p, and the symbol (y, p)_p of
+    the unit y reads only that one digit.  y0 is found apart from the
     rule, and its invariant must lie in the image, else CertificateError.
     The real place, and q != p with p a 4th power in Q_q: {0}, as p is a
     square, and at q the smooth point (0, p^(1/4)) gives points with
@@ -199,12 +200,11 @@ def local_image(tw: TwistParams, place) -> frozenset:
         if not image:
             raise NoPointError(place, f"{ell} is not a square mod {p}")
         y0 = _sqrt_mod_odd_prime((1 - p) * pow(ell, -1, p), p)
-        y, _ = hensel_root([p - 1, 0, ell], y0, p, 1)
-        first = hilbert2_reader(place, p)(y)
+        first = hilbert2_reader(place, p)(y0)
         if first not in image:
             raise CertificateError(f"a point over Q_{p} has the invariant {first}, off the rule")
         return image
-    if place.is_real or is_nth_power_unit(p, 4, q):
+    if place.is_real or is_fourth_power_unit(p, q):
         return _ZERO_ONLY
     if q != 2:
         raise NoPointError(place, f"v({ell}*y^2) is odd and v(z^4 - {p}) even")
@@ -311,7 +311,7 @@ def forced_section_invariants(tw: TwistParams) -> ObstructionReport:
         elif q == 2:
             contributions[place] = _forced_at_2(ell, p)
         else:
-            contributions[place] = _ZERO_ONLY if is_nth_power_unit(p, 4, q) else _NONE
+            contributions[place] = _ZERO_ONLY if is_fourth_power_unit(p, q) else _NONE
     return _make_report(contributions)
 
 

@@ -61,10 +61,9 @@ def _on_curve(value, coords, partials) -> bool:
     With k >= 0 the least that makes every 3^k x_i integral, x_i -> 3^k x_i
     multiplies F by 3^(3k) and dF/dx_i by 3^(2k).  There Hensel's lemma in
     the one variable of the least v_3(dF/dx_i) != 0 needs
-    v_3(F) > 2 v_3(dF/dx_i), the others fixed.  An exact zero is a point
-    already."""
-    if value == 0:
-        return True
+    v_3(F) > 2 v_3(dF/dx_i), the others fixed.  `value` is never 0: the
+    cubic has no rational point (Selmer's theorem), and `SelmerPoint`
+    refuses the zero vector."""
     k = max([0] + [-_v3(x) for x in coords if x])
     least = min((_v3(d) + 2 * k for d in partials if d), default=None)
     return least is not None and _v3(value) + 3 * k > 2 * least

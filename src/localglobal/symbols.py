@@ -84,8 +84,8 @@ class InvariantValue(record("InvariantValue", "value")):
     Addition is modulo 1.
 
     The four legal values 0, 1/3, 1/2 and 2/3 are built once, with their
-    hashes: construction, + and - return those instances from tables, and
-    do no Fraction arithmetic.
+    hashes: construction and + return those instances from tables, and do
+    no Fraction arithmetic.
     """
 
     __slots__ = ()
@@ -125,21 +125,17 @@ class InvariantValue(record("InvariantValue", "value")):
             return NotImplemented
         raise ValueError(f"unsupported invariant denominator: {(self.value + other.value) % 1}")
 
-    def __neg__(self) -> "InvariantValue":
-        return _NEGATIVES[id(self)]
-
     def __str__(self) -> str:
         return str(self.value)
 
 
-# The four values k/6, keyed by k; their hashes, sums and negatives are
+# The four values k/6, keyed by k; their hashes and sums are
 # keyed by the ids of these instances, which are the only ones __new__ makes.
 _BY_SIXTHS = {k: tuple.__new__(InvariantValue, (Fraction(k, 6),)) for k in (0, 2, 3, 4)}
 _ZERO, _HALF = _BY_SIXTHS[0], _BY_SIXTHS[3]
 _HASHES = {id(x): hash((x.value,)) for x in _BY_SIXTHS.values()}
 _SUMS = {(id(x), id(y)): _BY_SIXTHS[(j + k) % 6]
          for j, x in _BY_SIXTHS.items() for k, y in _BY_SIXTHS.items() if (j + k) % 6 in _BY_SIXTHS}
-_NEGATIVES = {id(x): _BY_SIXTHS[-k % 6] for k, x in _BY_SIXTHS.items()}
 
 
 # ------------------------------------------------------- quadratic symbols

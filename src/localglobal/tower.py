@@ -127,7 +127,6 @@ class KElement(QuotientElement):
     """
 
     __slots__ = ()
-    _SCALARS = (Eisenstein, int, Fraction)
     _product = staticmethod(_k_product)
 
     def __init__(self, *coeffs):
@@ -181,12 +180,6 @@ class KElement(QuotientElement):
             a0 * n0 + b0 * m0 - t0 - 6 * (a2 * n1 + b2 * m1 - t1) + 6 * (a1 * n2 + b1 * m2 - t2),
         ), d * d * d)
 
-    def inverse(self) -> "KElement":
-        """sigma(x) sigma^2(x) / N(x), N the cross-checked `norm_K_over_k`;
-        ZeroDivisionError on 0, from `Eisenstein.inverse` of N(0) = 0."""
-        inverse_norm, conjugate = norm_K_over_k(self).inverse(), sigma(self)
-        return conjugate * sigma(conjugate) * inverse_norm
-
     def __str__(self) -> str:
         powers = ("", "*eps", "*eps^2")
         return " + ".join(f"({c}){x}" for c, x in zip((self.c0, self.c1, self.c2), powers))
@@ -229,12 +222,11 @@ class CurvePolynomial:
 
     Monomials are exponent triples and coefficients are the flat 6-tuples
     of `KElement`, so products run on `_k_product`.  The constructor takes
-    KElement, Eisenstein, int or Fraction coefficients, and `evaluate`
-    returns a KElement.  Reduction
-    modulo the plane cubic 3X^3 + 4Y^3 + 5Z^3 rewrites
-    X^3 -> (-4Y^3 - 5Z^3)/3, which puts every class into the normal form
-    with X-exponent at most 2, so equality of reduced forms is equality
-    modulo the curve ideal.
+    KElement, Eisenstein, int or Fraction coefficients, and so does a
+    product with a scalar.  Reduction modulo the plane cubic
+    3X^3 + 4Y^3 + 5Z^3 rewrites X^3 -> (-4Y^3 - 5Z^3)/3, which puts every
+    class into the normal form with X-exponent at most 2, so a difference
+    that reduces to zero is zero modulo the curve ideal.
     """
 
     __slots__ = ("terms",)
@@ -263,9 +255,7 @@ class CurvePolynomial:
     def constant(cls, value) -> "CurvePolynomial":
         return cls({(0, 0, 0): value})
 
-    def __add__(self, other) -> "CurvePolynomial":
-        if not isinstance(other, CurvePolynomial):
-            other = CurvePolynomial.constant(other)
+    def __add__(self, other: "CurvePolynomial") -> "CurvePolynomial":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
             prev = out.get(mono)
@@ -275,15 +265,8 @@ class CurvePolynomial:
     def __neg__(self) -> "CurvePolynomial":
         return CurvePolynomial._make({m: tuple([-v for v in c]) for m, c in self.terms.items()})
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "CurvePolynomial":
-        if not isinstance(other, CurvePolynomial):
-            other = CurvePolynomial.constant(other)
+    def __sub__(self, other: "CurvePolynomial") -> "CurvePolynomial":
         return self + (-other)
-
-    def __rsub__(self, other) -> "CurvePolynomial":
-        return (-self) + other
 
     def __mul__(self, other) -> "CurvePolynomial":
         if not isinstance(other, CurvePolynomial):
@@ -323,20 +306,6 @@ class CurvePolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CurvePolynomial) and (self - other).reduce().is_zero
-
-    def __hash__(self):
-        raise TypeError("unhashable")
-
-    def evaluate(self, x, y, z) -> KElement:
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        total = _FLAT_ZERO
-        for (i, j, k), coeff in self.terms.items():
-            scale = x**i * y**j * z**k
-            total = _k_sum(total, [v * scale for v in coeff])
-        return KElement._make(total)
 
 
 def _resolvent_parts():
@@ -456,9 +425,9 @@ def _embed_polynomial(f: CurvePolynomial, p: int, zeta: int, eps: int):
     F_p, as a function of a point (x, y, z) of residues mod p: the one
     expression c0 + x(c1 + c4 x + c5 y + c6 z) + y(c2 + c7 y + c8 z) +
     z(c3 + c9 z) mod p, in the slots of `_QUADRIC_SLOTS`.  The embedding
-    is a ring homomorphism on p-integral coefficients, so the value is
-    `_embed_flat(f.evaluate(x, y, z).coeffs)`.  ValueError on a term of
-    degree above 2."""
+    is a ring homomorphism on p-integral coefficients, so the value is the
+    embedding of f evaluated at any point that reduces to (x, y, z).
+    ValueError on a term of degree above 2."""
     c = [0] * 10
     for mono, coeff in f.terms.items():
         slot = _QUADRIC_SLOTS.get(mono)

@@ -120,9 +120,7 @@ from localglobal.elkies import ElkiesFibre
 from localglobal.padic import (
     InsufficientPrecision,
     NoConvergence,
-    _unit_label_digits,
     hensel_root as padic_hensel_root,
-    is_nth_power_unit,
 )
 from localglobal.reichardt_lind import (
     ObstructionReport,
@@ -317,6 +315,41 @@ class PadicNumber:
 
     def __rtruediv__(self, other):
         return self.inverse() * other
+
+
+# ----------------------------------------------------------- n-th power units
+# The rule for every n, which the library keeps for n = 4 alone
+# (`padic.is_fourth_power_unit`); the power classes below read it.
+def _unit_label_digits(p: int, n: int) -> int:
+    """Units congruent mod p**k (k = 2 v_p(n) + 1) share their n-th power class."""
+    return 2 * valuation(n, p) + 1
+
+
+def is_nth_power_unit(u: int, n: int, p: int) -> bool:
+    """Is the unit u an n-th power in Z_p*?
+
+    Closed criteria: odd p uses u**((p-1)/g) = 1 mod p with g = gcd(n, p-1);
+    p = 2 uses u = 1 mod 8 (squares) and u = 1 mod 16 (fourth powers);
+    p = 3, n = 3 uses u = +-1 mod 9.  Anything else falls back to exhausting
+    the stabilized residue ring p**(2 v_p(n) + 1).
+    """
+    if u % p == 0:
+        raise ValueError("not a unit")
+    if p != 2 and n % p != 0:
+        g = math.gcd(n, p - 1)
+        return pow(u % p, (p - 1) // g, p) == 1
+    if p == 2:
+        s = valuation(n, 2)  # the odd part of n acts invertibly on Z_2 units
+        if s == 0:
+            return True
+        if s == 1:
+            return u % 8 == 1
+        if s == 2:
+            return u % 16 == 1
+    if p == 3 and n == 3:
+        return u % 9 in (1, 8)
+    mod = p ** _unit_label_digits(p, n)
+    return any(r % p and pow(r, n, mod) == u % mod for r in range(1, mod))
 
 
 def padic_root(x: PadicNumber, n: int) -> PadicNumber:
@@ -1418,6 +1451,14 @@ def eisenstein_norm(x):
     return a * a - a * b + b * b
 
 
+def eisenstein_inverse(x: Eisenstein) -> Eisenstein:
+    """1/x = conj(x)/N(x), conj(a + b z) = (a - b) - b z: the inverse of
+    Q(zeta_3) that the library does not keep."""
+    a, b = x.coeffs
+    n = eisenstein_norm((a, b))
+    return Eisenstein(Fraction(a - b) / n, Fraction(-b) / n)
+
+
 def _scale(n, c):
     return (n * c[0], n * c[1])
 
@@ -1863,7 +1904,7 @@ def pi_digits(x: Eisenstein, count: int) -> tuple[int, ...]:
     for _ in range(count):
         d = (_residue_mod3(x.a) + _residue_mod3(x.b)) % 3
         digits.append(d)
-        x = divide_by_pi(x - d)
+        x = divide_by_pi(x - Eisenstein.of(d))
     return tuple(digits)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from localglobal import cli, cubic, selmer
-from localglobal.padic import InsufficientPrecision
+from localglobal.exact import FactoringBudgetExhausted
 from localglobal.reichardt_lind import NoPointError
 from localglobal.symbols import InvariantValue, as_place
 
@@ -279,12 +279,15 @@ class TestPlumbing:
         assert "result.twists = [17, 41, 97]" in out
 
     def test_inconclusive_exit_code(self, capsys, monkeypatch):
+        # exit 2 is the factoring budget alone, and the message names the
+        # cofactor that rho could not split
         def boom(*a, **k):
-            raise InsufficientPrecision("digit budget exhausted")
+            raise FactoringBudgetExhausted(101 * 103)
 
         monkeypatch.setattr(cli, "local_image", boom)
         code, rep = run_json(capsys, "rl", "verify", "--ell", "2", "--p", "17")
         assert code == 2 and rep["status"] == "inconclusive"
+        assert rep["result"]["message"].endswith("ran out on the composite cofactor 10403")
 
     def test_no_local_point_exit_code(self, capsys, monkeypatch):
         def boom(*a, **k):

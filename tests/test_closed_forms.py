@@ -10,9 +10,8 @@ import pytest
 
 from localglobal import cli, symbols
 from localglobal.exact import primes_up_to
-from localglobal.padic import _unit_label_digits
 from localglobal.reichardt_lind import density_experiment
-from oracles import _canonical_unit_label
+from oracles import _canonical_unit_label, _unit_label_digits
 from oracles import closed_is_local_norm as is_local_norm
 
 PRIMES_2000 = primes_up_to(2000)

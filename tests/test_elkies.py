@@ -29,7 +29,7 @@ from localglobal.exact import (
     primes_up_to,
     quartic_residue_symbol,
 )
-from localglobal.padic import is_nth_power_unit
+from localglobal.padic import is_fourth_power_unit
 from localglobal.symbols import InvariantValue
 
 rationals_of_height = oracles.rationals_of_height
@@ -468,7 +468,7 @@ def _walk_report(fib, good_prime_bound):
     as `elkies verify` did before its closed rules."""
     walk = lambda q: oracles.residue_walk_point(fib.N0, q) is not None
     return oracles.LocalSolvabilityReport(
-        fib, fib.N0 > 0, is_nth_power_unit(fib.N0, 4, 2),
+        fib, fib.N0 > 0, is_fourth_power_unit(fib.N0, 2),
         tuple((p, walk(p)) for p, _ in fib.factorization.factors),
         all(walk(q) for q in primes_up_to(good_prime_bound)[1:] if fib.N0 % q),
     )
@@ -643,7 +643,7 @@ class TestObstructionParity:
     def test_euler_criterion_matches_the_quartic_symbol(self):
         for p in primes_up_to(20_000):
             if p % 8 == 1:
-                assert is_nth_power_unit(2, 4, p) == (quartic_residue_symbol(2, p).exponent == 0), p
+                assert is_fourth_power_unit(2, p) == (quartic_residue_symbol(2, p).exponent == 0), p
 
     def test_contributing_primes_match_the_oracle(self):
         for fib in fibres_of_height_ten():

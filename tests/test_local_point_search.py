@@ -302,11 +302,15 @@ def test_rl_verify_reads_the_whole_image_of_a_place(capsys):
     assert {hilbert2(y, 31, 31)[1] for y in (r, 31 - r)} == {HALF, ZERO}
 
 
+def refuse_lift(*args):
+    raise AssertionError(f"hensel_root{args}: rl verify lifts nothing")
+
+
 def test_a_first_point_off_the_rule_at_p_is_a_certificate_error(monkeypatch, capsys):
     # the rule at p = 17 gives {1/2} for ell = 2, a square but no 4th power
-    # mod 17; a Hensel lift that returns y = 1, of invariant 0, fails the
+    # mod 17; a square root that returns y = 1, of invariant 0, fails the
     # check (exit 1), never a definite verdict
-    monkeypatch.setattr(reichardt_lind, "hensel_root", lambda coeffs, start, q, n: (1, n))
+    monkeypatch.setattr(reichardt_lind, "_sqrt_mod_odd_prime", lambda a, q: 1)
     code, out = rl_verify(capsys, 2, 17)
     assert (code, out["status"]) == (1, "error")
     assert out["result"]["message"] == ("CertificateError: a point over Q_17 has the invariant 0, "
@@ -587,46 +591,43 @@ def test_point_obstruction_matches_lifting_at_16(monkeypatch):
 
 def test_only_kept_branches_are_lifted(monkeypatch):
     # rl verify --ell 2 --p 1000721: p = 1 mod 16 is a 4th power in Q_2,
-    # and the rule at p is checked on the one point (y, 1), 2y^2 = 1 - p,
-    # so its y is the only value lifted: from a square root of 1/2 mod p,
-    # to one digit
-    hensel_root, lifted = reichardt_lind.hensel_root, []
+    # and the rule at p is checked on the one point (y0, 1), 2y0^2 = 1 - p
+    # mod p, a square root of 1/2 mod p: a simple root, which Hensel's
+    # lemma lifts and whose unit symbol reads one digit, so nothing is lifted
+    sqrt, roots = reichardt_lind._sqrt_mod_odd_prime, []
 
-    def recording_root(coeffs, start, q, n):
-        lifted.append((coeffs, start, q, n))
-        return hensel_root(coeffs, start, q, n)
+    def recording_sqrt(a, q):
+        roots.append((a, q, sqrt(a, q)))
+        return roots[-1][2]
 
-    monkeypatch.setattr(reichardt_lind, "hensel_root", recording_root)
+    monkeypatch.setattr(reichardt_lind, "_sqrt_mod_odd_prime", recording_sqrt)
+    monkeypatch.setattr(padic, "hensel_root", refuse_lift)
+    assert not hasattr(reichardt_lind, "hensel_root")
     tw = TwistParams(2, 1000721)
-    for place in tw.bad_places:
-        reichardt_lind.local_image(tw, place)
-    (coeffs, start, q, n), = lifted
-    assert (coeffs, q, n) == ([1000720, 0, 2], 1000721, 1)
-    assert (2 * start * start - 1) % q == 0
+    images = {place: reichardt_lind.local_image(tw, place) for place in tw.bad_places}
+    (a, q, y0), = roots
+    assert q == 1000721 and (2 * a - 1) % q == 0 and (2 * y0 * y0 - 1) % q == 0
+    assert hilbert2(y0, q, q)[1] in images[as_place(q)]
 
 
 def test_rl_verify_lifts_at_most_one_node_at_p(monkeypatch, capsys):
-    # rl verify calls hensel_root once, at p, when ell is a square mod p
-    # and every place before p has points, and otherwise never: at
-    # 2^64 + 2065, and on every small twist
-    hensel_root, lifts = reichardt_lind.hensel_root, []
-
-    def counting_root(coeffs, start, q, n):
-        lifts.append(q)
-        return hensel_root(coeffs, start, q, n)
-
+    # rl verify calls no hensel_root: it takes one square root, at p, when
+    # ell is a square mod p and every place before p has points, and
+    # otherwise none: at 2^64 + 2065, and on every small twist
+    sqrt, roots = reichardt_lind._sqrt_mod_odd_prime, []
+    monkeypatch.setattr(reichardt_lind, "_sqrt_mod_odd_prime", lambda a, q: roots.append(q) or sqrt(a, q))
+    monkeypatch.setattr(padic, "hensel_root", refuse_lift)
     p = 18446744073709553681
-    monkeypatch.setattr(reichardt_lind, "hensel_root", counting_root)
     code, out = rl_verify(capsys, 2, p)
     assert (code, out["status"]) == (0, "obstructed")
-    assert lifts == [p]
+    assert roots == [p]
     counts = set()
     for tw in small_twists():
         reached = all(image_or_empty(tw, v) for v in tw.bad_finite_places if v.prime < tw.p)
         square = pow(tw.ell, (tw.p - 1) // 2, tw.p) == 1
-        lifts.clear()
-        rl_verify(capsys, tw.ell, tw.p)
-        assert lifts == ([tw.p] if reached and square else []), tw
+        roots.clear()
+        code, _ = rl_verify(capsys, tw.ell, tw.p)
+        assert code == 0 and roots == ([tw.p] if reached and square else []), tw
         counts.add((reached, square))
     assert counts == {(True, True), (True, False), (False, True), (False, False)}
 

@@ -8,9 +8,9 @@ from localglobal.padic import (
     InsufficientPrecision,
     NoConvergence,
     hensel_root,
-    is_nth_power_unit,
+    is_fourth_power_unit,
 )
-from oracles import PadicNumber, padic_root, power_class, power_class_from_parts
+from oracles import PadicNumber, is_nth_power_unit, padic_root, power_class, power_class_from_parts
 
 
 def from_q(q, p, prec=40):
@@ -114,7 +114,8 @@ def test_power_class_examples():
 
 def test_power_class_brute_force():
     # exhaustive comparison of the closed criteria with literal n-th powers,
-    # at a residue precision past the stabilization threshold for every pair
+    # at a residue precision past the stabilization threshold for every pair:
+    # the library's fourth-power rule and the oracle's rule for every n
     caps = {2: 8, 3: 8, 5: 8, 17: 4}
     for p, cap in caps.items():
         mod = p**cap
@@ -124,6 +125,10 @@ def test_power_class_brute_force():
                 if u % p == 0:
                     continue
                 assert is_nth_power_unit(u, n, p) == (u % mod in powers), (p, n, u)
+                if n == 4:
+                    assert is_fourth_power_unit(u, p) == (u % mod in powers), (p, u)
+    with pytest.raises(ValueError, match="not a unit"):
+        is_fourth_power_unit(34, 17)
 
 
 def test_power_class_group_structure():

@@ -29,7 +29,7 @@ IDENTITY_SUITE = ("the curve identity suite: the benchmark's cubic workload and 
 UNREACHED = {f"tower.{name}": IDENTITY_SUITE for name in (
     "CurveIdentityReport", "CurvePolynomial", "EPS", "_QUADRIC_SLOTS", "_curve_points",
     "_POINTS_PER_PRIME", "_embed_flat", "_embed_polynomial", "_embedding_data", "_identity_sides",
-    "_reduced_product", "_resolvent_parts", "curve_identity_suite", "identity_check_primes",
+    "_reduced_product", "_resolvent_parts", "curve_identity_suite", "identity_check_primes", "sigma",
 )}
 
 DEFAULTS = {

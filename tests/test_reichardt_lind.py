@@ -209,14 +209,14 @@ class TestForcedSectionInvariants:
         """One rule per bad place: the image at p, the table at 2 and the
         4th-power test at each odd q | ell."""
         calls = []
-        for name in ("_image_at_p", "_forced_at_2", "is_nth_power_unit"):
+        for name in ("_image_at_p", "_forced_at_2", "is_fourth_power_unit"):
             real = getattr(reichardt_lind, name)
             monkeypatch.setattr(reichardt_lind, name, lambda *a, name=name, real=real:
                                 calls.append((name, a)) or real(*a))
         expected = {
             RL: [("_forced_at_2", (2, 17)), ("_image_at_p", (2, 17))],
-            TwistParams(-21, 5): [("_forced_at_2", (-21, 5)), ("is_nth_power_unit", (5, 4, 3)),
-                                  ("_image_at_p", (-21, 5)), ("is_nth_power_unit", (5, 4, 7))],
+            TwistParams(-21, 5): [("_forced_at_2", (-21, 5)), ("is_fourth_power_unit", (5, 3)),
+                                  ("_image_at_p", (-21, 5)), ("is_fourth_power_unit", (5, 7))],
         }
         for tw, rules in expected.items():
             calls.clear()
